@@ -160,11 +160,13 @@ def signature(lat: QuadLattice) -> tuple[int, int]:
                 if any(m[idx][j] != 0 for j in range(n)):
                     raise Degenerate("unexpected structure in diagonalization")
                 raise Degenerate("the form is degenerate")
-            # Symmetric row/col addition makes the diagonal entry 2*m[idx][j].
+            # Adding s times row/col j makes the diagonal 2*s*m[idx][j] + m[j][j];
+            # the two signs differ by 4*m[idx][j] != 0, so one of them is nonzero.
+            s = 1 if 2 * m[idx][j] + m[j][j] != 0 else -1
             for k in range(n):
-                m[idx][k] += m[j][k]
+                m[idx][k] += s * m[j][k]
             for k in range(n):
-                m[k][idx] += m[k][j]
+                m[k][idx] += s * m[k][j]
         pivot = m[idx][idx]
         if pivot > 0:
             pos += 1

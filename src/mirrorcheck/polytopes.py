@@ -7,9 +7,11 @@ computations pass through rationals only transiently.
 
 The hull algorithm is an incremental beneath-beyond construction that keeps
 a triangulated boundary while points are inserted and merges coplanar
-simplices into true facets at the end.  Inputs in this domain have at most
-a few hundred points, so no attempt is made at asymptotic cleverness;
-determinism and exactness are the requirements.
+simplices into true facets at the end; inputs in this domain have at most a
+few hundred vertices.  Lattice points are enumerated by project-and-lift
+(as in PALP, Kreuzer-Skarke 2004): the work is proportional to the points
+found, not to the bounding box, so thin or skewed polytopes cost no more
+than upright ones with as many points.
 """
 
 from __future__ import annotations
@@ -268,26 +270,73 @@ def lattice_points(poly: LatticePolytope, region: str = "all") -> tuple[Vec, ...
     """Exact enumeration in lexicographic order.
 
     ``region`` is one of ``all``, ``boundary``, ``interior``.
+
+    Project-and-lift: level ``k`` is the facet system of P projected onto
+    its first ``k`` coordinates -- the interval ``[min v_0, max v_0]`` for
+    ``k = 1``, the facets of the hull of the projected vertices for
+    ``1 < k < d`` (exact and non-redundant), and P's own facets for
+    ``k = d``.  Over each lattice point of level ``k - 1`` the facets of
+    level ``k`` whose last normal entry is nonzero bound the ``k``-th
+    coordinate by exact integer ceil/floor, so sweeping prefixes in
+    increasing order yields the points lexicographically.  A point of the last level is on
+    the boundary iff one of P's facets has slack 0 there, which can only
+    happen at the ends of its fibre or on a whole fibre over a vertical
+    facet.  One sweep fills the cache of all three regions.
     """
     if region not in ("all", "boundary", "interior"):
         raise InputError(f"unknown region {region!r}")
     cached = poly._points.get(region)
-    if cached is not None:
-        return cached
+    if cached is None:
+        everything, boundary, interior = _sweep(poly)
+        poly._points.update(all=everything, boundary=boundary, interior=interior)
+        cached = poly._points[region]
+    return cached
+
+
+def _levels(poly: LatticePolytope) -> list[list[tuple[Vec, int, int]]]:
+    """Per coordinate k, the facets ``<head, x[:k]> + a*x[k] + c >= 0`` with
+    ``a != 0`` of P projected onto its first k+1 coordinates."""
     d = poly.rank
-    lo = [min(v[k] for v in poly.vertices) for k in range(d)]
-    hi = [max(v[k] for v in poly.vertices) for k in range(d)]
-    out = []
-    for p in itertools.product(*(range(lo[k], hi[k] + 1) for k in range(d))):
-        slacks = [dot(n, p) + c for n, c in poly.facets]
-        if any(s < 0 for s in slacks):
-            continue
-        on_bd = any(s == 0 for s in slacks)
-        if region == "all" or (region == "boundary") == on_bd:
-            out.append(p)
-    result = tuple(out)
-    poly._points[region] = result
-    return result
+    first = [v[0] for v in poly.vertices]
+    levels = [[((), 1, -min(first)), ((), -1, max(first))]]
+    for k in range(2, d + 1):
+        facets = poly.facets if k == d else hull([v[:k] for v in poly.vertices]).facets
+        levels.append([(n[:-1], n[-1], c) for n, c in facets if n[-1] != 0])
+    return levels
+
+
+def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
+    """All, boundary and interior lattice points of P, each lexicographic."""
+    d = poly.rank
+    levels = _levels(poly)
+    vertical = [(n[:-1], c) for n, c in poly.facets if n[-1] == 0]
+    everything: list[Vec] = []
+    boundary: list[Vec] = []
+    interior: list[Vec] = []
+
+    def lift(k: int, prefix: Vec) -> None:
+        # (a, r): the facet's slack at x[k] = t is a*t + r.  P is bounded, so
+        # every level has facets with a > 0 and with a < 0.
+        slopes = [(a, c + dot(head, prefix)) for head, a, c in levels[k]]
+        lo = max(-(r // a) for a, r in slopes if a > 0)
+        hi = min(r // -a for a, r in slopes if a < 0)
+        if k + 1 < d:
+            for x in range(lo, hi + 1):
+                lift(k + 1, prefix + (x,))
+            return
+        if lo > hi:
+            return
+        flat = any(c + dot(head, prefix) == 0 for head, c in vertical)
+        for x in range(lo, hi + 1):
+            p = prefix + (x,)
+            everything.append(p)
+            if flat or ((x == lo or x == hi) and any(a * x + r == 0 for a, r in slopes)):
+                boundary.append(p)
+            else:
+                interior.append(p)
+
+    lift(0, ())
+    return tuple(everything), tuple(boundary), tuple(interior)
 
 
 def ell(poly: LatticePolytope) -> int:

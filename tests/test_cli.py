@@ -5,6 +5,8 @@ import json
 import pytest
 
 from mirrorcheck.cli import main
+from mirrorcheck.fixtures import load_fixture
+from mirrorcheck.intlinalg import mat_vec
 
 
 def run(capsys, *argv):
@@ -40,6 +42,29 @@ def test_nef_counts_from_files(tmp_path, capsys):
                             "--polytope", str(poly), "--partition", str(part))
     assert code == 0
     assert report["payload"]["complement_count"] == 12
+
+
+def test_nef_counts_skewed_quintic(tmp_path, capsys):
+    # A GL(4, Z) image of the quintic: its polar's bounding box holds about
+    # 10^11 lattice points, of which 126 lie in the polar.
+    skew = [[7, 2, 0, 0], [3, 7, 2, 0], [0, 3, 7, 2], [0, 0, 3, 1]]
+    quintic = load_fixture("quintic")
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"vertices": [mat_vec(skew, v)
+                                             for v in quintic["polytope"]["vertices"]]}))
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"parts": [[mat_vec(skew, v) for v in p]
+                                          for p in quintic["parts"]]}))
+    code, report = run_json(capsys, "nef", "counts",
+                            "--polytope", str(poly), "--partition", str(part))
+    assert code == 0
+    assert report["payload"]["complement_count"] == 52
+
+
+def test_isotropic_zero_pivot_gram(capsys):
+    code, report = run_json(capsys, "lattice", "isotropic", "--gram", "[[0,1],[1,-2]]")
+    assert code == 0
+    assert report["payload"]["exists"] is True
 
 
 def test_isotropic_definite_gram(capsys):

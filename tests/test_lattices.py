@@ -9,7 +9,7 @@ k^2/n mod 2Z).
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirrorcheck import errors, intlinalg as la, lattices as lt
@@ -90,6 +90,53 @@ def test_direct_sums():
     assert abs(lt.determinant(k3)) == 1
     empty = lt.direct_sum()
     assert empty.rank == 0
+
+
+def _sympy_inertia(gram):
+    """(p, q) from the sign changes of the characteristic polynomial.
+
+    Descartes' rule of signs counts the positive roots exactly when every
+    root is real, as it is for a symmetric matrix; the negative roots are
+    the positive roots of charpoly(-x).
+    """
+    sympy = pytest.importorskip("sympy")
+    coeffs = sympy.Matrix(gram).charpoly().all_coeffs()
+    n = len(coeffs) - 1
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(coeffs), changes([c * (-1) ** (n - i) for i, c in enumerate(coeffs)])
+
+
+def test_signature_zero_pivot():
+    # A hyperbolic plane in another basis: the first pivot is 0 and adding
+    # row/col 1 with sign +1 would give 2*1 + (-2) = 0 again.
+    assert lt.signature(lt.from_gram([[0, 1], [1, -2]])) == (1, 1)
+    assert lt.signature(lt.from_gram([[0, 1], [1, 2]])) == (1, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.integers(-3, 3), min_size=n * (n + 1) // 2,
+                       max_size=n * (n + 1) // 2)))
+@example(entries=[0, 1, -1])
+@example(entries=[0, -1, 0, 1, 0, 0])
+def test_signature_matches_sympy(entries):
+    n = {3: 2, 6: 3, 10: 4}[len(entries)]
+    gram = [[0] * n for _ in range(n)]
+    it = iter(entries)
+    for i in range(n):
+        gram[i][i] = 2 * next(it)
+        for j in range(i + 1, n):
+            gram[i][j] = gram[j][i] = next(it)
+    lat = lt.from_gram(gram)
+    if la.determinant(gram) == 0:
+        with pytest.raises(errors.Degenerate):
+            lt.signature(lat)
+    else:
+        assert lt.signature(lat) == _sympy_inertia(gram)
 
 
 def test_degenerate_rejected():
@@ -294,6 +341,7 @@ def test_invariants_match_cubic_fourfold_example():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-4, 4), min_size=6, max_size=6))
+@example(entries=[0, -1, 0, 1, 0, 0])
 def test_isotropic_postconditions_random(entries):
     # Random even symmetric 3x3 gram; any found vector must be isotropic
     # and primitive, and definite forms must come back conclusive-None.

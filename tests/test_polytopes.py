@@ -6,14 +6,17 @@ nullspace over Fractions), so it shares no code with the production hull.
 """
 
 import itertools
+import json
+import random
 from fractions import Fraction
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mirrorcheck import errors, polytopes as pt
+from mirrorcheck import __version__, errors, fixtures, intlinalg as la, polytopes as pt
+from mirrorcheck.cli import main as cli_main
 
 
 # --- oracles ---------------------------------------------------------------
@@ -94,6 +97,24 @@ def naive_points(points, region="all"):
             out.append(q)
     return tuple(out)
 
+
+def unimodular(d, seed):
+    """A seeded GL(d, Z) matrix: d signed row additions, then a row shuffle."""
+    rng = random.Random(seed)
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(d):
+        i, j = rng.sample(range(d), 2)
+        f = rng.choice((-1, 1))
+        m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+    rng.shuffle(m)
+    return m
+
+
+def image(m, points):
+    return [tuple(la.mat_vec(m, list(p))) for p in points]
+
+
+REGIONS = ("all", "boundary", "interior")
 
 ALL_FIXTURE_POINTS = [
     [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
@@ -222,6 +243,68 @@ def test_ell_additivity(points):
     assert pt.ell(poly) == pt.ell_boundary(poly) + pt.ell_interior(poly)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda d: st.tuples(
+    st.lists(st.tuples(*[st.integers(-1 if d <= 3 else 0, 1)] * d),
+             min_size=d + 1, max_size=d + 3, unique=True),
+    st.integers(0, 2**16))))
+def test_enumeration_oracle_skewed_random(case):
+    # Seeded GL(d, Z) images make the bounding box sparse, so the sweep's
+    # lifting bounds, not the box, decide which points it visits.
+    points, seed = case
+    pts = image(unimodular(len(points[0]), seed), points)
+    try:
+        poly = pt.hull(pts)
+    except errors.NotFullDimensional:
+        assume(False)
+    for region in REGIONS:
+        assert pt.lattice_points(poly, region) == naive_points(pts, region)
+
+
+@pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
+def test_one_sweep_fills_every_region(points):
+    poly = pt.hull(points)
+    assert poly._points == {}
+    pt.lattice_points(poly, "interior")
+    assert set(poly._points) == set(REGIONS)
+    for region in REGIONS:
+        assert poly._points[region] == pt.lattice_points(pt.hull(points), region)
+
+
+@pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
+def test_regions_partition_lexicographically(points):
+    poly = pt.hull(image(unimodular(len(points[0]), 7), points))
+    everything = pt.lattice_points(poly, "all")
+    boundary = pt.lattice_points(poly, "boundary")
+    interior = pt.lattice_points(poly, "interior")
+    assert list(everything) == sorted(everything)
+    assert not set(boundary) & set(interior)
+    assert everything == tuple(sorted(boundary + interior))
+
+
+@pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
+@pytest.mark.parametrize("factor", [2, 3])
+def test_enumeration_oracle_dilated(points, factor):
+    poly = pt.dilate(pt.hull(points), factor)
+    for region in REGIONS:
+        assert pt.lattice_points(poly, region) == naive_points(poly.vertices, region)
+
+
+def test_pick_thin_triangle():
+    # 2 * area = 300*300 - 1 = 2*I + B - 2 (Pick); the two long edges are
+    # primitive and the third has gcd(299, 299) = 299 steps.
+    tri = pt.hull([(0, 0), (300, 1), (1, 300)])
+    assert pt.ell_boundary(tri) == 1 + 1 + 299
+    assert 2 * pt.ell_interior(tri) + pt.ell_boundary(tri) - 2 == 300 * 300 - 1
+    assert pt.ell(tri) == 45151
+
+
+def test_ehrhart_dilated_cube5():
+    cube5 = pt.hull(list(itertools.product((-1, 1), repeat=5)))
+    assert pt.ell(pt.dilate(cube5, 3)) == 7 ** 5
+    assert pt.ell_interior(pt.dilate(cube5, 3)) == 5 ** 5
+
+
 # --- faces and duality -----------------------------------------------------
 
 
@@ -300,3 +383,53 @@ def test_convex_hull_contains_degenerate():
     assert pt.convex_hull_contains(segment, (0, 0, 1))
     assert not pt.convex_hull_contains(segment, (0, 1, 1))
     assert pt.extreme_points([(0, 0, 0), (0, 0, 1), (0, 0, 2)]) == ((0, 0, 0), (0, 0, 2))
+
+
+# --- CLI byte identity -----------------------------------------------------
+
+
+def _polytope_fixtures():
+    names = []
+    for name in fixtures.fixture_names():
+        if "polytope" in fixtures.load_fixture(name):
+            names.append(name)
+    return names
+
+
+SKEWED_IMAGES = {
+    "octahedron": [[2, 1, 0], [-3, -1, 1], [1, 2, 2]],
+    "quintic": [[7, 2, 0, 0], [3, 7, 2, 0], [0, 3, 7, 2], [0, 0, 3, 1]],
+}
+
+
+def _points_report(region, vertices, inputs):
+    points = naive_points(vertices, region)
+    report = {
+        "status": "PASS",
+        "payload": {"region": region, "count": len(points),
+                    "points": [list(p) for p in points]},
+        "provenance": {"tool": "mirrorcheck", "version": __version__,
+                       "command": ["polytope", "points"], "inputs": inputs},
+    }
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("region", REGIONS)
+@pytest.mark.parametrize("name", _polytope_fixtures())
+def test_cli_points_fixture_bytes(name, region, capsys):
+    vertices = fixtures.load_fixture(name)["polytope"]["vertices"]
+    assert cli_main(["polytope", "points", "--fixture", name, "--region", region]) == 0
+    assert capsys.readouterr().out == _points_report(region, vertices, {"fixture": name})
+
+
+@pytest.mark.parametrize("region", REGIONS)
+@pytest.mark.parametrize("name", sorted(SKEWED_IMAGES))
+def test_cli_points_skewed_bytes(name, region, tmp_path, capsys):
+    assert abs(la.determinant(SKEWED_IMAGES[name])) == 1
+    vertices = image(SKEWED_IMAGES[name], fixtures.load_fixture(name)["polytope"]["vertices"])
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"vertices": [list(v) for v in vertices]}))
+    argv = ["polytope", "points", "--polytope", str(path), "--region", region]
+    assert cli_main(argv) == 0
+    expected = _points_report(region, vertices, {"polytope": {"file": str(path)}})
+    assert capsys.readouterr().out == expected
