@@ -477,13 +477,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact invariants for mirror pairs of degenerations and fibrations.")
     parser.add_argument("--version", action="version", version=__version__)
     top = parser.add_subparsers(dest="group", required=True)
+    fixtures = ", ".join(fixture_names())
 
     def sub(group, name, handler, **kwargs):
         p = group.add_parser(name, **kwargs)
         p.set_defaults(handler=handler)
         p.add_argument("--fixture", metavar="NAME",
-                       help="load inputs from a bundled fixture "
-                            f"({', '.join(fixture_names())})")
+                       help=f"load inputs from a bundled fixture ({fixtures})")
         p.add_argument("--pretty", action="store_true",
                        help="human-readable text instead of JSON")
         p.add_argument("--out", metavar="PATH", help="also write the report to a file")

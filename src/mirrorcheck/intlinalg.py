@@ -1,9 +1,12 @@
 """Exact integer and rational linear algebra.
 
-All routines work on plain Python ints (arbitrary precision) or
-``fractions.Fraction``; nothing here touches floating point.  Matrices are
-lists of row lists.  Sizes in this project are tiny (rank <= 22), so the
-classical cubic algorithms are used throughout.
+All routines work on plain Python ints (arbitrary precision); nothing here
+touches floating point.  Matrices are lists of row lists.  Rank,
+determinant, rational solves and inverses share one fraction-free
+(Bareiss) elimination kernel, ``_echelon``, whose entries stay integer
+minors of the input, so rationals appear only in the results, one
+``Fraction`` per entry.  Smith normal form and the integer kernel and
+solves built on it use unimodular row and column operations.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
+
+from .errors import Degenerate
 
 IntMatrix = list[list[int]]
 IntVector = list[int]
@@ -44,50 +49,61 @@ def vec_gcd(v: Sequence[int]) -> int:
     return g
 
 
+def _echelon(a: IntMatrix, ncols: int, reduced: bool = False) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of ``a`` in place.
+
+    Pivots are sought in the first ``ncols`` columns; any further columns
+    (an augmented right-hand side) are carried along.  Returns
+    ``(pivots, sign)``: row ``i`` holds the pivot of column ``pivots[i]``,
+    and ``sign`` is the parity of the row swaps.  Every entry computed is an
+    integer minor of the input (Bareiss 1968), so each ``//`` is exact, and
+    the last pivot ``den`` is, up to ``sign``, the minor on the pivot rows
+    and columns.  A step updates only the columns right of its pivot, the
+    only ones read again.  With ``reduced`` the rows above each pivot are
+    cleared too, so right of the last pivot column ``a`` ends as ``den``
+    times the reduced row echelon form.
+    """
+    nrows = len(a)
+    width = len(a[0]) if nrows else 0
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        if not a[r][c]:
+            p = next((i for i in range(r + 1, nrows) if a[i][c]), None)
+            if p is None:
+                continue
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        pr = a[r]
+        pv = pr[c]
+        for i in range(0 if reduced else r + 1, nrows):
+            if i != r:
+                row = a[i]
+                f = row[c]
+                for j in range(c + 1, width):
+                    row[j] = (pv * row[j] - f * pr[j]) // prev
+        prev = pv
+        pivots.append(c)
+    return pivots, sign
+
+
 def determinant(m: Sequence[Sequence[int]]) -> int:
     """Integer determinant by fraction-free (Bareiss) elimination."""
     n = len(m)
-    if n == 0:
-        return 1
     a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, sign = _echelon(a, n)
+    if len(pivots) < n:
+        return 0
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def rank(m: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, via exact Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in m]
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pr = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] / pr[c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    """Rank over the rationals: the pivot count of a fraction-free echelon form."""
+    return len(_echelon([list(row) for row in m], len(m[0]) if m else 0)[0])
 
 
 def solve_exact(a: Sequence[Sequence[int]], b: Sequence[int]):
@@ -95,34 +111,22 @@ def solve_exact(a: Sequence[Sequence[int]], b: Sequence[int]):
 
     Returns a pair ``(status, x)`` where ``status`` is one of
     ``"inconsistent"`` (x is None), ``"unique"`` or ``"underdetermined"``
-    (x is a particular solution with free coordinates set to zero).
+    (x is a particular solution with free coordinates set to zero).  The
+    elimination runs over the integers; each coordinate of ``x`` is one
+    ``Fraction`` of the reduced right-hand side over the common pivot.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pr = aug[r]
-        inv = 1 / pr[c]
-        aug[r] = [x * inv for x in pr]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return "inconsistent", None
+    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
+    pivots, _ = _echelon(aug, ncols, reduced=True)
+    r = len(pivots)
+    if any(aug[i][ncols] for i in range(r, nrows)):
+        return "inconsistent", None
+    den = aug[r - 1][pivots[-1]] if r else 1
     x = [Fraction(0)] * ncols
     for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
-    status = "unique" if len(pivots) == ncols else "underdetermined"
+        x[c] = Fraction(aug[i][ncols], den)
+    status = "unique" if r == ncols else "underdetermined"
     return status, x
 
 
@@ -251,30 +255,28 @@ def integral_solve(m: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[Int
     return mat_vec(v, y)
 
 
+def _inverse(m: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
+    """``(den, adj)`` with ``m @ adj == den * I`` for a nonsingular square ``m``."""
+    n = len(m)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    pivots, _ = _echelon(aug, n, reduced=True)
+    if len(pivots) < n:
+        raise Degenerate("matrix is singular")
+    return (aug[n - 1][n - 1] if n else 1), [row[n:] for row in aug]
+
+
 def inverse_unimodular(m: Sequence[Sequence[int]]) -> IntMatrix:
     """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(m)]
-    for c in range(n):
-        pivot = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    out = [[x for x in row[n:]] for row in aug]
-    result = []
-    for row in out:
-        int_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            int_row.append(int(x))
-        result.append(int_row)
-    return result
+    den, adj = _inverse(m)
+    if den not in (1, -1):
+        raise Degenerate("matrix is not unimodular")
+    return [[den * x for x in row] for row in adj]
+
+
+def inverse_rational(m: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """Exact inverse of a nonsingular integer matrix, over the rationals."""
+    den, adj = _inverse(m)
+    return [[Fraction(x, den) for x in row] for row in adj]
 
 
 def is_primitive_rows(m: Sequence[Sequence[int]]) -> bool:

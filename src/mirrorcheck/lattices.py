@@ -222,7 +222,7 @@ def discriminant(lat: QuadLattice) -> DiscriminantData:
     u, d, _ = la.smith_normal_form(gram)
     diag = [d[i][i] for i in range(n)]
     u_inv = la.inverse_unimodular(u)
-    g_inv = _fraction_inverse(gram)
+    g_inv = la.inverse_rational(gram)
     values = []
     for combo in itertools.product(*(range(di) for di in diag)):
         z = la.mat_vec(u_inv, list(combo))
@@ -234,24 +234,6 @@ def discriminant(lat: QuadLattice) -> DiscriminantData:
                 q += z[i] * g_inv[i][j] * z[j]
         values.append(q % 2)
     return DiscriminantData(tuple(factors), tuple(sorted(values)))
-
-
-def _fraction_inverse(m: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(m)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            raise Degenerate("matrix is singular")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
 
 
 @dataclass(frozen=True)

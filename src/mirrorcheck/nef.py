@@ -59,6 +59,9 @@ class NefPartition:
 
     polytope: LatticePolytope
     parts: tuple[tuple[Vec, ...], ...]
+    # The dual partition, cached by dual_nef_partition on first use.
+    _dual: Optional["DualNefPartition"] = field(
+        default=None, init=False, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -196,8 +199,12 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
     (conv(nabla_i and N) = nabla_i holds for every valid partition, and
     validity is what validate_nef_partition certifies beforehand).
     Lattice points of each nabla_i are read off by filtering the lattice
-    points of the polar polytope, which always contains them.
+    points of the polar polytope, which always contains them.  The result
+    is cached on the partition, so the cross-check in
+    validate_nef_partition builds the one that later calls return.
     """
+    if np_._dual is not None:
+        return np_._dual
     delta = np_.polytope
     d = delta.rank
     boundary = _boundary_points(delta)
@@ -260,7 +267,9 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
         if len(owners) != 1:
             raise DualityInconsistency(
                 f"lattice point {p} of nabla lies in {len(owners)} pieces")
-    return DualNefPartition(np_, tuple(vertex_sets), tuple(point_sets), nabla, tuple(hulls))
+    dual = DualNefPartition(np_, tuple(vertex_sets), tuple(point_sets), nabla, tuple(hulls))
+    object.__setattr__(np_, "_dual", dual)
+    return dual
 
 
 def _extreme_of_points(points: tuple[Vec, ...], d: int) -> tuple[Vec, ...]:

@@ -2,8 +2,9 @@
 
 Polytopes are stored in canonical form: sorted vertex tuples together with
 the complete facet description ``<normal, x> >= -offset``, where every
-normal is a primitive integer vector.  All arithmetic is exact; facet
-computations pass through rationals only transiently.
+normal is a primitive integer vector.  All arithmetic is exact and, apart
+from the barycentric coordinates of the Caratheodory membership test,
+integral.
 
 The hull algorithm is an incremental beneath-beyond construction that keeps
 a triangulated boundary while points are inserted and merges coplanar
@@ -17,7 +18,6 @@ than upright ones with as many points.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     RankMismatch,
     UnsupportedRank,
 )
-from .intlinalg import determinant, dot, rank as mat_rank, vec_gcd
+from .intlinalg import determinant, dot, rank as mat_rank, solve_exact, vec_gcd
 
 Vec = tuple[int, ...]
 Facet = tuple[Vec, int]  # (primitive normal n, offset c): <n, x> >= -c
@@ -83,7 +83,7 @@ def _affinely_independent_subset(points: Sequence[Vec], d: int) -> Optional[list
 class LatticePolytope:
     """A full-dimensional lattice polytope in canonical form."""
 
-    __slots__ = ("rank", "vertices", "facets", "_points", "_faces")
+    __slots__ = ("rank", "vertices", "facets", "_points", "_faces", "_polar")
 
     def __init__(self, rank: int, vertices: tuple[Vec, ...], facets: tuple[Facet, ...]):
         self.rank = rank
@@ -91,6 +91,7 @@ class LatticePolytope:
         self.facets = facets
         self._points: dict[str, tuple[Vec, ...]] = {}
         self._faces: Optional[tuple["Face", ...]] = None
+        self._polar: Optional["LatticePolytope"] = None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LatticePolytope)
@@ -173,13 +174,13 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     if simplex is None:
         raise NotFullDimensional(f"affine span has dimension below {d}")
 
-    # Rational interior reference point: centroid of the starting simplex.
-    ref = [Fraction(sum(pts[i][k] for i in simplex), d + 1) for k in range(d)]
+    # Interior reference point (d+1) * centroid of the starting simplex, which
+    # is integral; a facet keeps it on its inner side when <n, ref> + (d+1)c > 0.
+    ref = [sum(pts[i][k] for i in simplex) for k in range(d)]
 
     def oriented(plane_pts: Sequence[Vec]) -> tuple[Vec, int]:
         n, c = _plane_through(plane_pts)
-        side = sum(Fraction(nk) * rk for nk, rk in zip(n, ref)) + c
-        if side < 0:
+        if dot(n, ref) + (d + 1) * c < 0:
             n = tuple(-x for x in n)
             c = -c
         return n, c
@@ -245,8 +246,14 @@ def polar_dual(poly: LatticePolytope) -> LatticePolytope:
     """Polar polytope {u : <u, v> >= -1 for all v in P}.
 
     Defined here only for reflexive input, where the polar is again a
-    lattice polytope whose vertices are the facet normals of P.
+    lattice polytope whose vertices are the facet normals of P.  The polar
+    is built and cross-checked once, then cached on both polytopes, linked
+    both ways: ``polar_dual(polar_dual(P)) is P``, and repeated calls share
+    one polar with its cached points and faces.  A failed check caches
+    nothing, so a non-reflexive input raises on every call.
     """
+    if poly._polar is not None:
+        return poly._polar
     offsets = [c for _, c in poly.facets]
     if any(c <= 0 for c in offsets):
         raise OriginNotInterior("origin is not an interior point")
@@ -258,6 +265,8 @@ def polar_dual(poly: LatticePolytope) -> LatticePolytope:
     actual = {n for n, _ in dual.facets}
     if expected != actual or any(c != 1 for _, c in dual.facets):
         raise NonIntegralDual("polar dual failed the facet/vertex duality cross-check")
+    poly._polar = dual
+    dual._polar = poly
     return dual
 
 
@@ -500,16 +509,10 @@ def convex_hull_contains(generators: Sequence[Sequence[int]], point: Sequence[in
             rows = [[g[k] for g in subset] for k in range(d)]
             rows.append([1] * size)
             rhs = list(p) + [1]
-            status, sol = _solve_fraction(rows, rhs)
+            status, sol = solve_exact(rows, rhs)
             if status == "unique" and all(x >= 0 for x in sol):
                 return True
     return False
-
-
-def _solve_fraction(a, b):
-    from .intlinalg import solve_exact
-
-    return solve_exact(a, b)
 
 
 def extreme_points(generators: Sequence[Sequence[int]]) -> tuple[Vec, ...]:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mirrorcheck import cli
 from mirrorcheck.cli import main
 from mirrorcheck.fixtures import load_fixture
 from mirrorcheck.intlinalg import mat_vec
@@ -241,3 +242,16 @@ def test_lmhs_mirror_comparison(tmp_path, capsys):
     code, report = run_json(capsys, "hodge", "lmhs", "--u", "19", "--v", "69",
                             "--mirror", str(table))
     assert code == 1
+
+
+def test_parser_lists_fixtures_once(monkeypatch):
+    calls = []
+    real = cli.fixture_names
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "fixture_names", counting)
+    cli.build_parser()
+    assert len(calls) == 1

@@ -1,0 +1,152 @@
+"""Exact linear algebra against sympy as an independent oracle.
+
+Rank, determinant, rational solves and both inverses run on one
+fraction-free elimination kernel; each is compared here with sympy's own
+exact matrix routines on random square, rectangular and low-rank integer
+matrices.  The tests skip when sympy is not installed.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mirrorcheck import errors, intlinalg as la
+
+entries = st.integers(-6, 6)
+
+
+def _sympy():
+    return pytest.importorskip("sympy")
+
+
+def _frac(q) -> Fraction:
+    return Fraction(int(q.p), int(q.q))
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Integer matrices up to 6x6; about half are products of two thinner
+    factors, so low ranks and zero rows and columns come up often."""
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+    k = draw(st.integers(1, min(nrows, ncols)))
+    left = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                         min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+                          min_size=k, max_size=k))
+    return la.mat_mul(left, right)
+
+
+@st.composite
+def unimodular(draw):
+    """Products of random elementary integer row operations."""
+    n = draw(st.integers(1, 5))
+    m = la.identity(n)
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            f = draw(st.integers(-3, 3))
+            m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+@example([[0, 0], [0, 0]])
+@example([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
+def test_rank_matches_sympy(m):
+    sympy = _sympy()
+    assert la.rank(m) == sympy.Matrix(m).rank()
+
+
+def test_rank_empty():
+    assert la.rank([]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(square=True))
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+def test_determinant_matches_sympy(m):
+    sympy = _sympy()
+    assert la.determinant(m) == sympy.Matrix(m).det()
+
+
+@st.composite
+def systems(draw):
+    """``(a, b)``; half the right-hand sides lie in the column span of ``a``."""
+    a = draw(matrices())
+    if draw(st.booleans()):
+        x0 = draw(st.lists(entries, min_size=len(a[0]), max_size=len(a[0])))
+        return a, la.mat_vec(a, x0)
+    return a, draw(st.lists(entries, min_size=len(a), max_size=len(a)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+@example(([[1, 2], [2, 4]], [1, 3]))
+@example(([[0, 1], [0, 2]], [1, 2]))
+@example(([[2, 1], [1, 3]], [1, 0]))
+def test_solve_exact_matches_sympy(system):
+    sympy = _sympy()
+    a, b = system
+    ncols = len(a[0])
+    status, x = la.solve_exact(a, b)
+    reduced, pivots = sympy.Matrix(a).row_join(sympy.Matrix(b)).rref()
+    if ncols in pivots:
+        assert (status, x) == ("inconsistent", None)
+        return
+    expected = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        expected[c] = _frac(reduced[i, ncols])
+    assert status == ("unique" if len(pivots) == ncols else "underdetermined")
+    assert x == expected
+    assert all(isinstance(v, Fraction) for v in x)
+    assert [sum(r * v for r, v in zip(row, x)) for row in a] == list(b)
+
+
+def test_solve_exact_statuses():
+    assert la.solve_exact([[1, 1], [1, -1]], [2, 0]) == ("unique", [1, 1])
+    assert la.solve_exact([[2, 4]], [2]) == ("underdetermined", [1, 0])
+    assert la.solve_exact([[1, 1], [2, 2]], [1, 3]) == ("inconsistent", None)
+    assert la.solve_exact([[3, 0], [0, 2]], [1, 1]) == (
+        "unique", [Fraction(1, 3), Fraction(1, 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(unimodular())
+def test_inverse_unimodular_matches_sympy(m):
+    sympy = _sympy()
+    inv = la.inverse_unimodular(m)
+    assert inv == [[int(x) for x in row] for row in sympy.Matrix(m).inv().tolist()]
+    assert la.mat_mul(m, inv) == la.identity(len(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(square=True))
+@example([[2, 1], [1, 2]])
+@example([[0, 2], [3, 0]])
+def test_inverse_rational_matches_sympy(m):
+    sympy = _sympy()
+    if sympy.Matrix(m).det() == 0:
+        with pytest.raises(errors.Degenerate):
+            la.inverse_rational(m)
+        return
+    expected = [[_frac(q) for q in row] for row in sympy.Matrix(m).inv().tolist()]
+    assert la.inverse_rational(m) == expected
+
+
+def test_inverse_errors_are_named():
+    with pytest.raises(errors.Degenerate):
+        la.inverse_unimodular([[1, 2], [2, 4]])
+    with pytest.raises(errors.Degenerate):
+        la.inverse_unimodular([[2, 0], [0, 1]])
+    with pytest.raises(errors.Degenerate):
+        la.inverse_rational([[0, 0], [0, 0]])

@@ -6,6 +6,8 @@ a (4, 5) complete intersection in projective 3-space, so
 2g - 2 = deg * (4 + 5 - 4) with deg = 20.
 """
 
+import itertools
+
 import pytest
 
 from mirrorcheck import errors, nef, polytopes as pt
@@ -88,6 +90,22 @@ def test_dual_p1p1p1(octahedron):
     assert set(dual.nabla_vertex_sets[0]) == cube_neg
     assert set(dual.nabla_vertex_sets[1]) == {tuple(-c for c in v) for v in cube_neg}
     assert pt.ell(dual.nabla) == 15
+
+
+def test_dual_partition_cached_by_validation(octahedron, monkeypatch):
+    np_ = nef.validate_nef_partition(octahedron, P1P1P1_PARTS)
+
+    def rebuild(poly):
+        raise AssertionError("the dual partition was built twice")
+
+    # validate_nef_partition built the dual as its cross-check; it is reused.
+    monkeypatch.setattr(nef, "polar_dual", rebuild)
+    dual = nef.dual_nef_partition(np_)
+    assert nef.dual_nef_partition(np_) is dual
+    # The cache is not part of the partition's identity.
+    fresh = nef.NefPartition(octahedron, np_.parts)
+    assert fresh == np_ and hash(fresh) == hash(np_)
+    assert repr(fresh) == repr(np_)
 
 
 def test_dual_wp1113_exact_vertex_lists(wp1113_simplex):
@@ -291,6 +309,22 @@ def test_batyrev_mirror_swap(fixture, request):
     poly = request.getfixturevalue(fixture)
     h11, h21 = nef.batyrev_hodge(poly)
     assert nef.batyrev_hodge(pt.polar_dual(poly)) == (h21, h11)
+
+
+def test_batyrev_builds_one_polar(monkeypatch):
+    cube4 = pt.hull(list(itertools.product((-1, 1), repeat=4)))
+    real_hull = pt.hull
+    calls = []
+
+    def counting_hull(points):
+        calls.append(1)
+        return real_hull(points)
+
+    monkeypatch.setattr(pt, "hull", counting_hull)
+    assert nef.batyrev_hodge(cube4) == (68, 4)
+    # One hull for the polar, shared by every dual_face call, and two
+    # projection hulls for the lattice points of each of cube4 and its polar.
+    assert len(calls) <= 5, len(calls)
 
 
 def test_batyrev_rejects_rank2(hexagon):

@@ -194,6 +194,22 @@ def test_polar_involution(fixture, request):
     assert len(dual.facets) == len(poly.vertices)
 
 
+@pytest.mark.parametrize("fixture", ["octahedron", "cube", "quartic_simplex",
+                                     "wp1113_simplex", "quintic_simplex", "hexagon"])
+def test_polar_cached_both_ways(fixture, request):
+    poly = request.getfixturevalue(fixture)
+    dual = pt.polar_dual(poly)
+    assert pt.polar_dual(poly) is dual
+    assert pt.polar_dual(dual) is poly
+
+
+def test_polar_failure_not_cached(cube):
+    dilated = pt.dilate(cube, 2)
+    for _ in range(2):
+        with pytest.raises(errors.NonIntegralDual):
+            pt.polar_dual(dilated)
+
+
 def test_polar_errors(cube):
     with pytest.raises(errors.NonIntegralDual):
         pt.polar_dual(pt.dilate(cube, 2))
