@@ -628,6 +628,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FileNotFoundError as exc:
         status = ERROR
         payload = {"error": "InputError", "message": str(exc)}
+    except Exception as exc:  # never a traceback: any other failure is reported
+        status = ERROR
+        payload = {"error": "InternalError", "message": f"{type(exc).__name__}: {exc}"}
 
     report = {
         "status": status,

@@ -53,10 +53,6 @@ class NotNef(MirrorcheckError):
     pass
 
 
-class NonIntegralVertex(MirrorcheckError):
-    pass
-
-
 class PolytopeMismatch(MirrorcheckError):
     pass
 

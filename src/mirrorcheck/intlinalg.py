@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .errors import Degenerate
+from .errors import Degenerate, NotPrimitiveVector
 
 IntMatrix = list[list[int]]
 IntVector = list[int]
@@ -291,7 +291,7 @@ def is_primitive_rows(m: Sequence[Sequence[int]]) -> bool:
 def complete_to_unimodular(a: Sequence[int]) -> IntMatrix:
     """Unimodular matrix whose first row is the primitive vector ``a``."""
     if vec_gcd(a) != 1:
-        raise ValueError("vector is not primitive")
+        raise NotPrimitiveVector(f"{list(a)} is not primitive")
     _, d, v = smith_normal_form([list(a)])
     # [a] @ v = (+-1, 0, ..., 0); absorb the sign into the first column.
     av = mat_vec(transpose(v), list(a))

@@ -1,8 +1,8 @@
 """Nef partitions, their duals, and the fibre/genus counts they control.
 
 A nef partition splits the boundary lattice points of a reflexive polytope
-into parts whose associated toric divisors are nef and Cartier.  The dual
-partition consists of the polytopes
+Delta into parts E_i whose associated toric divisors are nef and Cartier.
+The dual partition consists of the polytopes
 
     nabla_i = { u : <u, v> >= -1 for v in E_i,  <u, v> >= 0 for v in E_j, j != i },
 
@@ -12,14 +12,20 @@ counts irreducible components of a distinguished pencil member on the
 mirror, and (one less) the genus of the curve that must be blown up to
 smooth the corresponding degeneration.
 
-Individual nabla_i may fail to be full-dimensional (their vertex and
-lattice-point data is exact regardless); the hull object is attached only
-when the piece has full dimension.
+Validation and duality share one computation.  For each facet F of Delta
+and each part E_i, the Cartier condition solves for the integral functional
+u_{F,i} that is -1 on the boundary points of F in E_i and 0 on the other
+boundary points of F; the nef condition checks it against every boundary
+point.  These functionals are exactly the vertices of nabla_i: on the cone
+over F the support function of nabla_i is <u_{F,i}, .>, and u_{F,i} is its
+unique minimiser there (Cox-Little-Schenck, Toric Varieties, Thm 6.1.7).
+So the vertices of every nabla_i, full-dimensional or not, are integral and
+read off the Cartier data; the hull object is attached only when the piece
+has full dimension.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -33,7 +39,6 @@ from .errors import (
     NotCartier,
     NotNef,
     NotReflexive,
-    NonIntegralVertex,
     PolytopeMismatch,
     UnsupportedRank,
 )
@@ -138,112 +143,85 @@ def _check_partition(delta: LatticePolytope, parts: Sequence[Sequence[Sequence[i
     return normalized
 
 
-def validate_nef_partition(delta: LatticePolytope,
-                           parts: Sequence[Sequence[Sequence[int]]]) -> NefPartition:
-    """Check the Cartier and nef conditions on the face fan of Delta.
+def _cartier_data(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
+    """Check the Cartier and nef conditions; return the vertices of each nabla_i.
 
-    For every facet F and every part E_i there must be an integral linear
-    functional taking value -1 on the boundary points of F in E_i and 0 on
-    the other boundary points of F (Cartier on the cone over F); the same
-    functional must satisfy <u, v> >= -1 on E_i and >= 0 elsewhere globally
-    (upper convexity, i.e. nefness).  The dual partition is constructed as
-    a cross-check and must come out reflexive.
+    For every facet F (in order) and every part E_i (in order) there must be
+    an integral linear functional u_{F,i} taking value -1 on the boundary
+    points of F in E_i and 0 on the other boundary points of F (Cartier on
+    the cone over F); it must satisfy <u, v> >= -1 on E_i and >= 0
+    elsewhere globally (upper convexity, i.e. nefness).  Returns, per part,
+    the sorted distinct u_{F,i}: the vertices of nabla_i.
     """
-    if not is_reflexive(delta):
-        raise NotReflexive("nef partitions live on reflexive polytopes")
-    normalized = _check_partition(delta, parts)
-    np_ = NefPartition(delta, normalized)
+    delta = np_.polytope
     boundary = _boundary_points(delta)
-    d = delta.rank
+    part_sets = [set(part) for part in np_.parts]
+    vertex_sets: list[set[Vec]] = [set() for _ in np_.parts]
     for fi, (n, c) in enumerate(delta.facets):
         on_facet = [v for v in boundary if dot(n, v) + c == 0]
-        for i, part in enumerate(normalized):
-            part_set = set(part)
-            rows = [list(v) for v in on_facet]
+        for i, part_set in enumerate(part_sets):
             rhs = [-1 if v in part_set else 0 for v in on_facet]
-            status, u = solve_exact(rows, rhs)
+            status, u = solve_exact(on_facet, rhs)
             if status != "unique" or any(x.denominator != 1 for x in u):
                 raise NotCartier(
                     f"part {i} has no integral Cartier data on facet {fi} "
                     f"(normal {n})")
-            u_int = [int(x) for x in u]
+            u_int = tuple(int(x) for x in u)
             for v in boundary:
                 bound = -1 if v in part_set else 0
                 if dot(u_int, v) < bound:
                     raise NotNef(
                         f"part {i} fails upper convexity at {v} "
                         f"against facet {fi} (normal {n})")
+            vertex_sets[i].add(u_int)
+    return tuple(tuple(sorted(vs)) for vs in vertex_sets)
+
+
+def validate_nef_partition(delta: LatticePolytope,
+                           parts: Sequence[Sequence[Sequence[int]]]) -> NefPartition:
+    """Check that ``parts`` is a nef partition of the reflexive polytope Delta.
+
+    The Cartier and nef conditions are checked on the face fan of Delta by
+    ``_cartier_data``, on the way to building the dual partition, which is
+    cached on the result and must come out reflexive.
+    """
+    if not is_reflexive(delta):
+        raise NotReflexive("nef partitions live on reflexive polytopes")
+    np_ = NefPartition(delta, _check_partition(delta, parts))
     dual = dual_nef_partition(np_)
     if not is_reflexive(dual.nabla):
         raise DualityInconsistency("dual partition is not reflexive")
     return np_
 
 
-_BASIC_SOLUTION_CAP = 300_000
-
-
-def _binomial(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
-    """Compute the polytopes nabla_i by exact half-space intersection.
+    """The polytopes nabla_i, their lattice points, and nabla.
 
-    Vertices are enumerated as basic solutions of the defining inequality
-    system; a non-integral basic solution signals an invalid partition.
-    When the number of d-subsets of constraints is too large for that,
-    nabla_i is reconstructed from its lattice points instead
-    (conv(nabla_i and N) = nabla_i holds for every valid partition, and
-    validity is what validate_nef_partition certifies beforehand).
-    Lattice points of each nabla_i are read off by filtering the lattice
-    points of the polar polytope, which always contains them.  The result
-    is cached on the partition, so the cross-check in
-    validate_nef_partition builds the one that later calls return.
+    The vertices of each nabla_i are the distinct Cartier functionals
+    u_{F,i} over the facets F of Delta (see the module docstring), so this
+    raises NotCartier or NotNef when a part's divisor is not Cartier or not
+    nef, validated or not.  Lattice
+    points of each nabla_i are read off by filtering the lattice points of
+    the polar polytope, which always contains them.  The result is cached
+    on the partition, so the cross-check in validate_nef_partition builds
+    the one that later calls return.
     """
     if np_._dual is not None:
         return np_._dual
+    vertex_sets = _cartier_data(np_)
     delta = np_.polytope
     d = delta.rank
     boundary = _boundary_points(delta)
-    polar = polar_dual(delta)
-    polar_points = lattice_points(polar, "all")
-    enumerate_basic = _binomial(len(boundary), d) <= _BASIC_SOLUTION_CAP
+    polar_points = lattice_points(polar_dual(delta), "all")
 
-    vertex_sets = []
     point_sets = []
     hulls: list[Optional[LatticePolytope]] = []
-    for i, part in enumerate(np_.parts):
+    for part, vset in zip(np_.parts, vertex_sets):
         part_set = set(part)
-        constraints = [(list(v), -1 if v in part_set else 0) for v in boundary]
-
-        def satisfies(u: Sequence) -> bool:
-            return all(sum(a * b for a, b in zip(row, u)) >= bound
-                       for row, bound in constraints)
-
-        points = tuple(p for p in polar_points if satisfies(p))
-        if enumerate_basic:
-            vertices: set[Vec] = set()
-            for combo in itertools.combinations(constraints, d):
-                rows = [row for row, _ in combo]
-                if mat_rank(rows) < d:
-                    continue
-                status, u = solve_exact(rows, [bound for _, bound in combo])
-                if status != "unique":
-                    continue
-                if not satisfies(u):
-                    continue
-                if any(x.denominator != 1 for x in u):
-                    raise NonIntegralVertex(
-                        f"nabla_{i + 1} has a non-integral vertex at {tuple(u)}")
-                vertices.add(tuple(int(x) for x in u))
-            vset = tuple(sorted(vertices))
-        else:
-            vset = _extreme_of_points(points, d)
-        vertex_sets.append(vset)
-        point_sets.append(points)
+        constraints = [(v, -1 if v in part_set else 0) for v in boundary]
+        point_sets.append(tuple(
+            p for p in polar_points
+            if all(dot(v, p) >= bound for v, bound in constraints)))
         base = vset[0]
         rows = [[v[k] - base[k] for k in range(d)] for v in vset[1:]]
         hulls.append(hull(vset) if rows and mat_rank(rows) == d else None)
@@ -267,26 +245,9 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
         if len(owners) != 1:
             raise DualityInconsistency(
                 f"lattice point {p} of nabla lies in {len(owners)} pieces")
-    dual = DualNefPartition(np_, tuple(vertex_sets), tuple(point_sets), nabla, tuple(hulls))
+    dual = DualNefPartition(np_, vertex_sets, tuple(point_sets), nabla, tuple(hulls))
     object.__setattr__(np_, "_dual", dual)
     return dual
-
-
-def _extreme_of_points(points: tuple[Vec, ...], d: int) -> tuple[Vec, ...]:
-    """Vertices of conv(points): hull when full-dimensional, else the
-    Caratheodory filter (only viable for small degenerate pieces)."""
-    if not points:
-        raise DualityInconsistency("a nabla piece came out empty")
-    base = points[0]
-    rows = [[p[k] - base[k] for k in range(d)] for p in points[1:]]
-    if rows and mat_rank(rows) == d:
-        return hull(points).vertices
-    if len(points) > 24:
-        raise DualityInconsistency(
-            "degenerate nabla piece too large for exact vertex recovery")
-    from .polytopes import extreme_points
-
-    return extreme_points(points)
 
 
 def check_refinement(coarse: NefPartition, fine: NefPartition) -> bool:

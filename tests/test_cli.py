@@ -91,6 +91,19 @@ def test_family_rejects_bad_index(capsys):
     assert report["payload"]["error"] == "InvalidPartition"
 
 
+def test_internal_error_is_reported_not_raised(capsys):
+    # int("a") fails inside the Gram parser with a ValueError, which is no
+    # MirrorcheckError; it is still a JSON report with exit 2, no traceback.
+    code = main(["lattice", "invariants", "--gram", '[["a"]]'])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2
+    assert report["status"] == "ERROR"
+    assert report["payload"]["error"] == "InternalError"
+    assert report["payload"]["message"].startswith("ValueError: ")
+    assert captured.err == ""
+
+
 def test_unknown_flag_rejected(capsys):
     code = main(["polytope", "dual", "--fixture", "cube", "--bogus"])
     capsys.readouterr()

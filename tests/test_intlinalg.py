@@ -3,7 +3,8 @@
 Rank, determinant, rational solves and both inverses run on one
 fraction-free elimination kernel; each is compared here with sympy's own
 exact matrix routines on random square, rectangular and low-rank integer
-matrices.  The tests skip when sympy is not installed.
+matrices, and so is the Smith normal form with its transforms.  The tests
+skip when sympy is not installed.
 """
 
 from fractions import Fraction
@@ -150,3 +151,22 @@ def test_inverse_errors_are_named():
         la.inverse_unimodular([[2, 0], [0, 1]])
     with pytest.raises(errors.Degenerate):
         la.inverse_rational([[0, 0], [0, 0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[2, 4, 6], [1, 2, 3]])
+@example([[2], [4], [6]])
+@example([[6, 0], [0, 4]])
+def test_smith_normal_form_matches_sympy(m):
+    sympy = _sympy()
+    from sympy.matrices.normalforms import smith_normal_form
+
+    u, d, v = la.smith_normal_form(m)
+    assert la.mat_mul(la.mat_mul(u, m), v) == d
+    assert abs(la.determinant(u)) == 1 and abs(la.determinant(v)) == 1
+    assert all(d[i][j] == 0 for i in range(len(d)) for j in range(len(d[0])) if i != j)
+    expected = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
+    size = min(len(m), len(m[0]))
+    assert [abs(d[i][i]) for i in range(size)] == [abs(int(expected[i, i])) for i in range(size)]

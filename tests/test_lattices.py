@@ -54,6 +54,8 @@ def test_complete_to_unimodular():
     m = la.complete_to_unimodular([6, 10, 15])
     assert m[0] == [6, 10, 15]
     assert abs(la.determinant(m)) == 1
+    with pytest.raises(errors.NotPrimitiveVector):
+        la.complete_to_unimodular([2, 4])
 
 
 # --- constructors and invariants -------------------------------------------

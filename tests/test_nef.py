@@ -4,13 +4,19 @@ The genus assertion for the rank-4 fixture is pinned by an adjunction
 oracle computed inline: the curve cut out by the two partition divisors is
 a (4, 5) complete intersection in projective 3-space, so
 2g - 2 = deg * (4 + 5 - 4) with deg = 20.
+
+The vertices of each nabla_i are checked against an oracle that solves
+every d-subset of nabla_i's defining inequalities and keeps the feasible
+solutions (the basic-solution enumeration), on the fixture partitions and
+on seeded GL(d, Z) images of them.
 """
 
 import itertools
 
 import pytest
+from test_polytopes import image, unimodular
 
-from mirrorcheck import errors, nef, polytopes as pt
+from mirrorcheck import errors, intlinalg as la, nef, polytopes as pt
 
 P1P1P1_PARTS = [[(1, 0, 0), (0, 1, 0), (0, 0, 1)],
                 [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]]
@@ -25,6 +31,26 @@ def quintic_genus_oracle():
     two_g_minus_2 = degree * (4 + 5 - 4)
     assert two_g_minus_2 == 100
     return two_g_minus_2 // 2 + 1
+
+
+def basic_solution_vertices(np_):
+    """Vertices of each nabla_i: the feasible basic solutions of its
+    defining inequalities, found by solving every d-subset of them."""
+    d = np_.polytope.rank
+    boundary = pt.lattice_points(np_.polytope, "boundary")
+    out = []
+    for part in np_.parts:
+        constraints = [(list(v), -1 if v in part else 0) for v in boundary]
+        vertices = set()
+        for combo in itertools.combinations(constraints, d):
+            rows = [row for row, _ in combo]
+            if la.rank(rows) < d:
+                continue
+            _, u = la.solve_exact(rows, [bound for _, bound in combo])
+            if all(la.dot(row, u) >= bound for row, bound in constraints):
+                vertices.add(tuple(u))
+        out.append(tuple(sorted(vertices)))
+    return tuple(out)
 
 
 # --- validation ------------------------------------------------------------
@@ -165,6 +191,107 @@ def test_trivial_partition_dual_is_polar(octahedron):
     np_ = nef.validate_nef_partition(octahedron, [boundary])
     dual = nef.dual_nef_partition(np_)
     assert dual.nabla == pt.polar_dual(octahedron)
+
+
+OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+CUBE = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+WP1113 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -3)]
+QUINTIC = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)]
+HEXAGON = [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)]
+
+# (label, vertices of Delta, all parts but the last; the last part is the
+# rest of the boundary, and "mirror" cases validate the dual partition).
+ORACLE_CASES = [
+    ("p1p1p1", OCTAHEDRON, P1P1P1_PARTS[:1], False),
+    ("p1p1p1-mirror", OCTAHEDRON, P1P1P1_PARTS[:1], True),
+    ("octahedron-singleton", OCTAHEDRON, [[(1, 0, 0)]], False),
+    ("octahedron-trivial", OCTAHEDRON, [], False),
+    ("cube-trivial", CUBE, [], False),
+    ("wp1113", WP1113, WP_PARTS[:1], False),
+    ("wp1113-mirror", WP1113, WP_PARTS[:1], True),
+    ("quintic", QUINTIC, QUINTIC_PARTS[:1], False),
+    ("hexagon-pair", HEXAGON, [[(1, 0), (1, 1)]], False),
+    ("hexagon-triple", HEXAGON, [[(0, 1), (1, 0), (1, 1)]], False),
+]
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("label,vertices,parts,mirror", ORACLE_CASES,
+                         ids=[case[0] for case in ORACLE_CASES])
+def test_nabla_vertices_match_basic_solutions(label, vertices, parts, mirror, seed):
+    """The Cartier functionals are the vertices the d-subset oracle finds."""
+    delta = pt.hull(vertices)
+    boundary = pt.lattice_points(delta, "boundary")
+    given_points = {v for part in parts for v in part}
+    np_ = nef.validate_nef_partition(
+        delta, parts + [[v for v in boundary if v not in given_points]])
+    if mirror:
+        zero = (0,) * delta.rank
+        dual = nef.dual_nef_partition(np_)
+        delta = dual.nabla
+        parts = [[p for p in ps if p != zero] for ps in dual.nabla_point_sets]
+    else:
+        parts = [list(part) for part in np_.parts]
+    if seed is not None:
+        m = unimodular(delta.rank, seed)
+        delta = pt.hull(image(m, delta.vertices))
+        parts = [image(m, part) for part in parts]
+    np_ = nef.validate_nef_partition(delta, parts)
+    assert nef.dual_nef_partition(np_).nabla_vertex_sets == basic_solution_vertices(np_)
+
+
+def test_free_sum_with_degenerate_pieces(monkeypatch):
+    """(hexagon x hexagon) + [-1, 1] split as its two summands.
+
+    Both nabla_i are lower-dimensional: nabla_1 is the free sum of two
+    dual hexagons and nabla_2 a segment.  Delta has 50 boundary points, so
+    the d-subset enumeration would solve C(50, 5) ~ 2.1M systems; the
+    Caratheodory vertex filter must not be reached either.
+    """
+    e5 = [(0, 0, 0, 0, 1), (0, 0, 0, 0, -1)]
+    delta = pt.hull([a + b + (0,) for a in HEXAGON for b in HEXAGON] + e5)
+    boundary = pt.lattice_points(delta, "boundary")
+    assert len(boundary) == 50
+
+    def caratheodory(generators):
+        raise AssertionError("Caratheodory extreme_points reached")
+
+    monkeypatch.setattr(pt, "extreme_points", caratheodory)
+    np_ = nef.validate_nef_partition(delta, [[v for v in boundary if v not in e5], e5])
+    dual = nef.dual_nef_partition(np_)
+    hexagon_dual = pt.polar_dual(pt.hull(HEXAGON)).vertices
+    assert set(dual.nabla_vertex_sets[0]) == (
+        {h + (0, 0, 0) for h in hexagon_dual} | {(0, 0) + h + (0,) for h in hexagon_dual})
+    assert dual.nabla_vertex_sets[1] == ((0, 0, 0, 0, -1), (0, 0, 0, 0, 1))
+    assert [len(vs) for vs in dual.nabla_vertex_sets] == [12, 2]
+    assert [len(ps) for ps in dual.nabla_point_sets] == [13, 3]
+    assert dual.nablas == (None, None)
+    assert pt.ell(dual.nabla) == 15
+
+
+def test_validation_solves_each_cartier_system_once(octahedron, monkeypatch):
+    real_solve = nef.solve_exact
+    calls = []
+
+    def counting_solve(a, b):
+        calls.append(1)
+        return real_solve(a, b)
+
+    monkeypatch.setattr(nef, "solve_exact", counting_solve)
+    nef.validate_nef_partition(octahedron, P1P1P1_PARTS)
+    # One Cartier system per facet and part; the dual reuses their solutions.
+    assert len(calls) == len(octahedron.facets) * 2 == 16
+
+
+def test_dual_of_unvalidated_partition_is_checked(cube, hexagon):
+    boundary = pt.lattice_points(cube, "boundary")
+    rest = tuple(v for v in boundary if v != (1, 1, 1))
+    with pytest.raises(errors.NotCartier):
+        nef.dual_nef_partition(nef.NefPartition(cube, (((1, 1, 1),), rest)))
+    pair = ((-1, -1), (1, 0))
+    rest = tuple(v for v in pt.lattice_points(hexagon, "boundary") if v not in pair)
+    with pytest.raises(errors.NotNef):
+        nef.dual_nef_partition(nef.NefPartition(hexagon, (pair, rest)))
 
 
 # --- refinement ------------------------------------------------------------
