@@ -5,12 +5,21 @@ with sorted keys and no timestamps, so identical invocations are
 byte-identical.  Exit codes: 0 = PASS, 1 = FAIL or INCONCLUSIVE (the check
 ran but did not verify), 2 = usage or input error.  Engine errors surface
 with status ERROR and the engine's error name verbatim.
+
+The argument parser is built once per process and shared by every
+``main()`` call: ``parse_args`` leaves the parser unchanged and returns a
+fresh namespace each time, so repeated in-process calls skip rebuilding
+the subcommand tree.  ``build_parser()`` still returns a fresh parser.
+A reader that closes stdout early (``| head``) ends the output silently;
+the exit code is still the report's.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from typing import Optional
 
@@ -584,6 +593,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main()`` call in this process shares."""
+    return build_parser()
+
+
+def _silence_stdout() -> None:
+    """Point stdout's descriptor at the null device once its reader is gone,
+    so the interpreter's flush at exit writes nowhere instead of raising
+    again.  In-memory streams have no descriptor and are left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def _render_pretty(report: dict) -> str:
     lines = [f"status: {report['status']}"]
 
@@ -610,9 +640,8 @@ def _render_pretty(report: dict) -> str:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
@@ -646,7 +675,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         text = _render_pretty(report)
     else:
         text = json.dumps(report, sort_keys=True, separators=(",", ":"))
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        _silence_stdout()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -183,14 +183,13 @@ def validate_nef_partition(delta: LatticePolytope,
 
     The Cartier and nef conditions are checked on the face fan of Delta by
     ``_cartier_data``, on the way to building the dual partition, which is
-    cached on the result and must come out reflexive.
+    cached on the result; ``dual_nef_partition`` also checks that its nabla
+    is reflexive.
     """
     if not is_reflexive(delta):
         raise NotReflexive("nef partitions live on reflexive polytopes")
     np_ = NefPartition(delta, _check_partition(delta, parts))
-    dual = dual_nef_partition(np_)
-    if not is_reflexive(dual.nabla):
-        raise DualityInconsistency("dual partition is not reflexive")
+    dual_nef_partition(np_)
     return np_
 
 
@@ -203,8 +202,8 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
     nef, validated or not.  Lattice
     points of each nabla_i are read off by filtering the lattice points of
     the polar polytope, which always contains them.  The result is cached
-    on the partition, so the cross-check in validate_nef_partition builds
-    the one that later calls return.
+    on the partition, so validate_nef_partition builds the one that later
+    calls return.
     """
     if np_._dual is not None:
         return np_._dual

@@ -18,6 +18,7 @@ than upright ones with as many points.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -83,7 +84,8 @@ def _affinely_independent_subset(points: Sequence[Vec], d: int) -> Optional[list
 class LatticePolytope:
     """A full-dimensional lattice polytope in canonical form."""
 
-    __slots__ = ("rank", "vertices", "facets", "_points", "_faces", "_polar")
+    __slots__ = ("rank", "vertices", "facets", "_points", "_faces", "_polar",
+                 "_incidence_counts")
 
     def __init__(self, rank: int, vertices: tuple[Vec, ...], facets: tuple[Facet, ...]):
         self.rank = rank
@@ -92,6 +94,7 @@ class LatticePolytope:
         self._points: dict[str, tuple[Vec, ...]] = {}
         self._faces: Optional[tuple["Face", ...]] = None
         self._polar: Optional["LatticePolytope"] = None
+        self._incidence_counts: Optional[Counter[frozenset[int]]] = None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LatticePolytope)
@@ -438,18 +441,26 @@ def _face_incidence(poly: LatticePolytope, face: Face) -> frozenset[int]:
     return frozenset(out)
 
 
+def _boundary_incidence_counts(poly: LatticePolytope) -> Counter[frozenset[int]]:
+    """Boundary lattice points counted by the set of facets through them;
+    computed once per polytope."""
+    if poly._incidence_counts is None:
+        poly._incidence_counts = Counter(
+            map(poly.facet_incidence, lattice_points(poly, "boundary")))
+    return poly._incidence_counts
+
+
 def ell_star_face(poly: LatticePolytope, face: Face) -> int:
-    """Lattice points in the relative interior of a face."""
+    """Lattice points in the relative interior of a face.
+
+    A boundary point lies in the relative interior of a proper face exactly
+    when the facets through it are the facets containing the face.
+    """
     if face.dim == poly.rank:
         return ell_interior(poly)
     if face.dim < 0:
         return 0
-    inc = _face_incidence(poly, face)
-    count = 0
-    for p in lattice_points(poly, "boundary"):
-        if poly.facet_incidence(p) == inc:
-            count += 1
-    return count
+    return _boundary_incidence_counts(poly)[_face_incidence(poly, face)]
 
 
 def dual_face(poly: LatticePolytope, face: Face) -> Face:

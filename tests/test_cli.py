@@ -1,6 +1,9 @@
 """CLI behaviour: payloads, exit codes, determinism, error reporting."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -268,3 +271,94 @@ def test_parser_lists_fixtures_once(monkeypatch):
     monkeypatch.setattr(cli, "fixture_names", counting)
     cli.build_parser()
     assert len(calls) == 1
+
+
+def _parser_sequence(tmp_path):
+    """Calls whose outputs would differ if one call's parse leaked into the next."""
+    v = [0] * 22
+    v[0], v[1] = 1, 2
+    f = [0] * 22
+    f[4] = 1  # not the default isotropic vector, so a leaked --f would show
+    emb = tmp_path / "embedding.json"
+    emb.write_text(json.dumps({"ambient": "K3", "image_basis": [v], "f": f}))
+    return [
+        ["nef", "counts", "--fixture", "p1p1p1", "--no-such-flag"],
+        ["--version"],
+        ["--help"],
+        ["nef", "--help"],
+        ["lattice", "mirror", "--embedding", str(emb)],
+        ["lattice", "mirror", "--spec", "<4>"],
+        ["polytope", "points", "--fixture", "octahedron", "--region", "boundary"],
+        ["polytope", "points", "--fixture", "octahedron"],
+        ["lattice", "isotropic", "--gram", "[[2,1],[1,2]]", "--bound", "2"],
+        ["lattice", "isotropic", "--gram", "[[2,1],[1,2]]"],
+        ["hodge", "glue", "--fixture", "tyurin-quartic", "--w-chi", "0"],
+        ["hodge", "glue", "--fixture", "tyurin-quartic"],
+        ["polytope", "--help"],
+        ["lattice", "--help"],
+        ["hodge", "--help"],
+        ["family", "--help"],
+        ["family", "sweep", "--pretty"],
+        ["nef", "--help"],
+        ["--help"],
+    ]
+
+
+def test_parser_built_once_per_process(monkeypatch, tmp_path, capsys):
+    calls = []
+    real = cli.build_parser
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    codes = [main(argv) for argv in _parser_sequence(tmp_path)]
+    cli._parser.cache_clear()
+    assert len(calls) == 1
+    assert set(codes) == {0, 1, 2}
+
+
+def test_shared_parser_matches_fresh_parser(tmp_path, capsys):
+    sequence = _parser_sequence(tmp_path)
+    cli._parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    by_argv = dict(zip(map(tuple, sequence), shared))
+    assert by_argv[("--help",)][1] == cli.build_parser().format_help()
+    assert by_argv[("lattice", "mirror", "--spec", "<4>")] != \
+        by_argv[("lattice", "mirror", "--embedding", sequence[4][-1])]
+    assert json.loads(by_argv[("polytope", "points", "--fixture", "octahedron")][1])[
+        "payload"]["region"] == "all"
+    assert json.loads(by_argv[("lattice", "isotropic", "--gram", "[[2,1],[1,2]]")][1])[
+        "payload"]["bound"] == 10
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [["family", "sweep"],
+                                  ["hodge", "lee", "--fixture", "tyurin-quartic"]])
+def test_closed_stdout_pipe_is_silent(argv, unbuffered):
+    # Unbuffered, the write fails inside print; buffered, on the flush.  A
+    # short report stays buffered after that failure, and the interpreter's
+    # flush at exit fails again unless the descriptor was silenced.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mirrorcheck", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 0

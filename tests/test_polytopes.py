@@ -98,6 +98,18 @@ def naive_points(points, region="all"):
     return tuple(out)
 
 
+def naive_ell_star_face(poly, face):
+    """Relative-interior count by a scan of every boundary point per face."""
+    if face.dim == poly.rank:
+        return pt.ell_interior(poly)
+    if face.dim < 0:
+        return 0
+    inc = frozenset(j for j, (n, c) in enumerate(poly.facets)
+                    if all(la.dot(n, v) + c == 0 for v in face.vertices))
+    return sum(1 for p in pt.lattice_points(poly, "boundary")
+               if poly.facet_incidence(p) == inc)
+
+
 def unimodular(d, seed):
     """A seeded GL(d, Z) matrix: d signed row additions, then a row shuffle."""
     rng = random.Random(seed)
@@ -449,3 +461,37 @@ def test_cli_points_skewed_bytes(name, region, tmp_path, capsys):
     assert cli_main(argv) == 0
     expected = _points_report(region, vertices, {"polytope": {"file": str(path)}})
     assert capsys.readouterr().out == expected
+
+
+# --- relative-interior counts ----------------------------------------------
+
+
+@pytest.mark.parametrize("name", _polytope_fixtures())
+def test_ell_star_face_matches_scan(name):
+    vertices = fixtures.load_fixture(name)["polytope"]["vertices"]
+    base = pt.hull(vertices)
+    polys = [base] + [pt.hull(image(unimodular(base.rank, seed), vertices))
+                      for seed in (1, 2)]
+    if pt.is_reflexive(base):
+        polys.append(pt.polar_dual(base))
+    for poly in polys:
+        for face in pt.face_lattice(poly):
+            assert pt.ell_star_face(poly, face) == naive_ell_star_face(poly, face), (poly, face)
+
+
+def test_ell_star_face_scans_boundary_once(monkeypatch, quintic_simplex):
+    poly = pt.hull(pt.polar_dual(quintic_simplex).vertices)
+    faces = pt.face_lattice(poly)
+    pt.lattice_points(poly)
+    calls = []
+    real = pt.LatticePolytope.facet_incidence
+
+    def counting(self, point):
+        calls.append(1)
+        return real(self, point)
+
+    monkeypatch.setattr(pt.LatticePolytope, "facet_incidence", counting)
+    for _ in range(2):
+        total = sum(pt.ell_star_face(poly, f) for f in faces)
+    assert total == pt.ell(poly)
+    assert len(calls) == pt.ell_boundary(poly)
