@@ -177,15 +177,15 @@ def _fibre_tag(entry) -> str:
     return tag
 
 
-def _parse_lattice_spec(spec: str) -> lt.QuadLattice:
-    pieces = [p.strip() for p in spec.split("+") if p.strip()]
+def _spec_pieces(spec: str) -> list[lt.QuadLattice]:
+    pieces = [lt.standard_lattice(p.strip()) for p in spec.split("+") if p.strip()]
     if not pieces:
         raise InputError("empty lattice spec")
-    return lt.direct_sum(*(lt.standard_lattice(p) for p in pieces))
+    return pieces
 
 
-def _spec_pieces(spec: str) -> list[lt.QuadLattice]:
-    return [lt.standard_lattice(p.strip()) for p in spec.split("+") if p.strip()]
+def _parse_lattice_spec(spec: str) -> lt.QuadLattice:
+    return lt.direct_sum(*_spec_pieces(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +639,31 @@ def _render_pretty(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _render(args: argparse.Namespace, status: str, payload: dict, echo: dict) -> str:
+    report = {
+        "status": status,
+        "payload": payload,
+        "provenance": {
+            "tool": "mirrorcheck",
+            "version": __version__,
+            "command": [args.group, getattr(args, "command", "")],
+            "inputs": echo,
+        },
+    }
+    if args.pretty:
+        return _render_pretty(report)
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
+        # --help and --version leave argparse's text in stdout's buffer.
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _silence_stdout()
         code = exc.code
         return code if isinstance(code, int) else 2
 
@@ -661,27 +682,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         status = ERROR
         payload = {"error": "InternalError", "message": f"{type(exc).__name__}: {exc}"}
 
-    report = {
-        "status": status,
-        "payload": payload,
-        "provenance": {
-            "tool": "mirrorcheck",
-            "version": __version__,
-            "command": [args.group, getattr(args, "command", "")],
-            "inputs": inputs_echo,
-        },
-    }
-    if args.pretty:
-        text = _render_pretty(report)
-    else:
-        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    text = _render(args, status, payload, inputs_echo)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            status = ERROR
+            payload = {"error": "InputError", "message": str(exc)}
+            text = _render(args, status, payload, inputs_echo)
     try:
         print(text, flush=True)
     except BrokenPipeError:
         _silence_stdout()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     return _EXIT[status]
 
 

@@ -123,3 +123,7 @@ class InvalidDiamond(MirrorcheckError):
 
 class InputError(MirrorcheckError):
     pass
+
+
+class BudgetExceeded(MirrorcheckError):
+    """The exact answer needs more work than a fixed cap allows."""

@@ -1,12 +1,13 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
 All routines work on plain Python ints (arbitrary precision); nothing here
 touches floating point.  Matrices are lists of row lists.  Rank,
-determinant, rational solves and inverses share one fraction-free
-(Bareiss) elimination kernel, ``_echelon``, whose entries stay integer
-minors of the input, so rationals appear only in the results, one
-``Fraction`` per entry.  Smith normal form and the integer kernel and
-solves built on it use unimodular row and column operations.
+determinant, the rational solve and the unimodular inverse share one
+fraction-free (Bareiss) elimination kernel, ``_echelon``, whose entries
+stay integer minors of the input.  The only rationals are the solution
+coordinates of ``solve_exact``, one ``Fraction`` each.  Smith normal form
+and the integer kernel and solves built on it use unimodular row and
+column operations.
 """
 
 from __future__ import annotations
@@ -213,12 +214,6 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
     return u, d, v
 
 
-def invariant_factors(m: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith form, with 1s and 0s stripped."""
-    _, d, _ = smith_normal_form(m)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] > 1]
-
-
 def kernel_basis(m: Sequence[Sequence[int]]) -> list[IntVector]:
     """Basis of the saturated integer kernel ``{x : m @ x = 0}``.
 
@@ -255,28 +250,18 @@ def integral_solve(m: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[Int
     return mat_vec(v, y)
 
 
-def _inverse(m: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
-    """``(den, adj)`` with ``m @ adj == den * I`` for a nonsingular square ``m``."""
+def inverse_unimodular(m: Sequence[Sequence[int]]) -> IntMatrix:
+    """Exact inverse of an integer matrix with determinant +-1: reduced
+    elimination of ``[m | I]`` leaves ``den * m^-1`` right, den = +-det(m)."""
     n = len(m)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     pivots, _ = _echelon(aug, n, reduced=True)
     if len(pivots) < n:
         raise Degenerate("matrix is singular")
-    return (aug[n - 1][n - 1] if n else 1), [row[n:] for row in aug]
-
-
-def inverse_unimodular(m: Sequence[Sequence[int]]) -> IntMatrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    den, adj = _inverse(m)
+    den = aug[n - 1][n - 1] if n else 1
     if den not in (1, -1):
         raise Degenerate("matrix is not unimodular")
-    return [[den * x for x in row] for row in adj]
-
-
-def inverse_rational(m: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular integer matrix, over the rationals."""
-    den, adj = _inverse(m)
-    return [[Fraction(x, den) for x in row] for row in adj]
+    return [[den * x for x in row[n:]] for row in aug]
 
 
 def is_primitive_rows(m: Sequence[Sequence[int]]) -> bool:
@@ -285,7 +270,8 @@ def is_primitive_rows(m: Sequence[Sequence[int]]) -> bool:
         return True
     if rank(m) < len(m):
         return False
-    return invariant_factors(m) == []
+    _, d, _ = smith_normal_form(m)
+    return all(d[i][i] == 1 for i in range(len(m)))
 
 
 def complete_to_unimodular(a: Sequence[int]) -> IntMatrix:

@@ -19,11 +19,13 @@ even lattices appearing in this problem domain.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
+    BudgetExceeded,
     Degenerate,
     NotInComplement,
     NotIsotropic,
@@ -65,8 +67,7 @@ class QuadLattice:
         return len(self.gram)
 
     def bilinear(self, u: Sequence[int], v: Sequence[int]) -> int:
-        return sum(u[i] * self.gram[i][j] * v[j]
-                   for i in range(self.rank) for j in range(self.rank))
+        return la.dot(u, la.mat_vec(self.gram, v))
 
     def q(self, v: Sequence[int]) -> int:
         return self.bilinear(v, v)
@@ -184,7 +185,13 @@ def signature(lat: QuadLattice) -> tuple[int, int]:
 
 
 def determinant(lat: QuadLattice) -> int:
-    return la.determinant([list(r) for r in lat.gram])
+    return la.determinant(lat.gram)
+
+
+def _congruent(gram: Sequence[Sequence[int]],
+               basis: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The Gram matrix ``B G B^T`` of the form ``G`` on the rows of ``B``."""
+    return [[la.dot(gu, v) for v in basis] for gu in la.mat_mul(basis, gram)]
 
 
 @dataclass(frozen=True)
@@ -206,34 +213,31 @@ class DiscriminantData:
 
 
 def discriminant(lat: QuadLattice) -> DiscriminantData:
+    """The group L*/L and the sorted values of its form q mod 2Z.
+
+    With one Smith form ``u G v = D``, the columns ``g_i`` of ``v`` at the
+    invariant factors ``d_i > 1``, over ``d_i``, generate L*/L.  Over the
+    common denominator N = d_k an element is ``sum a_i g_i / N`` with
+    ``a_i`` a multiple of N/d_i below N, and q = a^T W a / N^2, W the integer
+    Gram matrix of the ``g_i``.  A group above the enumeration cap raises
+    ``BudgetExceeded``.
+    """
     det = determinant(lat)
     if det == 0:
         raise Degenerate("discriminant needs a nondegenerate lattice")
-    gram = [list(r) for r in lat.gram]
-    factors = la.invariant_factors(gram)
-    order = 1
-    for f in factors:
-        order *= f
+    _, d, v = la.smith_normal_form(lat.gram)
+    diag = [d[i][i] for i in range(lat.rank)]
+    factors = [di for di in diag if di > 1]
+    order = math.prod(factors)
     if order != abs(det):
         raise Degenerate("invariant factors inconsistent with determinant")
     if order > _DISC_ENUMERATION_CAP:
-        raise Degenerate(f"discriminant group of order {order} exceeds enumeration cap")
-    n = lat.rank
-    u, d, _ = la.smith_normal_form(gram)
-    diag = [d[i][i] for i in range(n)]
-    u_inv = la.inverse_unimodular(u)
-    g_inv = la.inverse_rational(gram)
-    values = []
-    for combo in itertools.product(*(range(di) for di in diag)):
-        z = la.mat_vec(u_inv, list(combo))
-        q = Fraction(0)
-        for i in range(n):
-            if z[i] == 0:
-                continue
-            for j in range(n):
-                q += z[i] * g_inv[i][j] * z[j]
-        values.append(q % 2)
-    return DiscriminantData(tuple(factors), tuple(sorted(values)))
+        raise BudgetExceeded(f"discriminant group of order {order} exceeds enumeration cap")
+    w = _congruent(lat.gram, [g for g, di in zip(la.transpose(v), diag) if di > 1])
+    den = factors[-1] if factors else 1
+    values = sorted(Fraction(la.dot(a, la.mat_vec(w, a)) % (2 * den * den), den * den)
+                    for a in itertools.product(*(range(0, den, den // f) for f in factors)))
+    return DiscriminantData(tuple(factors), tuple(values))
 
 
 @dataclass(frozen=True)
@@ -258,17 +262,16 @@ class LatticeEmbedding:
         return len(self.image_basis)
 
     def induced(self, name: Optional[str] = None) -> QuadLattice:
-        gram = [[self.ambient.bilinear(u, v) for v in self.image_basis]
-                for u in self.image_basis]
-        return from_gram(gram, name)
+        return from_gram(_congruent(self.ambient.gram, self.image_basis), name)
 
 
 def orthogonal_complement(emb: LatticeEmbedding,
                           name: Optional[str] = None) -> LatticeEmbedding:
-    """Primitive embedding of everything orthogonal to the image."""
+    """Primitive embedding of everything orthogonal to the image (the whole
+    ambient lattice when the image is empty)."""
     amb = emb.ambient
-    rows = [la.mat_vec([list(r) for r in amb.gram], list(v)) for v in emb.image_basis]
-    basis = la.kernel_basis(rows)
+    basis = (la.kernel_basis(la.mat_mul(emb.image_basis, amb.gram)) if emb.image_basis
+             else la.identity(amb.rank))
     return LatticeEmbedding(amb, tuple(tuple(v) for v in basis))
 
 
@@ -286,25 +289,18 @@ def dn_mirror(emb: LatticeEmbedding, f: Sequence[int],
     if amb.q(fv) != 0:
         raise NotIsotropic(f"<f, f> = {amb.q(fv)} != 0")
     comp = orthogonal_complement(emb)
-    comp_rows = [list(v) for v in comp.image_basis]
-    phi = la.integral_solve(la.transpose(comp_rows), fv)
+    phi = la.integral_solve(la.transpose(comp.image_basis), fv)
     if phi is None:
         raise NotInComplement("f is not orthogonal to the embedded lattice")
     if la.vec_gcd(phi) != 1:
         raise NotPrimitiveVector("f is not primitive in the complement")
     comp_gram = comp.induced().gram
-    pairing = [la.mat_vec([list(r) for r in comp_gram], phi)]
-    sub = la.kernel_basis(pairing)
+    sub = la.kernel_basis(la.mat_mul([phi], comp_gram))
     a = la.integral_solve(la.transpose(sub), phi)
     if a is None or la.vec_gcd(a) != 1:
         raise NotPrimitiveVector("f is not primitive in its own orthogonal")
-    m = la.complete_to_unimodular(a)
-    new_basis = la.mat_mul(m, sub)
-    quot = new_basis[1:]
-    gram = [[sum(u[i] * comp_gram[i][j] * v[j]
-                 for i in range(len(phi)) for j in range(len(phi)))
-             for v in quot] for u in quot]
-    lat = from_gram(gram, name)
+    quot = la.mat_mul(la.complete_to_unimodular(a), sub)[1:]
+    lat = from_gram(_congruent(comp_gram, quot), name)
     if determinant(lat) == 0:
         raise NotPrimitiveVector("degenerate quotient form; f was not primitive")
     return lat

@@ -210,6 +210,47 @@ def test_out_writes_file(tmp_path, capsys):
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize("out", ["missing/report.json", "."])
+def test_unwritable_out_is_one_error_report(tmp_path, capsys, out):
+    code = main(["hodge", "lee", "--fixture", "tyurin-quartic",
+                 "--out", str(tmp_path / out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "ERROR"
+    assert report["payload"]["error"] == "InputError"
+    assert str(tmp_path / out) in report["payload"]["message"]
+
+
+@pytest.mark.parametrize("command", ["sum", "invariants", "complement", "mirror"])
+def test_blank_lattice_spec_is_an_input_error(capsys, command):
+    code, report = run_json(capsys, "lattice", command, "--spec", " ")
+    assert code == 2
+    assert report["payload"] == {"error": "InputError", "message": "empty lattice spec"}
+
+
+def test_empty_image_basis_complement_is_k3(capsys):
+    code, report = run_json(capsys, "lattice", "complement", "--image-basis", "[]")
+    assert code == 0
+    assert report["payload"]["rank"] == 22
+    assert report["payload"]["signature"] == [3, 19]
+    code, report = run_json(capsys, "lattice", "mirror", "--image-basis", "[]",
+                            "--expect", "H+H+E8(-1)+E8(-1)")
+    assert code == 0
+    assert report["payload"]["rank"] == 20
+    assert report["payload"]["match"]["status"] == "MATCH"
+
+
+def test_discriminant_cap_reports_budget(capsys):
+    code, report = run_json(capsys, "lattice", "invariants",
+                            "--gram", "[[600,0,0],[0,600,0],[0,0,-2]]")
+    assert code == 2
+    assert report["payload"] == {
+        "error": "BudgetExceeded",
+        "message": "discriminant group of order 720000 exceeds enumeration cap"}
+
+
 def test_partition_file_carries_polytope(tmp_path, capsys):
     part = tmp_path / "partition.json"
     part.write_text(json.dumps({
@@ -341,7 +382,8 @@ def test_shared_parser_matches_fresh_parser(tmp_path, capsys):
 
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("argv", [["family", "sweep"],
-                                  ["hodge", "lee", "--fixture", "tyurin-quartic"]])
+                                  ["hodge", "lee", "--fixture", "tyurin-quartic"],
+                                  ["--help"], ["--version"], ["lattice", "--help"]])
 def test_closed_stdout_pipe_is_silent(argv, unbuffered):
     # Unbuffered, the write fails inside print; buffered, on the flush.  A
     # short report stays buffered after that failure, and the interpreter's

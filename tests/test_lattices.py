@@ -3,13 +3,15 @@
 The Smith-form routine is property-tested against its defining equations;
 discriminant form values for the rank-one fixtures are derived inline from
 the dual basis (the oracle is the one-variable computation q(k e/n) =
-k^2/n mod 2Z).
+k^2/n mod 2Z), and on random even forms of rank 2-4 against a brute-force
+enumeration of G^-1 Z^n mod Z^n that uses no Smith form.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mirrorcheck import errors, intlinalg as la, lattices as lt
@@ -186,6 +188,87 @@ def test_discriminant_order_equals_det(a, b, c):
     assert len(data.form_values) == order
 
 
+def _brute_discriminant(gram):
+    """Group check and sorted q-values of L*/L, with no Smith form.
+
+    L* = G^-1 Z^n, so L*/L is every class G^-1 z mod Z^n; they are reached
+    by adding the columns of G^-1 to the classes found until none is new,
+    each class kept by its representative in [0, 1)^n.  Returns the count
+    of classes killed by m, for each m up to |det|, and the sorted values
+    x^T G x mod 2.
+    """
+    sympy = pytest.importorskip("sympy")
+    n = len(gram)
+    inv = sympy.Matrix(gram).inv()
+    cols = [[Fraction(int(inv[i, j].p), int(inv[i, j].q)) for i in range(n)]
+            for j in range(n)]
+    zero = (Fraction(0),) * n
+    classes = {zero}
+    frontier = [zero]
+    while frontier:
+        x = frontier.pop()
+        for c in cols:
+            y = tuple((a + b) % 1 for a, b in zip(x, c))
+            if y not in classes:
+                classes.add(y)
+                frontier.append(y)
+    det = abs(la.determinant(gram))
+    killed = {m: sum(all((m * a).denominator == 1 for a in x) for x in classes)
+              for m in range(1, det + 1)}
+    values = sorted(sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n)) % 2
+                    for x in classes)
+    return killed, values
+
+
+@st.composite
+def even_grams(draw):
+    n = draw(st.integers(2, 4))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i + 1, n):
+            gram[i][j] = gram[j][i] = draw(st.integers(-2, 2))
+    return gram
+
+
+@settings(max_examples=150, deadline=None)
+@given(even_grams())
+@example([[4, 0], [0, 6]])
+@example([[0, 1, 0], [1, 0, 0], [0, 0, 4]])
+@example([[4, 2, 2], [2, 4, 2], [2, 2, 4]])
+def test_discriminant_matches_brute_force(gram):
+    det = abs(la.determinant(gram))
+    assume(0 < det <= 64)
+    data = lt.discriminant(lt.from_gram(gram))
+    killed, values = _brute_discriminant(gram)
+    assert all(d > 1 for d in data.group)
+    assert all(b % a == 0 for a, b in zip(data.group, data.group[1:]))
+    # |A[m]| = prod gcd(m, d_i) pins the invariant factors down.
+    assert killed == {m: math.prod(math.gcd(m, d) for d in data.group) for m in killed}
+    assert list(data.form_values) == values
+
+
+def test_discriminant_runs_one_smith_form(monkeypatch):
+    calls = {"smith_normal_form": 0, "inverse_unimodular": 0}
+    for name in calls:
+        real = getattr(la, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(la, name, counting)
+    data = lt.discriminant(lt.from_gram([[4, 2, 2], [2, 4, 2], [2, 2, 4]]))
+    assert math.prod(data.group) == 32
+    assert calls == {"smith_normal_form": 1, "inverse_unimodular": 0}
+
+
+def test_discriminant_cap_is_a_budget():
+    lat = lt.from_gram([[600, 0, 0], [0, 600, 0], [0, 0, -2]])
+    with pytest.raises(errors.BudgetExceeded, match="order 720000 exceeds enumeration cap"):
+        lt.discriminant(lat)
+
+
 # --- embeddings and complements --------------------------------------------
 
 
@@ -223,6 +306,39 @@ def test_double_complement_matches_original():
     comp = lt.orthogonal_complement(emb)
     back = lt.orthogonal_complement(comp).induced()
     assert lt.invariants_match(back, lt.rank_one(2)).matched
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
+    st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+             min_size=1, max_size=n - 1))))
+def test_induced_matches_pairwise_bilinear(data):
+    entries, rows = data
+    n = len(rows[0])
+    gram = [[entries[min(i, j) * n + max(i, j)] * (2 if i == j else 1)
+             for j in range(n)] for i in range(n)]
+    amb = lt.from_gram(gram)
+    # A saturated kernel is a primitive basis of its span.
+    basis = tuple(tuple(v) for v in la.kernel_basis(rows))
+    assume(basis)
+    induced = lt.LatticeEmbedding(amb, basis).induced().gram
+    assert induced == tuple(tuple(amb.bilinear(u, v) for v in basis) for u in basis)
+    assert induced == tuple(
+        tuple(sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+              for v in basis) for u in basis)
+
+
+def test_complement_of_empty_image_is_ambient():
+    emb = lt.LatticeEmbedding(lt.k3_lattice(), ())
+    comp = lt.orthogonal_complement(emb)
+    assert comp.rank == 22
+    assert lt.invariants_match(comp.induced(), lt.k3_lattice()).matched
+    mirror = lt.dn_mirror(emb, lt.default_isotropic_vector(emb))
+    assert mirror.rank == 20
+    target = lt.direct_sum(lt.hyperbolic_plane(), lt.hyperbolic_plane(),
+                           lt.e8_minus(), lt.e8_minus())
+    assert lt.invariants_match(mirror, target).matched
 
 
 # --- the mirror construction -----------------------------------------------
