@@ -55,6 +55,10 @@ class _Inputs:
                 return json.load(fh)
         except FileNotFoundError:
             raise InputError(f"no such file: {path}")
+        except OSError as exc:
+            raise InputError(f"cannot read {path}: {exc.strerror or exc}")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed JSON in {path}: {exc.msg} "
                              f"(line {exc.lineno}, column {exc.colno})")

@@ -20,8 +20,10 @@ point.  These functionals are exactly the vertices of nabla_i: on the cone
 over F the support function of nabla_i is <u_{F,i}, .>, and u_{F,i} is its
 unique minimiser there (Cox-Little-Schenck, Toric Varieties, Thm 6.1.7).
 So the vertices of every nabla_i, full-dimensional or not, are integral and
-read off the Cartier data; the hull object is attached only when the piece
-has full dimension.
+read off the Cartier data.  Validation, counts and Hodge numbers need only
+those vertices and nabla's hull; the hull of a full-dimensional nabla_i is
+built on the first read of ``DualNefPartition.nablas`` (by ``nef dual``'s
+report) and cached there.
 """
 
 from __future__ import annotations
@@ -92,17 +94,33 @@ class NefPartition:
 
 @dataclass(frozen=True)
 class DualNefPartition:
-    """The Batyrev-Borisov dual of a nef partition."""
+    """The Batyrev-Borisov dual of a nef partition.
+
+    ``nablas`` holds the hull of each full-dimensional nabla_i and None for
+    a lower-dimensional one.  Only ``to_json`` needs those hulls, so they
+    are built on first read and cached, unless given to the constructor.
+    """
 
     partition: NefPartition
     nabla_vertex_sets: tuple[tuple[Vec, ...], ...]
     nabla_point_sets: tuple[tuple[Vec, ...], ...]
     nabla: LatticePolytope
-    nablas: tuple[Optional[LatticePolytope], ...] = field(default=())
+    _nablas: Optional[tuple[Optional[LatticePolytope], ...]] = field(
+        default=None, compare=False, repr=False)
 
     @property
     def k(self) -> int:
         return len(self.nabla_vertex_sets)
+
+    @property
+    def nablas(self) -> tuple[Optional[LatticePolytope], ...]:
+        if self._nablas is None:
+            d = self.partition.polytope.rank
+            object.__setattr__(self, "_nablas", tuple(
+                hull(vs) if mat_rank([[x - y for x, y in zip(v, vs[0])] for v in vs]) == d
+                else None
+                for vs in self.nabla_vertex_sets))
+        return self._nablas
 
     def to_json(self) -> dict:
         pieces = []
@@ -201,9 +219,10 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
     raises NotCartier or NotNef when a part's divisor is not Cartier or not
     nef, validated or not.  Lattice
     points of each nabla_i are read off by filtering the lattice points of
-    the polar polytope, which always contains them.  The result is cached
-    on the partition, so validate_nef_partition builds the one that later
-    calls return.
+    the polar polytope, which always contains them.  Nabla is hulled here,
+    for the reflexivity check; the nabla_i are not (see
+    ``DualNefPartition.nablas``).  The result is cached on the partition,
+    so validate_nef_partition builds the one that later calls return.
     """
     if np_._dual is not None:
         return np_._dual
@@ -214,16 +233,12 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
     polar_points = lattice_points(polar_dual(delta), "all")
 
     point_sets = []
-    hulls: list[Optional[LatticePolytope]] = []
-    for part, vset in zip(np_.parts, vertex_sets):
+    for part in np_.parts:
         part_set = set(part)
         constraints = [(v, -1 if v in part_set else 0) for v in boundary]
         point_sets.append(tuple(
             p for p in polar_points
             if all(dot(v, p) >= bound for v, bound in constraints)))
-        base = vset[0]
-        rows = [[v[k] - base[k] for k in range(d)] for v in vset[1:]]
-        hulls.append(hull(vset) if rows and mat_rank(rows) == d else None)
 
     nabla = hull([v for vs in vertex_sets for v in vs])
     if not is_reflexive(nabla):
@@ -244,7 +259,7 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
         if len(owners) != 1:
             raise DualityInconsistency(
                 f"lattice point {p} of nabla lies in {len(owners)} pieces")
-    dual = DualNefPartition(np_, vertex_sets, tuple(point_sets), nabla, tuple(hulls))
+    dual = DualNefPartition(np_, vertex_sets, tuple(point_sets), nabla)
     object.__setattr__(np_, "_dual", dual)
     return dual
 

@@ -7,9 +7,13 @@ from the barycentric coordinates of the Caratheodory membership test,
 integral.
 
 The hull algorithm is an incremental beneath-beyond construction that keeps
-a triangulated boundary while points are inserted and merges coplanar
-simplices into true facets at the end; inputs in this domain have at most a
-few hundred vertices.  Lattice points are enumerated by project-and-lift
+a triangulated boundary, with the two simplices at each ridge, while points
+are inserted, and merges coplanar simplices into true facets at the end;
+inputs in this domain have at most a few hundred vertices.  Only the planes
+of the starting simplex are solved for.  Every later plane is a
+combination of the two planes at a horizon ridge (Edelsbrunner, Algorithms
+in Combinatorial Geometry, 8.4), and the vertices are read off the
+point-facet incidences.  Lattice points are enumerated by project-and-lift
 (as in PALP, Kreuzer-Skarke 2004): the work is proportional to the points
 found, not to the bounding box, so thin or skewed polytopes cost no more
 than upright ones with as many points.
@@ -31,7 +35,7 @@ from .errors import (
     RankMismatch,
     UnsupportedRank,
 )
-from .intlinalg import determinant, dot, rank as mat_rank, solve_exact, vec_gcd
+from .intlinalg import dot, kernel_basis, rank as mat_rank, solve_exact, vec_gcd
 
 Vec = tuple[int, ...]
 Facet = tuple[Vec, int]  # (primitive normal n, offset c): <n, x> >= -c
@@ -54,17 +58,11 @@ def _plane_through(points: Sequence[Vec]) -> tuple[Vec, int]:
     The points must be affinely independent.  Returns (n, c) with
     <n, x> + c = 0 on the plane.
     """
-    d = len(points[0])
     base = points[0]
-    diffs = [[p[i] - base[i] for i in range(d)] for p in points[1:]]
-    normal = []
-    for j in range(d):
-        minor = [[row[i] for i in range(d) if i != j] for row in diffs]
-        normal.append((-1) ** j * determinant(minor))
-    g = vec_gcd(normal)
-    if g == 0:
+    kernel = kernel_basis([[x - y for x, y in zip(p, base)] for p in points[1:]])
+    if len(kernel) != 1:
         raise NotFullDimensional("degenerate hyperplane")
-    n = tuple(x // g for x in normal)
+    n = tuple(kernel[0])
     return n, -dot(n, base)
 
 
@@ -164,6 +162,17 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     """Convex hull of integer points; vertices minimal, facets primitive.
 
     The input must be full-dimensional in its ambient space.
+
+    Beneath-beyond over the points in sorted order, on a triangulated
+    boundary whose ridges (d-1 point indices) each map to the two simplices
+    through them.  A point p sees the simplices with negative slack at it.
+    At each horizon ridge the visible simplex H1 (slack s1 < 0) meets a
+    neighbour H2 that p does not see (slack s2 >= 0); the new simplex, the
+    ridge and p, lies on the plane s2*H1 - s1*H2, which vanishes on the ridge
+    and at p and is positive inside, and whose normal only needs dividing
+    by its gcd.  So only the d+1 planes of the starting simplex are solved
+    for.  A point is a vertex iff no other input point lies on every facet
+    tight at it: otherwise the face those facets cut out holds both.
     """
     pts = sorted({_as_vec(p) for p in points})
     if not pts:
@@ -177,53 +186,75 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     if simplex is None:
         raise NotFullDimensional(f"affine span has dimension below {d}")
 
+    # Triangulated boundary: simplex id -> (d point indices, n, c), and each
+    # ridge -> the ids of the simplices through it.
+    simplices: dict[int, tuple[frozenset[int], Vec, int]] = {}
+    ridges: dict[frozenset[int], list[int]] = {}
+    ids = itertools.count()
+
+    def add(verts: frozenset[int], n: Vec, c: int) -> None:
+        s = next(ids)
+        simplices[s] = (verts, n, c)
+        for j in verts:
+            ridges.setdefault(verts - {j}, []).append(s)
+
     # Interior reference point (d+1) * centroid of the starting simplex, which
     # is integral; a facet keeps it on its inner side when <n, ref> + (d+1)c > 0.
     ref = [sum(pts[i][k] for i in simplex) for k in range(d)]
-
-    def oriented(plane_pts: Sequence[Vec]) -> tuple[Vec, int]:
-        n, c = _plane_through(plane_pts)
-        if dot(n, ref) + (d + 1) * c < 0:
-            n = tuple(-x for x in n)
-            c = -c
-        return n, c
-
-    # Triangulated boundary: each facet simplex is (frozenset of d indices, n, c).
-    facets: list[tuple[frozenset[int], Vec, int]] = []
     for omit in simplex:
         plane_idx = [i for i in simplex if i != omit]
-        n, c = oriented([pts[i] for i in plane_idx])
-        facets.append((frozenset(plane_idx), n, c))
+        n, c = _plane_through([pts[i] for i in plane_idx])
+        if dot(n, ref) + (d + 1) * c < 0:
+            n, c = tuple(-x for x in n), -c
+        add(frozenset(plane_idx), n, c)
 
     for i in range(len(pts)):
         if i in simplex:
             continue
         p = pts[i]
-        visible = [f for f in facets if dot(f[1], p) + f[2] < 0]
-        if not visible:
-            continue
-        visible_set = {id(f) for f in visible}
-        ridge_count: dict[frozenset[int], int] = {}
-        for verts, _, _ in visible:
-            for omit in verts:
-                ridge = verts - {omit}
-                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-        horizon = [r for r, cnt in ridge_count.items() if cnt == 1]
-        facets = [f for f in facets if id(f) not in visible_set]
-        for ridge in horizon:
-            n, c = oriented([pts[j] for j in ridge] + [p])
-            facets.append((ridge | {i}, n, c))
+        slack = {s: dot(n, p) + c for s, (_, n, c) in simplices.items()}
+        visible = [s for s, v in slack.items() if v < 0]
+        new = []
+        for s in visible:
+            verts, n1, c1 = simplices[s]
+            s1 = slack[s]
+            for j in verts:
+                ridge = verts - {j}
+                a, b = ridges[ridge]
+                other = b if a == s else a
+                s2 = slack[other]
+                if s2 >= 0:
+                    _, n2, c2 = simplices[other]
+                    normal = [s2 * x - s1 * y for x, y in zip(n1, n2)]
+                    g = vec_gcd(normal)
+                    new.append((ridge | {i}, tuple(x // g for x in normal),
+                                (s2 * c1 - s1 * c2) // g))
+        for s in visible:
+            verts = simplices.pop(s)[0]
+            for j in verts:
+                ridge = verts - {j}
+                through = ridges[ridge]
+                through.remove(s)
+                if not through:
+                    del ridges[ridge]
+        for verts, n, c in new:
+            add(verts, n, c)
 
-    facet_planes = sorted({(n, c) for _, n, c in facets})
+    facet_planes = sorted({(n, c) for _, n, c in simplices.values()})
 
-    # Vertices: points satisfying all inequalities whose tight normals span R^d.
+    # on_facet[j]: bit k set iff point k lies on facet j.
+    on_facet = [sum(1 << k for k, p in enumerate(pts) if dot(n, p) + c == 0)
+                for n, c in facet_planes]
+    everything = (1 << len(pts)) - 1
     vertices = []
-    for p in pts:
-        tight = [n for n, c in facet_planes if dot(n, p) + c == 0]
-        if len(tight) >= d and all(dot(n, p) + c >= 0 for n, c in facet_planes):
-            if mat_rank([list(n) for n in tight]) == d:
-                vertices.append(p)
-    poly = LatticePolytope(d, tuple(sorted(vertices)), tuple(facet_planes))
+    for k, p in enumerate(pts):
+        face = everything
+        for points_on in on_facet:
+            if points_on >> k & 1:
+                face &= points_on
+        if face == 1 << k:
+            vertices.append(p)
+    poly = LatticePolytope(d, tuple(vertices), tuple(facet_planes))
     _cross_check(poly)
     return poly
 
@@ -231,12 +262,11 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
 def _cross_check(poly: LatticePolytope) -> None:
     # The vertex and facet descriptions must cut out the same set.
     d = poly.rank
-    for v in poly.vertices:
-        for n, c in poly.facets:
-            if dot(n, v) + c < 0:
-                raise NotFullDimensional("internal hull inconsistency: vertex outside facet")
     for n, c in poly.facets:
-        tight = [v for v in poly.vertices if dot(n, v) + c == 0]
+        slacks = [dot(n, v) + c for v in poly.vertices]
+        if any(s < 0 for s in slacks):
+            raise NotFullDimensional("internal hull inconsistency: vertex outside facet")
+        tight = [v for v, s in zip(poly.vertices, slacks) if s == 0]
         if len(tight) < d:
             raise NotFullDimensional("internal hull inconsistency: facet with too few vertices")
         base = tight[0]

@@ -122,6 +122,29 @@ def test_malformed_json_names_location(tmp_path, capsys):
     assert "bad.json" in report["payload"]["message"]
 
 
+@pytest.mark.parametrize("command,flag", [
+    (("polytope", "dual"), "--polytope"),
+    (("nef", "verify"), "--partition"),
+])
+def test_directory_input_is_an_input_error(tmp_path, capsys, command, flag):
+    code = main([*command, flag, str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["payload"]["error"] == "InputError"
+    assert str(tmp_path) in report["payload"]["message"]
+
+
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys):
+    binary = tmp_path / "poly.json"
+    binary.write_bytes(b'\xff\xfe{"rank": 2}')
+    code, report = run_json(capsys, "polytope", "dual", "--polytope", str(binary))
+    assert code == 2
+    assert report["payload"]["error"] == "InputError"
+    assert "poly.json" in report["payload"]["message"]
+
+
 def test_missing_field_named(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")

@@ -283,6 +283,43 @@ def test_validation_solves_each_cartier_system_once(octahedron, monkeypatch):
     assert len(calls) == len(octahedron.facets) * 2 == 16
 
 
+def _record_hulls(monkeypatch):
+    """Replace nef's hull by one that records the point set of each call."""
+    real_hull = nef.hull
+    calls = []
+
+    def recording_hull(points):
+        points = tuple(points)
+        calls.append(points)
+        return real_hull(points)
+
+    monkeypatch.setattr(nef, "hull", recording_hull)
+    return calls
+
+
+@pytest.mark.parametrize("fixture,parts,full", [
+    ("octahedron", P1P1P1_PARTS, 2),
+    ("wp1113_simplex", WP_PARTS, 2),
+    ("quintic_simplex", QUINTIC_PARTS, 2),
+])
+def test_nabla_pieces_hulled_on_first_read(fixture, parts, full, monkeypatch, request):
+    delta = request.getfixturevalue(fixture)
+    hulled = _record_hulls(monkeypatch)
+    dual = nef.dual_nef_partition(nef.validate_nef_partition(delta, parts))
+    # Validation hulls nabla, for its reflexivity check, and no nabla_i.
+    assert hulled == [tuple(v for vs in dual.nabla_vertex_sets for v in vs)]
+    assert not set(hulled) & set(dual.nabla_vertex_sets)
+    hulled.clear()
+    pieces = dual.nablas
+    assert hulled == [vs for vs, piece in zip(dual.nabla_vertex_sets, pieces)
+                      if piece is not None]
+    assert len(hulled) == full
+    assert pieces == tuple(pt.hull(vs) for vs in dual.nabla_vertex_sets)
+    hulled.clear()
+    assert dual.nablas is pieces
+    assert hulled == []
+
+
 def test_dual_of_unvalidated_partition_is_checked(cube, hexagon):
     boundary = pt.lattice_points(cube, "boundary")
     rest = tuple(v for v in boundary if v != (1, 1, 1))

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mirrorcheck import __version__, errors, fixtures, intlinalg as la, polytopes as pt
@@ -78,6 +78,32 @@ def naive_facets(points):
         elif all(v <= 0 for v in values):
             out.add((tuple(-x for x in n), -c))
     return out
+
+
+def _fraction_rank(rows):
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def naive_vertices(points):
+    """The extreme points of conv(points): those at which the oracle facets
+    through them have normals of full rank, so that they cut out the point."""
+    pts = sorted({tuple(p) for p in points})
+    facets = naive_facets(pts)
+    d = len(pts[0])
+    return tuple(p for p in pts
+                 if _fraction_rank([n for n, c in facets
+                                    if sum(a * b for a, b in zip(n, p)) + c == 0]) == d)
 
 
 def naive_points(points, region="all"):
@@ -169,16 +195,82 @@ def test_hull_matches_facet_oracle(points):
     assert set(pt.hull(points).facets) == naive_facets(points)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
-                min_size=4, max_size=8, unique=True))
+# Most points per rank, so that naive_facets' C(n, d) subsets stay few.
+HULL_POINT_CAP = {2: 20, 3: 16, 4: 13, 5: 12}
+
+
+@st.composite
+def hull_inputs(draw):
+    """Points in ranks 2 to 5: random base points, and often, with the base
+    scaled by 6, the averages of 2 or 3 of them as well (edge midpoints,
+    centres of triangles on facets or inside), so that boundary and
+    redundant points are common and come anywhere in the sorted order."""
+    d = draw(st.integers(pt.MIN_RANK, pt.MAX_RANK))
+    base = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d),
+                         min_size=d + 1, max_size=min(d + 5, HULL_POINT_CAP[d]), unique=True))
+    subsets = draw(st.lists(
+        st.lists(st.integers(0, len(base) - 1), min_size=2, max_size=3, unique=True),
+        max_size=HULL_POINT_CAP[d] - len(base)))
+    scale = 6 if subsets else 1
+    points = [tuple(scale * x for x in p) for p in base]
+    for idx in subsets:
+        w = scale // len(idx)
+        points.append(tuple(w * sum(base[i][k] for i in idx) for k in range(d)))
+    return points
+
+
+CUBE_WITH_EDGE_MIDPOINTS = [p for p in itertools.product((0, 1, 2), repeat=3)
+                            if p.count(1) <= 1]
+# The facet point (0, 1, 1) sorts between vertices and joins the starting
+# simplex; the vertex (0, 3, 0), inserted later, lies in the plane x = 0 of
+# that simplex's facet.
+SIMPLEX_FACET_POINT_FIRST = [(0, 0, 0), (0, 3, 0), (0, 0, 3), (0, 1, 1), (1, 0, 0)]
+
+
+# About 60 examples per rank.
+@settings(max_examples=240, deadline=None)
+@given(hull_inputs())
+@example(CUBE_WITH_EDGE_MIDPOINTS)
+@example(SIMPLEX_FACET_POINT_FIRST)
 def test_hull_matches_facet_oracle_random(points):
+    d = len(points[0])
     try:
         poly = pt.hull(points)
     except errors.NotFullDimensional:
+        base = points[0]
+        assert _fraction_rank([[x - y for x, y in zip(p, base)] for p in points]) < d
         return
     assert set(poly.facets) == naive_facets(points)
+    assert poly.vertices == naive_vertices(points)
     assert all(poly.contains(p) for p in points)
+
+
+@pytest.mark.parametrize("points", ALL_FIXTURE_POINTS + [
+    CUBE_WITH_EDGE_MIDPOINTS,
+    SIMPLEX_FACET_POINT_FIRST,
+    [p for p in itertools.product((-1, 0, 1), repeat=4) if sum(map(abs, p)) <= 2],
+    [p for p in itertools.product((0, 1), repeat=5)],
+])
+def test_hull_solves_only_the_starting_simplex(points, monkeypatch):
+    # Each later facet is a combination of the two planes at its horizon
+    # ridge, so one hull solves d+1 planes and takes no determinant.
+    planes, determinants = [], []
+    real_plane, real_determinant = pt._plane_through, la.determinant
+
+    def plane(pts):
+        planes.append(pts)
+        return real_plane(pts)
+
+    def determinant(m):
+        determinants.append(m)
+        return real_determinant(m)
+
+    monkeypatch.setattr(pt, "_plane_through", plane)
+    monkeypatch.setattr(la, "determinant", determinant)
+    monkeypatch.setattr(pt, "determinant", determinant, raising=False)
+    poly = pt.hull(points)
+    assert len(planes) == poly.rank + 1
+    assert determinants == []
 
 
 # --- polar dual ------------------------------------------------------------
