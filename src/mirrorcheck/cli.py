@@ -31,6 +31,7 @@ from . import nef
 from . import polytopes as pt
 from .errors import InputError, MirrorcheckError
 from .fixtures import fixture_names, load_fixture
+from .intlinalg import as_int
 
 PASS, FAIL, INCONCLUSIVE, ERROR = "PASS", "FAIL", "INCONCLUSIVE", "ERROR"
 
@@ -71,36 +72,34 @@ class _Inputs:
                              f"(line {exc.lineno}, column {exc.colno})")
 
     def slot(self, flag: str, slot_name: str, required: bool = True):
-        """A JSON input: file path flag wins, then the fixture slot."""
+        """A JSON object input: file path flag wins, then the fixture slot."""
         path = getattr(self.args, flag.replace("-", "_"), None)
         if path is not None:
             data = self._load_file(path)
             # A dedicated file may carry the slot at top level or nested.
-            value = data.get(slot_name, data)
+            value = data.get(slot_name, data) if isinstance(data, dict) else data
             self.echo[slot_name] = {"file": path}
-            return value
-        if slot_name in self.fixture:
-            return self.fixture[slot_name]
-        if required:
+        elif slot_name in self.fixture:
+            value = self.fixture[slot_name]
+        elif required:
             raise InputError(f"missing input: provide --{flag} or a fixture "
                              f"with a {slot_name!r} slot")
-        return None
+        else:
+            return None
+        if not isinstance(value, dict):
+            raise InputError(f"{slot_name} input must be a JSON object")
+        return value
 
     def polytope(self, flag: str = "polytope", slot: str = "polytope") -> pt.LatticePolytope:
-        data = self.slot(flag, slot, required=False)
+        # Partition files may embed their polytope.
+        embedded = getattr(self, "_partition_polytope", None)
+        data = self.slot(flag, slot, required=embedded is None)
         if data is None:
-            # Partition files may embed their polytope.
-            data = getattr(self, "_partition_polytope", None)
-            if data is None:
-                raise InputError(f"missing input: provide --{flag} or a fixture "
-                                 f"with a {slot!r} slot")
-        return self._polytope_from(data)
-
-    def _polytope_from(self, data) -> pt.LatticePolytope:
+            data = embedded
         if not isinstance(data, dict) or "vertices" not in data:
             raise InputError("polytope input must carry a 'vertices' field")
         poly = pt.hull(data["vertices"])
-        if "rank" in data and int(data["rank"]) != poly.rank:
+        if "rank" in data and as_int(data["rank"]) != poly.rank:
             raise InputError(f"polytope input declares rank {data['rank']} "
                              f"but the vertices have rank {poly.rank}")
         return poly
@@ -145,22 +144,29 @@ class _Inputs:
         if "fibres" not in data:
             raise InputError("fibration input must carry a 'fibres' field")
         tags = [_fibre_tag(f) for f in data["fibres"]]
-        ell = int(data.get("ell", 1))
+        ell = as_int(data.get("ell", 1))
         desc = hg.FibrationDescriptor.from_tags(tags, ell)
         if not with_slices:
             return desc
         if "slices" not in data:
             raise InputError("fibration input must carry a 'slices' field for slicing")
-        slices = tuple(tuple(int(i) for i in s) for s in data["slices"])
+        slices = tuple(tuple(map(as_int, s)) for s in data["slices"])
         return hg.SlicedFibration(desc, slices)
 
     def degeneration(self) -> hg.TypeIIDegeneration:
         data = self.slot("degeneration", "degeneration")
-        for key in ("components", "double_curves", "L_rank"):
-            if key not in data:
-                raise InputError(f"degeneration input must carry a {key!r} field")
-        return hg.TypeIIDegeneration(tuple(int(n) for n in data["components"]),
-                                     int(data["double_curves"]), int(data["L_rank"]))
+        components, curves, l_rank = _fields(data, "degeneration",
+                                             "components", "double_curves", "L_rank")
+        return hg.TypeIIDegeneration(tuple(map(as_int, components)), as_int(curves),
+                                     as_int(l_rank))
+
+
+def _fields(data: dict, kind: str, *keys: str) -> list:
+    """The values of the named fields of an input object, each required."""
+    for key in keys:
+        if key not in data:
+            raise InputError(f"{kind} input must carry a {key!r} field")
+    return [data[key] for key in keys]
 
 
 def _fibre_tag(entry) -> str:
@@ -234,6 +240,8 @@ def _cmd_nef_verify(inp: _Inputs):
     poly = inp.polytope()
     try:
         np_ = nef.validate_nef_partition(poly, parts)
+    except InputError:
+        raise
     except MirrorcheckError as exc:
         return FAIL, {"valid": False, "error": exc.name, "message": str(exc)}
     return PASS, {"valid": True, "k": np_.k,
@@ -313,13 +321,13 @@ def _embedding_from_args(inp: _Inputs) -> lt.LatticeEmbedding:
     path = getattr(inp.args, "embedding", None)
     if path is not None:
         data = inp._load_file(path)
-        if "image_basis" not in data:
+        if not isinstance(data, dict) or "image_basis" not in data:
             raise InputError("embedding input must carry an 'image_basis' field")
         ambient_spec = data.get("ambient", "K3")
         ambient = (lt.k3_lattice() if ambient_spec == "K3"
                    else lt.from_gram(ambient_spec))
         emb = lt.LatticeEmbedding(
-            ambient, tuple(tuple(int(x) for x in v) for v in data["image_basis"]))
+            ambient, tuple(tuple(map(as_int, v)) for v in data["image_basis"]))
         if "f" in data and getattr(inp.args, "f", None) is None:
             inp.args.f = json.dumps(data["f"])
         return emb
@@ -327,7 +335,7 @@ def _embedding_from_args(inp: _Inputs) -> lt.LatticeEmbedding:
     if basis is not None:
         vectors = inp._inline_json(basis, "--image-basis")
         return lt.LatticeEmbedding(lt.k3_lattice(),
-                                   tuple(tuple(int(x) for x in v) for v in vectors))
+                                   tuple(tuple(map(as_int, v)) for v in vectors))
     spec = getattr(inp.args, "spec", None)
     if spec is None:
         raise InputError("missing input: provide --spec, --image-basis or --embedding")
@@ -338,7 +346,7 @@ def _cmd_lattice_mirror(inp: _Inputs):
     emb = _embedding_from_args(inp)
     fflag = getattr(inp.args, "f", None)
     if fflag is not None:
-        f = tuple(int(x) for x in inp._inline_json(fflag, "--f"))
+        f = tuple(map(as_int, inp._inline_json(fflag, "--f")))
     else:
         f = lt.default_isotropic_vector(emb)
     mirror = lt.dn_mirror(emb, f)
@@ -385,13 +393,8 @@ def _cmd_hodge_mirror(inp: _Inputs):
 
 def _tyurin_from(inp: _Inputs) -> hg.TyurinData:
     data = inp.slot("tyurin", "tyurin")
-    for key in ("X1", "X2", "Z"):
-        if key not in data:
-            raise InputError(f"tyurin input must carry a {key!r} field")
-    return hg.TyurinData(hg.HodgeDiamond.from_json(data["X1"]),
-                         hg.HodgeDiamond.from_json(data["X2"]),
-                         hg.HodgeDiamond.from_json(data["Z"]),
-                         int(data.get("k", 1)))
+    x1, x2, z = map(hg.HodgeDiamond.from_json, _fields(data, "tyurin", "X1", "X2", "Z"))
+    return hg.TyurinData(x1, x2, z, as_int(data.get("k", 1)))
 
 
 def _cmd_hodge_lee(inp: _Inputs):
@@ -408,7 +411,7 @@ def _cmd_hodge_glue(inp: _Inputs):
     dim = inp.args.dim
     if dim is None:
         dim = inp.fixture.get("dim", t.x1.dim)
-    verdict = hg.glue_euler_check(t, int(w_chi), int(dim))
+    verdict = hg.glue_euler_check(t, as_int(w_chi), as_int(dim))
     return (PASS if verdict.passed else FAIL), verdict.to_json()
 
 
@@ -435,7 +438,7 @@ def _cmd_hodge_lmhs(inp: _Inputs):
     payload = {"table": [list(r) for r in table]}
     if inp.args.mirror is not None:
         data = inp._load_file(inp.args.mirror)
-        if "table" not in data:
+        if not isinstance(data, dict) or "table" not in data:
             raise InputError("mirror table input must carry a 'table' field")
         verdict = hg.lmhs_mirror_match(table, data["table"])
         payload["match"] = verdict.to_json()
@@ -444,14 +447,9 @@ def _cmd_hodge_lmhs(inp: _Inputs):
 
 
 def _cmd_hodge_conj318(inp: _Inputs):
-    data = inp.slot("data", "conj318")
-    for key in ("rho_10", "rho_11", "rho_01", "h11_X1", "h11_X2", "h11_ambient", "points"):
-        if key not in data:
-            raise InputError(f"conjecture input must carry a {key!r} field")
-    clauses = hg.conjecture318_report(
-        int(data["rho_10"]), int(data["rho_11"]), int(data["rho_01"]),
-        int(data["h11_X1"]), int(data["h11_X2"]), int(data["h11_ambient"]),
-        int(data["points"]))
+    clauses = hg.conjecture318_report(*map(as_int, _fields(
+        inp.slot("data", "conj318"), "conjecture",
+        "rho_10", "rho_11", "rho_01", "h11_X1", "h11_X2", "h11_ambient", "points")))
     ok = all(c.status != "FAIL" for c in clauses)
     return (PASS if ok else FAIL), {
         "clauses": [c.to_json() for c in clauses],

@@ -22,10 +22,12 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
+    InputError,
     InvalidDiamond,
     ShapeMismatch,
     UnknownType,
 )
+from .intlinalg import as_int
 
 
 @dataclass(frozen=True)
@@ -114,10 +116,13 @@ class HodgeDiamond:
     def from_json(data: Mapping) -> "HodgeDiamond":
         entries = {}
         for key, v in data.get("h", {}).items():
-            p, q = key.split(",")
-            entries[(int(p), int(q))] = int(v)
+            try:
+                p, q = map(int, key.split(","))
+            except ValueError:
+                raise InputError(f"diamond key {key!r} is not of the form 'p,q'") from None
+            entries[(p, q)] = as_int(v)
         kaehler = "quasifano" not in data.get("flags", [])
-        return HodgeDiamond(int(data["dim"]), entries, kaehler)
+        return HodgeDiamond(as_int(data["dim"]), entries, kaehler)
 
 
 def k3_diamond(h11: int = 20) -> HodgeDiamond:

@@ -1,13 +1,14 @@
 """Exact integer linear algebra.
 
 All routines work on plain Python ints (arbitrary precision); nothing here
-touches floating point.  Matrices are lists of row lists.  Rank,
-determinant, the rational solve and the unimodular inverse share one
-fraction-free (Bareiss) elimination kernel, ``_echelon``, whose entries
-stay integer minors of the input.  The only rationals are the solution
-coordinates of ``solve_exact``, one ``Fraction`` each.  Smith normal form
-and the integer kernel and solves built on it use unimodular row and
-column operations.
+touches floating point.  Matrices are lists of row lists.  The pivot
+columns and the rank they count, the determinant, the rational solve and
+the unimodular inverse share one fraction-free (Bareiss) elimination
+kernel, ``_echelon``, whose entries stay integer minors of the input.  The
+only rationals are the solution coordinates of ``solve_exact``, one
+``Fraction`` each.  Smith normal form and the integer kernel and solves
+built on it use unimodular row and column operations.  ``as_int`` is the
+one checked conversion of input values (JSON numbers) to ints.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .errors import Degenerate, NotPrimitiveVector
+from .errors import Degenerate, InputError, NotPrimitiveVector
 
 IntMatrix = list[list[int]]
 IntVector = list[int]
@@ -41,6 +42,18 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> IntVector:
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(u, v))
+
+
+def as_int(x) -> int:
+    """An input value as an int; anything but an integral number raises
+    InputError, where ``int`` would truncate or fail with a ValueError."""
+    try:
+        v = int(x)
+        if v == x:
+            return v
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"non-integer value {x!r}")
 
 
 def vec_gcd(v: Sequence[int]) -> int:
@@ -102,9 +115,15 @@ def determinant(m: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1] if n else 1
 
 
+def pivot_columns(m: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of the columns of ``m`` outside the span of the columns
+    before them: the pivot columns of its fraction-free echelon form."""
+    return _echelon([list(row) for row in m], len(m[0]) if m else 0)[0]
+
+
 def rank(m: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals: the pivot count of a fraction-free echelon form."""
-    return len(_echelon([list(row) for row in m], len(m[0]) if m else 0)[0])
+    """Rank over the rationals: the number of pivot columns."""
+    return len(pivot_columns(m))
 
 
 def solve_exact(a: Sequence[Sequence[int]], b: Sequence[int]):

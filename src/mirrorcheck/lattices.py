@@ -80,7 +80,7 @@ class QuadLattice:
 
 
 def from_gram(gram: Sequence[Sequence[int]], name: Optional[str] = None) -> QuadLattice:
-    return QuadLattice(tuple(tuple(int(x) for x in row) for row in gram), name)
+    return QuadLattice(tuple(tuple(map(la.as_int, row)) for row in gram), name)
 
 
 def hyperbolic_plane() -> QuadLattice:

@@ -44,10 +44,11 @@ from .errors import (
     PolytopeMismatch,
     UnsupportedRank,
 )
-from .intlinalg import dot, rank as mat_rank, solve_exact
+from .intlinalg import as_int, dot, solve_exact
 from .polytopes import (
     LatticePolytope,
     Vec,
+    affine_rank,
     dual_face,
     ell,
     ell_star_face,
@@ -98,7 +99,7 @@ class DualNefPartition:
 
     ``nablas`` holds the hull of each full-dimensional nabla_i and None for
     a lower-dimensional one.  Only ``to_json`` needs those hulls, so they
-    are built on first read and cached, unless given to the constructor.
+    are built on first read and cached.
     """
 
     partition: NefPartition
@@ -106,7 +107,7 @@ class DualNefPartition:
     nabla_point_sets: tuple[tuple[Vec, ...], ...]
     nabla: LatticePolytope
     _nablas: Optional[tuple[Optional[LatticePolytope], ...]] = field(
-        default=None, compare=False, repr=False)
+        default=None, init=False, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -117,8 +118,7 @@ class DualNefPartition:
         if self._nablas is None:
             d = self.partition.polytope.rank
             object.__setattr__(self, "_nablas", tuple(
-                hull(vs) if mat_rank([[x - y for x, y in zip(v, vs[0])] for v in vs]) == d
-                else None
+                hull(vs) if affine_rank(vs) == d else None
                 for vs in self.nabla_vertex_sets))
         return self._nablas
 
@@ -138,15 +138,11 @@ class DualNefPartition:
         }
 
 
-def _boundary_points(delta: LatticePolytope) -> tuple[Vec, ...]:
-    return lattice_points(delta, "boundary")
-
-
 def _check_partition(delta: LatticePolytope, parts: Sequence[Sequence[Sequence[int]]]):
-    normalized = tuple(tuple(sorted(tuple(int(x) for x in v) for v in part)) for part in parts)
+    normalized = tuple(tuple(sorted(tuple(map(as_int, v)) for v in part)) for part in parts)
     if not normalized or any(not part for part in normalized):
         raise NotAPartition("every part must be non-empty")
-    boundary = set(_boundary_points(delta))
+    boundary = set(lattice_points(delta, "boundary"))
     seen: set[Vec] = set()
     for part in normalized:
         for v in part:
@@ -172,7 +168,7 @@ def _cartier_data(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
     the sorted distinct u_{F,i}: the vertices of nabla_i.
     """
     delta = np_.polytope
-    boundary = _boundary_points(delta)
+    boundary = lattice_points(delta, "boundary")
     part_sets = [set(part) for part in np_.parts]
     vertex_sets: list[set[Vec]] = [set() for _ in np_.parts]
     for fi, (n, c) in enumerate(delta.facets):
@@ -229,7 +225,7 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
     vertex_sets = _cartier_data(np_)
     delta = np_.polytope
     d = delta.rank
-    boundary = _boundary_points(delta)
+    boundary = lattice_points(delta, "boundary")
     polar_points = lattice_points(polar_dual(delta), "all")
 
     point_sets = []
@@ -321,7 +317,7 @@ def divisor_component_count(sigma: Sequence[int], delta: LatticePolytope,
     polar polytope); 1 + l*(G) * l*(G-dual) when sigma is interior to a
     codimension-2 face G; and 1 on faces of codimension >= 3.
     """
-    s = tuple(int(x) for x in sigma)
+    s = tuple(map(as_int, sigma))
     if not polar.on_boundary(s):
         raise NotBoundaryPoint(f"{s} is not a boundary lattice point of the polar polytope")
     face = smallest_face_containing(polar, s)

@@ -1,10 +1,14 @@
 """Exact convex geometry for lattice polytopes of rank 2 to 5.
 
-Polytopes are stored in canonical form: sorted vertex tuples together with
-the complete facet description ``<normal, x> >= -offset``, where every
-normal is a primitive integer vector.  All arithmetic is exact and, apart
-from the barycentric coordinates of the Caratheodory membership test,
-integral.
+Polytopes are stored in canonical form: sorted vertex tuples, the sorted
+complete facet description ``<normal, x> >= -offset`` with every normal a
+primitive integer vector, and the vertex-facet incidence table, which
+vertices lie on which facet (PALP's ``INCI``, Kreuzer-Skarke 2004).
+``hull`` records the table once, from the slacks its cross-check
+computes; the face lattice, face duality and the facets through a face
+are read off it without an inner product.  All arithmetic is exact and,
+apart from the barycentric coordinates of the Caratheodory membership
+test, integral.
 
 The hull algorithm is an incremental beneath-beyond construction that keeps
 a triangulated boundary, with the two simplices at each ridge, while points
@@ -35,21 +39,14 @@ from .errors import (
     RankMismatch,
     UnsupportedRank,
 )
-from .intlinalg import dot, kernel_basis, rank as mat_rank, solve_exact, vec_gcd
+from .intlinalg import (
+    as_int, dot, kernel_basis, pivot_columns, rank as mat_rank, solve_exact, vec_gcd)
 
 Vec = tuple[int, ...]
 Facet = tuple[Vec, int]  # (primitive normal n, offset c): <n, x> >= -c
 
 MIN_RANK = 2
 MAX_RANK = 5
-
-
-def _as_vec(p: Sequence[int]) -> Vec:
-    v = tuple(int(x) for x in p)
-    for x, raw in zip(v, p):
-        if x != raw:
-            raise InputError(f"non-integer coordinate {raw!r}")
-    return v
 
 
 def _plane_through(points: Sequence[Vec]) -> tuple[Vec, int]:
@@ -66,29 +63,38 @@ def _plane_through(points: Sequence[Vec]) -> tuple[Vec, int]:
     return n, -dot(n, base)
 
 
+def affine_rank(points: Sequence[Vec]) -> int:
+    """Dimension of the affine span of the points; -1 for no points."""
+    if not points:
+        return -1
+    base = points[0]
+    return mat_rank([[x - y for x, y in zip(p, base)] for p in points[1:]])
+
+
 def _affinely_independent_subset(points: Sequence[Vec], d: int) -> Optional[list[int]]:
-    """Indices of d+1 affinely independent points, or None."""
-    chosen = [0]
-    for i in range(1, len(points)):
-        base = points[chosen[0]]
-        rows = [[points[j][k] - base[k] for k in range(d)] for j in chosen[1:] + [i]]
-        if mat_rank(rows) == len(rows):
-            chosen.append(i)
-            if len(chosen) == d + 1:
-                return chosen
-    return None
+    """Indices of d+1 affinely independent points, or None: the first point
+    and, from one echelon pass, the pivot columns of the d x (n-1) matrix of
+    differences p_i - p_0, each outside the span of the columns before it."""
+    base = points[0]
+    pivots = pivot_columns([[p[k] - base[k] for p in points[1:]] for k in range(d)])
+    if len(pivots) < d:
+        return None
+    return [0] + [c + 1 for c in pivots]
 
 
 class LatticePolytope:
-    """A full-dimensional lattice polytope in canonical form."""
+    """A full-dimensional lattice polytope in canonical form; ``incidence[j]``
+    is the set of indices of the vertices on facet j."""
 
-    __slots__ = ("rank", "vertices", "facets", "_points", "_faces", "_polar",
-                 "_incidence_counts")
+    __slots__ = ("rank", "vertices", "facets", "incidence", "_points", "_faces",
+                 "_polar", "_incidence_counts")
 
-    def __init__(self, rank: int, vertices: tuple[Vec, ...], facets: tuple[Facet, ...]):
+    def __init__(self, rank: int, vertices: tuple[Vec, ...], facets: tuple[Facet, ...],
+                 incidence: tuple[frozenset[int], ...]):
         self.rank = rank
         self.vertices = vertices
         self.facets = facets
+        self.incidence = incidence
         self._points: dict[str, tuple[Vec, ...]] = {}
         self._faces: Optional[tuple["Face", ...]] = None
         self._polar: Optional["LatticePolytope"] = None
@@ -174,7 +180,7 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     for.  A point is a vertex iff no other input point lies on every facet
     tight at it: otherwise the face those facets cut out holds both.
     """
-    pts = sorted({_as_vec(p) for p in points})
+    pts = sorted({tuple(map(as_int, p)) for p in points})
     if not pts:
         raise EmptyInput("no points given")
     d = len(pts[0])
@@ -240,11 +246,11 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
         for verts, n, c in new:
             add(verts, n, c)
 
-    facet_planes = sorted({(n, c) for _, n, c in simplices.values()})
+    facets = tuple(sorted({(n, c) for _, n, c in simplices.values()}))
 
     # on_facet[j]: bit k set iff point k lies on facet j.
     on_facet = [sum(1 << k for k, p in enumerate(pts) if dot(n, p) + c == 0)
-                for n, c in facet_planes]
+                for n, c in facets]
     everything = (1 << len(pts)) - 1
     vertices = []
     for k, p in enumerate(pts):
@@ -254,36 +260,39 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
                 face &= points_on
         if face == 1 << k:
             vertices.append(p)
-    poly = LatticePolytope(d, tuple(vertices), tuple(facet_planes))
-    _cross_check(poly)
-    return poly
+    return LatticePolytope(d, tuple(vertices), facets, _cross_check(d, vertices, facets))
 
 
-def _cross_check(poly: LatticePolytope) -> None:
-    # The vertex and facet descriptions must cut out the same set.
-    d = poly.rank
-    for n, c in poly.facets:
-        slacks = [dot(n, v) + c for v in poly.vertices]
+def _cross_check(d: int, vertices: list[Vec],
+                 facets: tuple[Facet, ...]) -> tuple[frozenset[int], ...]:
+    """The vertex-facet incidence table, once the vertex and facet
+    descriptions are checked to cut out the same set."""
+    incidence = []
+    for n, c in facets:
+        slacks = [dot(n, v) + c for v in vertices]
         if any(s < 0 for s in slacks):
             raise NotFullDimensional("internal hull inconsistency: vertex outside facet")
-        tight = [v for v, s in zip(poly.vertices, slacks) if s == 0]
+        tight = [i for i, s in enumerate(slacks) if s == 0]
         if len(tight) < d:
             raise NotFullDimensional("internal hull inconsistency: facet with too few vertices")
-        base = tight[0]
-        rows = [[p[k] - base[k] for k in range(d)] for p in tight[1:]]
-        if mat_rank(rows) != d - 1:
+        if affine_rank([vertices[i] for i in tight]) != d - 1:
             raise NotFullDimensional("internal hull inconsistency: facet not of dimension d-1")
+        incidence.append(frozenset(tight))
+    return tuple(incidence)
 
 
 def polar_dual(poly: LatticePolytope) -> LatticePolytope:
     """Polar polytope {u : <u, v> >= -1 for all v in P}.
 
     Defined here only for reflexive input, where the polar is again a
-    lattice polytope whose vertices are the facet normals of P.  The polar
-    is built and cross-checked once, then cached on both polytopes, linked
-    both ways: ``polar_dual(polar_dual(P)) is P``, and repeated calls share
-    one polar with its cached points and faces.  A failed check caches
-    nothing, so a non-reflexive input raises on every call.
+    lattice polytope whose vertices are the facet normals of P, in order:
+    vertex j of the polar is the normal of facet j, and facet i of the
+    polar is <., v_i> >= -1 for vertex i of P, so the polar's incidence
+    table is P's transposed.  The cross-check asserts both orders.  The
+    polar is built and cross-checked once, then cached on both polytopes,
+    linked both ways: ``polar_dual(polar_dual(P)) is P``, and repeated
+    calls share one polar with its cached points and faces.  A failed
+    check caches nothing, so a non-reflexive input raises on every call.
     """
     if poly._polar is not None:
         return poly._polar
@@ -293,10 +302,11 @@ def polar_dual(poly: LatticePolytope) -> LatticePolytope:
     if any(c != 1 for c in offsets):
         raise NonIntegralDual("a facet has lattice distance > 1; the polar is not integral")
     dual = hull([n for n, _ in poly.facets])
-    # Facet/vertex duality: the polar's facets are <., v> >= -1 over vertices of P.
-    expected = set(poly.vertices)
-    actual = {n for n, _ in dual.facets}
-    if expected != actual or any(c != 1 for _, c in dual.facets):
+    # Facet/vertex duality, index for index: vertex j of the polar is the
+    # normal of facet j of P, and facet i of the polar is <., v_i> >= -1.
+    if (dual.vertices != tuple(n for n, _ in poly.facets)
+            or tuple(n for n, _ in dual.facets) != poly.vertices
+            or any(c != 1 for _, c in dual.facets)):
         raise NonIntegralDual("polar dual failed the facet/vertex duality cross-check")
     poly._polar = dual
     dual._polar = poly
@@ -396,44 +406,24 @@ def ell_interior(poly: LatticePolytope) -> int:
 def face_lattice(poly: LatticePolytope) -> tuple[Face, ...]:
     """All faces from dim -1 (empty) to dim d (the polytope), graded.
 
-    Proper faces are intersections of facet vertex sets; dimensions are
-    affine ranks of the vertex coordinates.
+    Proper faces are intersections of the rows of the incidence table (the
+    facets' vertex sets); dimensions are affine ranks of the vertex
+    coordinates.
     """
     if poly._faces is not None:
         return poly._faces
     verts = poly.vertices
-    facet_sets = []
-    for n, c in poly.facets:
-        facet_sets.append(frozenset(i for i, v in enumerate(verts) if dot(n, v) + c == 0))
-    seen: set[frozenset[int]] = set(facet_sets)
-    frontier = list(facet_sets)
+    # The polytope itself; the empty face is the intersection of all facets.
+    seen = {frozenset(range(len(verts)))}
+    frontier = set(poly.incidence)
     while frontier:
-        new = []
-        for s in frontier:
-            for f in facet_sets:
-                t = s & f
-                if t not in seen:
-                    seen.add(t)
-                    new.append(t)
-        frontier = new
-    seen.add(frozenset(range(len(verts))))
-    seen.add(frozenset())
-    faces = []
-    for s in seen:
-        idx = tuple(sorted(s))
-        faces.append(Face(poly, _affine_dim(poly, idx), idx))
+        seen |= frontier
+        frontier = {s & f for s in frontier for f in poly.incidence} - seen
+    faces = [Face(poly, affine_rank([verts[i] for i in idx]), idx)
+             for idx in (tuple(sorted(s)) for s in seen)]
     faces.sort(key=lambda f: (f.dim, f.vertex_indices))
-    result = tuple(faces)
-    poly._faces = result
-    return result
-
-
-def _affine_dim(poly: LatticePolytope, idx: tuple[int, ...]) -> int:
-    if not idx:
-        return -1
-    base = poly.vertices[idx[0]]
-    rows = [[poly.vertices[i][k] - base[k] for k in range(poly.rank)] for i in idx[1:]]
-    return mat_rank(rows) if rows else 0
+    poly._faces = tuple(faces)
+    return poly._faces
 
 
 def smallest_face_containing(poly: LatticePolytope, point: Sequence[int]) -> Face:
@@ -445,30 +435,19 @@ def smallest_face_containing(poly: LatticePolytope, point: Sequence[int]) -> Fac
     p = tuple(point)
     if not poly.contains(p):
         raise EmptyInput(f"point {p} is not in the polytope")
-    tight = poly.facet_incidence(p)
-    if not tight:
-        target = tuple(range(len(poly.vertices)))
-    else:
-        target = _tight_vertex_indices(poly, tight)
+    on = set(range(len(poly.vertices))).intersection(
+        *(poly.incidence[j] for j in poly.facet_incidence(p)))
+    target = tuple(sorted(on))
     for face in face_lattice(poly):
         if face.vertex_indices == target:
             return face
     raise NotFullDimensional("no face found; polytope data inconsistent")
 
 
-def _tight_vertex_indices(poly: LatticePolytope, tight: frozenset[int]) -> tuple[int, ...]:
-    return tuple(sorted(
-        i for i, v in enumerate(poly.vertices)
-        if all(dot(poly.facets[j][0], v) + poly.facets[j][1] == 0 for j in tight)))
-
-
 def _face_incidence(poly: LatticePolytope, face: Face) -> frozenset[int]:
     """Facets of the parent containing the whole face."""
-    out = []
-    for j, (n, c) in enumerate(poly.facets):
-        if all(dot(n, v) + c == 0 for v in face.vertices):
-            out.append(j)
-    return frozenset(out)
+    return frozenset(j for j, on in enumerate(poly.incidence)
+                     if on.issuperset(face.vertex_indices))
 
 
 def _boundary_incidence_counts(poly: LatticePolytope) -> Counter[frozenset[int]]:
@@ -497,18 +476,15 @@ def dual_face(poly: LatticePolytope, face: Face) -> Face:
     """Order-reversing duality between faces of P and of its polar.
 
     For a face F of a reflexive P, returns the face of polar_dual(P) whose
-    points u satisfy <u, v> = -1 for every v in F.  Dimensions satisfy
+    points u satisfy <u, v> = -1 for every v in F.  Vertex j of the polar
+    is the normal of facet j of P, so F* is spanned by the polar vertices
+    indexed by the facets containing F.  Dimensions satisfy
     dim(F) + dim(F*) = d - 1.
     """
     if not is_reflexive(poly):
         raise NotReflexive("dual_face needs a reflexive polytope")
     dual = polar_dual(poly)
-    if face.dim == poly.rank:
-        target: tuple[int, ...] = ()
-    else:
-        target = tuple(sorted(
-            i for i, u in enumerate(dual.vertices)
-            if all(dot(u, v) == -1 for v in face.vertices)))
+    target = tuple(sorted(_face_incidence(poly, face)))
     for g in face_lattice(dual):
         if g.vertex_indices == target:
             if face.dim + g.dim != poly.rank - 1:
@@ -527,9 +503,11 @@ def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
 def dilate(p: LatticePolytope, n: int) -> LatticePolytope:
     if n <= 0:
         raise InputError("dilation factor must be positive")
-    vertices = tuple(sorted(tuple(n * x for x in v) for v in p.vertices))
-    facets = tuple(sorted((normal, n * c) for normal, c in p.facets))
-    return LatticePolytope(p.rank, vertices, facets)
+    # Scaling by n > 0 keeps the order of the vertices and of the facets
+    # (sorted by their distinct normals), so the incidence table carries over.
+    vertices = tuple(tuple(n * x for x in v) for v in p.vertices)
+    facets = tuple((normal, n * c) for normal, c in p.facets)
+    return LatticePolytope(p.rank, vertices, facets, p.incidence)
 
 
 def convex_hull_contains(generators: Sequence[Sequence[int]], point: Sequence[int]) -> bool:

@@ -94,16 +94,24 @@ def test_family_rejects_bad_index(capsys):
     assert report["payload"]["error"] == "InvalidPartition"
 
 
-def test_internal_error_is_reported_not_raised(capsys):
-    # int("a") fails inside the Gram parser with a ValueError, which is no
-    # MirrorcheckError; it is still a JSON report with exit 2, no traceback.
-    code = main(["lattice", "invariants", "--gram", '[["a"]]'])
+def test_internal_error_is_reported_not_raised(capsys, monkeypatch):
+    # A Gram entry that is no number is an input error.
+    code, report = run_json(capsys, "lattice", "invariants", "--gram", '[["a"]]')
+    assert code == 2
+    assert report["payload"] == {"error": "InputError", "message": "non-integer value 'a'"}
+    # A ValueError inside a handler is no MirrorcheckError; it is still a
+    # JSON report with exit 2, no traceback.
+
+    def broken(lat):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli.lt, "discriminant", broken)
+    code = main(["lattice", "invariants", "--gram", "[[2]]"])
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert code == 2
     assert report["status"] == "ERROR"
-    assert report["payload"]["error"] == "InternalError"
-    assert report["payload"]["message"].startswith("ValueError: ")
+    assert report["payload"] == {"error": "InternalError", "message": "ValueError: boom"}
     assert captured.err == ""
 
 
@@ -134,6 +142,59 @@ def test_directory_input_is_an_input_error(tmp_path, capsys, command, flag):
     report = json.loads(captured.out)
     assert report["payload"]["error"] == "InputError"
     assert str(tmp_path) in report["payload"]["message"]
+
+
+P1P1P1_TRUNCATED_PARTS = {"parts": [[[1.9, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                    [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]]}
+K3_BASIS_HALF = {"image_basis": [[0.5] + [0] * 21]}
+
+
+@pytest.mark.parametrize("argv,files", [
+    (["lattice", "invariants", "--gram", "[[2.7,0],[0,-2.9]]"], {}),
+    (["lattice", "invariants", "--gram", "[[2, Infinity]]"], {}),
+    (["lattice", "complement", "--image-basis", "[[1.5" + ",0" * 21 + "]]"], {}),
+    (["lattice", "mirror", "--spec", "<4>", "--f", "[0.5" + ",0" * 21 + "]"], {}),
+    (["lattice", "complement", "--embedding", "{emb}"], {"emb": K3_BASIS_HALF}),
+    (["nef", "verify", "--fixture", "p1p1p1", "--partition", "{part}"],
+     {"part": P1P1P1_TRUNCATED_PARTS}),
+    (["polytope", "dual", "--polytope", "{poly}"],
+     {"poly": {"rank": 2.5, "vertices": [[1, 0], [0, 1], [-1, -1]]}}),
+    (["hodge", "euler", "--diamond", "{d}"], {"d": {"dim": 2, "h": {"0,0": 1.5}}}),
+    (["hodge", "euler", "--diamond", "{d}"], {"d": {"dim": 2, "h": {"0": 1}}}),
+    (["hodge", "picard", "--fibration", "{f}"], {"f": {"fibres": ["I1"], "ell": 0.5}}),
+    (["hodge", "lee", "--tyurin", "{t}"], {"t": {"X1": {"dim": 1.5}, "X2": {"dim": 2},
+                                                  "Z": {"dim": 1}}}),
+], ids=["gram", "gram-infinity", "image-basis", "f", "embedding-file", "partition",
+        "polytope-rank", "diamond-entry", "diamond-key", "fibration-ell", "tyurin-dim"])
+def test_non_integral_value_is_an_input_error(tmp_path, capsys, argv, files):
+    # Each value would once have been truncated (or failed as an internal
+    # error); it is now refused before any work is done.
+    paths = {}
+    for name, data in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(data, fh)
+    code, report = run_json(capsys, *(a.format(**paths) for a in argv))
+    assert (code, report["status"], report["payload"]["error"]) == (2, "ERROR", "InputError")
+
+
+@pytest.mark.parametrize("argv,content", [
+    (["hodge", "euler", "--diamond"], "[1, 2]"),
+    (["hodge", "euler", "--diamond"], '{"diamond": 5}'),
+    (["hodge", "lmhs", "--u", "19", "--v", "69", "--mirror"], '"table"'),
+    (["polytope", "dual", "--polytope"], "5"),
+    (["polytope", "dual", "--polytope"], '{"polytope": [[1, 0], [0, 1]]}'),
+    (["lattice", "complement", "--embedding"], "5"),
+    (["lattice", "complement", "--embedding"], '"image_basis"'),
+], ids=["diamond-list", "diamond-slot", "lmhs-mirror", "polytope", "polytope-slot",
+        "embedding", "embedding-string"])
+def test_non_object_json_is_an_input_error(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    code = main([*argv, str(path)])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (code, report["payload"]["error"], captured.err) == (2, "InputError", "")
 
 
 def test_non_utf8_input_is_an_input_error(tmp_path, capsys):

@@ -72,6 +72,27 @@ def test_rank_empty():
 
 
 @settings(max_examples=200, deadline=None)
+@given(matrices())
+@example([[0, 0], [0, 0]])
+@example([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
+def test_pivot_columns_match_sympy(m):
+    sympy = _sympy()
+    assert tuple(la.pivot_columns(m)) == sympy.Matrix(m).rref()[1]
+
+
+@pytest.mark.parametrize("value", [3, -7, 2.0, 10 ** 30])
+def test_as_int_keeps_integral_numbers(value):
+    assert la.as_int(value) == value and type(la.as_int(value)) is int
+
+
+@pytest.mark.parametrize("value", [2.7, -0.5, "2", "a", None, [1],
+                                   float("inf"), float("nan")])
+def test_as_int_refuses_everything_else(value):
+    with pytest.raises(errors.InputError):
+        la.as_int(value)
+
+
+@settings(max_examples=200, deadline=None)
 @given(matrices(square=True))
 @example([[0, 1], [1, 0]])
 @example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])

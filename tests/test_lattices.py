@@ -78,6 +78,12 @@ def test_standard_lattices():
         lt.from_gram([[2, 0], [0, 1]])
 
 
+def test_from_gram_refuses_non_integral_entries():
+    # int() would truncate this to [[2, 0], [0, -2]].
+    with pytest.raises(errors.InputError):
+        lt.from_gram([[2.7, 0], [0, -2.9]])
+
+
 def test_example_gram_definite():
     lat = lt.from_gram([[2, 1], [1, 2]])
     assert lt.signature(lat) == (2, 0)

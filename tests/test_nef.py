@@ -388,7 +388,7 @@ def test_degenerate_configuration_policy(octahedron):
     polar = pt.polar_dual(octahedron)
     points = pt.lattice_points(polar, "all")
     fake = nef.DualNefPartition(np_, (polar.vertices, polar.vertices),
-                                (points, points), polar, (polar, polar))
+                                (points, points), polar)
     assert nef.complement_count(fake, polar) == 0
     with pytest.raises(errors.DegenerateConfiguration):
         nef.curve_invariant(fake, polar, 3)
@@ -431,6 +431,15 @@ def test_divisor_components_on_cube_polar(octahedron, cube):
     assert nef.divisor_component_count((1, 1, 0), octahedron, cube) == 1
     assert nef.divisor_component_count((1, 1, 1), octahedron, cube) == 1
     assert nef.divisor_component_count((1, 0, 0), octahedron, cube) is None
+
+
+def test_non_integral_points_are_refused(octahedron, cube):
+    # int() would truncate 1.5 to the boundary point (1, 0, 0).
+    with pytest.raises(errors.InputError):
+        nef.divisor_component_count((1.5, 0, 0), octahedron, cube)
+    parts = [[(1.9, 0, 0)] + P1P1P1_PARTS[0][1:], P1P1P1_PARTS[1]]
+    with pytest.raises(errors.InputError):
+        nef.validate_nef_partition(octahedron, parts)
 
 
 def test_divisor_components_facet_interior(quartic_simplex):

@@ -243,6 +243,10 @@ def test_hull_matches_facet_oracle_random(points):
     assert set(poly.facets) == naive_facets(points)
     assert poly.vertices == naive_vertices(points)
     assert all(poly.contains(p) for p in points)
+    assert poly.incidence == tuple(
+        frozenset(i for i, v in enumerate(poly.vertices)
+                  if sum(a * b for a, b in zip(n, v)) + c == 0)
+        for n, c in poly.facets)
 
 
 @pytest.mark.parametrize("points", ALL_FIXTURE_POINTS + [
@@ -273,6 +277,63 @@ def test_hull_solves_only_the_starting_simplex(points, monkeypatch):
     assert determinants == []
 
 
+@pytest.mark.parametrize("points", ALL_FIXTURE_POINTS + [
+    CUBE_WITH_EDGE_MIDPOINTS,
+    [p for p in itertools.product((-1, 0, 1), repeat=4) if sum(map(abs, p)) <= 2],
+    [p for p in itertools.product((0, 1), repeat=5)],
+])
+def test_hull_ranks_once_per_facet(points, monkeypatch):
+    # The starting simplex takes one echelon pass, not a rank per point;
+    # what is left is the cross-check's dimension test, one per facet.
+    calls = []
+    real = pt.mat_rank
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(pt, "mat_rank", counting)
+    poly = pt.hull(points)
+    assert len(calls) == len(poly.facets)
+
+
+def greedy_simplex(points, d):
+    """The starting simplex as it was first chosen: grow it point by point,
+    keeping each point that raises the affine rank."""
+    chosen = [0]
+    for i in range(1, len(points)):
+        base = points[chosen[0]]
+        rows = [[points[j][k] - base[k] for k in range(d)] for j in chosen[1:] + [i]]
+        if _fraction_rank(rows) == len(rows):
+            chosen.append(i)
+            if len(chosen) == d + 1:
+                return chosen
+    return None
+
+
+@st.composite
+def spanned_points(draw):
+    """Sorted distinct points of rank 2 to 5 in the affine span of a base
+    point and 1 to d random directions, so often of lower dimension."""
+    d = draw(st.integers(pt.MIN_RANK, pt.MAX_RANK))
+    vec = st.tuples(*[st.integers(-2, 2)] * d)
+    base = draw(vec)
+    directions = draw(st.lists(vec, min_size=1, max_size=d))
+    coefficients = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(directions)),
+                                 min_size=1, max_size=12))
+    return sorted({tuple(b + sum(x * u[k] for x, u in zip(cs, directions))
+                         for k, b in enumerate(base)) for cs in coefficients})
+
+
+@settings(max_examples=300, deadline=None)
+@given(spanned_points())
+@example([(0, 0), (1, 1), (2, 2), (3, 0)])
+@example([(0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 0)])
+def test_starting_simplex_matches_greedy(points):
+    d = len(points[0])
+    assert pt._affinely_independent_subset(points, d) == greedy_simplex(points, d)
+
+
 # --- polar dual ------------------------------------------------------------
 
 
@@ -296,6 +357,19 @@ def test_polar_involution(fixture, request):
     # Facet/vertex counts swap.
     assert len(dual.vertices) == len(poly.facets)
     assert len(dual.facets) == len(poly.vertices)
+
+
+@pytest.mark.parametrize("fixture", ["octahedron", "cube", "quartic_simplex",
+                                     "wp1113_simplex", "quintic_simplex", "hexagon"])
+def test_polar_vertices_are_facet_normals_in_order(fixture, request):
+    # Vertex j of the polar is the normal of facet j, so the polar's
+    # incidence table is the transpose of P's.
+    poly = request.getfixturevalue(fixture)
+    dual = pt.polar_dual(poly)
+    assert dual.vertices == tuple(n for n, _ in poly.facets)
+    assert dual.incidence == tuple(
+        frozenset(j for j, on in enumerate(poly.incidence) if i in on)
+        for i in range(len(poly.vertices)))
 
 
 @pytest.mark.parametrize("fixture", ["octahedron", "cube", "quartic_simplex",
@@ -469,6 +543,30 @@ def test_face_duality_bijection(fixture, request):
     assert len(faces) == len(pt.face_lattice(pt.polar_dual(poly)))
 
 
+@pytest.mark.parametrize("points", [p for p in ALL_FIXTURE_POINTS
+                                    if pt.is_reflexive(pt.hull(p))])
+def test_faces_read_the_incidence_table(points, monkeypatch):
+    # face_lattice and dual_face take no inner product: both read the
+    # incidence table that hull recorded.  The dual faces still match
+    # <u, v> = -1 over the vertices of the face.
+    poly = pt.hull(points)
+    dual = pt.polar_dual(poly)
+    calls = []
+    real = pt.dot
+
+    def counting(u, v):
+        calls.append(1)
+        return real(u, v)
+
+    monkeypatch.setattr(pt, "dot", counting)
+    pairs = [(face, pt.dual_face(poly, face)) for face in pt.face_lattice(poly)]
+    assert calls == []
+    for face, image in pairs:
+        assert set(image.vertices) == {
+            u for u in dual.vertices
+            if all(sum(a * b for a, b in zip(u, v)) == -1 for v in face.vertices)}
+
+
 def test_relative_interior_partition(cube):
     # Every lattice point lies in the relative interior of exactly one face.
     total = sum(pt.ell_star_face(cube, f) for f in pt.face_lattice(cube) if f.dim >= 0)
@@ -488,6 +586,17 @@ def test_dilate(cube):
     doubled = pt.dilate(cube, 2)
     assert doubled.vertices == tuple(sorted(tuple(2 * x for x in v) for v in cube.vertices))
     assert pt.ell(doubled) == 125
+
+
+@pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
+@pytest.mark.parametrize("factor", [2, 3])
+def test_dilate_keeps_incidence(points, factor):
+    poly = pt.hull(points)
+    dilated = pt.dilate(poly, factor)
+    rebuilt = pt.hull(dilated.vertices)
+    assert dilated.incidence == poly.incidence
+    assert ((dilated.vertices, dilated.facets, dilated.incidence)
+            == (rebuilt.vertices, rebuilt.facets, rebuilt.incidence))
 
 
 def test_minkowski_rank_mismatch(cube, hexagon):
