@@ -31,7 +31,7 @@ from . import nef
 from . import polytopes as pt
 from .errors import InputError, MirrorcheckError
 from .fixtures import fixture_names, load_fixture
-from .intlinalg import as_int
+from .intlinalg import as_int, as_int_rows, as_int_vector
 
 PASS, FAIL, INCONCLUSIVE, ERROR = "PASS", "FAIL", "INCONCLUSIVE", "ERROR"
 
@@ -134,30 +134,30 @@ class _Inputs:
                          "with a 'gram' slot")
 
     def diamond(self, flag: str = "diamond", slot: str = "diamond") -> hg.HodgeDiamond:
-        data = self.slot(flag, slot)
-        if "dim" not in data:
-            raise InputError("diamond input must carry a 'dim' field")
-        return hg.HodgeDiamond.from_json(data)
+        return hg.HodgeDiamond.from_json(self.slot(flag, slot))
 
     def fibration(self, with_slices: bool = False):
         data = self.slot("fibration", "fibration")
         if "fibres" not in data:
             raise InputError("fibration input must carry a 'fibres' field")
-        tags = [_fibre_tag(f) for f in data["fibres"]]
+        fibres = data["fibres"]
+        if not isinstance(fibres, list):
+            raise InputError("fibration 'fibres' must be a list")
+        tags = [_fibre_tag(f) for f in fibres]
         ell = as_int(data.get("ell", 1))
         desc = hg.FibrationDescriptor.from_tags(tags, ell)
         if not with_slices:
             return desc
         if "slices" not in data:
             raise InputError("fibration input must carry a 'slices' field for slicing")
-        slices = tuple(tuple(map(as_int, s)) for s in data["slices"])
+        slices = as_int_rows(data["slices"])
         return hg.SlicedFibration(desc, slices)
 
     def degeneration(self) -> hg.TypeIIDegeneration:
         data = self.slot("degeneration", "degeneration")
         components, curves, l_rank = _fields(data, "degeneration",
                                              "components", "double_curves", "L_rank")
-        return hg.TypeIIDegeneration(tuple(map(as_int, components)), as_int(curves),
+        return hg.TypeIIDegeneration(as_int_vector(components), as_int(curves),
                                      as_int(l_rank))
 
 
@@ -172,8 +172,10 @@ def _fields(data: dict, kind: str, *keys: str) -> list:
 def _fibre_tag(entry) -> str:
     if isinstance(entry, str):
         return entry
+    if not isinstance(entry, dict):
+        raise InputError("fibre entries must be strings or JSON objects")
     tag = entry.get("type")
-    if tag is None:
+    if not isinstance(tag, str):
         raise InputError("fibre entries must carry a 'type' field")
     n = entry.get("n")
     if n is not None and "{n}" not in tag:
@@ -326,16 +328,14 @@ def _embedding_from_args(inp: _Inputs) -> lt.LatticeEmbedding:
         ambient_spec = data.get("ambient", "K3")
         ambient = (lt.k3_lattice() if ambient_spec == "K3"
                    else lt.from_gram(ambient_spec))
-        emb = lt.LatticeEmbedding(
-            ambient, tuple(tuple(map(as_int, v)) for v in data["image_basis"]))
+        emb = lt.LatticeEmbedding(ambient, as_int_rows(data["image_basis"]))
         if "f" in data and getattr(inp.args, "f", None) is None:
             inp.args.f = json.dumps(data["f"])
         return emb
     basis = getattr(inp.args, "image_basis", None)
     if basis is not None:
         vectors = inp._inline_json(basis, "--image-basis")
-        return lt.LatticeEmbedding(lt.k3_lattice(),
-                                   tuple(tuple(map(as_int, v)) for v in vectors))
+        return lt.LatticeEmbedding(lt.k3_lattice(), as_int_rows(vectors))
     spec = getattr(inp.args, "spec", None)
     if spec is None:
         raise InputError("missing input: provide --spec, --image-basis or --embedding")
@@ -346,7 +346,7 @@ def _cmd_lattice_mirror(inp: _Inputs):
     emb = _embedding_from_args(inp)
     fflag = getattr(inp.args, "f", None)
     if fflag is not None:
-        f = tuple(map(as_int, inp._inline_json(fflag, "--f")))
+        f = as_int_vector(inp._inline_json(fflag, "--f"))
     else:
         f = lt.default_isotropic_vector(emb)
     mirror = lt.dn_mirror(emb, f)
@@ -440,7 +440,7 @@ def _cmd_hodge_lmhs(inp: _Inputs):
         data = inp._load_file(inp.args.mirror)
         if not isinstance(data, dict) or "table" not in data:
             raise InputError("mirror table input must carry a 'table' field")
-        verdict = hg.lmhs_mirror_match(table, data["table"])
+        verdict = hg.lmhs_mirror_match(table, as_int_rows(data["table"]))
         payload["match"] = verdict.to_json()
         return (PASS if verdict.passed else FAIL), payload
     return PASS, payload
@@ -458,7 +458,10 @@ def _cmd_hodge_conj318(inp: _Inputs):
 
 
 def _cmd_family_quartic(inp: _Inputs):
-    mu = [int(x) for x in inp.args.mu.split(",") if x != ""]
+    try:
+        mu = [int(x) for x in inp.args.mu.split(",") if x != ""]
+    except ValueError:
+        raise InputError(f"--mu must list integers, got {inp.args.mu!r}") from None
     params = fam.FamilyParams.of(inp.args.i, inp.args.j, mu)
     report = fam.family_consistency_report(params)
     return (PASS if report.all_pass else FAIL), report.to_json()

@@ -114,14 +114,19 @@ class HodgeDiamond:
 
     @staticmethod
     def from_json(data: Mapping) -> "HodgeDiamond":
+        if not isinstance(data, Mapping) or "dim" not in data:
+            raise InputError("diamond input must carry a 'dim' field")
+        h, flags = data.get("h", {}), data.get("flags", [])
+        if not isinstance(h, Mapping) or not isinstance(flags, list):
+            raise InputError("diamond 'h' must be a JSON object and 'flags' a list")
         entries = {}
-        for key, v in data.get("h", {}).items():
+        for key, v in h.items():
             try:
                 p, q = map(int, key.split(","))
             except ValueError:
                 raise InputError(f"diamond key {key!r} is not of the form 'p,q'") from None
             entries[(p, q)] = as_int(v)
-        kaehler = "quasifano" not in data.get("flags", [])
+        kaehler = "quasifano" not in flags
         return HodgeDiamond(as_int(data["dim"]), entries, kaehler)
 
 

@@ -8,7 +8,9 @@ kernel, ``_echelon``, whose entries stay integer minors of the input.  The
 only rationals are the solution coordinates of ``solve_exact``, one
 ``Fraction`` each.  Smith normal form and the integer kernel and solves
 built on it use unimodular row and column operations.  ``as_int`` is the
-one checked conversion of input values (JSON numbers) to ints.
+one checked conversion of input values (JSON numbers) to ints;
+``as_int_vector`` and ``as_int_rows`` apply it to input lists and lists of
+lists, and refuse any other shape.
 """
 
 from __future__ import annotations
@@ -54,6 +56,21 @@ def as_int(x) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise InputError(f"non-integer value {x!r}")
+
+
+def as_int_vector(v) -> tuple[int, ...]:
+    """An input list as a tuple of ``as_int`` entries; a value that is not
+    a list (a JSON number or object, say) raises InputError too."""
+    if not isinstance(v, (list, tuple)):
+        raise InputError(f"expected a list of integers, not {type(v).__name__}")
+    return tuple(map(as_int, v))
+
+
+def as_int_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """An input list of integer lists as a tuple of ``as_int_vector`` rows."""
+    if not isinstance(rows, (list, tuple)):
+        raise InputError(f"expected a list of integer lists, not {type(rows).__name__}")
+    return tuple(map(as_int_vector, rows))
 
 
 def vec_gcd(v: Sequence[int]) -> int:
@@ -281,16 +298,6 @@ def inverse_unimodular(m: Sequence[Sequence[int]]) -> IntMatrix:
     if den not in (1, -1):
         raise Degenerate("matrix is not unimodular")
     return [[den * x for x in row[n:]] for row in aug]
-
-
-def is_primitive_rows(m: Sequence[Sequence[int]]) -> bool:
-    """True iff the row span of ``m`` is a direct summand of Z^n."""
-    if not m:
-        return True
-    if rank(m) < len(m):
-        return False
-    _, d, _ = smith_normal_form(m)
-    return all(d[i][i] == 1 for i in range(len(m)))
 
 
 def complete_to_unimodular(a: Sequence[int]) -> IntMatrix:

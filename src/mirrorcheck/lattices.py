@@ -10,6 +10,12 @@ search, and the mirror construction
 
 for a primitive isotropic f in the orthogonal complement of L.
 
+Every invariant is computed over the integers: the signature by
+fraction-free symmetric elimination (a chain of unimodular congruences and
+leading minors), the determinant by Bareiss elimination, and the
+discriminant group, kernels and the primitivity of an embedding from Smith
+forms.  The only rationals are the discriminant form's values.
+
 Isomorphism testing is deliberately limited to invariant comparison
 (rank, signature, determinant, discriminant group and form); this is a
 necessary condition in general, and suffices to recognize the indefinite
@@ -27,6 +33,7 @@ from typing import Optional, Sequence
 from .errors import (
     BudgetExceeded,
     Degenerate,
+    InputError,
     NotInComplement,
     NotIsotropic,
     NotPrimitive,
@@ -80,7 +87,7 @@ class QuadLattice:
 
 
 def from_gram(gram: Sequence[Sequence[int]], name: Optional[str] = None) -> QuadLattice:
-    return QuadLattice(tuple(tuple(map(la.as_int, row)) for row in gram), name)
+    return QuadLattice(la.as_int_rows(gram), name)
 
 
 def hyperbolic_plane() -> QuadLattice:
@@ -124,7 +131,11 @@ def standard_lattice(spec) -> QuadLattice:
         if s == "K3":
             return k3_lattice()
         if s.startswith("<") and s.endswith(">"):
-            return rank_one(int(s[1:-1]))
+            try:
+                n = int(s[1:-1])
+            except ValueError:
+                raise InputError(f"lattice spec {spec!r} needs an integer in <n>") from None
+            return rank_one(n)
         raise OddDiagonal(f"unknown lattice spec {spec!r}")
     return from_gram(spec)
 
@@ -149,38 +160,42 @@ def k3_lattice() -> QuadLattice:
 
 
 def signature(lat: QuadLattice) -> tuple[int, int]:
-    """Inertia (p, q) by exact symmetric diagonalization over Q."""
+    """Inertia (p, q) by fraction-free symmetric elimination over Z.
+
+    On the Bareiss pattern, step k pivots on the leading minor D_{k+1} of a
+    Gram matrix unimodularly congruent to the input, and each ``//`` by
+    D_k is exact.  By Sylvester and Jacobi each step adds a positive square
+    if D_k D_{k+1} > 0 and a negative one if not.  A zero pivot is fixed by
+    adding s times row and column j > k to row and column k; a trailing
+    row of zeros means the form is degenerate.
+    """
     n = lat.rank
-    m = [[Fraction(x) for x in row] for row in lat.gram]
+    m = [list(row) for row in lat.gram]
     pos = neg = 0
-    idx = 0
-    while idx < n:
-        if m[idx][idx] == 0:
-            j = next((j for j in range(idx + 1, n) if m[idx][j] != 0), None)
+    prev = 1
+    for k in range(n):
+        pr = m[k]
+        if not pr[k]:
+            j = next((j for j in range(k + 1, n) if pr[j]), None)
             if j is None:
-                if any(m[idx][j] != 0 for j in range(n)):
-                    raise Degenerate("unexpected structure in diagonalization")
                 raise Degenerate("the form is degenerate")
-            # Adding s times row/col j makes the diagonal 2*s*m[idx][j] + m[j][j];
-            # the two signs differ by 4*m[idx][j] != 0, so one of them is nonzero.
-            s = 1 if 2 * m[idx][j] + m[j][j] != 0 else -1
-            for k in range(n):
-                m[idx][k] += s * m[j][k]
-            for k in range(n):
-                m[k][idx] += s * m[k][j]
-        pivot = m[idx][idx]
-        if pivot > 0:
+            # Adding s times row/col j makes the diagonal 2*s*m[k][j] + m[j][j];
+            # the two signs differ by 4*m[k][j] != 0, so one of them is nonzero.
+            s = 1 if 2 * pr[j] + m[j][j] else -1
+            for c in range(k, n):
+                pr[c] += s * m[j][c]
+            for row in m[k:]:
+                row[k] += s * row[j]
+        pv = pr[k]
+        if pv * prev > 0:
             pos += 1
         else:
             neg += 1
-        for i in range(idx + 1, n):
-            f = m[i][idx] / pivot
-            if f:
-                for k in range(n):
-                    m[i][k] -= f * m[idx][k]
-                for k in range(n):
-                    m[k][i] -= f * m[k][idx]
-        idx += 1
+        for row in m[k + 1:]:
+            f = row[k]
+            for c in range(k + 1, n):
+                row[c] = (pv * row[c] - f * pr[c]) // prev
+        prev = pv
     return pos, neg
 
 
@@ -248,13 +263,16 @@ class LatticeEmbedding:
     image_basis: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = [list(v) for v in self.image_basis]
+        rows = self.image_basis
         if rows:
             if any(len(v) != self.ambient.rank for v in rows):
                 raise RankMismatch("embedding vectors of wrong length")
-            if la.rank(rows) < len(rows):
+            # Invariant factors: one 0 or missing, dependent; one > 1, no summand.
+            _, d, _ = la.smith_normal_form(rows)
+            factors = [d[i][i] for i in range(min(len(rows), self.ambient.rank))]
+            if len(factors) < len(rows) or 0 in factors:
                 raise NotPrimitive("image basis is not linearly independent")
-            if not la.is_primitive_rows(rows):
+            if any(x != 1 for x in factors):
                 raise NotPrimitive("image is not a direct summand of the ambient lattice")
 
     @property
@@ -285,7 +303,7 @@ def dn_mirror(emb: LatticeEmbedding, f: Sequence[int],
     restriction; the result has rank = ambient rank - rank(L) - 2.
     """
     amb = emb.ambient
-    fv = [int(x) for x in f]
+    fv = [la.as_int(x) for x in f]
     if amb.q(fv) != 0:
         raise NotIsotropic(f"<f, f> = {amb.q(fv)} != 0")
     comp = orthogonal_complement(emb)

@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 from .errors import (
     DegenerateConfiguration,
     DualityInconsistency,
+    InputError,
     NablaNotContained,
     NotAPartition,
     NotBipartite,
@@ -44,7 +45,7 @@ from .errors import (
     PolytopeMismatch,
     UnsupportedRank,
 )
-from .intlinalg import as_int, dot, solve_exact
+from .intlinalg import as_int, as_int_rows, dot, solve_exact
 from .polytopes import (
     LatticePolytope,
     Vec,
@@ -75,22 +76,10 @@ class NefPartition:
     def k(self) -> int:
         return len(self.parts)
 
-    def part_of(self, v: Vec) -> int:
-        for i, part in enumerate(self.parts):
-            if v in part:
-                return i
-        raise NotAPartition(f"{v} is in no part")
-
     def delta_generators(self, i: int) -> tuple[Vec, ...]:
         """Generating points of Delta_i = Conv(E_i and the origin)."""
         zero = (0,) * self.polytope.rank
         return tuple(sorted(set(self.parts[i]) | {zero}))
-
-    def to_json(self) -> dict:
-        return {
-            "polytope": self.polytope.to_json(),
-            "parts": [[list(v) for v in part] for part in self.parts],
-        }
 
 
 @dataclass(frozen=True)
@@ -139,7 +128,9 @@ class DualNefPartition:
 
 
 def _check_partition(delta: LatticePolytope, parts: Sequence[Sequence[Sequence[int]]]):
-    normalized = tuple(tuple(sorted(tuple(map(as_int, v)) for v in part)) for part in parts)
+    if not isinstance(parts, (list, tuple)):
+        raise InputError(f"a partition is a list of parts, not {type(parts).__name__}")
+    normalized = tuple(tuple(sorted(as_int_rows(part))) for part in parts)
     if not normalized or any(not part for part in normalized):
         raise NotAPartition("every part must be non-empty")
     boundary = set(lattice_points(delta, "boundary"))

@@ -130,10 +130,6 @@ class LatticePolytope:
             "facets": [list(n) + [c] for n, c in self.facets],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "LatticePolytope":
-        return hull(data["vertices"])
-
 
 class Face:
     """A face of a lattice polytope, stored by its vertex index set.
@@ -180,7 +176,10 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     for.  A point is a vertex iff no other input point lies on every facet
     tight at it: otherwise the face those facets cut out holds both.
     """
-    pts = sorted({tuple(map(as_int, p)) for p in points})
+    try:
+        pts = sorted({tuple(map(as_int, p)) for p in points})
+    except TypeError:  # a point, or the point list, is no list at all
+        raise InputError("points must be given as a list of integer lists") from None
     if not pts:
         raise EmptyInput("no points given")
     d = len(pts[0])

@@ -164,8 +164,17 @@ K3_BASIS_HALF = {"image_basis": [[0.5] + [0] * 21]}
     (["hodge", "picard", "--fibration", "{f}"], {"f": {"fibres": ["I1"], "ell": 0.5}}),
     (["hodge", "lee", "--tyurin", "{t}"], {"t": {"X1": {"dim": 1.5}, "X2": {"dim": 2},
                                                   "Z": {"dim": 1}}}),
+    (["family", "quartic", "--i", "1", "--j", "1", "--mu", "1.5"], {}),
+    (["lattice", "invariants", "--spec", "<x>"], {}),
+    (["lattice", "invariants", "--spec", "H+<2.0>"], {}),
+    (["lattice", "invariants", "--gram", "5"], {}),
+    (["lattice", "invariants", "--gram", "[5]"], {}),
+    (["lattice", "complement", "--image-basis", "5"], {}),
+    (["lattice", "mirror", "--spec", "<4>", "--f", "5"], {}),
 ], ids=["gram", "gram-infinity", "image-basis", "f", "embedding-file", "partition",
-        "polytope-rank", "diamond-entry", "diamond-key", "fibration-ell", "tyurin-dim"])
+        "polytope-rank", "diamond-entry", "diamond-key", "fibration-ell", "tyurin-dim",
+        "mu", "spec", "spec-sum", "gram-number", "gram-row-number", "image-basis-number",
+        "f-number"])
 def test_non_integral_value_is_an_input_error(tmp_path, capsys, argv, files):
     # Each value would once have been truncated (or failed as an internal
     # error); it is now refused before any work is done.
@@ -186,8 +195,34 @@ def test_non_integral_value_is_an_input_error(tmp_path, capsys, argv, files):
     (["polytope", "dual", "--polytope"], '{"polytope": [[1, 0], [0, 1]]}'),
     (["lattice", "complement", "--embedding"], "5"),
     (["lattice", "complement", "--embedding"], '"image_basis"'),
+    (["nef", "verify", "--fixture", "p1p1p1", "--partition"], "5"),
+    (["nef", "verify", "--fixture", "p1p1p1", "--partition"], '{"parts": 5}'),
+    (["nef", "verify", "--fixture", "p1p1p1", "--partition"], '{"parts": [5]}'),
+    (["nef", "verify", "--fixture", "p1p1p1", "--partition"], '{"parts": [[5]]}'),
+    (["polytope", "dual", "--polytope"], '{"vertices": [1, 2]}'),
+    (["polytope", "dual", "--polytope"], '{"vertices": 5}'),
+    (["hodge", "picard", "--fibration"], '{"fibres": 5}'),
+    (["hodge", "picard", "--fibration"], '{"fibres": [5]}'),
+    (["hodge", "slice", "--fixture", "slice-h1", "--fibration"],
+     '{"fibres": ["I1"], "slices": 5}'),
+    (["hodge", "slice", "--fixture", "slice-h1", "--degeneration"],
+     '{"components": 5, "double_curves": 1, "L_rank": 2}'),
+    (["hodge", "lee", "--tyurin"], '{"X1": {"h": {}}, "X2": {"dim": 2}, "Z": {"dim": 1}}'),
+    (["hodge", "lee", "--tyurin"], '{"X1": 5, "X2": {"dim": 2}, "Z": {"dim": 1}}'),
+    (["hodge", "euler", "--diamond"], '{"dim": 2, "h": 5}'),
+    (["hodge", "euler", "--diamond"], '{"dim": 2, "flags": 5}'),
+    (["hodge", "picard", "--fibration"], '{"fibres": [{"type": 5}]}'),
+    (["hodge", "lmhs", "--u", "19", "--v", "69", "--mirror"], '{"table": 5}'),
+    (["lattice", "complement", "--embedding"], '{"image_basis": 5}'),
+    (["lattice", "complement", "--embedding"], '{"image_basis": [5]}'),
+    (["lattice", "mirror", "--embedding"], '{"image_basis": [], "f": 5}'),
 ], ids=["diamond-list", "diamond-slot", "lmhs-mirror", "polytope", "polytope-slot",
-        "embedding", "embedding-string"])
+        "embedding", "embedding-string", "partition-number", "parts-number",
+        "part-number", "parts-point-number", "vertices-numbers", "vertices-number",
+        "fibres-number", "fibre-number", "slices-number", "components-number",
+        "tyurin-no-dim", "tyurin-diamond-number", "diamond-h-number", "diamond-flags-number",
+        "fibre-type-number", "lmhs-table-number",
+        "image-basis-number", "image-basis-row-number", "embedding-f-number"])
 def test_non_object_json_is_an_input_error(tmp_path, capsys, argv, content):
     path = tmp_path / "input.json"
     path.write_text(content)

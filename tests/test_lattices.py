@@ -49,7 +49,9 @@ def test_kernel_basis(rows):
         assert la.mat_vec(rows, vec) == [0] * len(rows)
     assert len(basis) == 4 - la.rank(rows)
     if basis:
-        assert la.is_primitive_rows(basis)
+        # A direct summand of Z^4: every invariant factor of the basis is 1.
+        _, d, _ = la.smith_normal_form(basis)
+        assert [d[i][i] for i in range(len(basis))] == [1] * len(basis)
 
 
 def test_complete_to_unimodular():
@@ -128,13 +130,20 @@ def test_signature_zero_pivot():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 4).flatmap(
+@given(st.integers(2, 6).flatmap(
     lambda n: st.lists(st.integers(-3, 3), min_size=n * (n + 1) // 2,
                        max_size=n * (n + 1) // 2)))
 @example(entries=[0, 1, -1])
 @example(entries=[0, -1, 0, 1, 0, 0])
+# [[2, 2, 0], [2, 2, 1], [0, 1, 0]]: det -2, inertia (2, 1); the leading
+# 2 x 2 minor is 0, so the first zero pivot comes at step 1, not step 0.
+@example(entries=[1, 2, 0, 1, 1, 0])
+# [[0, 0, -1, -1], [0, 0, -1, 0], [-1, -1, 0, 0], [-1, 0, 0, 0]], inertia
+# (2, 2): a zero-pivot fix that adds the row but not the column reads it as
+# degenerate.
+@example(entries=[0, 0, -1, -1, 0, -1, 0, 0, 0, 0])
 def test_signature_matches_sympy(entries):
-    n = {3: 2, 6: 3, 10: 4}[len(entries)]
+    n = {n * (n + 1) // 2: n for n in range(2, 7)}[len(entries)]
     gram = [[0] * n for _ in range(n)]
     it = iter(entries)
     for i in range(n):
@@ -147,6 +156,41 @@ def test_signature_matches_sympy(entries):
             lt.signature(lat)
     else:
         assert lt.signature(lat) == _sympy_inertia(gram)
+
+
+def _congruent_by(gram, ops):
+    """U G U^T for U the product of the elementary row additions
+    ``row i += c * row j`` in ``ops`` (steps with i == j are skipped)."""
+    n = len(gram)
+    u = la.identity(n)
+    for i, j, c in ops:
+        if i != j:
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return la.mat_mul(la.mat_mul(u, gram), la.transpose(u))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(lt.k3_lattice(), (3, 19)),
+                        (lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.e8_minus()),
+                         (1, 17))]),
+       st.lists(st.tuples(st.integers(0, 21), st.integers(0, 21), st.integers(-2, 2)),
+                max_size=80))
+def test_signature_is_a_congruence_invariant(case, ops):
+    # Ranks 22 and 18, out of the sympy oracle's reach: Sylvester's law of
+    # inertia says any unimodular congruence keeps the signature.
+    lat, inertia = case
+    n = lat.rank
+    gram = _congruent_by(lat.gram, [(i % n, j % n, c) for i, j, c in ops])
+    assert lt.signature(lt.from_gram(gram)) == inertia
+
+
+def test_signature_uses_no_fractions(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("signature built a Fraction")
+
+    monkeypatch.setattr(lt, "Fraction", refuse)
+    assert lt.signature(lt.k3_lattice()) == (3, 19)
+    assert lt.signature(lt.from_gram([[2, 2, 0], [2, 2, 1], [0, 1, 0]])) == (2, 1)
 
 
 def test_degenerate_rejected():
@@ -286,6 +330,38 @@ def test_embedding_requires_primitive():
         lt.LatticeEmbedding(amb, (tuple(doubled),))
 
 
+def test_embedding_runs_one_smith_form(monkeypatch):
+    calls = {"smith_normal_form": 0, "rank": 0}
+    for name in calls:
+        real = getattr(la, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(la, name, counting)
+    amb = lt.k3_lattice()
+    lt.LatticeEmbedding(amb, (_k3_unit(0), _k3_unit(1)))
+    assert calls == {"smith_normal_form": 1, "rank": 0}
+    with pytest.raises(errors.NotPrimitive, match="^image basis is not linearly independent$"):
+        lt.LatticeEmbedding(amb, (_k3_unit(0), _k3_unit(0)))
+    # More vectors than the ambient rank: the Smith diagonal is too short.
+    with pytest.raises(errors.NotPrimitive, match="^image basis is not linearly independent$"):
+        lt.LatticeEmbedding(lt.hyperbolic_plane(), ((1, 0), (0, 1), (1, 1)))
+    doubled = tuple(2 * x for x in _k3_unit(0))
+    with pytest.raises(errors.NotPrimitive,
+                       match="^image is not a direct summand of the ambient lattice$"):
+        lt.LatticeEmbedding(amb, (doubled, _k3_unit(1)))
+    # Dependence is reported first, even when the rows are also not primitive.
+    with pytest.raises(errors.NotPrimitive, match="^image basis is not linearly independent$"):
+        lt.LatticeEmbedding(amb, (doubled, _k3_unit(0)))
+    assert calls == {"smith_normal_form": 5, "rank": 0}
+
+
+def _k3_unit(i):
+    return tuple(int(j == i) for j in range(22))
+
+
 def test_complement_of_rank_one_two():
     emb = lt.canonical_embedding([lt.rank_one(2)])
     comp = lt.orthogonal_complement(emb).induced()
@@ -396,6 +472,19 @@ def test_dn_mirror_input_errors():
     doubled[2] = 2
     with pytest.raises(errors.NotPrimitiveVector):
         lt.dn_mirror(emb, doubled)
+    # int() would truncate this to the isotropic vector e_2.
+    half = [0] * 22
+    half[2] = 1.5
+    with pytest.raises(errors.InputError):
+        lt.dn_mirror(emb, half)
+
+
+def test_spec_with_a_non_integer_is_an_input_error():
+    with pytest.raises(errors.InputError):
+        lt.standard_lattice("<x>")
+    with pytest.raises(errors.InputError):
+        lt.standard_lattice("<2.0>")
+    assert lt.standard_lattice("< 4 >").gram == ((4,),)
 
 
 # --- isotropic search -------------------------------------------------------
