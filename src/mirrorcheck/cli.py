@@ -179,6 +179,7 @@ def _fibre_tag(entry) -> str:
         raise InputError("fibre entries must carry a 'type' field")
     n = entry.get("n")
     if n is not None and "{n}" not in tag:
+        n = as_int(n)
         if tag == "I":
             return f"I{n}"
         if tag == "I*":

@@ -49,6 +49,8 @@ Gram = tuple[tuple[int, ...], ...]
 _E8_EDGES = ((1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8))
 
 _DISC_ENUMERATION_CAP = 65536
+# Candidates find_isotropic evaluates before it gives up on a box.
+_ISOTROPIC_SCAN_CAP = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -407,7 +409,9 @@ def find_isotropic(lat: QuadLattice, bound: int = 10) -> IsotropicSearch:
     Otherwise (including degenerate forms, whose radical always contains
     isotropic vectors) the coefficient box [-bound, bound]^n is scanned in
     a deterministic near-to-far order; exhaustion is reported as
-    inconclusive rather than as absence.
+    inconclusive rather than as absence.  The scan evaluates at most
+    ``_ISOTROPIC_SCAN_CAP`` candidates: a witness among them is returned,
+    and a larger box with none raises ``BudgetExceeded``.
     """
     try:
         pos, neg = signature(lat)
@@ -415,10 +419,17 @@ def find_isotropic(lat: QuadLattice, bound: int = 10) -> IsotropicSearch:
         pos = neg = -1
     if pos == 0 or neg == 0:
         return IsotropicSearch(None, True)
+    # Values past the first 2*cap + 1 of a coordinate lie beyond the first
+    # cap candidates, so a huge bound builds no huge list.
     values = [0]
-    for k in range(1, bound + 1):
+    for k in range(1, min(bound, _ISOTROPIC_SCAN_CAP) + 1):
         values.extend((k, -k))
-    for combo in itertools.product(values, repeat=lat.rank):
+    for count, combo in enumerate(itertools.product(values, repeat=lat.rank)):
+        if count == _ISOTROPIC_SCAN_CAP:
+            raise BudgetExceeded(
+                f"isotropic scan of the box [-{bound}, {bound}]^{lat.rank} "
+                f"({(2 * bound + 1) ** lat.rank} candidates) exceeds the cap of "
+                f"{_ISOTROPIC_SCAN_CAP} candidates")
         if all(x == 0 for x in combo):
             continue
         if la.vec_gcd(combo) != 1:

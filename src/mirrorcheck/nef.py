@@ -45,7 +45,7 @@ from .errors import (
     PolytopeMismatch,
     UnsupportedRank,
 )
-from .intlinalg import as_int, as_int_rows, dot, solve_exact
+from .intlinalg import as_int, as_int_rows, dot, mat_vec, solve_exact
 from .polytopes import (
     LatticePolytope,
     Vec,
@@ -205,8 +205,11 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
     u_{F,i} over the facets F of Delta (see the module docstring), so this
     raises NotCartier or NotNef when a part's divisor is not Cartier or not
     nef, validated or not.  Lattice
-    points of each nabla_i are read off by filtering the lattice points of
-    the polar polytope, which always contains them.  Nabla is hulled here,
+    points of each nabla_i are read off the lattice points of the polar
+    polytope, which always contains them, by the tight-set rule: a polar
+    point p pairs to >= -1 with every boundary point of Delta, so p lies in
+    nabla_i iff every boundary point v with <v, p> = -1 lies in E_i.  One
+    pairing pass per polar point serves every part.  Nabla is hulled here,
     for the reflexivity check; the nabla_i are not (see
     ``DualNefPartition.nablas``).  The result is cached on the partition,
     so validate_nef_partition builds the one that later calls return.
@@ -219,13 +222,15 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
     boundary = lattice_points(delta, "boundary")
     polar_points = lattice_points(polar_dual(delta), "all")
 
-    point_sets = []
-    for part in np_.parts:
-        part_set = set(part)
-        constraints = [(v, -1 if v in part_set else 0) for v in boundary]
-        point_sets.append(tuple(
-            p for p in polar_points
-            if all(dot(v, p) >= bound for v, bound in constraints)))
+    # tight: the parts of the boundary points v with <v, p> = -1 (None for
+    # a point in no part, which only an unvalidated partition leaves).
+    owner = {v: i for i, part in enumerate(np_.parts) for v in part}
+    point_sets: list[list[Vec]] = [[] for _ in np_.parts]
+    for p in polar_points:
+        tight = {owner.get(v) for v, s in zip(boundary, mat_vec(boundary, p)) if s == -1}
+        for i, points in enumerate(point_sets):
+            if tight <= {i}:
+                points.append(p)
 
     nabla = hull([v for vs in vertex_sets for v in vs])
     if not is_reflexive(nabla):
@@ -246,7 +251,7 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
         if len(owners) != 1:
             raise DualityInconsistency(
                 f"lattice point {p} of nabla lies in {len(owners)} pieces")
-    dual = DualNefPartition(np_, vertex_sets, tuple(point_sets), nabla)
+    dual = DualNefPartition(np_, vertex_sets, tuple(map(tuple, point_sets)), nabla)
     object.__setattr__(np_, "_dual", dual)
     return dual
 

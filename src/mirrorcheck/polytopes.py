@@ -4,9 +4,10 @@ Polytopes are stored in canonical form: sorted vertex tuples, the sorted
 complete facet description ``<normal, x> >= -offset`` with every normal a
 primitive integer vector, and the vertex-facet incidence table, which
 vertices lie on which facet (PALP's ``INCI``, Kreuzer-Skarke 2004).
-``hull`` records the table once, from the slacks its cross-check
-computes; the face lattice, face duality and the facets through a face
-are read off it without an inner product.  All arithmetic is exact and,
+``hull`` computes one facet x point slack table, reads the vertices and
+the incidence table off it and cross-checks both against it; the face
+lattice, face duality and the facets through a face are read off the
+incidence table without an inner product.  All arithmetic is exact and,
 apart from the barycentric coordinates of the Caratheodory membership
 test, integral.
 
@@ -174,7 +175,9 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     and at p and is positive inside, and whose normal only needs dividing
     by its gcd.  So only the d+1 planes of the starting simplex are solved
     for.  A point is a vertex iff no other input point lies on every facet
-    tight at it: otherwise the face those facets cut out holds both.
+    tight at it: otherwise the face those facets cut out holds both.  One
+    facet x point slack table, one inner product per entry, serves that
+    vertex test and the cross-check of the vertex and facet descriptions.
     """
     try:
         pts = sorted({tuple(map(as_int, p)) for p in points})
@@ -247,31 +250,36 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
 
     facets = tuple(sorted({(n, c) for _, n, c in simplices.values()}))
 
+    # slacks[j][k]: the slack of facet j at point k, the one table that both
+    # the vertex test and the cross-check read.
+    slacks = [[dot(n, p) + c for p in pts] for n, c in facets]
     # on_facet[j]: bit k set iff point k lies on facet j.
-    on_facet = [sum(1 << k for k, p in enumerate(pts) if dot(n, p) + c == 0)
-                for n, c in facets]
+    on_facet = [sum(1 << k for k, s in enumerate(row) if s == 0) for row in slacks]
     everything = (1 << len(pts)) - 1
-    vertices = []
-    for k, p in enumerate(pts):
+    keep = []
+    for k in range(len(pts)):
         face = everything
         for points_on in on_facet:
             if points_on >> k & 1:
                 face &= points_on
         if face == 1 << k:
-            vertices.append(p)
-    return LatticePolytope(d, tuple(vertices), facets, _cross_check(d, vertices, facets))
+            keep.append(k)
+    vertices = [pts[k] for k in keep]
+    incidence = _cross_check(d, vertices, [[row[k] for k in keep] for row in slacks])
+    return LatticePolytope(d, tuple(vertices), facets, incidence)
 
 
 def _cross_check(d: int, vertices: list[Vec],
-                 facets: tuple[Facet, ...]) -> tuple[frozenset[int], ...]:
+                 slacks: list[list[int]]) -> tuple[frozenset[int], ...]:
     """The vertex-facet incidence table, once the vertex and facet
-    descriptions are checked to cut out the same set."""
+    descriptions are checked to cut out the same set.  ``slacks[j][i]`` is
+    the slack of facet j at vertex i, read off the hull's slack table, so
+    no inner product is taken here."""
     incidence = []
-    for n, c in facets:
-        slacks = [dot(n, v) + c for v in vertices]
-        if any(s < 0 for s in slacks):
+    for row in slacks:
+        if any(s < 0 for s in row):
             raise NotFullDimensional("internal hull inconsistency: vertex outside facet")
-        tight = [i for i, s in enumerate(slacks) if s == 0]
+        tight = [i for i, s in enumerate(row) if s == 0]
         if len(tight) < d:
             raise NotFullDimensional("internal hull inconsistency: facet with too few vertices")
         if affine_rank([vertices[i] for i in tight]) != d - 1:
@@ -329,7 +337,10 @@ def lattice_points(poly: LatticePolytope, region: str = "all") -> tuple[Vec, ...
     ``k = d``.  Over each lattice point of level ``k - 1`` the facets of
     level ``k`` whose last normal entry is nonzero bound the ``k``-th
     coordinate by exact integer ceil/floor, so sweeping prefixes in
-    increasing order yields the points lexicographically.  A point of the last level is on
+    increasing order yields the points lexicographically.  The slacks are
+    lifted affinely: each prefix pays one inner product per facet of the
+    next level, and each fibre over it one multiply-add per facet (see
+    ``_sweep``).  A point of the last level is on
     the boundary iff one of P's facets has slack 0 there, which can only
     happen at the ends of its fibre or on a whole fibre over a vertical
     facet.  One sweep fills the cache of all three regions.
@@ -357,27 +368,39 @@ def _levels(poly: LatticePolytope) -> list[list[tuple[Vec, int, int]]]:
 
 
 def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
-    """All, boundary and interior lattice points of P, each lexicographic."""
+    """All, boundary and interior lattice points of P, each lexicographic.
+
+    A facet's slack is affine in each coordinate.  So a prefix x[:k] with
+    lattice points over it takes one inner product per facet of level k+1,
+    its constant ``b = c + <head[:-1], x[:k]>``, and each child fibre
+    x[k] = t gets ``b + head[-1]*t``: one multiply-add, not an inner
+    product.  The vertical facets, read on the fibres of the last level,
+    are lifted the same way from the prefixes one level up.
+    """
     d = poly.rank
-    levels = _levels(poly)
-    vertical = [(n[:-1], c) for n, c in poly.facets if n[-1] == 0]
+    first, *upper = _levels(poly)
+    # upper[k]: the facets of level k+1 as (head[:-1], head[-1], a, c).
+    upper = [[(head[:-1], head[-1], a, c) for head, a, c in level] for level in upper]
+    vertical = [(n[:-2], n[-2], c) for n, c in poly.facets if n[-1] == 0]
     everything: list[Vec] = []
     boundary: list[Vec] = []
     interior: list[Vec] = []
 
-    def lift(k: int, prefix: Vec) -> None:
+    def lift(k: int, prefix: Vec, slopes: list[tuple[int, int]], flat: bool) -> None:
         # (a, r): the facet's slack at x[k] = t is a*t + r.  P is bounded, so
-        # every level has facets with a > 0 and with a < 0.
-        slopes = [(a, c + dot(head, prefix)) for head, a, c in levels[k]]
+        # every level has facets with a > 0 and with a < 0.  ``flat``: a
+        # vertical facet has slack 0 on the whole fibre.
         lo = max(-(r // a) for a, r in slopes if a > 0)
         hi = min(r // -a for a, r in slopes if a < 0)
-        if k + 1 < d:
-            for x in range(lo, hi + 1):
-                lift(k + 1, prefix + (x,))
-            return
         if lo > hi:
             return
-        flat = any(c + dot(head, prefix) == 0 for head, c in vertical)
+        if k + 1 < d:
+            nxt = [(a, h, c + dot(head, prefix)) for head, h, a, c in upper[k]]
+            walls = [(h, c + dot(head, prefix)) for head, h, c in vertical] if k + 2 == d else ()
+            for x in range(lo, hi + 1):
+                lift(k + 1, prefix + (x,), [(a, b + h * x) for a, h, b in nxt],
+                     any(b + h * x == 0 for h, b in walls))
+            return
         for x in range(lo, hi + 1):
             p = prefix + (x,)
             everything.append(p)
@@ -386,7 +409,7 @@ def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tup
             else:
                 interior.append(p)
 
-    lift(0, ())
+    lift(0, (), [(a, c) for _, a, c in first], False)
     return tuple(everything), tuple(boundary), tuple(interior)
 
 

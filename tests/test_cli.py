@@ -86,6 +86,16 @@ def test_isotropic_inconclusive_exit(capsys):
     assert report["status"] == "INCONCLUSIVE"
 
 
+def test_isotropic_budget_exit(capsys):
+    # x^2 + y^2 + z^2 = 7w^2 has no rational solution, and the box of
+    # 25^4 = 390625 candidates exceeds the scan cap of 2^18.
+    code, report = run_json(capsys, "lattice", "isotropic", "--gram",
+                            "[[2,0,0,0],[0,2,0,0],[0,0,2,0],[0,0,0,-14]]", "--bound", "12")
+    assert (code, report["status"]) == (2, "ERROR")
+    assert report["payload"]["error"] == "BudgetExceeded"
+    assert "390625 candidates" in report["payload"]["message"]
+
+
 def test_family_rejects_bad_index(capsys):
     code, report = run_json(capsys, "family", "quartic",
                             "--i", "3", "--j", "1", "--mu", "2,2")
@@ -171,10 +181,12 @@ K3_BASIS_HALF = {"image_basis": [[0.5] + [0] * 21]}
     (["lattice", "invariants", "--gram", "[5]"], {}),
     (["lattice", "complement", "--image-basis", "5"], {}),
     (["lattice", "mirror", "--spec", "<4>", "--f", "5"], {}),
+    (["hodge", "picard", "--fibration", "{f}"], {"f": {"fibres": [{"type": "I", "n": "3"}]}}),
+    (["hodge", "picard", "--fibration", "{f}"], {"f": {"fibres": [{"type": "I*", "n": 1.5}]}}),
 ], ids=["gram", "gram-infinity", "image-basis", "f", "embedding-file", "partition",
         "polytope-rank", "diamond-entry", "diamond-key", "fibration-ell", "tyurin-dim",
         "mu", "spec", "spec-sum", "gram-number", "gram-row-number", "image-basis-number",
-        "f-number"])
+        "f-number", "fibre-n-string", "fibre-n-fraction"])
 def test_non_integral_value_is_an_input_error(tmp_path, capsys, argv, files):
     # Each value would once have been truncated (or failed as an internal
     # error); it is now refused before any work is done.
@@ -185,6 +197,18 @@ def test_non_integral_value_is_an_input_error(tmp_path, capsys, argv, files):
             json.dump(data, fh)
     code, report = run_json(capsys, *(a.format(**paths) for a in argv))
     assert (code, report["status"], report["payload"]["error"]) == (2, "ERROR", "InputError")
+
+
+def test_integral_fibre_subscript_reads_as_an_integer(tmp_path, capsys):
+    # A fibre subscript goes through as_int: 3.0 is the integer 3, so
+    # {"type": "I", "n": 3.0} is an I3 fibre, as {"type": "I", "n": 3} is.
+    reports = []
+    for n in (3, 3.0):
+        path = tmp_path / "fibration.json"
+        path.write_text(json.dumps({"fibres": [{"type": "I", "n": n}]}))
+        reports.append(run_json(capsys, "hodge", "picard", "--fibration", str(path)))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0
 
 
 @pytest.mark.parametrize("argv,content", [

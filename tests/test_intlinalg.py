@@ -58,6 +58,65 @@ def unimodular(draw):
     return m
 
 
+# Inner-product kernels against explicit double sums: big ints, Fractions
+# (mixed with ints) and empty vectors give the same values, of the same type.
+scalars = st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                    st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6))
+
+
+def _same(x, y) -> bool:
+    return x == y and type(x) is type(y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(scalars, min_size=n, max_size=n), st.lists(scalars, min_size=n, max_size=n))))
+@example(([], []))
+@example(([Fraction(1, 2)], [2]))
+def test_dot_matches_explicit_sum(vectors):
+    u, v = vectors
+    expected = 0
+    for i in range(len(u)):
+        expected = expected + u[i] * v[i]
+    assert _same(la.dot(u, v), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(lambda shape: st.tuples(
+    st.lists(st.lists(scalars, min_size=shape[1], max_size=shape[1]),
+             min_size=shape[0], max_size=shape[0]),
+    st.lists(scalars, min_size=shape[1], max_size=shape[1]))))
+def test_mat_vec_matches_explicit_sums(system):
+    a, v = system
+    out = la.mat_vec(a, v)
+    assert len(out) == len(a)
+    for i, row in enumerate(a):
+        expected = 0
+        for k in range(len(v)):
+            expected = expected + row[k] * v[k]
+        assert _same(out[i], expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(0, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.tuples(
+        st.lists(st.lists(scalars, min_size=shape[1], max_size=shape[1]),
+                 min_size=shape[0], max_size=shape[0]),
+        st.lists(st.lists(scalars, min_size=shape[2], max_size=shape[2]),
+                 min_size=shape[1], max_size=shape[1]))))
+def test_mat_mul_matches_explicit_sums(factors):
+    a, b = factors
+    out = la.mat_mul(a, b)
+    assert len(out) == len(a)
+    for i in range(len(a)):
+        assert len(out[i]) == len(b[0])
+        for j in range(len(b[0])):
+            expected = 0
+            for k in range(len(b)):
+                expected = expected + a[i][k] * b[k][j]
+            assert _same(out[i][j], expected)
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 @example([[0, 0], [0, 0]])

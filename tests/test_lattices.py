@@ -519,6 +519,19 @@ def test_isotropic_inconclusive():
     assert result.exists is None
 
 
+def test_isotropic_scan_budget(monkeypatch):
+    # The scan counts the candidates it evaluates.  A witness within the cap
+    # is returned whatever the box size, exhaustion of a box within the cap
+    # stays inconclusive, and a larger box with no witness within the cap
+    # raises, naming the box size (2b+1)^n.
+    monkeypatch.setattr(lt, "_ISOTROPIC_SCAN_CAP", 49)
+    assert lt.find_isotropic(lt.hyperbolic_plane(), bound=10 ** 12).vector == (0, 1)
+    lat = lt.direct_sum(lt.rank_one(2), lt.rank_one(-4))
+    assert not lt.find_isotropic(lat, bound=3).conclusive
+    with pytest.raises(errors.BudgetExceeded, match=r"\[-4, 4\]\^2 \(81 candidates\)"):
+        lt.find_isotropic(lat, bound=4)
+
+
 # --- invariant comparison ---------------------------------------------------
 
 

@@ -7,8 +7,9 @@ a (4, 5) complete intersection in projective 3-space, so
 
 The vertices of each nabla_i are checked against an oracle that solves
 every d-subset of nabla_i's defining inequalities and keeps the feasible
-solutions (the basic-solution enumeration), on the fixture partitions and
-on seeded GL(d, Z) images of them.
+solutions (the basic-solution enumeration), and the lattice points of
+each nabla_i against one constraint scan per part, on the fixture
+partitions and on seeded GL(d, Z) images of them.
 """
 
 import itertools
@@ -50,6 +51,19 @@ def basic_solution_vertices(np_):
             if all(la.dot(row, u) >= bound for row, bound in constraints):
                 vertices.add(tuple(u))
         out.append(tuple(sorted(vertices)))
+    return tuple(out)
+
+
+def constraint_filter_points(np_):
+    """Lattice points of each nabla_i: the polar points u with <u, v> >= -1
+    for v in E_i and >= 0 for the other boundary points v, one scan per part."""
+    boundary = pt.lattice_points(np_.polytope, "boundary")
+    polar_points = pt.lattice_points(pt.polar_dual(np_.polytope), "all")
+    out = []
+    for part in np_.parts:
+        constraints = [(v, -1 if v in part else 0) for v in boundary]
+        out.append(tuple(p for p in polar_points
+                         if all(la.dot(v, p) >= bound for v, bound in constraints)))
     return tuple(out)
 
 
@@ -215,11 +229,10 @@ ORACLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("seed", [None, 1, 2])
-@pytest.mark.parametrize("label,vertices,parts,mirror", ORACLE_CASES,
-                         ids=[case[0] for case in ORACLE_CASES])
-def test_nabla_vertices_match_basic_solutions(label, vertices, parts, mirror, seed):
-    """The Cartier functionals are the vertices the d-subset oracle finds."""
+def oracle_case_partition(vertices, parts, mirror, seed):
+    """The validated partition of one ORACLE_CASES entry: its dual
+    partition when ``mirror``, moved by a seeded GL(d, Z) matrix unless
+    ``seed`` is None."""
     delta = pt.hull(vertices)
     boundary = pt.lattice_points(delta, "boundary")
     given_points = {v for part in parts for v in part}
@@ -236,8 +249,25 @@ def test_nabla_vertices_match_basic_solutions(label, vertices, parts, mirror, se
         m = unimodular(delta.rank, seed)
         delta = pt.hull(image(m, delta.vertices))
         parts = [image(m, part) for part in parts]
-    np_ = nef.validate_nef_partition(delta, parts)
+    return nef.validate_nef_partition(delta, parts)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("label,vertices,parts,mirror", ORACLE_CASES,
+                         ids=[case[0] for case in ORACLE_CASES])
+def test_nabla_vertices_match_basic_solutions(label, vertices, parts, mirror, seed):
+    """The Cartier functionals are the vertices the d-subset oracle finds."""
+    np_ = oracle_case_partition(vertices, parts, mirror, seed)
     assert nef.dual_nef_partition(np_).nabla_vertex_sets == basic_solution_vertices(np_)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("label,vertices,parts,mirror", ORACLE_CASES,
+                         ids=[case[0] for case in ORACLE_CASES])
+def test_nabla_points_match_constraint_filter(label, vertices, parts, mirror, seed):
+    """The tight-set rule keeps the polar points the constraint filter keeps."""
+    np_ = oracle_case_partition(vertices, parts, mirror, seed)
+    assert nef.dual_nef_partition(np_).nabla_point_sets == constraint_filter_points(np_)
 
 
 def test_free_sum_with_degenerate_pieces(monkeypatch):

@@ -543,14 +543,8 @@ def test_face_duality_bijection(fixture, request):
     assert len(faces) == len(pt.face_lattice(pt.polar_dual(poly)))
 
 
-@pytest.mark.parametrize("points", [p for p in ALL_FIXTURE_POINTS
-                                    if pt.is_reflexive(pt.hull(p))])
-def test_faces_read_the_incidence_table(points, monkeypatch):
-    # face_lattice and dual_face take no inner product: both read the
-    # incidence table that hull recorded.  The dual faces still match
-    # <u, v> = -1 over the vertices of the face.
-    poly = pt.hull(points)
-    dual = pt.polar_dual(poly)
+def _count_dots(monkeypatch):
+    """Wrap ``polytopes.dot`` in a counter; return the list of its calls."""
     calls = []
     real = pt.dot
 
@@ -559,12 +553,85 @@ def test_faces_read_the_incidence_table(points, monkeypatch):
         return real(u, v)
 
     monkeypatch.setattr(pt, "dot", counting)
+    return calls
+
+
+@pytest.mark.parametrize("points", [p for p in ALL_FIXTURE_POINTS
+                                    if pt.is_reflexive(pt.hull(p))])
+def test_faces_read_the_incidence_table(points, monkeypatch):
+    # face_lattice and dual_face take no inner product: both read the
+    # incidence table that hull recorded.  The dual faces still match
+    # <u, v> = -1 over the vertices of the face.
+    poly = pt.hull(points)
+    dual = pt.polar_dual(poly)
+    calls = _count_dots(monkeypatch)
     pairs = [(face, pt.dual_face(poly, face)) for face in pt.face_lattice(poly)]
     assert calls == []
     for face, image in pairs:
         assert set(image.vertices) == {
             u for u in dual.vertices
             if all(sum(a * b for a, b in zip(u, v)) == -1 for v in face.vertices)}
+
+
+@pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
+def test_cross_check_reads_the_slack_table(points, monkeypatch):
+    # _cross_check takes no inner product: it reads the facet x vertex rows
+    # of the slack table hull computed.  Each corrupted row still raises
+    # its own named error.
+    poly = pt.hull(points)
+    d = poly.rank
+    vertices = list(poly.vertices)
+    slacks = [[la.dot(n, v) + c for v in vertices] for n, c in poly.facets]
+    calls = _count_dots(monkeypatch)
+    assert pt._cross_check(d, vertices, slacks) == poly.incidence
+    assert calls == []
+    row = slacks[0]
+    outside = [-1 if s > 0 else s for s in row]
+    tight = sorted(poly.incidence[0])[:d - 1]
+    few = [0 if i in tight else 1 for i in range(len(row))]
+    everywhere = [0] * len(row)
+    for bad, message in [(outside, "vertex outside facet"),
+                         (few, "facet with too few vertices"),
+                         (everywhere, "facet not of dimension d-1")]:
+        with pytest.raises(errors.NotFullDimensional, match=message):
+            pt._cross_check(d, vertices, [bad] + slacks[1:])
+    assert calls == []
+
+
+def _prefix_count(vertices, k):
+    """Prefixes x[:k] of the lattice points of the projection onto the
+    first k+1 coordinates."""
+    if k == 0:
+        return 1
+    return len({q[:k] for q in naive_points([v[:k + 1] for v in vertices])})
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
+def test_sweep_lifts_each_facet_once_per_prefix(points, seed, monkeypatch):
+    # The fibre lift takes one inner product per facet of the next level at
+    # each prefix x[:k], k <= d-2, with lattice points over it, and one per
+    # vertical facet at each such prefix of length d-2; every fibre below
+    # gets its slacks by a multiply-add.
+    if seed is not None:
+        points = image(unimodular(len(points[0]), seed), points)
+    poly = pt.hull(points)
+    d = poly.rank
+    vertices = poly.vertices
+    # Facets of the projection onto the first j coordinates that bound
+    # coordinate j-1, and the facets of P that do not bound x[d-1].
+    lifted = {j: sum(1 for n, _ in naive_facets([v[:j] for v in vertices]) if n[-1])
+              for j in range(2, d + 1)}
+    vertical = sum(1 for n, _ in naive_facets(vertices) if n[-1] == 0)
+    expected = sum(_prefix_count(vertices, k) * lifted[k + 2] for k in range(d - 1))
+    expected += _prefix_count(vertices, d - 2) * vertical
+    # The level facets come from hulls of projections; build them first.
+    levels = pt._levels(poly)
+    monkeypatch.setattr(pt, "_levels", lambda _: levels)
+    calls = _count_dots(monkeypatch)
+    everything = pt._sweep(poly)[0]
+    assert len(calls) == expected
+    assert everything == naive_points(vertices)
 
 
 def test_relative_interior_partition(cube):
