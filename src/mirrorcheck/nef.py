@@ -29,6 +29,7 @@ report) and cached there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import lt
 from typing import Optional, Sequence
 
 from .errors import (
@@ -45,11 +46,12 @@ from .errors import (
     PolytopeMismatch,
     UnsupportedRank,
 )
-from .intlinalg import as_int, as_int_rows, dot, mat_vec, solve_exact
+from .intlinalg import as_int, as_int_rows, mat_vec, solve_exact
 from .polytopes import (
     LatticePolytope,
     Vec,
     affine_rank,
+    boundary_facet_masks,
     dual_face,
     ell,
     ell_star_face,
@@ -156,14 +158,19 @@ def _cartier_data(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
     points of F in E_i and 0 on the other boundary points of F (Cartier on
     the cone over F); it must satisfy <u, v> >= -1 on E_i and >= 0
     elsewhere globally (upper convexity, i.e. nefness).  Returns, per part,
-    the sorted distinct u_{F,i}: the vertices of nabla_i.
+    the sorted distinct u_{F,i}: the vertices of nabla_i.  The boundary
+    points of F are read off the facets the lattice-point sweep recorded
+    at each boundary point, and each u_{F,i} is paired with every boundary
+    point in one ``mat_vec``.
     """
     delta = np_.polytope
     boundary = lattice_points(delta, "boundary")
+    masks = boundary_facet_masks(delta)
     part_sets = [set(part) for part in np_.parts]
+    bounds = [[-1 if v in part_set else 0 for v in boundary] for part_set in part_sets]
     vertex_sets: list[set[Vec]] = [set() for _ in np_.parts]
-    for fi, (n, c) in enumerate(delta.facets):
-        on_facet = [v for v in boundary if dot(n, v) + c == 0]
+    for fi, (n, _) in enumerate(delta.facets):
+        on_facet = [v for v, mask in zip(boundary, masks) if mask >> fi & 1]
         for i, part_set in enumerate(part_sets):
             rhs = [-1 if v in part_set else 0 for v in on_facet]
             status, u = solve_exact(on_facet, rhs)
@@ -172,12 +179,13 @@ def _cartier_data(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
                     f"part {i} has no integral Cartier data on facet {fi} "
                     f"(normal {n})")
             u_int = tuple(int(x) for x in u)
-            for v in boundary:
-                bound = -1 if v in part_set else 0
-                if dot(u_int, v) < bound:
-                    raise NotNef(
-                        f"part {i} fails upper convexity at {v} "
-                        f"against facet {fi} (normal {n})")
+            values = mat_vec(boundary, u_int)
+            if any(map(lt, values, bounds[i])):
+                v = next(v for v, value, bound in zip(boundary, values, bounds[i])
+                         if value < bound)
+                raise NotNef(
+                    f"part {i} fails upper convexity at {v} "
+                    f"against facet {fi} (normal {n})")
             vertex_sets[i].add(u_int)
     return tuple(tuple(sorted(vs)) for vs in vertex_sets)
 

@@ -2,31 +2,39 @@
 
 Polytopes are stored in canonical form: sorted vertex tuples, the sorted
 complete facet description ``<normal, x> >= -offset`` with every normal a
-primitive integer vector, and the vertex-facet incidence table, which
-vertices lie on which facet (PALP's ``INCI``, Kreuzer-Skarke 2004).
-``hull`` computes one facet x point slack table, reads the vertices and
-the incidence table off it and cross-checks both against it; the face
-lattice, face duality and the facets through a face are read off the
-incidence table without an inner product.  All arithmetic is exact and,
-apart from the barycentric coordinates of the Caratheodory membership
-test, integral.
+primitive integer vector, the vertex-facet incidence table, which
+vertices lie on which facet (PALP's ``INCI``, Kreuzer-Skarke 2004), and
+the facet x vertex slack table.  ``hull`` computes one facet x point slack
+table, reads the vertices and the incidence table off it and cross-checks
+both against it.  Everything else reads those tables: the face lattice,
+face duality and the facets through a face without an inner product; the
+polar of a reflexive polytope is the transposed tables; the projections
+that lattice-point enumeration needs come from the incidence bitmasks.
+``hull`` runs only on point sets nobody has described yet.  All arithmetic
+is exact and, apart from the barycentric coordinates of the Caratheodory
+membership test, integral.
 
 The hull algorithm is an incremental beneath-beyond construction that keeps
 a triangulated boundary, with the two simplices at each ridge, while points
 are inserted, and merges coplanar simplices into true facets at the end;
 inputs in this domain have at most a few hundred vertices.  Only the planes
-of the starting simplex are solved for.  Every later plane is a
-combination of the two planes at a horizon ridge (Edelsbrunner, Algorithms
-in Combinatorial Geometry, 8.4), and the vertices are read off the
-point-facet incidences.  Lattice points are enumerated by project-and-lift
-(as in PALP, Kreuzer-Skarke 2004): the work is proportional to the points
-found, not to the bounding box, so thin or skewed polytopes cost no more
-than upright ones with as many points.
+of the starting simplex are solved for, each by one fraction-free
+elimination.  Every later plane is a combination of the two planes at a
+horizon ridge (Edelsbrunner, Algorithms in Combinatorial Geometry, 8.4),
+and the vertices are read off the point-facet incidences.  Lattice points
+are enumerated by project-and-lift (as in PALP, Kreuzer-Skarke 2004): the
+work is proportional to the points found, not to the bounding box, so thin
+or skewed polytopes cost no more than upright ones with as many points.
+Each projection's facets are the same rotation applied at the ridges of
+the level above (Fourier-Motzkin elimination with Chernikov's adjacency
+rule), and the sweep records which facets pass through each boundary
+point it emits.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from typing import Iterable, Optional, Sequence
 
@@ -41,7 +49,7 @@ from .errors import (
     UnsupportedRank,
 )
 from .intlinalg import (
-    as_int, dot, kernel_basis, pivot_columns, rank as mat_rank, solve_exact, vec_gcd)
+    _echelon, as_int, dot, pivot_columns, rank as mat_rank, solve_exact, vec_gcd)
 
 Vec = tuple[int, ...]
 Facet = tuple[Vec, int]  # (primitive normal n, offset c): <n, x> >= -c
@@ -54,14 +62,34 @@ def _plane_through(points: Sequence[Vec]) -> tuple[Vec, int]:
     """Primitive normal and offset of the hyperplane through d points.
 
     The points must be affinely independent.  Returns (n, c) with
-    <n, x> + c = 0 on the plane.
+    <n, x> + c = 0 on the plane.  The normal spans the kernel of the
+    (d-1) x d matrix M of differences p_i - p_0, found by one
+    fraction-free elimination of [M^T | I]: the d-1 columns of M^T are its
+    pivot columns, so its last row ends as zeros followed by the d
+    cofactors of M^T, a kernel vector of M (Bareiss 1968), which only
+    needs dividing by its gcd.
     """
     base = points[0]
-    kernel = kernel_basis([[x - y for x, y in zip(p, base)] for p in points[1:]])
-    if len(kernel) != 1:
+    d = len(base)
+    a = [[p[k] - base[k] for p in points[1:]] + [int(k == j) for j in range(d)]
+         for k in range(d)]
+    pivots, _ = _echelon(a, d - 1)
+    if len(pivots) != d - 1:
         raise NotFullDimensional("degenerate hyperplane")
-    n = tuple(kernel[0])
+    normal = a[d - 1][d - 1:]
+    g = vec_gcd(normal)
+    n = tuple(x // g for x in normal)
     return n, -dot(n, base)
+
+
+def _rotate(n1: Vec, c1: int, s1: int, n2: Vec, c2: int, s2: int) -> Facet:
+    """The plane s2*H1 - s1*H2 through the ridge of H1 = (n1, c1) and
+    H2 = (n2, c2), over the gcd of its normal.  With s1 < 0 <= s2 it is
+    nonnegative wherever both planes are, and vanishes on their common
+    ridge and wherever H1 and H2 take the values s1 and s2."""
+    normal = [s2 * x - s1 * y for x, y in zip(n1, n2)]
+    g = vec_gcd(normal)
+    return tuple(x // g for x in normal), (s2 * c1 - s1 * c2) // g
 
 
 def affine_rank(points: Sequence[Vec]) -> int:
@@ -85,21 +113,24 @@ def _affinely_independent_subset(points: Sequence[Vec], d: int) -> Optional[list
 
 class LatticePolytope:
     """A full-dimensional lattice polytope in canonical form; ``incidence[j]``
-    is the set of indices of the vertices on facet j."""
+    is the set of indices of the vertices on facet j, and ``slacks[j][i]``
+    the slack <n_j, v_i> + c_j of facet j at vertex i."""
 
-    __slots__ = ("rank", "vertices", "facets", "incidence", "_points", "_faces",
-                 "_polar", "_incidence_counts")
+    __slots__ = ("rank", "vertices", "facets", "incidence", "slacks", "_points",
+                 "_boundary_facets", "_faces", "_polar", "_incidence_counts")
 
     def __init__(self, rank: int, vertices: tuple[Vec, ...], facets: tuple[Facet, ...],
-                 incidence: tuple[frozenset[int], ...]):
+                 incidence: tuple[frozenset[int], ...], slacks: tuple[tuple[int, ...], ...]):
         self.rank = rank
         self.vertices = vertices
         self.facets = facets
         self.incidence = incidence
+        self.slacks = slacks
         self._points: dict[str, tuple[Vec, ...]] = {}
+        self._boundary_facets: Optional[tuple[int, ...]] = None
         self._faces: Optional[tuple["Face", ...]] = None
         self._polar: Optional["LatticePolytope"] = None
-        self._incidence_counts: Optional[Counter[frozenset[int]]] = None
+        self._incidence_counts: Optional[Counter[int]] = None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LatticePolytope)
@@ -118,11 +149,6 @@ class LatticePolytope:
     def on_boundary(self, point: Sequence[int]) -> bool:
         p = tuple(point)
         return self.contains(p) and any(dot(n, p) + c == 0 for n, c in self.facets)
-
-    def facet_incidence(self, point: Sequence[int]) -> frozenset[int]:
-        """Indices of the facets whose hyperplane passes through the point."""
-        p = tuple(point)
-        return frozenset(i for i, (n, c) in enumerate(self.facets) if dot(n, p) + c == 0)
 
     def to_json(self) -> dict:
         return {
@@ -233,10 +259,7 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
                 s2 = slack[other]
                 if s2 >= 0:
                     _, n2, c2 = simplices[other]
-                    normal = [s2 * x - s1 * y for x, y in zip(n1, n2)]
-                    g = vec_gcd(normal)
-                    new.append((ridge | {i}, tuple(x // g for x in normal),
-                                (s2 * c1 - s1 * c2) // g))
+                    new.append((ridge | {i}, *_rotate(n1, c1, s1, n2, c2, s2)))
         for s in visible:
             verts = simplices.pop(s)[0]
             for j in verts:
@@ -265,16 +288,17 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
         if face == 1 << k:
             keep.append(k)
     vertices = [pts[k] for k in keep]
-    incidence = _cross_check(d, vertices, [[row[k] for k in keep] for row in slacks])
-    return LatticePolytope(d, tuple(vertices), facets, incidence)
+    table = tuple(tuple(row[k] for k in keep) for row in slacks)
+    incidence = _cross_check(d, vertices, table)
+    return LatticePolytope(d, tuple(vertices), facets, incidence, table)
 
 
-def _cross_check(d: int, vertices: list[Vec],
-                 slacks: list[list[int]]) -> tuple[frozenset[int], ...]:
+def _cross_check(d: int, vertices: Sequence[Vec],
+                 slacks: Sequence[Sequence[int]]) -> tuple[frozenset[int], ...]:
     """The vertex-facet incidence table, once the vertex and facet
     descriptions are checked to cut out the same set.  ``slacks[j][i]`` is
-    the slack of facet j at vertex i, read off the hull's slack table, so
-    no inner product is taken here."""
+    the slack of facet j at vertex i, read off the hull's slack table or a
+    polar's transposed one, so no inner product is taken here."""
     incidence = []
     for row in slacks:
         if any(s < 0 for s in row):
@@ -292,14 +316,19 @@ def polar_dual(poly: LatticePolytope) -> LatticePolytope:
     """Polar polytope {u : <u, v> >= -1 for all v in P}.
 
     Defined here only for reflexive input, where the polar is again a
-    lattice polytope whose vertices are the facet normals of P, in order:
-    vertex j of the polar is the normal of facet j, and facet i of the
-    polar is <., v_i> >= -1 for vertex i of P, so the polar's incidence
-    table is P's transposed.  The cross-check asserts both orders.  The
-    polar is built and cross-checked once, then cached on both polytopes,
-    linked both ways: ``polar_dual(polar_dual(P)) is P``, and repeated
-    calls share one polar with its cached points and faces.  A failed
-    check caches nothing, so a non-reflexive input raises on every call.
+    lattice polytope, read off P's own tables with no hull and no inner
+    product.  Vertex j of the polar is the normal of facet j of P, and
+    facet i of the polar is <., v_i> >= -1 for vertex i of P; both lists
+    stay sorted, and every v_i is primitive because the polar's facet
+    through it holds lattice points.  The slack of polar facet i at polar
+    vertex j is <n_j, v_i> + 1, the slack of facet j of P at vertex i, so
+    the polar's slack table is P's transposed, and so is its incidence
+    table, which ``_cross_check`` reads off the transposed slacks after
+    checking them.  The polar is built and checked once, then cached on
+    both polytopes, linked both ways: ``polar_dual(polar_dual(P)) is P``,
+    and repeated calls share one polar with its cached points and faces.
+    A failed check caches nothing, so a non-reflexive input raises on
+    every call.
     """
     if poly._polar is not None:
         return poly._polar
@@ -308,13 +337,11 @@ def polar_dual(poly: LatticePolytope) -> LatticePolytope:
         raise OriginNotInterior("origin is not an interior point")
     if any(c != 1 for c in offsets):
         raise NonIntegralDual("a facet has lattice distance > 1; the polar is not integral")
-    dual = hull([n for n, _ in poly.facets])
-    # Facet/vertex duality, index for index: vertex j of the polar is the
-    # normal of facet j of P, and facet i of the polar is <., v_i> >= -1.
-    if (dual.vertices != tuple(n for n, _ in poly.facets)
-            or tuple(n for n, _ in dual.facets) != poly.vertices
-            or any(c != 1 for _, c in dual.facets)):
-        raise NonIntegralDual("polar dual failed the facet/vertex duality cross-check")
+    vertices = tuple(n for n, _ in poly.facets)
+    slacks = tuple(zip(*poly.slacks))
+    incidence = _cross_check(poly.rank, vertices, slacks)
+    dual = LatticePolytope(poly.rank, vertices, tuple((v, 1) for v in poly.vertices),
+                           incidence, slacks)
     poly._polar = dual
     dual._polar = poly
     return dual
@@ -332,85 +359,154 @@ def lattice_points(poly: LatticePolytope, region: str = "all") -> tuple[Vec, ...
 
     Project-and-lift: level ``k`` is the facet system of P projected onto
     its first ``k`` coordinates -- the interval ``[min v_0, max v_0]`` for
-    ``k = 1``, the facets of the hull of the projected vertices for
-    ``1 < k < d`` (exact and non-redundant), and P's own facets for
-    ``k = d``.  Over each lattice point of level ``k - 1`` the facets of
-    level ``k`` whose last normal entry is nonzero bound the ``k``-th
-    coordinate by exact integer ceil/floor, so sweeping prefixes in
-    increasing order yields the points lexicographically.  The slacks are
-    lifted affinely: each prefix pays one inner product per facet of the
-    next level, and each fibre over it one multiply-add per facet (see
-    ``_sweep``).  A point of the last level is on
-    the boundary iff one of P's facets has slack 0 there, which can only
-    happen at the ends of its fibre or on a whole fibre over a vertical
-    facet.  One sweep fills the cache of all three regions.
+    ``k = 1``, P's own facets for ``k = d``, and for ``1 < k < d`` the
+    facets of level ``k + 1`` projected along its last coordinate, read off
+    its ridges (exact and non-redundant; see ``_levels``).  Over each
+    lattice point of level ``k - 1`` the facets of level ``k`` whose last
+    normal entry is nonzero bound the ``k``-th coordinate by exact integer
+    ceil/floor, so sweeping prefixes in increasing order yields the points
+    lexicographically.  The slacks are lifted affinely: each prefix pays
+    one inner product per facet of the next level, and each fibre over it
+    one multiply-add per facet (see ``_sweep``).  A point of the last level
+    is on the boundary iff one of P's facets has slack 0 there, which can
+    only happen at the ends of its fibre or on a whole fibre over a
+    vertical facet; the sweep records which facets those are
+    (``boundary_facet_masks``).  One sweep fills the cache of all three
+    regions.
     """
     if region not in ("all", "boundary", "interior"):
         raise InputError(f"unknown region {region!r}")
     cached = poly._points.get(region)
     if cached is None:
-        everything, boundary, interior = _sweep(poly)
+        everything, boundary, interior, masks = _sweep(poly)
         poly._points.update(all=everything, boundary=boundary, interior=interior)
+        poly._boundary_facets = masks
         cached = poly._points[region]
     return cached
 
 
+def boundary_facet_masks(poly: LatticePolytope) -> tuple[int, ...]:
+    """For each boundary lattice point of P, in the order of
+    ``lattice_points(P, "boundary")``, the bitmask of the facets through it
+    (bit j for facet j), as the lattice-point sweep found them; computed
+    once per polytope."""
+    if poly._boundary_facets is None:
+        lattice_points(poly)
+    return poly._boundary_facets
+
+
 def _levels(poly: LatticePolytope) -> list[list[tuple[Vec, int, int]]]:
     """Per coordinate k, the facets ``<head, x[:k]> + a*x[k] + c >= 0`` with
-    ``a != 0`` of P projected onto its first k+1 coordinates."""
+    ``a != 0`` of P projected onto its first k+1 coordinates.
+
+    Level d is P's facet list, each with the bitmask of the vertices on it.
+    Level k-1 is level k projected along its last coordinate by
+    ``_project``, down to level 2; level 1 is the range of the first
+    coordinate.  No hull is built and no inner product is taken.
+    """
     d = poly.rank
+    facets = [(n, c, sum(1 << i for i in on)) for (n, c), on in zip(poly.facets, poly.incidence)]
+    levels = []
+    for k in range(d, 1, -1):
+        levels.append([(n[:-1], n[-1], c) for n, c, _ in facets if n[-1]])
+        if k > 2:
+            facets = _project(facets, k)
     first = [v[0] for v in poly.vertices]
-    levels = [[((), 1, -min(first)), ((), -1, max(first))]]
-    for k in range(2, d + 1):
-        facets = poly.facets if k == d else hull([v[:k] for v in poly.vertices]).facets
-        levels.append([(n[:-1], n[-1], c) for n, c in facets if n[-1] != 0])
+    levels.append([((), 1, -min(first)), ((), -1, max(first))])
+    levels.reverse()
     return levels
 
 
-def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
-    """All, boundary and interior lattice points of P, each lexicographic.
+def _project(facets: list[tuple[Vec, int, int]], k: int) -> list[tuple[Vec, int, int]]:
+    """The facets of a k-polytope Q projected along its last coordinate.
+
+    ``facets`` lists Q's facets (n, c, mask), sorted, where mask is the
+    bitmask of the points on the facet, from a point set that holds every
+    vertex of Q; the points of the projection are those points projected.
+    The facets of the projection are Q's vertical facets (last normal entry
+    0) with that entry dropped, and one per ridge F+ & F- of Q whose two
+    facets have last entries a+ > 0 > a-: (-a-)*F+ + a+*F-, which is
+    ``_rotate`` with the last entries in place of slacks and eliminates the
+    last coordinate (Fourier-Motzkin).  Two facets meet in a ridge iff no
+    third facet's mask holds the AND of theirs, since the empty face and
+    every face of dimension k-3 or less lie on at least three facets
+    (Chernikov's adjacency rule); a ridge also holds at least k-1 points.
+    The points on a rotated facet are those on both of its facets, so its
+    mask is the AND, and the result comes out in the same form, sorted.
+    """
+    out = [(n[:-1], c, mask) for n, c, mask in facets if not n[-1]]
+    masks = [mask for _, _, mask in facets]
+    ups = [f for f in facets if f[0][-1] > 0]
+    downs = [f for f in facets if f[0][-1] < 0]
+    for n1, c1, m1 in downs:
+        for n2, c2, m2 in ups:
+            ridge = m1 & m2
+            if ridge.bit_count() < k - 1 or sum(ridge & m == ridge for m in masks) > 2:
+                continue
+            n, c = _rotate(n1, c1, n1[-1], n2, c2, n2[-1])
+            out.append((n[:-1], c, ridge))
+    out.sort()
+    return out
+
+
+def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
+                                           tuple[Vec, ...], tuple[int, ...]]:
+    """All, boundary and interior lattice points of P, each lexicographic,
+    and for each boundary point the bitmask of P's facets through it.
 
     A facet's slack is affine in each coordinate.  So a prefix x[:k] with
     lattice points over it takes one inner product per facet of level k+1,
     its constant ``b = c + <head[:-1], x[:k]>``, and each child fibre
     x[k] = t gets ``b + head[-1]*t``: one multiply-add, not an inner
     product.  The vertical facets, read on the fibres of the last level,
-    are lifted the same way from the prefixes one level up.
+    are lifted the same way from the prefixes one level up.  The facets
+    through a point of the last level are the slopes with slack 0 there,
+    at an end of its fibre, and the vertical facets with slack 0 on the
+    whole fibre.
     """
     d = poly.rank
     first, *upper = _levels(poly)
     # upper[k]: the facets of level k+1 as (head[:-1], head[-1], a, c).
     upper = [[(head[:-1], head[-1], a, c) for head, a, c in level] for level in upper]
-    vertical = [(n[:-2], n[-2], c) for n, c in poly.facets if n[-1] == 0]
+    # The bits of P's facets, in the order of the last level's slopes, and
+    # the vertical facets with theirs.
+    bits = [1 << j for j, (n, _) in enumerate(poly.facets) if n[-1]]
+    vertical = [(1 << j, n[:-2], n[-2], c) for j, (n, c) in enumerate(poly.facets) if not n[-1]]
     everything: list[Vec] = []
     boundary: list[Vec] = []
     interior: list[Vec] = []
+    masks: list[int] = []
 
-    def lift(k: int, prefix: Vec, slopes: list[tuple[int, int]], flat: bool) -> None:
+    def lift(k: int, prefix: Vec, slopes: list[tuple[int, int]], walls: int) -> None:
         # (a, r): the facet's slack at x[k] = t is a*t + r.  P is bounded, so
-        # every level has facets with a > 0 and with a < 0.  ``flat``: a
-        # vertical facet has slack 0 on the whole fibre.
+        # every level has facets with a > 0 and with a < 0.  ``walls``: the
+        # bits of the vertical facets with slack 0 on the whole fibre.
         lo = max(-(r // a) for a, r in slopes if a > 0)
         hi = min(r // -a for a, r in slopes if a < 0)
         if lo > hi:
             return
         if k + 1 < d:
             nxt = [(a, h, c + dot(head, prefix)) for head, h, a, c in upper[k]]
-            walls = [(h, c + dot(head, prefix)) for head, h, c in vertical] if k + 2 == d else ()
+            lifted = ([(bit, h, c + dot(head, prefix)) for bit, head, h, c in vertical]
+                      if k + 2 == d else ())
             for x in range(lo, hi + 1):
                 lift(k + 1, prefix + (x,), [(a, b + h * x) for a, h, b in nxt],
-                     any(b + h * x == 0 for h, b in walls))
+                     sum(bit for bit, h, b in lifted if b + h * x == 0))
             return
         for x in range(lo, hi + 1):
             p = prefix + (x,)
             everything.append(p)
-            if flat or ((x == lo or x == hi) and any(a * x + r == 0 for a, r in slopes)):
+            on = walls
+            if x == lo or x == hi:
+                on |= sum(bit for bit, (a, r) in zip(bits, slopes) if a * x + r == 0)
+            if on:
                 boundary.append(p)
+                masks.append(on)
             else:
                 interior.append(p)
 
-    lift(0, (), [(a, c) for _, a, c in first], False)
-    return tuple(everything), tuple(boundary), tuple(interior)
+    lift(0, (), [(a, c) for _, a, c in first], 0)
+    return tuple(everything), tuple(boundary), tuple(interior), tuple(masks)
 
 
 def ell(poly: LatticePolytope) -> int:
@@ -449,16 +545,21 @@ def face_lattice(poly: LatticePolytope) -> tuple[Face, ...]:
 
 
 def smallest_face_containing(poly: LatticePolytope, point: Sequence[int]) -> Face:
-    """The unique face whose relative interior contains the point.
+    """The unique face whose relative interior contains the lattice point.
 
     The smallest face containing a point is the intersection of all facets
-    through it; an interior point yields the full polytope as a face.
+    through it, which the lattice-point sweep recorded for each boundary
+    point (found by bisection, the points being sorted); an interior point
+    yields the full polytope as a face.
     """
-    p = tuple(point)
+    p = tuple(map(as_int, point))
     if not poly.contains(p):
         raise EmptyInput(f"point {p} is not in the polytope")
+    boundary = lattice_points(poly, "boundary")
+    i = bisect_left(boundary, p)
+    through = boundary_facet_masks(poly)[i] if i < len(boundary) and boundary[i] == p else 0
     on = set(range(len(poly.vertices))).intersection(
-        *(poly.incidence[j] for j in poly.facet_incidence(p)))
+        *(verts for j, verts in enumerate(poly.incidence) if through >> j & 1))
     target = tuple(sorted(on))
     for face in face_lattice(poly):
         if face.vertex_indices == target:
@@ -472,12 +573,11 @@ def _face_incidence(poly: LatticePolytope, face: Face) -> frozenset[int]:
                      if on.issuperset(face.vertex_indices))
 
 
-def _boundary_incidence_counts(poly: LatticePolytope) -> Counter[frozenset[int]]:
-    """Boundary lattice points counted by the set of facets through them;
-    computed once per polytope."""
+def _boundary_incidence_counts(poly: LatticePolytope) -> Counter[int]:
+    """Boundary lattice points counted by the bitmask of the facets through
+    them; computed once per polytope."""
     if poly._incidence_counts is None:
-        poly._incidence_counts = Counter(
-            map(poly.facet_incidence, lattice_points(poly, "boundary")))
+        poly._incidence_counts = Counter(boundary_facet_masks(poly))
     return poly._incidence_counts
 
 
@@ -491,7 +591,7 @@ def ell_star_face(poly: LatticePolytope, face: Face) -> int:
         return ell_interior(poly)
     if face.dim < 0:
         return 0
-    return _boundary_incidence_counts(poly)[_face_incidence(poly, face)]
+    return _boundary_incidence_counts(poly)[sum(1 << j for j in _face_incidence(poly, face))]
 
 
 def dual_face(poly: LatticePolytope, face: Face) -> Face:
@@ -526,10 +626,12 @@ def dilate(p: LatticePolytope, n: int) -> LatticePolytope:
     if n <= 0:
         raise InputError("dilation factor must be positive")
     # Scaling by n > 0 keeps the order of the vertices and of the facets
-    # (sorted by their distinct normals), so the incidence table carries over.
+    # (sorted by their distinct normals), so the incidence table carries over
+    # and every slack scales by n.
     vertices = tuple(tuple(n * x for x in v) for v in p.vertices)
     facets = tuple((normal, n * c) for normal, c in p.facets)
-    return LatticePolytope(p.rank, vertices, facets, p.incidence)
+    slacks = tuple(tuple(n * s for s in row) for row in p.slacks)
+    return LatticePolytope(p.rank, vertices, facets, p.incidence, slacks)
 
 
 def convex_hull_contains(generators: Sequence[Sequence[int]], point: Sequence[int]) -> bool:

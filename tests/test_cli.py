@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from mirrorcheck import cli
+from mirrorcheck import cli, nef, polytopes as pt
 from mirrorcheck.cli import main
 from mirrorcheck.fixtures import load_fixture
 from mirrorcheck.intlinalg import mat_vec
@@ -63,6 +63,37 @@ def test_nef_counts_skewed_quintic(tmp_path, capsys):
                             "--polytope", str(poly), "--partition", str(part))
     assert code == 0
     assert report["payload"]["complement_count"] == 52
+
+
+# Hulls per op: one for the input polytope; nef validation adds nabla's, for
+# its reflexivity check, and `nef dual`'s report one per full-dimensional
+# nabla_i.  The polar (a transposition) and the sweep's projections (read
+# off ridges) build none.  The hexagon's partition fails the nef check
+# before nabla is built.
+HULLS_PER_OP = [
+    (["polytope", "dual"], {name: 1 for name in (
+        "cube", "hexagon", "octahedron", "p1p1p1", "quartic", "quintic", "wp1113")}),
+    (["nef", "dual"], {"hexagon": 1, "p1p1p1": 4, "quintic": 4, "wp1113": 4}),
+    (["nef", "counts"], {"hexagon": 1, "p1p1p1": 2, "quintic": 2, "wp1113": 2}),
+]
+
+
+@pytest.mark.parametrize("command,fixture,expected", [
+    (command, fixture, expected)
+    for command, counts in HULLS_PER_OP for fixture, expected in counts.items()])
+def test_hull_calls_per_op(command, fixture, expected, capsys, monkeypatch):
+    calls = []
+    real = pt.hull
+
+    def counting(points):
+        calls.append(1)
+        return real(points)
+
+    monkeypatch.setattr(pt, "hull", counting)
+    monkeypatch.setattr(nef, "hull", counting)
+    code, _ = run(capsys, *command, "--fixture", fixture)
+    assert code == (2 if fixture == "hexagon" and command[0] == "nef" else 0)
+    assert len(calls) == expected
 
 
 def test_isotropic_zero_pivot_gram(capsys):

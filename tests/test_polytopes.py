@@ -124,6 +124,12 @@ def naive_points(points, region="all"):
     return tuple(out)
 
 
+def facet_incidence(poly, point):
+    """Indices of the facets whose hyperplane passes through the point, by
+    one inner product per facet."""
+    return frozenset(j for j, (n, c) in enumerate(poly.facets) if la.dot(n, point) + c == 0)
+
+
 def naive_ell_star_face(poly, face):
     """Relative-interior count by a scan of every boundary point per face."""
     if face.dim == poly.rank:
@@ -133,7 +139,7 @@ def naive_ell_star_face(poly, face):
     inc = frozenset(j for j, (n, c) in enumerate(poly.facets)
                     if all(la.dot(n, v) + c == 0 for v in face.vertices))
     return sum(1 for p in pt.lattice_points(poly, "boundary")
-               if poly.facet_incidence(p) == inc)
+               if facet_incidence(poly, p) == inc)
 
 
 def unimodular(d, seed):
@@ -247,6 +253,8 @@ def test_hull_matches_facet_oracle_random(points):
         frozenset(i for i, v in enumerate(poly.vertices)
                   if sum(a * b for a, b in zip(n, v)) + c == 0)
         for n, c in poly.facets)
+    assert poly.slacks == tuple(tuple(sum(a * b for a, b in zip(n, v)) + c for v in poly.vertices)
+                                for n, c in poly.facets)
 
 
 @pytest.mark.parametrize("points", ALL_FIXTURE_POINTS + [
@@ -275,6 +283,59 @@ def test_hull_solves_only_the_starting_simplex(points, monkeypatch):
     poly = pt.hull(points)
     assert len(planes) == poly.rank + 1
     assert determinants == []
+
+
+@st.composite
+def plane_points(draw):
+    """d affinely independent points of rank 2 to 5."""
+    d = draw(st.integers(pt.MIN_RANK, pt.MAX_RANK))
+    points = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * d), min_size=d, max_size=d))
+    base = points[0]
+    assume(_fraction_rank([[x - y for x, y in zip(p, base)] for p in points[1:]]) == d - 1)
+    return points
+
+
+@settings(max_examples=300, deadline=None)
+@given(plane_points())
+@example([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+@example([(0, 0, 0), (0, 1, 0), (0, 0, 1)])
+@example([(2, 3), (2, -5)])
+def test_plane_through_matches_nullspace_oracle(points):
+    # One fraction-free elimination gives the plane the Fraction oracle
+    # gives, up to the sign that hull's orientation step fixes.
+    n, c = pt._plane_through(points)
+    expected = _nullspace_plane(points)
+    assert (n, c) in (expected, (tuple(-x for x in expected[0]), -expected[1]))
+
+
+def test_plane_through_refuses_dependent_points():
+    with pytest.raises(errors.NotFullDimensional, match="degenerate hyperplane"):
+        pt._plane_through([(0, 0, 0), (1, 1, 1), (2, 2, 2)])
+
+
+@pytest.mark.parametrize("points", ALL_FIXTURE_POINTS + [
+    CUBE_WITH_EDGE_MIDPOINTS,
+    SIMPLEX_FACET_POINT_FIRST,
+    [p for p in itertools.product((-1, 0, 1), repeat=4) if sum(map(abs, p)) <= 2],
+    [p for p in itertools.product((0, 1), repeat=5)],
+])
+def test_hull_takes_no_smith_form(points, monkeypatch):
+    # The starting planes come from one elimination each, not from a Smith
+    # form through the integer kernel.
+    calls = []
+    for name in ("smith_normal_form", "kernel_basis"):
+        real = getattr(la, name)
+
+        def counting(*args, real=real):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(la, name, counting)
+        monkeypatch.setattr(pt, name, counting, raising=False)
+    poly = pt.hull(points)
+    if pt.is_reflexive(poly):
+        pt.lattice_points(pt.polar_dual(poly))
+    assert calls == []
 
 
 @pytest.mark.parametrize("points", ALL_FIXTURE_POINTS + [
@@ -396,6 +457,85 @@ def test_polar_errors(cube):
         pt.polar_dual(shifted)
 
 
+REFLEXIVE_FIXTURE_POINTS = [p for p in ALL_FIXTURE_POINTS if pt.is_reflexive(pt.hull(p))]
+
+
+def check_polar_against_hull(poly):
+    """The transposed polar is the hull of P's facet normals, table for
+    table, and its polar is P again."""
+    dual = pt.polar_dual(poly)
+    oracle = pt.hull([n for n, _ in poly.facets])
+    assert ((dual.vertices, dual.facets, dual.incidence, dual.slacks)
+            == (oracle.vertices, oracle.facets, oracle.incidence, oracle.slacks))
+    assert pt.polar_dual(dual) is poly
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 7])
+@pytest.mark.parametrize("points", REFLEXIVE_FIXTURE_POINTS)
+def test_polar_matches_hull_of_normals(points, seed):
+    if seed is not None:
+        points = image(unimodular(len(points[0]), seed), points)
+    check_polar_against_hull(pt.hull(points))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REFLEXIVE_FIXTURE_POINTS + [
+    [p for p in itertools.product((-1, 0, 1), repeat=4) if sum(map(abs, p)) == 1],
+    list(itertools.product((-1, 1), repeat=4)),
+    [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -2)],
+    [p for p in itertools.product((-1, 0, 1), repeat=5) if sum(map(abs, p)) == 1],
+]), st.integers(0, 2**16))
+def test_polar_matches_hull_of_normals_random(points, seed):
+    poly = pt.hull(image(unimodular(len(points[0]), seed), points))
+    check_polar_against_hull(poly)
+    check_polar_against_hull(pt.hull([n for n, _ in poly.facets]))
+
+
+@pytest.mark.parametrize("points", REFLEXIVE_FIXTURE_POINTS)
+def test_polar_cross_checks_the_transposed_slacks(points):
+    # The polar's checks run on P's transposed slack table: a corrupted
+    # column of P's table is a corrupted row of the polar's, and raises its
+    # own named error on every call, with nothing cached.
+    poly = pt.hull(points)
+    d = poly.rank
+    column = [row[0] for row in poly.slacks]
+    outside = [-1 if s > 0 else s for s in column]
+    tight = [j for j, s in enumerate(column) if s == 0][:d - 1]
+    few = [0 if j in tight else 1 for j in range(len(column))]
+    everywhere = [0] * len(column)
+    for bad, message in [(outside, "vertex outside facet"),
+                         (few, "facet with too few vertices"),
+                         (everywhere, "facet not of dimension d-1")]:
+        # Column 0 of P's table, the slacks at vertex 0, is row 0 of the polar's.
+        slacks = tuple((s,) + row[1:] for s, row in zip(bad, poly.slacks))
+        corrupt = pt.LatticePolytope(d, poly.vertices, poly.facets, poly.incidence, slacks)
+        for _ in range(2):
+            with pytest.raises(errors.NotFullDimensional, match=message):
+                pt.polar_dual(corrupt)
+        assert corrupt._polar is None
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
+def test_non_reflexive_polar_raises_every_time(points, seed):
+    # A facet at lattice distance 2, or the origin on or outside P, raises
+    # on every call and caches nothing, on either polytope.
+    if seed is not None:
+        points = image(unimodular(len(points[0]), seed), points)
+    poly = pt.hull(points)
+    corner = poly.vertices[0]
+    cases = [(pt.dilate(poly, 2), errors.NonIntegralDual),
+             (pt.hull([tuple(x - y for x, y in zip(v, corner)) for v in poly.vertices]),
+              errors.OriginNotInterior)]
+    if not pt.is_reflexive(poly):
+        cases.append((poly, errors.MirrorcheckError))
+    for bad, error in cases:
+        for _ in range(2):
+            with pytest.raises(error):
+                pt.polar_dual(bad)
+        assert bad._polar is None
+
+
 # --- reflexivity -----------------------------------------------------------
 
 
@@ -453,6 +593,82 @@ def test_enumeration_oracle_skewed_random(case):
         assume(False)
     for region in REGIONS:
         assert pt.lattice_points(poly, region) == naive_points(pts, region)
+
+
+# --- projection by ridges --------------------------------------------------
+
+
+def hull_levels(poly):
+    """The sweep's levels from hulls: level k < d from the hull of the
+    vertices projected onto the first k coordinates."""
+    d = poly.rank
+    first = [v[0] for v in poly.vertices]
+    levels = [[((), 1, -min(first)), ((), -1, max(first))]]
+    for k in range(2, d + 1):
+        facets = poly.facets if k == d else pt.hull([v[:k] for v in poly.vertices]).facets
+        levels.append([(n[:-1], n[-1], c) for n, c in facets if n[-1] != 0])
+    return levels
+
+
+def check_projections(poly):
+    """Each projection by ridges, level by level, against the hull and the
+    subset oracle of the projected vertices; each mask holds the projected
+    vertices on its facet."""
+    vertices = poly.vertices
+    facets = [(n, c, sum(1 << i for i in on)) for (n, c), on in zip(poly.facets, poly.incidence)]
+    for k in range(poly.rank, 2, -1):
+        facets = pt._project(facets, k)
+        points = [v[:k - 1] for v in vertices]
+        assert [(n, c) for n, c, _ in facets] == list(pt.hull(points).facets)
+        assert {(n, c) for n, c, _ in facets} == naive_facets(points)
+        assert [mask for _, _, mask in facets] == [
+            sum(1 << i for i, p in enumerate(points) if la.dot(n, p) + c == 0)
+            for n, c, _ in facets]
+    assert pt._levels(poly) == hull_levels(poly)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 7])
+@pytest.mark.parametrize("points", ALL_FIXTURE_POINTS + [
+    CUBE_WITH_EDGE_MIDPOINTS,
+    [p for p in itertools.product((-1, 0, 1), repeat=4) if sum(map(abs, p)) <= 2],
+    [p for p in itertools.product((0, 1), repeat=5)],
+])
+def test_projection_matches_hull_of_projected_vertices(points, seed):
+    if seed is not None:
+        points = image(unimodular(len(points[0]), seed), points)
+    poly = pt.hull(points)
+    check_projections(poly)
+    if pt.is_reflexive(poly):
+        check_projections(pt.polar_dual(poly))
+
+
+# About 50 examples per rank.
+@settings(max_examples=200, deadline=None)
+@given(hull_inputs(), st.integers(0, 2**16))
+@example(CUBE_WITH_EDGE_MIDPOINTS, 0)
+def test_projection_matches_hull_of_projected_vertices_random(points, seed):
+    try:
+        poly = pt.hull(image(unimodular(len(points[0]), seed), points))
+    except errors.NotFullDimensional:
+        assume(False)
+    check_projections(poly)
+
+
+@pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
+def test_levels_build_no_hull(points, monkeypatch):
+    # The levels are read off P's incidence table: no hull, no rank, no
+    # inner product.
+    poly = pt.hull(points)
+    expected = hull_levels(poly)
+    calls = _count_dots(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("the levels recomputed a hull or a rank")
+
+    monkeypatch.setattr(pt, "hull", refuse)
+    monkeypatch.setattr(pt, "mat_rank", refuse)
+    assert pt._levels(poly) == expected
+    assert calls == []
 
 
 @pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
@@ -625,7 +841,7 @@ def test_sweep_lifts_each_facet_once_per_prefix(points, seed, monkeypatch):
     vertical = sum(1 for n, _ in naive_facets(vertices) if n[-1] == 0)
     expected = sum(_prefix_count(vertices, k) * lifted[k + 2] for k in range(d - 1))
     expected += _prefix_count(vertices, d - 2) * vertical
-    # The level facets come from hulls of projections; build them first.
+    # Build the level facets first, so that only the sweep is counted.
     levels = pt._levels(poly)
     monkeypatch.setattr(pt, "_levels", lambda _: levels)
     calls = _count_dots(monkeypatch)
@@ -662,8 +878,8 @@ def test_dilate_keeps_incidence(points, factor):
     dilated = pt.dilate(poly, factor)
     rebuilt = pt.hull(dilated.vertices)
     assert dilated.incidence == poly.incidence
-    assert ((dilated.vertices, dilated.facets, dilated.incidence)
-            == (rebuilt.vertices, rebuilt.facets, rebuilt.incidence))
+    assert ((dilated.vertices, dilated.facets, dilated.incidence, dilated.slacks)
+            == (rebuilt.vertices, rebuilt.facets, rebuilt.incidence, rebuilt.slacks))
 
 
 def test_minkowski_rank_mismatch(cube, hexagon):
@@ -748,18 +964,41 @@ def test_ell_star_face_matches_scan(name):
 
 
 def test_ell_star_face_scans_boundary_once(monkeypatch, quintic_simplex):
+    # The sweep records the facets through each boundary point, so once the
+    # points are enumerated the counts take no inner product at all.
     poly = pt.hull(pt.polar_dual(quintic_simplex).vertices)
     faces = pt.face_lattice(poly)
     pt.lattice_points(poly)
-    calls = []
-    real = pt.LatticePolytope.facet_incidence
-
-    def counting(self, point):
-        calls.append(1)
-        return real(self, point)
-
-    monkeypatch.setattr(pt.LatticePolytope, "facet_incidence", counting)
+    calls = _count_dots(monkeypatch)
     for _ in range(2):
         total = sum(pt.ell_star_face(poly, f) for f in faces)
     assert total == pt.ell(poly)
-    assert len(calls) == pt.ell_boundary(poly)
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
+def test_boundary_facet_masks_match_slacks(points, seed):
+    # The facets the sweep records at each boundary point are those with
+    # slack 0 there.
+    if seed is not None:
+        points = image(unimodular(len(points[0]), seed), points)
+    for poly in (pt.hull(points), pt.dilate(pt.hull(points), 2)):
+        assert pt.boundary_facet_masks(poly) == tuple(
+            sum(1 << j for j in facet_incidence(poly, p))
+            for p in pt.lattice_points(poly, "boundary"))
+
+
+@pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
+def test_smallest_face_reads_the_sweep(points):
+    # The face of every lattice point is cut out by the facets through it.
+    poly = pt.hull(points)
+    for p in pt.lattice_points(poly):
+        on = set(range(len(poly.vertices))).intersection(
+            *(poly.incidence[j] for j in facet_incidence(poly, p)))
+        assert pt.smallest_face_containing(poly, p).vertex_indices == tuple(sorted(on))
+    outside = tuple(max(v[k] for v in poly.vertices) + 1 for k in range(poly.rank))
+    with pytest.raises(errors.EmptyInput):
+        pt.smallest_face_containing(poly, outside)
+    with pytest.raises(errors.InputError):
+        pt.smallest_face_containing(poly, (Fraction(1, 2),) * poly.rank)
