@@ -681,9 +681,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MirrorcheckError as exc:
         status = ERROR
         payload = {"error": exc.name, "message": str(exc)}
-    except FileNotFoundError as exc:
-        status = ERROR
-        payload = {"error": "InputError", "message": str(exc)}
     except Exception as exc:  # never a traceback: any other failure is reported
         status = ERROR
         payload = {"error": "InternalError", "message": f"{type(exc).__name__}: {exc}"}

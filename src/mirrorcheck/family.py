@@ -38,6 +38,7 @@ from .hodge import (
     picard_from_fibration,
     quasi_fano_threefold_diamond,
 )
+from .intlinalg import as_int
 
 # h^{2,1} of the three anticanonical-degree-4 Fano threefolds, indexed by
 # their Fano index; these also serve as the fibre-count constants c_i.
@@ -72,7 +73,7 @@ class FamilyParams:
 
     @staticmethod
     def of(i: int, j: int, mu: Sequence[int]) -> "FamilyParams":
-        return FamilyParams(int(i), int(j), tuple(sorted((int(x) for x in mu), reverse=True)))
+        return FamilyParams(as_int(i), as_int(j), tuple(sorted(map(as_int, mu), reverse=True)))
 
     def to_json(self) -> dict:
         return {"i": self.i, "j": self.j, "mu": list(self.mu)}

@@ -66,10 +66,14 @@ class HodgeDiamond:
 
     def __init__(self, dim: int, entries: Mapping[tuple[int, int], int],
                  kaehler: bool = True):
+        if dim < 0:
+            raise InvalidDiamond(f"dimension {dim} is negative")
         grid = [[0] * (dim + 1) for _ in range(dim + 1)]
         for (p, q), v in entries.items():
             if not (0 <= p <= dim and 0 <= q <= dim):
                 raise InvalidDiamond(f"index ({p},{q}) outside dimension {dim}")
+            if v < 0:
+                raise InvalidDiamond(f"h^{{{p},{q}}} = {v} is negative")
             grid[p][q] = v
             if grid[q][p] not in (0, v):
                 raise InvalidDiamond(f"Hodge symmetry broken at ({p},{q})")
@@ -408,8 +412,10 @@ def lmhs_table(u: int, v: int) -> tuple[tuple[int, ...], ...]:
     """Rank table of the weight-graded limit mixed Hodge structure.
 
     Rows are the graded pieces in weights 4, 3, 2; columns the Hodge
-    filtration steps from F^3 down to F^0.
+    filtration steps from F^3 down to F^0.  Ranks are never negative.
     """
+    if u < 0 or v < 0:
+        raise InputError(f"LMHS ranks must be nonnegative, got u = {u}, v = {v}")
     return ((1, u, 1, 0), (0, v, v, 0), (0, 1, u, 1))
 
 

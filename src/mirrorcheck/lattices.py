@@ -411,8 +411,11 @@ def find_isotropic(lat: QuadLattice, bound: int = 10) -> IsotropicSearch:
     a deterministic near-to-far order; exhaustion is reported as
     inconclusive rather than as absence.  The scan evaluates at most
     ``_ISOTROPIC_SCAN_CAP`` candidates: a witness among them is returned,
-    and a larger box with none raises ``BudgetExceeded``.
+    and a larger box with none raises ``BudgetExceeded``.  A negative bound
+    names no box and raises ``InputError``.
     """
+    if bound < 0:
+        raise InputError(f"isotropic search bound must be nonnegative, got {bound}")
     try:
         pos, neg = signature(lat)
     except Degenerate:

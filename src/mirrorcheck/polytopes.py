@@ -1,34 +1,27 @@
 """Exact convex geometry for lattice polytopes of rank 2 to 5.
 
 Polytopes are stored in canonical form: sorted vertex tuples, the sorted
-complete facet description ``<normal, x> >= -offset`` with every normal a
-primitive integer vector, the vertex-facet incidence table, which
-vertices lie on which facet (PALP's ``INCI``, Kreuzer-Skarke 2004), and
-the facet x vertex slack table.  ``hull`` computes one facet x point slack
-table, reads the vertices and the incidence table off it and cross-checks
-both against it.  Everything else reads those tables: the face lattice,
-face duality and the facets through a face without an inner product; the
-polar of a reflexive polytope is the transposed tables; the projections
-that lattice-point enumeration needs come from the incidence bitmasks.
-``hull`` runs only on point sets nobody has described yet.  All arithmetic
-is exact and, apart from the barycentric coordinates of the Caratheodory
-membership test, integral.
+facets ``<normal, x> >= -offset`` with primitive integer normals, the
+facet x vertex slack table, and the incidence table, one bitmask of the
+vertices on each facet (PALP's ``INCI``, Kreuzer-Skarke 2004).  ``hull``
+reads the vertices and the masks off one facet x point slack table and
+cross-checks both against it; the polar of a reflexive polytope is the
+transposed tables.  Everything else reads the masks, with no inner
+product and no rank: the face lattice is their closure under AND, with
+each face's dimension read off the lattice; dual and smallest faces are
+one lookup by vertex mask; the projections that lattice-point
+enumeration needs AND the masks of the two facets at a ridge.  ``hull``
+runs only on point sets nobody has described yet.  All arithmetic is
+exact and, apart from the Caratheodory membership test, integral.
 
-The hull algorithm is an incremental beneath-beyond construction that keeps
-a triangulated boundary, with the two simplices at each ridge, while points
-are inserted, and merges coplanar simplices into true facets at the end;
-inputs in this domain have at most a few hundred vertices.  Only the planes
-of the starting simplex are solved for, each by one fraction-free
-elimination.  Every later plane is a combination of the two planes at a
-horizon ridge (Edelsbrunner, Algorithms in Combinatorial Geometry, 8.4),
-and the vertices are read off the point-facet incidences.  Lattice points
-are enumerated by project-and-lift (as in PALP, Kreuzer-Skarke 2004): the
-work is proportional to the points found, not to the bounding box, so thin
-or skewed polytopes cost no more than upright ones with as many points.
-Each projection's facets are the same rotation applied at the ridges of
-the level above (Fourier-Motzkin elimination with Chernikov's adjacency
-rule), and the sweep records which facets pass through each boundary
-point it emits.
+The hull is an incremental beneath-beyond construction on a triangulated
+boundary whose coplanar simplices are merged into facets at the end; only
+the planes of the starting simplex are solved for, every later plane being
+a combination of the two planes at a horizon ridge (Edelsbrunner,
+Algorithms in Combinatorial Geometry, 8.4).  Lattice points are enumerated
+by project-and-lift (as in PALP), in time proportional to the points
+found; each projection's facets come from the same rotation at the ridges
+of the level above (Fourier-Motzkin with Chernikov's adjacency rule).
 """
 
 from __future__ import annotations
@@ -36,7 +29,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import Counter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     EmptyInput,
@@ -92,6 +85,15 @@ def _rotate(n1: Vec, c1: int, s1: int, n2: Vec, c2: int, s2: int) -> Facet:
     return tuple(x // g for x in normal), (s2 * c1 - s1 * c2) // g
 
 
+def _ridges(simplex: int) -> Iterator[int]:
+    """The bitmasks of a simplex's ridges: its own bitmask less one bit."""
+    rest = simplex
+    while rest:
+        bit = rest & -rest
+        yield simplex ^ bit
+        rest ^= bit
+
+
 def affine_rank(points: Sequence[Vec]) -> int:
     """Dimension of the affine span of the points; -1 for no points."""
     if not points:
@@ -113,14 +115,14 @@ def _affinely_independent_subset(points: Sequence[Vec], d: int) -> Optional[list
 
 class LatticePolytope:
     """A full-dimensional lattice polytope in canonical form; ``incidence[j]``
-    is the set of indices of the vertices on facet j, and ``slacks[j][i]``
-    the slack <n_j, v_i> + c_j of facet j at vertex i."""
+    is the bitmask of the vertices on facet j (bit i for vertex i), and
+    ``slacks[j][i]`` the slack <n_j, v_i> + c_j of facet j at vertex i."""
 
     __slots__ = ("rank", "vertices", "facets", "incidence", "slacks", "_points",
                  "_boundary_facets", "_faces", "_polar", "_incidence_counts")
 
     def __init__(self, rank: int, vertices: tuple[Vec, ...], facets: tuple[Facet, ...],
-                 incidence: tuple[frozenset[int], ...], slacks: tuple[tuple[int, ...], ...]):
+                 incidence: tuple[int, ...], slacks: tuple[tuple[int, ...], ...]):
         self.rank = rank
         self.vertices = vertices
         self.facets = facets
@@ -128,7 +130,7 @@ class LatticePolytope:
         self.slacks = slacks
         self._points: dict[str, tuple[Vec, ...]] = {}
         self._boundary_facets: Optional[tuple[int, ...]] = None
-        self._faces: Optional[tuple["Face", ...]] = None
+        self._faces: Optional[dict[int, "Face"]] = None
         self._polar: Optional["LatticePolytope"] = None
         self._incidence_counts: Optional[Counter[int]] = None
 
@@ -190,11 +192,10 @@ class Face:
 def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     """Convex hull of integer points; vertices minimal, facets primitive.
 
-    The input must be full-dimensional in its ambient space.
-
-    Beneath-beyond over the points in sorted order, on a triangulated
-    boundary whose ridges (d-1 point indices) each map to the two simplices
-    through them.  A point p sees the simplices with negative slack at it.
+    The input must be full-dimensional in its ambient space.  Beneath-beyond
+    over the points in sorted order, on a triangulated boundary whose ridges
+    (bitmasks of d-1 points) each map to the two simplices through them.  A
+    point p sees the simplices with negative slack at it.
     At each horizon ridge the visible simplex H1 (slack s1 < 0) meets a
     neighbour H2 that p does not see (slack s2 >= 0); the new simplex, the
     ridge and p, lies on the plane s2*H1 - s1*H2, which vanishes on the ridge
@@ -220,17 +221,17 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     if simplex is None:
         raise NotFullDimensional(f"affine span has dimension below {d}")
 
-    # Triangulated boundary: simplex id -> (d point indices, n, c), and each
-    # ridge -> the ids of the simplices through it.
-    simplices: dict[int, tuple[frozenset[int], Vec, int]] = {}
-    ridges: dict[frozenset[int], list[int]] = {}
+    # Triangulated boundary: simplex id -> (bitmask of its d points, n, c),
+    # and each ridge's bitmask -> the ids of the simplices through it.
+    simplices: dict[int, tuple[int, Vec, int]] = {}
+    ridges: dict[int, list[int]] = {}
     ids = itertools.count()
 
-    def add(verts: frozenset[int], n: Vec, c: int) -> None:
+    def add(verts: int, n: Vec, c: int) -> None:
         s = next(ids)
         simplices[s] = (verts, n, c)
-        for j in verts:
-            ridges.setdefault(verts - {j}, []).append(s)
+        for ridge in _ridges(verts):
+            ridges.setdefault(ridge, []).append(s)
 
     # Interior reference point (d+1) * centroid of the starting simplex, which
     # is integral; a facet keeps it on its inner side when <n, ref> + (d+1)c > 0.
@@ -240,7 +241,7 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
         n, c = _plane_through([pts[i] for i in plane_idx])
         if dot(n, ref) + (d + 1) * c < 0:
             n, c = tuple(-x for x in n), -c
-        add(frozenset(plane_idx), n, c)
+        add(sum(1 << i for i in plane_idx), n, c)
 
     for i in range(len(pts)):
         if i in simplex:
@@ -252,18 +253,16 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
         for s in visible:
             verts, n1, c1 = simplices[s]
             s1 = slack[s]
-            for j in verts:
-                ridge = verts - {j}
+            for ridge in _ridges(verts):
                 a, b = ridges[ridge]
                 other = b if a == s else a
                 s2 = slack[other]
                 if s2 >= 0:
                     _, n2, c2 = simplices[other]
-                    new.append((ridge | {i}, *_rotate(n1, c1, s1, n2, c2, s2)))
+                    new.append((ridge | 1 << i, *_rotate(n1, c1, s1, n2, c2, s2)))
         for s in visible:
             verts = simplices.pop(s)[0]
-            for j in verts:
-                ridge = verts - {j}
+            for ridge in _ridges(verts):
                 through = ridges[ridge]
                 through.remove(s)
                 if not through:
@@ -294,8 +293,8 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
 
 
 def _cross_check(d: int, vertices: Sequence[Vec],
-                 slacks: Sequence[Sequence[int]]) -> tuple[frozenset[int], ...]:
-    """The vertex-facet incidence table, once the vertex and facet
+                 slacks: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The vertex bitmask of each facet, once the vertex and facet
     descriptions are checked to cut out the same set.  ``slacks[j][i]`` is
     the slack of facet j at vertex i, read off the hull's slack table or a
     polar's transposed one, so no inner product is taken here."""
@@ -308,7 +307,7 @@ def _cross_check(d: int, vertices: Sequence[Vec],
             raise NotFullDimensional("internal hull inconsistency: facet with too few vertices")
         if affine_rank([vertices[i] for i in tight]) != d - 1:
             raise NotFullDimensional("internal hull inconsistency: facet not of dimension d-1")
-        incidence.append(frozenset(tight))
+        incidence.append(sum(1 << i for i in tight))
     return tuple(incidence)
 
 
@@ -322,13 +321,11 @@ def polar_dual(poly: LatticePolytope) -> LatticePolytope:
     stay sorted, and every v_i is primitive because the polar's facet
     through it holds lattice points.  The slack of polar facet i at polar
     vertex j is <n_j, v_i> + 1, the slack of facet j of P at vertex i, so
-    the polar's slack table is P's transposed, and so is its incidence
-    table, which ``_cross_check`` reads off the transposed slacks after
-    checking them.  The polar is built and checked once, then cached on
-    both polytopes, linked both ways: ``polar_dual(polar_dual(P)) is P``,
-    and repeated calls share one polar with its cached points and faces.
-    A failed check caches nothing, so a non-reflexive input raises on
-    every call.
+    the polar's slack table is P's transposed, and ``_cross_check`` reads
+    its incidence masks off that after checking it.  The polar is cached
+    on both polytopes, so ``polar_dual(polar_dual(P)) is P`` and repeated
+    calls share its cached points and faces; a failed check caches
+    nothing, so a non-reflexive input raises on every call.
     """
     if poly._polar is not None:
         return poly._polar
@@ -365,14 +362,9 @@ def lattice_points(poly: LatticePolytope, region: str = "all") -> tuple[Vec, ...
     lattice point of level ``k - 1`` the facets of level ``k`` whose last
     normal entry is nonzero bound the ``k``-th coordinate by exact integer
     ceil/floor, so sweeping prefixes in increasing order yields the points
-    lexicographically.  The slacks are lifted affinely: each prefix pays
-    one inner product per facet of the next level, and each fibre over it
-    one multiply-add per facet (see ``_sweep``).  A point of the last level
-    is on the boundary iff one of P's facets has slack 0 there, which can
-    only happen at the ends of its fibre or on a whole fibre over a
-    vertical facet; the sweep records which facets those are
-    (``boundary_facet_masks``).  One sweep fills the cache of all three
-    regions.
+    lexicographically; the slacks are lifted affinely and the facets
+    through each boundary point recorded (see ``_sweep``).  One sweep fills
+    the cache of all three regions and ``boundary_facet_masks``.
     """
     if region not in ("all", "boundary", "interior"):
         raise InputError(f"unknown region {region!r}")
@@ -405,7 +397,7 @@ def _levels(poly: LatticePolytope) -> list[list[tuple[Vec, int, int]]]:
     coordinate.  No hull is built and no inner product is taken.
     """
     d = poly.rank
-    facets = [(n, c, sum(1 << i for i in on)) for (n, c), on in zip(poly.facets, poly.incidence)]
+    facets = [(n, c, on) for (n, c), on in zip(poly.facets, poly.incidence)]
     levels = []
     for k in range(d, 1, -1):
         levels.append([(n[:-1], n[-1], c) for n, c, _ in facets if n[-1]])
@@ -524,24 +516,38 @@ def ell_interior(poly: LatticePolytope) -> int:
 def face_lattice(poly: LatticePolytope) -> tuple[Face, ...]:
     """All faces from dim -1 (empty) to dim d (the polytope), graded.
 
-    Proper faces are intersections of the rows of the incidence table (the
-    facets' vertex sets); dimensions are affine ranks of the vertex
-    coordinates.
+    Faces are vertex bitmasks: the polytope and the closure of the
+    incidence rows under AND, which holds every F & f for a face F and a
+    facet f.  Each facet of F is such an F & f with f not containing F, a
+    proper subset and so a smaller int, so taking masks in increasing order,
+    dim(F) = 1 + max dim(F & f) over those f; the empty face, with none,
+    has dim -1.  No rank is taken.  The faces are cached by vertex bitmask,
+    in graded order, for ``_face_with_vertices``.
     """
-    if poly._faces is not None:
-        return poly._faces
-    verts = poly.vertices
-    # The polytope itself; the empty face is the intersection of all facets.
-    seen = {frozenset(range(len(verts)))}
-    frontier = set(poly.incidence)
-    while frontier:
-        seen |= frontier
-        frontier = {s & f for s in frontier for f in poly.incidence} - seen
-    faces = [Face(poly, affine_rank([verts[i] for i in idx]), idx)
-             for idx in (tuple(sorted(s)) for s in seen)]
-    faces.sort(key=lambda f: (f.dim, f.vertex_indices))
-    poly._faces = tuple(faces)
-    return poly._faces
+    if poly._faces is None:
+        incidence = poly.incidence
+        n = len(poly.vertices)
+        # The polytope itself; the empty face is the AND of all facets.
+        seen = {(1 << n) - 1}
+        frontier = set(incidence)
+        while frontier:
+            seen |= frontier
+            frontier = {s & f for s in frontier for f in incidence} - seen
+        dims: dict[int, int] = {}
+        for face in sorted(seen):
+            below = [dims[face & f] for f in incidence if face & f != face]
+            dims[face] = 1 + max(below) if below else -1
+        graded = sorted((dim, tuple(i for i in range(n) if face >> i & 1), face)
+                        for face, dim in dims.items())
+        poly._faces = {face: Face(poly, dim, idx) for dim, idx, face in graded}
+    return tuple(poly._faces.values())
+
+
+def _face_with_vertices(poly: LatticePolytope, mask: int) -> Optional[Face]:
+    """The face of P with vertex bitmask ``mask``, by one lookup, or None."""
+    if poly._faces is None:
+        face_lattice(poly)
+    return poly._faces.get(mask)
 
 
 def smallest_face_containing(poly: LatticePolytope, point: Sequence[int]) -> Face:
@@ -558,40 +564,36 @@ def smallest_face_containing(poly: LatticePolytope, point: Sequence[int]) -> Fac
     boundary = lattice_points(poly, "boundary")
     i = bisect_left(boundary, p)
     through = boundary_facet_masks(poly)[i] if i < len(boundary) and boundary[i] == p else 0
-    on = set(range(len(poly.vertices))).intersection(
-        *(verts for j, verts in enumerate(poly.incidence) if through >> j & 1))
-    target = tuple(sorted(on))
-    for face in face_lattice(poly):
-        if face.vertex_indices == target:
-            return face
-    raise NotFullDimensional("no face found; polytope data inconsistent")
+    on = (1 << len(poly.vertices)) - 1
+    for j, verts in enumerate(poly.incidence):
+        if through >> j & 1:
+            on &= verts
+    face = _face_with_vertices(poly, on)
+    if face is None:
+        raise NotFullDimensional("no face found; polytope data inconsistent")
+    return face
 
 
-def _face_incidence(poly: LatticePolytope, face: Face) -> frozenset[int]:
-    """Facets of the parent containing the whole face."""
-    return frozenset(j for j, on in enumerate(poly.incidence)
-                     if on.issuperset(face.vertex_indices))
-
-
-def _boundary_incidence_counts(poly: LatticePolytope) -> Counter[int]:
-    """Boundary lattice points counted by the bitmask of the facets through
-    them; computed once per polytope."""
-    if poly._incidence_counts is None:
-        poly._incidence_counts = Counter(boundary_facet_masks(poly))
-    return poly._incidence_counts
+def _face_incidence(poly: LatticePolytope, face: Face) -> int:
+    """Bitmask of the facets of the parent containing the whole face."""
+    on = sum(1 << i for i in face.vertex_indices)
+    return sum(1 << j for j, verts in enumerate(poly.incidence) if verts & on == on)
 
 
 def ell_star_face(poly: LatticePolytope, face: Face) -> int:
     """Lattice points in the relative interior of a face.
 
     A boundary point lies in the relative interior of a proper face exactly
-    when the facets through it are the facets containing the face.
+    when the facets through it are the facets containing the face; the
+    boundary points are counted by facet mask once per polytope.
     """
     if face.dim == poly.rank:
         return ell_interior(poly)
     if face.dim < 0:
         return 0
-    return _boundary_incidence_counts(poly)[sum(1 << j for j in _face_incidence(poly, face))]
+    if poly._incidence_counts is None:
+        poly._incidence_counts = Counter(boundary_facet_masks(poly))
+    return poly._incidence_counts[_face_incidence(poly, face)]
 
 
 def dual_face(poly: LatticePolytope, face: Face) -> Face:
@@ -605,14 +607,12 @@ def dual_face(poly: LatticePolytope, face: Face) -> Face:
     """
     if not is_reflexive(poly):
         raise NotReflexive("dual_face needs a reflexive polytope")
-    dual = polar_dual(poly)
-    target = tuple(sorted(_face_incidence(poly, face)))
-    for g in face_lattice(dual):
-        if g.vertex_indices == target:
-            if face.dim + g.dim != poly.rank - 1:
-                raise NotReflexive("face duality dimension check failed")
-            return g
-    raise NotReflexive("dual face not found; polytope data inconsistent")
+    image = _face_with_vertices(polar_dual(poly), _face_incidence(poly, face))
+    if image is None:
+        raise NotReflexive("dual face not found; polytope data inconsistent")
+    if face.dim + image.dim != poly.rank - 1:
+        raise NotReflexive("face duality dimension check failed")
+    return image
 
 
 def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:

@@ -127,6 +127,33 @@ def test_isotropic_budget_exit(capsys):
     assert "390625 candidates" in report["payload"]["message"]
 
 
+def test_isotropic_negative_bound_is_an_input_error(capsys):
+    # A negative bound names no box; it was once scanned as an empty one
+    # and reported INCONCLUSIVE.
+    code, report = run_json(capsys, "lattice", "isotropic",
+                            "--gram", "[[2,1],[1,-2]]", "--bound", "-3")
+    assert (code, report["status"], report["payload"]["error"]) == (2, "ERROR", "InputError")
+
+
+@pytest.mark.parametrize("argv,files,error", [
+    (["hodge", "euler", "--diamond", "{d}"],
+     {"d": {"dim": 2, "h": {"0,0": 1, "2,0": 1, "1,1": -5, "2,2": 1}}}, "InvalidDiamond"),
+    (["hodge", "euler", "--diamond", "{d}"], {"d": {"dim": -1}}, "InvalidDiamond"),
+    (["hodge", "lmhs", "--u", "-1", "--v", "2"], {}, "InputError"),
+    (["hodge", "lmhs", "--u", "1", "--v", "-2"], {}, "InputError"),
+], ids=["diamond-entry", "diamond-dim", "lmhs-u", "lmhs-v"])
+def test_negative_hodge_data_is_refused(tmp_path, capsys, argv, files, error):
+    # Hodge numbers, a diamond's dimension and LMHS ranks are never
+    # negative; each of these once passed or failed as an internal error.
+    paths = {}
+    for name, data in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(data, fh)
+    code, report = run_json(capsys, *(a.format(**paths) for a in argv))
+    assert (code, report["status"], report["payload"]["error"]) == (2, "ERROR", error)
+
+
 def test_family_rejects_bad_index(capsys):
     code, report = run_json(capsys, "family", "quartic",
                             "--i", "3", "--j", "1", "--mu", "2,2")

@@ -16,6 +16,15 @@ def test_params_validation():
     assert params.mu == (3, 2, 1)
 
 
+@pytest.mark.parametrize("i,j,mu", [(1.5, 2, [2.7, 1]), (1, 2.5, [2, 1]), (1, 2, [2, 0.5]),
+                                    ("1", 2, [2, 1])])
+def test_params_refuse_non_integers(i, j, mu):
+    # int() would truncate 1.5 to 1 and 2.7 to 2, and read "1" as 1.
+    with pytest.raises(errors.InputError):
+        fam.FamilyParams.of(i, j, mu)
+    assert fam.FamilyParams.of(2.0, 1, [2.0, 1]) == fam.FamilyParams(2, 1, (2, 1))
+
+
 @pytest.mark.parametrize("i,j,mu,w,v", [
     (1, 1, (2,), (89, 1), (1, 89)),
     (4, 4, (1,) * 8, (44, 8), (8, 44)),

@@ -25,6 +25,18 @@ def test_diamond_validation():
     assert quasi.hpq(3, 0) == 0 and not quasi.kaehler
 
 
+def test_negative_hodge_data_is_refused():
+    with pytest.raises(errors.InvalidDiamond, match="negative"):
+        hg.HodgeDiamond(2, {(0, 0): 1, (2, 0): 1, (1, 1): -5, (2, 2): 1})
+    with pytest.raises(errors.InvalidDiamond, match="negative"):
+        hg.HodgeDiamond(-1, {})
+    with pytest.raises(errors.InvalidDiamond, match="negative"):
+        hg.HodgeDiamond.from_json({"dim": -1})
+    for u, v in [(-1, 2), (2, -1)]:
+        with pytest.raises(errors.InputError):
+            hg.lmhs_table(u, v)
+
+
 def test_diamond_json_round_trip():
     d = hg.quasi_fano_threefold_diamond(2, 39)
     assert hg.HodgeDiamond.from_json(d.to_json()) == d

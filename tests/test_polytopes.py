@@ -10,6 +10,7 @@ import json
 import random
 from fractions import Fraction
 from math import comb, gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -250,8 +251,8 @@ def test_hull_matches_facet_oracle_random(points):
     assert poly.vertices == naive_vertices(points)
     assert all(poly.contains(p) for p in points)
     assert poly.incidence == tuple(
-        frozenset(i for i, v in enumerate(poly.vertices)
-                  if sum(a * b for a, b in zip(n, v)) + c == 0)
+        sum(1 << i for i, v in enumerate(poly.vertices)
+            if sum(a * b for a, b in zip(n, v)) + c == 0)
         for n, c in poly.facets)
     assert poly.slacks == tuple(tuple(sum(a * b for a, b in zip(n, v)) + c for v in poly.vertices)
                                 for n, c in poly.facets)
@@ -429,7 +430,7 @@ def test_polar_vertices_are_facet_normals_in_order(fixture, request):
     dual = pt.polar_dual(poly)
     assert dual.vertices == tuple(n for n, _ in poly.facets)
     assert dual.incidence == tuple(
-        frozenset(j for j, on in enumerate(poly.incidence) if i in on)
+        sum(1 << j for j, on in enumerate(poly.incidence) if on >> i & 1)
         for i in range(len(poly.vertices)))
 
 
@@ -615,7 +616,7 @@ def check_projections(poly):
     subset oracle of the projected vertices; each mask holds the projected
     vertices on its facet."""
     vertices = poly.vertices
-    facets = [(n, c, sum(1 << i for i in on)) for (n, c), on in zip(poly.facets, poly.incidence)]
+    facets = [(n, c, on) for (n, c), on in zip(poly.facets, poly.incidence)]
     for k in range(poly.rank, 2, -1):
         facets = pt._project(facets, k)
         points = [v[:k - 1] for v in vertices]
@@ -789,6 +790,38 @@ def test_faces_read_the_incidence_table(points, monkeypatch):
             if all(sum(a * b for a, b in zip(u, v)) == -1 for v in face.vertices)}
 
 
+def check_face_dimensions(poly):
+    """face_lattice takes no rank; each face's dimension, read off the
+    lattice, is the affine rank of its vertices, the faces come graded, and
+    their alternating count is 0 (Euler-Poincare, with the empty face)."""
+    def refuse(*args):
+        raise AssertionError("face_lattice took a rank")
+
+    with mock.patch.object(pt, "mat_rank", refuse):
+        faces = pt.face_lattice(poly)
+    for face in faces:
+        assert face.dim == pt.affine_rank(face.vertices)
+    keys = [(face.dim, face.vertex_indices) for face in faces]
+    assert keys == sorted(set(keys))
+    assert (faces[0].dim, faces[-1].dim) == (-1, poly.rank)
+    assert sum((-1) ** face.dim for face in faces) == 0
+
+
+@settings(max_examples=240, deadline=None)
+@given(hull_inputs())
+@example(ALL_FIXTURE_POINTS[0])
+@example([p for p in itertools.product((-1, 0, 1), repeat=4) if sum(map(abs, p)) == 1])
+@example([p for p in itertools.product((-1, 0, 1), repeat=5) if sum(map(abs, p)) == 1])
+def test_face_dimensions_match_affine_rank(points):
+    try:
+        poly = pt.hull(points)
+    except errors.NotFullDimensional:
+        return
+    check_face_dimensions(poly)
+    if pt.is_reflexive(poly):
+        check_face_dimensions(pt.polar_dual(poly))
+
+
 @pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
 def test_cross_check_reads_the_slack_table(points, monkeypatch):
     # _cross_check takes no inner product: it reads the facet x vertex rows
@@ -803,7 +836,7 @@ def test_cross_check_reads_the_slack_table(points, monkeypatch):
     assert calls == []
     row = slacks[0]
     outside = [-1 if s > 0 else s for s in row]
-    tight = sorted(poly.incidence[0])[:d - 1]
+    tight = [i for i in range(len(row)) if poly.incidence[0] >> i & 1][:d - 1]
     few = [0 if i in tight else 1 for i in range(len(row))]
     everywhere = [0] * len(row)
     for bad, message in [(outside, "vertex outside facet"),
@@ -994,9 +1027,11 @@ def test_smallest_face_reads_the_sweep(points):
     # The face of every lattice point is cut out by the facets through it.
     poly = pt.hull(points)
     for p in pt.lattice_points(poly):
-        on = set(range(len(poly.vertices))).intersection(
-            *(poly.incidence[j] for j in facet_incidence(poly, p)))
-        assert pt.smallest_face_containing(poly, p).vertex_indices == tuple(sorted(on))
+        on = (1 << len(poly.vertices)) - 1
+        for j in facet_incidence(poly, p):
+            on &= poly.incidence[j]
+        assert pt.smallest_face_containing(poly, p).vertex_indices == tuple(
+            i for i in range(len(poly.vertices)) if on >> i & 1)
     outside = tuple(max(v[k] for v in poly.vertices) + 1 for k in range(poly.rank))
     with pytest.raises(errors.EmptyInput):
         pt.smallest_face_containing(poly, outside)
