@@ -31,7 +31,7 @@ from . import nef
 from . import polytopes as pt
 from .errors import InputError, MirrorcheckError
 from .fixtures import fixture_names, load_fixture
-from .intlinalg import as_int, as_int_rows, as_int_vector
+from .intlinalg import as_int, as_int_rows, as_int_vector, strict_int
 
 PASS, FAIL, INCONCLUSIVE, ERROR = "PASS", "FAIL", "INCONCLUSIVE", "ERROR"
 
@@ -460,7 +460,7 @@ def _cmd_hodge_conj318(inp: _Inputs):
 
 def _cmd_family_quartic(inp: _Inputs):
     try:
-        mu = [int(x) for x in inp.args.mu.split(",") if x != ""]
+        mu = [strict_int(x) for x in inp.args.mu.split(",") if x != ""]
     except ValueError:
         raise InputError(f"--mu must list integers, got {inp.args.mu!r}") from None
     params = fam.FamilyParams.of(inp.args.i, inp.args.j, mu)
@@ -556,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub(g, "isotropic", _cmd_lattice_isotropic, help="bounded isotropic vector search")
     p.add_argument("--spec", metavar="SPEC")
     p.add_argument("--gram", metavar="JSON")
-    p.add_argument("--bound", type=int, default=10)
+    p.add_argument("--bound", type=strict_int, default=10)
     p = sub(g, "match", _cmd_lattice_match, help="invariant comparison of two lattices")
     p.add_argument("--a", metavar="SPEC", required=True)
     p.add_argument("--b", metavar="SPEC", required=True)
@@ -572,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tyurin", metavar="FILE")
     p = sub(g, "glue", _cmd_hodge_glue, help="Euler gluing check")
     p.add_argument("--tyurin", metavar="FILE")
-    p.add_argument("--w-chi", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--w-chi", type=strict_int, default=None)
+    p.add_argument("--dim", type=strict_int, default=None)
     p = sub(g, "lg-ranks", _cmd_hodge_lg_ranks, help="relative cohomology ranks")
     p.add_argument("--diamond", metavar="FILE")
     p = sub(g, "picard", _cmd_hodge_picard, help="Picard count from a fibration")
@@ -582,8 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fibration", metavar="FILE")
     p.add_argument("--degeneration", metavar="FILE")
     p = sub(g, "lmhs", _cmd_hodge_lmhs, help="limit mixed Hodge structure table")
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
+    p.add_argument("--u", type=strict_int, required=True)
+    p.add_argument("--v", type=strict_int, required=True)
     p.add_argument("--mirror", metavar="FILE", help="table to compare against")
     p = sub(g, "conj318", _cmd_hodge_conj318, help="fibre-count conjecture report")
     p.add_argument("--data", metavar="FILE")
@@ -591,8 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = top.add_parser("family", help="mirror-quartic threefold family").add_subparsers(
         dest="command", required=True)
     p = sub(g, "quartic", _cmd_family_quartic, help="consistency report for one member")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--i", type=strict_int, required=True)
+    p.add_argument("--j", type=strict_int, required=True)
     p.add_argument("--mu", required=True, metavar="X1,X2,...")
     p = sub(g, "sweep", _cmd_family_sweep, help="exhaustive parameter sweep")
 

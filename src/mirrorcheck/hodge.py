@@ -21,13 +21,14 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
+    BudgetExceeded,
     DimensionMismatch,
     InputError,
     InvalidDiamond,
     ShapeMismatch,
     UnknownType,
 )
-from .intlinalg import as_int
+from .intlinalg import as_int, strict_int
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,18 @@ def _fail(name: str, detail: str = "") -> Verdict:
     return Verdict(name, "FAIL", detail)
 
 
+# Largest diamond dimension taken: the grid and the checks on it grow as
+# (d+1)^2, and the varieties here have dimension 3 or less.
+MAX_DIAMOND_DIM = 64
+
+_FLAGS = {"kaehler": True, "quasifano": False}
+
+
 class HodgeDiamond:
     """The h^{p,q} table of a compact complex manifold.
 
-    Entries are stored as a full (d+1) x (d+1) grid.  Hodge symmetry
+    Entries are stored as a full (d+1) x (d+1) grid, for d up to
+    ``MAX_DIAMOND_DIM``.  Hodge symmetry
     h^{p,q} = h^{q,p} is always enforced; Serre duality
     h^{p,q} = h^{d-p,d-q} only for diamonds flagged as Kaehler.  Quasi-Fano
     inputs carry h^{d,0} = 0 and are flagged so the Calabi-Yau constraints
@@ -68,6 +77,9 @@ class HodgeDiamond:
                  kaehler: bool = True):
         if dim < 0:
             raise InvalidDiamond(f"dimension {dim} is negative")
+        if dim > MAX_DIAMOND_DIM:
+            raise BudgetExceeded(
+                f"diamond dimension {dim} exceeds the limit of {MAX_DIAMOND_DIM}")
         grid = [[0] * (dim + 1) for _ in range(dim + 1)]
         for (p, q), v in entries.items():
             if not (0 <= p <= dim and 0 <= q <= dim):
@@ -126,11 +138,15 @@ class HodgeDiamond:
         entries = {}
         for key, v in h.items():
             try:
-                p, q = map(int, key.split(","))
+                p, q = map(strict_int, key.split(","))
             except ValueError:
                 raise InputError(f"diamond key {key!r} is not of the form 'p,q'") from None
             entries[(p, q)] = as_int(v)
-        kaehler = "quasifano" not in flags
+        kinds = {_FLAGS.get(f) if isinstance(f, str) else None for f in flags}
+        if None in kinds or len(kinds) > 1:
+            raise InputError(f"diamond flags {flags!r}: give 'kaehler' or 'quasifano', "
+                             "not both and nothing else")
+        kaehler = kinds.pop() if kinds else True
         return HodgeDiamond(as_int(data["dim"]), entries, kaehler)
 
 
@@ -281,9 +297,9 @@ def ell_plus_k_check(ell: int, k: int) -> Verdict:
 
 _KODAIRA_FIXED = {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}
 _THREEFOLD_FIXED = {"I0": 1, "I_odp": 1, "II_3f": 11, "IV_3f": 31}
-_IN_RE = re.compile(r"^I(\d+)$")
-_INSTAR_RE = re.compile(r"^I(\d+)\*$")
-_IDELTA_RE = re.compile(r"^I(\d+)\^Delta$")
+_IN_RE = re.compile(r"I([0-9]+)")
+_INSTAR_RE = re.compile(r"I([0-9]+)\*")
+_IDELTA_RE = re.compile(r"I([0-9]+)\^Delta")
 
 
 def fibre_components(tag: str) -> int:
@@ -297,13 +313,13 @@ def fibre_components(tag: str) -> int:
         return _THREEFOLD_FIXED[tag]
     if tag in _KODAIRA_FIXED:
         return _KODAIRA_FIXED[tag]
-    m = _IN_RE.match(tag)
+    m = _IN_RE.fullmatch(tag)
     if m and int(m.group(1)) >= 1:
         return int(m.group(1))
-    m = _INSTAR_RE.match(tag)
+    m = _INSTAR_RE.fullmatch(tag)
     if m:
         return int(m.group(1)) + 5
-    m = _IDELTA_RE.match(tag)
+    m = _IDELTA_RE.fullmatch(tag)
     if m and int(m.group(1)) >= 1:
         return 2 * int(m.group(1)) ** 2 + 2
     raise UnknownType(f"unknown fibre type {tag!r}")

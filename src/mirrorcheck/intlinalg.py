@@ -10,11 +10,13 @@ only rationals are the solution coordinates of ``solve_exact``, one
 built on it use unimodular row and column operations.  ``as_int`` is the
 one checked conversion of input values (JSON numbers) to ints;
 ``as_int_vector`` and ``as_int_rows`` apply it to input lists and lists of
-lists, and refuse any other shape.
+lists, and refuse any other shape.  ``strict_int`` reads the integers
+written in strings: flags, lattice specs and diamond keys.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -57,6 +59,20 @@ def as_int(x) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise InputError(f"non-integer value {x!r}")
+
+
+_INT_STRING = re.compile(r"[+-]?[0-9]+")
+
+
+def strict_int(s: str) -> int:
+    """The integer a string spells as an optional sign and ASCII digits,
+    surrounding whitespace aside; anything else raises ValueError, which
+    argparse reports as an invalid flag value.  ``int`` would also read
+    ``_`` separators and non-ASCII digits, so that ``"1_0"`` read 10."""
+    t = s.strip()
+    if not _INT_STRING.fullmatch(t):
+        raise ValueError(f"not an integer: {s!r}")
+    return int(t)
 
 
 def as_int_vector(v) -> tuple[int, ...]:

@@ -134,11 +134,11 @@ def standard_lattice(spec) -> QuadLattice:
             return k3_lattice()
         if s.startswith("<") and s.endswith(">"):
             try:
-                n = int(s[1:-1])
+                n = la.strict_int(s[1:-1])
             except ValueError:
                 raise InputError(f"lattice spec {spec!r} needs an integer in <n>") from None
             return rank_one(n)
-        raise OddDiagonal(f"unknown lattice spec {spec!r}")
+        raise InputError(f"unknown lattice spec {spec!r}")
     return from_gram(spec)
 
 

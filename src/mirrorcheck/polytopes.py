@@ -4,29 +4,33 @@ Polytopes are stored in canonical form: sorted vertex tuples, the sorted
 facets ``<normal, x> >= -offset`` with primitive integer normals, the
 facet x vertex slack table, and the incidence table, one bitmask of the
 vertices on each facet (PALP's ``INCI``, Kreuzer-Skarke 2004).  ``hull``
-reads the vertices and the masks off one facet x point slack table and
-cross-checks both against it; the polar of a reflexive polytope is the
-transposed tables.  Everything else reads the masks, with no inner
-product and no rank: the face lattice is their closure under AND, with
-each face's dimension read off the lattice; dual and smallest faces are
-one lookup by vertex mask; the projections that lattice-point
-enumeration needs AND the masks of the two facets at a ridge.  ``hull``
-runs only on point sets nobody has described yet.  All arithmetic is
-exact and, apart from the Caratheodory membership test, integral.
+reads the vertices off its facets' point masks and cross-checks both
+descriptions against their slack table; the polar of a reflexive
+polytope is the transposed tables.  Everything else reads the masks,
+with no inner product and no rank: the face lattice is their closure
+under AND, with each face's dimension read off the lattice; dual and
+smallest faces are one lookup by vertex mask; the projections that
+lattice-point enumeration needs AND the masks of the two facets at a
+ridge.  ``hull`` runs only on point sets nobody has described yet.  All
+arithmetic is exact and, apart from the Caratheodory membership test,
+integral.
 
-The hull is an incremental beneath-beyond construction on a triangulated
-boundary whose coplanar simplices are merged into facets at the end; only
-the planes of the starting simplex are solved for, every later plane being
-a combination of the two planes at a horizon ridge (Edelsbrunner,
-Algorithms in Combinatorial Geometry, 8.4).  Lattice points are enumerated
-by project-and-lift (as in PALP), in time proportional to the points
-found; each projection's facets come from the same rotation at the ridges
-of the level above (Fourier-Motzkin with Chernikov's adjacency rule).
+The hull and the projections take one step: a facet list with point
+masks meets a sign per facet, the facets of sign >= 0 stay, and each pair
+of facets across the sign change that meets in a ridge, found from the
+masks alone, is rotated into one new facet (``_combine``).  ``hull`` signs
+the facets by their slack at a new point (the double-description method,
+Motzkin et al. 1953, Fukuda-Prodon 1996), so only the planes of the
+starting simplex are solved for.  Lattice points are enumerated by
+project-and-lift (as in PALP), in time proportional to the points found;
+each projection signs the facets of the level above by their last normal
+entry (Fourier-Motzkin elimination with Chernikov's adjacency rule).
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from bisect import bisect_left
 from collections import Counter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -85,13 +89,40 @@ def _rotate(n1: Vec, c1: int, s1: int, n2: Vec, c2: int, s2: int) -> Facet:
     return tuple(x // g for x in normal), (s2 * c1 - s1 * c2) // g
 
 
-def _ridges(simplex: int) -> Iterator[int]:
-    """The bitmasks of a simplex's ridges: its own bitmask less one bit."""
-    rest = simplex
-    while rest:
-        bit = rest & -rest
-        yield simplex ^ bit
-        rest ^= bit
+def _combine(signed: Sequence[tuple[int, Vec, int, int]],
+             k: int) -> Iterator[tuple[Vec, int, int]]:
+    """The masked step that both ``hull`` and ``_project`` take.
+
+    ``signed`` lists the facets (s, n, c, mask) of a k-polytope, each with a
+    sign value s and the bitmask of the points on it, from a point set that
+    holds every vertex.  Yields ``_rotate``'s plane (n, c) and the AND of
+    the two masks for each pair of facets with s1 < 0 < s2 that meet in a
+    ridge.  Two facets meet in a ridge iff the AND of their masks holds at
+    least k-1 points and no third facet's mask holds it, since the empty
+    face and every face of dimension k-3 or less lie on at least three
+    facets (Chernikov's adjacency rule).  Every facet through a ridge of a
+    facet F with s < 0 shares at least k-1 points with F, and so with the
+    union of those facets' masks: the facets that share that many with the
+    union are kept, and of those, the ones that share that many with F
+    are paired with F and scanned for a third facet.
+    """
+    below = 0
+    for s, _, _, mask in signed:
+        if s < 0:
+            below |= mask
+    near = [f for f in signed if (f[3] & below).bit_count() >= k - 1]
+    for s1, n1, c1, m1 in near:
+        if s1 >= 0:
+            continue
+        around = [f for f in near if (f[3] & m1).bit_count() >= k - 1]
+        masks = [f[3] for f in around]
+        for s2, n2, c2, m2 in around:
+            if s2 <= 0:
+                continue
+            ridge = m1 & m2
+            if sum(ridge & m == ridge for m in masks) > 2:
+                continue
+            yield *_rotate(n1, c1, s1, n2, c2, s2), ridge
 
 
 def affine_rank(points: Sequence[Vec]) -> int:
@@ -116,10 +147,14 @@ def _affinely_independent_subset(points: Sequence[Vec], d: int) -> Optional[list
 class LatticePolytope:
     """A full-dimensional lattice polytope in canonical form; ``incidence[j]``
     is the bitmask of the vertices on facet j (bit i for vertex i), and
-    ``slacks[j][i]`` the slack <n_j, v_i> + c_j of facet j at vertex i."""
+    ``slacks[j][i]`` the slack <n_j, v_i> + c_j of facet j at vertex i.
+
+    The caches hold no reference back to the polytope, so that it is freed
+    by reference counting, not left to the cycle collector."""
 
     __slots__ = ("rank", "vertices", "facets", "incidence", "slacks", "_points",
-                 "_boundary_facets", "_faces", "_polar", "_incidence_counts")
+                 "_boundary_facets", "_faces", "_polar", "_polar_of", "_incidence_counts",
+                 "__weakref__")
 
     def __init__(self, rank: int, vertices: tuple[Vec, ...], facets: tuple[Facet, ...],
                  incidence: tuple[int, ...], slacks: tuple[tuple[int, ...], ...]):
@@ -130,8 +165,9 @@ class LatticePolytope:
         self.slacks = slacks
         self._points: dict[str, tuple[Vec, ...]] = {}
         self._boundary_facets: Optional[tuple[int, ...]] = None
-        self._faces: Optional[dict[int, "Face"]] = None
+        self._faces: Optional[dict[int, tuple[int, tuple[int, ...]]]] = None
         self._polar: Optional["LatticePolytope"] = None
+        self._polar_of: Optional[weakref.ref] = None
         self._incidence_counts: Optional[Counter[int]] = None
 
     def __eq__(self, other) -> bool:
@@ -192,19 +228,22 @@ class Face:
 def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     """Convex hull of integer points; vertices minimal, facets primitive.
 
-    The input must be full-dimensional in its ambient space.  Beneath-beyond
-    over the points in sorted order, on a triangulated boundary whose ridges
-    (bitmasks of d-1 points) each map to the two simplices through them.  A
-    point p sees the simplices with negative slack at it.
-    At each horizon ridge the visible simplex H1 (slack s1 < 0) meets a
-    neighbour H2 that p does not see (slack s2 >= 0); the new simplex, the
-    ridge and p, lies on the plane s2*H1 - s1*H2, which vanishes on the ridge
-    and at p and is positive inside, and whose normal only needs dividing
-    by its gcd.  So only the d+1 planes of the starting simplex are solved
-    for.  A point is a vertex iff no other input point lies on every facet
-    tight at it: otherwise the face those facets cut out holds both.  One
-    facet x point slack table, one inner product per entry, serves that
-    vertex test and the cross-check of the vertex and facet descriptions.
+    The input must be full-dimensional in its ambient space.  Double
+    description over the points in sorted order: the state is the facet
+    list of the hull of the points taken so far, each facet (n, c, mask)
+    with the bitmask of those points on it, starting from the d+1 planes of
+    an affinely independent subset.  A point p with positive slack at every
+    facet is inside and skipped.  Otherwise the facets with slack >= 0 stay,
+    those with slack 0 gaining p's bit; the facets with slack < 0 go; and
+    each pair H1, H2 with slacks s1 < 0 < s2 that meets in a ridge gives the
+    plane s2*H1 - s1*H2 through the ridge and p (``_combine``).  Its mask is
+    the AND of the two masks and p's bit, and is exact: an earlier point q
+    has H1(q), H2(q) >= 0, so the new plane vanishes at q iff both do.  So
+    only the d+1 starting planes are solved for, and each facet comes out
+    once.  A point is a vertex iff no other input point lies on every facet
+    through it, read off the final masks: otherwise the face those facets
+    cut out holds both.  The vertex x facet slack table serves the
+    cross-check of the vertex and facet descriptions.
     """
     try:
         pts = sorted({tuple(map(as_int, p)) for p in points})
@@ -221,75 +260,44 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     if simplex is None:
         raise NotFullDimensional(f"affine span has dimension below {d}")
 
-    # Triangulated boundary: simplex id -> (bitmask of its d points, n, c),
-    # and each ridge's bitmask -> the ids of the simplices through it.
-    simplices: dict[int, tuple[int, Vec, int]] = {}
-    ridges: dict[int, list[int]] = {}
-    ids = itertools.count()
-
-    def add(verts: int, n: Vec, c: int) -> None:
-        s = next(ids)
-        simplices[s] = (verts, n, c)
-        for ridge in _ridges(verts):
-            ridges.setdefault(ridge, []).append(s)
-
     # Interior reference point (d+1) * centroid of the starting simplex, which
     # is integral; a facet keeps it on its inner side when <n, ref> + (d+1)c > 0.
     ref = [sum(pts[i][k] for i in simplex) for k in range(d)]
+    # facets: (n, c, bitmask of the points processed so far that lie on it).
+    facets = []
     for omit in simplex:
         plane_idx = [i for i in simplex if i != omit]
         n, c = _plane_through([pts[i] for i in plane_idx])
         if dot(n, ref) + (d + 1) * c < 0:
             n, c = tuple(-x for x in n), -c
-        add(sum(1 << i for i in plane_idx), n, c)
+        facets.append((n, c, sum(1 << i for i in plane_idx)))
 
-    for i in range(len(pts)):
-        if i in simplex:
+    start = set(simplex)
+    for i, p in enumerate(pts):
+        if i in start:
             continue
-        p = pts[i]
-        slack = {s: dot(n, p) + c for s, (_, n, c) in simplices.items()}
-        visible = [s for s, v in slack.items() if v < 0]
-        new = []
-        for s in visible:
-            verts, n1, c1 = simplices[s]
-            s1 = slack[s]
-            for ridge in _ridges(verts):
-                a, b = ridges[ridge]
-                other = b if a == s else a
-                s2 = slack[other]
-                if s2 >= 0:
-                    _, n2, c2 = simplices[other]
-                    new.append((ridge | 1 << i, *_rotate(n1, c1, s1, n2, c2, s2)))
-        for s in visible:
-            verts = simplices.pop(s)[0]
-            for ridge in _ridges(verts):
-                through = ridges[ridge]
-                through.remove(s)
-                if not through:
-                    del ridges[ridge]
-        for verts, n, c in new:
-            add(verts, n, c)
+        signed = [(dot(n, p) + c, n, c, mask) for n, c, mask in facets]
+        if all(s > 0 for s, _, _, _ in signed):
+            continue  # inside: on no facet, now or later
+        bit = 1 << i
+        facets = [(n, c, mask | bit if s == 0 else mask) for s, n, c, mask in signed if s >= 0]
+        facets += [(n, c, ridge | bit) for n, c, ridge in _combine(signed, d)]
+    facets.sort()
 
-    facets = tuple(sorted({(n, c) for _, n, c in simplices.values()}))
-
-    # slacks[j][k]: the slack of facet j at point k, the one table that both
-    # the vertex test and the cross-check read.
-    slacks = [[dot(n, p) + c for p in pts] for n, c in facets]
-    # on_facet[j]: bit k set iff point k lies on facet j.
-    on_facet = [sum(1 << k for k, s in enumerate(row) if s == 0) for row in slacks]
     everything = (1 << len(pts)) - 1
     keep = []
     for k in range(len(pts)):
         face = everything
-        for points_on in on_facet:
-            if points_on >> k & 1:
-                face &= points_on
+        for _, _, mask in facets:
+            if mask >> k & 1:
+                face &= mask
         if face == 1 << k:
             keep.append(k)
     vertices = [pts[k] for k in keep]
-    table = tuple(tuple(row[k] for k in keep) for row in slacks)
+    table = tuple(tuple(dot(n, v) + c for v in vertices) for n, c, _ in facets)
     incidence = _cross_check(d, vertices, table)
-    return LatticePolytope(d, tuple(vertices), facets, incidence, table)
+    return LatticePolytope(d, tuple(vertices), tuple((n, c) for n, c, _ in facets),
+                           incidence, table)
 
 
 def _cross_check(d: int, vertices: Sequence[Vec],
@@ -323,12 +331,17 @@ def polar_dual(poly: LatticePolytope) -> LatticePolytope:
     vertex j is <n_j, v_i> + 1, the slack of facet j of P at vertex i, so
     the polar's slack table is P's transposed, and ``_cross_check`` reads
     its incidence masks off that after checking it.  The polar is cached
-    on both polytopes, so ``polar_dual(polar_dual(P)) is P`` and repeated
-    calls share its cached points and faces; a failed check caches
-    nothing, so a non-reflexive input raises on every call.
+    on P, and P on the polar by a weak reference, so while P lives
+    ``polar_dual(polar_dual(P)) is P`` and repeated calls share its cached
+    points and faces, and the pair is no reference cycle; a failed check
+    caches nothing, so a non-reflexive input raises on every call.
     """
     if poly._polar is not None:
         return poly._polar
+    if poly._polar_of is not None:
+        primal = poly._polar_of()
+        if primal is not None:
+            return primal
     offsets = [c for _, c in poly.facets]
     if any(c <= 0 for c in offsets):
         raise OriginNotInterior("origin is not an interior point")
@@ -340,7 +353,7 @@ def polar_dual(poly: LatticePolytope) -> LatticePolytope:
     dual = LatticePolytope(poly.rank, vertices, tuple((v, 1) for v in poly.vertices),
                            incidence, slacks)
     poly._polar = dual
-    dual._polar = poly
+    dual._polar_of = weakref.ref(poly)
     return dual
 
 
@@ -416,27 +429,16 @@ def _project(facets: list[tuple[Vec, int, int]], k: int) -> list[tuple[Vec, int,
     bitmask of the points on the facet, from a point set that holds every
     vertex of Q; the points of the projection are those points projected.
     The facets of the projection are Q's vertical facets (last normal entry
-    0) with that entry dropped, and one per ridge F+ & F- of Q whose two
-    facets have last entries a+ > 0 > a-: (-a-)*F+ + a+*F-, which is
-    ``_rotate`` with the last entries in place of slacks and eliminates the
-    last coordinate (Fourier-Motzkin).  Two facets meet in a ridge iff no
-    third facet's mask holds the AND of theirs, since the empty face and
-    every face of dimension k-3 or less lie on at least three facets
-    (Chernikov's adjacency rule); a ridge also holds at least k-1 points.
-    The points on a rotated facet are those on both of its facets, so its
-    mask is the AND, and the result comes out in the same form, sorted.
+    0) with that entry dropped, and ``_combine``'s rotation at each ridge of
+    Q whose two facets have last entries a- < 0 < a+, taken with the last
+    entries as the signs, which eliminates the last coordinate
+    (Fourier-Motzkin).  The points on a rotated facet are those on both of
+    its facets, so its mask is the AND, and the result comes out in the
+    same form, sorted.
     """
     out = [(n[:-1], c, mask) for n, c, mask in facets if not n[-1]]
-    masks = [mask for _, _, mask in facets]
-    ups = [f for f in facets if f[0][-1] > 0]
-    downs = [f for f in facets if f[0][-1] < 0]
-    for n1, c1, m1 in downs:
-        for n2, c2, m2 in ups:
-            ridge = m1 & m2
-            if ridge.bit_count() < k - 1 or sum(ridge & m == ridge for m in masks) > 2:
-                continue
-            n, c = _rotate(n1, c1, n1[-1], n2, c2, n2[-1])
-            out.append((n[:-1], c, ridge))
+    out += [(n[:-1], c, ridge) for n, c, ridge in
+            _combine([(n[-1], n, c, mask) for n, c, mask in facets], k)]
     out.sort()
     return out
 
@@ -498,6 +500,7 @@ def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
                 interior.append(p)
 
     lift(0, (), [(a, c) for _, a, c in first], 0)
+    lift = None  # the closure refers to itself: break that cycle
     return tuple(everything), tuple(boundary), tuple(interior), tuple(masks)
 
 
@@ -521,8 +524,9 @@ def face_lattice(poly: LatticePolytope) -> tuple[Face, ...]:
     facet f.  Each facet of F is such an F & f with f not containing F, a
     proper subset and so a smaller int, so taking masks in increasing order,
     dim(F) = 1 + max dim(F & f) over those f; the empty face, with none,
-    has dim -1.  No rank is taken.  The faces are cached by vertex bitmask,
-    in graded order, for ``_face_with_vertices``.
+    has dim -1.  No rank is taken.  Each face's dim and vertex indices are
+    cached by vertex bitmask, in graded order, for ``_face_with_vertices``;
+    the ``Face`` objects, which point back to P, are built per call.
     """
     if poly._faces is None:
         incidence = poly.incidence
@@ -539,15 +543,16 @@ def face_lattice(poly: LatticePolytope) -> tuple[Face, ...]:
             dims[face] = 1 + max(below) if below else -1
         graded = sorted((dim, tuple(i for i in range(n) if face >> i & 1), face)
                         for face, dim in dims.items())
-        poly._faces = {face: Face(poly, dim, idx) for dim, idx, face in graded}
-    return tuple(poly._faces.values())
+        poly._faces = {face: (dim, idx) for dim, idx, face in graded}
+    return tuple(Face(poly, dim, idx) for dim, idx in poly._faces.values())
 
 
 def _face_with_vertices(poly: LatticePolytope, mask: int) -> Optional[Face]:
     """The face of P with vertex bitmask ``mask``, by one lookup, or None."""
     if poly._faces is None:
         face_lattice(poly)
-    return poly._faces.get(mask)
+    found = poly._faces.get(mask)
+    return None if found is None else Face(poly, *found)
 
 
 def smallest_face_containing(poly: LatticePolytope, point: Sequence[int]) -> Face:

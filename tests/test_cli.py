@@ -4,10 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from mirrorcheck import cli, nef, polytopes as pt
+from mirrorcheck import cli, hodge as hg, nef, polytopes as pt
 from mirrorcheck.cli import main
 from mirrorcheck.fixtures import load_fixture
 from mirrorcheck.intlinalg import mat_vec
@@ -154,6 +155,59 @@ def test_negative_hodge_data_is_refused(tmp_path, capsys, argv, files, error):
     assert (code, report["status"], report["payload"]["error"]) == (2, "ERROR", error)
 
 
+def test_diamond_dimension_is_bounded(tmp_path, capsys):
+    # A 50-byte diamond once asked for a 3001 x 3001 grid: 4.5 s and 154 MB
+    # for `hodge euler`, and `hodge lg-ranks` grew the same way.
+    path = tmp_path / "diamond.json"
+    path.write_text(json.dumps({"dim": 3000, "h": {"0,0": 1, "3000,3000": 1}}))
+    for command in ("euler", "lg-ranks"):
+        start = time.perf_counter()
+        code, report = run_json(capsys, "hodge", command, "--diamond", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert (code, report["status"]) == (2, "ERROR")
+        assert report["payload"] == {
+            "error": "BudgetExceeded",
+            "message": f"diamond dimension 3000 exceeds the limit of {hg.MAX_DIAMOND_DIM}"}
+
+
+def test_unknown_lattice_spec_is_an_input_error(capsys):
+    # It was once reported as OddDiagonal.
+    code, report = run_json(capsys, "lattice", "sum", "--spec", "foo")
+    assert code == 2
+    assert report["payload"] == {"error": "InputError", "message": "unknown lattice spec 'foo'"}
+
+
+INTEGER_FLAGS = [
+    ["lattice", "isotropic", "--gram", "[[2,1],[1,-2]]", "--bound", "{}"],
+    ["hodge", "glue", "--fixture", "tyurin-quartic", "--w-chi", "{}"],
+    ["hodge", "glue", "--fixture", "tyurin-quartic", "--dim", "{}"],
+    ["hodge", "lmhs", "--u", "{}", "--v", "2"],
+    ["hodge", "lmhs", "--u", "2", "--v", "{}"],
+    ["family", "quartic", "--i", "{}", "--j", "2", "--mu", "2,2"],
+    ["family", "quartic", "--i", "2", "--j", "{}", "--mu", "2,2"],
+]
+INTEGER_FLAG_IDS = ["bound", "w-chi", "dim", "u", "v", "i", "j"]
+
+
+# int() reads "1_0" as 10 and the Arabic-Indic digit as 3.
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "x"])
+@pytest.mark.parametrize("argv", INTEGER_FLAGS, ids=INTEGER_FLAG_IDS)
+def test_integer_flags_take_ascii_digits_only(capsys, argv, value):
+    code = main([a.format(value) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "invalid strict_int value" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", INTEGER_FLAGS, ids=INTEGER_FLAG_IDS)
+def test_integer_flags_take_sign_and_spaces(capsys, argv):
+    plain = run(capsys, *(a.format("2") for a in argv))
+    assert run(capsys, *(a.format(" +2 ") for a in argv)) == plain
+    assert plain[0] in (0, 1)
+
+
 def test_family_rejects_bad_index(capsys):
     code, report = run_json(capsys, "family", "quartic",
                             "--i", "3", "--j", "1", "--mu", "2,2")
@@ -241,10 +295,21 @@ K3_BASIS_HALF = {"image_basis": [[0.5] + [0] * 21]}
     (["lattice", "mirror", "--spec", "<4>", "--f", "5"], {}),
     (["hodge", "picard", "--fibration", "{f}"], {"f": {"fibres": [{"type": "I", "n": "3"}]}}),
     (["hodge", "picard", "--fibration", "{f}"], {"f": {"fibres": [{"type": "I*", "n": 1.5}]}}),
+    (["hodge", "euler", "--diamond", "{d}"], {"d": {"dim": 11, "h": {"0,0": 1, "1_1,0": 1}}}),
+    (["family", "quartic", "--i", "1", "--j", "1", "--mu", "3,2,1_0"], {}),
+    (["lattice", "invariants", "--spec", "<1_0>"], {}),
+    (["lattice", "invariants", "--spec", "<\u0664>"], {}),
+    (["hodge", "euler", "--diamond", "{d}"],
+     {"d": {"dim": 1, "h": {"0,0": 1, "1,1": 1}, "flags": ["kaehlr"]}}),
+    (["hodge", "euler", "--diamond", "{d}"],
+     {"d": {"dim": 1, "h": {"0,0": 1, "1,1": 1}, "flags": ["kaehler", "quasifano"]}}),
+    (["lattice", "sum", "--spec", "foo"], {}),
 ], ids=["gram", "gram-infinity", "image-basis", "f", "embedding-file", "partition",
         "polytope-rank", "diamond-entry", "diamond-key", "fibration-ell", "tyurin-dim",
         "mu", "spec", "spec-sum", "gram-number", "gram-row-number", "image-basis-number",
-        "f-number", "fibre-n-string", "fibre-n-fraction"])
+        "f-number", "fibre-n-string", "fibre-n-fraction", "diamond-key-underscore",
+        "mu-underscore", "spec-underscore", "spec-arabic-indic", "diamond-flag-unknown",
+        "diamond-flags-both", "spec-unknown"])
 def test_non_integral_value_is_an_input_error(tmp_path, capsys, argv, files):
     # Each value would once have been truncated (or failed as an internal
     # error); it is now refused before any work is done.

@@ -37,6 +37,41 @@ def test_negative_hodge_data_is_refused():
             hg.lmhs_table(u, v)
 
 
+def test_diamond_dimension_is_bounded():
+    # The grid and its checks grow as (d+1)^2; a 50-byte input once asked
+    # for a 3001 x 3001 grid.
+    top = hg.MAX_DIAMOND_DIM
+    assert hg.projective_space_diamond(top).dim == top
+    for dim in (top + 1, 3000, 10 ** 12):
+        message = f"dimension {dim} exceeds the limit of {top}"
+        with pytest.raises(errors.BudgetExceeded, match=message):
+            hg.HodgeDiamond(dim, {(0, 0): 1})
+        with pytest.raises(errors.BudgetExceeded):
+            hg.HodgeDiamond.from_json({"dim": dim, "h": {"0,0": 1, f"{dim},{dim}": 1}})
+
+
+@pytest.mark.parametrize("flags,kaehler", [
+    ([], True), (["kaehler"], True), (["quasifano"], False), (["quasifano", "quasifano"], False),
+])
+def test_diamond_flags(flags, kaehler):
+    data = {"dim": 1, "h": {"0,0": 1, "1,1": 1}, "flags": flags}
+    assert hg.HodgeDiamond.from_json(data).kaehler is kaehler
+
+
+# An unknown flag was once read as Kaehler, and both flags as quasi-Fano.
+@pytest.mark.parametrize("flags", [["kaehlr"], ["kaehler", "quasifano"], [1], [["kaehler"]]])
+def test_diamond_flags_are_checked(flags):
+    with pytest.raises(errors.InputError, match="flags"):
+        hg.HodgeDiamond.from_json({"dim": 1, "h": {"0,0": 1, "1,1": 1}, "flags": flags})
+
+
+# int() would read "1_1" as 11 and the Arabic-Indic digit as 1.
+@pytest.mark.parametrize("key", ["1_1,0", "\u0661,1", "1,1,1", "1"])
+def test_diamond_keys_are_strict(key):
+    with pytest.raises(errors.InputError, match="not of the form"):
+        hg.HodgeDiamond.from_json({"dim": 11, "h": {"0,0": 1, key: 1}})
+
+
 def test_diamond_json_round_trip():
     d = hg.quasi_fano_threefold_diamond(2, 39)
     assert hg.HodgeDiamond.from_json(d.to_json()) == d
@@ -156,6 +191,14 @@ def test_fibre_components_unknown():
         hg.fibre_components("V*")
     with pytest.raises(errors.UnknownType):
         hg.fibre_components("I-3")
+
+
+# \d once matched the Arabic-Indic 3, read as 3 by int(), and $ matched
+# before a trailing newline.
+@pytest.mark.parametrize("tag", ["I\u0663", "I\u0663*", "I\u0663^Delta", "I3\n", "I3*\n"])
+def test_fibre_subscripts_are_ascii_digits(tag):
+    with pytest.raises(errors.UnknownType):
+        hg.fibre_components(tag)
 
 
 # --- Picard counts -----------------------------------------------------------

@@ -151,6 +151,23 @@ def test_as_int_refuses_everything_else(value):
         la.as_int(value)
 
 
+@pytest.mark.parametrize("text,value", [
+    ("0", 0), ("12", 12), ("+12", 12), ("-12", -12), (" 7\n", 7), ("007", 7),
+    ("1" * 40, int("1" * 40)),
+])
+def test_strict_int_reads_sign_and_ascii_digits(text, value):
+    assert la.strict_int(text) == value
+
+
+# int() reads every one of the first four: "1_0" as 10, the Arabic-Indic and
+# fullwidth digits as 3 and 12, and the last, past its no-break space, as 12.
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "\uff11\uff12", "\u00a01_2",
+                                  "", " ", "+", "-", "1.0", "1e3", "0x10", "1 2", "--1"])
+def test_strict_int_refuses_everything_else(text):
+    with pytest.raises(ValueError):
+        la.strict_int(text)
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices(square=True))
 @example([[0, 1], [1, 0]])

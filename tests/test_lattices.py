@@ -485,6 +485,15 @@ def test_spec_with_a_non_integer_is_an_input_error():
     with pytest.raises(errors.InputError):
         lt.standard_lattice("<2.0>")
     assert lt.standard_lattice("< 4 >").gram == ((4,),)
+    # int() would read "<1_0>" as <10> and the Arabic-Indic "<\u0664>" as <4>.
+    for spec in ("<1_0>", "<\u0664>"):
+        with pytest.raises(errors.InputError, match="needs an integer"):
+            lt.standard_lattice(spec)
+
+
+def test_unknown_spec_is_an_input_error():
+    with pytest.raises(errors.InputError, match="unknown lattice spec 'foo'"):
+        lt.standard_lattice("foo")
 
 
 # --- isotropic search -------------------------------------------------------

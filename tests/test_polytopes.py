@@ -5,9 +5,11 @@ subset enumeration with an independent linear-algebra path (homogeneous
 nullspace over Fractions), so it shares no code with the production hull.
 """
 
+import gc
 import itertools
 import json
 import random
+import weakref
 from fractions import Fraction
 from math import comb, gcd
 from unittest import mock
@@ -441,6 +443,31 @@ def test_polar_cached_both_ways(fixture, request):
     dual = pt.polar_dual(poly)
     assert pt.polar_dual(poly) is dual
     assert pt.polar_dual(dual) is poly
+
+
+def test_polytope_is_freed_without_the_cycle_collector(quintic_simplex):
+    # The polar, the faces and the lattice points are cached on the
+    # polytope with no reference back to it, and the sweep leaves no cycle,
+    # so dropping the last reference frees everything at once; the cycle
+    # collector once had to find them.
+    gc.collect()
+    gc.disable()
+    try:
+        poly = pt.hull(quintic_simplex.vertices)
+        dual = pt.polar_dual(poly)
+        assert pt.polar_dual(dual) is poly
+        for p in (poly, dual):
+            pt.lattice_points(p)
+            for face in pt.face_lattice(p):
+                pt.ell_star_face(p, face)
+                pt.dual_face(p, face)
+            pt.smallest_face_containing(p, (0,) * p.rank)
+        refs = [weakref.ref(poly), weakref.ref(dual)]
+        del poly, dual, p, face
+        assert [r() for r in refs] == [None, None]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_polar_failure_not_cached(cube):
@@ -939,6 +966,37 @@ def _polytope_fixtures():
         if "polytope" in fixtures.load_fixture(name):
             names.append(name)
     return names
+
+
+# --- hulls of lattice-point sets ---------------------------------------------
+
+
+def _tables(poly):
+    return poly.vertices, poly.facets, poly.incidence, poly.slacks
+
+
+@pytest.mark.parametrize("seed", [None, 1, 7])
+@pytest.mark.parametrize("name", _polytope_fixtures())
+def test_hull_of_lattice_points_is_the_polytope(name, seed):
+    # Many points on each facet and inside, which the random oracle's few
+    # points never give: each facet must come out once with its exact
+    # point mask, and every point but the vertices must be dropped.
+    vertices = fixtures.load_fixture(name)["polytope"]["vertices"]
+    if seed is not None:
+        vertices = image(unimodular(len(vertices[0]), seed), vertices)
+    base = pt.hull(vertices)
+    polys = [base, pt.dilate(base, 2)]
+    if pt.is_reflexive(base):
+        polys += [pt.polar_dual(base), pt.dilate(pt.polar_dual(base), 2)]
+    for poly in polys:
+        assert _tables(pt.hull(pt.lattice_points(poly))) == _tables(poly)
+
+
+def test_hull_of_grid_is_the_cube():
+    grid = list(itertools.product((0, 1, 2), repeat=5))
+    cube = pt.hull(list(itertools.product((0, 2), repeat=5)))
+    assert _tables(pt.hull(grid)) == _tables(cube)
+    assert pt.lattice_points(cube) == tuple(grid)
 
 
 SKEWED_IMAGES = {
