@@ -1,10 +1,15 @@
-"""Batch front-end: parse inputs, dispatch to the engines, emit reports.
+"""Batch front-end: resolve inputs, dispatch to the engines, emit reports.
 
 Reports are JSON objects ``{"status", "payload", "provenance"}`` printed
 with sorted keys and no timestamps, so identical invocations are
 byte-identical.  Exit codes: 0 = PASS, 1 = FAIL or INCONCLUSIVE (the check
 ran but did not verify), 2 = usage or input error.  Engine errors surface
 with status ERROR and the engine's error name verbatim.
+
+``_Inputs`` alone resolves, parses and echoes every input.  A partition
+file's ``polytope`` serves every ``nef`` subcommand given no other; the
+provenance lists the fixture and every file read; malformed JSON and an
+integer too long for Python to read are input errors.
 
 The argument parser is built once per process and shared by every
 ``main()`` call: ``parse_args`` leaves the parser unchanged and returns a
@@ -17,6 +22,7 @@ the exit code is still the report's.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import os
@@ -39,63 +45,70 @@ _EXIT = {PASS: 0, FAIL: 1, INCONCLUSIVE: 1, ERROR: 2}
 
 
 class _Inputs:
-    """Resolves input slots from explicit flags, files, or a fixture."""
+    """The inputs of one run, each resolved by ``_get``: the first of its
+    flags given, else the fixture's slot, else the caller's default or a
+    ``missing input`` error.  A file flag names a JSON file, read once and
+    echoed under the input's slot; inline JSON flags are parsed as given,
+    the others taken as argparse typed them.  Accessors check shapes."""
+
+    _INLINE_JSON = frozenset({"gram", "image-basis", "f"})
+    _AS_TYPED = frozenset({"spec", "w-chi", "dim"})
+    # Each partition flag, with the fixture slot it stands for.
+    _PARTITIONS = {"partition": "parts", "coarse": "trivial_parts", "fine": "parts"}
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.fixture = {}
         self.echo: dict = {}
+        self._fixture: dict = {}
+        self._files: dict = {}
         name = getattr(args, "fixture", None)
         if name:
-            self.fixture = load_fixture(name)
+            self._fixture = load_fixture(name)
             self.echo["fixture"] = name
 
-    def _load_file(self, path: str) -> dict:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except FileNotFoundError:
-            raise InputError(f"no such file: {path}")
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc.strerror or exc}")
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed JSON in {path}: {exc.msg} "
-                             f"(line {exc.lineno}, column {exc.colno})")
+    def _get(self, *flags: str, slot: Optional[str] = None, required: bool = True,
+             missing: Optional[str] = None) -> Optional[tuple]:
+        """(flag, value) from the first of ``flags`` given, else (None, value)
+        from the fixture's ``slot``, else None or, if ``required``, an error."""
+        for flag in flags:
+            given = getattr(self.args, flag.replace("-", "_"), None)
+            if given is None:
+                continue
+            if flag in self._INLINE_JSON:
+                return flag, _parse_json(given, f"--{flag}")
+            if flag in self._AS_TYPED:
+                return flag, given
+            self.echo[slot or flag] = {"file": given}
+            return flag, self._load_file(given)
+        if slot in self._fixture:
+            return None, self._fixture[slot]
+        if required:
+            raise InputError(missing or f"missing input: provide --{flags[0]} or a "
+                             f"fixture with a {slot!r} slot")
+        return None
 
-    def _inline_json(self, text: str, flag: str):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed JSON in {flag}: {exc.msg} "
-                             f"(line {exc.lineno}, column {exc.colno})")
+    def _load_file(self, path: str):
+        if path not in self._files:
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except FileNotFoundError:
+                raise InputError(f"no such file: {path}") from None
+            except OSError as exc:
+                raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{path} is not UTF-8 text: {exc.reason} "
+                                 f"at byte {exc.start}") from None
+            self._files[path] = _parse_json(text, path)
+        return self._files[path]
 
-    def slot(self, flag: str, slot_name: str, required: bool = True):
-        """A JSON object input: file path flag wins, then the fixture slot."""
-        path = getattr(self.args, flag.replace("-", "_"), None)
-        if path is not None:
-            data = self._load_file(path)
-            # A dedicated file may carry the slot at top level or nested.
-            value = data.get(slot_name, data) if isinstance(data, dict) else data
-            self.echo[slot_name] = {"file": path}
-        elif slot_name in self.fixture:
-            value = self.fixture[slot_name]
-        elif required:
-            raise InputError(f"missing input: provide --{flag} or a fixture "
-                             f"with a {slot_name!r} slot")
-        else:
-            return None
-        if not isinstance(value, dict):
-            raise InputError(f"{slot_name} input must be a JSON object")
-        return value
+    def _object(self, flag: str, slot: Optional[str] = None) -> dict:
+        slot = slot or flag
+        return _as_object(self._get(flag, slot=slot)[1], slot)
 
-    def polytope(self, flag: str = "polytope", slot: str = "polytope") -> pt.LatticePolytope:
-        # Partition files may embed their polytope.
-        embedded = getattr(self, "_partition_polytope", None)
-        data = self.slot(flag, slot, required=embedded is None)
-        if data is None:
-            data = embedded
+    def polytope(self) -> pt.LatticePolytope:
+        found = self._get("polytope", slot="polytope", required=False)
+        data = self._carried_polytope() if found is None else _as_object(found[1], "polytope")
         if not isinstance(data, dict) or "vertices" not in data:
             raise InputError("polytope input must carry a 'vertices' field")
         poly = pt.hull(data["vertices"])
@@ -104,61 +117,118 @@ class _Inputs:
                              f"but the vertices have rank {poly.rank}")
         return poly
 
-    def parts(self, flag: str = "partition", slot: str = "parts"):
-        path = getattr(self.args, flag.replace("-", "_"), None)
-        if path is not None:
-            data = self._load_file(path)
-            self.echo[slot] = {"file": path}
-            if isinstance(data, dict):
-                if "polytope" in data:
-                    self._partition_polytope = data["polytope"]
-                if "parts" not in data:
-                    raise InputError("partition input must carry a 'parts' field")
-                return data["parts"]
-            return data
-        if slot in self.fixture:
-            return self.fixture[slot]
-        raise InputError(f"missing input: provide --{flag} or a fixture "
-                         f"with a {slot!r} slot")
+    def _carried_polytope(self):
+        """The polytope of the first partition file that carries one (a
+        fixture's parts are a bare list)."""
+        for flag, slot in self._PARTITIONS.items():
+            _, data = self._get(flag, slot=slot, required=False) or (None, None)
+            if isinstance(data, dict) and "polytope" in data:
+                return data["polytope"]
+        raise InputError("missing input: provide --polytope or a fixture "
+                         "with a 'polytope' slot")
+
+    def parts(self, flag: str = "partition"):
+        """A partition file's 'parts' field or bare list, or the fixture's slot."""
+        data = self._get(flag, slot=self._PARTITIONS[flag])[1]
+        if isinstance(data, dict):
+            (data,) = _fields(data, "partition", "parts")
+        return data
 
     def gram(self) -> lt.QuadLattice:
-        inline = getattr(self.args, "gram", None)
-        spec = getattr(self.args, "spec", None)
-        if inline is not None:
-            return lt.from_gram(self._inline_json(inline, "--gram"))
-        if spec is not None:
-            return _parse_lattice_spec(spec)
-        if "gram" in self.fixture:
-            return lt.from_gram(self.fixture["gram"])
-        raise InputError("missing input: provide --gram, --spec or a fixture "
-                         "with a 'gram' slot")
+        flag, value = self._get("gram", "spec", slot="gram", missing=(
+            "missing input: provide --gram, --spec or a fixture with a 'gram' slot"))
+        return _parse_lattice_spec(value) if flag == "spec" else lt.from_gram(value)
 
-    def diamond(self, flag: str = "diamond", slot: str = "diamond") -> hg.HodgeDiamond:
-        return hg.HodgeDiamond.from_json(self.slot(flag, slot))
+    def embedding(self) -> lt.LatticeEmbedding:
+        flag, value = self._get("embedding", "image-basis", "spec", missing=(
+            "missing input: provide --spec, --image-basis or --embedding"))
+        if flag == "spec":
+            return lt.canonical_embedding(_spec_pieces(value))
+        if flag == "image-basis":
+            return lt.LatticeEmbedding(lt.k3_lattice(), as_int_rows(value))
+        if not isinstance(value, dict) or "image_basis" not in value:
+            raise InputError("embedding input must carry an 'image_basis' field")
+        ambient = value.get("ambient", "K3")
+        return lt.LatticeEmbedding(lt.k3_lattice() if ambient == "K3" else lt.from_gram(ambient),
+                                   as_int_rows(value["image_basis"]))
+
+    def f(self, emb: lt.LatticeEmbedding) -> tuple[int, ...]:
+        """--f, else the embedding file's 'f', else the embedding's default."""
+        found = self._get("f", "embedding", required=False)
+        if found is None or (found[0] == "embedding" and "f" not in found[1]):
+            return lt.default_isotropic_vector(emb)
+        flag, value = found
+        return as_int_vector(value["f"] if flag == "embedding" else value)
+
+    def diamond(self, flag: str = "diamond") -> hg.HodgeDiamond:
+        return hg.HodgeDiamond.from_json(self._object(flag))
+
+    def tyurin(self) -> hg.TyurinData:
+        data = self._object("tyurin")
+        x1, x2, z = map(hg.HodgeDiamond.from_json, _fields(data, "tyurin", "X1", "X2", "Z"))
+        return hg.TyurinData(x1, x2, z, as_int(data.get("k", 1)))
+
+    def w_chi(self) -> int:
+        return as_int(self._get("w-chi", slot="w_chi",
+                                missing="missing input: provide --w-chi")[1])
+
+    def dim(self, default: int) -> int:
+        found = self._get("dim", slot="dim", required=False)
+        return as_int(default if found is None else found[1])
+
+    def mirror_table(self) -> Optional[tuple]:
+        found = self._get("mirror", required=False)
+        if found is None:
+            return None
+        if not isinstance(found[1], dict) or "table" not in found[1]:
+            raise InputError("mirror table input must carry a 'table' field")
+        return as_int_rows(found[1]["table"])
+
+    def conj318(self) -> list[int]:
+        return list(map(as_int, _fields(
+            self._object("data", "conj318"), "conjecture", "rho_10", "rho_11", "rho_01",
+            "h11_X1", "h11_X2", "h11_ambient", "points")))
 
     def fibration(self, with_slices: bool = False):
-        data = self.slot("fibration", "fibration")
-        if "fibres" not in data:
-            raise InputError("fibration input must carry a 'fibres' field")
-        fibres = data["fibres"]
+        data = self._object("fibration")
+        (fibres,) = _fields(data, "fibration", "fibres")
         if not isinstance(fibres, list):
             raise InputError("fibration 'fibres' must be a list")
-        tags = [_fibre_tag(f) for f in fibres]
-        ell = as_int(data.get("ell", 1))
-        desc = hg.FibrationDescriptor.from_tags(tags, ell)
+        desc = hg.FibrationDescriptor.from_tags([_fibre_tag(f) for f in fibres],
+                                                as_int(data.get("ell", 1)))
         if not with_slices:
             return desc
         if "slices" not in data:
             raise InputError("fibration input must carry a 'slices' field for slicing")
-        slices = as_int_rows(data["slices"])
-        return hg.SlicedFibration(desc, slices)
+        return hg.SlicedFibration(desc, as_int_rows(data["slices"]))
 
     def degeneration(self) -> hg.TypeIIDegeneration:
-        data = self.slot("degeneration", "degeneration")
-        components, curves, l_rank = _fields(data, "degeneration",
+        components, curves, l_rank = _fields(self._object("degeneration"), "degeneration",
                                              "components", "double_curves", "L_rank")
         return hg.TypeIIDegeneration(as_int_vector(components), as_int(curves),
                                      as_int(l_rank))
+
+
+def _parse_json(text: str, where: str):
+    """JSON text as Python values; every parse failure is an InputError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON in {where}: {exc.msg} "
+                         f"(line {exc.lineno}, column {exc.colno})") from None
+    except ValueError:
+        # An integer literal longer than Python's conversion limit.
+        raise InputError(f"integer too long in {where}: more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+
+
+def _as_object(value, slot: str) -> dict:
+    """A JSON object input, which a file may also nest under its slot's name."""
+    if isinstance(value, dict):
+        value = value.get(slot, value)
+    if not isinstance(value, dict):
+        raise InputError(f"{slot} input must be a JSON object")
+    return value
 
 
 def _fields(data: dict, kind: str, *keys: str) -> list:
@@ -167,6 +237,10 @@ def _fields(data: dict, kind: str, *keys: str) -> list:
         if key not in data:
             raise InputError(f"{kind} input must carry a {key!r} field")
     return [data[key] for key in keys]
+
+
+# Fibre types that take a subscript n, and the tag each spells with it.
+_SUBSCRIPTED = {"I": "I{}", "I*": "I{}*", "I^Delta": "I{}^Delta"}
 
 
 def _fibre_tag(entry) -> str:
@@ -180,13 +254,9 @@ def _fibre_tag(entry) -> str:
     n = entry.get("n")
     if n is not None and "{n}" not in tag:
         n = as_int(n)
-        if tag == "I":
-            return f"I{n}"
-        if tag == "I*":
-            return f"I{n}*"
-        if tag == "I^Delta":
-            return f"I{n}^Delta"
-        raise InputError(f"fibre type {tag!r} does not take a subscript")
+        if tag not in _SUBSCRIPTED:
+            raise InputError(f"fibre type {tag!r} does not take a subscript")
+        return _SUBSCRIPTED[tag].format(n)
     return tag
 
 
@@ -218,9 +288,8 @@ def _cmd_polytope_reflexive(inp: _Inputs):
 
 
 def _cmd_polytope_points(inp: _Inputs):
-    poly = inp.polytope()
     region = inp.args.region
-    points = pt.lattice_points(poly, region)
+    points = pt.lattice_points(inp.polytope(), region)
     return PASS, {"region": region, "count": len(points),
                   "points": [list(p) for p in points]}
 
@@ -228,9 +297,7 @@ def _cmd_polytope_points(inp: _Inputs):
 def _cmd_polytope_faces(inp: _Inputs):
     poly = inp.polytope()
     faces = pt.face_lattice(poly)
-    fvec: dict = {}
-    for f in faces:
-        fvec[f.dim] = fvec.get(f.dim, 0) + 1
+    fvec = collections.Counter(f.dim for f in faces)
     return PASS, {
         "f_vector": [[d, fvec[d]] for d in sorted(fvec)],
         "faces": [{"dim": f.dim, "vertices": [list(v) for v in f.vertices]}
@@ -254,8 +321,7 @@ def _cmd_nef_verify(inp: _Inputs):
 def _cmd_nef_dual(inp: _Inputs):
     parts = inp.parts()
     np_ = nef.validate_nef_partition(inp.polytope(), parts)
-    dual = nef.dual_nef_partition(np_)
-    return PASS, dual.to_json()
+    return PASS, nef.dual_nef_partition(np_).to_json()
 
 
 def _cmd_nef_counts(inp: _Inputs):
@@ -284,88 +350,52 @@ def _cmd_nef_hodge(inp: _Inputs):
 
 def _cmd_nef_refine(inp: _Inputs):
     poly = inp.polytope()
-    coarse = nef.validate_nef_partition(poly, inp.parts("coarse", "trivial_parts"))
-    fine = nef.validate_nef_partition(poly, inp.parts("fine", "parts"))
+    coarse = nef.validate_nef_partition(poly, inp.parts("coarse"))
+    fine = nef.validate_nef_partition(poly, inp.parts("fine"))
     ok = nef.check_refinement(coarse, fine)
     return (PASS if ok else FAIL), {"refines": ok}
 
 
 def _cmd_lattice_sum(inp: _Inputs):
-    lat = inp.gram()
-    return PASS, _lattice_payload(lat)
+    return PASS, _lattice_payload(inp.gram())
 
 
-def _lattice_payload(lat: lt.QuadLattice) -> dict:
+def _lattice_payload(lat: lt.QuadLattice, discriminant: bool = False) -> dict:
     p, q = lt.signature(lat)
     payload = {"lattice": lat.to_json(), "rank": lat.rank,
                "signature": [p, q], "det": lt.determinant(lat)}
+    if discriminant:
+        payload["discriminant"] = lt.discriminant(lat).to_json()
     return payload
 
 
 def _cmd_lattice_invariants(inp: _Inputs):
-    lat = inp.gram()
-    payload = _lattice_payload(lat)
-    payload["discriminant"] = lt.discriminant(lat).to_json()
-    return PASS, payload
+    return PASS, _lattice_payload(inp.gram(), discriminant=True)
 
 
 def _cmd_lattice_complement(inp: _Inputs):
-    emb = _embedding_from_args(inp)
-    comp = lt.orthogonal_complement(emb)
-    lat = comp.induced()
-    payload = _lattice_payload(lat)
-    payload["discriminant"] = lt.discriminant(lat).to_json()
+    comp = lt.orthogonal_complement(inp.embedding())
+    payload = _lattice_payload(comp.induced(), discriminant=True)
     payload["image_basis"] = [list(v) for v in comp.image_basis]
     return PASS, payload
 
 
-def _embedding_from_args(inp: _Inputs) -> lt.LatticeEmbedding:
-    """Embedding from --embedding FILE, inline --image-basis, or --spec."""
-    path = getattr(inp.args, "embedding", None)
-    if path is not None:
-        data = inp._load_file(path)
-        if not isinstance(data, dict) or "image_basis" not in data:
-            raise InputError("embedding input must carry an 'image_basis' field")
-        ambient_spec = data.get("ambient", "K3")
-        ambient = (lt.k3_lattice() if ambient_spec == "K3"
-                   else lt.from_gram(ambient_spec))
-        emb = lt.LatticeEmbedding(ambient, as_int_rows(data["image_basis"]))
-        if "f" in data and getattr(inp.args, "f", None) is None:
-            inp.args.f = json.dumps(data["f"])
-        return emb
-    basis = getattr(inp.args, "image_basis", None)
-    if basis is not None:
-        vectors = inp._inline_json(basis, "--image-basis")
-        return lt.LatticeEmbedding(lt.k3_lattice(), as_int_rows(vectors))
-    spec = getattr(inp.args, "spec", None)
-    if spec is None:
-        raise InputError("missing input: provide --spec, --image-basis or --embedding")
-    return lt.canonical_embedding(_spec_pieces(spec))
-
-
 def _cmd_lattice_mirror(inp: _Inputs):
-    emb = _embedding_from_args(inp)
-    fflag = getattr(inp.args, "f", None)
-    if fflag is not None:
-        f = as_int_vector(inp._inline_json(fflag, "--f"))
-    else:
-        f = lt.default_isotropic_vector(emb)
+    emb = inp.embedding()
+    f = inp.f(emb)
     mirror = lt.dn_mirror(emb, f)
-    payload = _lattice_payload(mirror)
-    payload["discriminant"] = lt.discriminant(mirror).to_json()
+    payload = _lattice_payload(mirror, discriminant=True)
     payload["f"] = list(f)
-    expect = getattr(inp.args, "expect", None)
     status = PASS
-    if expect is not None:
-        verdict = lt.invariants_match(mirror, _parse_lattice_spec(expect))
+    if inp.args.expect is not None:
+        verdict = lt.invariants_match(mirror, _parse_lattice_spec(inp.args.expect))
         payload["match"] = verdict.to_json()
         status = PASS if verdict.matched else FAIL
     return status, payload
 
 
 def _cmd_lattice_isotropic(inp: _Inputs):
-    lat = inp.gram()
-    result = lt.find_isotropic(lat, inp.args.bound)
+    result = lt.find_isotropic(inp.gram(), inp.args.bound)
     payload = result.to_json()
     payload["bound"] = inp.args.bound
     if result.vector is not None or result.conclusive:
@@ -374,51 +404,32 @@ def _cmd_lattice_isotropic(inp: _Inputs):
 
 
 def _cmd_lattice_match(inp: _Inputs):
-    a = _parse_lattice_spec(inp.args.a)
-    b = _parse_lattice_spec(inp.args.b)
-    verdict = lt.invariants_match(a, b)
+    verdict = lt.invariants_match(_parse_lattice_spec(inp.args.a),
+                                  _parse_lattice_spec(inp.args.b))
     return (PASS if verdict.matched else FAIL), verdict.to_json()
 
 
 def _cmd_hodge_euler(inp: _Inputs):
-    d = inp.diamond()
-    return PASS, {"chi": hg.euler_char(d)}
+    return PASS, {"chi": hg.euler_char(inp.diamond())}
 
 
 def _cmd_hodge_mirror(inp: _Inputs):
-    v = inp.diamond("v", "v")
-    w = inp.diamond("w", "w")
-    verdict = hg.mirror_dual_check(v, w)
+    verdict = hg.mirror_dual_check(inp.diamond("v"), inp.diamond("w"))
     return (PASS if verdict.passed else FAIL), verdict.to_json()
 
 
-def _tyurin_from(inp: _Inputs) -> hg.TyurinData:
-    data = inp.slot("tyurin", "tyurin")
-    x1, x2, z = map(hg.HodgeDiamond.from_json, _fields(data, "tyurin", "X1", "X2", "Z"))
-    return hg.TyurinData(x1, x2, z, as_int(data.get("k", 1)))
-
-
 def _cmd_hodge_lee(inp: _Inputs):
-    return PASS, hg.lee_smoothing(_tyurin_from(inp)).to_json()
+    return PASS, hg.lee_smoothing(inp.tyurin()).to_json()
 
 
 def _cmd_hodge_glue(inp: _Inputs):
-    t = _tyurin_from(inp)
-    w_chi = inp.args.w_chi
-    if w_chi is None:
-        w_chi = inp.fixture.get("w_chi")
-        if w_chi is None:
-            raise InputError("missing input: provide --w-chi")
-    dim = inp.args.dim
-    if dim is None:
-        dim = inp.fixture.get("dim", t.x1.dim)
-    verdict = hg.glue_euler_check(t, as_int(w_chi), as_int(dim))
+    t = inp.tyurin()
+    verdict = hg.glue_euler_check(t, inp.w_chi(), inp.dim(t.x1.dim))
     return (PASS if verdict.passed else FAIL), verdict.to_json()
 
 
 def _cmd_hodge_lg_ranks(inp: _Inputs):
-    d = inp.diamond()
-    return PASS, {"ranks": hg.lg_relative_ranks(d)}
+    return PASS, {"ranks": hg.lg_relative_ranks(inp.diamond())}
 
 
 def _cmd_hodge_picard(inp: _Inputs):
@@ -428,29 +439,23 @@ def _cmd_hodge_picard(inp: _Inputs):
 
 
 def _cmd_hodge_slice(inp: _Inputs):
-    sliced = inp.fibration(with_slices=True)
-    deg = inp.degeneration()
-    verdict = hg.slicing_check(sliced, deg)
+    verdict = hg.slicing_check(inp.fibration(with_slices=True), inp.degeneration())
     return (PASS if verdict.passed else FAIL), verdict.to_json()
 
 
 def _cmd_hodge_lmhs(inp: _Inputs):
     table = hg.lmhs_table(inp.args.u, inp.args.v)
     payload = {"table": [list(r) for r in table]}
-    if inp.args.mirror is not None:
-        data = inp._load_file(inp.args.mirror)
-        if not isinstance(data, dict) or "table" not in data:
-            raise InputError("mirror table input must carry a 'table' field")
-        verdict = hg.lmhs_mirror_match(table, as_int_rows(data["table"]))
+    mirror = inp.mirror_table()
+    if mirror is not None:
+        verdict = hg.lmhs_mirror_match(table, mirror)
         payload["match"] = verdict.to_json()
         return (PASS if verdict.passed else FAIL), payload
     return PASS, payload
 
 
 def _cmd_hodge_conj318(inp: _Inputs):
-    clauses = hg.conjecture318_report(*map(as_int, _fields(
-        inp.slot("data", "conj318"), "conjecture",
-        "rho_10", "rho_11", "rho_01", "h11_X1", "h11_X2", "h11_ambient", "points")))
+    clauses = hg.conjecture318_report(*inp.conj318())
     ok = all(c.status != "FAIL" for c in clauses)
     return (PASS if ok else FAIL), {
         "clauses": [c.to_json() for c in clauses],
@@ -625,21 +630,14 @@ def _render_pretty(report: dict) -> str:
 
     def walk(obj, indent):
         pad = "  " * indent
-        if isinstance(obj, dict):
-            for key in sorted(obj):
-                value = obj[key]
-                if isinstance(value, (dict, list)):
-                    lines.append(f"{pad}{key}:")
-                    walk(value, indent + 1)
-                else:
-                    lines.append(f"{pad}{key}: {value}")
-        elif isinstance(obj, list):
-            for value in obj:
-                if isinstance(value, (dict, list)):
-                    lines.append(f"{pad}-")
-                    walk(value, indent + 1)
-                else:
-                    lines.append(f"{pad}- {value}")
+        items = ([(f"{key}:", obj[key]) for key in sorted(obj)] if isinstance(obj, dict)
+                 else [("-", value) for value in obj])
+        for label, value in items:
+            if isinstance(value, (dict, list)):
+                lines.append(f"{pad}{label}")
+                walk(value, indent + 1)
+            else:
+                lines.append(f"{pad}{label} {value}")
 
     walk(report["payload"], 1)
     return "\n".join(lines)

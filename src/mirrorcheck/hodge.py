@@ -297,9 +297,8 @@ def ell_plus_k_check(ell: int, k: int) -> Verdict:
 
 _KODAIRA_FIXED = {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}
 _THREEFOLD_FIXED = {"I0": 1, "I_odp": 1, "II_3f": 11, "IV_3f": 31}
-_IN_RE = re.compile(r"I([0-9]+)")
-_INSTAR_RE = re.compile(r"I([0-9]+)\*")
-_IDELTA_RE = re.compile(r"I([0-9]+)\^Delta")
+# I_n, I_n* and I_n^Delta.
+_SUBSCRIPTED_RE = re.compile(r"I([0-9]+)(\*|\^Delta)?")
 
 
 def fibre_components(tag: str) -> int:
@@ -313,15 +312,17 @@ def fibre_components(tag: str) -> int:
         return _THREEFOLD_FIXED[tag]
     if tag in _KODAIRA_FIXED:
         return _KODAIRA_FIXED[tag]
-    m = _IN_RE.fullmatch(tag)
-    if m and int(m.group(1)) >= 1:
-        return int(m.group(1))
-    m = _INSTAR_RE.fullmatch(tag)
+    m = _SUBSCRIPTED_RE.fullmatch(tag)
     if m:
-        return int(m.group(1)) + 5
-    m = _IDELTA_RE.fullmatch(tag)
-    if m and int(m.group(1)) >= 1:
-        return 2 * int(m.group(1)) ** 2 + 2
+        digits, kind = m.groups()
+        try:
+            n = int(digits)
+        except ValueError:  # past Python's limit on integer string conversion
+            raise InputError(f"fibre subscript of {len(digits)} digits is too long") from None
+        if kind == "*":
+            return n + 5
+        if n >= 1:
+            return n if kind is None else 2 * n ** 2 + 2
     raise UnknownType(f"unknown fibre type {tag!r}")
 
 

@@ -93,7 +93,6 @@ class DualNefPartition:
     are built on first read and cached.
     """
 
-    partition: NefPartition
     nabla_vertex_sets: tuple[tuple[Vec, ...], ...]
     nabla_point_sets: tuple[tuple[Vec, ...], ...]
     nabla: LatticePolytope
@@ -107,7 +106,7 @@ class DualNefPartition:
     @property
     def nablas(self) -> tuple[Optional[LatticePolytope], ...]:
         if self._nablas is None:
-            d = self.partition.polytope.rank
+            d = self.nabla.rank
             object.__setattr__(self, "_nablas", tuple(
                 hull(vs) if affine_rank(vs) == d else None
                 for vs in self.nabla_vertex_sets))
@@ -120,7 +119,7 @@ class DualNefPartition:
                 pieces.append(hull_obj.to_json())
             else:
                 # Lower-dimensional piece: vertex data only, no facets.
-                pieces.append({"rank": self.partition.polytope.rank,
+                pieces.append({"rank": self.nabla.rank,
                                "vertices": [list(v) for v in vs]})
         return {
             "nablas": pieces,
@@ -259,7 +258,7 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
         if len(owners) != 1:
             raise DualityInconsistency(
                 f"lattice point {p} of nabla lies in {len(owners)} pieces")
-    dual = DualNefPartition(np_, vertex_sets, tuple(map(tuple, point_sets)), nabla)
+    dual = DualNefPartition(vertex_sets, tuple(map(tuple, point_sets)), nabla)
     object.__setattr__(np_, "_dual", dual)
     return dual
 

@@ -1,5 +1,6 @@
 """CLI behaviour: payloads, exit codes, determinism, error reporting."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -322,6 +323,24 @@ def test_non_integral_value_is_an_input_error(tmp_path, capsys, argv, files):
     assert (code, report["status"], report["payload"]["error"]) == (2, "ERROR", "InputError")
 
 
+TOO_LONG = "9" * 5000  # past Python's 4300-digit limit on reading an integer
+
+
+@pytest.mark.parametrize("argv,content", [
+    (["lattice", "sum", "--gram", f"[[{TOO_LONG}]]"], None),
+    (["hodge", "picard", "--fibration", "{path}"], f'{{"fibres": ["I1"], "ell": {TOO_LONG}}}'),
+    (["hodge", "picard", "--fibration", "{path}"], f'{{"fibres": ["I{TOO_LONG}"]}}'),
+], ids=["inline-gram", "file-ell", "fibre-subscript"])
+def test_too_long_integer_is_an_input_error(tmp_path, capsys, argv, content):
+    # Each was once an InternalError: Python refuses to read the integer.
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    code, report = run_json(capsys, *(a.format(path=path) for a in argv))
+    assert (code, report["status"], report["payload"]["error"]) == (2, "ERROR", "InputError")
+    assert "too long" in report["payload"]["message"]
+
+
 def test_integral_fibre_subscript_reads_as_an_integer(tmp_path, capsys):
     # A fibre subscript goes through as_int: 3.0 is the integer 3, so
     # {"type": "I", "n": 3.0} is an I3 fibre, as {"type": "I", "n": 3} is.
@@ -530,6 +549,21 @@ def test_partition_file_carries_polytope(tmp_path, capsys):
     assert report["payload"]["complement_count"] == 12
 
 
+def test_refine_reads_the_polytope_its_partition_files_carry(tmp_path, capsys):
+    # A partition file's polytope serves every nef subcommand; refine, which
+    # reads its polytope first, once refused it as a missing input.
+    p1p1p1 = load_fixture("p1p1p1")
+    coarse, fine = tmp_path / "coarse.json", tmp_path / "fine.json"
+    for path, slot in ((coarse, "trivial_parts"), (fine, "parts")):
+        path.write_text(json.dumps({"polytope": p1p1p1["polytope"], "parts": p1p1p1[slot]}))
+    code, report = run_json(capsys, "nef", "refine", "--coarse", str(coarse), "--fine", str(fine))
+    assert (code, report["payload"]) == (0, {"refines": True})
+    assert report["provenance"]["inputs"] == {"trivial_parts": {"file": str(coarse)},
+                                              "parts": {"file": str(fine)}}
+    assert run_json(capsys, "nef", "refine", "--fixture", "p1p1p1")[1]["payload"] == \
+        report["payload"]
+
+
 def test_rank_declaration_checked(tmp_path, capsys):
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps({"rank": 4, "vertices": [[1, 0], [0, 1], [-1, -1]]}))
@@ -565,6 +599,58 @@ def test_lmhs_mirror_comparison(tmp_path, capsys):
     code, report = run_json(capsys, "hodge", "lmhs", "--u", "19", "--v", "69",
                             "--mirror", str(table))
     assert code == 1
+
+
+def _file_flags():
+    """(subcommand, flag) for every FILE flag that build_parser declares."""
+    groups = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    for group, group_parser in groups.choices.items():
+        commands = next(a for a in group_parser._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        for command, parser in commands.choices.items():
+            for action in parser._actions:
+                if action.metavar == "FILE":
+                    yield (group, command), action.option_strings[0]
+
+
+K3_VECTOR = [1, 2] + [0] * 20
+# A FILE flag -> the fixture that supplies the other inputs, the content of
+# a file the flag accepts (a string names that fixture's slot), and any
+# further arguments the subcommand requires.
+FILE_FLAG_RUNS = {
+    "--polytope": ("p1p1p1", "polytope", []),
+    "--partition": ("p1p1p1", {"parts": load_fixture("p1p1p1")["parts"]}, []),
+    "--coarse": ("p1p1p1", {"parts": load_fixture("p1p1p1")["trivial_parts"]}, []),
+    "--fine": ("p1p1p1", {"parts": load_fixture("p1p1p1")["parts"]}, []),
+    "--embedding": (None, {"image_basis": [K3_VECTOR]}, []),
+    "--diamond": ("k3-diamond", "diamond", []),
+    "--v": ("mirror-pair-89", "v", []),
+    "--w": ("mirror-pair-89", "w", []),
+    "--tyurin": ("tyurin-quartic", "tyurin", []),
+    "--fibration": ("slice-h1", "fibration", []),
+    "--degeneration": ("slice-h1", "degeneration", []),
+    "--mirror": (None, {"table": [[1, 19, 1, 0], [0, 69, 69, 0], [0, 1, 19, 1]]},
+                 ["--u", "19", "--v", "69"]),
+    "--data": ("p1p1p1", "conj318", []),
+}
+
+
+FILE_FLAGS = list(_file_flags())
+
+
+@pytest.mark.parametrize("command,flag", FILE_FLAGS,
+                         ids=[" ".join([*command, flag]) for command, flag in FILE_FLAGS])
+def test_every_file_flag_is_echoed_in_provenance(tmp_path, capsys, command, flag):
+    fixture, content, extra = FILE_FLAG_RUNS[flag]
+    if isinstance(content, str):
+        content = load_fixture(fixture)[content]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    argv = [*command, flag, str(path), *extra] + (["--fixture", fixture] if fixture else [])
+    code, report = run_json(capsys, *argv)
+    assert code in (0, 1), report["payload"]
+    assert {"file": str(path)} in report["provenance"]["inputs"].values()
 
 
 def test_parser_lists_fixtures_once(monkeypatch):

@@ -12,8 +12,10 @@ each nabla_i against one constraint scan per part, on the fixture
 partitions and on seeded GL(d, Z) images of them.
 """
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from test_polytopes import image, unimodular
@@ -474,14 +476,31 @@ def test_complement_requires_bipartite(octahedron):
 def test_degenerate_configuration_policy(octahedron):
     # A synthetic bipartite dual whose nabla fills the whole polar polytope:
     # complement 0 is reported, and the curve invariant refuses it.
-    np_ = nef.validate_nef_partition(octahedron, P1P1P1_PARTS)
     polar = pt.polar_dual(octahedron)
     points = pt.lattice_points(polar, "all")
-    fake = nef.DualNefPartition(np_, (polar.vertices, polar.vertices),
-                                (points, points), polar)
+    fake = nef.DualNefPartition((polar.vertices, polar.vertices), (points, points), polar)
     assert nef.complement_count(fake, polar) == 0
     with pytest.raises(errors.DegenerateConfiguration):
         nef.curve_invariant(fake, polar, 3)
+
+
+def test_partition_frees_its_polytope_without_the_collector():
+    # The dual partition holds no reference back to its partition, so
+    # reference counting alone frees Delta, its polar and nabla once the
+    # partition is dropped.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        delta = pt.hull(OCTAHEDRON)
+        alive = weakref.ref(delta)
+        np_ = nef.validate_nef_partition(delta, P1P1P1_PARTS)
+        nef.dual_nef_partition(np_).to_json()
+        nef.complement_count(nef.dual_nef_partition(np_), pt.polar_dual(delta))
+        del delta, np_
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_nabla_not_contained(octahedron, cube):
