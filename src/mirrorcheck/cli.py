@@ -8,8 +8,10 @@ with status ERROR and the engine's error name verbatim.
 
 ``_Inputs`` alone resolves, parses and echoes every input.  A partition
 file's ``polytope`` serves every ``nef`` subcommand given no other; the
-provenance lists the fixture and every file read; malformed JSON and an
-integer too long for Python to read are input errors.
+provenance lists the fixture and every file read; malformed JSON, JSON
+nested too deeply and an integer too long for Python to read are input
+errors.  A report holding an integer too long to print is rendered as an
+ERROR report (``BudgetExceeded``), never a traceback.
 
 The argument parser is built once per process and shared by every
 ``main()`` call: ``parse_args`` leaves the parser unchanged and returns a
@@ -35,7 +37,7 @@ from . import hodge as hg
 from . import lattices as lt
 from . import nef
 from . import polytopes as pt
-from .errors import InputError, MirrorcheckError
+from .errors import BudgetExceeded, InputError, MirrorcheckError
 from .fixtures import fixture_names, load_fixture
 from .intlinalg import as_int, as_int_rows, as_int_vector, strict_int
 
@@ -220,6 +222,8 @@ def _parse_json(text: str, where: str):
         # An integer literal longer than Python's conversion limit.
         raise InputError(f"integer too long in {where}: more than "
                          f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise InputError(f"JSON nested too deeply in {where}") from None
 
 
 def _as_object(value, slot: str) -> dict:
@@ -654,9 +658,14 @@ def _render(args: argparse.Namespace, status: str, payload: dict, echo: dict) ->
             "inputs": echo,
         },
     }
-    if args.pretty:
-        return _render_pretty(report)
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+    try:
+        if args.pretty:
+            return _render_pretty(report)
+        return json.dumps(report, sort_keys=True, separators=(",", ":"))
+    except ValueError:
+        # An integer longer than Python's conversion limit.
+        raise BudgetExceeded(f"report holds an integer of more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -672,10 +681,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return code if isinstance(code, int) else 2
 
     inputs_echo: dict = {}
+    text = None
     try:
         inp = _Inputs(args)
         status, payload = args.handler(inp)
         inputs_echo = inp.echo
+        text = _render(args, status, payload, inputs_echo)
     except MirrorcheckError as exc:
         status = ERROR
         payload = {"error": exc.name, "message": str(exc)}
@@ -683,7 +694,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         status = ERROR
         payload = {"error": "InternalError", "message": f"{type(exc).__name__}: {exc}"}
 
-    text = _render(args, status, payload, inputs_echo)
+    if text is None:
+        text = _render(args, status, payload, inputs_echo)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

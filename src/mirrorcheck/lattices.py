@@ -24,9 +24,10 @@ even lattices appearing in this problem domain.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -49,16 +50,25 @@ Gram = tuple[tuple[int, ...], ...]
 _E8_EDGES = ((1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8))
 
 _DISC_ENUMERATION_CAP = 65536
-# Candidates find_isotropic evaluates before it gives up on a box.
+# Box positions, in scan order, that find_isotropic may pass before it gives up.
 _ISOTROPIC_SCAN_CAP = 2 ** 18
 
 
 @dataclass(frozen=True)
 class QuadLattice:
-    """An even symmetric bilinear form over Z."""
+    """An even symmetric bilinear form over Z.
+
+    ``signature``, ``determinant`` and ``discriminant`` compute their value
+    once per lattice and keep it in ``_invariants``, keyed by the function's
+    name.  A call that raises keeps nothing, so it raises again next time.
+    The kept values are plain data with no reference back to the lattice,
+    and the cache takes no part in equality, hashing or ``repr``.
+    """
 
     gram: Gram
     name: Optional[str] = None
+    _invariants: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.gram)
@@ -161,6 +171,21 @@ def k3_lattice() -> QuadLattice:
                       e8_minus(), e8_minus(), name="K3")
 
 
+def _invariant(compute):
+    """Keep ``compute(lat)`` in ``lat._invariants`` after its first success."""
+    key = compute.__name__
+
+    @functools.wraps(compute)
+    def cached(lat: QuadLattice):
+        cache = lat._invariants
+        if key not in cache:
+            cache[key] = compute(lat)
+        return cache[key]
+
+    return cached
+
+
+@_invariant
 def signature(lat: QuadLattice) -> tuple[int, int]:
     """Inertia (p, q) by fraction-free symmetric elimination over Z.
 
@@ -201,6 +226,7 @@ def signature(lat: QuadLattice) -> tuple[int, int]:
     return pos, neg
 
 
+@_invariant
 def determinant(lat: QuadLattice) -> int:
     return la.determinant(lat.gram)
 
@@ -229,6 +255,7 @@ class DiscriminantData:
         }
 
 
+@_invariant
 def discriminant(lat: QuadLattice) -> DiscriminantData:
     """The group L*/L and the sorted values of its form q mod 2Z.
 
@@ -402,17 +429,53 @@ class IsotropicSearch:
         }
 
 
+def _scan_position(t: int) -> int:
+    """Where t falls in the scan order 0, 1, -1, 2, -2, ... of a coordinate."""
+    return 2 * abs(t) - (t > 0)
+
+
+def _fibre_root(a: int, b: int, c: int, g: int, top: int) -> Optional[int]:
+    """The integer root t of a*t^2 + b*t + c that comes first in scan order
+    among those with |t| <= top and gcd(g, t) = 1, or None."""
+    if a == 0 and b == 0:
+        if c:
+            return None
+        # Every t is a root: 0 if the prefix is primitive, else 1 if in the box.
+        return 0 if g == 1 else (1 if top else None)
+    if a == 0:
+        t, r = divmod(-c, b)
+        roots = () if r else (t,)
+    else:
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return None
+        s = math.isqrt(disc)
+        if s * s != disc:
+            return None
+        roots = [num // (2 * a) for num in (-b + s, -b - s) if num % (2 * a) == 0]
+    return min((t for t in roots if abs(t) <= top and math.gcd(g, t) == 1),
+               key=_scan_position, default=None)
+
+
 def find_isotropic(lat: QuadLattice, bound: int = 10) -> IsotropicSearch:
     """Bounded search for a primitive isotropic vector.
 
     Definite forms have none, so the answer is conclusive immediately.
     Otherwise (including degenerate forms, whose radical always contains
-    isotropic vectors) the coefficient box [-bound, bound]^n is scanned in
-    a deterministic near-to-far order; exhaustion is reported as
-    inconclusive rather than as absence.  The scan evaluates at most
-    ``_ISOTROPIC_SCAN_CAP`` candidates: a witness among them is returned,
-    and a larger box with none raises ``BudgetExceeded``.  A negative bound
-    names no box and raises ``InputError``.
+    isotropic vectors) the coefficient box [-bound, bound]^n is searched in
+    a fixed scan order: ``itertools.product`` over the coordinate values
+    0, 1, -1, 2, -2, ..., and the first primitive isotropic vector in that
+    order is returned.  Exhaustion is reported as inconclusive rather than
+    as absence.  The box is read one fibre at a time: with the first n - 1
+    coordinates x' fixed, q(x', t) = A t^2 + B t + C with A = G[n-1][n-1],
+    B = 2 <x', G e_n> and C = q(x', 0), so each fibre takes one exact root
+    check (``math.isqrt``) rather than 2 bound + 1 evaluations of q.
+
+    ``_ISOTROPIC_SCAN_CAP`` counts box positions in scan order, not
+    evaluations of q: a witness at a position below the cap is returned,
+    and a witness at or past it, or no witness in a box of more positions
+    than the cap, raises ``BudgetExceeded``.  A negative bound names no box
+    and raises ``InputError``.
     """
     if bound < 0:
         raise InputError(f"isotropic search bound must be nonnegative, got {bound}")
@@ -422,24 +485,32 @@ def find_isotropic(lat: QuadLattice, bound: int = 10) -> IsotropicSearch:
         pos = neg = -1
     if pos == 0 or neg == 0:
         return IsotropicSearch(None, True)
+    cap, n = _ISOTROPIC_SCAN_CAP, lat.rank
     # Values past the first 2*cap + 1 of a coordinate lie beyond the first
-    # cap candidates, so a huge bound builds no huge list.
+    # cap positions, so a huge bound builds no huge list.
+    top = min(bound, cap)
     values = [0]
-    for k in range(1, min(bound, _ISOTROPIC_SCAN_CAP) + 1):
+    for k in range(1, top + 1):
         values.extend((k, -k))
-    for count, combo in enumerate(itertools.product(values, repeat=lat.rank)):
-        if count == _ISOTROPIC_SCAN_CAP:
-            raise BudgetExceeded(
-                f"isotropic scan of the box [-{bound}, {bound}]^{lat.rank} "
-                f"({(2 * bound + 1) ** lat.rank} candidates) exceeds the cap of "
-                f"{_ISOTROPIC_SCAN_CAP} candidates")
-        if all(x == 0 for x in combo):
-            continue
-        if la.vec_gcd(combo) != 1:
-            continue
-        if lat.q(combo) == 0:
-            return IsotropicSearch(tuple(combo), True)
-    return IsotropicSearch(None, False)
+    width = len(values)
+    a = lat.gram[-1][-1]
+    head = [row[:-1] for row in lat.gram]
+    for index, prefix in enumerate(itertools.product(values, repeat=n - 1)):
+        start = index * width  # the box position of (prefix, 0)
+        if start >= cap:
+            break
+        *gx, half_b = la.mat_vec(head, prefix)
+        t = _fibre_root(a, 2 * half_b, la.dot(prefix, gx), math.gcd(*prefix), top)
+        if t is not None:
+            if start + _scan_position(t) < cap:
+                return IsotropicSearch(prefix + (t,), True)
+            break
+    else:
+        if width ** n <= cap:
+            return IsotropicSearch(None, False)
+    raise BudgetExceeded(
+        f"isotropic scan of the box [-{bound}, {bound}]^{n} "
+        f"({(2 * bound + 1) ** n} candidates) exceeds the cap of {cap} candidates")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from mirrorcheck import cli, hodge as hg, nef, polytopes as pt
+from mirrorcheck import cli, hodge as hg, intlinalg as la, nef, polytopes as pt
 from mirrorcheck.cli import main
 from mirrorcheck.fixtures import load_fixture
 from mirrorcheck.intlinalg import mat_vec
@@ -96,6 +96,36 @@ def test_hull_calls_per_op(command, fixture, expected, capsys, monkeypatch):
     code, _ = run(capsys, *command, "--fixture", fixture)
     assert code == (2 if fixture == "hexagon" and command[0] == "nef" else 0)
     assert len(calls) == expected
+
+
+# Determinants and Smith forms per lattice op.  Each lattice computes its
+# signature, determinant and discriminant once: `lattice invariants` takes
+# one of each; `lattice mirror --expect` one determinant and one
+# discriminant for the mirror and for the target, and the embedding,
+# complement and quotient take the other seven Smith forms.
+LATTICE_KERNEL_CALLS = [
+    (["lattice", "invariants", "--fixture", "posdef2"], 1, 1),
+    (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 1, 1),
+    (["lattice", "mirror", "--spec", "H", "--expect", "H+E8(-1)+E8(-1)"], 2, 9),
+    (["lattice", "mirror", "--spec", "<2>", "--expect", "H+E8(-1)+E8(-1)+A1(-1)"], 2, 9),
+    (["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"], 2, 9),
+]
+
+
+@pytest.mark.parametrize("argv,determinants,smith_forms", LATTICE_KERNEL_CALLS)
+def test_lattice_kernel_calls_per_op(argv, determinants, smith_forms, capsys, monkeypatch):
+    calls = {"determinant": 0, "smith_normal_form": 0}
+    for name in calls:
+        real = getattr(la, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(la, name, counting)
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == {"determinant": determinants, "smith_normal_form": smith_forms}
 
 
 def test_isotropic_zero_pivot_gram(capsys):
@@ -339,6 +369,50 @@ def test_too_long_integer_is_an_input_error(tmp_path, capsys, argv, content):
     code, report = run_json(capsys, *(a.format(path=path) for a in argv))
     assert (code, report["status"], report["payload"]["error"]) == (2, "ERROR", "InputError")
     assert "too long" in report["payload"]["message"]
+
+
+LONG_A = "2" * 3000  # its square, the det below, has 6000 digits: too long to print
+
+
+@pytest.mark.parametrize("argv,content", [
+    (["lattice", "sum", "--gram", f"[[{LONG_A},0],[0,{LONG_A}]]"], None),
+    (["hodge", "picard", "--fibration", "{path}"], f'{{"fibres": ["I{"9" * 3000}^Delta"]}}'),
+], ids=["lattice-sum-det", "fibre-subscript-delta"])
+@pytest.mark.parametrize("pretty", [False, True])
+def test_too_long_report_integer_is_an_error_report(tmp_path, capsys, argv, content, pretty):
+    # Rendering such a report once ended in a traceback and exit code 1.
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    argv = [a.format(path=path) for a in argv] + (["--pretty"] if pretty else [])
+    code, out = run(capsys, *argv)
+    assert code == 2
+    if pretty:
+        assert out.splitlines()[:3] == [
+            "status: ERROR", "  error: BudgetExceeded",
+            "  message: report holds an integer of more than 4300 digits"]
+    else:
+        report = json.loads(out)
+        assert report["status"] == "ERROR"
+        assert report["payload"] == {
+            "error": "BudgetExceeded",
+            "message": "report holds an integer of more than 4300 digits"}
+
+
+DEEP = "[" * 100_000
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline-gram", "file"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, inline):
+    # json.loads raises RecursionError here; it was once an InternalError.
+    path = tmp_path / "embedding.json"
+    path.write_text(DEEP)
+    argv = (["lattice", "sum", "--gram", DEEP] if inline
+            else ["lattice", "complement", "--embedding", str(path)])
+    code, report = run_json(capsys, *argv)
+    assert (code, report["status"], report["payload"]["error"]) == (2, "ERROR", "InputError")
+    where = "--gram" if inline else str(path)
+    assert report["payload"]["message"] == f"JSON nested too deeply in {where}"
 
 
 def test_integral_fibre_subscript_reads_as_an_integer(tmp_path, capsys):

@@ -7,7 +7,10 @@ k^2/n mod 2Z), and on random even forms of rank 2-4 against a brute-force
 enumeration of G^-1 Z^n mod Z^n that uses no Smith form.
 """
 
+import gc
+import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -319,6 +322,62 @@ def test_discriminant_cap_is_a_budget():
         lt.discriminant(lat)
 
 
+def test_discriminant_budget_is_not_cached():
+    # A failed computation keeps nothing: every call raises again.
+    lat = lt.from_gram([[600, 0, 0], [0, 600, 0], [0, 0, -2]])
+    for _ in range(3):
+        with pytest.raises(errors.BudgetExceeded, match="exceeds enumeration cap"):
+            lt.discriminant(lat)
+    assert "discriminant" not in lat._invariants
+    assert lt.determinant(lat) == -720000
+
+
+def test_degenerate_signature_is_not_cached():
+    lat = lt.from_gram([[0, 0], [0, 2]])
+    for _ in range(2):
+        with pytest.raises(errors.Degenerate):
+            lt.signature(lat)
+    assert "signature" not in lat._invariants
+
+
+def test_invariants_are_computed_once_per_lattice(monkeypatch):
+    calls = {"determinant": 0, "smith_normal_form": 0}
+    for name in calls:
+        real = getattr(la, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(la, name, counting)
+    lat = lt.direct_sum(lt.hyperbolic_plane(), lt.rank_one(-4))
+    fresh = lt.direct_sum(lt.hyperbolic_plane(), lt.rank_one(-4))
+    for _ in range(3):
+        assert lt.signature(lat) == (1, 2)
+        assert lt.determinant(lat) == 4
+        assert lt.discriminant(lat).group == (4,)
+    assert calls == {"determinant": 1, "smith_normal_form": 1}
+    # The cache takes no part in equality, hashing or repr.
+    assert lat == fresh and hash(lat) == hash(fresh) and repr(lat) == repr(fresh)
+
+
+def test_lattice_with_cached_invariants_is_freed_without_the_collector():
+    # The cached values hold no reference back to the lattice, so
+    # reference counting alone frees it.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        lat = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.rank_one(-4))
+        alive = weakref.ref(lat)
+        lt.signature(lat), lt.determinant(lat), lt.discriminant(lat)
+        assert set(lat._invariants) == {"signature", "determinant", "discriminant"}
+        del lat
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # --- embeddings and complements --------------------------------------------
 
 
@@ -539,6 +598,101 @@ def test_isotropic_scan_budget(monkeypatch):
     assert not lt.find_isotropic(lat, bound=3).conclusive
     with pytest.raises(errors.BudgetExceeded, match=r"\[-4, 4\]\^2 \(81 candidates\)"):
         lt.find_isotropic(lat, bound=4)
+
+
+def _product_scan(lat, bound, cap):
+    """The isotropic scan as it was before the fibre scan: q at every box
+    position in ``itertools.product`` order, the cap counting positions."""
+    try:
+        pos, neg = lt.signature(lat)
+    except errors.Degenerate:
+        pos = neg = -1
+    if pos == 0 or neg == 0:
+        return lt.IsotropicSearch(None, True)
+    values = [0]
+    for k in range(1, min(bound, cap) + 1):
+        values.extend((k, -k))
+    for count, combo in enumerate(itertools.product(values, repeat=lat.rank)):
+        if count == cap:
+            raise errors.BudgetExceeded(
+                f"isotropic scan of the box [-{bound}, {bound}]^{lat.rank} "
+                f"({(2 * bound + 1) ** lat.rank} candidates) exceeds the cap of "
+                f"{cap} candidates")
+        if la.vec_gcd(combo) == 1 and lat.q(combo) == 0:
+            return lt.IsotropicSearch(tuple(combo), True)
+    return lt.IsotropicSearch(None, False)
+
+
+def _isotropic_outcome(search, *args):
+    try:
+        return search(*args)
+    except errors.BudgetExceeded as exc:
+        return str(exc)
+
+
+@st.composite
+def isotropy_cases(draw):
+    gram = draw(even_grams())
+    kill = draw(st.none() | st.integers(0, 3))
+    if kill is not None:
+        # Zero one row and column: a degenerate form.
+        k = kill % len(gram)
+        for i in range(len(gram)):
+            gram[i][k] = gram[k][i] = 0
+    return gram, draw(st.integers(0, 4)), draw(st.sampled_from([7, 30, 100, 2 ** 18]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(isotropy_cases())
+@example(([[4, 2], [2, 0]], 0, 2 ** 18))  # every t is a root, but the box holds only t = 0
+@example(([[4, 2], [2, 0]], 1, 2 ** 18))
+@example(([[0, 0], [0, 0]], 1, 7))
+@example(([[2, 0, 0], [0, 0, 0], [0, 0, -2]], 2, 7))
+@example(([[2, 0], [0, -4]], 4, 30))
+@example(([[2, 0], [0, -4]], 3, 49))  # a box of exactly cap positions, no witness
+@example(([[2, -1], [-1, -4]], 2, 7))  # the first witness, (1, -1), at position 7
+def test_fibre_scan_matches_product_scan(case):
+    gram, bound, cap = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lt, "_ISOTROPIC_SCAN_CAP", cap)
+        got = _isotropic_outcome(lt.find_isotropic, lt.from_gram(gram), bound)
+        want = _isotropic_outcome(_product_scan, lt.from_gram(gram), bound, cap)
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-4, 4), st.integers(-12, 12), st.integers(-12, 12),
+       st.integers(0, 6), st.integers(0, 6))
+@example(0, 3, 2, 1, 4)  # a linear fibre whose root -2/3 is not an integer
+@example(0, 0, 0, 2, 0)  # every t is a root, but the box holds only t = 0
+def test_fibre_root_is_the_first_root_in_scan_order(a, b, c, g, top):
+    order = [0] + [t for k in range(1, top + 1) for t in (k, -k)]
+    want = next((t for t in order if a * t * t + b * t + c == 0 and math.gcd(g, t) == 1),
+                None)
+    assert lt._fibre_root(a, b, c, g, top) == want
+
+
+def test_isotropic_scan_work_grows_with_prefixes(monkeypatch):
+    # x^2 + y^2 + z^2 = 7w^2 at bound 12: no witness, and the cap is passed
+    # in the fibre of prefix ceil(cap / 25).  Each prefix takes one dot and
+    # no evaluation of q, so the work does not grow with the 2^18 positions.
+    calls = {"dot": 0, "bilinear": 0}
+    real_dot, real_bilinear = la.dot, lt.QuadLattice.bilinear
+
+    def dot(*args):
+        calls["dot"] += 1
+        return real_dot(*args)
+
+    def bilinear(*args):
+        calls["bilinear"] += 1
+        return real_bilinear(*args)
+
+    monkeypatch.setattr(la, "dot", dot)
+    monkeypatch.setattr(lt.QuadLattice, "bilinear", bilinear)
+    lat = lt.from_gram([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, -14]])
+    with pytest.raises(errors.BudgetExceeded, match="390625 candidates"):
+        lt.find_isotropic(lat, bound=12)
+    assert calls == {"dot": -(-lt._ISOTROPIC_SCAN_CAP // 25), "bilinear": 0}
 
 
 # --- invariant comparison ---------------------------------------------------
