@@ -7,7 +7,11 @@ the unimodular inverse share one fraction-free (Bareiss) elimination
 kernel, ``_echelon``, whose entries stay integer minors of the input.  The
 only rationals are the solution coordinates of ``solve_exact``, one
 ``Fraction`` each.  Smith normal form and the integer kernel and solves
-built on it use unimodular row and column operations.  ``as_int`` is the
+built on it use unimodular row and column operations.  The Smith form can
+also keep the inverse of its column transform, at one row operation per
+column operation, so no library path inverts a unimodular matrix.
+``inverse_unimodular`` and ``integral_solve`` are tested helpers that no
+library path calls.  ``as_int`` is the
 one checked conversion of input values (JSON numbers) to ints;
 ``as_int_vector`` and ``as_int_rows`` apply it to input lists and lists of
 lists, and refuse any other shape.  ``strict_int`` reads the integers
@@ -184,18 +188,22 @@ def solve_exact(a: Sequence[Sequence[int]], b: Sequence[int]):
     return status, x
 
 
-def smith_normal_form(m: Sequence[Sequence[int]]):
+def smith_normal_form(m: Sequence[Sequence[int]], inverse: bool = False):
     """Smith normal form with transforms.
 
     Returns ``(u, d, v)`` with ``u @ m @ v == d``, ``u`` and ``v``
     unimodular, and ``d`` diagonal with nonnegative entries satisfying
-    ``d[i] | d[i+1]``.
+    ``d[i] | d[i+1]``.  With ``inverse`` it returns ``(u, d, v, w)``, where
+    ``w == v^-1``: each column operation on ``v`` is matched by the inverse
+    row operation on ``w``, and ``u``, ``d`` and ``v`` are those of the
+    default call.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     d = [list(row) for row in m]
     u = identity(nrows)
     v = identity(ncols)
+    w = identity(ncols) if inverse else None
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -206,6 +214,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        if w is not None:
+            w[i], w[j] = w[j], w[i]
 
     def add_row(src, dst, c):
         # row[dst] += c * row[src]
@@ -217,6 +227,9 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
             row[dst] += c * row[src]
         for row in v:
             row[dst] += c * row[src]
+        if w is not None:
+            # v @ (I + c E_src,dst) has inverse (I - c E_src,dst) @ w.
+            w[src] = [x - c * y for x, y in zip(w[src], w[dst])]
 
     t = 0
     while t < min(nrows, ncols):
@@ -264,7 +277,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
         if d[i][i] < 0:
             d[i] = [-x for x in d[i]]
             u[i] = [-x for x in u[i]]
-    return u, d, v
+    return (u, d, v, w) if inverse else (u, d, v)
 
 
 def kernel_basis(m: Sequence[Sequence[int]]) -> list[IntVector]:
@@ -321,12 +334,9 @@ def complete_to_unimodular(a: Sequence[int]) -> IntMatrix:
     """Unimodular matrix whose first row is the primitive vector ``a``."""
     if vec_gcd(a) != 1:
         raise NotPrimitiveVector(f"{list(a)} is not primitive")
-    _, d, v = smith_normal_form([list(a)])
-    # [a] @ v = (+-1, 0, ..., 0); absorb the sign into the first column.
-    av = mat_vec(transpose(v), list(a))
-    if av[0] == -1:
-        for row in v:
-            row[0] = -row[0]
-    m = inverse_unimodular(v)
+    _, _, _, m = smith_normal_form([list(a)], inverse=True)
+    # [a] @ v = (+-1, 0, ..., 0), so the first row of m = v^-1 is +-a.
+    if m[0] != list(a):
+        m[0] = [-x for x in m[0]]
     assert m[0] == list(a)
     return m

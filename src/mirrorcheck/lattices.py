@@ -304,6 +304,16 @@ class LatticeEmbedding:
             if any(x != 1 for x in factors):
                 raise NotPrimitive("image is not a direct summand of the ambient lattice")
 
+    @classmethod
+    def _saturated(cls, ambient: QuadLattice,
+                   image_basis: tuple[tuple[int, ...], ...]) -> "LatticeEmbedding":
+        """An embedding of a basis known to span a direct summand, such as a
+        saturated kernel basis, built without the Smith-form check."""
+        emb = object.__new__(cls)
+        object.__setattr__(emb, "ambient", ambient)
+        object.__setattr__(emb, "image_basis", image_basis)
+        return emb
+
     @property
     def rank(self) -> int:
         return len(self.image_basis)
@@ -312,14 +322,34 @@ class LatticeEmbedding:
         return from_gram(_congruent(self.ambient.gram, self.image_basis), name)
 
 
-def orthogonal_complement(emb: LatticeEmbedding,
-                          name: Optional[str] = None) -> LatticeEmbedding:
+def _kernel_transform(m: Sequence[Sequence[int]], n: int):
+    """``(kernel, w, r)`` from one Smith form ``u m v = d`` of an integer
+    matrix ``m`` with ``n`` columns and rank r: the rows of ``kernel`` (the
+    columns of ``v`` from r on) are a basis of the saturated kernel of
+    ``m``, and ``w = v^-1``.  An integer x has ``m x = 0`` exactly when the
+    first r entries of ``w x`` are 0, and then the rest are its coordinates
+    in ``kernel``.  A matrix with no rows needs no Smith form: its kernel
+    basis and ``w`` are the identity, and r = 0."""
+    if not m:
+        return la.identity(n), la.identity(n), 0
+    _, d, v, w = la.smith_normal_form(m, inverse=True)
+    r = sum(1 for i in range(min(len(m), n)) if d[i][i])
+    return la.transpose(v)[r:], w, r
+
+
+def _complement_transform(emb: LatticeEmbedding):
+    """The orthogonal complement of ``emb`` with the ``w`` and r of its
+    ``_kernel_transform``.  A saturated kernel basis spans a direct summand,
+    so the embedding skips its primitivity check."""
+    amb = emb.ambient
+    basis, w, r = _kernel_transform(la.mat_mul(emb.image_basis, amb.gram), amb.rank)
+    return LatticeEmbedding._saturated(amb, tuple(map(tuple, basis))), w, r
+
+
+def orthogonal_complement(emb: LatticeEmbedding) -> LatticeEmbedding:
     """Primitive embedding of everything orthogonal to the image (the whole
     ambient lattice when the image is empty)."""
-    amb = emb.ambient
-    basis = (la.kernel_basis(la.mat_mul(emb.image_basis, amb.gram)) if emb.image_basis
-             else la.identity(amb.rank))
-    return LatticeEmbedding(amb, tuple(tuple(v) for v in basis))
+    return _complement_transform(emb)[0]
 
 
 def dn_mirror(emb: LatticeEmbedding, f: Sequence[int],
@@ -330,21 +360,36 @@ def dn_mirror(emb: LatticeEmbedding, f: Sequence[int],
     of the embedded lattice, given in ambient coordinates.  The form
     descends to the quotient because f lies in the radical of the
     restriction; the result has rank = ambient rank - rank(L) - 2.
+
+    Three Smith forms that keep ``w = v^-1`` (see ``_kernel_transform``)
+    do all the solving:
+
+    1. on ``image_basis @ G``: its kernel is the complement; f is
+       orthogonal to the image iff the first r entries of ``w f`` are 0,
+       and the rest are the coordinates phi of f in the complement;
+    2. on ``[phi] @ G_comp``: its kernel ``sub`` is (Z phi)^perp in the
+       complement, and the trailing entries of ``w phi`` are the
+       coordinates a of phi in ``sub``;
+    3. on ``[a]``, in ``complete_to_unimodular``: the first row of its ``w``
+       is +-a, so ``w`` with that row signed to a turns ``sub`` into a
+       basis whose first vector is phi; the other vectors span the quotient.
     """
     amb = emb.ambient
     fv = [la.as_int(x) for x in f]
     if amb.q(fv) != 0:
         raise NotIsotropic(f"<f, f> = {amb.q(fv)} != 0")
-    comp = orthogonal_complement(emb)
-    phi = la.integral_solve(la.transpose(comp.image_basis), fv)
-    if phi is None:
+    comp, w, r = _complement_transform(emb)
+    wf = la.mat_vec(w, fv)
+    if any(wf[:r]):
         raise NotInComplement("f is not orthogonal to the embedded lattice")
+    phi = wf[r:]
     if la.vec_gcd(phi) != 1:
         raise NotPrimitiveVector("f is not primitive in the complement")
     comp_gram = comp.induced().gram
-    sub = la.kernel_basis(la.mat_mul([phi], comp_gram))
-    a = la.integral_solve(la.transpose(sub), phi)
-    if a is None or la.vec_gcd(a) != 1:
+    sub, w, r = _kernel_transform(la.mat_mul([phi], comp_gram), len(phi))
+    wphi = la.mat_vec(w, phi)
+    a = wphi[r:]
+    if any(wphi[:r]) or la.vec_gcd(a) != 1:
         raise NotPrimitiveVector("f is not primitive in its own orthogonal")
     quot = la.mat_mul(la.complete_to_unimodular(a), sub)[1:]
     lat = from_gram(_congruent(comp_gram, quot), name)

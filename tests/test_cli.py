@@ -100,15 +100,20 @@ def test_hull_calls_per_op(command, fixture, expected, capsys, monkeypatch):
 
 # Determinants and Smith forms per lattice op.  Each lattice computes its
 # signature, determinant and discriminant once: `lattice invariants` takes
-# one of each; `lattice mirror --expect` one determinant and one
-# discriminant for the mirror and for the target, and the embedding,
-# complement and quotient take the other seven Smith forms.
+# one of each.  `lattice complement` checks the embedding, takes the kernel
+# in one Smith form and does not check it again, and takes one
+# discriminant.  `lattice mirror --expect` takes one determinant and one
+# discriminant for the mirror and for the target; the embedding check and
+# the construction's three kept-inverse transforms take the other four
+# Smith forms.
 LATTICE_KERNEL_CALLS = [
     (["lattice", "invariants", "--fixture", "posdef2"], 1, 1),
     (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 1, 1),
-    (["lattice", "mirror", "--spec", "H", "--expect", "H+E8(-1)+E8(-1)"], 2, 9),
-    (["lattice", "mirror", "--spec", "<2>", "--expect", "H+E8(-1)+E8(-1)+A1(-1)"], 2, 9),
-    (["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"], 2, 9),
+    (["lattice", "complement", "--spec", "<4>"], 1, 3),
+    (["lattice", "complement", "--spec", "H+E8(-1)"], 1, 3),
+    (["lattice", "mirror", "--spec", "H", "--expect", "H+E8(-1)+E8(-1)"], 2, 6),
+    (["lattice", "mirror", "--spec", "<2>", "--expect", "H+E8(-1)+E8(-1)+A1(-1)"], 2, 6),
+    (["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"], 2, 6),
 ]
 
 
@@ -118,9 +123,9 @@ def test_lattice_kernel_calls_per_op(argv, determinants, smith_forms, capsys, mo
     for name in calls:
         real = getattr(la, name)
 
-        def counting(*args, _real=real, _name=name):
+        def counting(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(la, name, counting)
     code, _ = run(capsys, *argv)

@@ -3,8 +3,9 @@
 Rank, determinant, the rational solve and the unimodular inverse run on
 one fraction-free elimination kernel; each is compared here with sympy's own
 exact matrix routines on random square, rectangular and low-rank integer
-matrices, and so is the Smith normal form with its transforms.  The tests
-skip when sympy is not installed.
+matrices, and so is the Smith normal form with its transforms and the
+inverse of its column transform that it can keep.  The tests skip when
+sympy is not installed.
 """
 
 from fractions import Fraction
@@ -251,3 +252,30 @@ def test_smith_normal_form_matches_sympy(m):
     expected = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
     size = min(len(m), len(m[0]))
     assert [abs(d[i][i]) for i in range(size)] == [abs(int(expected[i, i])) for i in range(size)]
+    *kept, w = la.smith_normal_form(m, inverse=True)
+    assert kept == [u, d, v]
+    assert w == [[int(x) for x in row] for row in sympy.Matrix(v).inv().tolist()]
+
+
+def _zero_matrices(shape):
+    nrows, ncols = shape
+    return [[0] * ncols for _ in range(nrows)]
+
+
+# Any shape a list of rows can spell: wide, tall, zero, no columns, and the
+# empty list, which has no rows and so no columns either.
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrices(), st.tuples(st.integers(0, 6), st.integers(0, 6)).map(_zero_matrices)))
+@example([])
+@example([[], [], []])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[6, 10, 15]])
+@example([[2], [4], [6]])
+@example([[2, 4, 6], [1, 2, 3]])
+def test_smith_normal_form_keeps_the_inverse(m):
+    ncols = len(m[0]) if m else 0
+    u, d, v, w = la.smith_normal_form(m, inverse=True)
+    assert (u, d, v) == la.smith_normal_form(m)
+    eye = la.identity(ncols)
+    assert la.mat_mul(v, w) == eye
+    assert la.mat_mul(w, v) == eye

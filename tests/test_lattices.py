@@ -538,6 +538,163 @@ def test_dn_mirror_input_errors():
         lt.dn_mirror(emb, half)
 
 
+# The mirror construction by integer solves, as it was built before the
+# Smith form kept its inverse: the complement and (Z phi)^perp from
+# ``kernel_basis``, the coordinates phi and a from ``integral_solve``, and
+# the completion of a by inverting the Smith transform of [a].  Every step
+# has a unique answer, so ``dn_mirror`` must give the same Gram matrix and
+# raise the same errors, in the same order.
+
+
+def _reference_completion(a):
+    if la.vec_gcd(a) != 1:
+        raise errors.NotPrimitiveVector(f"{list(a)} is not primitive")
+    _, _, v = la.smith_normal_form([list(a)])
+    if la.mat_vec(la.transpose(v), list(a))[0] == -1:
+        for row in v:
+            row[0] = -row[0]
+    return la.inverse_unimodular(v)
+
+
+def _reference_dn_mirror(emb, f):
+    amb = emb.ambient
+    fv = [la.as_int(x) for x in f]
+    if amb.q(fv) != 0:
+        raise errors.NotIsotropic(f"<f, f> = {amb.q(fv)} != 0")
+    basis = (la.kernel_basis(la.mat_mul(emb.image_basis, amb.gram)) if emb.image_basis
+             else la.identity(amb.rank))
+    comp = lt.LatticeEmbedding(amb, tuple(tuple(v) for v in basis))
+    phi = la.integral_solve(la.transpose(comp.image_basis), fv)
+    if phi is None:
+        raise errors.NotInComplement("f is not orthogonal to the embedded lattice")
+    if la.vec_gcd(phi) != 1:
+        raise errors.NotPrimitiveVector("f is not primitive in the complement")
+    comp_gram = comp.induced().gram
+    sub = la.kernel_basis(la.mat_mul([phi], comp_gram))
+    a = la.integral_solve(la.transpose(sub), phi)
+    if a is None or la.vec_gcd(a) != 1:
+        raise errors.NotPrimitiveVector("f is not primitive in its own orthogonal")
+    quot = la.mat_mul(_reference_completion(a), sub)[1:]
+    lat = lt.from_gram(lt._congruent(comp_gram, quot))
+    if lt.determinant(lat) == 0:
+        raise errors.NotPrimitiveVector("degenerate quotient form; f was not primitive")
+    return lat
+
+
+def _mirror_outcome(construct, emb, f):
+    """The mirror's Gram matrix, or the type and message of the error."""
+    try:
+        return construct(emb, f).gram
+    except errors.MirrorcheckError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_mirror(emb, f):
+    expected = _mirror_outcome(_reference_dn_mirror, emb, f)
+    assert _mirror_outcome(lt.dn_mirror, emb, f) == expected
+    return expected
+
+
+@pytest.mark.parametrize("pieces", [[spec] for spec, _ in MIRROR_CASES] + [
+    ["H", "E8(-1)", "E8(-1)"],
+    ["H", "E8(-1)", "E8(-1)", "A1(-1)"],
+    ["H", "E8(-1)", "E8(-1)", "<-4>"],
+    [],
+])
+def test_dn_mirror_matches_the_solve_path(pieces):
+    emb = (lt.canonical_embedding([lt.standard_lattice(s) for s in pieces]) if pieces
+           else lt.LatticeEmbedding(lt.k3_lattice(), ()))
+    gram = _assert_same_mirror(emb, lt.default_isotropic_vector(emb))
+    assert isinstance(gram, tuple) and len(gram) == 20 - emb.rank
+
+
+def _k3_vector(entries):
+    vec = [0] * 22
+    for i, x in entries.items():
+        vec[i] = x
+    return vec
+
+
+# Isotropic vectors of the second and third H blocks, free under each of
+# these embeddings: (m x) e_2 + (n y) f_2 + (m y) e_3 - (n x) f_3, so that
+# e_2 + e_3 + k (f_2 - f_3) is the case m = x = y = 1, n = k.
+FREE_BLOCK_PIECES = [[], ["<2>"], ["<4>"], ["<-6>"], ["H"], ["E8(-1)"],
+                     ["<2>", "E8(-1)", "E8(-1)"], ["H", "E8(-1)", "E8(-1)"]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FREE_BLOCK_PIECES), st.tuples(*[st.integers(-4, 4)] * 4),
+       st.sampled_from(["as drawn", "doubled", "not isotropic", "in the image"]))
+@example([], (1, 1, 1, 1), "as drawn")
+@example(["<4>"], (1, 3, 1, 1), "as drawn")
+@example(["<2>"], (1, 1, 1, 1), "in the image")
+def test_dn_mirror_matches_the_solve_path_on_drawn_vectors(pieces, coeffs, change):
+    m, n, x, y = coeffs
+    f = _k3_vector({2: m * x, 3: n * y, 4: m * y, 5: -n * x})
+    assume(la.vec_gcd(f) == 1)
+    emb = (lt.canonical_embedding([lt.standard_lattice(s) for s in pieces]) if pieces
+           else lt.LatticeEmbedding(lt.k3_lattice(), ()))
+    if change == "doubled":
+        f = [2 * c for c in f]
+    elif change == "not isotropic":
+        f[3] += 1
+    elif change == "in the image":
+        assume(emb.image_basis)
+        f = [c + b for c, b in zip(f, emb.image_basis[0])]
+    outcome = _assert_same_mirror(emb, f)
+    if change == "as drawn":
+        assert isinstance(outcome, tuple) and len(outcome) == 20 - emb.rank
+
+
+# The checks run in order: 2 e_0 is neither orthogonal to the image e_0 + f_0
+# of <2> nor primitive, and 2 (e_2 + f_2) is not isotropic either.
+@pytest.mark.parametrize("f,error", [
+    (_k3_vector({2: 1, 3: 1}), "NotIsotropic"),
+    (_k3_vector({2: 2, 3: 2}), "NotIsotropic"),
+    (_k3_vector({0: 1}), "NotInComplement"),
+    (_k3_vector({0: 2}), "NotInComplement"),
+    (_k3_vector({2: 2}), "NotPrimitiveVector"),
+    ([0] * 22, "NotPrimitiveVector"),
+])
+def test_dn_mirror_errors_match_the_solve_path(f, error):
+    emb = lt.canonical_embedding([lt.rank_one(2)])
+    outcome = _assert_same_mirror(emb, f)
+    assert outcome[0].__name__ == error
+
+
+def test_dn_mirror_on_a_full_rank_image_refuses_f_outside_the_complement():
+    # The complement is 0: only f = 0 lies in it.  The solve path lost the
+    # row count of its empty coefficient matrix here and called any
+    # isotropic f "not primitive in the complement".
+    emb = lt.canonical_embedding([lt.standard_lattice(s)
+                                  for s in ("H", "H", "H", "E8(-1)", "E8(-1)")])
+    with pytest.raises(errors.NotInComplement, match="^f is not orthogonal"):
+        lt.dn_mirror(emb, _k3_vector({0: 1}))
+    with pytest.raises(errors.NotPrimitiveVector, match="^f is not primitive in the complement$"):
+        lt.dn_mirror(emb, [0] * 22)
+
+
+def test_complement_takes_one_smith_form_and_no_recheck(monkeypatch):
+    emb = lt.canonical_embedding([lt.rank_one(4), lt.e8_minus()])
+    calls = []
+    real = la.smith_normal_form
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(la, "smith_normal_form", counting)
+    comp = lt.orthogonal_complement(emb)
+    assert calls == [{"inverse": True}]
+    calls.clear()
+    whole = lt.orthogonal_complement(lt.LatticeEmbedding(emb.ambient, ()))
+    assert calls == []
+    assert whole.image_basis == tuple(map(tuple, la.identity(22)))
+    monkeypatch.undo()
+    assert comp.image_basis == tuple(
+        tuple(v) for v in la.kernel_basis(la.mat_mul(emb.image_basis, emb.ambient.gram)))
+
+
 def test_spec_with_a_non_integer_is_an_input_error():
     with pytest.raises(errors.InputError):
         lt.standard_lattice("<x>")
