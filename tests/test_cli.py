@@ -109,11 +109,11 @@ def test_hull_calls_per_op(command, fixture, expected, capsys, monkeypatch):
 LATTICE_KERNEL_CALLS = [
     (["lattice", "invariants", "--fixture", "posdef2"], 1, 1),
     (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 1, 1),
-    (["lattice", "complement", "--spec", "<4>"], 1, 3),
-    (["lattice", "complement", "--spec", "H+E8(-1)"], 1, 3),
     (["lattice", "mirror", "--spec", "H", "--expect", "H+E8(-1)+E8(-1)"], 2, 6),
     (["lattice", "mirror", "--spec", "<2>", "--expect", "H+E8(-1)+E8(-1)+A1(-1)"], 2, 6),
     (["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"], 2, 6),
+    (["lattice", "complement", "--spec", "<4>"], 1, 3),
+    (["lattice", "complement", "--spec", "H+E8(-1)"], 1, 3),
 ]
 
 

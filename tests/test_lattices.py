@@ -615,9 +615,11 @@ def _k3_vector(entries):
     return vec
 
 
-# Isotropic vectors of the second and third H blocks, free under each of
-# these embeddings: (m x) e_2 + (n y) f_2 + (m y) e_3 - (n x) f_3, so that
-# e_2 + e_3 + k (f_2 - f_3) is the case m = x = y = 1, n = k.
+# With x_i the i-th coordinate vector of K3, whose H blocks are (x_0, x_1),
+# (x_2, x_3) and (x_4, x_5): isotropic vectors of the second and third
+# blocks, free under each of these embeddings, (m a) x_2 + (n b) x_3 +
+# (m b) x_4 - (n a) x_5, so that x_2 + x_4 + k (x_3 - x_5) is the case
+# m = a = b = 1, n = k.
 FREE_BLOCK_PIECES = [[], ["<2>"], ["<4>"], ["<-6>"], ["H"], ["E8(-1)"],
                      ["<2>", "E8(-1)", "E8(-1)"], ["H", "E8(-1)", "E8(-1)"]]
 
@@ -629,8 +631,8 @@ FREE_BLOCK_PIECES = [[], ["<2>"], ["<4>"], ["<-6>"], ["H"], ["E8(-1)"],
 @example(["<4>"], (1, 3, 1, 1), "as drawn")
 @example(["<2>"], (1, 1, 1, 1), "in the image")
 def test_dn_mirror_matches_the_solve_path_on_drawn_vectors(pieces, coeffs, change):
-    m, n, x, y = coeffs
-    f = _k3_vector({2: m * x, 3: n * y, 4: m * y, 5: -n * x})
+    m, n, a, b = coeffs
+    f = _k3_vector({2: m * a, 3: n * b, 4: m * b, 5: -n * a})
     assume(la.vec_gcd(f) == 1)
     emb = (lt.canonical_embedding([lt.standard_lattice(s) for s in pieces]) if pieces
            else lt.LatticeEmbedding(lt.k3_lattice(), ()))
@@ -646,8 +648,8 @@ def test_dn_mirror_matches_the_solve_path_on_drawn_vectors(pieces, coeffs, chang
         assert isinstance(outcome, tuple) and len(outcome) == 20 - emb.rank
 
 
-# The checks run in order: 2 e_0 is neither orthogonal to the image e_0 + f_0
-# of <2> nor primitive, and 2 (e_2 + f_2) is not isotropic either.
+# The checks run in order: 2 x_0 is neither orthogonal to the image x_0 + x_1
+# of <2> nor primitive, and 2 (x_2 + x_3) is not isotropic either.
 @pytest.mark.parametrize("f,error", [
     (_k3_vector({2: 1, 3: 1}), "NotIsotropic"),
     (_k3_vector({2: 2, 3: 2}), "NotIsotropic"),
