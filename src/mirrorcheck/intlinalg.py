@@ -4,18 +4,21 @@ All routines work on plain Python ints (arbitrary precision); nothing here
 touches floating point.  Matrices are lists of row lists.  The pivot
 columns and the rank they count, the determinant, the rational solve and
 the unimodular inverse share one fraction-free (Bareiss) elimination
-kernel, ``_echelon``, whose entries stay integer minors of the input.  The
+kernel, ``_echelon``, whose entries stay integer minors of the input; the
+nef layer runs it directly, with several right-hand sides at once.  The
 only rationals are the solution coordinates of ``solve_exact``, one
-``Fraction`` each.  Smith normal form and the integer kernel and solves
-built on it use unimodular row and column operations.  The Smith form can
-also keep the inverse of its column transform, at one row operation per
-column operation, so no library path inverts a unimodular matrix.
-``inverse_unimodular`` and ``integral_solve`` are tested helpers that no
-library path calls.  ``as_int`` is the
-one checked conversion of input values (JSON numbers) to ints;
-``as_int_vector`` and ``as_int_rows`` apply it to input lists and lists of
-lists, and refuse any other shape.  ``strict_int`` reads the integers
-written in strings: flags, lattice specs and diamond keys.
+``Fraction`` each.  Its only library caller is now
+``polytopes.convex_hull_contains``, a Caratheodory search that no library
+path reaches and that ROADMAP.md queues for removal.  Smith normal form
+and the integer kernel and solves built on it use unimodular row and
+column operations.  The Smith form can also keep the inverse of its
+column transform, at one row operation per column operation, so no
+library path inverts a unimodular matrix.  ``inverse_unimodular`` and
+``integral_solve`` are tested helpers that no library path calls.
+``as_int`` is the one checked conversion of input values (JSON numbers)
+to ints; ``as_int_vector`` and ``as_int_rows`` apply it to input lists
+and lists of lists, and refuse any other shape.  ``strict_int`` reads the
+integers written in strings: flags, lattice specs and diamond keys.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import Degenerate, InputError, NotPrimitiveVector
+from .errors import Degenerate, InputError, NotPrimitiveVector, ShapeMismatch
 
 IntMatrix = list[list[int]]
 IntVector = list[int]
@@ -298,8 +301,15 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> list[IntVector]:
 
 
 def integral_solve(m: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[IntVector]:
-    """One integer solution of ``m @ x = b``, or None if there is none."""
+    """One integer solution of ``m @ x = b``, or None if there is none.
+
+    ``b`` needs one entry per row of ``m``; a list of rows holds no column
+    count, so a matrix with no rows is refused rather than read as having
+    the solution ``[]`` for every ``b``.
+    """
     nrows = len(m)
+    if len(b) != nrows:
+        raise ShapeMismatch(f"right-hand side of length {len(b)} for {nrows} rows")
     ncols = len(m[0]) if nrows else 0
     u, d, v = smith_normal_form(m)
     ub = mat_vec(u, list(b))

@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 from .errors import (
     BudgetExceeded,
     Degenerate,
+    DimensionMismatch,
     InputError,
     NotInComplement,
     NotIsotropic,
@@ -357,7 +358,8 @@ def dn_mirror(emb: LatticeEmbedding, f: Sequence[int],
     """Mirror lattice (Zf)^perp / Zf inside the orthogonal complement.
 
     ``f`` must be a primitive isotropic vector of the orthogonal complement
-    of the embedded lattice, given in ambient coordinates.  The form
+    of the embedded lattice, given in ambient coordinates, one per ambient
+    basis vector.  The form
     descends to the quotient because f lies in the radical of the
     restriction; the result has rank = ambient rank - rank(L) - 2.
 
@@ -376,6 +378,9 @@ def dn_mirror(emb: LatticeEmbedding, f: Sequence[int],
     """
     amb = emb.ambient
     fv = [la.as_int(x) for x in f]
+    if len(fv) != amb.rank:
+        raise DimensionMismatch(
+            f"f has {len(fv)} entries, the ambient lattice has rank {amb.rank}")
     if amb.q(fv) != 0:
         raise NotIsotropic(f"<f, f> = {amb.q(fv)} != 0")
     comp, w, r = _complement_transform(emb)

@@ -13,17 +13,24 @@ mirror, and (one less) the genus of the curve that must be blown up to
 smooth the corresponding degeneration.
 
 Validation and duality share one computation.  For each facet F of Delta
-and each part E_i, the Cartier condition solves for the integral functional
+and each part E_i, the Cartier condition asks for the integral functional
 u_{F,i} that is -1 on the boundary points of F in E_i and 0 on the other
-boundary points of F; the nef condition checks it against every boundary
-point.  These functionals are exactly the vertices of nabla_i: on the cone
-over F the support function of nabla_i is <u_{F,i}, .>, and u_{F,i} is its
-unique minimiser there (Cox-Little-Schenck, Toric Varieties, Thm 6.1.7).
-So the vertices of every nabla_i, full-dimensional or not, are integral and
-read off the Cartier data.  Validation, counts and Hodge numbers need only
-those vertices and nabla's hull; the hull of a full-dimensional nabla_i is
-built on the first read of ``DualNefPartition.nablas`` (by ``nef dual``'s
-report) and cached there.
+boundary points of F; one elimination of F's points, with the right-hand
+sides of all parts attached, finds them all, and the nef condition checks
+each against every boundary point.  These functionals are exactly the
+vertices of nabla_i: on the cone over F the support function of nabla_i
+is <u_{F,i}, .>, and u_{F,i} is its unique minimiser there
+(Cox-Little-Schenck, Toric Varieties, Thm 6.1.7).  So the vertices of
+every nabla_i, full-dimensional or not, are integral and read off the
+Cartier data.  The lattice points of the nabla_i are polar points sorted
+by face combinatorics alone: the polar's facets are Delta's vertices, so
+the facets through a polar point p name the face of Delta on which p is
+-1, and the boundary points of Delta on that face are those whose
+smallest face it contains (Ziegler, Lectures on Polytopes, 2.2-2.3).
+Validation, counts and Hodge numbers need only the vertices, the points
+and nabla's hull; the hull of a full-dimensional nabla_i is built on the
+first read of ``DualNefPartition.nablas`` (by ``nef dual``'s report) and
+cached there.
 """
 
 from __future__ import annotations
@@ -46,10 +53,11 @@ from .errors import (
     PolytopeMismatch,
     UnsupportedRank,
 )
-from .intlinalg import as_int, as_int_rows, mat_vec, solve_exact
+from .intlinalg import _echelon, as_int, as_int_rows, mat_vec
 from .polytopes import (
     LatticePolytope,
     Vec,
+    _smallest_face_mask,
     affine_rank,
     boundary_facet_masks,
     dual_face,
@@ -159,34 +167,86 @@ def _cartier_data(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
     elsewhere globally (upper convexity, i.e. nefness).  Returns, per part,
     the sorted distinct u_{F,i}: the vertices of nabla_i.  The boundary
     points of F are read off the facets the lattice-point sweep recorded
-    at each boundary point, and each u_{F,i} is paired with every boundary
-    point in one ``mat_vec``.
+    at each boundary point.  One reduced elimination per facet solves for
+    every part at once: the points of F are the rows, and each part's
+    right-hand side is one more column.  Part i has integral Cartier data
+    iff the points have rank d, its column is zero below the pivots, and
+    the last pivot ``den`` divides the rest of it; then u_{F,i} is that
+    column over ``den``.  Each new u_{F,i} is paired with every boundary
+    point in one ``mat_vec``; a functional already checked for its part
+    passed before.  The parts are checked in order, Cartier then nef, so
+    the first failure is the same as with one solve per facet and part.
     """
     delta = np_.polytope
+    d = delta.rank
     boundary = lattice_points(delta, "boundary")
     masks = boundary_facet_masks(delta)
     part_sets = [set(part) for part in np_.parts]
     bounds = [[-1 if v in part_set else 0 for v in boundary] for part_set in part_sets]
+    # Each boundary point, then its right-hand side for every part.
+    rows = [list(v) + [-1 if v in part_set else 0 for part_set in part_sets]
+            for v in boundary]
     vertex_sets: list[set[Vec]] = [set() for _ in np_.parts]
     for fi, (n, _) in enumerate(delta.facets):
-        on_facet = [v for v, mask in zip(boundary, masks) if mask >> fi & 1]
-        for i, part_set in enumerate(part_sets):
-            rhs = [-1 if v in part_set else 0 for v in on_facet]
-            status, u = solve_exact(on_facet, rhs)
-            if status != "unique" or any(x.denominator != 1 for x in u):
+        a = [row[:] for row, mask in zip(rows, masks) if mask >> fi & 1]
+        pivots, _ = _echelon(a, d, reduced=True)
+        den = a[d - 1][d - 1] if len(pivots) == d else 0
+        for i, (bound, found) in enumerate(zip(bounds, vertex_sets)):
+            col = d + i
+            if (not den or any(row[col] for row in a[d:])
+                    or any(row[col] % den for row in a[:d])):
                 raise NotCartier(
                     f"part {i} has no integral Cartier data on facet {fi} "
                     f"(normal {n})")
-            u_int = tuple(int(x) for x in u)
-            values = mat_vec(boundary, u_int)
-            if any(map(lt, values, bounds[i])):
-                v = next(v for v, value, bound in zip(boundary, values, bounds[i])
-                         if value < bound)
+            u = tuple(row[col] // den for row in a[:d])
+            if u in found:
+                continue
+            values = mat_vec(boundary, u)
+            if any(map(lt, values, bound)):
+                v = next(v for v, value, b in zip(boundary, values, bound) if value < b)
                 raise NotNef(
                     f"part {i} fails upper convexity at {v} "
                     f"against facet {fi} (normal {n})")
-            vertex_sets[i].add(u_int)
+            found.add(u)
     return tuple(tuple(sorted(vs)) for vs in vertex_sets)
+
+
+def _nabla_point_sets(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
+    """The lattice points of each nabla_i, in the polar's point order.
+
+    Every lattice point p of nabla_i lies in the polar polytope, and a
+    polar point p, which pairs to >= -1 with every boundary point of Delta,
+    lies in nabla_i iff each boundary point v with <v, p> = -1 lies in E_i
+    (the tight-set rule).  Those v form the face of Delta on which p is -1.
+    Polar facet j is <., v_j> >= -1 for vertex v_j of Delta, so the facets
+    through p, which the polar's sweep recorded, are that face's vertex
+    mask (0 for an interior p), and v lies on the face iff the vertex mask
+    of v's smallest face is a subset of it.  So the boundary points'
+    parts are grouped by that mask once, and the tight set of each
+    distinct polar mask is the union of the groups under it, with no inner
+    product.  A point that no part owns, which only an unvalidated
+    partition leaves, counts as part None.
+    """
+    delta = np_.polytope
+    polar = polar_dual(delta)
+    owner = {v: i for i, part in enumerate(np_.parts) for v in part}
+    groups: dict[int, set[Optional[int]]] = {}
+    for v, through in zip(lattice_points(delta, "boundary"), boundary_facet_masks(delta)):
+        groups.setdefault(_smallest_face_mask(delta, through), set()).add(owner.get(v))
+    faces = dict(zip(lattice_points(polar, "boundary"), boundary_facet_masks(polar)))
+    # The point lists of the nabla_i that hold a polar point, by its face.
+    point_sets: list[list[Vec]] = [[] for _ in np_.parts]
+    fits: dict[int, list[list[Vec]]] = {}
+    for p in lattice_points(polar, "all"):
+        face = faces.get(p, 0)
+        fit = fits.get(face)
+        if fit is None:
+            tight = set().union(*(parts for mask, parts in groups.items()
+                                  if mask & face == mask))
+            fit = fits[face] = [ps for i, ps in enumerate(point_sets) if tight <= {i}]
+        for ps in fit:
+            ps.append(p)
+    return tuple(map(tuple, point_sets))
 
 
 def validate_nef_partition(delta: LatticePolytope,
@@ -209,36 +269,21 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
     """The polytopes nabla_i, their lattice points, and nabla.
 
     The vertices of each nabla_i are the distinct Cartier functionals
-    u_{F,i} over the facets F of Delta (see the module docstring), so this
-    raises NotCartier or NotNef when a part's divisor is not Cartier or not
-    nef, validated or not.  Lattice
-    points of each nabla_i are read off the lattice points of the polar
-    polytope, which always contains them, by the tight-set rule: a polar
-    point p pairs to >= -1 with every boundary point of Delta, so p lies in
-    nabla_i iff every boundary point v with <v, p> = -1 lies in E_i.  One
-    pairing pass per polar point serves every part.  Nabla is hulled here,
-    for the reflexivity check; the nabla_i are not (see
-    ``DualNefPartition.nablas``).  The result is cached on the partition,
-    so validate_nef_partition builds the one that later calls return.
+    u_{F,i} over the facets F of Delta (``_cartier_data``, one elimination
+    per facet), so this raises NotCartier or NotNef when a part's divisor
+    is not Cartier or not nef, validated or not.  The lattice points of
+    each nabla_i are the polar points the tight-set rule keeps, read off
+    the facet masks of Delta and of its polar (``_nabla_point_sets``).
+    Nabla is hulled here, for the reflexivity check; the nabla_i are not
+    (see ``DualNefPartition.nablas``).  The result is cached on the
+    partition, so validate_nef_partition builds the one that later calls
+    return.
     """
     if np_._dual is not None:
         return np_._dual
     vertex_sets = _cartier_data(np_)
-    delta = np_.polytope
-    d = delta.rank
-    boundary = lattice_points(delta, "boundary")
-    polar_points = lattice_points(polar_dual(delta), "all")
-
-    # tight: the parts of the boundary points v with <v, p> = -1 (None for
-    # a point in no part, which only an unvalidated partition leaves).
-    owner = {v: i for i, part in enumerate(np_.parts) for v in part}
-    point_sets: list[list[Vec]] = [[] for _ in np_.parts]
-    for p in polar_points:
-        tight = {owner.get(v) for v, s in zip(boundary, mat_vec(boundary, p)) if s == -1}
-        for i, points in enumerate(point_sets):
-            if tight <= {i}:
-                points.append(p)
-
+    point_sets = _nabla_point_sets(np_)
+    d = np_.polytope.rank
     nabla = hull([v for vs in vertex_sets for v in vs])
     if not is_reflexive(nabla):
         raise DualityInconsistency("nabla is not reflexive")
@@ -258,7 +303,7 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
         if len(owners) != 1:
             raise DualityInconsistency(
                 f"lattice point {p} of nabla lies in {len(owners)} pieces")
-    dual = DualNefPartition(vertex_sets, tuple(map(tuple, point_sets)), nabla)
+    dual = DualNefPartition(vertex_sets, point_sets, nabla)
     object.__setattr__(np_, "_dual", dual)
     return dual
 

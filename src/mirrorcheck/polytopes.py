@@ -555,6 +555,17 @@ def _face_with_vertices(poly: LatticePolytope, mask: int) -> Optional[Face]:
     return None if found is None else Face(poly, *found)
 
 
+def _smallest_face_mask(poly: LatticePolytope, through: int) -> int:
+    """Vertex bitmask of the smallest face of P through a point that lies
+    on the facets in the bitmask ``through``: the AND of their incidence
+    rows, and all of P's vertices for a point on no facet."""
+    on = (1 << len(poly.vertices)) - 1
+    for j, verts in enumerate(poly.incidence):
+        if through >> j & 1:
+            on &= verts
+    return on
+
+
 def smallest_face_containing(poly: LatticePolytope, point: Sequence[int]) -> Face:
     """The unique face whose relative interior contains the lattice point.
 
@@ -569,11 +580,7 @@ def smallest_face_containing(poly: LatticePolytope, point: Sequence[int]) -> Fac
     boundary = lattice_points(poly, "boundary")
     i = bisect_left(boundary, p)
     through = boundary_facet_masks(poly)[i] if i < len(boundary) and boundary[i] == p else 0
-    on = (1 << len(poly.vertices)) - 1
-    for j, verts in enumerate(poly.incidence):
-        if through >> j & 1:
-            on &= verts
-    face = _face_with_vertices(poly, on)
+    face = _face_with_vertices(poly, _smallest_face_mask(poly, through))
     if face is None:
         raise NotFullDimensional("no face found; polytope data inconsistent")
     return face

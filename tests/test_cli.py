@@ -517,6 +517,19 @@ def test_lattice_mirror_expectation(capsys):
     assert report["payload"]["rank"] == 19
 
 
+@pytest.mark.parametrize("f", [[0, 0, 1], [0, 0, 1] + [0] * 19 + [5]],
+                         ids=["short", "long"])
+def test_lattice_mirror_f_of_wrong_length_is_an_error(f, capsys):
+    # mat_vec and dot zip their arguments, so a short f read as padded with
+    # zeros and a long one was cut to the ambient rank.
+    code, report = run_json(capsys, "lattice", "mirror", "--spec", "<2>",
+                            "--f", json.dumps(f))
+    assert code == 2
+    assert report["payload"] == {
+        "error": "DimensionMismatch",
+        "message": f"f has {len(f)} entries, the ambient lattice has rank 22"}
+
+
 def test_lattice_match_mismatch(capsys):
     code, report = run_json(capsys, "lattice", "match",
                             "--a", "H+E8(-1)+E8(-1)",

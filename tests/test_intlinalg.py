@@ -219,6 +219,16 @@ def test_solve_exact_statuses():
         "unique", [Fraction(1, 3), Fraction(1, 2)])
 
 
+def test_integral_solve_refuses_a_right_hand_side_of_the_wrong_length():
+    # A matrix with no rows holds no column count; it answered [] for any b.
+    with pytest.raises(errors.ShapeMismatch):
+        la.integral_solve([], [1, 0])
+    with pytest.raises(errors.ShapeMismatch):
+        la.integral_solve([[1, 2], [3, 4]], [1])
+    assert la.integral_solve([], []) == []
+    assert la.integral_solve([[2, 0], [0, 3]], [4, 6]) == [2, 2]
+
+
 @settings(max_examples=200, deadline=None)
 @given(unimodular())
 def test_inverse_unimodular_matches_sympy(m):

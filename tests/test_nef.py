@@ -18,6 +18,8 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_polytopes import image, unimodular
 
 from mirrorcheck import errors, intlinalg as la, nef, polytopes as pt
@@ -292,9 +294,22 @@ def test_nabla_vertices_match_basic_solutions(label, vertices, parts, mirror, se
 @pytest.mark.parametrize("label,vertices,parts,mirror", ORACLE_CASES,
                          ids=[case[0] for case in ORACLE_CASES])
 def test_nabla_points_match_constraint_filter(label, vertices, parts, mirror, seed):
-    """The tight-set rule keeps the polar points the constraint filter keeps."""
+    """The tight-set rule keeps the polar points the constraint filter keeps.
+
+    The polar's facets are Delta's vertices, in order, and the rule reads
+    the faces of both off those orders.  A GL(d, Z) image lists its
+    vertices in another order than the images of the original's, so the
+    seeded cases move both orders.
+    """
     np_ = oracle_case_partition(vertices, parts, mirror, seed)
-    assert nef.dual_nef_partition(np_).nabla_point_sets == constraint_filter_points(np_)
+    delta = np_.polytope
+    assert [n for n, _ in pt.polar_dual(delta).facets] == list(delta.vertices)
+    if seed is not None:
+        plain = oracle_case_partition(vertices, parts, mirror, None).polytope
+        assert image(unimodular(plain.rank, seed), plain.vertices) != list(delta.vertices)
+    expected = constraint_filter_points(np_)
+    assert nef._nabla_point_sets(np_) == expected
+    assert nef.dual_nef_partition(np_).nabla_point_sets == expected
 
 
 def _outcome(check, np_):
@@ -332,6 +347,100 @@ def test_cartier_data_matches_scan(label, seed):
         assert _outcome(nef._cartier_data, np_) == _outcome(scan_cartier_data, np_)
 
 
+@pytest.mark.parametrize("vertices", [HEXAGON, OCTAHEDRON, QUINTIC],
+                         ids=["hexagon", "octahedron", "quintic"])
+def test_fractional_cartier_data_is_not_cartier(vertices):
+    # Twice a reflexive polytope has its facets at lattice distance 2, so the
+    # functional that is -1 on a whole facet is its normal over 2: the
+    # elimination is consistent and of full rank, and only the divisibility
+    # of the right-hand column by the pivot tells that it is not integral.
+    delta = pt.dilate(pt.hull(vertices), 2)
+    boundary = pt.lattice_points(delta, "boundary")
+    rng = random.Random(len(boundary))
+    for k in (1, 2, 3):
+        owner = [rng.randrange(k) for _ in boundary]
+        np_ = nef.NefPartition(delta, tuple(
+            tuple(v for v, i in zip(boundary, owner) if i == j) for j in range(k)))
+        outcome = _outcome(nef._cartier_data, np_)
+        assert outcome == _outcome(scan_cartier_data, np_)
+        assert outcome[0] == "NotCartier"
+    n = delta.facets[0][0]
+    assert _outcome(nef._cartier_data, nef.NefPartition(delta, (boundary,))) == (
+        "NotCartier", f"part 0 has no integral Cartier data on facet 0 (normal {n})")
+
+
+def test_unowned_point_is_in_no_part():
+    # An unvalidated partition of the octahedron that leaves (0, 0, -1) in
+    # no part: every facet is a unimodular triangle, so the Cartier and nef
+    # checks pass, with bound 0 at the unowned point for both parts.  The
+    # polar point p = (0, 0, 1) is -1 on the unowned point alone, so its
+    # tight set is {None}, and it lies in no nabla_i.
+    octahedron = pt.hull(OCTAHEDRON)
+    unowned = (0, 0, -1)
+    parts = (tuple(P1P1P1_PARTS[0]), tuple(v for v in P1P1P1_PARTS[1] if v != unowned))
+    for m in (None, unimodular(3, 1), unimodular(3, 2)):
+        delta = octahedron if m is None else pt.hull(image(m, OCTAHEDRON))
+        moved = parts if m is None else [image(m, part) for part in parts]
+        np_ = nef.NefPartition(delta, tuple(tuple(sorted(part)) for part in moved))
+        vertex_sets = nef._cartier_data(np_)
+        assert vertex_sets == scan_cartier_data(np_)
+        point_sets = nef._nabla_point_sets(np_)
+        assert point_sets == constraint_filter_points(np_)
+        p = (0, 0, 1) if m is None else tuple(la.mat_vec(la.transpose(
+            la.inverse_unimodular(m)), [0, 0, 1]))
+        tight = [v for v in pt.lattice_points(delta, "boundary") if la.dot(v, p) == -1]
+        assert tight == ([unowned] if m is None else image(m, [unowned]))
+        assert p in pt.lattice_points(pt.polar_dual(delta), "all")
+        assert not any(p in ps for ps in point_sets)
+        with pytest.raises(errors.DualityInconsistency, match="^nabla is not reflexive$"):
+            nef.dual_nef_partition(np_)
+
+
+_CARTIER_POLYTOPES = {}
+
+
+def _cartier_polytope(label, seed):
+    """The hull of a CARTIER_CASES polytope, or of its seeded GL(d, Z)
+    image, built once per test session."""
+    key = label, seed
+    if key not in _CARTIER_POLYTOPES:
+        vertices = CARTIER_CASES[label]
+        if seed is not None:
+            vertices = image(unimodular(len(vertices[0]), seed), vertices)
+        _CARTIER_POLYTOPES[key] = pt.hull(vertices)
+    return _CARTIER_POLYTOPES[key]
+
+
+@st.composite
+def random_partitions(draw):
+    """(label, image seed, k, an owner in range(k) per boundary point, the
+    index of one point left in no part or None)."""
+    label = draw(st.sampled_from(sorted(CARTIER_CASES)))
+    seed = draw(st.sampled_from((None, 1, 2, 3)))
+    n = len(pt.lattice_points(_cartier_polytope(label, seed), "boundary"))
+    k = draw(st.sampled_from((2, 3)))
+    owners = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    unowned = draw(st.none() | st.integers(0, n - 1))
+    return label, seed, k, owners, unowned
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_partitions())
+def test_random_partitions_match_the_scans(case):
+    """Random 2- and 3-part partitions, unvalidated, on the CARTIER_CASES
+    polytopes and their images: the one-elimination Cartier data give the
+    scan's vertex sets or its first error, and the mask-grouped tight sets
+    give the constraint filter's points, whatever the Cartier outcome."""
+    label, seed, k, owners, unowned = case
+    delta = _cartier_polytope(label, seed)
+    boundary = pt.lattice_points(delta, "boundary")
+    parts = tuple(tuple(v for j, (v, owner) in enumerate(zip(boundary, owners))
+                        if owner == i and j != unowned) for i in range(k))
+    np_ = nef.NefPartition(delta, parts)
+    assert _outcome(nef._cartier_data, np_) == _outcome(scan_cartier_data, np_)
+    assert nef._nabla_point_sets(np_) == constraint_filter_points(np_)
+
+
 def test_free_sum_with_degenerate_pieces(monkeypatch):
     """(hexagon x hexagon) + [-1, 1] split as its two summands.
 
@@ -362,17 +471,19 @@ def test_free_sum_with_degenerate_pieces(monkeypatch):
 
 
 def test_validation_solves_each_cartier_system_once(octahedron, monkeypatch):
-    real_solve = nef.solve_exact
+    real_echelon = nef._echelon
     calls = []
 
-    def counting_solve(a, b):
-        calls.append(1)
-        return real_solve(a, b)
+    def counting_echelon(a, ncols, reduced=False):
+        calls.append((len(a[0]) - ncols, reduced))
+        return real_echelon(a, ncols, reduced)
 
-    monkeypatch.setattr(nef, "solve_exact", counting_solve)
+    monkeypatch.setattr(nef, "_echelon", counting_echelon)
     nef.validate_nef_partition(octahedron, P1P1P1_PARTS)
-    # One Cartier system per facet and part; the dual reuses their solutions.
-    assert len(calls) == len(octahedron.facets) * 2 == 16
+    # One reduced elimination per facet, with both parts' right-hand sides
+    # attached; the dual reuses its solutions, and no solve is left.
+    assert calls == [(2, True)] * len(octahedron.facets) == [(2, True)] * 8
+    assert not hasattr(nef, "solve_exact")
 
 
 def _record_hulls(monkeypatch):
