@@ -8,17 +8,18 @@ kernel, ``_echelon``, whose entries stay integer minors of the input; the
 nef layer runs it directly, with several right-hand sides at once.  The
 only rationals are the solution coordinates of ``solve_exact``, one
 ``Fraction`` each.  Its only library caller is now
-``polytopes.convex_hull_contains``, a Caratheodory search that no library
-path reaches and that ROADMAP.md queues for removal.  Smith normal form
-and the integer kernel and solves built on it use unimodular row and
-column operations.  The Smith form can also keep the inverse of its
-column transform, at one row operation per column operation, so no
-library path inverts a unimodular matrix.  ``inverse_unimodular`` and
-``integral_solve`` are tested helpers that no library path calls.
-``as_int`` is the one checked conversion of input values (JSON numbers)
-to ints; ``as_int_vector`` and ``as_int_rows`` apply it to input lists
-and lists of lists, and refuse any other shape.  ``strict_int`` reads the
-integers written in strings: flags, lattice specs and diamond keys.
+``polytopes.convex_hull_contains``, which no library path reaches and
+ROADMAP.md queues for removal.  Smith normal form and the integer kernel
+and solves built on it use unimodular row and column operations.  The
+Smith form can also keep the inverse of its column transform, at one row
+operation per column operation, so no library path inverts a unimodular
+matrix.
+``inverse_unimodular`` and ``integral_solve`` are tested helpers that no
+library path calls.  ``as_int`` is the
+one checked conversion of input values (JSON numbers) to ints;
+``as_int_vector`` and ``as_int_rows`` apply it to input lists and lists of
+lists, and refuse any other shape.  ``strict_int`` reads the integers
+written in strings: flags, lattice specs and diamond keys.
 """
 
 from __future__ import annotations

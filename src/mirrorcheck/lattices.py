@@ -359,9 +359,9 @@ def dn_mirror(emb: LatticeEmbedding, f: Sequence[int],
 
     ``f`` must be a primitive isotropic vector of the orthogonal complement
     of the embedded lattice, given in ambient coordinates, one per ambient
-    basis vector.  The form
-    descends to the quotient because f lies in the radical of the
-    restriction; the result has rank = ambient rank - rank(L) - 2.
+    basis vector.  The form descends to the quotient because f lies in the
+    radical of the restriction; the result has rank = ambient rank -
+    rank(L) - 2.
 
     Three Smith forms that keep ``w = v^-1`` (see ``_kernel_transform``)
     do all the solving:

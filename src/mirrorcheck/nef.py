@@ -175,7 +175,7 @@ def _cartier_data(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
     column over ``den``.  Each new u_{F,i} is paired with every boundary
     point in one ``mat_vec``; a functional already checked for its part
     passed before.  The parts are checked in order, Cartier then nef, so
-    the first failure is the same as with one solve per facet and part.
+    the error names the first failing (facet, part) pair.
     """
     delta = np_.polytope
     d = delta.rank

@@ -9,9 +9,12 @@ The vertices of each nabla_i are checked against an oracle that solves
 every d-subset of nabla_i's defining inequalities and keeps the feasible
 solutions (the basic-solution enumeration), and the lattice points of
 each nabla_i against one constraint scan per part, on the fixture
-partitions and on seeded GL(d, Z) images of them.
+partitions and on seeded GL(d, Z) images of them.  The Cartier data and
+the points are also checked against those scans on random, unvalidated
+partitions drawn by Hypothesis.
 """
 
+import functools
 import gc
 import itertools
 import random
@@ -396,19 +399,14 @@ def test_unowned_point_is_in_no_part():
             nef.dual_nef_partition(np_)
 
 
-_CARTIER_POLYTOPES = {}
-
-
+@functools.cache
 def _cartier_polytope(label, seed):
     """The hull of a CARTIER_CASES polytope, or of its seeded GL(d, Z)
     image, built once per test session."""
-    key = label, seed
-    if key not in _CARTIER_POLYTOPES:
-        vertices = CARTIER_CASES[label]
-        if seed is not None:
-            vertices = image(unimodular(len(vertices[0]), seed), vertices)
-        _CARTIER_POLYTOPES[key] = pt.hull(vertices)
-    return _CARTIER_POLYTOPES[key]
+    vertices = CARTIER_CASES[label]
+    if seed is not None:
+        vertices = image(unimodular(len(vertices[0]), seed), vertices)
+    return pt.hull(vertices)
 
 
 @st.composite
