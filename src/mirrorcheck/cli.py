@@ -6,6 +6,10 @@ byte-identical.  Exit codes: 0 = PASS, 1 = FAIL or INCONCLUSIVE (the check
 ran but did not verify), 2 = usage or input error.  Engine errors surface
 with status ERROR and the engine's error name verbatim.
 
+``_COMMANDS`` lists every group and subcommand with its handler, help and
+flags; ``build_parser`` builds the parser from it, and ``_Inputs`` reads
+from a flag's metavar whether it names a file, holds JSON or is as typed.
+
 ``_Inputs`` alone resolves, parses and echoes every input.  A partition
 file's ``polytope`` serves every ``nef`` subcommand given no other; the
 provenance lists the fixture and every file read; malformed JSON, JSON
@@ -49,12 +53,10 @@ _EXIT = {PASS: 0, FAIL: 1, INCONCLUSIVE: 1, ERROR: 2}
 class _Inputs:
     """The inputs of one run, each resolved by ``_get``: the first of its
     flags given, else the fixture's slot, else the caller's default or a
-    ``missing input`` error.  A file flag names a JSON file, read once and
-    echoed under the input's slot; inline JSON flags are parsed as given,
-    the others taken as argparse typed them.  Accessors check shapes."""
+    ``missing input`` error.  A FILE flag names a JSON file, read once and
+    echoed under the input's slot; a JSON flag is parsed as given; the
+    others are taken as argparse typed them.  Accessors check shapes."""
 
-    _INLINE_JSON = frozenset({"gram", "image-basis", "f"})
-    _AS_TYPED = frozenset({"spec", "w-chi", "dim"})
     # Each partition flag, with the fixture slot it stands for.
     _PARTITIONS = {"partition": "parts", "coarse": "trivial_parts", "fine": "parts"}
 
@@ -76,9 +78,10 @@ class _Inputs:
             given = getattr(self.args, flag.replace("-", "_"), None)
             if given is None:
                 continue
-            if flag in self._INLINE_JSON:
+            metavar = self.args.flags[flag].get("metavar")
+            if metavar == "JSON":
                 return flag, _parse_json(given, f"--{flag}")
-            if flag in self._AS_TYPED:
+            if metavar != "FILE":
                 return flag, given
             self.echo[slot or flag] = {"file": given}
             return flag, self._load_file(given)
@@ -495,6 +498,72 @@ def _cmd_family_sweep(inp: _Inputs):
 # ---------------------------------------------------------------------------
 
 
+_FILE = {"metavar": "FILE"}
+_JSON = {"metavar": "JSON"}
+_SPEC = {"metavar": "SPEC"}
+_INT = {"type": strict_int}
+_POLYTOPE = {"polytope": _FILE}
+_PARTITION = {"polytope": _FILE, "partition": _FILE}
+_GRAM = {"spec": _SPEC, "gram": _JSON}
+_EMBEDDING = {"spec": _SPEC, "image-basis": _JSON, "embedding": _FILE}
+
+# group -> (help, {subcommand -> (handler, help, {flag -> add_argument keywords})}).
+_COMMANDS = {
+    "polytope": ("exact convex geometry", {
+        "dual": (_cmd_polytope_dual, "polar dual of a reflexive polytope", _POLYTOPE),
+        "reflexive": (_cmd_polytope_reflexive, "reflexivity check", _POLYTOPE),
+        "points": (_cmd_polytope_points, "lattice point enumeration", {
+            **_POLYTOPE,
+            "region": {"choices": ("all", "boundary", "interior"), "default": "all"}}),
+        "faces": (_cmd_polytope_faces, "full face lattice", _POLYTOPE),
+    }),
+    "nef": ("nef partitions and their duals", {
+        "verify": (_cmd_nef_verify, "validate a nef partition", _PARTITION),
+        "dual": (_cmd_nef_dual, "dual nef partition", _PARTITION),
+        "counts": (_cmd_nef_counts, "complement and curve counts", _PARTITION),
+        "hodge": (_cmd_nef_hodge, "hypersurface Hodge numbers", _POLYTOPE),
+        "refine": (_cmd_nef_refine, "refinement check",
+                   {"polytope": _FILE, "coarse": _FILE, "fine": _FILE}),
+    }),
+    "lattice": ("even quadratic lattices", {
+        "sum": (_cmd_lattice_sum, "direct sum from a spec", _GRAM),
+        "invariants": (_cmd_lattice_invariants,
+                       "signature, determinant, discriminant form", _GRAM),
+        "complement": (_cmd_lattice_complement,
+                       "orthogonal complement in the K3 lattice", _EMBEDDING),
+        "mirror": (_cmd_lattice_mirror, "mirror lattice (Zf)^perp / Zf", {
+            **_EMBEDDING,
+            "f": {**_JSON, "help": "isotropic vector in ambient coordinates"},
+            "expect": {**_SPEC, "help": "compare invariants against this lattice"}}),
+        "isotropic": (_cmd_lattice_isotropic, "bounded isotropic vector search",
+                      {**_GRAM, "bound": {**_INT, "default": 10}}),
+        "match": (_cmd_lattice_match, "invariant comparison of two lattices", {
+            "a": {**_SPEC, "required": True}, "b": {**_SPEC, "required": True}}),
+    }),
+    "hodge": ("diamond arithmetic and identities", {
+        "euler": (_cmd_hodge_euler, "Euler characteristic", {"diamond": _FILE}),
+        "mirror": (_cmd_hodge_mirror, "mirror transposition check", {"v": _FILE, "w": _FILE}),
+        "lee": (_cmd_hodge_lee, "smoothing Hodge numbers", {"tyurin": _FILE}),
+        "glue": (_cmd_hodge_glue, "Euler gluing check",
+                 {"tyurin": _FILE, "w-chi": _INT, "dim": _INT}),
+        "lg-ranks": (_cmd_hodge_lg_ranks, "relative cohomology ranks", {"diamond": _FILE}),
+        "picard": (_cmd_hodge_picard, "Picard count from a fibration", {"fibration": _FILE}),
+        "slice": (_cmd_hodge_slice, "slicing and moduli identities",
+                  {"fibration": _FILE, "degeneration": _FILE}),
+        "lmhs": (_cmd_hodge_lmhs, "limit mixed Hodge structure table", {
+            "u": {**_INT, "required": True}, "v": {**_INT, "required": True},
+            "mirror": {**_FILE, "help": "table to compare against"}}),
+        "conj318": (_cmd_hodge_conj318, "fibre-count conjecture report", {"data": _FILE}),
+    }),
+    "family": ("mirror-quartic threefold family", {
+        "quartic": (_cmd_family_quartic, "consistency report for one member", {
+            "i": {**_INT, "required": True}, "j": {**_INT, "required": True},
+            "mu": {"required": True, "metavar": "X1,X2,..."}}),
+        "sweep": (_cmd_family_sweep, "exhaustive parameter sweep", {}),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mirrorcheck",
@@ -502,109 +571,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     top = parser.add_subparsers(dest="group", required=True)
     fixtures = ", ".join(fixture_names())
-
-    def sub(group, name, handler, **kwargs):
-        p = group.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
-        p.add_argument("--fixture", metavar="NAME",
-                       help=f"load inputs from a bundled fixture ({fixtures})")
-        p.add_argument("--pretty", action="store_true",
-                       help="human-readable text instead of JSON")
-        p.add_argument("--out", metavar="PATH", help="also write the report to a file")
-        return p
-
-    g = top.add_parser("polytope", help="exact convex geometry").add_subparsers(
-        dest="command", required=True)
-    p = sub(g, "dual", _cmd_polytope_dual, help="polar dual of a reflexive polytope")
-    p.add_argument("--polytope", metavar="FILE")
-    p = sub(g, "reflexive", _cmd_polytope_reflexive, help="reflexivity check")
-    p.add_argument("--polytope", metavar="FILE")
-    p = sub(g, "points", _cmd_polytope_points, help="lattice point enumeration")
-    p.add_argument("--polytope", metavar="FILE")
-    p.add_argument("--region", choices=("all", "boundary", "interior"), default="all")
-    p = sub(g, "faces", _cmd_polytope_faces, help="full face lattice")
-    p.add_argument("--polytope", metavar="FILE")
-
-    g = top.add_parser("nef", help="nef partitions and their duals").add_subparsers(
-        dest="command", required=True)
-    for name, handler, desc in (
-            ("verify", _cmd_nef_verify, "validate a nef partition"),
-            ("dual", _cmd_nef_dual, "dual nef partition"),
-            ("counts", _cmd_nef_counts, "complement and curve counts"),
-    ):
-        p = sub(g, name, handler, help=desc)
-        p.add_argument("--polytope", metavar="FILE")
-        p.add_argument("--partition", metavar="FILE")
-    p = sub(g, "hodge", _cmd_nef_hodge, help="hypersurface Hodge numbers")
-    p.add_argument("--polytope", metavar="FILE")
-    p = sub(g, "refine", _cmd_nef_refine, help="refinement check")
-    p.add_argument("--polytope", metavar="FILE")
-    p.add_argument("--coarse", metavar="FILE")
-    p.add_argument("--fine", metavar="FILE")
-
-    g = top.add_parser("lattice", help="even quadratic lattices").add_subparsers(
-        dest="command", required=True)
-    p = sub(g, "sum", _cmd_lattice_sum, help="direct sum from a spec")
-    p.add_argument("--spec", metavar="SPEC")
-    p.add_argument("--gram", metavar="JSON")
-    p = sub(g, "invariants", _cmd_lattice_invariants,
-            help="signature, determinant, discriminant form")
-    p.add_argument("--spec", metavar="SPEC")
-    p.add_argument("--gram", metavar="JSON")
-    p = sub(g, "complement", _cmd_lattice_complement,
-            help="orthogonal complement in the K3 lattice")
-    p.add_argument("--spec", metavar="SPEC")
-    p.add_argument("--image-basis", metavar="JSON")
-    p.add_argument("--embedding", metavar="FILE")
-    p = sub(g, "mirror", _cmd_lattice_mirror, help="mirror lattice (Zf)^perp / Zf")
-    p.add_argument("--spec", metavar="SPEC")
-    p.add_argument("--image-basis", metavar="JSON")
-    p.add_argument("--embedding", metavar="FILE")
-    p.add_argument("--f", metavar="JSON", help="isotropic vector in ambient coordinates")
-    p.add_argument("--expect", metavar="SPEC", help="compare invariants against this lattice")
-    p = sub(g, "isotropic", _cmd_lattice_isotropic, help="bounded isotropic vector search")
-    p.add_argument("--spec", metavar="SPEC")
-    p.add_argument("--gram", metavar="JSON")
-    p.add_argument("--bound", type=strict_int, default=10)
-    p = sub(g, "match", _cmd_lattice_match, help="invariant comparison of two lattices")
-    p.add_argument("--a", metavar="SPEC", required=True)
-    p.add_argument("--b", metavar="SPEC", required=True)
-
-    g = top.add_parser("hodge", help="diamond arithmetic and identities").add_subparsers(
-        dest="command", required=True)
-    p = sub(g, "euler", _cmd_hodge_euler, help="Euler characteristic")
-    p.add_argument("--diamond", metavar="FILE")
-    p = sub(g, "mirror", _cmd_hodge_mirror, help="mirror transposition check")
-    p.add_argument("--v", metavar="FILE")
-    p.add_argument("--w", metavar="FILE")
-    p = sub(g, "lee", _cmd_hodge_lee, help="smoothing Hodge numbers")
-    p.add_argument("--tyurin", metavar="FILE")
-    p = sub(g, "glue", _cmd_hodge_glue, help="Euler gluing check")
-    p.add_argument("--tyurin", metavar="FILE")
-    p.add_argument("--w-chi", type=strict_int, default=None)
-    p.add_argument("--dim", type=strict_int, default=None)
-    p = sub(g, "lg-ranks", _cmd_hodge_lg_ranks, help="relative cohomology ranks")
-    p.add_argument("--diamond", metavar="FILE")
-    p = sub(g, "picard", _cmd_hodge_picard, help="Picard count from a fibration")
-    p.add_argument("--fibration", metavar="FILE")
-    p = sub(g, "slice", _cmd_hodge_slice, help="slicing and moduli identities")
-    p.add_argument("--fibration", metavar="FILE")
-    p.add_argument("--degeneration", metavar="FILE")
-    p = sub(g, "lmhs", _cmd_hodge_lmhs, help="limit mixed Hodge structure table")
-    p.add_argument("--u", type=strict_int, required=True)
-    p.add_argument("--v", type=strict_int, required=True)
-    p.add_argument("--mirror", metavar="FILE", help="table to compare against")
-    p = sub(g, "conj318", _cmd_hodge_conj318, help="fibre-count conjecture report")
-    p.add_argument("--data", metavar="FILE")
-
-    g = top.add_parser("family", help="mirror-quartic threefold family").add_subparsers(
-        dest="command", required=True)
-    p = sub(g, "quartic", _cmd_family_quartic, help="consistency report for one member")
-    p.add_argument("--i", type=strict_int, required=True)
-    p.add_argument("--j", type=strict_int, required=True)
-    p.add_argument("--mu", required=True, metavar="X1,X2,...")
-    p = sub(g, "sweep", _cmd_family_sweep, help="exhaustive parameter sweep")
-
+    for group, (group_help, commands) in _COMMANDS.items():
+        sub = top.add_parser(group, help=group_help).add_subparsers(
+            dest="command", required=True)
+        for name, (handler, command_help, flags) in commands.items():
+            p = sub.add_parser(name, help=command_help)
+            p.set_defaults(handler=handler, flags=flags)
+            p.add_argument("--fixture", metavar="NAME",
+                           help=f"load inputs from a bundled fixture ({fixtures})")
+            p.add_argument("--pretty", action="store_true",
+                           help="human-readable text instead of JSON")
+            p.add_argument("--out", metavar="PATH", help="also write the report to a file")
+            for flag, keywords in flags.items():
+                p.add_argument(f"--{flag}", **keywords)
     return parser
 
 

@@ -246,7 +246,10 @@ def lee_smoothing(t: TyurinData) -> LeeHodge:
 
 
 def glue_euler_check(t: TyurinData, w_chi: int, d: int) -> Verdict:
-    """chi(V) = chi(X1) + chi(X2) - 2 chi(Z), then chi(W) = (-1)^d chi(V)."""
+    """chi(V) = chi(X1) + chi(X2) - 2 chi(Z), then chi(W) = (-1)^d chi(V);
+    a negative d is an InputError."""
+    if d < 0:
+        raise InputError(f"dimension must be nonnegative, got {d}")
     chi_v = euler_char(t.x1) + euler_char(t.x2) - 2 * euler_char(t.z)
     expected = (-1) ** d * chi_v
     if w_chi == expected:

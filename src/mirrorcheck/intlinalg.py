@@ -13,13 +13,14 @@ ROADMAP.md queues for removal.  Smith normal form and the integer kernel
 and solves built on it use unimodular row and column operations.  The
 Smith form can also keep the inverse of its column transform, at one row
 operation per column operation, so no library path inverts a unimodular
-matrix.
+matrix; ``_kernel_transform`` reads a saturated kernel basis and that
+inverse off one such Smith form, and ``kernel_basis`` is its first part.
 ``inverse_unimodular`` and ``integral_solve`` are tested helpers that no
-library path calls.  ``as_int`` is the
-one checked conversion of input values (JSON numbers) to ints;
-``as_int_vector`` and ``as_int_rows`` apply it to input lists and lists of
-lists, and refuse any other shape.  ``strict_int`` reads the integers
-written in strings: flags, lattice specs and diamond keys.
+library path calls.  ``as_int`` is the one checked conversion of input
+values (JSON numbers) to ints; ``as_int_vector`` and ``as_int_rows``
+apply it to input lists and lists of lists, and refuse any other shape.
+``strict_int`` reads the integers written in strings: flags, lattice specs
+and diamond keys.
 """
 
 from __future__ import annotations
@@ -284,21 +285,27 @@ def smith_normal_form(m: Sequence[Sequence[int]], inverse: bool = False):
     return (u, d, v, w) if inverse else (u, d, v)
 
 
+def _kernel_transform(m: Sequence[Sequence[int]], n: int):
+    """``(kernel, w, r)`` from one Smith form ``u m v = d`` of an integer
+    matrix ``m`` with ``n`` columns and rank r: the rows of ``kernel`` (the
+    columns of ``v`` from r on) are a basis of the saturated kernel of
+    ``m``, and ``w = v^-1``.  An integer x has ``m x = 0`` exactly when the
+    first r entries of ``w x`` are 0, and then the rest are its coordinates
+    in ``kernel``.  A matrix with no rows needs no Smith form: its kernel
+    basis and ``w`` are the identity, and r = 0."""
+    if not m:
+        return identity(n), identity(n), 0
+    _, d, v, w = smith_normal_form(m, inverse=True)
+    r = sum(1 for i in range(min(len(m), n)) if d[i][i])
+    return transpose(v)[r:], w, r
+
+
 def kernel_basis(m: Sequence[Sequence[int]]) -> list[IntVector]:
     """Basis of the saturated integer kernel ``{x : m @ x = 0}``.
 
     The returned vectors generate the kernel as a direct summand of Z^n.
     """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return identity(ncols)
-    _, d, v = smith_normal_form(m)
-    r = sum(1 for i in range(min(nrows, ncols)) if d[i][i] != 0)
-    cols = transpose(v)
-    return [cols[j] for j in range(r, ncols)]
+    return _kernel_transform(m, len(m[0]) if m else 0)[0]
 
 
 def integral_solve(m: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[IntVector]:

@@ -24,9 +24,9 @@ even lattices appearing in this problem domain.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -44,6 +44,7 @@ from .errors import (
     RankMismatch,
 )
 from . import intlinalg as la
+from ._cache import cached
 
 Gram = tuple[tuple[int, ...], ...]
 
@@ -60,15 +61,14 @@ class QuadLattice:
     """An even symmetric bilinear form over Z.
 
     ``signature``, ``determinant`` and ``discriminant`` compute their value
-    once per lattice and keep it in ``_invariants``, keyed by the function's
-    name.  A call that raises keeps nothing, so it raises again next time.
-    The kept values are plain data with no reference back to the lattice,
-    and the cache takes no part in equality, hashing or ``repr``.
+    once per lattice and keep it in ``_cache`` (see ``_cache.cached``).  A
+    call that raises keeps nothing, so it raises again next time.  The kept
+    values are plain data with no reference back to the lattice.
     """
 
     gram: Gram
     name: Optional[str] = None
-    _invariants: dict = field(
+    _cache: dict = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -172,21 +172,7 @@ def k3_lattice() -> QuadLattice:
                       e8_minus(), e8_minus(), name="K3")
 
 
-def _invariant(compute):
-    """Keep ``compute(lat)`` in ``lat._invariants`` after its first success."""
-    key = compute.__name__
-
-    @functools.wraps(compute)
-    def cached(lat: QuadLattice):
-        cache = lat._invariants
-        if key not in cache:
-            cache[key] = compute(lat)
-        return cache[key]
-
-    return cached
-
-
-@_invariant
+@cached
 def signature(lat: QuadLattice) -> tuple[int, int]:
     """Inertia (p, q) by fraction-free symmetric elimination over Z.
 
@@ -227,7 +213,7 @@ def signature(lat: QuadLattice) -> tuple[int, int]:
     return pos, neg
 
 
-@_invariant
+@cached
 def determinant(lat: QuadLattice) -> int:
     return la.determinant(lat.gram)
 
@@ -256,7 +242,7 @@ class DiscriminantData:
         }
 
 
-@_invariant
+@cached
 def discriminant(lat: QuadLattice) -> DiscriminantData:
     """The group L*/L and the sorted values of its form q mod 2Z.
 
@@ -323,27 +309,12 @@ class LatticeEmbedding:
         return from_gram(_congruent(self.ambient.gram, self.image_basis), name)
 
 
-def _kernel_transform(m: Sequence[Sequence[int]], n: int):
-    """``(kernel, w, r)`` from one Smith form ``u m v = d`` of an integer
-    matrix ``m`` with ``n`` columns and rank r: the rows of ``kernel`` (the
-    columns of ``v`` from r on) are a basis of the saturated kernel of
-    ``m``, and ``w = v^-1``.  An integer x has ``m x = 0`` exactly when the
-    first r entries of ``w x`` are 0, and then the rest are its coordinates
-    in ``kernel``.  A matrix with no rows needs no Smith form: its kernel
-    basis and ``w`` are the identity, and r = 0."""
-    if not m:
-        return la.identity(n), la.identity(n), 0
-    _, d, v, w = la.smith_normal_form(m, inverse=True)
-    r = sum(1 for i in range(min(len(m), n)) if d[i][i])
-    return la.transpose(v)[r:], w, r
-
-
 def _complement_transform(emb: LatticeEmbedding):
     """The orthogonal complement of ``emb`` with the ``w`` and r of its
-    ``_kernel_transform``.  A saturated kernel basis spans a direct summand,
-    so the embedding skips its primitivity check."""
+    ``intlinalg._kernel_transform``.  A saturated kernel basis spans a
+    direct summand, so the embedding skips its primitivity check."""
     amb = emb.ambient
-    basis, w, r = _kernel_transform(la.mat_mul(emb.image_basis, amb.gram), amb.rank)
+    basis, w, r = la._kernel_transform(la.mat_mul(emb.image_basis, amb.gram), amb.rank)
     return LatticeEmbedding._saturated(amb, tuple(map(tuple, basis))), w, r
 
 
@@ -363,8 +334,8 @@ def dn_mirror(emb: LatticeEmbedding, f: Sequence[int],
     radical of the restriction; the result has rank = ambient rank -
     rank(L) - 2.
 
-    Three Smith forms that keep ``w = v^-1`` (see ``_kernel_transform``)
-    do all the solving:
+    Three Smith forms that keep ``w = v^-1`` (see
+    ``intlinalg._kernel_transform``) do all the solving:
 
     1. on ``image_basis @ G``: its kernel is the complement; f is
        orthogonal to the image iff the first r entries of ``w f`` are 0,
@@ -391,7 +362,7 @@ def dn_mirror(emb: LatticeEmbedding, f: Sequence[int],
     if la.vec_gcd(phi) != 1:
         raise NotPrimitiveVector("f is not primitive in the complement")
     comp_gram = comp.induced().gram
-    sub, w, r = _kernel_transform(la.mat_mul([phi], comp_gram), len(phi))
+    sub, w, r = la._kernel_transform(la.mat_mul([phi], comp_gram), len(phi))
     wphi = la.mat_vec(w, phi)
     a = wphi[r:]
     if any(wphi[:r]) or la.vec_gcd(a) != 1:
@@ -558,9 +529,11 @@ def find_isotropic(lat: QuadLattice, bound: int = 10) -> IsotropicSearch:
     else:
         if width ** n <= cap:
             return IsotropicSearch(None, False)
-    raise BudgetExceeded(
-        f"isotropic scan of the box [-{bound}, {bound}]^{n} "
-        f"({(2 * bound + 1) ** n} candidates) exceeds the cap of {cap} candidates")
+    try:
+        box = f"the box [-{bound}, {bound}]^{n} ({(2 * bound + 1) ** n} candidates)"
+    except ValueError:  # an integer longer than Python's conversion limit
+        box = f"a box of more than 10^{sys.get_int_max_str_digits()} candidates"
+    raise BudgetExceeded(f"isotropic scan of {box} exceeds the cap of {cap} candidates")
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import lt
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
+from ._cache import cached
 from .errors import (
     DegenerateConfiguration,
     DualityInconsistency,
@@ -74,13 +75,13 @@ from .polytopes import (
 
 @dataclass(frozen=True)
 class NefPartition:
-    """A partition of the boundary lattice points of a reflexive polytope."""
+    """A partition of the boundary lattice points of a reflexive polytope;
+    ``_cache`` keeps its dual partition once ``dual_nef_partition`` has
+    built it."""
 
     polytope: LatticePolytope
     parts: tuple[tuple[Vec, ...], ...]
-    # The dual partition, cached by dual_nef_partition on first use.
-    _dual: Optional["DualNefPartition"] = field(
-        default=None, init=False, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -98,27 +99,24 @@ class DualNefPartition:
 
     ``nablas`` holds the hull of each full-dimensional nabla_i and None for
     a lower-dimensional one.  Only ``to_json`` needs those hulls, so they
-    are built on first read and cached.
+    are built on first read and kept in ``_cache``.
     """
 
     nabla_vertex_sets: tuple[tuple[Vec, ...], ...]
     nabla_point_sets: tuple[tuple[Vec, ...], ...]
     nabla: LatticePolytope
-    _nablas: Optional[tuple[Optional[LatticePolytope], ...]] = field(
-        default=None, init=False, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def k(self) -> int:
         return len(self.nabla_vertex_sets)
 
     @property
+    @cached
     def nablas(self) -> tuple[Optional[LatticePolytope], ...]:
-        if self._nablas is None:
-            d = self.nabla.rank
-            object.__setattr__(self, "_nablas", tuple(
-                hull(vs) if affine_rank(vs) == d else None
-                for vs in self.nabla_vertex_sets))
-        return self._nablas
+        d = self.nabla.rank
+        return tuple(hull(vs) if affine_rank(vs) == d else None
+                     for vs in self.nabla_vertex_sets)
 
     def to_json(self) -> dict:
         pieces = []
@@ -144,17 +142,26 @@ def _check_partition(delta: LatticePolytope, parts: Sequence[Sequence[Sequence[i
         raise NotAPartition("every part must be non-empty")
     boundary = set(lattice_points(delta, "boundary"))
     seen: set[Vec] = set()
-    for part in normalized:
-        for v in part:
-            if v not in boundary:
-                raise NotAPartition(f"{v} is not a boundary lattice point")
-            if v in seen:
-                raise NotAPartition(f"{v} appears in more than one part")
-            seen.add(v)
+    for v in _points_in_one_part(normalized):
+        if v not in boundary:
+            raise NotAPartition(f"{v} is not a boundary lattice point")
+        seen.add(v)
     missing = boundary - seen
     if missing:
         raise NotAPartition(f"boundary points not covered: {sorted(missing)}")
     return normalized
+
+
+def _points_in_one_part(parts: Sequence[Sequence[Vec]]) -> Iterator[Vec]:
+    """The points of the parts, in order, each once: a point met again
+    raises NotAPartition before it is yielded a second time."""
+    seen: set[Vec] = set()
+    for part in parts:
+        for v in part:
+            if v in seen:
+                raise NotAPartition(f"{v} appears in more than one part")
+            seen.add(v)
+            yield v
 
 
 def _cartier_data(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
@@ -265,22 +272,26 @@ def validate_nef_partition(delta: LatticePolytope,
     return np_
 
 
+@cached
 def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
     """The polytopes nabla_i, their lattice points, and nabla.
 
-    The vertices of each nabla_i are the distinct Cartier functionals
-    u_{F,i} over the facets F of Delta (``_cartier_data``, one elimination
-    per facet), so this raises NotCartier or NotNef when a part's divisor
-    is not Cartier or not nef, validated or not.  The lattice points of
+    Parts that overlap raise NotAPartition, validated or not, before any
+    elimination: ``_cartier_data`` and ``_nabla_point_sets`` would read a
+    point in two parts differently.  The vertices of each nabla_i are the
+    distinct Cartier functionals u_{F,i} over the facets F of Delta
+    (``_cartier_data``, one elimination per facet), so this raises
+    NotCartier or NotNef when a part's divisor is not Cartier or not nef,
+    validated or not.  The lattice points of
     each nabla_i are the polar points the tight-set rule keeps, read off
     the facet masks of Delta and of its polar (``_nabla_point_sets``).
     Nabla is hulled here, for the reflexivity check; the nabla_i are not
-    (see ``DualNefPartition.nablas``).  The result is cached on the
-    partition, so validate_nef_partition builds the one that later calls
-    return.
+    (see ``DualNefPartition.nablas``).  The result is kept in the
+    partition's ``_cache``, so validate_nef_partition builds the one that
+    later calls return.
     """
-    if np_._dual is not None:
-        return np_._dual
+    for _ in _points_in_one_part(np_.parts):  # raises on the first overlap
+        pass
     vertex_sets = _cartier_data(np_)
     point_sets = _nabla_point_sets(np_)
     d = np_.polytope.rank
@@ -303,9 +314,7 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
         if len(owners) != 1:
             raise DualityInconsistency(
                 f"lattice point {p} of nabla lies in {len(owners)} pieces")
-    dual = DualNefPartition(vertex_sets, point_sets, nabla)
-    object.__setattr__(np_, "_dual", dual)
-    return dual
+    return DualNefPartition(vertex_sets, point_sets, nabla)
 
 
 def check_refinement(coarse: NefPartition, fine: NefPartition) -> bool:

@@ -13,7 +13,9 @@ smallest faces are one lookup by vertex mask; the projections that
 lattice-point enumeration needs AND the masks of the two facets at a
 ridge.  ``hull`` runs only on point sets nobody has described yet.  All
 arithmetic is exact and, apart from the Caratheodory membership test,
-integral.
+integral.  A polytope keeps what is derived from it in one ``_cache``:
+the lattice-point ``_sweep``, the ``_faces`` table, the
+``_incidence_counts`` and, from ``polar_dual``, the polar or a weak link.
 
 The hull and the projections take one step: a facet list with point
 masks meets a sign per facet, the facets of sign >= 0 stay, and each pair
@@ -45,6 +47,7 @@ from .errors import (
     RankMismatch,
     UnsupportedRank,
 )
+from ._cache import cached
 from .intlinalg import (
     _echelon, as_int, dot, pivot_columns, rank as mat_rank, solve_exact, vec_gcd)
 
@@ -149,11 +152,10 @@ class LatticePolytope:
     is the bitmask of the vertices on facet j (bit i for vertex i), and
     ``slacks[j][i]`` the slack <n_j, v_i> + c_j of facet j at vertex i.
 
-    The caches hold no reference back to the polytope, so that it is freed
-    by reference counting, not left to the cycle collector."""
+    ``_cache`` holds no reference back to the polytope, so that it is
+    freed by reference counting, not left to the cycle collector."""
 
-    __slots__ = ("rank", "vertices", "facets", "incidence", "slacks", "_points",
-                 "_boundary_facets", "_faces", "_polar", "_polar_of", "_incidence_counts",
+    __slots__ = ("rank", "vertices", "facets", "incidence", "slacks", "_cache",
                  "__weakref__")
 
     def __init__(self, rank: int, vertices: tuple[Vec, ...], facets: tuple[Facet, ...],
@@ -163,12 +165,7 @@ class LatticePolytope:
         self.facets = facets
         self.incidence = incidence
         self.slacks = slacks
-        self._points: dict[str, tuple[Vec, ...]] = {}
-        self._boundary_facets: Optional[tuple[int, ...]] = None
-        self._faces: Optional[dict[int, tuple[int, tuple[int, ...]]]] = None
-        self._polar: Optional["LatticePolytope"] = None
-        self._polar_of: Optional[weakref.ref] = None
-        self._incidence_counts: Optional[Counter[int]] = None
+        self._cache: dict = {}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LatticePolytope)
@@ -330,18 +327,19 @@ def polar_dual(poly: LatticePolytope) -> LatticePolytope:
     through it holds lattice points.  The slack of polar facet i at polar
     vertex j is <n_j, v_i> + 1, the slack of facet j of P at vertex i, so
     the polar's slack table is P's transposed, and ``_cross_check`` reads
-    its incidence masks off that after checking it.  The polar is cached
-    on P, and P on the polar by a weak reference, so while P lives
-    ``polar_dual(polar_dual(P)) is P`` and repeated calls share its cached
-    points and faces, and the pair is no reference cycle; a failed check
-    caches nothing, so a non-reflexive input raises on every call.
+    its incidence masks off that after checking it; the check cannot fail
+    after ``hull``, but it is the only one on a hand-built P.  The polar
+    is cached on P, and P on the polar by a weak reference, so while P
+    lives ``polar_dual(polar_dual(P)) is P`` and repeated calls share its
+    cached points and faces, and the pair is no reference cycle; a failed
+    check caches nothing, so a non-reflexive input raises on every call.
     """
-    if poly._polar is not None:
-        return poly._polar
-    if poly._polar_of is not None:
-        primal = poly._polar_of()
-        if primal is not None:
-            return primal
+    cache = poly._cache
+    if "polar" in cache:
+        return cache["polar"]
+    primal = cache["polar_of"]() if "polar_of" in cache else None
+    if primal is not None:
+        return primal
     offsets = [c for _, c in poly.facets]
     if any(c <= 0 for c in offsets):
         raise OriginNotInterior("origin is not an interior point")
@@ -352,8 +350,8 @@ def polar_dual(poly: LatticePolytope) -> LatticePolytope:
     incidence = _cross_check(poly.rank, vertices, slacks)
     dual = LatticePolytope(poly.rank, vertices, tuple((v, 1) for v in poly.vertices),
                            incidence, slacks)
-    poly._polar = dual
-    dual._polar_of = weakref.ref(poly)
+    cache["polar"] = dual
+    dual._cache["polar_of"] = weakref.ref(poly)
     return dual
 
 
@@ -376,18 +374,13 @@ def lattice_points(poly: LatticePolytope, region: str = "all") -> tuple[Vec, ...
     normal entry is nonzero bound the ``k``-th coordinate by exact integer
     ceil/floor, so sweeping prefixes in increasing order yields the points
     lexicographically; the slacks are lifted affinely and the facets
-    through each boundary point recorded (see ``_sweep``).  One sweep fills
-    the cache of all three regions and ``boundary_facet_masks``.
+    through each boundary point recorded (see ``_sweep``).  One sweep, kept
+    in the polytope's cache, serves all three regions and
+    ``boundary_facet_masks``.
     """
-    if region not in ("all", "boundary", "interior"):
+    if region not in _REGIONS:
         raise InputError(f"unknown region {region!r}")
-    cached = poly._points.get(region)
-    if cached is None:
-        everything, boundary, interior, masks = _sweep(poly)
-        poly._points.update(all=everything, boundary=boundary, interior=interior)
-        poly._boundary_facets = masks
-        cached = poly._points[region]
-    return cached
+    return _sweep(poly)[_REGIONS.index(region)]
 
 
 def boundary_facet_masks(poly: LatticePolytope) -> tuple[int, ...]:
@@ -395,9 +388,7 @@ def boundary_facet_masks(poly: LatticePolytope) -> tuple[int, ...]:
     ``lattice_points(P, "boundary")``, the bitmask of the facets through it
     (bit j for facet j), as the lattice-point sweep found them; computed
     once per polytope."""
-    if poly._boundary_facets is None:
-        lattice_points(poly)
-    return poly._boundary_facets
+    return _sweep(poly)[3]
 
 
 def _levels(poly: LatticePolytope) -> list[list[tuple[Vec, int, int]]]:
@@ -443,6 +434,11 @@ def _project(facets: list[tuple[Vec, int, int]], k: int) -> list[tuple[Vec, int,
     return out
 
 
+# The regions of ``lattice_points``, in the order ``_sweep`` returns them.
+_REGIONS = ("all", "boundary", "interior")
+
+
+@cached
 def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
                                            tuple[Vec, ...], tuple[int, ...]]:
     """All, boundary and interior lattice points of P, each lexicographic,
@@ -524,34 +520,36 @@ def face_lattice(poly: LatticePolytope) -> tuple[Face, ...]:
     facet f.  Each facet of F is such an F & f with f not containing F, a
     proper subset and so a smaller int, so taking masks in increasing order,
     dim(F) = 1 + max dim(F & f) over those f; the empty face, with none,
-    has dim -1.  No rank is taken.  Each face's dim and vertex indices are
-    cached by vertex bitmask, in graded order, for ``_face_with_vertices``;
-    the ``Face`` objects, which point back to P, are built per call.
+    has dim -1.  No rank is taken.  The ``Face`` objects, which point back
+    to P, are built per call from the cached ``_faces`` table.
     """
-    if poly._faces is None:
-        incidence = poly.incidence
-        n = len(poly.vertices)
-        # The polytope itself; the empty face is the AND of all facets.
-        seen = {(1 << n) - 1}
-        frontier = set(incidence)
-        while frontier:
-            seen |= frontier
-            frontier = {s & f for s in frontier for f in incidence} - seen
-        dims: dict[int, int] = {}
-        for face in sorted(seen):
-            below = [dims[face & f] for f in incidence if face & f != face]
-            dims[face] = 1 + max(below) if below else -1
-        graded = sorted((dim, tuple(i for i in range(n) if face >> i & 1), face)
-                        for face, dim in dims.items())
-        poly._faces = {face: (dim, idx) for dim, idx, face in graded}
-    return tuple(Face(poly, dim, idx) for dim, idx in poly._faces.values())
+    return tuple(Face(poly, dim, idx) for dim, idx in _faces(poly).values())
+
+
+@cached
+def _faces(poly: LatticePolytope) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Each face's dim and vertex indices by its vertex bitmask, in the
+    graded order of ``face_lattice``."""
+    incidence = poly.incidence
+    n = len(poly.vertices)
+    # The polytope itself; the empty face is the AND of all facets.
+    seen = {(1 << n) - 1}
+    frontier = set(incidence)
+    while frontier:
+        seen |= frontier
+        frontier = {s & f for s in frontier for f in incidence} - seen
+    dims: dict[int, int] = {}
+    for face in sorted(seen):
+        below = [dims[face & f] for f in incidence if face & f != face]
+        dims[face] = 1 + max(below) if below else -1
+    graded = sorted((dim, tuple(i for i in range(n) if face >> i & 1), face)
+                    for face, dim in dims.items())
+    return {face: (dim, idx) for dim, idx, face in graded}
 
 
 def _face_with_vertices(poly: LatticePolytope, mask: int) -> Optional[Face]:
     """The face of P with vertex bitmask ``mask``, by one lookup, or None."""
-    if poly._faces is None:
-        face_lattice(poly)
-    found = poly._faces.get(mask)
+    found = _faces(poly).get(mask)
     return None if found is None else Face(poly, *found)
 
 
@@ -603,9 +601,13 @@ def ell_star_face(poly: LatticePolytope, face: Face) -> int:
         return ell_interior(poly)
     if face.dim < 0:
         return 0
-    if poly._incidence_counts is None:
-        poly._incidence_counts = Counter(boundary_facet_masks(poly))
-    return poly._incidence_counts[_face_incidence(poly, face)]
+    return _incidence_counts(poly)[_face_incidence(poly, face)]
+
+
+@cached
+def _incidence_counts(poly: LatticePolytope) -> Counter[int]:
+    """The number of boundary points of P through each facet mask."""
+    return Counter(boundary_facet_masks(poly))
 
 
 def dual_face(poly: LatticePolytope, face: Face) -> Face:

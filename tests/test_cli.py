@@ -164,6 +164,26 @@ def test_isotropic_budget_exit(capsys):
     assert "390625 candidates" in report["payload"]["message"]
 
 
+def test_isotropic_budget_with_a_box_too_large_to_print(capsys):
+    # (2b+1)^10 for a 1200-digit b has more digits than Python will print;
+    # the report once ended in an InternalError.
+    code, report = run_json(capsys, "lattice", "isotropic", "--spec", "H+E8(-1)",
+                            "--bound", "9" * 1200)
+    assert (code, report["status"], report["payload"]["error"]) == (
+        2, "ERROR", "BudgetExceeded")
+    assert report["payload"]["message"].startswith("isotropic scan of a box of more than 10^")
+
+
+@pytest.mark.parametrize("w_chi", ["176", "5"])
+def test_glue_negative_dimension_is_an_input_error(capsys, w_chi):
+    # (-1)^-1 chi(V) once printed as 176.0, and --w-chi 176 passed.
+    code, report = run_json(capsys, "hodge", "glue", "--fixture", "tyurin-quartic",
+                            "--w-chi", w_chi, "--dim", "-1")
+    assert (code, report["status"]) == (2, "ERROR")
+    assert report["payload"] == {"error": "InputError",
+                                 "message": "dimension must be nonnegative, got -1"}
+
+
 def test_isotropic_negative_bound_is_an_input_error(capsys):
     # A negative bound names no box; it was once scanned as an empty one
     # and reported INCONCLUSIVE.
@@ -693,8 +713,9 @@ def test_lmhs_mirror_comparison(tmp_path, capsys):
     assert code == 1
 
 
-def _file_flags():
-    """(subcommand, flag) for every FILE flag that build_parser declares."""
+def _flags(metavar):
+    """(subcommand, flag) for every flag with this metavar that build_parser
+    declares."""
     groups = next(a for a in cli.build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction))
     for group, group_parser in groups.choices.items():
@@ -702,7 +723,7 @@ def _file_flags():
                         if isinstance(a, argparse._SubParsersAction))
         for command, parser in commands.choices.items():
             for action in parser._actions:
-                if action.metavar == "FILE":
+                if action.metavar == metavar:
                     yield (group, command), action.option_strings[0]
 
 
@@ -728,7 +749,7 @@ FILE_FLAG_RUNS = {
 }
 
 
-FILE_FLAGS = list(_file_flags())
+FILE_FLAGS = list(_flags("FILE"))
 
 
 @pytest.mark.parametrize("command,flag", FILE_FLAGS,
@@ -743,6 +764,21 @@ def test_every_file_flag_is_echoed_in_provenance(tmp_path, capsys, command, flag
     code, report = run_json(capsys, *argv)
     assert code in (0, 1), report["payload"]
     assert {"file": str(path)} in report["provenance"]["inputs"].values()
+
+
+JSON_FLAGS = list(_flags("JSON"))
+
+
+@pytest.mark.parametrize("command,flag", JSON_FLAGS,
+                         ids=[" ".join([*command, flag]) for command, flag in JSON_FLAGS])
+def test_every_json_flag_is_parsed_inline(capsys, command, flag):
+    # Malformed JSON is an input error that names the flag, never a path to
+    # open; --f is read once the embedding is known.
+    extra = ["--spec", "<4>"] if flag == "--f" else []
+    code, report = run_json(capsys, *command, flag, "[1,", *extra)
+    assert (code, report["payload"]["error"]) == (2, "InputError")
+    assert report["payload"]["message"].startswith(f"malformed JSON in {flag}: ")
+    assert report["provenance"]["inputs"] == {}
 
 
 def test_parser_lists_fixtures_once(monkeypatch):

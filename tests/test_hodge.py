@@ -126,6 +126,17 @@ def test_glue_euler_threefold():
     assert not hg.glue_euler_check(t, 175, 3).passed
 
 
+def test_glue_euler_negative_dimension_is_an_input_error():
+    # (-1)^d with d < 0 is a float: (-1)^-1 chi(V) once read 176.0 and
+    # matched chi(W) = 176.
+    t = hg.TyurinData(hg.quasi_fano_threefold_diamond(2, 39),
+                      hg.quasi_fano_threefold_diamond(1, 30), hg.k3_diamond(), k=1)
+    for w_chi in (176, -176, 5):
+        with pytest.raises(errors.InputError, match="^dimension must be nonnegative, got -1$"):
+            hg.glue_euler_check(t, w_chi, -1)
+    assert hg.glue_euler_check(t, -176, 0).passed
+
+
 def test_glue_euler_surface_case():
     rational_elliptic = hg.surface_diamond(10)
     assert hg.euler_char(rational_elliptic) == 12

@@ -10,6 +10,7 @@ enumeration of G^-1 Z^n mod Z^n that uses no Smith form.
 import gc
 import itertools
 import math
+import sys
 import weakref
 from fractions import Fraction
 
@@ -328,7 +329,7 @@ def test_discriminant_budget_is_not_cached():
     for _ in range(3):
         with pytest.raises(errors.BudgetExceeded, match="exceeds enumeration cap"):
             lt.discriminant(lat)
-    assert "discriminant" not in lat._invariants
+    assert "discriminant" not in lat._cache
     assert lt.determinant(lat) == -720000
 
 
@@ -337,7 +338,7 @@ def test_degenerate_signature_is_not_cached():
     for _ in range(2):
         with pytest.raises(errors.Degenerate):
             lt.signature(lat)
-    assert "signature" not in lat._invariants
+    assert "signature" not in lat._cache
 
 
 def test_invariants_are_computed_once_per_lattice(monkeypatch):
@@ -361,6 +362,24 @@ def test_invariants_are_computed_once_per_lattice(monkeypatch):
     assert lat == fresh and hash(lat) == hash(fresh) and repr(lat) == repr(fresh)
 
 
+def test_invariant_cache_keeps_one_object_and_nothing_on_failure():
+    # A second call returns the kept object; a call that raises leaves the
+    # lattice's cache as it was.
+    lat = lt.direct_sum(lt.hyperbolic_plane(), lt.rank_one(-4))
+    for invariant in (lt.signature, lt.determinant, lt.discriminant):
+        assert invariant(lat) is invariant(lat)
+    assert set(lat._cache) == {"signature", "determinant", "discriminant"}
+    for gram, invariant, error in [([[0, 0], [0, 2]], lt.signature, errors.Degenerate),
+                                   ([[600, 0, 0], [0, 600, 0], [0, 0, -2]], lt.discriminant,
+                                    errors.BudgetExceeded)]:
+        bad = lt.from_gram(gram)
+        lt.determinant(bad)
+        before = dict(bad._cache)
+        with pytest.raises(error):
+            invariant(bad)
+        assert bad._cache == before
+
+
 def test_lattice_with_cached_invariants_is_freed_without_the_collector():
     # The cached values hold no reference back to the lattice, so
     # reference counting alone frees it.
@@ -370,7 +389,7 @@ def test_lattice_with_cached_invariants_is_freed_without_the_collector():
         lat = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.rank_one(-4))
         alive = weakref.ref(lat)
         lt.signature(lat), lt.determinant(lat), lt.discriminant(lat)
-        assert set(lat._invariants) == {"signature", "determinant", "discriminant"}
+        assert set(lat._cache) == {"signature", "determinant", "discriminant"}
         del lat
         assert alive() is None
     finally:
@@ -757,6 +776,20 @@ def test_isotropic_scan_budget(monkeypatch):
     assert not lt.find_isotropic(lat, bound=3).conclusive
     with pytest.raises(errors.BudgetExceeded, match=r"\[-4, 4\]\^2 \(81 candidates\)"):
         lt.find_isotropic(lat, bound=4)
+
+
+@pytest.mark.parametrize("bound", [int("9" * 1200), 10 ** 5000], ids=["1200", "5001"])
+def test_isotropic_budget_with_a_box_too_large_to_print(bound):
+    # (2b+1)^10 has more digits than Python will print, and so does a bound
+    # of 5001 digits: the budget error says the box is larger than that,
+    # where formatting the count once raised ValueError.
+    lat = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus())
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(errors.BudgetExceeded) as info:
+        lt.find_isotropic(lat, bound)
+    assert str(info.value) == (
+        f"isotropic scan of a box of more than 10^{limit} candidates exceeds "
+        f"the cap of {lt._ISOTROPIC_SCAN_CAP} candidates")
 
 
 def _product_scan(lat, bound, cap):

@@ -399,6 +399,51 @@ def test_unowned_point_is_in_no_part():
             nef.dual_nef_partition(np_)
 
 
+def test_overlapping_parts_are_refused_before_any_elimination(monkeypatch):
+    # (1, 0, 0) in both parts: _cartier_data would test it in each part,
+    # but _nabla_point_sets would give it one owner, and the dual once
+    # failed with a DualityInconsistency that did not name the overlap.
+    delta = pt.hull(OCTAHEDRON)
+    shared = (1, 0, 0)
+    parts = (tuple(P1P1P1_PARTS[0]), tuple(sorted(P1P1P1_PARTS[1] + [shared])))
+    np_ = nef.NefPartition(delta, parts)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(nef, "_echelon", refuse)
+    for _ in range(2):
+        with pytest.raises(errors.NotAPartition,
+                           match=r"^\(1, 0, 0\) appears in more than one part$"):
+            nef.dual_nef_partition(np_)
+    assert np_._cache == {}
+
+
+def test_partition_caches_keep_one_object_and_nothing_on_failure(monkeypatch):
+    # A second call returns the kept dual, and a second read the kept
+    # hulls; a call that raises leaves the owner's cache as it was.
+    delta = pt.hull(OCTAHEDRON)
+    np_ = nef.NefPartition(delta, tuple(tuple(sorted(p)) for p in P1P1P1_PARTS))
+    dual = nef.dual_nef_partition(np_)
+    assert nef.dual_nef_partition(np_) is dual
+    assert set(np_._cache) == {"dual_nef_partition"}
+    unowned = nef.NefPartition(delta, (np_.parts[0], np_.parts[1][1:]))
+    with pytest.raises(errors.DualityInconsistency):
+        nef.dual_nef_partition(unowned)
+    assert unowned._cache == {}
+
+    def fail(points):
+        raise errors.NotFullDimensional("no hull")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nef, "hull", fail)
+        with pytest.raises(errors.NotFullDimensional):
+            dual.nablas
+    assert dual._cache == {}
+    nablas = dual.nablas
+    assert dual.nablas is nablas and set(dual._cache) == {"nablas"}
+
+
 @functools.cache
 def _cartier_polytope(label, seed):
     """The hull of a CARTIER_CASES polytope, or of its seeded GL(d, Z)

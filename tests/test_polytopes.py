@@ -540,7 +540,36 @@ def test_polar_cross_checks_the_transposed_slacks(points):
         for _ in range(2):
             with pytest.raises(errors.NotFullDimensional, match=message):
                 pt.polar_dual(corrupt)
-        assert corrupt._polar is None
+        assert "polar" not in corrupt._cache
+
+
+@pytest.mark.parametrize("points", REFLEXIVE_FIXTURE_POINTS)
+def test_polytope_cache_keeps_one_object_and_nothing_on_failure(points):
+    # Every derived value is kept in the one cache and returned again as
+    # the same object; a call that raises leaves the cache as it was.
+    poly = pt.hull(points)
+    dual = pt.polar_dual(poly)
+    for p in (poly, dual):
+        for face in pt.face_lattice(p):
+            pt.ell_star_face(p, face)
+    assert set(poly._cache) == {"_sweep", "_faces", "_incidence_counts", "polar"}
+    assert set(dual._cache) == {"_sweep", "_faces", "_incidence_counts", "polar_of"}
+    for p in (poly, dual):
+        for region in REGIONS:
+            assert pt.lattice_points(p, region) is pt.lattice_points(p, region)
+        assert pt.boundary_facet_masks(p) is pt.boundary_facet_masks(p)
+        assert pt._faces(p) is pt._faces(p)
+        assert pt._incidence_counts(p) is pt._incidence_counts(p)
+    assert pt.polar_dual(poly) is dual and pt.polar_dual(dual) is poly
+    doubled = pt.dilate(poly, 2)
+    pt.lattice_points(doubled)
+    for p, call in [(poly, lambda: pt.lattice_points(poly, "edges")),
+                    (doubled, lambda: pt.polar_dual(doubled))]:
+        before = dict(p._cache)
+        with pytest.raises(errors.MirrorcheckError):
+            call()
+        assert p._cache.keys() == before.keys()
+        assert all(p._cache[key] is value for key, value in before.items())
 
 
 @pytest.mark.parametrize("seed", [None, 7])
@@ -561,7 +590,7 @@ def test_non_reflexive_polar_raises_every_time(points, seed):
         for _ in range(2):
             with pytest.raises(error):
                 pt.polar_dual(bad)
-        assert bad._polar is None
+        assert "polar" not in bad._cache
 
 
 # --- reflexivity -----------------------------------------------------------
@@ -702,11 +731,11 @@ def test_levels_build_no_hull(points, monkeypatch):
 @pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
 def test_one_sweep_fills_every_region(points):
     poly = pt.hull(points)
-    assert poly._points == {}
+    assert poly._cache == {}
     pt.lattice_points(poly, "interior")
-    assert set(poly._points) == set(REGIONS)
-    for region in REGIONS:
-        assert poly._points[region] == pt.lattice_points(pt.hull(points), region)
+    assert set(poly._cache) == {"_sweep"}
+    for region, found in zip(REGIONS, poly._cache["_sweep"]):
+        assert found == pt.lattice_points(pt.hull(points), region)
 
 
 @pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
