@@ -16,11 +16,11 @@ operation per column operation, so no library path inverts a unimodular
 matrix; ``_kernel_transform`` reads a saturated kernel basis and that
 inverse off one such Smith form, and ``kernel_basis`` is its first part.
 ``inverse_unimodular`` and ``integral_solve`` are tested helpers that no
-library path calls.  ``as_int`` is the one checked conversion of input
-values (JSON numbers) to ints; ``as_int_vector`` and ``as_int_rows``
-apply it to input lists and lists of lists, and refuse any other shape.
-``strict_int`` reads the integers written in strings: flags, lattice specs
-and diamond keys.
+library path calls.  ``as_int`` is the
+one checked conversion of input values (JSON numbers) to ints;
+``as_int_vector`` and ``as_int_rows`` apply it to input lists and lists of
+lists, and refuse any other shape.  ``strict_int`` reads the integers
+written in strings: flags, lattice specs and diamond keys.
 """
 
 from __future__ import annotations
