@@ -15,6 +15,8 @@ Smith form can also keep the inverse of its column transform, at one row
 operation per column operation, so no library path inverts a unimodular
 matrix; ``_kernel_transform`` reads a saturated kernel basis and that
 inverse off one such Smith form, and ``kernel_basis`` is its first part.
+``_sparse_mul`` is the library's matrix product: it skips zero entries,
+which make up most of the K3 lattice's Gram matrix.  ``mat_mul``,
 ``inverse_unimodular`` and ``integral_solve`` are tested helpers that no
 library path calls.  ``as_int`` is the
 one checked conversion of input values (JSON numbers) to ints;
@@ -48,6 +50,23 @@ def transpose(m: Sequence[Sequence[int]]) -> IntMatrix:
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
     bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+def _sparse_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
+    """``a @ b`` for integer matrices, skipping the zero entries of both:
+    row i of the product sums ``a[i][k]`` times the nonzero entries of row
+    k of ``b``, over the nonzero ``a[i][k]`` only."""
+    width = len(b[0]) if b else 0
+    support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, nonzero in zip(row, support):
+            if x:
+                for j, y in nonzero:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> IntVector:

@@ -10,11 +10,22 @@ search, and the mirror construction
 
 for a primitive isotropic f in the orthogonal complement of L.
 
-Every invariant is computed over the integers: the signature by
-fraction-free symmetric elimination (a chain of unimodular congruences and
-leading minors), the determinant by Bareiss elimination, and the
-discriminant group, kernels and the primitivity of an embedding from Smith
-forms.  The only rationals are the discriminant form's values.
+Every invariant is computed over the integers, one orthogonal block at a
+time.  The blocks are the connected components of the Gram matrix's
+nonzero pattern; their indices need not be contiguous, and a dense Gram
+matrix is one block.  Per block, the signature comes from fraction-free
+symmetric elimination (a chain of unimodular congruences and leading
+minors), the determinant from Bareiss elimination and the discriminant
+group from one Smith form.  The blocks' inertias add, their determinants
+multiply, and the cyclic orders of their discriminant generators become
+invariant factors by pairwise gcd/lcm.  The discriminant form's values
+are sorted as integers mod 2N^2 and only then made ``Fraction``s, the only
+rationals.  Kernels and the primitivity of an embedding come from Smith
+forms of the whole matrix.  Congruences ``B G B^T`` and the mirror
+construction's products skip zero entries (``intlinalg._sparse_mul``).
+The lattices the module builds itself (sums, induced forms, the mirror
+quotient) skip the input conversion of ``from_gram`` but keep the
+square/even/symmetric check.
 
 Isomorphism testing is deliberately limited to invariant comparison
 (rank, signature, determinant, discriminant group and form); this is a
@@ -103,8 +114,14 @@ def from_gram(gram: Sequence[Sequence[int]], name: Optional[str] = None) -> Quad
     return QuadLattice(la.as_int_rows(gram), name)
 
 
+def _lattice(rows: Sequence[Sequence[int]], name: Optional[str] = None) -> QuadLattice:
+    """A lattice on a Gram matrix of ints this module built itself: no
+    ``as_int`` per entry, but the square/even/symmetric check still runs."""
+    return QuadLattice(tuple(map(tuple, rows)), name)
+
+
 def hyperbolic_plane() -> QuadLattice:
-    return from_gram([[0, 1], [1, 0]], "H")
+    return _lattice([[0, 1], [1, 0]], "H")
 
 
 def e8_minus() -> QuadLattice:
@@ -114,11 +131,11 @@ def e8_minus() -> QuadLattice:
     for a, b in _E8_EDGES:
         gram[a - 1][b - 1] = 1
         gram[b - 1][a - 1] = 1
-    return from_gram(gram, "E8(-1)")
+    return _lattice(gram, "E8(-1)")
 
 
 def a1_minus() -> QuadLattice:
-    return from_gram([[-2]], "A1(-1)")
+    return _lattice([[-2]], "A1(-1)")
 
 
 def rank_one(n: int) -> QuadLattice:
@@ -164,7 +181,7 @@ def direct_sum(*lattices: QuadLattice, name: Optional[str] = None) -> QuadLattic
         offset += lat.rank
     if name is None and lattices and all(lat.name for lat in lattices):
         name = "+".join(lat.name for lat in lattices)
-    return from_gram(gram, name)
+    return _lattice(gram, name)
 
 
 def k3_lattice() -> QuadLattice:
@@ -172,19 +189,35 @@ def k3_lattice() -> QuadLattice:
                       e8_minus(), e8_minus(), name="K3")
 
 
-@cached
-def signature(lat: QuadLattice) -> tuple[int, int]:
-    """Inertia (p, q) by fraction-free symmetric elimination over Z.
+def _blocks(gram: Gram) -> list[tuple[list[int], list[list[int]]]]:
+    """The orthogonal blocks of ``gram``: for each connected component of
+    its nonzero pattern, by smallest index, the sorted indices and the
+    block's Gram matrix on them.  A dense Gram matrix is one block."""
+    support = [[j for j, x in enumerate(row) if x] for row in gram]
+    seen = [False] * len(gram)
+    blocks = []
+    for start in range(len(gram)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        index, stack = [], [start]
+        while stack:
+            i = stack.pop()
+            index.append(i)
+            for j in support[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        index.sort()
+        blocks.append((index, [[gram[i][j] for j in index] for i in index]))
+    return blocks
 
-    On the Bareiss pattern, step k pivots on the leading minor D_{k+1} of a
-    Gram matrix unimodularly congruent to the input, and each ``//`` by
-    D_k is exact.  By Sylvester and Jacobi each step adds a positive square
-    if D_k D_{k+1} > 0 and a negative one if not.  A zero pivot is fixed by
-    adding s times row and column j > k to row and column k; a trailing
-    row of zeros means the form is degenerate.
-    """
-    n = lat.rank
-    m = [list(row) for row in lat.gram]
+
+def _inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(p, q) of one block by fraction-free symmetric elimination; see
+    ``signature``."""
+    n = len(gram)
+    m = [list(row) for row in gram]
     pos = neg = 0
     prev = 1
     for k in range(n):
@@ -214,14 +247,45 @@ def signature(lat: QuadLattice) -> tuple[int, int]:
 
 
 @cached
+def signature(lat: QuadLattice) -> tuple[int, int]:
+    """Inertia (p, q), the sum of the inertias of the orthogonal blocks.
+
+    Each block runs a fraction-free symmetric elimination over Z.  On the
+    Bareiss pattern, step k pivots on the leading minor D_{k+1} of a Gram
+    matrix unimodularly congruent to the block, and each ``//`` by D_k is
+    exact.  By Sylvester and Jacobi each step adds a positive square if
+    D_k D_{k+1} > 0 and a negative one if not.  A zero pivot is fixed by
+    adding s times row and column j > k to row and column k; a trailing
+    row of zeros means the block, and so the form, is degenerate.
+    """
+    pos = neg = 0
+    for _, block in _blocks(lat.gram):
+        p, q = _inertia(block)
+        pos, neg = pos + p, neg + q
+    return pos, neg
+
+
+@cached
 def determinant(lat: QuadLattice) -> int:
-    return la.determinant(lat.gram)
+    """The product of the orthogonal blocks' Bareiss determinants."""
+    return math.prod(la.determinant(block) for _, block in _blocks(lat.gram))
 
 
 def _congruent(gram: Sequence[Sequence[int]],
                basis: Sequence[Sequence[int]]) -> list[list[int]]:
     """The Gram matrix ``B G B^T`` of the form ``G`` on the rows of ``B``."""
-    return [[la.dot(gu, v) for v in basis] for gu in la.mat_mul(basis, gram)]
+    return la._sparse_mul(la._sparse_mul(basis, gram), la.transpose(basis))
+
+
+def _invariant_factors(orders: Sequence[int]) -> list[int]:
+    """The invariant factors d_1 | d_2 | ... > 1 of a sum of cyclic groups
+    of the given orders: each pair (a, b), in turn, becomes (gcd, lcm)."""
+    fs = list(orders)
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            g = math.gcd(fs[i], fs[j])
+            fs[i], fs[j] = g, fs[i] * fs[j] // g
+    return [f for f in fs if f > 1]
 
 
 @dataclass(frozen=True)
@@ -246,29 +310,43 @@ class DiscriminantData:
 def discriminant(lat: QuadLattice) -> DiscriminantData:
     """The group L*/L and the sorted values of its form q mod 2Z.
 
-    With one Smith form ``u G v = D``, the columns ``g_i`` of ``v`` at the
-    invariant factors ``d_i > 1``, over ``d_i``, generate L*/L.  Over the
-    common denominator N = d_k an element is ``sum a_i g_i / N`` with
-    ``a_i`` a multiple of N/d_i below N, and q = a^T W a / N^2, W the integer
-    Gram matrix of the ``g_i``.  A group above the enumeration cap raises
-    ``BudgetExceeded``.
+    L*/L is the sum of its orthogonal blocks' groups.  |L*/L| = |det|, so a
+    group above the enumeration cap raises ``BudgetExceeded`` before any
+    Smith form.  Each block takes one Smith form ``u G v = D``; the columns
+    of ``v`` at the invariant factors ``d_i > 1``, placed in full
+    coordinates, are the ``g_i``, and ``g_i / d_i`` generate cyclic
+    summands of orders ``d_i``.  Those orders, brought to invariant factors
+    by pairwise gcd/lcm, are the group.  Over the common denominator N, the
+    lcm of the orders, an element is ``sum a_i g_i / N`` with ``a_i`` a
+    multiple of N/d_i below N, and q = a^T W a / N^2, W the integer Gram
+    matrix of the ``g_i``.  The values a^T W a mod 2 N^2 are sorted as
+    integers, and only then made ``Fraction``s.
     """
     det = determinant(lat)
     if det == 0:
         raise Degenerate("discriminant needs a nondegenerate lattice")
-    _, d, v = la.smith_normal_form(lat.gram)
-    diag = [d[i][i] for i in range(lat.rank)]
-    factors = [di for di in diag if di > 1]
-    order = math.prod(factors)
-    if order != abs(det):
+    if abs(det) > _DISC_ENUMERATION_CAP:
+        raise BudgetExceeded(
+            f"discriminant group of order {abs(det)} exceeds enumeration cap")
+    gens, orders = [], []
+    for index, block in _blocks(lat.gram):
+        _, d, v = la.smith_normal_form(block)
+        for k, col in enumerate(la.transpose(v)):
+            if d[k][k] > 1:
+                g = [0] * lat.rank
+                for i, x in zip(index, col):
+                    g[i] = x
+                gens.append(g)
+                orders.append(d[k][k])
+    if math.prod(orders) != abs(det):
         raise Degenerate("invariant factors inconsistent with determinant")
-    if order > _DISC_ENUMERATION_CAP:
-        raise BudgetExceeded(f"discriminant group of order {order} exceeds enumeration cap")
-    w = _congruent(lat.gram, [g for g, di in zip(la.transpose(v), diag) if di > 1])
-    den = factors[-1] if factors else 1
-    values = sorted(Fraction(la.dot(a, la.mat_vec(w, a)) % (2 * den * den), den * den)
-                    for a in itertools.product(*(range(0, den, den // f) for f in factors)))
-    return DiscriminantData(tuple(factors), tuple(values))
+    w = _congruent(lat.gram, gens)
+    den = math.lcm(*orders)
+    mod, den2 = 2 * den * den, den * den
+    values = sorted(la.dot(a, la.mat_vec(w, a)) % mod
+                    for a in itertools.product(*(range(0, den, den // f) for f in orders)))
+    return DiscriminantData(tuple(_invariant_factors(orders)),
+                            tuple(Fraction(x, den2) for x in values))
 
 
 @dataclass(frozen=True)
@@ -306,7 +384,7 @@ class LatticeEmbedding:
         return len(self.image_basis)
 
     def induced(self, name: Optional[str] = None) -> QuadLattice:
-        return from_gram(_congruent(self.ambient.gram, self.image_basis), name)
+        return _lattice(_congruent(self.ambient.gram, self.image_basis), name)
 
 
 def _complement_transform(emb: LatticeEmbedding):
@@ -314,7 +392,7 @@ def _complement_transform(emb: LatticeEmbedding):
     ``intlinalg._kernel_transform``.  A saturated kernel basis spans a
     direct summand, so the embedding skips its primitivity check."""
     amb = emb.ambient
-    basis, w, r = la._kernel_transform(la.mat_mul(emb.image_basis, amb.gram), amb.rank)
+    basis, w, r = la._kernel_transform(la._sparse_mul(emb.image_basis, amb.gram), amb.rank)
     return LatticeEmbedding._saturated(amb, tuple(map(tuple, basis))), w, r
 
 
@@ -362,13 +440,13 @@ def dn_mirror(emb: LatticeEmbedding, f: Sequence[int],
     if la.vec_gcd(phi) != 1:
         raise NotPrimitiveVector("f is not primitive in the complement")
     comp_gram = comp.induced().gram
-    sub, w, r = la._kernel_transform(la.mat_mul([phi], comp_gram), len(phi))
+    sub, w, r = la._kernel_transform(la._sparse_mul([phi], comp_gram), len(phi))
     wphi = la.mat_vec(w, phi)
     a = wphi[r:]
     if any(wphi[:r]) or la.vec_gcd(a) != 1:
         raise NotPrimitiveVector("f is not primitive in its own orthogonal")
-    quot = la.mat_mul(la.complete_to_unimodular(a), sub)[1:]
-    lat = from_gram(_congruent(comp_gram, quot), name)
+    quot = la._sparse_mul(la.complete_to_unimodular(a), sub)[1:]
+    lat = _lattice(_congruent(comp_gram, quot), name)
     if determinant(lat) == 0:
         raise NotPrimitiveVector("degenerate quotient form; f was not primitive")
     return lat

@@ -99,38 +99,74 @@ def test_hull_calls_per_op(command, fixture, expected, capsys, monkeypatch):
 
 
 # Determinants and Smith forms per lattice op.  Each lattice computes its
-# signature, determinant and discriminant once: `lattice invariants` takes
-# one of each.  `lattice complement` checks the embedding, takes the kernel
-# in one Smith form and does not check it again, and takes one
-# discriminant.  `lattice mirror --expect` takes one determinant and one
-# discriminant for the mirror and for the target; the embedding check and
-# the construction's three kept-inverse transforms take the other four
+# signature, determinant and discriminant once, one orthogonal block at a
+# time: one determinant and one Smith form per block.  `lattice invariants`
+# on H+E8(-1)+E8(-1)+<-4> has 4 blocks.  `lattice complement` checks the
+# embedding, takes the kernel in one Smith form and does not check it
+# again; the complements of <4> and H+E8(-1) have 5 and 3 blocks.
+# `lattice mirror --expect` takes the invariants of the mirror and of the
+# target, 3 + 3 blocks for H and 4 + 4 for <2> and <4>; the embedding check
+# and the construction's three kept-inverse transforms take the other four
 # Smith forms.
 LATTICE_KERNEL_CALLS = [
     (["lattice", "invariants", "--fixture", "posdef2"], 1, 1),
-    (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 1, 1),
-    (["lattice", "mirror", "--spec", "H", "--expect", "H+E8(-1)+E8(-1)"], 2, 6),
-    (["lattice", "mirror", "--spec", "<2>", "--expect", "H+E8(-1)+E8(-1)+A1(-1)"], 2, 6),
-    (["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"], 2, 6),
-    (["lattice", "complement", "--spec", "<4>"], 1, 3),
-    (["lattice", "complement", "--spec", "H+E8(-1)"], 1, 3),
+    (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 4, 4),
+    (["lattice", "mirror", "--spec", "H", "--expect", "H+E8(-1)+E8(-1)"], 6, 10),
+    (["lattice", "mirror", "--spec", "<2>", "--expect", "H+E8(-1)+E8(-1)+A1(-1)"], 8, 12),
+    (["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"], 8, 12),
+    (["lattice", "complement", "--spec", "<4>"], 5, 7),
+    (["lattice", "complement", "--spec", "H+E8(-1)"], 3, 5),
 ]
+
+
+def _count_kernel_calls(monkeypatch):
+    """Count determinants and Smith forms, and keep the most rows any
+    Smith form is given."""
+    calls = {"determinant": 0, "smith_normal_form": 0}
+    rows = [0]
+    for name in calls:
+        real = getattr(la, name)
+
+        def counting(m, *args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            if _name == "smith_normal_form":
+                rows[0] = max(rows[0], len(m))
+            return _real(m, *args, **kwargs)
+
+        monkeypatch.setattr(la, name, counting)
+    return calls, rows
 
 
 @pytest.mark.parametrize("argv,determinants,smith_forms", LATTICE_KERNEL_CALLS)
 def test_lattice_kernel_calls_per_op(argv, determinants, smith_forms, capsys, monkeypatch):
-    calls = {"determinant": 0, "smith_normal_form": 0}
-    for name in calls:
-        real = getattr(la, name)
-
-        def counting(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(la, name, counting)
+    calls, _ = _count_kernel_calls(monkeypatch)
     code, _ = run(capsys, *argv)
     assert code == 0
     assert calls == {"determinant": determinants, "smith_normal_form": smith_forms}
+
+
+# The most rows any Smith form of the op is given.  A discriminant takes its
+# Smith forms on the orthogonal blocks, so a mirror's largest is an E8(-1)
+# block (8), not its whole Gram matrix (19 for <2> and <4>, 18 for H);
+# `lattice complement` checks its embedding on all of the image's rows (10
+# for H+E8(-1)).
+LARGEST_SMITH_INPUT = [
+    (["lattice", "invariants", "--fixture", "posdef2"], 2),
+    (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 8),
+    (["lattice", "mirror", "--spec", "H", "--expect", "H+E8(-1)+E8(-1)"], 8),
+    (["lattice", "mirror", "--spec", "<2>", "--expect", "H+E8(-1)+E8(-1)+A1(-1)"], 8),
+    (["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"], 8),
+    (["lattice", "complement", "--spec", "<4>"], 8),
+    (["lattice", "complement", "--spec", "H+E8(-1)"], 10),
+]
+
+
+@pytest.mark.parametrize("argv,rows", LARGEST_SMITH_INPUT)
+def test_lattice_smith_forms_see_one_block_at_a_time(argv, rows, capsys, monkeypatch):
+    _, largest = _count_kernel_calls(monkeypatch)
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert largest == [rows]
 
 
 def test_isotropic_zero_pivot_gram(capsys):

@@ -118,6 +118,29 @@ def test_mat_mul_matches_explicit_sums(factors):
             assert _same(out[i][j], expected)
 
 
+# Integer factors with many zeros, of any shape with up to 4 rows, inner
+# size and columns, 0 included: the sparse product skips zero entries and
+# must give mat_mul's result, empty rows included.
+sparse_entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 10 ** 20])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda shape: st.tuples(
+        st.lists(st.lists(sparse_entries, min_size=shape[1], max_size=shape[1]),
+                 min_size=shape[0], max_size=shape[0]),
+        st.lists(st.lists(sparse_entries, min_size=shape[2], max_size=shape[2]),
+                 min_size=shape[1], max_size=shape[1]))))
+@example(([], []))
+@example(([[], []], []))
+@example(([[1, 2]], [[], []]))
+@example(([[0, 0], [1, -1]], [[3, 0], [2, 0]]))
+@example(([[0, 0, 0]], [[1, 2], [3, 4], [5, 6]]))
+def test_sparse_mul_matches_mat_mul(factors):
+    a, b = factors
+    assert la._sparse_mul(a, b) == la.mat_mul(a, b)
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 @example([[0, 0], [0, 0]])

@@ -323,6 +323,18 @@ def test_discriminant_cap_is_a_budget():
         lt.discriminant(lat)
 
 
+def test_discriminant_cap_is_refused_before_any_smith_form(monkeypatch):
+    # |L*/L| = |det|, so the determinant alone refuses an over-cap group.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Smith form ran")
+
+    monkeypatch.setattr(la, "smith_normal_form", refuse)
+    lat = lt.from_gram([[600, 0, 0], [0, 600, 0], [0, 0, -2]])
+    with pytest.raises(errors.BudgetExceeded,
+                       match="^discriminant group of order 720000 exceeds enumeration cap$"):
+        lt.discriminant(lat)
+
+
 def test_discriminant_budget_is_not_cached():
     # A failed computation keeps nothing: every call raises again.
     lat = lt.from_gram([[600, 0, 0], [0, 600, 0], [0, 0, -2]])
@@ -357,7 +369,8 @@ def test_invariants_are_computed_once_per_lattice(monkeypatch):
         assert lt.signature(lat) == (1, 2)
         assert lt.determinant(lat) == 4
         assert lt.discriminant(lat).group == (4,)
-    assert calls == {"determinant": 1, "smith_normal_form": 1}
+    # One determinant and one Smith form per orthogonal block, H and <-4>.
+    assert calls == {"determinant": 2, "smith_normal_form": 2}
     # The cache takes no part in equality, hashing or repr.
     assert lat == fresh and hash(lat) == hash(fresh) and repr(lat) == repr(fresh)
 
@@ -395,6 +408,141 @@ def test_lattice_with_cached_invariants_is_freed_without_the_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+# --- invariants of orthogonal blocks against the whole matrix --------------
+
+
+def _whole_signature(gram):
+    """The inertia by one fraction-free symmetric elimination of the whole
+    Gram matrix, as ``signature`` ran before it split off blocks."""
+    n = len(gram)
+    m = [list(row) for row in gram]
+    pos = neg = 0
+    prev = 1
+    for k in range(n):
+        pr = m[k]
+        if not pr[k]:
+            j = next((j for j in range(k + 1, n) if pr[j]), None)
+            if j is None:
+                raise errors.Degenerate("the form is degenerate")
+            s = 1 if 2 * pr[j] + m[j][j] else -1
+            for c in range(k, n):
+                pr[c] += s * m[j][c]
+            for row in m[k:]:
+                row[k] += s * row[j]
+        pv = pr[k]
+        if pv * prev > 0:
+            pos += 1
+        else:
+            neg += 1
+        for row in m[k + 1:]:
+            f = row[k]
+            for c in range(k + 1, n):
+                row[c] = (pv * row[c] - f * pr[c]) // prev
+        prev = pv
+    return pos, neg
+
+
+def _whole_discriminant(gram):
+    """The group and form values from one Smith form of the whole Gram
+    matrix, as ``discriminant`` ran before it split off blocks."""
+    det = la.determinant(gram)
+    if det == 0:
+        raise errors.Degenerate("discriminant needs a nondegenerate lattice")
+    _, d, v = la.smith_normal_form(gram)
+    diag = [d[i][i] for i in range(len(gram))]
+    factors = [di for di in diag if di > 1]
+    order = math.prod(factors)
+    if order != abs(det):
+        raise errors.Degenerate("invariant factors inconsistent with determinant")
+    if order > lt._DISC_ENUMERATION_CAP:
+        raise errors.BudgetExceeded(
+            f"discriminant group of order {order} exceeds enumeration cap")
+    gens = [g for g, di in zip(la.transpose(v), diag) if di > 1]
+    w = la.mat_mul(la.mat_mul(gens, gram), la.transpose(gens))
+    den = factors[-1] if factors else 1
+    values = sorted(Fraction(la.dot(a, la.mat_vec(w, a)) % (2 * den * den), den * den)
+                    for a in itertools.product(*(range(0, den, den // f) for f in factors)))
+    return lt.DiscriminantData(tuple(factors), tuple(values))
+
+
+def _outcome(compute, *args):
+    """The value, or the type and message of the error."""
+    try:
+        return compute(*args)
+    except errors.MirrorcheckError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def permuted_block_sums(draw):
+    """Orthogonal sums of 1-4 even blocks of rank 1-4, degenerate ones
+    included, under a random simultaneous permutation of rows and
+    columns, so that a block's indices need not be contiguous."""
+    blocks = [draw(st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.integers(-2, 2), min_size=n * (n + 1) // 2,
+                           max_size=n * (n + 1) // 2)))
+              for _ in range(draw(st.integers(1, 4)))]
+    grams = []
+    for entries in blocks:
+        n = {n * (n + 1) // 2: n for n in range(1, 5)}[len(entries)]
+        gram = [[0] * n for _ in range(n)]
+        it = iter(entries)
+        for i in range(n):
+            gram[i][i] = 2 * next(it)
+            for j in range(i + 1, n):
+                gram[i][j] = gram[j][i] = next(it)
+        grams.append(lt.from_gram(gram))
+    total = lt.direct_sum(*grams).gram
+    perm = draw(st.permutations(range(len(total))))
+    return [[total[i][j] for j in perm] for i in perm]
+
+
+@settings(max_examples=100, deadline=None)
+@given(permuted_block_sums())
+# Interleaved blocks {0, 2} and {1, 3}, both with a discriminant.
+@example([[2, 0, 1, 0], [0, 4, 0, 1], [1, 0, 2, 0], [0, 1, 0, -2]])
+# Z/4 + Z/6 = Z/2 + Z/12 from two rank-one blocks around an H block.
+@example([[4, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -6]])
+# A degenerate block: a zero row and column next to H.
+@example([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+# A degenerate block of rank two, [[2, 2], [2, 2]], on indices 0 and 2.
+@example([[2, 0, 2], [0, -4, 0], [2, 0, 2]])
+# An over-cap group, 600 * 600 * 2 = 720000 > 65536.
+@example([[600, 0, 0], [0, -2, 0], [0, 0, 600]])
+def test_block_invariants_match_the_whole_matrix(gram):
+    expected = (_outcome(_whole_signature, gram), la.determinant(gram),
+                _outcome(_whole_discriminant, gram))
+    lat = lt.from_gram(gram)
+    assert (_outcome(lt.signature, lat), lt.determinant(lat),
+            _outcome(lt.discriminant, lat)) == expected
+
+
+def test_invariant_factors_of_cyclic_orders():
+    assert lt._invariant_factors([]) == []
+    assert lt._invariant_factors([4, 6]) == [2, 12]
+    assert lt._invariant_factors([12, 2, 3, 8]) == [2, 12, 24]
+    assert lt._invariant_factors([5, 7]) == [35]
+
+
+def test_library_built_lattices_skip_the_input_conversion(monkeypatch):
+    # direct_sum, induced and the mirror quotient hold ints the library
+    # computed; only input goes through as_int_rows.
+    emb = lt.canonical_embedding([lt.rank_one(4)])
+
+    def refuse(rows):
+        raise AssertionError("as_int_rows ran on a library-built Gram matrix")
+
+    monkeypatch.setattr(la, "as_int_rows", refuse)
+    lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.a1_minus())
+    lt.orthogonal_complement(emb).induced()
+    lt.dn_mirror(emb, lt.default_isotropic_vector(emb))
+    # The square/even/symmetric check still runs.
+    with pytest.raises(errors.OddDiagonal):
+        lt._lattice([[1]])
+    with pytest.raises(errors.RankMismatch, match="not symmetric"):
+        lt._lattice([[0, 1], [2, 0]])
 
 
 # --- embeddings and complements --------------------------------------------
@@ -643,8 +791,15 @@ FREE_BLOCK_PIECES = [[], ["<2>"], ["<4>"], ["<-6>"], ["H"], ["E8(-1)"],
                      ["<2>", "E8(-1)", "E8(-1)"], ["H", "E8(-1)", "E8(-1)"]]
 
 
+# With gcd(m, n) = gcd(a, b) = 1 the entries' gcd, gcd(m, n) gcd(a, b), is 1:
+# every drawn f is primitive, so no draw is filtered out.
+COPRIME_PAIRS = [(m, n) for m in range(-4, 5) for n in range(-4, 5) if math.gcd(m, n) == 1]
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(FREE_BLOCK_PIECES), st.tuples(*[st.integers(-4, 4)] * 4),
+@given(st.sampled_from(FREE_BLOCK_PIECES),
+       st.tuples(st.sampled_from(COPRIME_PAIRS), st.sampled_from(COPRIME_PAIRS)).map(
+           lambda pairs: pairs[0] + pairs[1]),
        st.sampled_from(["as drawn", "doubled", "not isotropic", "in the image"]))
 @example([], (1, 1, 1, 1), "as drawn")
 @example(["<4>"], (1, 3, 1, 1), "as drawn")
@@ -652,7 +807,6 @@ FREE_BLOCK_PIECES = [[], ["<2>"], ["<4>"], ["<-6>"], ["H"], ["E8(-1)"],
 def test_dn_mirror_matches_the_solve_path_on_drawn_vectors(pieces, coeffs, change):
     m, n, a, b = coeffs
     f = _k3_vector({2: m * a, 3: n * b, 4: m * b, 5: -n * a})
-    assume(la.vec_gcd(f) == 1)
     emb = (lt.canonical_embedding([lt.standard_lattice(s) for s in pieces]) if pieces
            else lt.LatticeEmbedding(lt.k3_lattice(), ()))
     if change == "doubled":
