@@ -12,7 +12,8 @@ from a flag's metavar whether it names a file, holds JSON or is as typed.
 
 ``_Inputs`` alone resolves, parses and echoes every input.  A partition
 file's ``polytope`` serves every ``nef`` subcommand given no other; the
-provenance lists the fixture and every file read; malformed JSON, JSON
+provenance lists the fixture and every file read, in an ERROR report too,
+as far as they were read before the error; malformed JSON, JSON
 nested too deeply and an integer too long for Python to read are input
 errors.  A report holding an integer too long to print is rendered as an
 ERROR report (``BudgetExceeded``), never a traceback.
@@ -659,13 +660,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
 
-    inputs_echo: dict = {}
-    text = None
+    inp = text = None
     try:
         inp = _Inputs(args)
         status, payload = args.handler(inp)
-        inputs_echo = inp.echo
-        text = _render(args, status, payload, inputs_echo)
+        text = _render(args, status, payload, inp.echo)
     except MirrorcheckError as exc:
         status = ERROR
         payload = {"error": exc.name, "message": str(exc)}
@@ -673,6 +672,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         status = ERROR
         payload = {"error": "InternalError", "message": f"{type(exc).__name__}: {exc}"}
 
+    # An ERROR report echoes whatever inputs were resolved before the error.
+    inputs_echo = inp.echo if inp is not None else {}
     if text is None:
         text = _render(args, status, payload, inputs_echo)
     if args.out:

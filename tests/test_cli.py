@@ -220,6 +220,29 @@ def test_glue_negative_dimension_is_an_input_error(capsys, w_chi):
                                  "message": "dimension must be nonnegative, got -1"}
 
 
+def test_error_report_echoes_its_fixture(capsys):
+    # The error is raised after the fixture is loaded; its report names it.
+    code, report = run_json(capsys, "hodge", "glue", "--fixture", "tyurin-quartic",
+                            "--w-chi", "5", "--dim", "-1")
+    assert (code, report["status"]) == (2, "ERROR")
+    assert report["provenance"]["inputs"] == {"fixture": "tyurin-quartic"}
+
+
+@pytest.mark.parametrize("command,code", [("verify", 1), ("dual", 2)])
+def test_not_nef_report_echoes_its_files(tmp_path, capsys, command, code):
+    # The hexagon's partition is not nef: `nef verify` reports it as FAIL,
+    # `nef dual` raises NotNef and reports ERROR.  Both name the files read.
+    hexagon = load_fixture("hexagon")
+    poly, part = tmp_path / "poly.json", tmp_path / "part.json"
+    poly.write_text(json.dumps(hexagon["polytope"]))
+    part.write_text(json.dumps({"parts": hexagon["parts"]}))
+    got, report = run_json(capsys, "nef", command,
+                           "--polytope", str(poly), "--partition", str(part))
+    assert (got, report["payload"]["error"]) == (code, "NotNef")
+    assert report["provenance"]["inputs"] == {"polytope": {"file": str(poly)},
+                                              "parts": {"file": str(part)}}
+
+
 def test_isotropic_negative_bound_is_an_input_error(capsys):
     # A negative bound names no box; it was once scanned as an empty one
     # and reported INCONCLUSIVE.
