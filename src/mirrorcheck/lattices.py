@@ -23,9 +23,9 @@ are sorted as integers mod 2N^2 and only then made ``Fraction``s, the only
 rationals.  Kernels and the primitivity of an embedding come from Smith
 forms of the whole matrix.  Congruences ``B G B^T`` and the mirror
 construction's products skip zero entries (``intlinalg._sparse_mul``).
-The lattices the module builds itself (sums, induced forms, the mirror
-quotient) skip the input conversion of ``from_gram`` but keep the
-square/even/symmetric check.
+The lattices the module builds itself (H, E8(-1), A1(-1), sums, induced
+forms, the mirror quotient) skip the input conversion of ``from_gram`` but
+keep the square/even/symmetric check.
 
 Isomorphism testing is deliberately limited to invariant comparison
 (rank, signature, determinant, discriminant group and form); this is a
