@@ -11,21 +11,24 @@ search, and the mirror construction
 for a primitive isotropic f in the orthogonal complement of L.
 
 Every invariant is computed over the integers, one orthogonal block at a
-time.  The blocks are the connected components of the Gram matrix's
-nonzero pattern; their indices need not be contiguous, and a dense Gram
-matrix is one block.  Per block, the signature comes from fraction-free
-symmetric elimination (a chain of unimodular congruences and leading
-minors), the determinant from Bareiss elimination and the discriminant
-group from one Smith form.  The blocks' inertias add, their determinants
-multiply, and the cyclic orders of their discriminant generators become
-invariant factors by pairwise gcd/lcm.  The discriminant form's values
-are sorted as integers mod 2N^2 and only then made ``Fraction``s, the only
-rationals.  Kernels and the primitivity of an embedding come from Smith
-forms of the whole matrix.  Congruences ``B G B^T`` and the mirror
-construction's products skip zero entries (``intlinalg._sparse_mul``).
-The lattices the module builds itself (H, E8(-1), A1(-1), sums, induced
-forms, the mirror quotient) skip the input conversion of ``from_gram`` but
-keep the square/even/symmetric check.
+time.  The blocks are the connected components of the Gram matrix's nonzero
+pattern; their indices need not be contiguous, and a dense Gram matrix is
+one block.  Each lattice is split once, and the split is kept in its
+``_cache`` with the blocks' determinants, which are taken only when the
+determinant or discriminant is asked for.  Per block, the signature comes
+from fraction-free symmetric elimination (a chain of unimodular congruences
+and leading minors), the determinant from Bareiss elimination and the
+discriminant group from one Smith form, which a unimodular block
+(|det| = 1, such as H or E8(-1)) skips: its group is trivial.  The blocks'
+inertias add, their determinants multiply, and the cyclic orders of their
+discriminant generators become invariant factors by pairwise gcd/lcm.  The
+discriminant form's values are sorted as integers mod 2N^2 and only then
+made ``Fraction``s, the only rationals.  Kernels and the primitivity of an
+embedding come from Smith forms of the whole matrix.  Congruences
+``B G B^T`` and the mirror construction's products skip zero entries
+(``intlinalg._sparse_mul``).  The lattices the module builds itself (H,
+E8(-1), A1(-1), sums, induced forms, the mirror quotient) skip the input
+conversion of ``from_gram`` but keep the square/even/symmetric check.
 
 Isomorphism testing is deliberately limited to invariant comparison
 (rank, signature, determinant, discriminant group and form); this is a
@@ -72,9 +75,11 @@ class QuadLattice:
     """An even symmetric bilinear form over Z.
 
     ``signature``, ``determinant`` and ``discriminant`` compute their value
-    once per lattice and keep it in ``_cache`` (see ``_cache.cached``).  A
-    call that raises keeps nothing, so it raises again next time.  The kept
-    values are plain data with no reference back to the lattice.
+    once per lattice and keep it in ``_cache`` (see ``_cache.cached``),
+    next to the orthogonal blocks and their determinants that they read.
+    A call that raises keeps no value of its own, so it raises again next
+    time.  The kept values are plain data with no reference back to the
+    lattice.
     """
 
     gram: Gram
@@ -89,9 +94,12 @@ class QuadLattice:
                 raise RankMismatch("gram matrix is not square")
             if row[i] % 2 != 0:
                 raise OddDiagonal(f"diagonal entry {row[i]} at {i} is odd")
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise RankMismatch("gram matrix is not symmetric")
+            try:
+                for j in range(n):
+                    if row[j] != self.gram[j][i]:
+                        raise RankMismatch("gram matrix is not symmetric")
+            except IndexError:  # a later row j shorter than i + 1
+                raise RankMismatch("gram matrix is not square") from None
 
     @property
     def rank(self) -> int:
@@ -189,10 +197,14 @@ def k3_lattice() -> QuadLattice:
                       e8_minus(), e8_minus(), name="K3")
 
 
-def _blocks(gram: Gram) -> list[tuple[list[int], list[list[int]]]]:
-    """The orthogonal blocks of ``gram``: for each connected component of
-    its nonzero pattern, by smallest index, the sorted indices and the
-    block's Gram matrix on them.  A dense Gram matrix is one block."""
+@cached
+def _blocks(lat: QuadLattice) -> tuple[tuple[list[int], list[list[int]]], ...]:
+    """The orthogonal blocks of the Gram matrix: for each connected
+    component of its nonzero pattern, by smallest index, the sorted indices
+    and the block's Gram matrix on them.  A dense Gram matrix is one block.
+    Split once per lattice; ``signature``, ``determinant`` and
+    ``discriminant`` all read it."""
+    gram = lat.gram
     support = [[j for j, x in enumerate(row) if x] for row in gram]
     seen = [False] * len(gram)
     blocks = []
@@ -210,7 +222,13 @@ def _blocks(gram: Gram) -> list[tuple[list[int], list[list[int]]]]:
                     stack.append(j)
         index.sort()
         blocks.append((index, [[gram[i][j] for j in index] for i in index]))
-    return blocks
+    return tuple(blocks)
+
+
+@cached
+def _block_determinants(lat: QuadLattice) -> tuple[int, ...]:
+    """The Bareiss determinant of each orthogonal block, in block order."""
+    return tuple(la.determinant(block) for _, block in _blocks(lat))
 
 
 def _inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -259,7 +277,7 @@ def signature(lat: QuadLattice) -> tuple[int, int]:
     row of zeros means the block, and so the form, is degenerate.
     """
     pos = neg = 0
-    for _, block in _blocks(lat.gram):
+    for _, block in _blocks(lat):
         p, q = _inertia(block)
         pos, neg = pos + p, neg + q
     return pos, neg
@@ -268,7 +286,7 @@ def signature(lat: QuadLattice) -> tuple[int, int]:
 @cached
 def determinant(lat: QuadLattice) -> int:
     """The product of the orthogonal blocks' Bareiss determinants."""
-    return math.prod(la.determinant(block) for _, block in _blocks(lat.gram))
+    return math.prod(_block_determinants(lat))
 
 
 def _congruent(gram: Sequence[Sequence[int]],
@@ -312,15 +330,18 @@ def discriminant(lat: QuadLattice) -> DiscriminantData:
 
     L*/L is the sum of its orthogonal blocks' groups.  |L*/L| = |det|, so a
     group above the enumeration cap raises ``BudgetExceeded`` before any
-    Smith form.  Each block takes one Smith form ``u G v = D``; the columns
-    of ``v`` at the invariant factors ``d_i > 1``, placed in full
-    coordinates, are the ``g_i``, and ``g_i / d_i`` generate cyclic
-    summands of orders ``d_i``.  Those orders, brought to invariant factors
-    by pairwise gcd/lcm, are the group.  Over the common denominator N, the
-    lcm of the orders, an element is ``sum a_i g_i / N`` with ``a_i`` a
-    multiple of N/d_i below N, and q = a^T W a / N^2, W the integer Gram
-    matrix of the ``g_i``.  The values a^T W a mod 2 N^2 are sorted as
-    integers, and only then made ``Fraction``s.
+    Smith form, and a unimodular block (|det| = 1, such as H or E8(-1))
+    adds nothing and takes no Smith form.  Every other block takes one
+    Smith form ``u G v = D``, whose invariant factors must multiply to the
+    block's own |det|; the columns of ``v`` at the invariant factors
+    ``d_i > 1``, placed in full coordinates, are the ``g_i``, and
+    ``g_i / d_i`` generate cyclic summands of orders ``d_i``.  Those
+    orders, brought to invariant factors by pairwise gcd/lcm, are the
+    group.  Over the common denominator N, the lcm of the orders, an
+    element is ``sum a_i g_i / N`` with ``a_i`` a multiple of N/d_i below
+    N, and q = a^T W a / N^2, W the integer Gram matrix of the ``g_i``.
+    The values a^T W a mod 2 N^2 are sorted as integers, and only then made
+    ``Fraction``s.
     """
     det = determinant(lat)
     if det == 0:
@@ -329,8 +350,11 @@ def discriminant(lat: QuadLattice) -> DiscriminantData:
         raise BudgetExceeded(
             f"discriminant group of order {abs(det)} exceeds enumeration cap")
     gens, orders = [], []
-    for index, block in _blocks(lat.gram):
+    for (index, block), block_det in zip(_blocks(lat), _block_determinants(lat)):
+        if abs(block_det) == 1:
+            continue
         _, d, v = la.smith_normal_form(block)
+        order = 1
         for k, col in enumerate(la.transpose(v)):
             if d[k][k] > 1:
                 g = [0] * lat.rank
@@ -338,8 +362,9 @@ def discriminant(lat: QuadLattice) -> DiscriminantData:
                     g[i] = x
                 gens.append(g)
                 orders.append(d[k][k])
-    if math.prod(orders) != abs(det):
-        raise Degenerate("invariant factors inconsistent with determinant")
+                order *= d[k][k]
+        if order != abs(block_det):
+            raise Degenerate("invariant factors inconsistent with determinant")
     w = _congruent(lat.gram, gens)
     den = math.lcm(*orders)
     mod, den2 = 2 * den * den, den * den
@@ -470,26 +495,39 @@ def _unit(i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(22))
 
 
+def _take_free(free: list, kind: str, k: int, piece: QuadLattice) -> tuple[int, ...]:
+    """The next free block of ``kind`` for the k-th piece, or a
+    ``RankMismatch`` naming the piece when the K3 lattice has none left."""
+    if not free:
+        label = piece.name or f"gram {piece.gram}"
+        raise RankMismatch(
+            f"piece {k} ({label}) finds no free {kind} block left in the K3 lattice")
+    return free.pop(0)
+
+
 def canonical_embedding(pieces: Sequence[QuadLattice]) -> LatticeEmbedding:
-    """Block-wise primitive embedding of a sum of standard pieces into K3."""
+    """Block-wise primitive embedding of a sum of standard pieces into K3.
+
+    Pieces take free blocks in order; a piece that finds none of its kind
+    left raises ``RankMismatch``."""
     amb = k3_lattice()
     free_h = list(_H_BLOCKS)
     free_e8 = list(_E8_BLOCKS)
     basis: list[tuple[int, ...]] = []
-    for piece in pieces:
+    for k, piece in enumerate(pieces, 1):
         if piece.gram == hyperbolic_plane().gram:
-            block = free_h.pop(0)
+            block = _take_free(free_h, "H", k, piece)
             basis.append(_unit(block[0]))
             basis.append(_unit(block[1]))
         elif piece.gram == e8_minus().gram:
-            block8 = free_e8.pop(0)
+            block8 = _take_free(free_e8, "E8(-1)", k, piece)
             for i in block8:
                 basis.append(_unit(i))
         elif piece.rank == 1:
             n = piece.gram[0][0] // 2
             if n == 0:
                 raise Degenerate("cannot embed a rank-one radical")
-            block = free_h.pop(0)
+            block = _take_free(free_h, "H", k, piece)
             vec = [0] * 22
             vec[block[0]] = 1
             vec[block[1]] = n

@@ -98,24 +98,27 @@ def test_hull_calls_per_op(command, fixture, expected, capsys, monkeypatch):
     assert len(calls) == expected
 
 
-# Determinants and Smith forms per lattice op.  Each lattice computes its
-# signature, determinant and discriminant once, one orthogonal block at a
-# time: one determinant and one Smith form per block.  `lattice invariants`
-# on H+E8(-1)+E8(-1)+<-4> has 4 blocks.  `lattice complement` checks the
-# embedding, takes the kernel in one Smith form and does not check it
-# again; the complements of <4> and H+E8(-1) have 5 and 3 blocks.
-# `lattice mirror --expect` takes the invariants of the mirror and of the
-# target, 3 + 3 blocks for H and 4 + 4 for <2> and <4>; the embedding check
-# and the construction's three kept-inverse transforms take the other four
-# Smith forms.
+# Determinants and Smith forms per lattice op.  Each lattice splits its Gram
+# matrix into orthogonal blocks once and computes its signature,
+# determinant and discriminant from that split: one determinant per block,
+# and one Smith form per block of |det| > 1.  The unimodular blocks, H and
+# E8(-1), take none.  `lattice invariants` on H+E8(-1)+E8(-1)+<-4> has 4
+# blocks, one of them <-4>.  `lattice complement` checks the embedding,
+# takes the kernel in one Smith form and does not check it again; the
+# complements of <4> and H+E8(-1) have 5 and 3 blocks, and only <4>'s <-4>
+# has |det| > 1.  `lattice mirror --expect` takes the invariants of the
+# mirror and of the target, 3 + 3 blocks for H and 4 + 4 for <2> and <4>,
+# of which only <2>'s and <4>'s rank-one blocks take a Smith form; the
+# embedding check and the construction's three kept-inverse transforms
+# take the other four.
 LATTICE_KERNEL_CALLS = [
     (["lattice", "invariants", "--fixture", "posdef2"], 1, 1),
-    (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 4, 4),
-    (["lattice", "mirror", "--spec", "H", "--expect", "H+E8(-1)+E8(-1)"], 6, 10),
-    (["lattice", "mirror", "--spec", "<2>", "--expect", "H+E8(-1)+E8(-1)+A1(-1)"], 8, 12),
-    (["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"], 8, 12),
-    (["lattice", "complement", "--spec", "<4>"], 5, 7),
-    (["lattice", "complement", "--spec", "H+E8(-1)"], 3, 5),
+    (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 4, 1),
+    (["lattice", "mirror", "--spec", "H", "--expect", "H+E8(-1)+E8(-1)"], 6, 4),
+    (["lattice", "mirror", "--spec", "<2>", "--expect", "H+E8(-1)+E8(-1)+A1(-1)"], 8, 6),
+    (["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"], 8, 6),
+    (["lattice", "complement", "--spec", "<4>"], 5, 3),
+    (["lattice", "complement", "--spec", "H+E8(-1)"], 3, 2),
 ]
 
 
@@ -146,17 +149,19 @@ def test_lattice_kernel_calls_per_op(argv, determinants, smith_forms, capsys, mo
 
 
 # The most rows any Smith form of the op is given.  A discriminant takes its
-# Smith forms on the orthogonal blocks, so a mirror's largest is an E8(-1)
-# block (8), not its whole Gram matrix (19 for <2> and <4>, 18 for H);
+# Smith forms on the orthogonal blocks of |det| > 1 only, so a spec'd
+# lattice's largest is a rank-one block (1), not an E8(-1) block (8) or its
+# whole Gram matrix (19 for the <2> and <4> mirrors, 18 for H).  The H
+# mirror's largest is the construction's 2-row product ``image_basis @ G``;
 # `lattice complement` checks its embedding on all of the image's rows (10
 # for H+E8(-1)).
 LARGEST_SMITH_INPUT = [
     (["lattice", "invariants", "--fixture", "posdef2"], 2),
-    (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 8),
-    (["lattice", "mirror", "--spec", "H", "--expect", "H+E8(-1)+E8(-1)"], 8),
-    (["lattice", "mirror", "--spec", "<2>", "--expect", "H+E8(-1)+E8(-1)+A1(-1)"], 8),
-    (["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"], 8),
-    (["lattice", "complement", "--spec", "<4>"], 8),
+    (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 1),
+    (["lattice", "mirror", "--spec", "H", "--expect", "H+E8(-1)+E8(-1)"], 2),
+    (["lattice", "mirror", "--spec", "<2>", "--expect", "H+E8(-1)+E8(-1)+A1(-1)"], 1),
+    (["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"], 1),
+    (["lattice", "complement", "--spec", "<4>"], 1),
     (["lattice", "complement", "--spec", "H+E8(-1)"], 10),
 ]
 
@@ -167,6 +172,57 @@ def test_lattice_smith_forms_see_one_block_at_a_time(argv, rows, capsys, monkeyp
     code, _ = run(capsys, *argv)
     assert code == 0
     assert largest == [rows]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in LATTICE_KERNEL_CALLS])
+def test_no_smith_form_is_given_a_unimodular_block(argv, capsys, monkeypatch):
+    square = []
+    real = la.smith_normal_form
+
+    def recording(m, *args, **kwargs):
+        if m and len(m) == len(m[0]):
+            square.append(abs(la.determinant(m)))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(la, "smith_normal_form", recording)
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert 1 not in square
+
+
+def test_isotropic_takes_no_determinant(capsys, monkeypatch):
+    calls, _ = _count_kernel_calls(monkeypatch)
+    code, report = run_json(capsys, "lattice", "isotropic", "--spec", "E8(-1)+<-4>+H")
+    assert code == 0
+    assert report["payload"]["exists"] is True
+    assert calls == {"determinant": 0, "smith_normal_form": 0}
+
+
+def test_ragged_gram_is_a_named_error(capsys):
+    code = main(["lattice", "invariants", "--gram", "[[0,1],[]]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["payload"] == {
+        "error": "RankMismatch", "message": "gram matrix is not square"}
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["lattice", "complement", "--spec", "E8(-1)+E8(-1)+E8(-1)"],
+     "piece 3 (E8(-1)) finds no free E8(-1) block left in the K3 lattice"),
+    (["lattice", "mirror", "--spec", "H+H+H+H"],
+     "piece 4 (H) finds no free H block left in the K3 lattice"),
+    (["lattice", "mirror", "--spec", "<2>+<2>+<2>+<2>"],
+     "piece 4 (<2>) finds no free H block left in the K3 lattice"),
+], ids=["complement-e8x3", "mirror-hx4", "mirror-2x4"])
+def test_overfull_canonical_embedding_is_a_named_error(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert report["status"] == "ERROR"
+    assert report["payload"] == {"error": "RankMismatch", "message": message}
+    assert "Traceback" not in captured.err
 
 
 def test_isotropic_zero_pivot_gram(capsys):

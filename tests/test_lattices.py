@@ -10,6 +10,7 @@ enumeration of G^-1 Z^n mod Z^n that uses no Smith form.
 import gc
 import itertools
 import math
+import re
 import sys
 import weakref
 from fractions import Fraction
@@ -19,6 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mirrorcheck import errors, intlinalg as la, lattices as lt
+from mirrorcheck._cache import cached
 
 
 # --- integer linear algebra ------------------------------------------------
@@ -82,6 +84,19 @@ def test_standard_lattices():
         lt.rank_one(3)
     with pytest.raises(errors.OddDiagonal):
         lt.from_gram([[2, 0], [0, 1]])
+
+
+def test_ragged_gram_is_not_square():
+    # A short later row is reported as not square, not as an IndexError;
+    # rows are still checked in order, so a mismatch before it is still
+    # reported first.
+    for gram in ([[0, 1], []], [[0, 1, 0], [1, 0], [0, 0, 2]], [[2, 0, 0], [0]]):
+        with pytest.raises(errors.RankMismatch, match="^gram matrix is not square$"):
+            lt.from_gram(gram)
+    with pytest.raises(errors.RankMismatch, match="^gram matrix is not symmetric$"):
+        lt.from_gram([[0, 1, 5], [1, 0], [0, 0, 2]])
+    with pytest.raises(errors.OddDiagonal):
+        lt.from_gram([[1, 0], []])
 
 
 def test_from_gram_refuses_non_integral_entries():
@@ -369,8 +384,9 @@ def test_invariants_are_computed_once_per_lattice(monkeypatch):
         assert lt.signature(lat) == (1, 2)
         assert lt.determinant(lat) == 4
         assert lt.discriminant(lat).group == (4,)
-    # One determinant and one Smith form per orthogonal block, H and <-4>.
-    assert calls == {"determinant": 2, "smith_normal_form": 2}
+    # One determinant per orthogonal block, H and <-4>; the unimodular H
+    # block takes no Smith form.
+    assert calls == {"determinant": 2, "smith_normal_form": 1}
     # The cache takes no part in equality, hashing or repr.
     assert lat == fresh and hash(lat) == hash(fresh) and repr(lat) == repr(fresh)
 
@@ -381,7 +397,8 @@ def test_invariant_cache_keeps_one_object_and_nothing_on_failure():
     lat = lt.direct_sum(lt.hyperbolic_plane(), lt.rank_one(-4))
     for invariant in (lt.signature, lt.determinant, lt.discriminant):
         assert invariant(lat) is invariant(lat)
-    assert set(lat._cache) == {"signature", "determinant", "discriminant"}
+    assert set(lat._cache) == {"_blocks", "_block_determinants",
+                               "signature", "determinant", "discriminant"}
     for gram, invariant, error in [([[0, 0], [0, 2]], lt.signature, errors.Degenerate),
                                    ([[600, 0, 0], [0, 600, 0], [0, 0, -2]], lt.discriminant,
                                     errors.BudgetExceeded)]:
@@ -393,6 +410,74 @@ def test_invariant_cache_keeps_one_object_and_nothing_on_failure():
         assert bad._cache == before
 
 
+def test_block_split_runs_once_per_lattice(monkeypatch):
+    # signature, determinant and discriminant read one kept split.
+    calls = []
+    real = lt._blocks.__wrapped__
+
+    def _blocks(lat):
+        calls.append(1)
+        return real(lat)
+
+    monkeypatch.setattr(lt, "_blocks", cached(_blocks))
+    lat = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.rank_one(-4))
+    for _ in range(2):
+        assert lt.signature(lat) == (1, 10)
+        assert lt.determinant(lat) == 4
+        assert lt.discriminant(lat).group == (4,)
+    assert len(calls) == 1
+
+
+def test_signature_alone_takes_no_determinant(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a determinant ran")
+
+    monkeypatch.setattr(la, "determinant", refuse)
+    lat = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.rank_one(-4))
+    assert lt.signature(lat) == (1, 10)
+    assert "_block_determinants" not in lat._cache
+
+
+def test_unimodular_blocks_take_no_smith_form(monkeypatch):
+    sizes = []
+    real = la.smith_normal_form
+
+    def recording(m, *args, **kwargs):
+        sizes.append(len(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(la, "smith_normal_form", recording)
+    lat = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.rank_one(-4),
+                        lt.e8_minus(), lt.from_gram([[2, 1], [1, 2]]))
+    data = lt.discriminant(lat)
+    assert data.group == (12,)
+    # Only <-4> and the A2 block of determinant 3 take one.
+    assert sorted(sizes) == [1, 2]
+    assert lt.discriminant(lt.k3_lattice()) == lt.DiscriminantData((), (Fraction(0),))
+    assert sorted(sizes) == [1, 2]
+
+
+def test_smith_factors_are_checked_against_each_block_determinant(monkeypatch):
+    # Factors that multiply to the whole |det| but not to the block's own
+    # |det| are caught: <4> + <-6> reported as Z/2 and Z/12.
+    real = la.smith_normal_form
+
+    def wrong(m, *args, **kwargs):
+        u, d, v = real(m, *args, **kwargs)
+        if m == [[4]]:
+            d = [[2]]
+        elif m == [[-6]]:
+            d = [[12]]
+        return u, d, v
+
+    monkeypatch.setattr(la, "smith_normal_form", wrong)
+    lat = lt.from_gram([[4, 0], [0, -6]])
+    with pytest.raises(errors.Degenerate,
+                       match="^invariant factors inconsistent with determinant$"):
+        lt.discriminant(lat)
+    assert "discriminant" not in lat._cache
+
+
 def test_lattice_with_cached_invariants_is_freed_without_the_collector():
     # The cached values hold no reference back to the lattice, so
     # reference counting alone frees it.
@@ -402,7 +487,8 @@ def test_lattice_with_cached_invariants_is_freed_without_the_collector():
         lat = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.rank_one(-4))
         alive = weakref.ref(lat)
         lt.signature(lat), lt.determinant(lat), lt.discriminant(lat)
-        assert set(lat._cache) == {"signature", "determinant", "discriminant"}
+        assert set(lat._cache) == {"_blocks", "_block_determinants",
+                                   "signature", "determinant", "discriminant"}
         del lat
         assert alive() is None
     finally:
@@ -607,6 +693,26 @@ def test_complement_blockwise():
     comp_m = lt.orthogonal_complement(m).induced()
     assert lt.invariants_match(
         comp_m, lt.direct_sum(lt.hyperbolic_plane(), lt.hyperbolic_plane())).matched
+
+
+@pytest.mark.parametrize("specs,message", [
+    (["E8(-1)"] * 3, "piece 3 (E8(-1)) finds no free E8(-1) block left in the K3 lattice"),
+    (["H"] * 4, "piece 4 (H) finds no free H block left in the K3 lattice"),
+    (["<2>"] * 4, "piece 4 (<2>) finds no free H block left in the K3 lattice"),
+    (["H", "<2>", "A1(-1)", "<4>"],
+     "piece 4 (<4>) finds no free H block left in the K3 lattice"),
+], ids=["e8x3", "hx4", "2x4", "mixed"])
+def test_canonical_embedding_names_the_piece_with_no_free_block(specs, message):
+    pieces = [lt.standard_lattice(s) for s in specs]
+    with pytest.raises(errors.RankMismatch, match=f"^{re.escape(message)}$"):
+        lt.canonical_embedding(pieces)
+
+
+def test_canonical_embedding_names_an_unnamed_piece_by_its_gram():
+    pieces = [lt.from_gram([[2]])] * 4
+    with pytest.raises(errors.RankMismatch,
+                       match=re.escape("piece 4 (gram ((2,),)) finds no free H block")):
+        lt.canonical_embedding(pieces)
 
 
 def test_double_complement_matches_original():
