@@ -152,9 +152,9 @@ def test_lattice_kernel_calls_per_op(argv, determinants, smith_forms, capsys, mo
 # Smith forms on the orthogonal blocks of |det| > 1 only, so a spec'd
 # lattice's largest is a rank-one block (1), not an E8(-1) block (8) or its
 # whole Gram matrix (19 for the <2> and <4> mirrors, 18 for H).  The H
-# mirror's largest is the construction's 2-row product ``image_basis @ G``;
-# `lattice complement` checks its embedding on all of the image's rows (10
-# for H+E8(-1)).
+# mirror's largest has its embedding's two rows (the embedding check and
+# ``image_basis @ G``); `lattice complement` checks its embedding on all of
+# the image's rows (10 for H+E8(-1)).
 LARGEST_SMITH_INPUT = [
     (["lattice", "invariants", "--fixture", "posdef2"], 2),
     (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 1),

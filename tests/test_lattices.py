@@ -457,20 +457,23 @@ def test_unimodular_blocks_take_no_smith_form(monkeypatch):
     assert sorted(sizes) == [1, 2]
 
 
-def test_smith_factors_are_checked_against_each_block_determinant(monkeypatch):
-    # Factors that multiply to the whole |det| but not to the block's own
-    # |det| are caught: <4> + <-6> reported as Z/2 and Z/12.
+@pytest.mark.parametrize("wrong", [
+    # One block's factors are wrong: <4> reported as Z/2.
+    {(4,): 2},
+    # Both are wrong, but multiply to the whole |det| 24: <4> as Z/2 and
+    # <-6> as Z/12.  Only a per-block check catches this.
+    {(4,): 2, (-6,): 12},
+], ids=["one-block", "product-kept"])
+def test_smith_factors_are_checked_against_each_block_determinant(wrong, monkeypatch):
     real = la.smith_normal_form
 
-    def wrong(m, *args, **kwargs):
+    def patched(m, *args, **kwargs):
         u, d, v = real(m, *args, **kwargs)
-        if m == [[4]]:
-            d = [[2]]
-        elif m == [[-6]]:
-            d = [[12]]
+        if len(m) == 1 and tuple(m[0]) in wrong:
+            d = [[wrong[tuple(m[0])]]]
         return u, d, v
 
-    monkeypatch.setattr(la, "smith_normal_form", wrong)
+    monkeypatch.setattr(la, "smith_normal_form", patched)
     lat = lt.from_gram([[4, 0], [0, -6]])
     with pytest.raises(errors.Degenerate,
                        match="^invariant factors inconsistent with determinant$"):
