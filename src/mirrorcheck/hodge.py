@@ -150,8 +150,8 @@ class HodgeDiamond:
         return HodgeDiamond(as_int(data["dim"]), entries, kaehler)
 
 
-def k3_diamond(h11: int = 20) -> HodgeDiamond:
-    return HodgeDiamond(2, {(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): h11, (2, 2): 1})
+def k3_diamond() -> HodgeDiamond:
+    return HodgeDiamond(2, {(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1})
 
 
 def elliptic_curve_diamond() -> HodgeDiamond:

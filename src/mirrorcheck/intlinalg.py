@@ -11,14 +11,14 @@ only rationals are the solution coordinates of ``solve_exact``, one
 ``polytopes.convex_hull_contains``, which no library path reaches and
 ROADMAP.md queues for removal.  Smith normal form and the integer kernel
 and solves built on it use unimodular row and column operations.  The
-Smith form can also keep the inverse of its column transform, at one row
+Smith form keeps the inverse of its column transform, at one row
 operation per column operation, so no library path inverts a unimodular
 matrix; ``_kernel_transform`` reads a saturated kernel basis and that
 inverse off one such Smith form, and ``kernel_basis`` is its first part.
 ``_sparse_mul`` is the library's matrix product: it skips zero entries,
-which make up most of the K3 lattice's Gram matrix.  ``mat_mul``,
-``inverse_unimodular`` and ``integral_solve`` are tested helpers that no
-library path calls.  ``as_int`` is the
+which make up most of the K3 lattice's Gram matrix.  ``determinant``,
+``mat_mul``, ``inverse_unimodular`` and ``integral_solve`` are tested
+helpers that no library path calls.  ``as_int`` is the
 one checked conversion of input values (JSON numbers) to ints;
 ``as_int_vector`` and ``as_int_rows`` apply it to input lists and lists of
 lists, and refuse any other shape.  ``strict_int`` reads the integers
@@ -212,22 +212,20 @@ def solve_exact(a: Sequence[Sequence[int]], b: Sequence[int]):
     return status, x
 
 
-def smith_normal_form(m: Sequence[Sequence[int]], inverse: bool = False):
+def smith_normal_form(m: Sequence[Sequence[int]]):
     """Smith normal form with transforms.
 
-    Returns ``(u, d, v)`` with ``u @ m @ v == d``, ``u`` and ``v``
-    unimodular, and ``d`` diagonal with nonnegative entries satisfying
-    ``d[i] | d[i+1]``.  With ``inverse`` it returns ``(u, d, v, w)``, where
-    ``w == v^-1``: each column operation on ``v`` is matched by the inverse
-    row operation on ``w``, and ``u``, ``d`` and ``v`` are those of the
-    default call.
+    Returns ``(u, d, v, w)`` with ``u @ m @ v == d``, ``u`` and ``v``
+    unimodular, ``d`` diagonal with nonnegative entries satisfying
+    ``d[i] | d[i+1]``, and ``w == v^-1``: each column operation on ``v`` is
+    matched by the inverse row operation on ``w``.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     d = [list(row) for row in m]
     u = identity(nrows)
     v = identity(ncols)
-    w = identity(ncols) if inverse else None
+    w = identity(ncols)
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -238,8 +236,7 @@ def smith_normal_form(m: Sequence[Sequence[int]], inverse: bool = False):
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-        if w is not None:
-            w[i], w[j] = w[j], w[i]
+        w[i], w[j] = w[j], w[i]
 
     def add_row(src, dst, c):
         # row[dst] += c * row[src]
@@ -251,9 +248,8 @@ def smith_normal_form(m: Sequence[Sequence[int]], inverse: bool = False):
             row[dst] += c * row[src]
         for row in v:
             row[dst] += c * row[src]
-        if w is not None:
-            # v @ (I + c E_src,dst) has inverse (I - c E_src,dst) @ w.
-            w[src] = [x - c * y for x, y in zip(w[src], w[dst])]
+        # v @ (I + c E_src,dst) has inverse (I - c E_src,dst) @ w.
+        w[src] = [x - c * y for x, y in zip(w[src], w[dst])]
 
     t = 0
     while t < min(nrows, ncols):
@@ -301,7 +297,7 @@ def smith_normal_form(m: Sequence[Sequence[int]], inverse: bool = False):
         if d[i][i] < 0:
             d[i] = [-x for x in d[i]]
             u[i] = [-x for x in u[i]]
-    return (u, d, v, w) if inverse else (u, d, v)
+    return u, d, v, w
 
 
 def _kernel_transform(m: Sequence[Sequence[int]], n: int):
@@ -314,7 +310,7 @@ def _kernel_transform(m: Sequence[Sequence[int]], n: int):
     basis and ``w`` are the identity, and r = 0."""
     if not m:
         return identity(n), identity(n), 0
-    _, d, v, w = smith_normal_form(m, inverse=True)
+    _, d, v, w = smith_normal_form(m)
     r = sum(1 for i in range(min(len(m), n)) if d[i][i])
     return transpose(v)[r:], w, r
 
@@ -338,7 +334,7 @@ def integral_solve(m: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[Int
     if len(b) != nrows:
         raise ShapeMismatch(f"right-hand side of length {len(b)} for {nrows} rows")
     ncols = len(m[0]) if nrows else 0
-    u, d, v = smith_normal_form(m)
+    u, d, v, _ = smith_normal_form(m)
     ub = mat_vec(u, list(b))
     y = [0] * ncols
     for i in range(nrows):
@@ -371,7 +367,7 @@ def complete_to_unimodular(a: Sequence[int]) -> IntMatrix:
     """Unimodular matrix whose first row is the primitive vector ``a``."""
     if vec_gcd(a) != 1:
         raise NotPrimitiveVector(f"{list(a)} is not primitive")
-    _, _, _, m = smith_normal_form([list(a)], inverse=True)
+    _, _, _, m = smith_normal_form([list(a)])
     # [a] @ v = (+-1, 0, ..., 0), so the first row of m = v^-1 is +-a.
     if m[0] != list(a):
         m[0] = [-x for x in m[0]]

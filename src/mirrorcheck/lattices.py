@@ -13,27 +13,28 @@ for a primitive isotropic f in the orthogonal complement of L.
 Every invariant is computed over the integers, one orthogonal block at a
 time.  The blocks are the connected components of the Gram matrix's nonzero
 pattern; their indices need not be contiguous, and a dense Gram matrix is
-one block.  Each lattice is split once, and the split is kept in its
-``_cache`` with the blocks' determinants, which are taken only when the
-determinant or discriminant is asked for.  Per block, the signature comes
-from fraction-free symmetric elimination (a chain of unimodular congruences
-and leading minors), the determinant from Bareiss elimination and the
-discriminant group from one Smith form, which a unimodular block
-(|det| = 1, such as H or E8(-1)) skips: its group is trivial.  The blocks'
-inertias add, their determinants multiply, and the cyclic orders of their
-discriminant generators become invariant factors by pairwise gcd/lcm.  The
-discriminant form's values are sorted as integers mod 2N^2 and only then
-made ``Fraction``s, the only rationals.  Kernels and the primitivity of an
-embedding come from Smith forms of the whole matrix.  Congruences
-``B G B^T`` and the mirror construction's products skip zero entries
-(``intlinalg._sparse_mul``).  The lattices the module builds itself (H,
-E8(-1), A1(-1), sums, induced forms, the mirror quotient) skip the input
-conversion of ``from_gram`` but keep the square/even/symmetric check.
+one block.  Each lattice is split once, and each block is eliminated once:
+one fraction-free symmetric elimination, a chain of unimodular congruences,
+gives its leading minors D_1, ..., D_n, kept in the lattice's ``_cache``
+with the split.  The signs of D_k D_{k+1} give the block's signature and
+D_n its determinant.  The discriminant group takes one Smith form per
+block, which a unimodular block (|det| = 1, such as H or E8(-1)) skips: its
+group is trivial.  The blocks' inertias add, their determinants multiply,
+and the cyclic orders of their discriminant generators become invariant
+factors by pairwise gcd/lcm.  The discriminant form's values are sorted as
+integers mod 2N^2 and only then made ``Fraction``s, the only rationals.
+Kernels and the primitivity of an embedding come from Smith forms of the
+whole matrix.  Congruences ``B G B^T`` and the mirror construction's
+products skip zero entries (``intlinalg._sparse_mul``).  The lattices the
+module builds itself (H, E8(-1), A1(-1), sums, induced forms, the mirror
+quotient) skip the input conversion of ``from_gram`` but keep the
+square/even/symmetric check.
 
-Isomorphism testing is deliberately limited to invariant comparison
-(rank, signature, determinant, discriminant group and form); this is a
-necessary condition in general, and suffices to recognize the indefinite
-even lattices appearing in this problem domain.
+Isomorphism testing is limited to invariant comparison (rank, signature,
+determinant, discriminant group and form), a necessary condition for
+isometry.  Whether a lattice is unique in its genus (Nikulin 1979, Cor.
+1.13.3), which would make it sufficient, is not checked; ROADMAP.md item 5
+queues that check.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class QuadLattice:
 
     ``signature``, ``determinant`` and ``discriminant`` compute their value
     once per lattice and keep it in ``_cache`` (see ``_cache.cached``),
-    next to the orthogonal blocks and their determinants that they read.
+    next to the orthogonal blocks and their leading minors that they read.
     A call that raises keeps no value of its own, so it raises again next
     time.  The kept values are plain data with no reference back to the
     lattice.
@@ -198,12 +199,12 @@ def k3_lattice() -> QuadLattice:
 
 
 @cached
-def _blocks(lat: QuadLattice) -> tuple[tuple[list[int], list[list[int]]], ...]:
+def _blocks(lat: QuadLattice) -> tuple[tuple[list[int], list[list[int]], tuple[int, ...]], ...]:
     """The orthogonal blocks of the Gram matrix: for each connected
-    component of its nonzero pattern, by smallest index, the sorted indices
-    and the block's Gram matrix on them.  A dense Gram matrix is one block.
-    Split once per lattice; ``signature``, ``determinant`` and
-    ``discriminant`` all read it."""
+    component of its nonzero pattern, by smallest index, the sorted indices,
+    the block's Gram matrix on them and its ``_minors``.  A dense Gram
+    matrix is one block.  Split and eliminated once per lattice;
+    ``signature``, ``determinant`` and ``discriminant`` all read it."""
     gram = lat.gram
     support = [[j for j, x in enumerate(row) if x] for row in gram]
     seen = [False] * len(gram)
@@ -221,29 +222,32 @@ def _blocks(lat: QuadLattice) -> tuple[tuple[list[int], list[list[int]]], ...]:
                     seen[j] = True
                     stack.append(j)
         index.sort()
-        blocks.append((index, [[gram[i][j] for j in index] for i in index]))
+        block = [[gram[i][j] for j in index] for i in index]
+        blocks.append((index, block, _minors(block)))
     return tuple(blocks)
 
 
-@cached
-def _block_determinants(lat: QuadLattice) -> tuple[int, ...]:
-    """The Bareiss determinant of each orthogonal block, in block order."""
-    return tuple(la.determinant(block) for _, block in _blocks(lat))
+def _minors(gram: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The leading minors D_1, D_2, ... of a Gram matrix unimodularly
+    congruent to ``gram``, by fraction-free symmetric elimination.
 
-
-def _inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """(p, q) of one block by fraction-free symmetric elimination; see
-    ``signature``."""
+    On the Bareiss pattern, step k pivots on D_{k+1}, and each ``//`` by
+    D_k is exact.  A zero pivot is fixed by adding s times row and column
+    j > k to row and column k, a congruence of determinant 1, so the last
+    minor D_n is the determinant.  A trailing row of zeros means the form
+    is degenerate: the chain ends there, at its first 0.
+    """
     n = len(gram)
     m = [list(row) for row in gram]
-    pos = neg = 0
+    minors = []
     prev = 1
     for k in range(n):
         pr = m[k]
         if not pr[k]:
             j = next((j for j in range(k + 1, n) if pr[j]), None)
             if j is None:
-                raise Degenerate("the form is degenerate")
+                minors.append(0)
+                break
             # Adding s times row/col j makes the diagonal 2*s*m[k][j] + m[j][j];
             # the two signs differ by 4*m[k][j] != 0, so one of them is nonzero.
             s = 1 if 2 * pr[j] + m[j][j] else -1
@@ -252,41 +256,37 @@ def _inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
             for row in m[k:]:
                 row[k] += s * row[j]
         pv = pr[k]
-        if pv * prev > 0:
-            pos += 1
-        else:
-            neg += 1
+        minors.append(pv)
         for row in m[k + 1:]:
             f = row[k]
             for c in range(k + 1, n):
                 row[c] = (pv * row[c] - f * pr[c]) // prev
         prev = pv
-    return pos, neg
+    return tuple(minors)
 
 
 @cached
 def signature(lat: QuadLattice) -> tuple[int, int]:
     """Inertia (p, q), the sum of the inertias of the orthogonal blocks.
 
-    Each block runs a fraction-free symmetric elimination over Z.  On the
-    Bareiss pattern, step k pivots on the leading minor D_{k+1} of a Gram
-    matrix unimodularly congruent to the block, and each ``//`` by D_k is
-    exact.  By Sylvester and Jacobi each step adds a positive square if
-    D_k D_{k+1} > 0 and a negative one if not.  A zero pivot is fixed by
-    adding s times row and column j > k to row and column k; a trailing
-    row of zeros means the block, and so the form, is degenerate.
+    By Sylvester and Jacobi, each step of a block's ``_minors`` chain adds
+    a positive square if D_k D_{k+1} > 0 and a negative one if not, with
+    D_0 = 1.  A chain that ends in 0 means the block, and so the form, is
+    degenerate.
     """
     pos = neg = 0
-    for _, block in _blocks(lat):
-        p, q = _inertia(block)
-        pos, neg = pos + p, neg + q
+    for _, _, minors in _blocks(lat):
+        if not minors[-1]:
+            raise Degenerate("the form is degenerate")
+        p = sum(a * b > 0 for a, b in zip((1,) + minors, minors))
+        pos, neg = pos + p, neg + len(minors) - p
     return pos, neg
 
 
 @cached
 def determinant(lat: QuadLattice) -> int:
-    """The product of the orthogonal blocks' Bareiss determinants."""
-    return math.prod(_block_determinants(lat))
+    """The product of the orthogonal blocks' last leading minors."""
+    return math.prod(minors[-1] for _, _, minors in _blocks(lat))
 
 
 def _congruent(gram: Sequence[Sequence[int]],
@@ -350,10 +350,10 @@ def discriminant(lat: QuadLattice) -> DiscriminantData:
         raise BudgetExceeded(
             f"discriminant group of order {abs(det)} exceeds enumeration cap")
     gens, orders = [], []
-    for (index, block), block_det in zip(_blocks(lat), _block_determinants(lat)):
-        if abs(block_det) == 1:
+    for index, block, minors in _blocks(lat):
+        if abs(minors[-1]) == 1:
             continue
-        _, d, v = la.smith_normal_form(block)
+        _, d, v, _ = la.smith_normal_form(block)
         order = 1
         for k, col in enumerate(la.transpose(v)):
             if d[k][k] > 1:
@@ -363,7 +363,7 @@ def discriminant(lat: QuadLattice) -> DiscriminantData:
                 gens.append(g)
                 orders.append(d[k][k])
                 order *= d[k][k]
-        if order != abs(block_det):
+        if order != abs(minors[-1]):
             raise Degenerate("invariant factors inconsistent with determinant")
     w = _congruent(lat.gram, gens)
     den = math.lcm(*orders)
@@ -387,7 +387,7 @@ class LatticeEmbedding:
             if any(len(v) != self.ambient.rank for v in rows):
                 raise RankMismatch("embedding vectors of wrong length")
             # Invariant factors: one 0 or missing, dependent; one > 1, no summand.
-            _, d, _ = la.smith_normal_form(rows)
+            _, d, _, _ = la.smith_normal_form(rows)
             factors = [d[i][i] for i in range(min(len(rows), self.ambient.rank))]
             if len(factors) < len(rows) or 0 in factors:
                 raise NotPrimitive("image basis is not linearly independent")
@@ -408,8 +408,8 @@ class LatticeEmbedding:
     def rank(self) -> int:
         return len(self.image_basis)
 
-    def induced(self, name: Optional[str] = None) -> QuadLattice:
-        return _lattice(_congruent(self.ambient.gram, self.image_basis), name)
+    def induced(self) -> QuadLattice:
+        return _lattice(_congruent(self.ambient.gram, self.image_basis))
 
 
 def _complement_transform(emb: LatticeEmbedding):
@@ -427,8 +427,7 @@ def orthogonal_complement(emb: LatticeEmbedding) -> LatticeEmbedding:
     return _complement_transform(emb)[0]
 
 
-def dn_mirror(emb: LatticeEmbedding, f: Sequence[int],
-              name: Optional[str] = None) -> QuadLattice:
+def dn_mirror(emb: LatticeEmbedding, f: Sequence[int]) -> QuadLattice:
     """Mirror lattice (Zf)^perp / Zf inside the orthogonal complement.
 
     ``f`` must be a primitive isotropic vector of the orthogonal complement
@@ -437,7 +436,7 @@ def dn_mirror(emb: LatticeEmbedding, f: Sequence[int],
     radical of the restriction; the result has rank = ambient rank -
     rank(L) - 2.
 
-    Three Smith forms that keep ``w = v^-1`` (see
+    Three Smith forms and their ``w = v^-1`` (see
     ``intlinalg._kernel_transform``) do all the solving:
 
     1. on ``image_basis @ G``: its kernel is the complement; f is
@@ -471,7 +470,7 @@ def dn_mirror(emb: LatticeEmbedding, f: Sequence[int],
     if any(wphi[:r]) or la.vec_gcd(a) != 1:
         raise NotPrimitiveVector("f is not primitive in its own orthogonal")
     quot = la._sparse_mul(la.complete_to_unimodular(a), sub)[1:]
-    lat = _lattice(_congruent(comp_gram, quot), name)
+    lat = _lattice(_congruent(comp_gram, quot))
     if determinant(lat) == 0:
         raise NotPrimitiveVector("degenerate quotient form; f was not primitive")
     return lat
@@ -668,9 +667,8 @@ class MatchVerdict:
 def invariants_match(a: QuadLattice, b: QuadLattice) -> MatchVerdict:
     """Compare (rank, signature, |det|, discriminant group and form).
 
-    A necessary condition for isometry; for the indefinite even lattices in
-    this catalog it is also sufficient by lattice uniqueness theory, which
-    is documented rather than checked.
+    A necessary condition for isometry only: uniqueness in the genus
+    (Nikulin 1979, Cor. 1.13.3) is not checked (ROADMAP.md item 5).
     """
     issues = []
     if a.rank != b.rank:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from mirrorcheck import cli, hodge as hg, intlinalg as la, nef, polytopes as pt
+from mirrorcheck import cli, hodge as hg, intlinalg as la, lattices as lt, nef, polytopes as pt
 from mirrorcheck.cli import main
 from mirrorcheck.fixtures import load_fixture
 from mirrorcheck.intlinalg import mat_vec
@@ -98,19 +98,19 @@ def test_hull_calls_per_op(command, fixture, expected, capsys, monkeypatch):
     assert len(calls) == expected
 
 
-# Determinants and Smith forms per lattice op.  Each lattice splits its Gram
-# matrix into orthogonal blocks once and computes its signature,
-# determinant and discriminant from that split: one determinant per block,
-# and one Smith form per block of |det| > 1.  The unimodular blocks, H and
-# E8(-1), take none.  `lattice invariants` on H+E8(-1)+E8(-1)+<-4> has 4
-# blocks, one of them <-4>.  `lattice complement` checks the embedding,
-# takes the kernel in one Smith form and does not check it again; the
-# complements of <4> and H+E8(-1) have 5 and 3 blocks, and only <4>'s <-4>
-# has |det| > 1.  `lattice mirror --expect` takes the invariants of the
-# mirror and of the target, 3 + 3 blocks for H and 4 + 4 for <2> and <4>,
-# of which only <2>'s and <4>'s rank-one blocks take a Smith form; the
-# embedding check and the construction's three kept-inverse transforms
-# take the other four.
+# Eliminations and Smith forms per lattice op.  Each lattice splits its
+# Gram matrix into orthogonal blocks once and runs one elimination per
+# block, whose leading minors give its signature and determinant; no op
+# takes a Bareiss determinant.  A block of |det| > 1 takes one Smith form
+# for the discriminant; the unimodular blocks, H and E8(-1), take none.
+# `lattice invariants` on H+E8(-1)+E8(-1)+<-4> has 4 blocks, one of them
+# <-4>.  `lattice complement` checks the embedding, takes the kernel in one
+# Smith form and does not check it again; the complements of <4> and
+# H+E8(-1) have 5 and 3 blocks, and only <4>'s <-4> has |det| > 1.
+# `lattice mirror --expect` takes the invariants of the mirror and of the
+# target, 3 + 3 blocks for H and 4 + 4 for <2> and <4>, of which only <2>'s
+# and <4>'s rank-one blocks take a Smith form; the embedding check and the
+# construction's three transforms take the other four.
 LATTICE_KERNEL_CALLS = [
     (["lattice", "invariants", "--fixture", "posdef2"], 1, 1),
     (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 4, 1),
@@ -123,12 +123,13 @@ LATTICE_KERNEL_CALLS = [
 
 
 def _count_kernel_calls(monkeypatch):
-    """Count determinants and Smith forms, and keep the most rows any
-    Smith form is given."""
-    calls = {"determinant": 0, "smith_normal_form": 0}
+    """Count per-block eliminations, determinants and Smith forms, and
+    keep the most rows any Smith form is given."""
+    calls = {"_minors": 0, "determinant": 0, "smith_normal_form": 0}
     rows = [0]
     for name in calls:
-        real = getattr(la, name)
+        module = lt if name == "_minors" else la
+        real = getattr(module, name)
 
         def counting(m, *args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
@@ -136,16 +137,17 @@ def _count_kernel_calls(monkeypatch):
                 rows[0] = max(rows[0], len(m))
             return _real(m, *args, **kwargs)
 
-        monkeypatch.setattr(la, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return calls, rows
 
 
-@pytest.mark.parametrize("argv,determinants,smith_forms", LATTICE_KERNEL_CALLS)
-def test_lattice_kernel_calls_per_op(argv, determinants, smith_forms, capsys, monkeypatch):
+@pytest.mark.parametrize("argv,eliminations,smith_forms", LATTICE_KERNEL_CALLS)
+def test_lattice_kernel_calls_per_op(argv, eliminations, smith_forms, capsys, monkeypatch):
     calls, _ = _count_kernel_calls(monkeypatch)
     code, _ = run(capsys, *argv)
     assert code == 0
-    assert calls == {"determinant": determinants, "smith_normal_form": smith_forms}
+    assert calls == {"_minors": eliminations, "determinant": 0,
+                     "smith_normal_form": smith_forms}
 
 
 # The most rows any Smith form of the op is given.  A discriminant takes its
@@ -195,7 +197,8 @@ def test_isotropic_takes_no_determinant(capsys, monkeypatch):
     code, report = run_json(capsys, "lattice", "isotropic", "--spec", "E8(-1)+<-4>+H")
     assert code == 0
     assert report["payload"]["exists"] is True
-    assert calls == {"determinant": 0, "smith_normal_form": 0}
+    # One elimination per block, E8(-1), <-4> and H, for the signature.
+    assert calls == {"_minors": 3, "determinant": 0, "smith_normal_form": 0}
 
 
 def test_ragged_gram_is_a_named_error(capsys):

@@ -4,7 +4,7 @@ Rank, determinant, the rational solve and the unimodular inverse run on
 one fraction-free elimination kernel; each is compared here with sympy's own
 exact matrix routines on random square, rectangular and low-rank integer
 matrices, and so is the Smith normal form with its transforms and the
-inverse of its column transform that it can keep.  The tests skip when
+inverse of its column transform that it keeps.  The tests skip when
 sympy is not installed.
 """
 
@@ -278,15 +278,13 @@ def test_smith_normal_form_matches_sympy(m):
     sympy = _sympy()
     from sympy.matrices.normalforms import smith_normal_form
 
-    u, d, v = la.smith_normal_form(m)
+    u, d, v, w = la.smith_normal_form(m)
     assert la.mat_mul(la.mat_mul(u, m), v) == d
     assert abs(la.determinant(u)) == 1 and abs(la.determinant(v)) == 1
     assert all(d[i][j] == 0 for i in range(len(d)) for j in range(len(d[0])) if i != j)
     expected = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
     size = min(len(m), len(m[0]))
     assert [abs(d[i][i]) for i in range(size)] == [abs(int(expected[i, i])) for i in range(size)]
-    *kept, w = la.smith_normal_form(m, inverse=True)
-    assert kept == [u, d, v]
     assert w == [[int(x) for x in row] for row in sympy.Matrix(v).inv().tolist()]
 
 
@@ -307,8 +305,7 @@ def _zero_matrices(shape):
 @example([[2, 4, 6], [1, 2, 3]])
 def test_smith_normal_form_keeps_the_inverse(m):
     ncols = len(m[0]) if m else 0
-    u, d, v, w = la.smith_normal_form(m, inverse=True)
-    assert (u, d, v) == la.smith_normal_form(m)
+    _, _, v, w = la.smith_normal_form(m)
     eye = la.identity(ncols)
     assert la.mat_mul(v, w) == eye
     assert la.mat_mul(w, v) == eye

@@ -30,7 +30,7 @@ from mirrorcheck._cache import cached
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
                 min_size=2, max_size=4))
 def test_smith_normal_form_properties(rows):
-    u, d, v = la.smith_normal_form(rows)
+    u, d, v, _ = la.smith_normal_form(rows)
     assert la.mat_mul(la.mat_mul(u, rows), v) == d
     assert abs(la.determinant(u)) == 1
     assert abs(la.determinant(v)) == 1
@@ -56,7 +56,7 @@ def test_kernel_basis(rows):
     assert len(basis) == 4 - la.rank(rows)
     if basis:
         # A direct summand of Z^4: every invariant factor of the basis is 1.
-        _, d, _ = la.smith_normal_form(basis)
+        _, d, _, _ = la.smith_normal_form(basis)
         assert [d[i][i] for i in range(len(basis))] == [1] * len(basis)
 
 
@@ -170,6 +170,7 @@ def test_signature_matches_sympy(entries):
         for j in range(i + 1, n):
             gram[i][j] = gram[j][i] = next(it)
     lat = lt.from_gram(gram)
+    assert lt.determinant(lat) == la.determinant(gram)
     if la.determinant(gram) == 0:
         with pytest.raises(errors.Degenerate):
             lt.signature(lat)
@@ -200,7 +201,10 @@ def test_signature_is_a_congruence_invariant(case, ops):
     lat, inertia = case
     n = lat.rank
     gram = _congruent_by(lat.gram, [(i % n, j % n, c) for i, j, c in ops])
-    assert lt.signature(lt.from_gram(gram)) == inertia
+    congruent = lt.from_gram(gram)
+    assert lt.signature(congruent) == inertia
+    # A unimodular congruence keeps the determinant exactly, not only its sign.
+    assert lt.determinant(congruent) == lt.determinant(lat) == -1
 
 
 def test_signature_uses_no_fractions(monkeypatch):
@@ -369,24 +373,25 @@ def test_degenerate_signature_is_not_cached():
 
 
 def test_invariants_are_computed_once_per_lattice(monkeypatch):
-    calls = {"determinant": 0, "smith_normal_form": 0}
+    calls = {"_minors": 0, "determinant": 0, "smith_normal_form": 0}
     for name in calls:
-        real = getattr(la, name)
+        module = lt if name == "_minors" else la
+        real = getattr(module, name)
 
         def counting(*args, _real=real, _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(la, name, counting)
+        monkeypatch.setattr(module, name, counting)
     lat = lt.direct_sum(lt.hyperbolic_plane(), lt.rank_one(-4))
     fresh = lt.direct_sum(lt.hyperbolic_plane(), lt.rank_one(-4))
     for _ in range(3):
         assert lt.signature(lat) == (1, 2)
         assert lt.determinant(lat) == 4
         assert lt.discriminant(lat).group == (4,)
-    # One determinant per orthogonal block, H and <-4>; the unimodular H
-    # block takes no Smith form.
-    assert calls == {"determinant": 2, "smith_normal_form": 1}
+    # One elimination per orthogonal block, H and <-4>, and no Bareiss
+    # determinant; the unimodular H block takes no Smith form.
+    assert calls == {"_minors": 2, "determinant": 0, "smith_normal_form": 1}
     # The cache takes no part in equality, hashing or repr.
     assert lat == fresh and hash(lat) == hash(fresh) and repr(lat) == repr(fresh)
 
@@ -397,8 +402,7 @@ def test_invariant_cache_keeps_one_object_and_nothing_on_failure():
     lat = lt.direct_sum(lt.hyperbolic_plane(), lt.rank_one(-4))
     for invariant in (lt.signature, lt.determinant, lt.discriminant):
         assert invariant(lat) is invariant(lat)
-    assert set(lat._cache) == {"_blocks", "_block_determinants",
-                               "signature", "determinant", "discriminant"}
+    assert set(lat._cache) == {"_blocks", "signature", "determinant", "discriminant"}
     for gram, invariant, error in [([[0, 0], [0, 2]], lt.signature, errors.Degenerate),
                                    ([[600, 0, 0], [0, 600, 0], [0, 0, -2]], lt.discriminant,
                                     errors.BudgetExceeded)]:
@@ -435,7 +439,6 @@ def test_signature_alone_takes_no_determinant(monkeypatch):
     monkeypatch.setattr(la, "determinant", refuse)
     lat = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.rank_one(-4))
     assert lt.signature(lat) == (1, 10)
-    assert "_block_determinants" not in lat._cache
 
 
 def test_unimodular_blocks_take_no_smith_form(monkeypatch):
@@ -468,10 +471,10 @@ def test_smith_factors_are_checked_against_each_block_determinant(wrong, monkeyp
     real = la.smith_normal_form
 
     def patched(m, *args, **kwargs):
-        u, d, v = real(m, *args, **kwargs)
+        u, d, v, w = real(m, *args, **kwargs)
         if len(m) == 1 and tuple(m[0]) in wrong:
             d = [[wrong[tuple(m[0])]]]
-        return u, d, v
+        return u, d, v, w
 
     monkeypatch.setattr(la, "smith_normal_form", patched)
     lat = lt.from_gram([[4, 0], [0, -6]])
@@ -490,8 +493,7 @@ def test_lattice_with_cached_invariants_is_freed_without_the_collector():
         lat = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.rank_one(-4))
         alive = weakref.ref(lat)
         lt.signature(lat), lt.determinant(lat), lt.discriminant(lat)
-        assert set(lat._cache) == {"_blocks", "_block_determinants",
-                                   "signature", "determinant", "discriminant"}
+        assert set(lat._cache) == {"_blocks", "signature", "determinant", "discriminant"}
         del lat
         assert alive() is None
     finally:
@@ -539,7 +541,7 @@ def _whole_discriminant(gram):
     det = la.determinant(gram)
     if det == 0:
         raise errors.Degenerate("discriminant needs a nondegenerate lattice")
-    _, d, v = la.smith_normal_form(gram)
+    _, d, v, _ = la.smith_normal_form(gram)
     diag = [d[i][i] for i in range(len(gram))]
     factors = [di for di in diag if di > 1]
     order = math.prod(factors)
@@ -825,7 +827,7 @@ def test_dn_mirror_input_errors():
 def _reference_completion(a):
     if la.vec_gcd(a) != 1:
         raise errors.NotPrimitiveVector(f"{list(a)} is not primitive")
-    _, _, v = la.smith_normal_form([list(a)])
+    _, _, v, _ = la.smith_normal_form([list(a)])
     if la.mat_vec(la.transpose(v), list(a))[0] == -1:
         for row in v:
             row[0] = -row[0]
@@ -969,7 +971,7 @@ def test_complement_takes_one_smith_form_and_no_recheck(monkeypatch):
 
     monkeypatch.setattr(la, "smith_normal_form", counting)
     comp = lt.orthogonal_complement(emb)
-    assert calls == [{"inverse": True}]
+    assert calls == [{}]
     calls.clear()
     whole = lt.orthogonal_complement(lt.LatticeEmbedding(emb.ambient, ()))
     assert calls == []
