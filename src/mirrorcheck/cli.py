@@ -154,8 +154,7 @@ class _Inputs:
             return lt.LatticeEmbedding(lt.k3_lattice(), as_int_rows(value))
         if not isinstance(value, dict) or "image_basis" not in value:
             raise InputError("embedding input must carry an 'image_basis' field")
-        ambient = value.get("ambient", "K3")
-        return lt.LatticeEmbedding(lt.k3_lattice() if ambient == "K3" else lt.from_gram(ambient),
+        return lt.LatticeEmbedding(lt.standard_lattice(value.get("ambient", "K3")),
                                    as_int_rows(value["image_basis"]))
 
     def f(self, emb: lt.LatticeEmbedding) -> tuple[int, ...]:
@@ -269,10 +268,12 @@ def _fibre_tag(entry) -> str:
 
 
 def _spec_pieces(spec: str) -> list[lt.QuadLattice]:
-    pieces = [lt.standard_lattice(p.strip()) for p in spec.split("+") if p.strip()]
-    if not pieces:
+    pieces = [p.strip() for p in spec.split("+")]
+    if not any(pieces):
         raise InputError("empty lattice spec")
-    return pieces
+    if not all(pieces):
+        raise InputError(f"lattice spec {spec!r} has an empty piece")
+    return [lt.standard_lattice(p) for p in pieces]
 
 
 def _parse_lattice_spec(spec: str) -> lt.QuadLattice:

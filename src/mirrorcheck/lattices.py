@@ -23,12 +23,14 @@ group is trivial.  The blocks' inertias add, their determinants multiply,
 and the cyclic orders of their discriminant generators become invariant
 factors by pairwise gcd/lcm.  The discriminant form's values are sorted as
 integers mod 2N^2 and only then made ``Fraction``s, the only rationals.
-Kernels and the primitivity of an embedding come from Smith forms of the
-whole matrix.  Congruences ``B G B^T`` and the mirror construction's
-products skip zero entries (``intlinalg._sparse_mul``).  The lattices the
-module builds itself (H, E8(-1), A1(-1), sums, induced forms, the mirror
-quotient) skip the input conversion of ``from_gram`` but keep the
-square/even/symmetric check.
+Kernels and the primitivity of a given embedding come from Smith forms of
+the whole matrix; ``canonical_embedding``'s basis is a direct summand by
+construction and takes none.  Congruences ``B G B^T`` and the mirror
+construction's products skip zero entries (``intlinalg._sparse_mul``).  The
+standard pieces H, E8(-1), A1(-1) and K3 are built once, at import, and
+shared.  The lattices the module builds itself (those pieces, sums, induced
+forms, the mirror quotient) skip the input conversion of ``from_gram`` but
+keep the square/even/symmetric check.
 
 Isomorphism testing is limited to invariant comparison (rank, signature,
 determinant, discriminant group and form), a necessary condition for
@@ -129,22 +131,48 @@ def _lattice(rows: Sequence[Sequence[int]], name: Optional[str] = None) -> QuadL
     return QuadLattice(tuple(map(tuple, rows)), name)
 
 
+def direct_sum(*lattices: QuadLattice, name: Optional[str] = None) -> QuadLattice:
+    n = sum(lat.rank for lat in lattices)
+    gram = [[0] * n for _ in range(n)]
+    offset = 0
+    for lat in lattices:
+        for i in range(lat.rank):
+            for j in range(lat.rank):
+                gram[offset + i][offset + j] = lat.gram[i][j]
+        offset += lat.rank
+    if name is None and lattices and all(lat.name for lat in lattices):
+        name = "+".join(lat.name for lat in lattices)
+    return _lattice(gram, name)
+
+
+def _standard_pieces() -> dict[str, QuadLattice]:
+    h = _lattice([[0, 1], [1, 0]], "H")
+    gram = [[-2 if i == j else 0 for j in range(8)] for i in range(8)]
+    for a, b in _E8_EDGES:
+        gram[a - 1][b - 1] = gram[b - 1][a - 1] = 1
+    e8 = _lattice(gram, "E8(-1)")
+    return {"H": h, "E8(-1)": e8, "A1(-1)": _lattice([[-2]], "A1(-1)"),
+            "K3": direct_sum(h, h, h, e8, e8, name="K3")}
+
+
+# The standard pieces by spec name, built once and shared with their _cache.
+_STANDARD = _standard_pieces()
+
+
 def hyperbolic_plane() -> QuadLattice:
-    return _lattice([[0, 1], [1, 0]], "H")
+    return _STANDARD["H"]
 
 
 def e8_minus() -> QuadLattice:
-    gram = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        gram[i][i] = -2
-    for a, b in _E8_EDGES:
-        gram[a - 1][b - 1] = 1
-        gram[b - 1][a - 1] = 1
-    return _lattice(gram, "E8(-1)")
+    return _STANDARD["E8(-1)"]
 
 
 def a1_minus() -> QuadLattice:
-    return _lattice([[-2]], "A1(-1)")
+    return _STANDARD["A1(-1)"]
+
+
+def k3_lattice() -> QuadLattice:
+    return _STANDARD["K3"]
 
 
 def rank_one(n: int) -> QuadLattice:
@@ -161,14 +189,8 @@ def standard_lattice(spec) -> QuadLattice:
     """
     if isinstance(spec, str):
         s = spec.strip()
-        if s == "H":
-            return hyperbolic_plane()
-        if s == "E8(-1)":
-            return e8_minus()
-        if s == "A1(-1)":
-            return a1_minus()
-        if s == "K3":
-            return k3_lattice()
+        if s in _STANDARD:
+            return _STANDARD[s]
         if s.startswith("<") and s.endswith(">"):
             try:
                 n = la.strict_int(s[1:-1])
@@ -177,25 +199,6 @@ def standard_lattice(spec) -> QuadLattice:
             return rank_one(n)
         raise InputError(f"unknown lattice spec {spec!r}")
     return from_gram(spec)
-
-
-def direct_sum(*lattices: QuadLattice, name: Optional[str] = None) -> QuadLattice:
-    n = sum(lat.rank for lat in lattices)
-    gram = [[0] * n for _ in range(n)]
-    offset = 0
-    for lat in lattices:
-        for i in range(lat.rank):
-            for j in range(lat.rank):
-                gram[offset + i][offset + j] = lat.gram[i][j]
-        offset += lat.rank
-    if name is None and lattices and all(lat.name for lat in lattices):
-        name = "+".join(lat.name for lat in lattices)
-    return _lattice(gram, name)
-
-
-def k3_lattice() -> QuadLattice:
-    return direct_sum(hyperbolic_plane(), hyperbolic_plane(), hyperbolic_plane(),
-                      e8_minus(), e8_minus(), name="K3")
 
 
 @cached
@@ -397,8 +400,10 @@ class LatticeEmbedding:
     @classmethod
     def _saturated(cls, ambient: QuadLattice,
                    image_basis: tuple[tuple[int, ...], ...]) -> "LatticeEmbedding":
-        """An embedding of a basis known to span a direct summand, such as a
-        saturated kernel basis, built without the Smith-form check."""
+        """An embedding of a basis known to span a direct summand, built
+        without the Smith-form check: a saturated kernel basis (complements)
+        or ``canonical_embedding``'s block-wise basis.  Embeddings a user
+        gives go through the checked constructor."""
         emb = object.__new__(cls)
         object.__setattr__(emb, "ambient", ambient)
         object.__setattr__(emb, "image_basis", image_basis)
@@ -507,38 +512,38 @@ def _take_free(free: list, kind: str, k: int, piece: QuadLattice) -> tuple[int, 
 def canonical_embedding(pieces: Sequence[QuadLattice]) -> LatticeEmbedding:
     """Block-wise primitive embedding of a sum of standard pieces into K3.
 
-    Pieces take free blocks in order; a piece that finds none of its kind
-    left raises ``RankMismatch``."""
-    amb = k3_lattice()
+    Pieces take free blocks of the shared K3 lattice in order; a piece that
+    finds none of its kind left raises ``RankMismatch``.  The basis, unit
+    vectors and e + n*f vectors in pairwise disjoint blocks, each primitive,
+    spans a direct summand by construction and takes no Smith-form check."""
     free_h = list(_H_BLOCKS)
     free_e8 = list(_E8_BLOCKS)
     basis: list[tuple[int, ...]] = []
     for k, piece in enumerate(pieces, 1):
-        if piece.gram == hyperbolic_plane().gram:
-            block = _take_free(free_h, "H", k, piece)
-            basis.append(_unit(block[0]))
-            basis.append(_unit(block[1]))
-        elif piece.gram == e8_minus().gram:
-            block8 = _take_free(free_e8, "E8(-1)", k, piece)
-            for i in block8:
-                basis.append(_unit(i))
+        if piece.gram == _STANDARD["H"].gram:
+            basis.extend(map(_unit, _take_free(free_h, "H", k, piece)))
+        elif piece.gram == _STANDARD["E8(-1)"].gram:
+            basis.extend(map(_unit, _take_free(free_e8, "E8(-1)", k, piece)))
         elif piece.rank == 1:
             n = piece.gram[0][0] // 2
             if n == 0:
                 raise Degenerate("cannot embed a rank-one radical")
-            block = _take_free(free_h, "H", k, piece)
-            vec = [0] * 22
-            vec[block[0]] = 1
-            vec[block[1]] = n
-            basis.append(tuple(vec))
+            e, f = _take_free(free_h, "H", k, piece)
+            basis.append(tuple(1 if i == e else n if i == f else 0 for i in range(22)))
         else:
             raise RankMismatch(
                 f"no canonical embedding for piece with gram {piece.gram}")
-    return LatticeEmbedding(amb, tuple(basis))
+    return LatticeEmbedding._saturated(_STANDARD["K3"], tuple(basis))
 
 
 def default_isotropic_vector(emb: LatticeEmbedding) -> tuple[int, ...]:
-    """The e-generator of the first untouched H block (order: 2nd, 3rd, 1st)."""
+    """The e-generator of the first untouched H block (order: 2nd, 3rd, 1st).
+
+    Defined for the K3 ambient only; any other ambient raises
+    ``InputError``, since f must then be given."""
+    if emb.ambient.gram != _STANDARD["K3"].gram:
+        raise InputError(
+            "the default isotropic vector is defined for the K3 ambient only; give f")
     for block in (_H_BLOCKS[1], _H_BLOCKS[2], _H_BLOCKS[0]):
         touched = any(v[block[0]] != 0 or v[block[1]] != 0 for v in emb.image_basis)
         if not touched:

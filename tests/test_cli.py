@@ -104,21 +104,22 @@ def test_hull_calls_per_op(command, fixture, expected, capsys, monkeypatch):
 # takes a Bareiss determinant.  A block of |det| > 1 takes one Smith form
 # for the discriminant; the unimodular blocks, H and E8(-1), take none.
 # `lattice invariants` on H+E8(-1)+E8(-1)+<-4> has 4 blocks, one of them
-# <-4>.  `lattice complement` checks the embedding, takes the kernel in one
-# Smith form and does not check it again; the complements of <4> and
+# <-4>.  A spec's canonical embedding is a direct summand by construction
+# and takes no Smith-form check.  `lattice complement` takes the kernel in
+# one Smith form and does not check it again; the complements of <4> and
 # H+E8(-1) have 5 and 3 blocks, and only <4>'s <-4> has |det| > 1.
 # `lattice mirror --expect` takes the invariants of the mirror and of the
 # target, 3 + 3 blocks for H and 4 + 4 for <2> and <4>, of which only <2>'s
-# and <4>'s rank-one blocks take a Smith form; the embedding check and the
-# construction's three transforms take the other four.
+# and <4>'s rank-one blocks take a Smith form; the construction's three
+# transforms take the other three.
 LATTICE_KERNEL_CALLS = [
     (["lattice", "invariants", "--fixture", "posdef2"], 1, 1),
     (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 4, 1),
-    (["lattice", "mirror", "--spec", "H", "--expect", "H+E8(-1)+E8(-1)"], 6, 4),
-    (["lattice", "mirror", "--spec", "<2>", "--expect", "H+E8(-1)+E8(-1)+A1(-1)"], 8, 6),
-    (["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"], 8, 6),
-    (["lattice", "complement", "--spec", "<4>"], 5, 3),
-    (["lattice", "complement", "--spec", "H+E8(-1)"], 3, 2),
+    (["lattice", "mirror", "--spec", "H", "--expect", "H+E8(-1)+E8(-1)"], 6, 3),
+    (["lattice", "mirror", "--spec", "<2>", "--expect", "H+E8(-1)+E8(-1)+A1(-1)"], 8, 5),
+    (["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"], 8, 5),
+    (["lattice", "complement", "--spec", "<4>"], 5, 2),
+    (["lattice", "complement", "--spec", "H+E8(-1)"], 3, 1),
 ]
 
 
@@ -154,9 +155,9 @@ def test_lattice_kernel_calls_per_op(argv, eliminations, smith_forms, capsys, mo
 # Smith forms on the orthogonal blocks of |det| > 1 only, so a spec'd
 # lattice's largest is a rank-one block (1), not an E8(-1) block (8) or its
 # whole Gram matrix (19 for the <2> and <4> mirrors, 18 for H).  The H
-# mirror's largest has its embedding's two rows (the embedding check and
-# ``image_basis @ G``); `lattice complement` checks its embedding on all of
-# the image's rows (10 for H+E8(-1)).
+# mirror's largest is ``image_basis @ G`` on its embedding's two rows, and
+# `lattice complement` takes its kernel on all of the image's rows (10 for
+# H+E8(-1)).
 LARGEST_SMITH_INPUT = [
     (["lattice", "invariants", "--fixture", "posdef2"], 2),
     (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 1),
@@ -190,6 +191,30 @@ def test_no_smith_form_is_given_a_unimodular_block(argv, capsys, monkeypatch):
     code, _ = run(capsys, *argv)
     assert code == 0
     assert 1 not in square
+
+
+# Lattices validated by ``QuadLattice.__post_init__`` per op.  The standard
+# pieces are built once, at import: the <4> mirror validates <4>, the
+# complement's induced form, the mirror quotient, <-4> and the target sum;
+# the H+E8(-1) complement only its induced form; the invariants' spec <-4>
+# and the sum.
+@pytest.mark.parametrize("argv,validations", [
+    (["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"], 5),
+    (["lattice", "complement", "--spec", "H+E8(-1)"], 1),
+    (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 2),
+])
+def test_lattice_validations_per_op(argv, validations, capsys, monkeypatch):
+    calls = []
+    real = lt.QuadLattice.__post_init__
+
+    def counting(lat):
+        calls.append(1)
+        real(lat)
+
+    monkeypatch.setattr(lt.QuadLattice, "__post_init__", counting)
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == validations
 
 
 def test_isotropic_takes_no_determinant(capsys, monkeypatch):
@@ -743,6 +768,12 @@ def test_blank_lattice_spec_is_an_input_error(capsys, command):
     code, report = run_json(capsys, "lattice", command, "--spec", " ")
     assert code == 2
     assert report["payload"] == {"error": "InputError", "message": "empty lattice spec"}
+    # A blank piece next to others is not dropped: the spec is refused.
+    for spec in ("H++H", "H+", "+<4>"):
+        code, report = run_json(capsys, "lattice", command, "--spec", spec)
+        assert code == 2
+        assert report["payload"] == {
+            "error": "InputError", "message": f"lattice spec {spec!r} has an empty piece"}
 
 
 def test_empty_image_basis_complement_is_k3(capsys):
@@ -814,6 +845,21 @@ def test_embedding_file_input(tmp_path, capsys):
                             "--expect", "H+E8(-1)+E8(-1)+<-4>")
     assert code == 0
     assert report["payload"]["match"]["status"] == "MATCH"
+
+
+def test_default_f_needs_the_k3_ambient(tmp_path, capsys):
+    emb = tmp_path / "embedding.json"
+    emb.write_text(json.dumps({"ambient": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                               "image_basis": [[1, 1, 0, 0]]}))
+    code, report = run_json(capsys, "lattice", "mirror", "--embedding", str(emb))
+    assert code == 2
+    assert report["payload"] == {
+        "error": "InputError",
+        "message": "the default isotropic vector is defined for the K3 ambient only; give f"}
+    code, report = run_json(capsys, "lattice", "mirror", "--embedding", str(emb),
+                            "--f", "[0,0,1,0]")
+    assert code == 0
+    assert report["payload"]["rank"] == 1
 
 
 def test_lmhs_mirror_comparison(tmp_path, capsys):

@@ -720,6 +720,44 @@ def test_canonical_embedding_names_an_unnamed_piece_by_its_gram():
         lt.canonical_embedding(pieces)
 
 
+# Pieces that fit in K3 together: at most three taking an H block (H,
+# A1(-1), <2n> with n != 0) and at most two E8(-1), in any order.
+_K3_PIECES = st.tuples(
+    st.lists(st.one_of(st.sampled_from(["H", "A1(-1)"]),
+                       st.integers(-40, 40).filter(bool).map(lambda n: f"<{2 * n}>")),
+             max_size=3),
+    st.integers(0, 2)).flatmap(lambda d: st.permutations(d[0] + ["E8(-1)"] * d[1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_K3_PIECES)
+def test_canonical_basis_passes_the_smith_form_check(specs):
+    # canonical_embedding trusts its basis to span a direct summand; the
+    # checked constructor must agree.
+    emb = lt.canonical_embedding([lt.standard_lattice(s) for s in specs])
+    checked = lt.LatticeEmbedding(lt.k3_lattice(), emb.image_basis)
+    assert checked == emb
+
+
+def test_standard_pieces_are_built_once():
+    assert lt.standard_lattice("K3") is lt.k3_lattice() is lt.canonical_embedding(
+        [lt.rank_one(2)]).ambient
+    assert lt.standard_lattice(" H ") is lt.hyperbolic_plane()
+    assert lt.standard_lattice("E8(-1)") is lt.e8_minus()
+    assert lt.standard_lattice("A1(-1)") is lt.a1_minus()
+
+
+def test_default_isotropic_vector_needs_the_k3_ambient():
+    h2 = lt.direct_sum(lt.hyperbolic_plane(), lt.hyperbolic_plane())
+    emb = lt.LatticeEmbedding(h2, ((1, 1, 0, 0),))
+    with pytest.raises(errors.InputError, match="^the default isotropic vector is "
+                       "defined for the K3 ambient only; give f$"):
+        lt.default_isotropic_vector(emb)
+    # A K3 Gram matrix given explicitly is the K3 ambient.
+    k3 = lt.from_gram(lt.k3_lattice().gram)
+    assert lt.default_isotropic_vector(lt.LatticeEmbedding(k3, ())) == _k3_unit(2)
+
+
 def test_double_complement_matches_original():
     emb = lt.canonical_embedding([lt.rank_one(2)])
     comp = lt.orthogonal_complement(emb)
