@@ -860,6 +860,14 @@ def test_default_f_needs_the_k3_ambient(tmp_path, capsys):
                             "--f", "[0,0,1,0]")
     assert code == 0
     assert report["payload"]["rank"] == 1
+    # An ambient named by a standard piece other than K3 needs f too.
+    emb.write_text(json.dumps({"ambient": "H", "image_basis": [[1, 1]]}))
+    code, report = run_json(capsys, "lattice", "mirror", "--embedding", str(emb))
+    assert code == 2
+    assert report["payload"]["error"] == "InputError"
+    code, report = run_json(capsys, "lattice", "complement", "--embedding", str(emb))
+    assert code == 0
+    assert report["payload"]["lattice"] == {"gram": [[-2]]}
 
 
 def test_lmhs_mirror_comparison(tmp_path, capsys):
