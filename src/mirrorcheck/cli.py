@@ -24,6 +24,10 @@ fresh namespace each time, so repeated in-process calls skip rebuilding
 the subcommand tree.  ``build_parser()`` still returns a fresh parser.
 A reader that closes stdout early (``| head``) ends the output silently;
 the exit code is still the report's.
+
+Engines load on first use: importing this module runs none of ``family``,
+``hodge``, ``lattices``, ``nef`` and ``polytopes``, so ``--help`` and
+``--version`` load no engine and each command loads only its own.
 """
 
 from __future__ import annotations
@@ -31,20 +35,38 @@ from __future__ import annotations
 import argparse
 import collections
 import functools
+import importlib.util
 import json
 import os
+import re
 import sys
 from typing import Optional
 
 from . import __version__
-from . import family as fam
-from . import hodge as hg
-from . import lattices as lt
-from . import nef
-from . import polytopes as pt
 from .errors import BudgetExceeded, InputError, MirrorcheckError
 from .fixtures import fixture_names, load_fixture
 from .intlinalg import as_int, as_int_rows, as_int_vector, strict_int
+
+
+def _engine(name: str):
+    """The module ``mirrorcheck.<name>``, run on its first attribute access
+    (the lazy-import recipe of the ``importlib`` docs), or as already imported."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+fam = _engine("family")
+hg = _engine("hodge")
+lt = _engine("lattices")
+nef = _engine("nef")
+pt = _engine("polytopes")
 
 PASS, FAIL, INCONCLUSIVE, ERROR = "PASS", "FAIL", "INCONCLUSIVE", "ERROR"
 
@@ -268,7 +290,8 @@ def _fibre_tag(entry) -> str:
 
 
 def _spec_pieces(spec: str) -> list[lt.QuadLattice]:
-    pieces = [p.strip() for p in spec.split("+")]
+    """The pieces of ``spec``, split at each ``+`` outside ``<...>``."""
+    pieces = [p.strip() for p in re.split(r"\+(?![^<]*>)", spec)]
     if not any(pieces):
         raise InputError("empty lattice spec")
     if not all(pieces):

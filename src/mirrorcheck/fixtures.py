@@ -2,11 +2,14 @@
 
 Each fixture is one JSON file under ``data/`` holding the input slots
 (polytope, partition parts, fibration, gram matrix, ...) that the CLI
-subcommands consume through ``--fixture <name>``.
+subcommands consume through ``--fixture <name>``.  Only the names that
+``fixture_names()`` lists are loaded; any other name, a path included, is an
+``InputError``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -15,19 +18,22 @@ from .errors import InputError
 _PACKAGE = "mirrorcheck.data"
 
 
+@functools.cache
+def _bundled() -> tuple[str, ...]:
+    """The bundled fixture names, listed once per process."""
+    entries = resources.files(_PACKAGE).iterdir()
+    return tuple(sorted(e.name[:-5] for e in entries if e.name.endswith(".json")))
+
+
 def fixture_names() -> list[str]:
-    names = []
-    for entry in resources.files(_PACKAGE).iterdir():
-        if entry.name.endswith(".json"):
-            names.append(entry.name[:-5])
-    return sorted(names)
+    return list(_bundled())
 
 
 def load_fixture(name: str) -> dict:
-    try:
-        path = resources.files(_PACKAGE) / f"{name}.json"
-        with path.open("r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
+    """The fixture ``name``, which must be one that ``fixture_names()`` lists."""
+    if name not in _bundled():
         raise InputError(
-            f"unknown fixture {name!r}; available: {', '.join(fixture_names())}")
+            f"unknown fixture {name!r}; available: {', '.join(_bundled())}")
+    path = resources.files(_PACKAGE) / f"{name}.json"
+    with path.open("r", encoding="utf-8") as fh:
+        return json.load(fh)

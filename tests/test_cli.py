@@ -769,11 +769,23 @@ def test_blank_lattice_spec_is_an_input_error(capsys, command):
     assert code == 2
     assert report["payload"] == {"error": "InputError", "message": "empty lattice spec"}
     # A blank piece next to others is not dropped: the spec is refused.
-    for spec in ("H++H", "H+", "+<4>"):
+    for spec in ("H++H", "H+", "+<4>", "<+4>++H", "H+<+4>+"):
         code, report = run_json(capsys, "lattice", command, "--spec", spec)
         assert code == 2
         assert report["payload"] == {
             "error": "InputError", "message": f"lattice spec {spec!r} has an empty piece"}
+
+
+@pytest.mark.parametrize("signed, plain", [("<+4>", "<4>"), ("H+<+4>", "H+<4>"),
+                                           ("<+4>+H", "<4>+H")])
+def test_signed_rank_one_pieces_read_as_unsigned(capsys, signed, plain):
+    # A '+' inside <...> is the sign of n, not a direct sum.
+    for command in ("sum", "invariants"):
+        assert (run(capsys, "lattice", command, "--spec", signed)
+                == run(capsys, "lattice", command, "--spec", plain))
+    code, report = run_json(capsys, "lattice", "match", "--a", signed, "--b", plain)
+    assert code == 0
+    assert report["payload"]["status"] == "MATCH"
 
 
 def test_empty_image_basis_complement_is_k3(capsys):
@@ -1056,3 +1068,13 @@ def test_closed_stdout_pipe_is_silent(argv, unbuffered):
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("name", ["no-such-fixture", "../../../tests/cli_digests",
+                                  "../data/p1p1p1", "p1p1p1.json"])
+def test_only_bundled_fixtures_load(capsys, name):
+    code, report = run_json(capsys, "hodge", "euler", "--fixture", name)
+    assert code == 2
+    assert report["payload"]["error"] == "InputError"
+    assert report["payload"]["message"].startswith(f"unknown fixture {name!r}; available: ")
+    assert report["provenance"]["inputs"] == {}
