@@ -18,10 +18,17 @@ nested too deeply and an integer too long for Python to read are input
 errors.  A report holding an integer too long to print is rendered as an
 ERROR report (``BudgetExceeded``), never a traceback.
 
-The argument parser is built once per process and shared by every
-``main()`` call: ``parse_args`` leaves the parser unchanged and returns a
-fresh namespace each time, so repeated in-process calls skip rebuilding
-the subcommand tree.  ``build_parser()`` still returns a fresh parser.
+A call that names a group and one of its commands is parsed by that
+command's own parser, ``_leaf(group, command)``, which ``_add_command``
+fills exactly as it fills the command's parser in the tree; ``main`` then
+sets ``group`` and ``command`` itself.  The full tree, ``_parser()``,
+parses every other call (``--help``, ``--version``, an unknown group or
+command) and again any call the command's parser leaves arguments over
+from, so every help text, usage line and error is the tree's own, byte for
+byte.  Each parser is built once per process and shared by every ``main()``
+call: ``parse_args`` leaves a parser unchanged and returns a fresh
+namespace each time.  A valid command never builds the tree, and
+``build_parser()`` still returns a fresh one.
 A reader that closes stdout early (``| head``) ends the output silently;
 the exit code is still the report's.
 
@@ -600,15 +607,21 @@ def build_parser() -> argparse.ArgumentParser:
         sub = top.add_parser(group, help=group_help).add_subparsers(
             dest="command", required=True)
         for name, (handler, command_help, flags) in commands.items():
-            p = sub.add_parser(name, help=command_help)
-            p.set_defaults(handler=handler, flags=flags)
-            p.add_argument("--fixture", metavar="NAME",
-                           help=f"load inputs from a bundled fixture ({fixtures})")
-            p.add_argument("--pretty", action="store_true",
-                           help="human-readable text instead of JSON")
-            p.add_argument("--out", metavar="PATH", help="also write the report to a file")
-            for flag, keywords in flags.items():
-                p.add_argument(f"--{flag}", **keywords)
+            _add_command(sub.add_parser(name, help=command_help), handler, flags, fixtures)
+    return parser
+
+
+def _add_command(parser: argparse.ArgumentParser, handler, flags: dict,
+                 fixtures: str) -> argparse.ArgumentParser:
+    """``parser`` given one command's handler, the common flags and its own."""
+    parser.set_defaults(handler=handler, flags=flags)
+    parser.add_argument("--fixture", metavar="NAME",
+                        help=f"load inputs from a bundled fixture ({fixtures})")
+    parser.add_argument("--pretty", action="store_true",
+                        help="human-readable text instead of JSON")
+    parser.add_argument("--out", metavar="PATH", help="also write the report to a file")
+    for flag, keywords in flags.items():
+        parser.add_argument(f"--{flag}", **keywords)
     return parser
 
 
@@ -616,6 +629,27 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The parser every ``main()`` call in this process shares."""
     return build_parser()
+
+
+@functools.cache
+def _leaf(group: str, command: str) -> argparse.ArgumentParser:
+    """One command's parser on its own, as ``build_parser`` builds it in the tree."""
+    handler, _, flags = _COMMANDS[group][1][command]
+    return _add_command(argparse.ArgumentParser(prog=f"mirrorcheck {group} {command}"),
+                        handler, flags, ", ".join(fixture_names()))
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` as the tree parses it.  A known group and command go straight
+    to that command's parser, the one the tree hands the rest to; the tree
+    parses every other call, and again one with arguments left over, so that
+    help, the version and every error are its own."""
+    if len(argv) > 1 and argv[0] in _COMMANDS and argv[1] in _COMMANDS[argv[0]][1]:
+        args, rest = _leaf(argv[0], argv[1]).parse_known_args(argv[2:])
+        if not rest:
+            args.group, args.command = argv[0], argv[1]
+            return args
+    return _parser().parse_args(argv)
 
 
 def _silence_stdout() -> None:
@@ -674,7 +708,7 @@ def _render(args: argparse.Namespace, status: str, payload: dict, echo: dict) ->
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # --help and --version leave argparse's text in stdout's buffer.
         try:

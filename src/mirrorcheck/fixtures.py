@@ -4,7 +4,8 @@ Each fixture is one JSON file under ``data/`` holding the input slots
 (polytope, partition parts, fibration, gram matrix, ...) that the CLI
 subcommands consume through ``--fixture <name>``.  Only the names that
 ``fixture_names()`` lists are loaded; any other name, a path included, is an
-``InputError``.
+``InputError``.  Each file is read once per process and its text parsed
+afresh on every load.
 """
 
 from __future__ import annotations
@@ -29,11 +30,16 @@ def fixture_names() -> list[str]:
     return list(_bundled())
 
 
+@functools.cache
+def _text(name: str) -> str:
+    """The text of the bundled fixture ``name``, read once per process."""
+    return (resources.files(_PACKAGE) / f"{name}.json").read_text(encoding="utf-8")
+
+
 def load_fixture(name: str) -> dict:
-    """The fixture ``name``, which must be one that ``fixture_names()`` lists."""
+    """The fixture ``name``, which must be one that ``fixture_names()`` lists,
+    parsed afresh on each call, so no caller shares another's objects."""
     if name not in _bundled():
         raise InputError(
             f"unknown fixture {name!r}; available: {', '.join(_bundled())}")
-    path = resources.files(_PACKAGE) / f"{name}.json"
-    with path.open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return json.loads(_text(name))

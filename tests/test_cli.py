@@ -1,17 +1,25 @@
 """CLI behaviour: payloads, exit codes, determinism, error reporting."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import textwrap
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from mirrorcheck import cli, hodge as hg, intlinalg as la, lattices as lt, nef, polytopes as pt
+from mirrorcheck import cli, fixtures, hodge as hg, intlinalg as la, lattices as lt, nef
+from mirrorcheck import polytopes as pt
 from mirrorcheck.cli import main
-from mirrorcheck.fixtures import load_fixture
+from mirrorcheck.fixtures import fixture_names, load_fixture
 from mirrorcheck.intlinalg import mat_vec
 
 
@@ -897,18 +905,24 @@ def test_lmhs_mirror_comparison(tmp_path, capsys):
     assert code == 1
 
 
-def _flags(metavar):
-    """(subcommand, flag) for every flag with this metavar that build_parser
-    declares."""
+def _tree_leaves():
+    """((group, command), parser) for every command parser in build_parser's tree."""
     groups = next(a for a in cli.build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction))
     for group, group_parser in groups.choices.items():
         commands = next(a for a in group_parser._actions
                         if isinstance(a, argparse._SubParsersAction))
         for command, parser in commands.choices.items():
-            for action in parser._actions:
-                if action.metavar == metavar:
-                    yield (group, command), action.option_strings[0]
+            yield (group, command), parser
+
+
+def _flags(metavar):
+    """(subcommand, flag) for every flag with this metavar that build_parser
+    declares."""
+    for command, parser in _tree_leaves():
+        for action in parser._actions:
+            if action.metavar == metavar:
+                yield command, action.option_strings[0]
 
 
 K3_VECTOR = [1, 2] + [0] * 20
@@ -976,6 +990,10 @@ def test_parser_lists_fixtures_once(monkeypatch):
     monkeypatch.setattr(cli, "fixture_names", counting)
     cli.build_parser()
     assert len(calls) == 1
+    cli._leaf.cache_clear()
+    cli._leaf("nef", "counts")
+    cli._leaf.cache_clear()
+    assert len(calls) == 2
 
 
 def _parser_sequence(tmp_path):
@@ -1006,7 +1024,14 @@ def _parser_sequence(tmp_path):
         ["family", "sweep", "--pretty"],
         ["nef", "--help"],
         ["--help"],
+        ["nef", "nope"],
+        ["lattice", "match", "--a", "H", "--b", "H"],
+        ["lattice", "match", "--a", "H", "--b", "H+<4>"],
     ]
+
+
+def _known(argv):
+    return len(argv) > 1 and argv[1] in cli._COMMANDS.get(argv[0], ("", {}))[1]
 
 
 def test_parser_built_once_per_process(monkeypatch, tmp_path, capsys):
@@ -1018,20 +1043,32 @@ def test_parser_built_once_per_process(monkeypatch, tmp_path, capsys):
         return real()
 
     monkeypatch.setattr(cli, "build_parser", counting)
+    sequence = _parser_sequence(tmp_path)
     cli._parser.cache_clear()
-    codes = [main(argv) for argv in _parser_sequence(tmp_path)]
+    cli._leaf.cache_clear()
+    valid = [main(argv) for argv in sequence if _known(argv) and "--no-such-flag" not in argv]
+    assert len(calls) == 0
+    codes = [main(argv) for argv in sequence]
+    leaves = cli._leaf.cache_info()
     cli._parser.cache_clear()
+    cli._leaf.cache_clear()
     assert len(calls) == 1
-    assert set(codes) == {0, 1, 2}
+    assert set(valid) == {0, 1} and set(codes) == {0, 1, 2}
+    # Each command's own parser is built once, and built for every call that
+    # names a group and one of its commands.
+    assert leaves.misses == len({tuple(argv[:2]) for argv in sequence if _known(argv)})
+    assert leaves.hits + leaves.misses == len(valid) + sum(map(_known, sequence))
 
 
 def test_shared_parser_matches_fresh_parser(tmp_path, capsys):
     sequence = _parser_sequence(tmp_path)
     cli._parser.cache_clear()
+    cli._leaf.cache_clear()
     shared = [run(capsys, *argv) for argv in sequence]
     fresh = []
     for argv in sequence:
         cli._parser.cache_clear()
+        cli._leaf.cache_clear()
         fresh.append(run(capsys, *argv))
     assert shared == fresh
     by_argv = dict(zip(map(tuple, sequence), shared))
@@ -1042,6 +1079,160 @@ def test_shared_parser_matches_fresh_parser(tmp_path, capsys):
         "payload"]["region"] == "all"
     assert json.loads(by_argv[("lattice", "isotropic", "--gram", "[[2,1],[1,2]]")][1])[
         "payload"]["bound"] == 10
+
+
+def _fresh(code: str):
+    """The JSON that ``code`` prints, run in a new interpreter on this source tree."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+_TREE_BUILDS = """
+    import contextlib, io, json
+    import mirrorcheck.cli as cli
+    builds = []
+    real = cli.build_parser
+    cli.build_parser = lambda: builds.append(1) or real()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main({argv!r})
+    print(json.dumps([code, len(builds)]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, builds", [
+    (["nef", "verify", "--fixture", "p1p1p1"], 0, 0),
+    (["lattice", "mirror", "--spec", "<4>"], 0, 0),
+    (["hodge", "lmhs", "--u", "1", "--v", "2", "--pretty"], 0, 0),
+    (["polytope", "points", "-h"], 0, 0),
+    (["lattice", "match", "--a", "H"], 2, 0),
+    (["--help"], 0, 1),
+    (["nef", "--help"], 0, 1),
+    (["--version"], 0, 1),
+    (["nef", "nope"], 2, 1),
+    (["nef", "counts", "--fixture", "p1p1p1", "--no-such-flag"], 2, 1),
+])
+def test_only_the_tree_paths_build_the_tree(argv, code, builds):
+    # A call naming a group and one of its commands is parsed by that
+    # command's own parser; the tree is built for help, the version, an
+    # unknown word and whatever the command's parser leaves over.
+    assert _fresh(_TREE_BUILDS.format(argv=argv)) == [code, builds]
+
+
+# Command -> arguments with which a run of it parses and passes.
+VALID_ARGS = {
+    ("polytope", "dual"): ["--fixture", "octahedron"],
+    ("polytope", "reflexive"): ["--fixture", "octahedron"],
+    ("polytope", "points"): ["--fixture", "octahedron", "--region", "boundary"],
+    ("polytope", "faces"): ["--fixture", "octahedron"],
+    ("nef", "verify"): ["--fixture", "p1p1p1"],
+    ("nef", "dual"): ["--fixture", "p1p1p1"],
+    ("nef", "counts"): ["--fixture", "p1p1p1"],
+    ("nef", "hodge"): ["--fixture", "quartic"],
+    ("nef", "refine"): ["--fixture", "p1p1p1"],
+    ("lattice", "sum"): ["--spec", "H+<4>"],
+    ("lattice", "invariants"): ["--gram", "[[2,1],[1,2]]"],
+    ("lattice", "complement"): ["--spec", "<2>"],
+    ("lattice", "mirror"): ["--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"],
+    ("lattice", "isotropic"): ["--spec", "H", "--bound", "2"],
+    ("lattice", "match"): ["--a", "H", "--b", "H"],
+    ("hodge", "euler"): ["--fixture", "k3-diamond"],
+    ("hodge", "mirror"): ["--fixture", "mirror-pair-89"],
+    ("hodge", "lee"): ["--fixture", "tyurin-quartic"],
+    ("hodge", "glue"): ["--fixture", "tyurin-quartic"],
+    ("hodge", "lg-ranks"): ["--fixture", "k3-diamond"],
+    ("hodge", "picard"): ["--fixture", "slice-h1"],
+    ("hodge", "slice"): ["--fixture", "slice-h1"],
+    ("hodge", "lmhs"): ["--u", "19", "--v", "69"],
+    ("hodge", "conj318"): ["--fixture", "p1p1p1"],
+    ("family", "quartic"): ["--i", "2", "--j", "4", "--mu", "3,2,1"],
+    ("family", "sweep"): [],
+}
+TREE_LEAVES = list(_tree_leaves())
+
+
+def test_every_command_has_valid_arguments():
+    assert sorted(VALID_ARGS) == sorted(command for command, _ in TREE_LEAVES) == sorted(
+        (group, name) for group, (_, commands) in cli._COMMANDS.items() for name in commands)
+
+
+@pytest.mark.parametrize("command, tree_leaf", TREE_LEAVES,
+                         ids=[" ".join(command) for command, _ in TREE_LEAVES])
+def test_command_parser_prints_as_the_tree(command, tree_leaf):
+    leaf = cli._leaf(*command)
+    assert leaf.format_help() == tree_leaf.format_help()
+    assert leaf.format_usage() == tree_leaf.format_usage()
+
+
+def _tree_parse(argv):
+    return cli._parser().parse_args(argv)
+
+
+def _outputs(argv, tree=False):
+    """(exit code, stdout, stderr) of ``main(argv)`` in a new empty working
+    directory; with ``tree``, parsed by the full tree alone."""
+    out, err = io.StringIO(), io.StringIO()
+    parse = mock.patch.object(cli, "_parse", _tree_parse) if tree else contextlib.nullcontext()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as empty, parse, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.chdir(empty)
+        try:
+            code = main(argv)
+        finally:
+            os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _parse_cases(command):
+    """argvs for ``command`` that the command's parser accepts, refuses, or
+    leaves arguments over from."""
+    bare, args = list(command), VALID_ARGS[command]
+    valid = bare + args
+    return [valid, bare, valid + ["--no-such-flag"], valid + ["--region", "nowhere"],
+            bare + ["--region", "nowhere"], bare + ["-h"], valid + ["--help"],
+            valid + ["--version"], bare + ["--", *args], valid + ["--"], [*bare, "--", "-h"],
+            bare + ["--poly", "nowhere.json"], bare + ["--fix", "p1p1p1"], bare + ["--p"],
+            valid + ["--pretty", "--out", "report.json"], valid + ["--out"], valid + ["stray"]]
+
+
+@pytest.mark.parametrize("command", sorted(VALID_ARGS), ids=" ".join)
+def test_command_parser_runs_as_the_tree(command):
+    cases = _parse_cases(command)
+    found = [_outputs(argv) for argv in cases]
+    assert found == [_outputs(argv, tree=True) for argv in cases]
+    assert found[0][0] == 0 and found[0][2] == ""
+
+
+_WORDS = sorted({*cli._COMMANDS, *(name for _, commands in cli._COMMANDS.values()
+                                   for name in commands),
+                 *(option for _, parser in TREE_LEAVES for action in parser._actions
+                   for option in action.option_strings),
+                 "--version", "--", *fixture_names()})
+_VALUES = ["0", "1", "2", "4", "-1", "12", "[[2,1],[1,2]]", "[[0,1],[1,0]]", "[1,2]", "[1,",
+           "{}", "H", "<4>", "H+<4>", "<2>+<-2>", "A1(-1)", "3,2,1", "1,x", "report.json"]
+_TOKENS = st.sampled_from(_WORDS) | st.sampled_from(_VALUES) | st.text("-=<>+,[]hx1 ",
+                                                                       max_size=6)
+_ARGVS = (st.tuples(st.sampled_from(sorted(VALID_ARGS)), st.lists(_TOKENS, max_size=8))
+          .map(lambda drawn: [*drawn[0], *drawn[1]])
+          | st.lists(_TOKENS, max_size=8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_ARGVS)
+@example(argv=[])
+@example(argv=["nef", "counts", "--fixture", "p1p1p1", "--", "--version"])
+@example(argv=["hodge", "mirror", "--v", "--w"])
+def test_cli_fuzz_parses_as_the_tree(argv):
+    found = _outputs(argv)
+    code, out, err = found
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err and "InternalError" not in out
+    assert found == _outputs(argv, tree=True)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
@@ -1068,6 +1259,26 @@ def test_closed_stdout_pipe_is_silent(argv, unbuffered):
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 0
+
+
+def test_fixture_is_read_once_and_parsed_afresh(monkeypatch):
+    reads = []
+    real = fixtures.resources.files
+
+    def counting(package):
+        reads.append(package)
+        return real(package)
+
+    fixtures._bundled()  # the listing is kept apart and not counted here
+    fixtures._text.cache_clear()
+    monkeypatch.setattr(fixtures.resources, "files", counting)
+    first = load_fixture("p1p1p1")
+    first["parts"].clear()
+    second, third = load_fixture("p1p1p1"), load_fixture("p1p1p1")
+    fixtures._text.cache_clear()
+    assert len(reads) == 1
+    assert second == third and second is not third
+    assert second["parts"] and second["parts"] is not third["parts"]
 
 
 @pytest.mark.parametrize("name", ["no-such-fixture", "../../../tests/cli_digests",
