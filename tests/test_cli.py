@@ -13,7 +13,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirrorcheck import cli, fixtures, hodge as hg, intlinalg as la, lattices as lt, nef
