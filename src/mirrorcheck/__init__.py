@@ -6,12 +6,16 @@ quadratic forms and the mirror-lattice construction), ``hodge`` (diamond
 arithmetic and gluing/smoothing identities), ``family`` (the mirror-quartic
 threefold family calculator), and ``cli`` (the batch front-end).
 
-Engines load on first use: ``import mirrorcheck`` runs none of them, and the
-first lookup of a public name imports its home module (a module
-``__getattr__``, PEP 562) and keeps the name in the package.
+Modules run on first use: ``import mirrorcheck`` binds each module of
+``_EXPORTS`` unrun (``importlib.util.LazyLoader``), and a module runs on the
+first access to one of its attributes; every import of it, from here or from
+a sibling module, gets that same object.  The first lookup of a public name
+reads it from its home module (a module ``__getattr__``, PEP 562) and keeps
+it in the package.
 """
 
-import importlib
+import importlib.util
+import sys as _sys
 
 __version__ = "0.1.0"
 
@@ -46,14 +50,25 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted([*_EXPORTS, *_HOME])
 
 
+def _lazy(name: str):
+    """The module ``mirrorcheck.<name>``, registered but not run (the
+    lazy-import recipe of the ``importlib`` docs)."""
+    fullname = f"{__name__}.{name}"
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    _sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+globals().update({name: _lazy(name) for name in _EXPORTS})
+
+
 def __getattr__(name: str):
-    if name in _EXPORTS:
-        value = importlib.import_module(f"{__name__}.{name}")
-    elif name in _HOME:
-        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
-    else:
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
+    value = globals()[name] = getattr(globals()[_HOME[name]], name)
     return value
 
 

@@ -32,9 +32,10 @@ namespace each time.  A valid command never builds the tree, and
 A reader that closes stdout early (``| head``) ends the output silently;
 the exit code is still the report's.
 
-Engines load on first use: importing this module runs none of ``family``,
-``hodge``, ``lattices``, ``nef`` and ``polytopes``, so ``--help`` and
-``--version`` load no engine and each command loads only its own.
+Engines load on first use, as the package docstring says: importing this
+module runs none of ``family``, ``hodge``, ``lattices``, ``nef`` and
+``polytopes``, so ``--help`` and ``--version`` load no engine and each
+command loads only its own.
 """
 
 from __future__ import annotations
@@ -42,38 +43,16 @@ from __future__ import annotations
 import argparse
 import collections
 import functools
-import importlib.util
 import json
 import os
 import re
 import sys
 from typing import Optional
 
-from . import __version__
+from . import __version__, family as fam, hodge as hg, lattices as lt, nef, polytopes as pt
 from .errors import BudgetExceeded, InputError, MirrorcheckError
 from .fixtures import fixture_names, load_fixture
 from .intlinalg import as_int, as_int_rows, as_int_vector, strict_int
-
-
-def _engine(name: str):
-    """The module ``mirrorcheck.<name>``, run on its first attribute access
-    (the lazy-import recipe of the ``importlib`` docs), or as already imported."""
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-fam = _engine("family")
-hg = _engine("hodge")
-lt = _engine("lattices")
-nef = _engine("nef")
-pt = _engine("polytopes")
 
 PASS, FAIL, INCONCLUSIVE, ERROR = "PASS", "FAIL", "INCONCLUSIVE", "ERROR"
 
@@ -134,6 +113,8 @@ class _Inputs:
             except UnicodeDecodeError as exc:
                 raise InputError(f"{path} is not UTF-8 text: {exc.reason} "
                                  f"at byte {exc.start}") from None
+            except ValueError as exc:  # a NUL character in the path
+                raise InputError(f"cannot read {path}: {exc}") from None
             self._files[path] = _parse_json(text, path)
         return self._files[path]
 
@@ -738,7 +719,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             status = ERROR
             payload = {"error": "InputError", "message": str(exc)}
             text = _render(args, status, payload, inputs_echo)

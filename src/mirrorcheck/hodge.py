@@ -248,6 +248,7 @@ def lee_smoothing(t: TyurinData) -> LeeHodge:
 def glue_euler_check(t: TyurinData, w_chi: int, d: int) -> Verdict:
     """chi(V) = chi(X1) + chi(X2) - 2 chi(Z), then chi(W) = (-1)^d chi(V);
     a negative d is an InputError."""
+    w_chi, d = as_int(w_chi), as_int(d)
     if d < 0:
         raise InputError(f"dimension must be nonnegative, got {d}")
     chi_v = euler_char(t.x1) + euler_char(t.x2) - 2 * euler_char(t.z)
@@ -261,7 +262,7 @@ def glue_euler_check(t: TyurinData, w_chi: int, d: int) -> Verdict:
 
 def euler_blowup_curve(chi_x: int, genus: int) -> int:
     """Euler number after blowing up a threefold along a smooth curve."""
-    return chi_x + (2 - 2 * genus)
+    return as_int(chi_x) + (2 - 2 * as_int(genus))
 
 
 def lg_relative_ranks(x: HodgeDiamond) -> list[int]:
@@ -280,10 +281,11 @@ def lg_relative_ranks(x: HodgeDiamond) -> list[int]:
 
 def h2w_formula(h2_rel_1: int, h2_rel_2: int, ell: int) -> int:
     """h2 of the glued total space: 1 + h2(Y1, S) + h2(Y2, S) + ell."""
-    return 1 + h2_rel_1 + h2_rel_2 + ell
+    return 1 + as_int(h2_rel_1) + as_int(h2_rel_2) + as_int(ell)
 
 
 def ell_plus_k_check(ell: int, k: int) -> Verdict:
+    ell, k = as_int(ell), as_int(k)
     if ell + k == 20:
         return _pass("ell_plus_k", f"{ell} + {k} = 20")
     return _fail("ell_plus_k", f"{ell} + {k} = {ell + k} != 20")
@@ -434,6 +436,7 @@ def lmhs_table(u: int, v: int) -> tuple[tuple[int, ...], ...]:
     Rows are the graded pieces in weights 4, 3, 2; columns the Hodge
     filtration steps from F^3 down to F^0.  Ranks are never negative.
     """
+    u, v = as_int(u), as_int(v)
     if u < 0 or v < 0:
         raise InputError(f"LMHS ranks must be nonnegative, got u = {u}, v = {v}")
     return ((1, u, 1, 0), (0, v, v, 0), (0, 1, u, 1))
@@ -461,6 +464,8 @@ def conjecture318_report(rho_10: int, rho_11: int, rho_01: int,
     all remaining fibres are out of computational reach here and are
     reported UNVERIFIABLE.
     """
+    rho_10, rho_11, rho_01, h11_x1, h11_x2, h11_ambient, points = map(
+        as_int, (rho_10, rho_11, rho_01, h11_x1, h11_x2, h11_ambient, points))
     out = []
     for name, rho, expected in (
             ("rho_[1:0]", rho_10, h11_x1 - h11_ambient + 1),

@@ -79,13 +79,15 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 def as_int(x) -> int:
     """An input value as an int; anything but an integral number raises
-    InputError, where ``int`` would truncate or fail with a ValueError."""
-    try:
-        v = int(x)
-        if v == x:
-            return v
-    except (TypeError, ValueError, OverflowError):
-        pass
+    InputError, where ``int`` would truncate or fail with a ValueError.
+    A boolean (JSON ``true``) is not a number here, though Python's is 0 or 1."""
+    if type(x) is not bool:
+        try:
+            v = int(x)
+            if v == x:
+                return v
+        except (TypeError, ValueError, OverflowError):
+            pass
     raise InputError(f"non-integer value {x!r}")
 
 

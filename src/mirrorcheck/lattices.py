@@ -176,6 +176,7 @@ def k3_lattice() -> QuadLattice:
 
 
 def rank_one(n: int) -> QuadLattice:
+    n = la.as_int(n)
     if n % 2 != 0:
         raise OddDiagonal(f"<{n}> is not an even lattice")
     return from_gram([[n]], f"<{n}>")
@@ -618,6 +619,7 @@ def find_isotropic(lat: QuadLattice, bound: int = 10) -> IsotropicSearch:
     than the cap, raises ``BudgetExceeded``.  A negative bound names no box
     and raises ``InputError``.
     """
+    bound = la.as_int(bound)
     if bound < 0:
         raise InputError(f"isotropic search bound must be nonnegative, got {bound}")
     try:

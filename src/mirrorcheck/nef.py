@@ -357,6 +357,7 @@ def curve_invariant(dual: DualNefPartition, polar: LatticePolytope, dim_v: int) 
     out by the two partition divisors when dim_v = 3); for dim_v = 2 it is
     the complement count itself, the number of points in the intersection.
     """
+    dim_v = as_int(dim_v)
     if dim_v < 2:
         raise UnsupportedRank("the invariant needs dim >= 2")
     count = complement_count(dual, polar)

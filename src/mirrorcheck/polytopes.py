@@ -637,6 +637,7 @@ def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
 
 
 def dilate(p: LatticePolytope, n: int) -> LatticePolytope:
+    n = as_int(n)
     if n <= 0:
         raise InputError("dilation factor must be positive")
     # Scaling by n > 0 keeps the order of the vertices and of the facets

@@ -1289,3 +1289,31 @@ def test_only_bundled_fixtures_load(capsys, name):
     assert report["payload"]["error"] == "InputError"
     assert report["payload"]["message"].startswith(f"unknown fixture {name!r}; available: ")
     assert report["provenance"]["inputs"] == {}
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "sweep", "--out", "a\x00b"],
+    ["hodge", "euler", "--diamond", "a\x00b"],
+], ids=["out", "file-flag"])
+def test_nul_in_a_path_is_an_input_error(capsys, argv):
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert report["payload"] == {"error": "InputError", "message": mock.ANY}
+    assert "embedded null byte" in report["payload"]["message"]
+
+
+@pytest.mark.parametrize("argv,content", [
+    (["lattice", "invariants", "--gram"], None),
+    (["hodge", "euler", "--diamond"], '{"dim": 2, "h": {"0,0": true}}'),
+    (["polytope", "dual", "--polytope"], '{"vertices": [[1, 0], [0, true], [-1, -1]]}'),
+], ids=["gram-entry", "diamond-entry", "polytope-vertex"])
+def test_json_boolean_is_not_an_integer(tmp_path, capsys, argv, content):
+    if content is None:
+        argv = [*argv, "[[0, true], [true, 0]]"]
+    else:
+        path = tmp_path / "input.json"
+        path.write_text(content)
+        argv = [*argv, str(path)]
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert report["payload"] == {"error": "InputError", "message": "non-integer value True"}

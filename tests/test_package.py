@@ -9,6 +9,8 @@ import textwrap
 import pytest
 
 import mirrorcheck
+from mirrorcheck.errors import InputError
+from mirrorcheck.fixtures import load_fixture
 
 # Home module -> the public names it provides; the module names are public too.
 HOMES = {
@@ -115,3 +117,80 @@ def test_cold_start_runs_only_the_engines_used(calls, engines):
     run = set(found["run"])
     assert sorted(e for e in ENGINES if f"mirrorcheck.{e}" in run) == engines
     assert set(_FRONT_END) <= run
+
+
+# The package binds each of its seven modules unrun; a module runs on its
+# first attribute access, and the CLI imports the very same objects.
+_RUN = """
+    def run():
+        import sys, types
+        return sorted(name for name, module in sys.modules.items()
+                      if name.startswith("mirrorcheck.") and type(module) is types.ModuleType)
+"""
+
+
+def test_bare_import_binds_every_module_unrun():
+    found = fresh(_RUN + """
+    import json, sys, mirrorcheck
+    print(json.dumps({"run": run(), "bound": sorted(
+        name for name in sys.modules if name.startswith("mirrorcheck."))}))
+    """)
+    assert found == {"run": [], "bound": sorted(f"mirrorcheck.{home}" for home in HOMES)}
+
+
+def test_imported_module_runs_on_first_attribute_access():
+    found = fresh(_RUN + """
+    import importlib.util, json
+    from mirrorcheck import nef
+    lazy = type(nef) is importlib.util._LazyModule
+    before = run()
+    nef.NefPartition
+    print(json.dumps({"lazy": lazy, "before": before, "after": run()}))
+    """)
+    assert found["lazy"] and found["before"] == []
+    assert {"mirrorcheck.nef", "mirrorcheck.polytopes"} <= set(found["after"])
+    assert "mirrorcheck.lattices" not in found["after"]
+
+
+def test_cli_engines_are_the_package_modules():
+    found = fresh("""
+    import json, mirrorcheck, mirrorcheck.cli as cli
+    aliases = {"fam": "family", "hg": "hodge", "lt": "lattices", "nef": "nef",
+               "pt": "polytopes"}
+    print(json.dumps({alias: getattr(cli, alias) is getattr(mirrorcheck, home)
+                      for alias, home in aliases.items()}))
+    """)
+    assert found == dict.fromkeys(["fam", "hg", "lt", "nef", "pt"], True)
+
+
+_TYURIN = mirrorcheck.TyurinData(*(
+    mirrorcheck.HodgeDiamond.from_json(load_fixture("tyurin-quartic")["tyurin"][part])
+    for part in ("X1", "X2", "Z")))
+_NEF = load_fixture("p1p1p1")
+_DELTA = mirrorcheck.hull(_NEF["polytope"]["vertices"])
+_NABLA = mirrorcheck.dual_nef_partition(
+    mirrorcheck.validate_nef_partition(_DELTA, _NEF["parts"]))
+
+
+# A public integer parameter reads as ``as_int`` reads it: 2.0 acts as 2,
+# and 2.5 or True is an InputError (the reprs tell 2.0 from 2 in a result).
+@pytest.mark.parametrize("call", [
+    lambda n: mirrorcheck.dilate(mirrorcheck.hull([[0, 0], [1, 0], [0, 1]]), n).vertices,
+    lambda n: mirrorcheck.find_isotropic(mirrorcheck.standard_lattice("H"), n),
+    lambda n: mirrorcheck.lmhs_table(1, n),
+    lambda n: mirrorcheck.lattices.rank_one(n).name,
+    lambda n: mirrorcheck.glue_euler_check(_TYURIN, n, 1),
+    lambda n: mirrorcheck.glue_euler_check(_TYURIN, 0, n),
+    lambda n: mirrorcheck.euler_blowup_curve(0, n),
+    lambda n: mirrorcheck.h2w_formula(1, 1, n),
+    lambda n: mirrorcheck.ell_plus_k_check(18, n),
+    lambda n: mirrorcheck.conjecture318_report(1, 1, 1, 2, 2, 2, n),
+    lambda n: mirrorcheck.curve_invariant(_NABLA, mirrorcheck.polar_dual(_DELTA), n),
+], ids=["dilate", "find_isotropic", "lmhs_table", "rank_one", "glue_euler_check-w_chi",
+        "glue_euler_check-d", "euler_blowup_curve", "h2w_formula", "ell_plus_k_check",
+        "conjecture318_report", "curve_invariant"])
+def test_integer_parameters_read_as_integers(call):
+    assert repr(call(2.0)) == repr(call(2))
+    for value in (2.5, True):
+        with pytest.raises(InputError, match=f"^non-integer value {value!r}$"):
+            call(value)
