@@ -624,8 +624,12 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     """``argv`` as the tree parses it.  A known group and command go straight
     to that command's parser, the one the tree hands the rest to; the tree
     parses every other call, and again one with arguments left over, so that
-    help, the version and every error are its own."""
-    if len(argv) > 1 and argv[0] in _COMMANDS and argv[1] in _COMMANDS[argv[0]][1]:
+    help, the version and every error are its own.  The tree itself refuses
+    an argument ``--=...`` before the first ``--``: ``--`` is a prefix of
+    both of its own flags."""
+    head = argv[:argv.index("--")] if "--" in argv else argv
+    if (len(argv) > 1 and argv[0] in _COMMANDS and argv[1] in _COMMANDS[argv[0]][1]
+            and not any(arg.startswith("--=") for arg in head)):
         args, rest = _leaf(argv[0], argv[1]).parse_known_args(argv[2:])
         if not rest:
             args.group, args.command = argv[0], argv[1]

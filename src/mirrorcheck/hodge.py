@@ -68,13 +68,15 @@ class HodgeDiamond:
     h^{p,q} = h^{q,p} is always enforced; Serre duality
     h^{p,q} = h^{d-p,d-q} only for diamonds flagged as Kaehler.  Quasi-Fano
     inputs carry h^{d,0} = 0 and are flagged so the Calabi-Yau constraints
-    are not wrongly imposed on them.
+    are not wrongly imposed on them.  The dimension, the indices and the
+    entries are read through ``as_int``.
     """
 
     __slots__ = ("dim", "h", "kaehler")
 
     def __init__(self, dim: int, entries: Mapping[tuple[int, int], int],
                  kaehler: bool = True):
+        dim = as_int(dim)
         if dim < 0:
             raise InvalidDiamond(f"dimension {dim} is negative")
         if dim > MAX_DIAMOND_DIM:
@@ -82,6 +84,7 @@ class HodgeDiamond:
                 f"diamond dimension {dim} exceeds the limit of {MAX_DIAMOND_DIM}")
         grid = [[0] * (dim + 1) for _ in range(dim + 1)]
         for (p, q), v in entries.items():
+            p, q, v = as_int(p), as_int(q), as_int(v)
             if not (0 <= p <= dim and 0 <= q <= dim):
                 raise InvalidDiamond(f"index ({p},{q}) outside dimension {dim}")
             if v < 0:
@@ -110,11 +113,13 @@ class HodgeDiamond:
         return hash((self.dim, self.h))
 
     def hpq(self, p: int, q: int) -> int:
-        return self.h[p][q]
+        """h^{p,q}, read through ``as_int``; 0 outside the diamond."""
+        p, q = as_int(p), as_int(q)
+        return self.h[p][q] if 0 <= p <= self.dim and 0 <= q <= self.dim else 0
 
     def betti(self, n: int) -> int:
-        return sum(self.h[p][n - p] for p in range(max(0, n - self.dim),
-                                                   min(n, self.dim) + 1))
+        n = as_int(n)
+        return sum(self.hpq(p, n - p) for p in range(self.dim + 1))
 
     def to_json(self) -> dict:
         entries = {}
@@ -141,13 +146,13 @@ class HodgeDiamond:
                 p, q = map(strict_int, key.split(","))
             except ValueError:
                 raise InputError(f"diamond key {key!r} is not of the form 'p,q'") from None
-            entries[(p, q)] = as_int(v)
+            entries[(p, q)] = v
         kinds = {_FLAGS.get(f) if isinstance(f, str) else None for f in flags}
         if None in kinds or len(kinds) > 1:
             raise InputError(f"diamond flags {flags!r}: give 'kaehler' or 'quasifano', "
                              "not both and nothing else")
         kaehler = kinds.pop() if kinds else True
-        return HodgeDiamond(as_int(data["dim"]), entries, kaehler)
+        return HodgeDiamond(data["dim"], entries, kaehler)
 
 
 def k3_diamond() -> HodgeDiamond:
@@ -235,7 +240,11 @@ def lee_smoothing(t: TyurinData) -> LeeHodge:
 
         h11 = h2(X1) + h2(X2) - k - 1
         h21 = 21 + h21(X1) + h21(X2) - k
+
+    Components of any other dimension are a DimensionMismatch.
     """
+    if t.x1.dim != 3:
+        raise DimensionMismatch(f"components of dimension {t.x1.dim}, not threefolds")
     h11 = t.x1.betti(2) + t.x2.betti(2) - t.k - 1
     h21 = 21 + t.x1.hpq(2, 1) + t.x2.hpq(2, 1) - t.k
     warning = None
@@ -261,27 +270,27 @@ def glue_euler_check(t: TyurinData, w_chi: int, d: int) -> Verdict:
 
 
 def euler_blowup_curve(chi_x: int, genus: int) -> int:
-    """Euler number after blowing up a threefold along a smooth curve."""
-    return as_int(chi_x) + (2 - 2 * as_int(genus))
+    """Euler number after blowing up a threefold along a smooth curve of
+    genus g >= 0; a negative genus is an InputError."""
+    genus = as_int(genus)
+    if genus < 0:
+        raise InputError(f"genus must be nonnegative, got {genus}")
+    return as_int(chi_x) + (2 - 2 * genus)
 
 
 def lg_relative_ranks(x: HodgeDiamond) -> list[int]:
     """Ranks h^i(Y, w^{-1}(t)) = sum_j h^{d-i+j, j}(X) for i = 0..2d."""
     d = x.dim
-    out = []
-    for i in range(2 * d + 1):
-        total = 0
-        for j in range(d + 1):
-            p = d - i + j
-            if 0 <= p <= d:
-                total += x.h[p][j]
-        out.append(total)
-    return out
+    return [sum(x.hpq(d - i + j, j) for j in range(d + 1)) for i in range(2 * d + 1)]
 
 
 def h2w_formula(h2_rel_1: int, h2_rel_2: int, ell: int) -> int:
-    """h2 of the glued total space: 1 + h2(Y1, S) + h2(Y2, S) + ell."""
-    return 1 + as_int(h2_rel_1) + as_int(h2_rel_2) + as_int(ell)
+    """h2 of the glued total space: 1 + h2(Y1, S) + h2(Y2, S) + ell, for
+    ranks and a count that are nonnegative; a negative one is an InputError."""
+    counts = as_int(h2_rel_1), as_int(h2_rel_2), as_int(ell)
+    if min(counts) < 0:
+        raise InputError(f"ranks and counts must be nonnegative, got {counts}")
+    return 1 + sum(counts)
 
 
 def ell_plus_k_check(ell: int, k: int) -> Verdict:
@@ -311,8 +320,11 @@ def fibre_components(tag: str) -> int:
 
     Kodaira: I_n -> n (n >= 1), I_n* -> n + 5, II/III/IV -> 1/2/3,
     IV*/III*/II* -> 7/8/9.  K3-fibration catalog: I0 -> 1 (smooth),
-    I_odp -> 1, I_n^Delta -> 2 n^2 + 2, II_3f -> 11, IV_3f -> 31.
+    I_odp -> 1, I_n^Delta -> 2 n^2 + 2, II_3f -> 11, IV_3f -> 31.  A tag
+    that is not a string is an InputError.
     """
+    if not isinstance(tag, str):
+        raise InputError(f"fibre type must be a string, not {type(tag).__name__}")
     if tag in _THREEFOLD_FIXED:
         return _THREEFOLD_FIXED[tag]
     if tag in _KODAIRA_FIXED:

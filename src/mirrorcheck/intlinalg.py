@@ -4,10 +4,11 @@ All routines work on plain Python ints (arbitrary precision); nothing here
 touches floating point.  Matrices are lists of row lists.  The pivot
 columns and the rank they count, the determinant, the rational solve and
 the unimodular inverse share one fraction-free (Bareiss) elimination
-kernel, ``_echelon``, whose entries stay integer minors of the input; the
-nef layer runs it directly, with several right-hand sides at once.  The
-only rationals are the solution coordinates of ``solve_exact``, one
-``Fraction`` each.  Its only library caller is now
+kernel, ``_echelon``, whose entries stay integer minors of the input;
+``polytopes.hull`` (for one inverse) and ``nef._cartier_data`` run it
+directly, with several right-hand sides at once.  The only rationals
+are the solution coordinates of ``solve_exact``, one ``Fraction`` each.
+Its only library caller is now
 ``polytopes.convex_hull_contains``, which no library path reaches and
 ROADMAP.md queues for removal.  Smith normal form and the integer kernel
 and solves built on it use unimodular row and column operations.  The

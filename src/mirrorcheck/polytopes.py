@@ -22,11 +22,12 @@ masks meets a sign per facet, the facets of sign >= 0 stay, and each pair
 of facets across the sign change that meets in a ridge, found from the
 masks alone, is rotated into one new facet (``_combine``).  ``hull`` signs
 the facets by their slack at a new point (the double-description method,
-Motzkin et al. 1953, Fukuda-Prodon 1996), so only the planes of the
-starting simplex are solved for.  Lattice points are enumerated by
-project-and-lift (as in PALP), in time proportional to the points found;
-each projection signs the facets of the level above by their last normal
-entry (Fourier-Motzkin elimination with Chernikov's adjacency rule).
+Motzkin et al. 1953, Fukuda-Prodon 1996), from the d+1 facets of a
+starting simplex, read off the columns of one matrix inverse.  Lattice
+points are enumerated by project-and-lift (as in PALP), in time
+proportional to the points found; each projection signs the facets of the
+level above by their last normal entry (Fourier-Motzkin elimination with
+Chernikov's adjacency rule).
 """
 
 from __future__ import annotations
@@ -56,30 +57,6 @@ Facet = tuple[Vec, int]  # (primitive normal n, offset c): <n, x> >= -c
 
 MIN_RANK = 2
 MAX_RANK = 5
-
-
-def _plane_through(points: Sequence[Vec]) -> tuple[Vec, int]:
-    """Primitive normal and offset of the hyperplane through d points.
-
-    The points must be affinely independent.  Returns (n, c) with
-    <n, x> + c = 0 on the plane.  The normal spans the kernel of the
-    (d-1) x d matrix M of differences p_i - p_0, found by one
-    fraction-free elimination of [M^T | I]: the d-1 columns of M^T are its
-    pivot columns, so its last row ends as zeros followed by the d
-    cofactors of M^T, a kernel vector of M (Bareiss 1968), which only
-    needs dividing by its gcd.
-    """
-    base = points[0]
-    d = len(base)
-    a = [[p[k] - base[k] for p in points[1:]] + [int(k == j) for j in range(d)]
-         for k in range(d)]
-    pivots, _ = _echelon(a, d - 1)
-    if len(pivots) != d - 1:
-        raise NotFullDimensional("degenerate hyperplane")
-    normal = a[d - 1][d - 1:]
-    g = vec_gcd(normal)
-    n = tuple(x // g for x in normal)
-    return n, -dot(n, base)
 
 
 def _rotate(n1: Vec, c1: int, s1: int, n2: Vec, c2: int, s2: int) -> Facet:
@@ -228,19 +205,23 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     The input must be full-dimensional in its ambient space.  Double
     description over the points in sorted order: the state is the facet
     list of the hull of the points taken so far, each facet (n, c, mask)
-    with the bitmask of those points on it, starting from the d+1 planes of
-    an affinely independent subset.  A point p with positive slack at every
-    facet is inside and skipped.  Otherwise the facets with slack >= 0 stay,
-    those with slack 0 gaining p's bit; the facets with slack < 0 go; and
-    each pair H1, H2 with slacks s1 < 0 < s2 that meets in a ridge gives the
-    plane s2*H1 - s1*H2 through the ridge and p (``_combine``).  Its mask is
-    the AND of the two masks and p's bit, and is exact: an earlier point q
-    has H1(q), H2(q) >= 0, so the new plane vanishes at q iff both do.  So
-    only the d+1 starting planes are solved for, and each facet comes out
-    once.  A point is a vertex iff no other input point lies on every facet
-    through it, read off the final masks: otherwise the face those facets
-    cut out holds both.  The vertex x facet slack table serves the
-    cross-check of the vertex and facet descriptions.
+    with the bitmask of those points on it, starting from the d+1 facets of
+    an affinely independent subset p_0..p_d.  Column i of M^-1, for M with
+    rows (p_j, 1), is a plane that is 0 at every p_j but p_i and 1 at p_i,
+    so it faces inward; one reduced elimination of [M | I] leaves den * M^-1
+    right of M, whatever its row swaps, and times the sign of den and over
+    the gcd of its normal each column is a starting facet.  A point p with
+    positive slack at every facet is inside and skipped.  Otherwise the
+    facets with slack >= 0 stay, those with slack 0 gaining p's bit; the
+    facets with slack < 0 go; and each pair H1, H2 with slacks s1 < 0 < s2
+    that meets in a ridge gives the plane s2*H1 - s1*H2 through the ridge
+    and p (``_combine``).  Its mask is the AND of the two masks and p's
+    bit, and is exact: an earlier point q has H1(q), H2(q) >= 0, so the new
+    plane vanishes at q iff both do.  So no later plane is solved for, and
+    each facet comes out once.  A point is a vertex iff no other input point
+    lies on every facet through it, read off the final masks: otherwise the
+    face those facets cut out holds both.  The vertex x facet slack table
+    serves the cross-check of the vertex and facet descriptions.
     """
     try:
         pts = sorted({tuple(map(as_int, p)) for p in points})
@@ -257,21 +238,21 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     if simplex is None:
         raise NotFullDimensional(f"affine span has dimension below {d}")
 
-    # Interior reference point (d+1) * centroid of the starting simplex, which
-    # is integral; a facet keeps it on its inner side when <n, ref> + (d+1)c > 0.
-    ref = [sum(pts[i][k] for i in simplex) for k in range(d)]
+    # [M | I] for M with one row (p, 1) per simplex point; den * M^-1 ends
+    # right of M, and its column k vanishes at every simplex point but the k-th.
+    m = [list(pts[i]) + [1] + [int(i == j) for j in simplex] for i in simplex]
+    _echelon(m, d + 1, reduced=True)
+    sign = 1 if m[d][d] > 0 else -1
+    start = sum(1 << i for i in simplex)
     # facets: (n, c, bitmask of the points processed so far that lie on it).
     facets = []
-    for omit in simplex:
-        plane_idx = [i for i in simplex if i != omit]
-        n, c = _plane_through([pts[i] for i in plane_idx])
-        if dot(n, ref) + (d + 1) * c < 0:
-            n, c = tuple(-x for x in n), -c
-        facets.append((n, c, sum(1 << i for i in plane_idx)))
+    for k, omit in enumerate(simplex):
+        col = [sign * row[d + 1 + k] for row in m]
+        g = vec_gcd(col[:d])
+        facets.append((tuple(x // g for x in col[:d]), col[d] // g, start ^ 1 << omit))
 
-    start = set(simplex)
     for i, p in enumerate(pts):
-        if i in start:
+        if start >> i & 1:
             continue
         signed = [(dot(n, p) + c, n, c, mask) for n, c, mask in facets]
         if all(s > 0 for s, _, _, _ in signed):

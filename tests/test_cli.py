@@ -377,6 +377,18 @@ def test_diamond_dimension_is_bounded(tmp_path, capsys):
             "message": f"diamond dimension 3000 exceeds the limit of {hg.MAX_DIAMOND_DIM}"}
 
 
+def test_lee_refuses_curve_components(tmp_path, capsys):
+    # Lee's formulas read h^{2,1} of threefolds; curves once read past the
+    # diamond and printed InternalError: IndexError.
+    curve = {"dim": 1, "h": {"0,0": 1, "1,0": 1, "1,1": 1}}
+    path = tmp_path / "tyurin.json"
+    path.write_text(json.dumps({"X1": curve, "X2": curve, "Z": {"dim": 0, "h": {"0,0": 1}}}))
+    code, report = run_json(capsys, "hodge", "lee", "--tyurin", str(path))
+    assert (code, report["status"]) == (2, "ERROR")
+    assert report["payload"] == {"error": "DimensionMismatch",
+                                 "message": "components of dimension 1, not threefolds"}
+
+
 def test_unknown_lattice_spec_is_an_input_error(capsys):
     # It was once reported as OddDiagonal.
     code, report = run_json(capsys, "lattice", "sum", "--spec", "foo")
@@ -1227,6 +1239,7 @@ _ARGVS = (st.tuples(st.sampled_from(sorted(VALID_ARGS)), st.lists(_TOKENS, max_s
 @example(argv=[])
 @example(argv=["nef", "counts", "--fixture", "p1p1p1", "--", "--version"])
 @example(argv=["hodge", "mirror", "--v", "--w"])
+@example(argv=["family", "quartic", "--="])
 def test_cli_fuzz_parses_as_the_tree(argv):
     found = _outputs(argv)
     code, out, err = found

@@ -25,6 +25,42 @@ def test_diamond_validation():
     assert quasi.hpq(3, 0) == 0 and not quasi.kaehler
 
 
+def test_hpq_is_zero_outside_the_diamond():
+    k3 = hg.k3_diamond()
+    assert [k3.hpq(p, 0) for p in (-1, 0, 1, 2, 3)] == [0, 1, 0, 1, 0]
+    assert k3.hpq(1.0, 1) == 20 and k3.hpq(0, -1) == 0
+    assert [k3.betti(n) for n in range(-1, 6)] == [0, 1, 0, 22, 0, 1, 0]
+    assert hg.HodgeDiamond(2.0, {(0, 0): 1, (2.0, 2): 1.0}, kaehler=False).h == \
+        ((1, 0, 0), (0, 0, 0), (0, 0, 1))
+
+
+_CURVE = hg.elliptic_curve_diamond()
+_POINT = hg.HodgeDiamond(0, {(0, 0): 1})
+
+
+# Each public hodge function gives an exact answer or a named error; these
+# inputs lie outside the stated domains and once returned a wrong number or
+# raised a bare Python error.
+@pytest.mark.parametrize("call,error", [
+    (lambda: hg.k3_diamond().hpq(1.5, 1), errors.InputError),
+    (lambda: hg.k3_diamond().hpq(True, 0), errors.InputError),
+    (lambda: hg.k3_diamond().betti(True), errors.InputError),
+    (lambda: hg.HodgeDiamond(2, {(0, 0): 1, (1, 1): True, (2, 2): 1}), errors.InputError),
+    (lambda: hg.HodgeDiamond(2, {(0, 0): 1, (1, 1): 2.5, (2, 2): 1}), errors.InputError),
+    (lambda: hg.HodgeDiamond(2.5, {(0, 0): 1}), errors.InputError),
+    (lambda: hg.lee_smoothing(hg.TyurinData(_CURVE, _CURVE, _POINT)),
+     errors.DimensionMismatch),
+    (lambda: hg.euler_blowup_curve(10, -3), errors.InputError),
+    (lambda: hg.h2w_formula(1, 1, -5), errors.InputError),
+    (lambda: hg.h2w_formula(-1, 1, 5), errors.InputError),
+    (lambda: hg.fibre_components(5), errors.InputError),
+], ids=["hpq-fraction", "hpq-bool", "betti-bool", "entry-bool", "entry-fraction", "dim-fraction",
+        "lee-curves", "blowup-genus", "h2w-ell", "h2w-rank", "fibre-int"])
+def test_hodge_exports_refuse_input_outside_their_domain(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_negative_hodge_data_is_refused():
     with pytest.raises(errors.InvalidDiamond, match="negative"):
         hg.HodgeDiamond(2, {(0, 0): 1, (2, 0): 1, (1, 1): -5, (2, 2): 1})

@@ -267,53 +267,57 @@ def test_hull_matches_facet_oracle_random(points):
     [p for p in itertools.product((0, 1), repeat=5)],
 ])
 def test_hull_solves_only_the_starting_simplex(points, monkeypatch):
-    # Each later facet is a combination of the two planes at its horizon
-    # ridge, so one hull solves d+1 planes and takes no determinant.
-    planes, determinants = [], []
-    real_plane, real_determinant = pt._plane_through, la.determinant
+    # The starting facets are the columns of one reduced elimination; each
+    # later facet is a combination of the two planes at its horizon ridge,
+    # so a hull takes no other elimination here and no determinant.
+    # ``pivot_columns`` runs intlinalg's own ``_echelon``, not counted here.
+    eliminations, determinants = [], []
+    real_echelon, real_determinant = pt._echelon, la.determinant
 
-    def plane(pts):
-        planes.append(pts)
-        return real_plane(pts)
+    def echelon(a, ncols, reduced=False):
+        eliminations.append(reduced)
+        return real_echelon(a, ncols, reduced)
 
     def determinant(m):
         determinants.append(m)
         return real_determinant(m)
 
-    monkeypatch.setattr(pt, "_plane_through", plane)
+    monkeypatch.setattr(pt, "_echelon", echelon)
     monkeypatch.setattr(la, "determinant", determinant)
     monkeypatch.setattr(pt, "determinant", determinant, raising=False)
-    poly = pt.hull(points)
-    assert len(planes) == poly.rank + 1
+    pt.hull(points)
+    assert eliminations == [True]
     assert determinants == []
 
 
 @st.composite
-def plane_points(draw):
-    """d affinely independent points of rank 2 to 5."""
+def simplex_points(draw):
+    """d+1 affinely independent points of rank 2 to 5."""
     d = draw(st.integers(pt.MIN_RANK, pt.MAX_RANK))
-    points = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * d), min_size=d, max_size=d))
+    points = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * d), min_size=d + 1,
+                           max_size=d + 1))
     base = points[0]
-    assume(_fraction_rank([[x - y for x, y in zip(p, base)] for p in points[1:]]) == d - 1)
+    assume(_fraction_rank([[x - y for x, y in zip(p, base)] for p in points[1:]]) == d)
     return points
 
 
 @settings(max_examples=300, deadline=None)
-@given(plane_points())
-@example([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-@example([(0, 0, 0), (0, 1, 0), (0, 0, 1)])
-@example([(2, 3), (2, -5)])
-def test_plane_through_matches_nullspace_oracle(points):
-    # One fraction-free elimination gives the plane the Fraction oracle
-    # gives, up to the sign that hull's orientation step fixes.
-    n, c = pt._plane_through(points)
-    expected = _nullspace_plane(points)
-    assert (n, c) in (expected, (tuple(-x for x in expected[0]), -expected[1]))
-
-
-def test_plane_through_refuses_dependent_points():
-    with pytest.raises(errors.NotFullDimensional, match="degenerate hyperplane"):
-        pt._plane_through([(0, 0, 0), (1, 1, 1), (2, 2, 2)])
+@given(simplex_points())
+@example([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+@example([(0, 0, 0), (0, 1, 0), (0, 0, 1), (-2, 3, 5)])
+@example([(2, 3), (2, -5), (-1, 0)])
+def test_simplex_facets_match_nullspace_oracle(points):
+    # The columns of one inverse are the planes the Fraction oracle gives
+    # through each d of the points, facing the point left out.
+    poly = pt.hull(points)
+    expected = set()
+    for omit in points:
+        n, c = _nullspace_plane([p for p in points if p != omit])
+        if sum(a * b for a, b in zip(n, omit)) + c < 0:
+            n, c = tuple(-x for x in n), -c
+        expected.add((n, c))
+    assert len(poly.facets) == len(points)
+    assert set(poly.facets) == expected
 
 
 @pytest.mark.parametrize("points", ALL_FIXTURE_POINTS + [
@@ -323,8 +327,8 @@ def test_plane_through_refuses_dependent_points():
     [p for p in itertools.product((0, 1), repeat=5)],
 ])
 def test_hull_takes_no_smith_form(points, monkeypatch):
-    # The starting planes come from one elimination each, not from a Smith
-    # form through the integer kernel.
+    # The starting planes come from one elimination, not from a Smith form
+    # through the integer kernel.
     calls = []
     for name in ("smith_normal_form", "kernel_basis"):
         real = getattr(la, name)
