@@ -98,12 +98,10 @@ class HodgeDiamond:
         self.kaehler = kaehler
         if self.h[0][0] != 1:
             raise InvalidDiamond("h^{0,0} must be 1")
-        if kaehler:
-            for p in range(dim + 1):
-                for q in range(dim + 1):
-                    if self.h[p][q] != self.h[dim - p][dim - q]:
-                        raise InvalidDiamond(
-                            f"Serre duality broken at ({p},{q})")
+        if kaehler and self.h != tuple(row[::-1] for row in self.h[::-1]):
+            p, q = next((p, q) for p in range(dim + 1) for q in range(dim + 1)
+                        if self.h[p][q] != self.h[dim - p][dim - q])
+            raise InvalidDiamond(f"Serre duality broken at ({p},{q})")
 
     def __eq__(self, other):
         return (isinstance(other, HodgeDiamond) and self.dim == other.dim

@@ -82,6 +82,8 @@ def as_int(x) -> int:
     """An input value as an int; anything but an integral number raises
     InputError, where ``int`` would truncate or fail with a ValueError.
     A boolean (JSON ``true``) is not a number here, though Python's is 0 or 1."""
+    if type(x) is int:
+        return x
     if type(x) is not bool:
         try:
             v = int(x)
