@@ -181,7 +181,7 @@ class _Inputs:
     def tyurin(self) -> hg.TyurinData:
         data = self._object("tyurin")
         x1, x2, z = map(hg.HodgeDiamond.from_json, _fields(data, "tyurin", "X1", "X2", "Z"))
-        return hg.TyurinData(x1, x2, z, as_int(data.get("k", 1)))
+        return hg.TyurinData(x1, x2, z, data.get("k", 1))
 
     def w_chi(self) -> int:
         return as_int(self._get("w-chi", slot="w_chi",
@@ -220,8 +220,7 @@ class _Inputs:
     def degeneration(self) -> hg.TypeIIDegeneration:
         components, curves, l_rank = _fields(self._object("degeneration"), "degeneration",
                                              "components", "double_curves", "L_rank")
-        return hg.TypeIIDegeneration(as_int_vector(components), as_int(curves),
-                                     as_int(l_rank))
+        return hg.TypeIIDegeneration(components, curves, l_rank)
 
 
 def _parse_json(text: str, where: str):

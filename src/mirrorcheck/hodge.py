@@ -28,7 +28,7 @@ from .errors import (
     ShapeMismatch,
     UnknownType,
 )
-from .intlinalg import as_int, strict_int
+from .intlinalg import as_int, as_int_vector, strict_int
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,9 @@ class HodgeDiamond:
     h^{p,q} = h^{q,p} is always enforced; Serre duality
     h^{p,q} = h^{d-p,d-q} only for diamonds flagged as Kaehler.  Quasi-Fano
     inputs carry h^{d,0} = 0 and are flagged so the Calabi-Yau constraints
-    are not wrongly imposed on them.  The dimension, the indices and the
-    entries are read through ``as_int``.
+    are not wrongly imposed on them.  ``entries`` maps pairs (p, q) to
+    h^{p,q}; the dimension, the indices and the entries are read through
+    ``as_int``.
     """
 
     __slots__ = ("dim", "h", "kaehler")
@@ -82,8 +83,17 @@ class HodgeDiamond:
         if dim > MAX_DIAMOND_DIM:
             raise BudgetExceeded(
                 f"diamond dimension {dim} exceeds the limit of {MAX_DIAMOND_DIM}")
+        try:
+            items = entries.items()
+        except AttributeError:
+            raise InputError(
+                f"diamond entries are a mapping, not {type(entries).__name__}") from None
         grid = [[0] * (dim + 1) for _ in range(dim + 1)]
-        for (p, q), v in entries.items():
+        for key, v in items:
+            try:
+                p, q = key
+            except (TypeError, ValueError):
+                raise InputError(f"diamond index {key!r} is not a pair (p, q)") from None
             p, q, v = as_int(p), as_int(q), as_int(v)
             if not (0 <= p <= dim and 0 <= q <= dim):
                 raise InvalidDiamond(f"index ({p},{q}) outside dimension {dim}")
@@ -206,7 +216,7 @@ def mirror_dual_check(v: HodgeDiamond, w: HodgeDiamond) -> Verdict:
 @dataclass(frozen=True)
 class TyurinData:
     """Two components glued along an anticanonical member, plus the rank k
-    of the span of their restricted divisor classes."""
+    of the span of their restricted divisor classes, read through ``as_int``."""
 
     x1: HodgeDiamond
     x2: HodgeDiamond
@@ -214,6 +224,7 @@ class TyurinData:
     k: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "k", as_int(self.k))
         if self.x1.dim != self.x2.dim or self.z.dim != self.x1.dim - 1:
             raise DimensionMismatch("components and gluing locus have wrong dimensions")
         if not 1 <= self.k <= 20:
@@ -356,13 +367,15 @@ class FibrationDescriptor:
     """Multiset of singular fibres plus the generic-fibre polarization rank.
 
     For elliptic K3 surfaces the convention is ell = 1, so that the Picard
-    count below becomes the section-plus-fibre Shioda-Tate shape.
+    count below becomes the section-plus-fibre Shioda-Tate shape.  ``ell``
+    is read through ``as_int``.
     """
 
     fibres: tuple[Fibre, ...]
     ell: int
 
     def __post_init__(self):
+        object.__setattr__(self, "ell", as_int(self.ell))
         if not 1 <= self.ell <= 20:
             raise ShapeMismatch(f"ell = {self.ell} outside [1, 20]")
         for f in self.fibres:
@@ -388,13 +401,16 @@ def picard_from_fibration(f: FibrationDescriptor) -> int:
 @dataclass(frozen=True)
 class TypeIIDegeneration:
     """A chain of components with deformation counts, double-curve count and
-    the rank of the polarizing lattice."""
+    the rank of the polarizing lattice, each read through ``as_int``."""
 
     components: tuple[int, ...]
     double_curves: int
     l_rank: int
 
     def __post_init__(self):
+        object.__setattr__(self, "components", as_int_vector(self.components))
+        object.__setattr__(self, "double_curves", as_int(self.double_curves))
+        object.__setattr__(self, "l_rank", as_int(self.l_rank))
         if self.double_curves != len(self.components) - 1:
             raise ShapeMismatch(
                 f"a chain of {len(self.components)} components must have "

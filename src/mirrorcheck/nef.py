@@ -28,9 +28,10 @@ the facets through a polar point p name the face of Delta on which p is
 -1, and the boundary points of Delta on that face are those whose
 smallest face it contains (Ziegler, Lectures on Polytopes, 2.2-2.3).
 Validation, counts and Hodge numbers need only the vertices, the points
-and nabla's hull; the hull of a full-dimensional nabla_i is built on the
-first read of ``DualNefPartition.nablas`` (by ``nef dual``'s report) and
-cached there.
+and nabla's hull; the hull of each nabla_i is built on the first read of
+``DualNefPartition.nablas`` (by ``nef dual``'s report) and cached there,
+a lower-dimensional nabla_i being the one ``hull`` refuses as
+``NotFullDimensional``, with no rank taken.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .errors import (
     NotBipartite,
     NotBoundaryPoint,
     NotCartier,
+    NotFullDimensional,
     NotNef,
     NotReflexive,
     PolytopeMismatch,
@@ -59,7 +61,6 @@ from .polytopes import (
     LatticePolytope,
     Vec,
     _smallest_face_mask,
-    affine_rank,
     boundary_facet_masks,
     dual_face,
     ell,
@@ -98,7 +99,7 @@ class DualNefPartition:
     """The Batyrev-Borisov dual of a nef partition.
 
     ``nablas`` holds the hull of each full-dimensional nabla_i and None for
-    a lower-dimensional one.  Only ``to_json`` needs those hulls, so they
+    a lower-dimensional one, which ``hull`` refuses.  Only ``to_json`` needs those hulls, so they
     are built on first read and kept in ``_cache``.
     """
 
@@ -114,9 +115,13 @@ class DualNefPartition:
     @property
     @cached
     def nablas(self) -> tuple[Optional[LatticePolytope], ...]:
-        d = self.nabla.rank
-        return tuple(hull(vs) if affine_rank(vs) == d else None
-                     for vs in self.nabla_vertex_sets)
+        pieces = []
+        for vs in self.nabla_vertex_sets:
+            try:
+                pieces.append(hull(vs))
+            except NotFullDimensional:  # a lower-dimensional nabla_i
+                pieces.append(None)
+        return tuple(pieces)
 
     def to_json(self) -> dict:
         pieces = []

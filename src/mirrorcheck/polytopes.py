@@ -1,20 +1,19 @@
 """Exact convex geometry for lattice polytopes of rank 2 to 5.
 
 Polytopes are stored in canonical form: sorted vertex tuples, the sorted
-facets ``<normal, x> >= -offset`` with primitive integer normals, the
-facet x vertex slack table, and the incidence table, one bitmask of the
-vertices on each facet (PALP's ``INCI``, Kreuzer-Skarke 2004).  ``hull``
-reads the vertices off its facets' point masks and cross-checks both
-descriptions against their slack table; the polar of a reflexive
-polytope is the transposed tables.  Everything else reads the masks,
-with no inner product and no rank: the face lattice is their closure
-under AND, with each face's dimension read off the lattice; dual and
-smallest faces are one lookup by vertex mask; the projections that
-lattice-point enumeration needs AND the masks of the two facets at a
-ridge.  ``hull`` runs only on point sets nobody has described yet.  All
-arithmetic is exact and, apart from the Caratheodory membership test,
-integral.  A polytope keeps what is derived from it in one ``_cache``:
-the lattice-point ``_sweep``, the ``_faces`` table, the
+facets ``<normal, x> >= -offset`` with primitive integer normals, and the
+incidence table, one bitmask of the vertices on each facet (PALP's
+``INCI``, Kreuzer-Skarke 2004).  ``hull`` reads the vertices and the
+incidence table off its facets' point masks, which are exact by
+construction; the polar of a reflexive polytope is the transposed table.
+Everything else reads the masks, with no inner product and no rank: the
+face lattice is their closure under AND, with each face's dimension read
+off the lattice; dual and smallest faces are one lookup by vertex mask;
+the projections that lattice-point enumeration needs AND the masks of
+the two facets at a ridge.  ``hull`` runs only on point sets nobody has
+described yet.  All arithmetic is exact and, apart from the Caratheodory
+membership test, integral.  A polytope keeps what is derived from it in
+one ``_cache``: the lattice-point ``_sweep``, the ``_faces`` table, the
 ``_incidence_counts`` and, from ``polar_dual``, the polar or a weak link.
 
 The hull and the projections take one step: a facet list with point
@@ -50,7 +49,7 @@ from .errors import (
 )
 from ._cache import cached
 from .intlinalg import (
-    _echelon, as_int, dot, pivot_columns, rank as mat_rank, solve_exact, vec_gcd)
+    _echelon, as_int, dot, pivot_columns, solve_exact, vec_gcd)
 
 Vec = tuple[int, ...]
 Facet = tuple[Vec, int]  # (primitive normal n, offset c): <n, x> >= -c
@@ -105,14 +104,6 @@ def _combine(signed: Sequence[tuple[int, Vec, int, int]],
             yield *_rotate(n1, c1, s1, n2, c2, s2), ridge
 
 
-def affine_rank(points: Sequence[Vec]) -> int:
-    """Dimension of the affine span of the points; -1 for no points."""
-    if not points:
-        return -1
-    base = points[0]
-    return mat_rank([[x - y for x, y in zip(p, base)] for p in points[1:]])
-
-
 def _affinely_independent_subset(points: Sequence[Vec], d: int) -> Optional[list[int]]:
     """Indices of d+1 affinely independent points, or None: the first point
     and, from one echelon pass, the pivot columns of the d x (n-1) matrix of
@@ -126,22 +117,19 @@ def _affinely_independent_subset(points: Sequence[Vec], d: int) -> Optional[list
 
 class LatticePolytope:
     """A full-dimensional lattice polytope in canonical form; ``incidence[j]``
-    is the bitmask of the vertices on facet j (bit i for vertex i), and
-    ``slacks[j][i]`` the slack <n_j, v_i> + c_j of facet j at vertex i.
+    is the bitmask of the vertices on facet j (bit i for vertex i).
 
     ``_cache`` holds no reference back to the polytope, so that it is
     freed by reference counting, not left to the cycle collector."""
 
-    __slots__ = ("rank", "vertices", "facets", "incidence", "slacks", "_cache",
-                 "__weakref__")
+    __slots__ = ("rank", "vertices", "facets", "incidence", "_cache", "__weakref__")
 
     def __init__(self, rank: int, vertices: tuple[Vec, ...], facets: tuple[Facet, ...],
-                 incidence: tuple[int, ...], slacks: tuple[tuple[int, ...], ...]):
+                 incidence: tuple[int, ...]):
         self.rank = rank
         self.vertices = vertices
         self.facets = facets
         self.incidence = incidence
-        self.slacks = slacks
         self._cache: dict = {}
 
     def __eq__(self, other) -> bool:
@@ -213,15 +201,19 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     the gcd of its normal each column is a starting facet.  A point p with
     positive slack at every facet is inside and skipped.  Otherwise the
     facets with slack >= 0 stay, those with slack 0 gaining p's bit; the
-    facets with slack < 0 go; and each pair H1, H2 with slacks s1 < 0 < s2
-    that meets in a ridge gives the plane s2*H1 - s1*H2 through the ridge
+    facets with slack < 0 go; and each pair H1, H2 with slack s1 < 0 < s2
+    at p that meets in a ridge gives the plane s2*H1 - s1*H2 through the ridge
     and p (``_combine``).  Its mask is the AND of the two masks and p's
     bit, and is exact: an earlier point q has H1(q), H2(q) >= 0, so the new
     plane vanishes at q iff both do.  So no later plane is solved for, and
-    each facet comes out once.  A point is a vertex iff no other input point
-    lies on every facet through it, read off the final masks: otherwise the
-    face those facets cut out holds both.  The vertex x facet slack table
-    serves the cross-check of the vertex and facet descriptions.
+    each facet comes out once.  Each mask also holds d affinely independent
+    points, the d of a starting facet or the d-1 of a ridge and p, which is
+    off H1; so every facet is (d-1)-dimensional by construction
+    (Fukuda-Prodon 1996), and no rank re-proves it.  A point is a vertex iff
+    no other input point lies on every facet through it, read off the final
+    masks: otherwise the face those facets cut out holds both.  Each row of
+    the incidence table is its facet's final mask restricted to the
+    vertices.
     """
     try:
         pts = sorted({tuple(map(as_int, p)) for p in points})
@@ -271,30 +263,10 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
                 face &= mask
         if face == 1 << k:
             keep.append(k)
-    vertices = [pts[k] for k in keep]
-    table = tuple(tuple(dot(n, v) + c for v in vertices) for n, c, _ in facets)
-    incidence = _cross_check(d, vertices, table)
-    return LatticePolytope(d, tuple(vertices), tuple((n, c) for n, c, _ in facets),
-                           incidence, table)
-
-
-def _cross_check(d: int, vertices: Sequence[Vec],
-                 slacks: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The vertex bitmask of each facet, once the vertex and facet
-    descriptions are checked to cut out the same set.  ``slacks[j][i]`` is
-    the slack of facet j at vertex i, read off the hull's slack table or a
-    polar's transposed one, so no inner product is taken here."""
-    incidence = []
-    for row in slacks:
-        if any(s < 0 for s in row):
-            raise NotFullDimensional("internal hull inconsistency: vertex outside facet")
-        tight = [i for i, s in enumerate(row) if s == 0]
-        if len(tight) < d:
-            raise NotFullDimensional("internal hull inconsistency: facet with too few vertices")
-        if affine_rank([vertices[i] for i in tight]) != d - 1:
-            raise NotFullDimensional("internal hull inconsistency: facet not of dimension d-1")
-        incidence.append(sum(1 << i for i in tight))
-    return tuple(incidence)
+    vertices = tuple(pts[k] for k in keep)
+    incidence = tuple(sum(1 << r for r, k in enumerate(keep) if mask >> k & 1)
+                      for _, _, mask in facets)
+    return LatticePolytope(d, vertices, tuple((n, c) for n, c, _ in facets), incidence)
 
 
 def polar_dual(poly: LatticePolytope) -> LatticePolytope:
@@ -305,15 +277,16 @@ def polar_dual(poly: LatticePolytope) -> LatticePolytope:
     product.  Vertex j of the polar is the normal of facet j of P, and
     facet i of the polar is <., v_i> >= -1 for vertex i of P; both lists
     stay sorted, and every v_i is primitive because the polar's facet
-    through it holds lattice points.  The slack of polar facet i at polar
-    vertex j is <n_j, v_i> + 1, the slack of facet j of P at vertex i, so
-    the polar's slack table is P's transposed, and ``_cross_check`` reads
-    its incidence masks off that after checking it; the check cannot fail
-    after ``hull``, but it is the only one on a hand-built P.  The polar
-    is cached on P, and P on the polar by a weak reference, so while P
-    lives ``polar_dual(polar_dual(P)) is P`` and repeated calls share its
-    cached points and faces, and the pair is no reference cycle; a failed
-    check caches nothing, so a non-reflexive input raises on every call.
+    through it holds lattice points.  Polar facet i passes through polar
+    vertex j iff <n_j, v_i> + 1 = 0, iff facet j of P passes through
+    vertex i, so the polar's incidence table is P's transposed.  After
+    ``hull`` that table is exact; on a hand-built P the one check is that
+    every vertex lies on at least d facets, so that each polar facet has
+    d vertices.  The polar is cached on P, and P on the polar by a weak
+    reference, so while P lives ``polar_dual(polar_dual(P)) is P`` and
+    repeated calls share its cached points and faces, and the pair is no
+    reference cycle; a failed check caches nothing, so a bad input raises
+    on every call.
     """
     cache = poly._cache
     if "polar" in cache:
@@ -326,11 +299,12 @@ def polar_dual(poly: LatticePolytope) -> LatticePolytope:
         raise OriginNotInterior("origin is not an interior point")
     if any(c != 1 for c in offsets):
         raise NonIntegralDual("a facet has lattice distance > 1; the polar is not integral")
-    vertices = tuple(n for n, _ in poly.facets)
-    slacks = tuple(zip(*poly.slacks))
-    incidence = _cross_check(poly.rank, vertices, slacks)
-    dual = LatticePolytope(poly.rank, vertices, tuple((v, 1) for v in poly.vertices),
-                           incidence, slacks)
+    incidence = tuple(sum(1 << j for j, on in enumerate(poly.incidence) if on >> i & 1)
+                      for i in range(len(poly.vertices)))
+    if any(mask.bit_count() < poly.rank for mask in incidence):
+        raise NotFullDimensional("inconsistent polytope: a vertex on fewer than d facets")
+    dual = LatticePolytope(poly.rank, tuple(n for n, _ in poly.facets),
+                           tuple((v, 1) for v in poly.vertices), incidence)
     cache["polar"] = dual
     dual._cache["polar_of"] = weakref.ref(poly)
     return dual
@@ -354,7 +328,7 @@ def lattice_points(poly: LatticePolytope, region: str = "all") -> tuple[Vec, ...
     lattice point of level ``k - 1`` the facets of level ``k`` whose last
     normal entry is nonzero bound the ``k``-th coordinate by exact integer
     ceil/floor, so sweeping prefixes in increasing order yields the points
-    lexicographically; the slacks are lifted affinely and the facets
+    lexicographically; each facet's slack is lifted affinely and the facets
     through each boundary point recorded (see ``_sweep``).  One sweep, kept
     in the polytope's cache, serves all three regions and
     ``boundary_facet_masks``.
@@ -622,12 +596,10 @@ def dilate(p: LatticePolytope, n: int) -> LatticePolytope:
     if n <= 0:
         raise InputError("dilation factor must be positive")
     # Scaling by n > 0 keeps the order of the vertices and of the facets
-    # (sorted by their distinct normals), so the incidence table carries over
-    # and every slack scales by n.
+    # (sorted by their distinct normals), so the incidence table carries over.
     vertices = tuple(tuple(n * x for x in v) for v in p.vertices)
     facets = tuple((normal, n * c) for normal, c in p.facets)
-    slacks = tuple(tuple(n * s for s in row) for row in p.slacks)
-    return LatticePolytope(p.rank, vertices, facets, p.incidence, slacks)
+    return LatticePolytope(p.rank, vertices, facets, p.incidence)
 
 
 def convex_hull_contains(generators: Sequence[Sequence[int]], point: Sequence[int]) -> bool:

@@ -48,6 +48,8 @@ _POINT = hg.HodgeDiamond(0, {(0, 0): 1})
     (lambda: hg.HodgeDiamond(2, {(0, 0): 1, (1, 1): True, (2, 2): 1}), errors.InputError),
     (lambda: hg.HodgeDiamond(2, {(0, 0): 1, (1, 1): 2.5, (2, 2): 1}), errors.InputError),
     (lambda: hg.HodgeDiamond(2.5, {(0, 0): 1}), errors.InputError),
+    (lambda: hg.HodgeDiamond(2, {(0,): 1}), errors.InputError),
+    (lambda: hg.HodgeDiamond(2, [((0, 0), 1)]), errors.InputError),
     (lambda: hg.lee_smoothing(hg.TyurinData(_CURVE, _CURVE, _POINT)),
      errors.DimensionMismatch),
     (lambda: hg.euler_blowup_curve(10, -3), errors.InputError),
@@ -55,10 +57,38 @@ _POINT = hg.HodgeDiamond(0, {(0, 0): 1})
     (lambda: hg.h2w_formula(-1, 1, 5), errors.InputError),
     (lambda: hg.fibre_components(5), errors.InputError),
 ], ids=["hpq-fraction", "hpq-bool", "betti-bool", "entry-bool", "entry-fraction", "dim-fraction",
-        "lee-curves", "blowup-genus", "h2w-ell", "h2w-rank", "fibre-int"])
+        "index-not-pair", "entries-not-mapping", "lee-curves", "blowup-genus", "h2w-ell",
+        "h2w-rank", "fibre-int"])
 def test_hodge_exports_refuse_input_outside_their_domain(call, error):
     with pytest.raises(error):
         call()
+
+
+# Each integer field of the frozen hodge dataclasses, set to a given value.
+_INTEGER_FIELDS = {
+    "TyurinData.k": lambda v: hg.TyurinData(_CURVE, _CURVE, _POINT, v),
+    "FibrationDescriptor.ell": lambda v: hg.FibrationDescriptor.from_tags(["I1", "I2"], v),
+    "TypeIIDegeneration.components": lambda v: hg.TypeIIDegeneration((1, v), 1, 1),
+    "TypeIIDegeneration.double_curves": lambda v: hg.TypeIIDegeneration((1, 2), v, 1),
+    "TypeIIDegeneration.l_rank": lambda v: hg.TypeIIDegeneration((1, 2), 1, v),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "1", None])
+@pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
+def test_dataclass_integers_read_through_as_int(field, value):
+    with pytest.raises(errors.InputError):
+        _INTEGER_FIELDS[field](value)
+
+
+def test_dataclass_integers_are_stored_as_ints():
+    tyurin = _INTEGER_FIELDS["TyurinData.k"](2.0)
+    fibration = _INTEGER_FIELDS["FibrationDescriptor.ell"](2.0)
+    chain = hg.TypeIIDegeneration([1.0, 2], 1.0, 2.0)
+    assert type(tyurin.k) is int and tyurin.k == 2
+    assert type(fibration.ell) is int and hg.picard_from_fibration(fibration) == 4
+    assert chain == hg.TypeIIDegeneration((1, 2), 1, 2)
+    assert all(type(x) is int for x in (*chain.components, chain.double_curves, chain.l_rank))
 
 
 def test_negative_hodge_data_is_refused():

@@ -432,12 +432,14 @@ def test_partition_caches_keep_one_object_and_nothing_on_failure(monkeypatch):
         nef.dual_nef_partition(unowned)
     assert unowned._cache == {}
 
+    # ``nablas`` reads NotFullDimensional as a lower-dimensional piece, so
+    # the failure here is another named error.
     def fail(points):
-        raise errors.NotFullDimensional("no hull")
+        raise errors.RankMismatch("no hull")
 
     with monkeypatch.context() as patch:
         patch.setattr(nef, "hull", fail)
-        with pytest.raises(errors.NotFullDimensional):
+        with pytest.raises(errors.RankMismatch):
             dual.nablas
     assert dual._cache == {}
     nablas = dual.nablas

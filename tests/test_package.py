@@ -1,10 +1,12 @@
 """The package surface: public names, and what a cold start loads."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +196,20 @@ def test_integer_parameters_read_as_integers(call):
     for value in (2.5, True):
         with pytest.raises(InputError, match=f"^non-integer value {value!r}$"):
             call(value)
+
+
+def test_every_traced_name_resolves_in_the_library():
+    # The benchmark's tracer wraps library functions by name; a removal
+    # that would break a traced run (``perfbench/run.py --trace 1``) fails
+    # here.  The tracer's source is compiled from the file, so nothing is
+    # written next to it.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer = {"__name__": "tracer"}
+    exec(compile(path.read_text(), str(path), "exec"), tracer)
+    names = [qual for funcs in tracer["TRACED"].values() for qual in funcs]
+    for qual in names:
+        module, *attrs = qual.split(".")
+        obj = importlib.import_module(f"mirrorcheck.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        assert callable(obj), qual

@@ -98,6 +98,22 @@ def _fraction_rank(rows):
     return rank
 
 
+def affine_rank(points):
+    """Dimension of the affine span of the points; -1 for no points."""
+    if not points:
+        return -1
+    base = points[0]
+    return _fraction_rank([[x - y for x, y in zip(p, base)] for p in points[1:]])
+
+
+def zero_pattern(poly):
+    """Per facet, the bitmask of the vertices where its slack
+    <n, v> + c is 0, by inner products."""
+    return tuple(sum(1 << i for i, v in enumerate(poly.vertices)
+                     if sum(a * b for a, b in zip(n, v)) + c == 0)
+                 for n, c in poly.facets)
+
+
 def naive_vertices(points):
     """The extreme points of conv(points): those at which the oracle facets
     through them have normals of full rank, so that they cut out the point."""
@@ -252,12 +268,7 @@ def test_hull_matches_facet_oracle_random(points):
     assert set(poly.facets) == naive_facets(points)
     assert poly.vertices == naive_vertices(points)
     assert all(poly.contains(p) for p in points)
-    assert poly.incidence == tuple(
-        sum(1 << i for i, v in enumerate(poly.vertices)
-            if sum(a * b for a, b in zip(n, v)) + c == 0)
-        for n, c in poly.facets)
-    assert poly.slacks == tuple(tuple(sum(a * b for a, b in zip(n, v)) + c for v in poly.vertices)
-                                for n, c in poly.facets)
+    assert poly.incidence == zero_pattern(poly)
 
 
 @pytest.mark.parametrize("points", ALL_FIXTURE_POINTS + [
@@ -350,19 +361,56 @@ def test_hull_takes_no_smith_form(points, monkeypatch):
     [p for p in itertools.product((-1, 0, 1), repeat=4) if sum(map(abs, p)) <= 2],
     [p for p in itertools.product((0, 1), repeat=5)],
 ])
-def test_hull_ranks_once_per_facet(points, monkeypatch):
-    # The starting simplex takes one echelon pass, not a rank per point;
-    # what is left is the cross-check's dimension test, one per facet.
+def test_hull_takes_no_rank(points, monkeypatch):
+    # The starting simplex takes one echelon pass, not a rank per point, and
+    # each facet's incidence row is its exact point mask: no rank re-proves
+    # a facet's dimension.
     calls = []
-    real = pt.mat_rank
+    real = la.rank
 
     def counting(m):
         calls.append(m)
         return real(m)
 
-    monkeypatch.setattr(pt, "mat_rank", counting)
-    poly = pt.hull(points)
-    assert len(calls) == len(poly.facets)
+    monkeypatch.setattr(la, "rank", counting)
+    monkeypatch.setattr(pt, "rank", counting, raising=False)
+    pt.hull(points)
+    assert calls == []
+
+
+@st.composite
+def cross_polytope_points(draw):
+    """Points of {-1, 0, 1}^d, d = 2 to 5: the 2d signed unit vectors,
+    so that the origin is interior, and a few more, so that many hulls
+    are reflexive."""
+    d = draw(st.integers(pt.MIN_RANK, pt.MAX_RANK))
+    units = [tuple(s * (i == k) for k in range(d)) for i in range(d) for s in (1, -1)]
+    extra = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * d), max_size=6))
+    return units + extra
+
+
+@settings(max_examples=240, deadline=None)
+@given(st.one_of(hull_inputs(), cross_polytope_points()))
+@example(CUBE_WITH_EDGE_MIDPOINTS)
+@example(SIMPLEX_FACET_POINT_FIRST)
+@example([p for p in itertools.product((-1, 0, 1), repeat=4) if sum(map(abs, p)) <= 2])
+def test_hull_facets_are_exact_by_construction(points):
+    # The rank oracle the hull no longer takes: each facet's tight vertices
+    # span d-1 dimensions, its incidence row is its zero pattern, every
+    # input point has slack >= 0 there, and a reflexive hull's polar is the
+    # hull of its normals, incidence included.
+    try:
+        poly = pt.hull(points)
+    except errors.NotFullDimensional:
+        assert affine_rank(sorted(set(points))) < len(points[0])
+        return
+    d = poly.rank
+    assert poly.incidence == zero_pattern(poly)
+    for (n, c), on in zip(poly.facets, poly.incidence):
+        assert affine_rank([v for i, v in enumerate(poly.vertices) if on >> i & 1]) == d - 1
+        assert all(sum(a * b for a, b in zip(n, p)) + c >= 0 for p in points)
+    if pt.is_reflexive(poly):
+        check_polar_against_hull(poly)
 
 
 def greedy_simplex(points, d):
@@ -494,11 +542,11 @@ REFLEXIVE_FIXTURE_POINTS = [p for p in ALL_FIXTURE_POINTS if pt.is_reflexive(pt.
 
 def check_polar_against_hull(poly):
     """The transposed polar is the hull of P's facet normals, table for
-    table, and its polar is P again."""
+    table, its incidence is its zero pattern, and its polar is P again."""
     dual = pt.polar_dual(poly)
     oracle = pt.hull([n for n, _ in poly.facets])
-    assert ((dual.vertices, dual.facets, dual.incidence, dual.slacks)
-            == (oracle.vertices, oracle.facets, oracle.incidence, oracle.slacks))
+    assert _tables(dual) == _tables(oracle)
+    assert dual.incidence == zero_pattern(dual)
     assert pt.polar_dual(dual) is poly
 
 
@@ -525,26 +573,20 @@ def test_polar_matches_hull_of_normals_random(points, seed):
 
 @pytest.mark.parametrize("points", REFLEXIVE_FIXTURE_POINTS)
 def test_polar_cross_checks_the_transposed_slacks(points):
-    # The polar's checks run on P's transposed slack table: a corrupted
-    # column of P's table is a corrupted row of the polar's, and raises its
-    # own named error on every call, with nothing cached.
+    # The polar's incidence is P's transposed, the zero pattern of the
+    # transposed slacks, and its one check runs on that: vertex 0 of P,
+    # left on d-1 of its facets, would be a polar facet with d-1 vertices,
+    # and raises its named error on every call, with nothing cached.
     poly = pt.hull(points)
     d = poly.rank
-    column = [row[0] for row in poly.slacks]
-    outside = [-1 if s > 0 else s for s in column]
-    tight = [j for j, s in enumerate(column) if s == 0][:d - 1]
-    few = [0 if j in tight else 1 for j in range(len(column))]
-    everywhere = [0] * len(column)
-    for bad, message in [(outside, "vertex outside facet"),
-                         (few, "facet with too few vertices"),
-                         (everywhere, "facet not of dimension d-1")]:
-        # Column 0 of P's table, the slacks at vertex 0, is row 0 of the polar's.
-        slacks = tuple((s,) + row[1:] for s, row in zip(bad, poly.slacks))
-        corrupt = pt.LatticePolytope(d, poly.vertices, poly.facets, poly.incidence, slacks)
-        for _ in range(2):
-            with pytest.raises(errors.NotFullDimensional, match=message):
-                pt.polar_dual(corrupt)
-        assert "polar" not in corrupt._cache
+    through = [j for j, on in enumerate(poly.incidence) if on & 1]
+    incidence = tuple(on & ~1 if j in through[d - 1:] else on
+                      for j, on in enumerate(poly.incidence))
+    corrupt = pt.LatticePolytope(d, poly.vertices, poly.facets, incidence)
+    for _ in range(2):
+        with pytest.raises(errors.NotFullDimensional, match="fewer than d facets"):
+            pt.polar_dual(corrupt)
+    assert "polar" not in corrupt._cache
 
 
 @pytest.mark.parametrize("points", REFLEXIVE_FIXTURE_POINTS)
@@ -727,7 +769,7 @@ def test_levels_build_no_hull(points, monkeypatch):
         raise AssertionError("the levels recomputed a hull or a rank")
 
     monkeypatch.setattr(pt, "hull", refuse)
-    monkeypatch.setattr(pt, "mat_rank", refuse)
+    monkeypatch.setattr(la, "rank", refuse)
     assert pt._levels(poly) == expected
     assert calls == []
 
@@ -857,10 +899,10 @@ def check_face_dimensions(poly):
     def refuse(*args):
         raise AssertionError("face_lattice took a rank")
 
-    with mock.patch.object(pt, "mat_rank", refuse):
+    with mock.patch.object(la, "rank", refuse):
         faces = pt.face_lattice(poly)
     for face in faces:
-        assert face.dim == pt.affine_rank(face.vertices)
+        assert face.dim == affine_rank(face.vertices)
     keys = [(face.dim, face.vertex_indices) for face in faces]
     assert keys == sorted(set(keys))
     assert (faces[0].dim, faces[-1].dim) == (-1, poly.rank)
@@ -880,31 +922,6 @@ def test_face_dimensions_match_affine_rank(points):
     check_face_dimensions(poly)
     if pt.is_reflexive(poly):
         check_face_dimensions(pt.polar_dual(poly))
-
-
-@pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
-def test_cross_check_reads_the_slack_table(points, monkeypatch):
-    # _cross_check takes no inner product: it reads the facet x vertex rows
-    # of the slack table hull computed.  Each corrupted row still raises
-    # its own named error.
-    poly = pt.hull(points)
-    d = poly.rank
-    vertices = list(poly.vertices)
-    slacks = [[la.dot(n, v) + c for v in vertices] for n, c in poly.facets]
-    calls = _count_dots(monkeypatch)
-    assert pt._cross_check(d, vertices, slacks) == poly.incidence
-    assert calls == []
-    row = slacks[0]
-    outside = [-1 if s > 0 else s for s in row]
-    tight = [i for i in range(len(row)) if poly.incidence[0] >> i & 1][:d - 1]
-    few = [0 if i in tight else 1 for i in range(len(row))]
-    everywhere = [0] * len(row)
-    for bad, message in [(outside, "vertex outside facet"),
-                         (few, "facet with too few vertices"),
-                         (everywhere, "facet not of dimension d-1")]:
-        with pytest.raises(errors.NotFullDimensional, match=message):
-            pt._cross_check(d, vertices, [bad] + slacks[1:])
-    assert calls == []
 
 
 def _prefix_count(vertices, k):
@@ -970,9 +987,8 @@ def test_dilate_keeps_incidence(points, factor):
     poly = pt.hull(points)
     dilated = pt.dilate(poly, factor)
     rebuilt = pt.hull(dilated.vertices)
-    assert dilated.incidence == poly.incidence
-    assert ((dilated.vertices, dilated.facets, dilated.incidence, dilated.slacks)
-            == (rebuilt.vertices, rebuilt.facets, rebuilt.incidence, rebuilt.slacks))
+    assert dilated.incidence == poly.incidence == zero_pattern(dilated)
+    assert _tables(dilated) == _tables(rebuilt)
 
 
 def test_minkowski_rank_mismatch(cube, hexagon):
@@ -1005,7 +1021,7 @@ def _polytope_fixtures():
 
 
 def _tables(poly):
-    return poly.vertices, poly.facets, poly.incidence, poly.slacks
+    return poly.vertices, poly.facets, poly.incidence
 
 
 @pytest.mark.parametrize("seed", [None, 1, 7])
@@ -1022,6 +1038,7 @@ def test_hull_of_lattice_points_is_the_polytope(name, seed):
     if pt.is_reflexive(base):
         polys += [pt.polar_dual(base), pt.dilate(pt.polar_dual(base), 2)]
     for poly in polys:
+        assert poly.incidence == zero_pattern(poly)
         assert _tables(pt.hull(pt.lattice_points(poly))) == _tables(poly)
 
 
