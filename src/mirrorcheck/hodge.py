@@ -70,10 +70,10 @@ class HodgeDiamond:
     inputs carry h^{d,0} = 0 and are flagged so the Calabi-Yau constraints
     are not wrongly imposed on them.  ``entries`` maps pairs (p, q) to
     h^{p,q}; the dimension, the indices and the entries are read through
-    ``as_int``.
+    ``as_int``.  The Euler number is summed once, when the diamond is built.
     """
 
-    __slots__ = ("dim", "h", "kaehler")
+    __slots__ = ("dim", "h", "kaehler", "_chi")
 
     def __init__(self, dim: int, entries: Mapping[tuple[int, int], int],
                  kaehler: bool = True):
@@ -94,7 +94,8 @@ class HodgeDiamond:
                 p, q = key
             except (TypeError, ValueError):
                 raise InputError(f"diamond index {key!r} is not a pair (p, q)") from None
-            p, q, v = as_int(p), as_int(q), as_int(v)
+            if not (type(p) is type(q) is type(v) is int):
+                p, q, v = as_int(p), as_int(q), as_int(v)
             if not (0 <= p <= dim and 0 <= q <= dim):
                 raise InvalidDiamond(f"index ({p},{q}) outside dimension {dim}")
             if v < 0:
@@ -112,6 +113,8 @@ class HodgeDiamond:
             p, q = next((p, q) for p in range(dim + 1) for q in range(dim + 1)
                         if self.h[p][q] != self.h[dim - p][dim - q])
             raise InvalidDiamond(f"Serre duality broken at ({p},{q})")
+        alternating = [sum(row[::2]) - sum(row[1::2]) for row in self.h]
+        self._chi = sum(alternating[::2]) - sum(alternating[1::2])
 
     def __eq__(self, other):
         return (isinstance(other, HodgeDiamond) and self.dim == other.dim
@@ -192,8 +195,9 @@ def surface_diamond(h11: int, pg: int = 0, q: int = 0) -> HodgeDiamond:
 
 
 def euler_char(d: HodgeDiamond) -> int:
-    return sum((-1) ** (p + q) * d.h[p][q]
-               for p in range(d.dim + 1) for q in range(d.dim + 1))
+    """sum over p, q of (-1)^{p+q} h^{p,q}; computed once per diamond, from
+    its alternating row sums when it is built, so this is a read."""
+    return d._chi
 
 
 def mirror_dual_check(v: HodgeDiamond, w: HodgeDiamond) -> Verdict:

@@ -1,6 +1,7 @@
 """Tests for the mirror-quartic threefold family calculator."""
 
 import pytest
+from test_package import fresh
 
 from mirrorcheck import errors, family as fam, hodge as hg
 
@@ -23,6 +24,32 @@ def test_params_refuse_non_integers(i, j, mu):
     with pytest.raises(errors.InputError):
         fam.FamilyParams.of(i, j, mu)
     assert fam.FamilyParams.of(2.0, 1, [2.0, 1]) == fam.FamilyParams(2, 1, (2, 1))
+
+
+# Each was once accepted (True as i, or as parts), or raised a bare TypeError.
+@pytest.mark.parametrize("make", [
+    lambda: fam.FamilyParams(True, 1, (2,)),
+    lambda: fam.FamilyParams(1, 1, (True, True)),
+    lambda: fam.FamilyParams.of(1, 1, None),
+], ids=["i-bool", "parts-bool", "parts-none"])
+def test_params_refuse_non_integers_when_built_directly(make):
+    with pytest.raises(errors.InputError):
+        make()
+
+
+# Each once failed later: a bare TypeError in the report, an UnknownType
+# 'I2.0^Delta', or a list [2] called "not non-increasing".
+@pytest.mark.parametrize("make", [
+    lambda: fam.FamilyParams(1.0, 1, (2,)),
+    lambda: fam.FamilyParams(1, 1, (2.0,)),
+    lambda: fam.FamilyParams(1, 1, [2]),
+], ids=["i-float", "part-float", "parts-list"])
+def test_params_built_directly_are_stored_as_ints(make):
+    params = make()
+    assert params == fam.FamilyParams(1, 1, (2,)) and type(params.mu) is tuple
+    assert all(type(x) is int for x in (params.i, params.j, *params.mu))
+    assert fam.family_consistency_report(params).to_json() == \
+        fam.family_consistency_report(fam.FamilyParams(1, 1, (2,))).to_json()
 
 
 @pytest.mark.parametrize("i,j,mu,w,v", [
@@ -69,6 +96,27 @@ def test_exhaustive_sweep_all_pass():
     # partitions of 2..8 over the nine (i, j) pairs
     assert len(reports) == 71
     assert all(r.all_pass for r in reports)
+
+
+def test_one_sweep_builds_each_constant_diamond_once():
+    # A fresh interpreter: nothing is carried over from an earlier sweep.
+    found = fresh("""
+        import json
+        from mirrorcheck import family as fam, hodge as hg
+        built = 0
+        init = hg.HodgeDiamond.__init__
+        def counted(self, *args, **kwargs):
+            global built
+            built += 1
+            init(self, *args, **kwargs)
+        hg.HodgeDiamond.__init__ = counted
+        reports = fam.sweep()
+        print(json.dumps({"built": built, "reports": len(reports),
+                          "checks": sorted({len(r.checks) for r in reports}),
+                          "passed": sum(r.all_pass for r in reports)}))
+    """)
+    # Three diamonds per member (blown-up X_i, W, V), plus K3 and X_1, X_2, X_4.
+    assert found == {"built": 217, "reports": 71, "checks": [5], "passed": 71}
 
 
 def test_sweep_symmetry():

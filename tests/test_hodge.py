@@ -1,6 +1,8 @@
 """Diamond arithmetic, fibre catalogs, slicing and conjecture reports."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorcheck import errors, hodge as hg
 
@@ -14,6 +16,33 @@ def test_euler_characteristics():
     assert hg.euler_char(hg.quasi_fano_threefold_diamond(1, 30)) == -56
     assert hg.euler_char(hg.elliptic_curve_diamond()) == 0
     assert hg.euler_char(hg.projective_space_diamond(3)) == 4
+
+
+@st.composite
+def _diamonds(draw):
+    """Hodge-symmetric grids of dimension 0 to 6: quasi-Fano, or Kaehler with
+    each entry copied over its Serre-duality orbit too."""
+    dim, kaehler = draw(st.integers(0, 6)), draw(st.booleans())
+    entries = {}
+    for p in range(dim + 1):
+        for q in range(p, dim + 1):
+            orbit = {(p, q), (q, p)}
+            if kaehler:
+                orbit |= {(dim - p, dim - q), (dim - q, dim - p)}
+            if orbit.isdisjoint(entries):
+                value = 1 if (0, 0) in orbit else draw(st.integers(0, 40))
+                entries.update(dict.fromkeys(orbit, value))
+    return hg.HodgeDiamond(dim, entries, kaehler)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_diamonds())
+def test_euler_char_is_the_alternating_sum(d):
+    signed = sum((-1) ** (p + q) * d.h[p][q] for p in range(d.dim + 1) for q in range(d.dim + 1))
+    assert hg.euler_char(d) == signed
+    assert all(d.hpq(p, q) == d.h[p][q] for p in range(d.dim + 1) for q in range(d.dim + 1))
+    assert sum((-1) ** n * d.betti(n) for n in range(2 * d.dim + 1)) == signed
+    assert hg.euler_char(d) == signed
 
 
 def test_diamond_validation():
@@ -34,6 +63,12 @@ def test_hpq_is_zero_outside_the_diamond():
         ((1, 0, 0), (0, 0, 0), (0, 0, 1))
 
 
+def test_diamond_entries_are_stored_as_ints():
+    d = hg.HodgeDiamond(2, {(0, 0): 1, (1, 1): 2.0, (2, 2): 1})
+    assert d.h[1][1] == 2 and all(type(x) is int for row in d.h for x in row)
+    assert type(hg.euler_char(d)) is int and hg.euler_char(d) == 4
+
+
 _CURVE = hg.elliptic_curve_diamond()
 _POINT = hg.HodgeDiamond(0, {(0, 0): 1})
 
@@ -47,6 +82,8 @@ _POINT = hg.HodgeDiamond(0, {(0, 0): 1})
     (lambda: hg.k3_diamond().betti(True), errors.InputError),
     (lambda: hg.HodgeDiamond(2, {(0, 0): 1, (1, 1): True, (2, 2): 1}), errors.InputError),
     (lambda: hg.HodgeDiamond(2, {(0, 0): 1, (1, 1): 2.5, (2, 2): 1}), errors.InputError),
+    (lambda: hg.HodgeDiamond(2, {(0, 0): 1, (True, 1): 20, (2, 2): 1}), errors.InputError),
+    (lambda: hg.HodgeDiamond(2, {(0, 0): 1, (1, True): 20, (2, 2): 1}), errors.InputError),
     (lambda: hg.HodgeDiamond(2.5, {(0, 0): 1}), errors.InputError),
     (lambda: hg.HodgeDiamond(2, {(0,): 1}), errors.InputError),
     (lambda: hg.HodgeDiamond(2, [((0, 0), 1)]), errors.InputError),
@@ -56,7 +93,8 @@ _POINT = hg.HodgeDiamond(0, {(0, 0): 1})
     (lambda: hg.h2w_formula(1, 1, -5), errors.InputError),
     (lambda: hg.h2w_formula(-1, 1, 5), errors.InputError),
     (lambda: hg.fibre_components(5), errors.InputError),
-], ids=["hpq-fraction", "hpq-bool", "betti-bool", "entry-bool", "entry-fraction", "dim-fraction",
+], ids=["hpq-fraction", "hpq-bool", "betti-bool", "entry-bool", "entry-fraction",
+        "index-bool", "index-bool-second", "dim-fraction",
         "index-not-pair", "entries-not-mapping", "lee-curves", "blowup-genus", "h2w-ell",
         "h2w-rank", "fibre-int"])
 def test_hodge_exports_refuse_input_outside_their_domain(call, error):
