@@ -210,16 +210,18 @@ def family_consistency_report(p: FamilyParams) -> FamilyReport:
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
     """All partitions of n as non-increasing tuples, lexicographically
     descending from (n,)."""
+    return _partitions(n, n)
 
-    def rec(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
 
-    yield from rec(n, n)
+def _partitions(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
+    # A module-level function: a nested one would hold itself in its own
+    # closure, a reference cycle that only the cyclic collector frees.
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(remaining, cap), 0, -1):
+        for rest in _partitions(remaining - first, first):
+            yield (first,) + rest
 
 
 def sweep() -> list[FamilyReport]:

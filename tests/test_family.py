@@ -1,5 +1,7 @@
 """Tests for the mirror-quartic threefold family calculator."""
 
+import gc
+
 import pytest
 from test_package import fresh
 
@@ -140,3 +142,15 @@ def test_component_bookkeeping():
 def test_partitions_generator():
     assert list(fam.partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert len(list(fam.partitions(8))) == 22
+
+
+def test_partitions_leave_no_cyclic_garbage():
+    # A recursive closure would hold itself through its own cell: one cycle
+    # per call, freed only by the cyclic collector.
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(fam.partitions(8))) == 22
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
