@@ -352,7 +352,7 @@ def _cmd_nef_counts(inp: _Inputs):
     count = nef.complement_count(dual, polar)
     payload = {
         "ell_polar": pt.ell(polar),
-        "ell_nabla": pt.ell(dual.nabla),
+        "ell_nabla": dual.ell_nabla,
         "ell_nabla_i": [len(ps) for ps in dual.nabla_point_sets],
         "complement_count": count,
         "dim_v": poly.rank - 1,

@@ -73,10 +73,6 @@ class NotBoundaryPoint(MirrorcheckError):
     pass
 
 
-class DualityInconsistency(MirrorcheckError):
-    pass
-
-
 class OddDiagonal(MirrorcheckError):
     pass
 

@@ -70,7 +70,8 @@ class HodgeDiamond:
     inputs carry h^{d,0} = 0 and are flagged so the Calabi-Yau constraints
     are not wrongly imposed on them.  ``entries`` maps pairs (p, q) to
     h^{p,q}; the dimension, the indices and the entries are read through
-    ``as_int``.  The Euler number is summed once, when the diamond is built.
+    ``as_int``.  The Euler number is summed once, when the diamond is built;
+    a built diamond is read-only, and copy and pickle rebuild it via JSON.
     """
 
     __slots__ = ("dim", "h", "kaehler", "_chi")
@@ -104,17 +105,26 @@ class HodgeDiamond:
             if grid[q][p] not in (0, v):
                 raise InvalidDiamond(f"Hodge symmetry broken at ({p},{q})")
             grid[q][p] = v
-        self.dim = dim
-        self.h = tuple(tuple(row) for row in grid)
-        self.kaehler = kaehler
-        if self.h[0][0] != 1:
+        h = tuple(tuple(row) for row in grid)
+        if h[0][0] != 1:
             raise InvalidDiamond("h^{0,0} must be 1")
-        if kaehler and self.h != tuple(row[::-1] for row in self.h[::-1]):
+        if kaehler and h != tuple(row[::-1] for row in h[::-1]):
             p, q = next((p, q) for p in range(dim + 1) for q in range(dim + 1)
-                        if self.h[p][q] != self.h[dim - p][dim - q])
+                        if h[p][q] != h[dim - p][dim - q])
             raise InvalidDiamond(f"Serre duality broken at ({p},{q})")
-        alternating = [sum(row[::2]) - sum(row[1::2]) for row in self.h]
-        self._chi = sum(alternating[::2]) - sum(alternating[1::2])
+        alternating = [sum(row[::2]) - sum(row[1::2]) for row in h]
+        _put_dim(self, dim)
+        _put_h(self, h)
+        _put_kaehler(self, kaehler)
+        _put_chi(self, sum(alternating[::2]) - sum(alternating[1::2]))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a HodgeDiamond is read-only: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return HodgeDiamond.from_json, (self.to_json(),)
 
     def __eq__(self, other):
         return (isinstance(other, HodgeDiamond) and self.dim == other.dim
@@ -164,6 +174,11 @@ class HodgeDiamond:
                              "not both and nothing else")
         kaehler = kinds.pop() if kinds else True
         return HodgeDiamond(data["dim"], entries, kaehler)
+
+
+# The slot writers of ``HodgeDiamond.__init__``: cheaper than object.__setattr__.
+_put_dim, _put_h, _put_kaehler, _put_chi = (
+    HodgeDiamond.__dict__[name].__set__ for name in HodgeDiamond.__slots__)
 
 
 def k3_diamond() -> HodgeDiamond:

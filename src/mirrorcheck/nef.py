@@ -6,11 +6,11 @@ The dual partition consists of the polytopes
 
     nabla_i = { u : <u, v> >= -1 for v in E_i,  <u, v> >= 0 for v in E_j, j != i },
 
-whose convex hull nabla = Conv(union nabla_i) is again reflexive.  The
-difference between the lattice points of the polar polytope and of nabla
-counts irreducible components of a distinguished pencil member on the
-mirror, and (one less) the genus of the curve that must be blown up to
-smooth the corresponding degeneration.
+whose convex hull nabla = Conv(union nabla_i) is again reflexive (Borisov
+1993; Batyrev-Borisov 1996).  The difference between the lattice points of
+the polar polytope and of nabla counts irreducible components of a
+distinguished pencil member on the mirror, and (one less) the genus of the
+curve that must be blown up to smooth the corresponding degeneration.
 
 Validation and duality share one computation.  For each facet F of Delta
 and each part E_i, the Cartier condition asks for the integral functional
@@ -27,23 +27,22 @@ by face combinatorics alone: the polar's facets are Delta's vertices, so
 the facets through a polar point p name the face of Delta on which p is
 -1, and the boundary points of Delta on that face are those whose
 smallest face it contains (Ziegler, Lectures on Polytopes, 2.2-2.3).
-Validation, counts and Hodge numbers need only the vertices, the points
-and nabla's hull; the hull of each nabla_i is built on the first read of
-``DualNefPartition.nablas`` (by ``nef dual``'s report) and cached there,
-a lower-dimensional nabla_i being the one ``hull`` refuses as
-``NotFullDimensional``, with no rank taken.
+Nabla's lattice points are the origin and the others of each nabla_i (see
+``dual_nef_partition``), so validation and counts need only the vertices
+and the points: nabla and each nabla_i are hulled on first read (by ``nef
+dual``'s report), a lower-dimensional nabla_i being the one ``hull``
+refuses as ``NotFullDimensional``, with no rank taken.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import lt
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._cache import cached
 from .errors import (
     DegenerateConfiguration,
-    DualityInconsistency,
     InputError,
     NablaNotContained,
     NotAPartition,
@@ -99,18 +98,28 @@ class DualNefPartition:
     """The Batyrev-Borisov dual of a nef partition.
 
     ``nablas`` holds the hull of each full-dimensional nabla_i and None for
-    a lower-dimensional one, which ``hull`` refuses.  Only ``to_json`` needs those hulls, so they
-    are built on first read and kept in ``_cache``.
+    a lower-dimensional one, which ``hull`` refuses, and ``nabla`` the hull
+    of their union.  Only ``to_json`` needs those hulls, so they are built
+    on first read and kept in ``_cache``; the lattice-point count of nabla,
+    ``ell_nabla``, is read off the point sets.
     """
 
     nabla_vertex_sets: tuple[tuple[Vec, ...], ...]
     nabla_point_sets: tuple[tuple[Vec, ...], ...]
-    nabla: LatticePolytope
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def k(self) -> int:
         return len(self.nabla_vertex_sets)
+
+    @property
+    def ell_nabla(self) -> int:  # the origin and the others of each nabla_i
+        return 1 + sum(len(ps) - 1 for ps in self.nabla_point_sets)
+
+    @property
+    @cached
+    def nabla(self) -> LatticePolytope:
+        return hull([v for vs in self.nabla_vertex_sets for v in vs])
 
     @property
     @cached
@@ -124,14 +133,10 @@ class DualNefPartition:
         return tuple(pieces)
 
     def to_json(self) -> dict:
-        pieces = []
-        for vs, hull_obj in zip(self.nabla_vertex_sets, self.nablas):
-            if hull_obj is not None:
-                pieces.append(hull_obj.to_json())
-            else:
-                # Lower-dimensional piece: vertex data only, no facets.
-                pieces.append({"rank": self.nabla.rank,
-                               "vertices": [list(v) for v in vs]})
+        # A lower-dimensional piece has vertex data only, no facets.
+        pieces = [piece.to_json() if piece is not None else
+                  {"rank": self.nabla.rank, "vertices": [list(v) for v in vs]}
+                  for vs, piece in zip(self.nabla_vertex_sets, self.nablas)]
         return {
             "nablas": pieces,
             "nabla": self.nabla.to_json(),
@@ -139,34 +144,23 @@ class DualNefPartition:
         }
 
 
-def _check_partition(delta: LatticePolytope, parts: Sequence[Sequence[Sequence[int]]]):
-    if not isinstance(parts, (list, tuple)):
-        raise InputError(f"a partition is a list of parts, not {type(parts).__name__}")
-    normalized = tuple(tuple(sorted(as_int_rows(part))) for part in parts)
-    if not normalized or any(not part for part in normalized):
-        raise NotAPartition("every part must be non-empty")
-    boundary = set(lattice_points(delta, "boundary"))
+def _check_cover(np_: NefPartition) -> None:
+    """Every boundary lattice point of Delta in exactly one part, and
+    nothing else in any part; the first point met twice or off the
+    boundary, in part order, or else the uncovered points, raise
+    NotAPartition."""
+    boundary = set(lattice_points(np_.polytope, "boundary"))
     seen: set[Vec] = set()
-    for v in _points_in_one_part(normalized):
-        if v not in boundary:
-            raise NotAPartition(f"{v} is not a boundary lattice point")
-        seen.add(v)
-    missing = boundary - seen
-    if missing:
-        raise NotAPartition(f"boundary points not covered: {sorted(missing)}")
-    return normalized
-
-
-def _points_in_one_part(parts: Sequence[Sequence[Vec]]) -> Iterator[Vec]:
-    """The points of the parts, in order, each once: a point met again
-    raises NotAPartition before it is yielded a second time."""
-    seen: set[Vec] = set()
-    for part in parts:
+    for part in np_.parts:
         for v in part:
             if v in seen:
                 raise NotAPartition(f"{v} appears in more than one part")
+            if v not in boundary:
+                raise NotAPartition(f"{v} is not a boundary lattice point")
             seen.add(v)
-            yield v
+    missing = boundary - seen
+    if missing:
+        raise NotAPartition(f"boundary points not covered: {sorted(missing)}")
 
 
 def _cartier_data(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
@@ -236,8 +230,8 @@ def _nabla_point_sets(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
     of v's smallest face is a subset of it.  So the boundary points'
     parts are grouped by that mask once, and the tight set of each
     distinct polar mask is the union of the groups under it, with no inner
-    product.  A point that no part owns, which only an unvalidated
-    partition leaves, counts as part None.
+    product.  A point that no part owns, which ``dual_nef_partition``
+    refuses before this runs, counts as part None.
     """
     delta = np_.polytope
     polar = polar_dual(delta)
@@ -265,61 +259,49 @@ def validate_nef_partition(delta: LatticePolytope,
                            parts: Sequence[Sequence[Sequence[int]]]) -> NefPartition:
     """Check that ``parts`` is a nef partition of the reflexive polytope Delta.
 
-    The Cartier and nef conditions are checked on the face fan of Delta by
-    ``_cartier_data``, on the way to building the dual partition, which is
-    cached on the result; ``dual_nef_partition`` also checks that its nabla
-    is reflexive.
+    The parts are checked to cover the boundary points once, and the
+    Cartier and nef conditions on the face fan of Delta, on the way to
+    building the dual partition, which is cached on the result.
     """
     if not is_reflexive(delta):
         raise NotReflexive("nef partitions live on reflexive polytopes")
-    np_ = NefPartition(delta, _check_partition(delta, parts))
+    if not isinstance(parts, (list, tuple)):
+        raise InputError(f"a partition is a list of parts, not {type(parts).__name__}")
+    np_ = NefPartition(delta, tuple(tuple(sorted(as_int_rows(part))) for part in parts))
+    if not np_.parts or not all(np_.parts):
+        raise NotAPartition("every part must be non-empty")
     dual_nef_partition(np_)
     return np_
 
 
 @cached
 def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
-    """The polytopes nabla_i, their lattice points, and nabla.
+    """The vertices and lattice points of the polytopes nabla_i.
 
-    Parts that overlap raise NotAPartition, validated or not, before any
-    elimination: ``_cartier_data`` and ``_nabla_point_sets`` would read a
-    point in two parts differently.  The vertices of each nabla_i are the
-    distinct Cartier functionals u_{F,i} over the facets F of Delta
+    Parts that do not cover the boundary points of Delta exactly once raise
+    NotAPartition, validated or not, before any elimination
+    (``_check_cover``).  The vertices of each nabla_i are the distinct
+    Cartier functionals u_{F,i} over the facets F of Delta
     (``_cartier_data``, one elimination per facet), so this raises
     NotCartier or NotNef when a part's divisor is not Cartier or not nef,
-    validated or not.  The lattice points of
-    each nabla_i are the polar points the tight-set rule keeps, read off
-    the facet masks of Delta and of its polar (``_nabla_point_sets``).
-    Nabla is hulled here, for the reflexivity check; the nabla_i are not
-    (see ``DualNefPartition.nablas``).  The result is kept in the
+    validated or not.  The lattice points of each nabla_i are the polar
+    points the tight-set rule keeps (``_nabla_point_sets``).
+
+    Nabla = Conv(union nabla_i) is reflexive (Borisov), and no hull of it or
+    of the nabla_i is built here, as its lattice points are the nabla_i's.
+    For a lattice point u of nabla let m_j(u) = min(0, min of <u, v> over v
+    in E_j), the minimum of <u, .> on Delta_j = Conv(E_j and 0): a
+    non-positive integer.  Each nabla_i, and so nabla, lies in the convex
+    polar of Delta_1 + ... + Delta_k, where sum_j m_j(u) >= -1.  Either
+    every m_j(u) is 0, so <u, .> >= 0 on Delta, and u = 0 as the origin is
+    interior to Delta; or exactly one m_i(u) is -1, and u lies in nabla_i.
+    The same argument shows that two nabla_i meet only at the origin, so
+    ell(nabla) = 1 + sum of (ell(nabla_i) - 1).  The result is kept in the
     partition's ``_cache``, so validate_nef_partition builds the one that
     later calls return.
     """
-    for _ in _points_in_one_part(np_.parts):  # raises on the first overlap
-        pass
-    vertex_sets = _cartier_data(np_)
-    point_sets = _nabla_point_sets(np_)
-    d = np_.polytope.rank
-    nabla = hull([v for vs in vertex_sets for v in vs])
-    if not is_reflexive(nabla):
-        raise DualityInconsistency("nabla is not reflexive")
-    zero = (0,) * d
-    for vs in point_sets:
-        if zero not in vs:
-            raise DualityInconsistency("some nabla_i misses the origin")
-    membership = {}
-    for i, ps in enumerate(point_sets):
-        for p in ps:
-            if p != zero:
-                membership.setdefault(p, []).append(i)
-    for p in lattice_points(nabla, "all"):
-        if p == zero:
-            continue
-        owners = membership.get(p, [])
-        if len(owners) != 1:
-            raise DualityInconsistency(
-                f"lattice point {p} of nabla lies in {len(owners)} pieces")
-    return DualNefPartition(vertex_sets, point_sets, nabla)
+    _check_cover(np_)
+    return DualNefPartition(_cartier_data(np_), _nabla_point_sets(np_))
 
 
 def check_refinement(coarse: NefPartition, fine: NefPartition) -> bool:
@@ -337,22 +319,21 @@ def check_refinement(coarse: NefPartition, fine: NefPartition) -> bool:
     return split == set(coarse.parts[-1])
 
 
-def _require_bipartite(dual: DualNefPartition) -> None:
-    if dual.k != 2:
-        raise NotBipartite(f"fibre counts need a bipartite partition, got k={dual.k}")
-
-
 def complement_count(dual: DualNefPartition, polar: LatticePolytope) -> int:
     """Number of lattice points of the polar polytope outside nabla.
 
     This is the component count of the distinguished pencil member on the
-    mirror; nabla must be contained in the polar polytope.
+    mirror; nabla must be contained in the polar polytope, which is convex,
+    so it is enough that the vertices of every nabla_i are.
     """
-    _require_bipartite(dual)
-    for v in dual.nabla.vertices:
-        if not polar.contains(v):
-            raise NablaNotContained(f"nabla vertex {v} is outside the polar polytope")
-    return ell(polar) - ell(dual.nabla)
+    if dual.k != 2:
+        raise NotBipartite(f"fibre counts need a bipartite partition, got k={dual.k}")
+    for i, vs in enumerate(dual.nabla_vertex_sets):
+        for v in vs:
+            if not polar.contains(v):
+                raise NablaNotContained(
+                    f"vertex {v} of nabla_{i} is outside the polar polytope")
+    return ell(polar) - dual.ell_nabla
 
 
 def curve_invariant(dual: DualNefPartition, polar: LatticePolytope, dim_v: int) -> int:

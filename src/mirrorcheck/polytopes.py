@@ -44,6 +44,7 @@ from .errors import (
     NotReflexive,
     OriginNotInterior,
     NonIntegralDual,
+    PolytopeMismatch,
     RankMismatch,
     UnsupportedRank,
 )
@@ -144,6 +145,8 @@ class LatticePolytope:
 
     def contains(self, point: Sequence[int]) -> bool:
         p = tuple(point)
+        if len(p) != self.rank:
+            raise RankMismatch(f"point {p} has {len(p)} coordinates, not {self.rank}")
         return all(dot(n, p) + c >= 0 for n, c in self.facets)
 
     def on_boundary(self, point: Sequence[int]) -> bool:
@@ -552,6 +555,8 @@ def ell_star_face(poly: LatticePolytope, face: Face) -> int:
     when the facets through it are the facets containing the face; the
     boundary points are counted by facet mask once per polytope.
     """
+    if face.parent is not poly and face.parent != poly:  # identity first: the usual case
+        raise PolytopeMismatch("the face belongs to another polytope")
     if face.dim == poly.rank:
         return ell_interior(poly)
     if face.dim < 0:
@@ -574,6 +579,8 @@ def dual_face(poly: LatticePolytope, face: Face) -> Face:
     indexed by the facets containing F.  Dimensions satisfy
     dim(F) + dim(F*) = d - 1.
     """
+    if face.parent is not poly and face.parent != poly:  # identity first: the usual case
+        raise PolytopeMismatch("the face belongs to another polytope")
     if not is_reflexive(poly):
         raise NotReflexive("dual_face needs a reflexive polytope")
     image = _face_with_vertices(polar_dual(poly), _face_incidence(poly, face))

@@ -75,16 +75,17 @@ def test_nef_counts_skewed_quintic(tmp_path, capsys):
     assert report["payload"]["complement_count"] == 52
 
 
-# Hulls per op: one for the input polytope; nef validation adds nabla's, for
-# its reflexivity check, and `nef dual`'s report one per full-dimensional
-# nabla_i.  The polar (a transposition) and the sweep's projections (read
-# off ridges) build none.  The hexagon's partition fails the nef check
-# before nabla is built.
+# Hulls per op: one for the input polytope, and for `nef dual`'s report one
+# for nabla and one per full-dimensional nabla_i.  Validation and counts
+# build none: nabla's lattice points are read off the nabla_i's, and its
+# reflexivity is Borisov's theorem (see nef.dual_nef_partition).  The polar
+# (a transposition) and the sweep's projections (read off ridges) build
+# none either.  The hexagon's partition fails the nef check.
 HULLS_PER_OP = [
     (["polytope", "dual"], {name: 1 for name in (
         "cube", "hexagon", "octahedron", "p1p1p1", "quartic", "quintic", "wp1113")}),
     (["nef", "dual"], {"hexagon": 1, "p1p1p1": 4, "quintic": 4, "wp1113": 4}),
-    (["nef", "counts"], {"hexagon": 1, "p1p1p1": 2, "quintic": 2, "wp1113": 2}),
+    (["nef", "counts"], {"hexagon": 1, "p1p1p1": 1, "quintic": 1, "wp1113": 1}),
 ]
 
 
@@ -104,6 +105,37 @@ def test_hull_calls_per_op(command, fixture, expected, capsys, monkeypatch):
     code, _ = run(capsys, *command, "--fixture", fixture)
     assert code == (2 if fixture == "hexagon" and command[0] == "nef" else 0)
     assert len(calls) == expected
+
+
+# Lattice-point sweeps per nef op: Delta's, whose boundary points the
+# partition must cover, and its polar's, whose points the tight-set rule
+# sorts into the nabla_i; nabla is never swept.  The hexagon's partition
+# fails the nef check before the polar is swept, and `nef hodge` sweeps
+# Delta and its polar for the Batyrev formula.
+SWEEPS_PER_OP = [
+    (["nef", "verify"], {"hexagon": 1, "p1p1p1": 2, "quintic": 2, "wp1113": 2}),
+    (["nef", "dual"], {"hexagon": 1, "p1p1p1": 2, "quintic": 2, "wp1113": 2}),
+    (["nef", "counts"], {"hexagon": 1, "p1p1p1": 2, "quintic": 2, "wp1113": 2}),
+    (["nef", "hodge"], {"p1p1p1": 2, "quintic": 2, "wp1113": 2}),
+]
+
+
+@pytest.mark.parametrize("command,fixture,expected", [
+    (command, fixture, expected)
+    for command, counts in SWEEPS_PER_OP for fixture, expected in counts.items()])
+def test_sweeps_per_op(command, fixture, expected, capsys, monkeypatch):
+    swept = []
+    real = pt._sweep
+
+    def counting(poly):
+        if "_sweep" not in poly._cache:
+            swept.append(poly)
+        return real(poly)
+
+    monkeypatch.setattr(pt, "_sweep", counting)
+    code, _ = run(capsys, *command, "--fixture", fixture)
+    assert code == (0 if fixture != "hexagon" else 1 if command[1] == "verify" else 2)
+    assert len(swept) == expected
 
 
 # Eliminations and Smith forms per lattice op.  Each lattice splits its

@@ -1,5 +1,8 @@
 """Diamond arithmetic, fibre catalogs, slicing and conjecture reports."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +70,31 @@ def test_diamond_entries_are_stored_as_ints():
     d = hg.HodgeDiamond(2, {(0, 0): 1, (1, 1): 2.0, (2, 2): 1})
     assert d.h[1][1] == 2 and all(type(x) is int for row in d.h for x in row)
     assert type(hg.euler_char(d)) is int and hg.euler_char(d) == 4
+
+
+def test_diamond_is_read_only():
+    # A slot written after the checks would leave euler_char and the hash
+    # reading another table than h.
+    d = hg.k3_diamond()
+    for name, value in [("h", ((1, 0, 0), (0, 5, 0), (0, 0, 1))), ("dim", 3),
+                        ("kaehler", False), ("_chi", 0), ("other", 1)]:
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(d, name, value)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(d, name)
+    assert d == hg.k3_diamond() and hash(d) == hash(hg.k3_diamond())
+    assert hg.euler_char(d) == d.betti(0) + d.betti(2) + d.betti(4) == 24
+
+
+@pytest.mark.parametrize("d", [hg.k3_diamond(), hg.quasi_fano_threefold_diamond(1, 30),
+                               hg.HodgeDiamond(0, {(0, 0): 1})])
+def test_diamond_copies_and_pickles(d):
+    for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert twin == d and hash(twin) == hash(d)
+        assert (twin.dim, twin.h, twin.kaehler) == (d.dim, d.h, d.kaehler)
+        assert hg.euler_char(twin) == hg.euler_char(d)
+        with pytest.raises(AttributeError):
+            twin.h = d.h
 
 
 _CURVE = hg.elliptic_curve_diamond()

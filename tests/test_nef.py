@@ -18,14 +18,15 @@ import functools
 import gc
 import itertools
 import random
+import re
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_polytopes import image, unimodular
 
-from mirrorcheck import errors, intlinalg as la, nef, polytopes as pt
+from mirrorcheck import errors, fixtures, intlinalg as la, nef, polytopes as pt
 
 P1P1P1_PARTS = [[(1, 0, 0), (0, 1, 0), (0, 0, 1)],
                 [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]]
@@ -377,7 +378,9 @@ def test_unowned_point_is_in_no_part():
     # no part: every facet is a unimodular triangle, so the Cartier and nef
     # checks pass, with bound 0 at the unowned point for both parts.  The
     # polar point p = (0, 0, 1) is -1 on the unowned point alone, so its
-    # tight set is {None}, and it lies in no nabla_i.
+    # tight set is {None}, and it lies in no nabla_i.  The dual partition,
+    # whose nabla's points are the nabla_i's only on a cover of the
+    # boundary, refuses the partition before either runs.
     octahedron = pt.hull(OCTAHEDRON)
     unowned = (0, 0, -1)
     parts = (tuple(P1P1P1_PARTS[0]), tuple(v for v in P1P1P1_PARTS[1] if v != unowned))
@@ -395,14 +398,16 @@ def test_unowned_point_is_in_no_part():
         assert tight == ([unowned] if m is None else image(m, [unowned]))
         assert p in pt.lattice_points(pt.polar_dual(delta), "all")
         assert not any(p in ps for ps in point_sets)
-        with pytest.raises(errors.DualityInconsistency, match="^nabla is not reflexive$"):
+        missing = re.escape(str(tight))
+        with pytest.raises(errors.NotAPartition,
+                           match=f"^boundary points not covered: {missing}$"):
             nef.dual_nef_partition(np_)
 
 
 def test_overlapping_parts_are_refused_before_any_elimination(monkeypatch):
     # (1, 0, 0) in both parts: _cartier_data would test it in each part,
     # but _nabla_point_sets would give it one owner, and the dual once
-    # failed with a DualityInconsistency that did not name the overlap.
+    # failed with an error that did not name the overlap.
     delta = pt.hull(OCTAHEDRON)
     shared = (1, 0, 0)
     parts = (tuple(P1P1P1_PARTS[0]), tuple(sorted(P1P1P1_PARTS[1] + [shared])))
@@ -421,14 +426,16 @@ def test_overlapping_parts_are_refused_before_any_elimination(monkeypatch):
 
 def test_partition_caches_keep_one_object_and_nothing_on_failure(monkeypatch):
     # A second call returns the kept dual, and a second read the kept
-    # hulls; a call that raises leaves the owner's cache as it was.
+    # hulls; a call that raises leaves the owner's cache as it was.  A
+    # partition that leaves a boundary point in no part is refused.
     delta = pt.hull(OCTAHEDRON)
     np_ = nef.NefPartition(delta, tuple(tuple(sorted(p)) for p in P1P1P1_PARTS))
     dual = nef.dual_nef_partition(np_)
     assert nef.dual_nef_partition(np_) is dual
     assert set(np_._cache) == {"dual_nef_partition"}
     unowned = nef.NefPartition(delta, (np_.parts[0], np_.parts[1][1:]))
-    with pytest.raises(errors.DualityInconsistency):
+    with pytest.raises(errors.NotAPartition,
+                       match=re.escape(f"boundary points not covered: [{np_.parts[1][0]}]")):
         nef.dual_nef_partition(unowned)
     assert unowned._cache == {}
 
@@ -444,6 +451,8 @@ def test_partition_caches_keep_one_object_and_nothing_on_failure(monkeypatch):
     assert dual._cache == {}
     nablas = dual.nablas
     assert dual.nablas is nablas and set(dual._cache) == {"nablas"}
+    nabla = dual.nabla
+    assert dual.nabla is nabla and set(dual._cache) == {"nablas", "nabla"}
 
 
 @functools.cache
@@ -469,21 +478,68 @@ def random_partitions(draw):
     return label, seed, k, owners, unowned
 
 
+def assert_nabla_oracle(dual):
+    """Nabla, hulled from the vertices of the nabla_i, is reflexive, and its
+    lattice points are the union of the nabla_i's, which meet only at the
+    origin: what ``dual_nef_partition`` trusts by construction."""
+    nabla = pt.hull([v for vs in dual.nabla_vertex_sets for v in vs])
+    assert pt.is_reflexive(nabla)
+    points = pt.lattice_points(nabla, "all")
+    assert set(points) == set().union(*dual.nabla_point_sets)
+    zero = {(0,) * nabla.rank}
+    for a, b in itertools.combinations(dual.nabla_point_sets, 2):
+        assert set(a) & set(b) == zero
+    assert dual.ell_nabla == len(points)
+    assert dual.nabla == nabla
+
+
+# The octahedron's boundary, in order, is -e1, -e2, -e3, e3, e2, e1: its
+# P1 x P1 x P1 partition, that partition less -e3, and a quintic partition
+# whose third part is empty, so that its nabla_3 is the origin alone.
 @settings(max_examples=150, deadline=None)
+@example(("octahedron", None, 2, [1, 1, 1, 0, 0, 0], None))
+@example(("octahedron", None, 2, [1, 1, 1, 0, 0, 0], 2))
+@example(("quintic", None, 3, [0, 1, 0, 1, 0], None))
 @given(random_partitions())
 def test_random_partitions_match_the_scans(case):
     """Random 2- and 3-part partitions, unvalidated, on the CARTIER_CASES
     polytopes and their images: the one-elimination Cartier data give the
     scan's vertex sets or its first error, and the mask-grouped tight sets
-    give the constraint filter's points, whatever the Cartier outcome."""
+    give the constraint filter's points, whatever the Cartier outcome.  A
+    partition that leaves a point in no part has no dual; one that covers
+    the boundary and passes the Cartier and nef checks meets the nabla
+    oracle."""
     label, seed, k, owners, unowned = case
     delta = _cartier_polytope(label, seed)
     boundary = pt.lattice_points(delta, "boundary")
     parts = tuple(tuple(v for j, (v, owner) in enumerate(zip(boundary, owners))
                         if owner == i and j != unowned) for i in range(k))
     np_ = nef.NefPartition(delta, parts)
-    assert _outcome(nef._cartier_data, np_) == _outcome(scan_cartier_data, np_)
+    outcome = _outcome(nef._cartier_data, np_)
+    assert outcome == _outcome(scan_cartier_data, np_)
     assert nef._nabla_point_sets(np_) == constraint_filter_points(np_)
+    if unowned is not None:
+        with pytest.raises(errors.NotAPartition,
+                           match=re.escape(f"not covered: [{boundary[unowned]}]")):
+            nef.dual_nef_partition(np_)
+    elif outcome[0] not in ("NotCartier", "NotNef"):
+        assert_nabla_oracle(nef.dual_nef_partition(np_))
+
+
+BUNDLED_PARTITIONS = [(name, slot) for name in fixtures.fixture_names()
+                      for slot in ("parts", "trivial_parts")
+                      if slot in fixtures.load_fixture(name)]
+
+
+@pytest.mark.parametrize("name,slot", BUNDLED_PARTITIONS)
+def test_bundled_partitions_meet_the_nabla_oracle(name, slot):
+    data = fixtures.load_fixture(name)
+    delta = pt.hull(data["polytope"]["vertices"])
+    if name == "hexagon":  # the bundled partition that is not nef
+        with pytest.raises(errors.NotNef):
+            nef.validate_nef_partition(delta, data[slot])
+        return
+    assert_nabla_oracle(nef.dual_nef_partition(nef.validate_nef_partition(delta, data[slot])))
 
 
 def test_free_sum_with_degenerate_pieces(monkeypatch):
@@ -554,17 +610,20 @@ def test_nabla_pieces_hulled_on_first_read(fixture, parts, full, monkeypatch, re
     delta = request.getfixturevalue(fixture)
     hulled = _record_hulls(monkeypatch)
     dual = nef.dual_nef_partition(nef.validate_nef_partition(delta, parts))
-    # Validation hulls nabla, for its reflexivity check, and no nabla_i.
-    assert hulled == [tuple(v for vs in dual.nabla_vertex_sets for v in vs)]
-    assert not set(hulled) & set(dual.nabla_vertex_sets)
-    hulled.clear()
+    # Validation and the lattice-point count of nabla hull nothing.
+    assert dual.ell_nabla == sum(map(len, dual.nabla_point_sets)) - (dual.k - 1)
+    assert hulled == []
     pieces = dual.nablas
     assert hulled == [vs for vs, piece in zip(dual.nabla_vertex_sets, pieces)
                       if piece is not None]
     assert len(hulled) == full
     assert pieces == tuple(pt.hull(vs) for vs in dual.nabla_vertex_sets)
     hulled.clear()
-    assert dual.nablas is pieces
+    nabla = dual.nabla
+    assert hulled == [tuple(v for vs in dual.nabla_vertex_sets for v in vs)]
+    assert nabla == pt.hull(hulled[0]) and pt.ell(nabla) == dual.ell_nabla
+    hulled.clear()
+    assert dual.nablas is pieces and dual.nabla is nabla
     assert hulled == []
 
 
@@ -630,11 +689,14 @@ def test_complement_requires_bipartite(octahedron):
 
 
 def test_degenerate_configuration_policy(octahedron):
-    # A synthetic bipartite dual whose nabla fills the whole polar polytope:
-    # complement 0 is reported, and the curve invariant refuses it.
+    # A synthetic bipartite dual whose nabla fills the whole polar polytope,
+    # with nabla_1 the polar and nabla_2 the origin: complement 0 is
+    # reported, and the curve invariant refuses it.
     polar = pt.polar_dual(octahedron)
-    points = pt.lattice_points(polar, "all")
-    fake = nef.DualNefPartition((polar.vertices, polar.vertices), (points, points), polar)
+    zero = ((0, 0, 0),)
+    fake = nef.DualNefPartition((polar.vertices, zero),
+                                (pt.lattice_points(polar, "all"), zero))
+    assert fake.ell_nabla == pt.ell(polar) and fake.nabla == polar
     assert nef.complement_count(fake, polar) == 0
     with pytest.raises(errors.DegenerateConfiguration):
         nef.curve_invariant(fake, polar, 3)
@@ -689,6 +751,13 @@ def test_interior_of_sum_identity(fixture, parts, request):
 
 
 # --- divisor component counts ----------------------------------------------
+
+
+@pytest.mark.parametrize("sigma", [(1,), (1, 0), (1, 0, 0, 0)])
+def test_divisor_components_refuse_points_of_another_rank(octahedron, cube, sigma):
+    # (1, 0) was once cut to fit the cube's normals and counted 1.
+    with pytest.raises(errors.RankMismatch):
+        nef.divisor_component_count(sigma, octahedron, cube)
 
 
 def test_divisor_components_on_cube_polar(octahedron, cube):

@@ -848,6 +848,60 @@ def test_dual_face_interior_counts(quartic_simplex):
     assert pt.ell_star_face(pt.polar_dual(big), dual_edge) == 0
 
 
+TRIANGLE = [(1, 0), (0, 1), (-1, -1)]
+
+
+def test_faces_of_another_polytope_are_refused(octahedron, cube):
+    # A face's vertex indices name vertices of its own parent only: an edge
+    # of a triangle was once read as a face of the octahedron, whose dual
+    # is a 2-face of the cube.
+    edge = next(f for f in pt.face_lattice(pt.hull(TRIANGLE)) if f.dim == 1)
+    facet = next(f for f in pt.face_lattice(cube) if f.dim == 2)
+    for face in (edge, facet):
+        with pytest.raises(errors.PolytopeMismatch, match="another polytope"):
+            pt.dual_face(octahedron, face)
+        with pytest.raises(errors.PolytopeMismatch, match="another polytope"):
+            pt.ell_star_face(octahedron, face)
+    # A face of an equal polytope built apart is a face of this one.
+    twin_facet = next(f for f in pt.face_lattice(pt.hull(cube.vertices)) if f.dim == 2)
+    assert pt.dual_face(cube, twin_facet) == pt.dual_face(cube, facet)
+    assert pt.ell_star_face(cube, twin_facet) == pt.ell_star_face(cube, facet) == 1
+
+
+def test_faces_of_their_own_parent_take_no_equality_test(cube, monkeypatch):
+    # Identity is tested first, so Batyrev's per-face loop compares no
+    # vertex tuples.
+    faces = pt.face_lattice(cube)
+    pt.dual_face(cube, faces[0])  # the polar, built once
+
+    def refuse(self, other):
+        raise AssertionError("polytopes compared")
+
+    monkeypatch.setattr(pt.LatticePolytope, "__eq__", refuse)
+    for face in faces:
+        pt.ell_star_face(pt.polar_dual(cube), pt.dual_face(cube, face))
+        pt.ell_star_face(cube, face)
+
+
+@pytest.mark.parametrize("point", [(), (1,), (0, 0), (1, 0, 0, 0)])
+def test_contains_refuses_points_of_another_rank(octahedron, point):
+    # zip once cut the point to fit each normal: (1,) read as inside.
+    with pytest.raises(errors.RankMismatch, match=f"has {len(point)} coordinates, not 3"):
+        octahedron.contains(point)
+
+
+@pytest.mark.parametrize("point", [(1,), (1, 0), (1, 0, 0, 0)])
+def test_on_boundary_refuses_points_of_another_rank(octahedron, point):
+    with pytest.raises(errors.RankMismatch):
+        octahedron.on_boundary(point)
+
+
+@pytest.mark.parametrize("point", [(1,), (0, 0), (0, 0, 0, 0)])
+def test_smallest_face_refuses_points_of_another_rank(octahedron, point):
+    with pytest.raises(errors.RankMismatch):
+        pt.smallest_face_containing(octahedron, point)
+
+
 @pytest.mark.parametrize("fixture", ["cube", "wp1113_simplex", "quartic_simplex", "hexagon"])
 def test_face_duality_bijection(fixture, request):
     poly = request.getfixturevalue(fixture)
