@@ -424,6 +424,17 @@ def test_overlapping_parts_are_refused_before_any_elimination(monkeypatch):
     assert np_._cache == {}
 
 
+@pytest.mark.parametrize("extra", [(0, 0, 0), (5, 5, 5)])
+def test_points_off_the_boundary_are_refused(extra):
+    # The dual of an unvalidated partition once took the origin or a point
+    # outside Delta in a part without a word.
+    parts = (tuple(sorted(P1P1P1_PARTS[0] + [extra])), tuple(sorted(P1P1P1_PARTS[1])))
+    np_ = nef.NefPartition(pt.hull(OCTAHEDRON), parts)
+    with pytest.raises(errors.NotAPartition,
+                       match=re.escape(f"{extra} is not a boundary lattice point")):
+        nef.dual_nef_partition(np_)
+
+
 def test_partition_caches_keep_one_object_and_nothing_on_failure(monkeypatch):
     # A second call returns the kept dual, and a second read the kept
     # hulls; a call that raises leaves the owner's cache as it was.  A
