@@ -12,26 +12,30 @@ the polar polytope and of nabla counts irreducible components of a
 distinguished pencil member on the mirror, and (one less) the genus of the
 curve that must be blown up to smooth the corresponding degeneration.
 
-Validation and duality share one computation.  For each facet F of Delta
-and each part E_i, the Cartier condition asks for the integral functional
-u_{F,i} that is -1 on the boundary points of F in E_i and 0 on the other
-boundary points of F; one elimination of F's points, with the right-hand
-sides of all parts attached, finds them all, and the nef condition checks
-each against every boundary point.  These functionals are exactly the
-vertices of nabla_i: on the cone over F the support function of nabla_i
-is <u_{F,i}, .>, and u_{F,i} is its unique minimiser there
-(Cox-Little-Schenck, Toric Varieties, Thm 6.1.7).  So the vertices of
-every nabla_i, full-dimensional or not, are integral and read off the
-Cartier data.  The lattice points of the nabla_i are polar points sorted
-by face combinatorics alone: the polar's facets are Delta's vertices, so
-the facets through a polar point p name the face of Delta on which p is
--1, and the boundary points of Delta on that face are those whose
-smallest face it contains (Ziegler, Lectures on Polytopes, 2.2-2.3).
-Nabla's lattice points are the origin and the others of each nabla_i (see
-``dual_nef_partition``), so validation and counts need only the vertices
-and the points: nabla and each nabla_i are hulled on first read (by ``nef
-dual``'s report), a lower-dimensional nabla_i being the one ``hull``
-refuses as ``NotFullDimensional``, with no rank taken.
+Validation computes what duality starts from, and no more.  For each
+facet F of Delta and each part E_i, the Cartier condition asks for the
+integral functional u_{F,i} that is -1 on the boundary points of F in E_i
+and 0 on the other boundary points of F; one elimination of F's points,
+with the right-hand sides of all parts attached, finds them all, and the
+nef condition checks each against every boundary point.  These
+functionals are exactly the vertices of nabla_i: on the cone over F the
+support function of nabla_i is <u_{F,i}, .>, and u_{F,i} is its unique
+minimiser there (Cox-Little-Schenck, Toric Varieties, Thm 6.1.7).  So the
+vertices of every nabla_i, full-dimensional or not, are integral and read
+off the Cartier data, which validation keeps on the partition; the polar
+is not read until the dual partition is asked for (by ``nef dual`` and
+``nef counts``).  The lattice points of the nabla_i are polar points
+sorted by face combinatorics alone: the polar's facets are Delta's
+vertices, so the facets through a polar point p name the face of Delta
+on which p is -1, and the boundary points of Delta on that face are
+those whose smallest face it contains (Ziegler, Lectures on Polytopes,
+2.2-2.3).  Nabla's lattice points are the origin and the others of each
+nabla_i (see ``dual_nef_partition``), so counts need only the vertices
+and the points: nabla and each nabla_i are hulled on first read (by
+``nef dual``'s report), a lower-dimensional nabla_i being the one
+``hull`` refuses as ``NotFullDimensional``, with no rank taken.  Batyrev's
+Hodge numbers are read off the same facet masks the lattice-point sweep
+records, with no face lattice (see ``batyrev_hodge``).
 """
 
 from __future__ import annotations
@@ -59,12 +63,12 @@ from .intlinalg import _echelon, as_int, as_int_rows, mat_vec
 from .polytopes import (
     LatticePolytope,
     Vec,
+    _incidence_counts,
     _smallest_face_mask,
     boundary_facet_masks,
     dual_face,
     ell,
     ell_star_face,
-    face_lattice,
     hull,
     is_reflexive,
     lattice_points,
@@ -76,8 +80,9 @@ from .polytopes import (
 @dataclass(frozen=True)
 class NefPartition:
     """A partition of the boundary lattice points of a reflexive polytope;
-    ``_cache`` keeps its dual partition once ``dual_nef_partition`` has
-    built it."""
+    ``_cache`` keeps the vertices of its nabla_i once the cover, Cartier
+    and nef checks have passed, and its dual partition once
+    ``dual_nef_partition`` has built it."""
 
     polytope: LatticePolytope
     parts: tuple[tuple[Vec, ...], ...]
@@ -259,9 +264,11 @@ def validate_nef_partition(delta: LatticePolytope,
                            parts: Sequence[Sequence[Sequence[int]]]) -> NefPartition:
     """Check that ``parts`` is a nef partition of the reflexive polytope Delta.
 
-    The parts are checked to cover the boundary points once, and the
-    Cartier and nef conditions on the face fan of Delta, on the way to
-    building the dual partition, which is cached on the result.
+    The parts are checked to cover the boundary points once, then the
+    Cartier and nef conditions on the face fan of Delta
+    (``_nabla_vertex_sets``), whose solutions, the vertices of the nabla_i,
+    are kept on the result.  No polar point is read: the dual partition is
+    built only when ``dual_nef_partition`` asks for it, from those vertices.
     """
     if not is_reflexive(delta):
         raise NotReflexive("nef partitions live on reflexive polytopes")
@@ -270,22 +277,32 @@ def validate_nef_partition(delta: LatticePolytope,
     np_ = NefPartition(delta, tuple(tuple(sorted(as_int_rows(part))) for part in parts))
     if not np_.parts or not all(np_.parts):
         raise NotAPartition("every part must be non-empty")
-    dual_nef_partition(np_)
+    _nabla_vertex_sets(np_)
     return np_
+
+
+@cached
+def _nabla_vertex_sets(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
+    """The cover check, then the Cartier and nef checks: the vertices of
+    each nabla_i, kept in the partition's ``_cache``, and nothing kept when
+    a check fails.  Parts that do not cover the boundary points of Delta
+    exactly once raise NotAPartition before any elimination
+    (``_check_cover``); then ``_cartier_data`` raises NotCartier or NotNef."""
+    _check_cover(np_)
+    return _cartier_data(np_)
 
 
 @cached
 def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
     """The vertices and lattice points of the polytopes nabla_i.
 
-    Parts that do not cover the boundary points of Delta exactly once raise
-    NotAPartition, validated or not, before any elimination
-    (``_check_cover``).  The vertices of each nabla_i are the distinct
-    Cartier functionals u_{F,i} over the facets F of Delta
-    (``_cartier_data``, one elimination per facet), so this raises
-    NotCartier or NotNef when a part's divisor is not Cartier or not nef,
-    validated or not.  The lattice points of each nabla_i are the polar
-    points the tight-set rule keeps (``_nabla_point_sets``).
+    The vertices of each nabla_i are the distinct Cartier functionals
+    u_{F,i} over the facets F of Delta (``_nabla_vertex_sets``: the cover
+    check, then one elimination per facet), which validation has kept on
+    the partition; on a partition that is not validated this raises
+    NotAPartition, NotCartier or NotNef as validation would.  The lattice
+    points of each nabla_i are the polar points the tight-set rule keeps
+    (``_nabla_point_sets``), read only here.
 
     Nabla = Conv(union nabla_i) is reflexive (Borisov), and no hull of it or
     of the nabla_i is built here, as its lattice points are the nabla_i's.
@@ -297,11 +314,10 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
     interior to Delta; or exactly one m_i(u) is -1, and u lies in nabla_i.
     The same argument shows that two nabla_i meet only at the origin, so
     ell(nabla) = 1 + sum of (ell(nabla_i) - 1).  The result is kept in the
-    partition's ``_cache``, so validate_nef_partition builds the one that
-    later calls return.
+    partition's ``_cache``, so later calls return the one first built; it
+    holds no reference back to the partition.
     """
-    _check_cover(np_)
-    return DualNefPartition(_cartier_data(np_), _nabla_point_sets(np_))
+    return DualNefPartition(_nabla_vertex_sets(np_), _nabla_point_sets(np_))
 
 
 def check_refinement(coarse: NefPartition, fine: NefPartition) -> bool:
@@ -378,13 +394,29 @@ def batyrev_hodge(delta: LatticePolytope) -> tuple[int, int]:
     """Hodge numbers of the anticanonical hypersurface family of Delta.
 
     Returns (h11, h_{d-2,1}) where d = dim of the hypersurface + 1.  Both
-    values come from the same lattice-point formula,
+    values come from the same lattice-point formula (Batyrev 1994),
 
-        B(P) = l(P) - d - 1 - sum over facets l*(F)
-                             + sum over codim-2 faces l*(F) l*(F-dual),
+        B(P) = l(P) - d - 1 - sum over facets F of l*(F)
+                             + sum over codim-2 faces G of l*(G) l*(G*),
 
     evaluated at Delta and at its polar; mirror symmetry swaps the pair.
     For rank 3 the first value is the Picard rank of the generic K3 member.
+
+    Both sums are read off the facet masks the lattice-point sweep records
+    at each boundary point (``_incidence_counts``), with no face lattice.
+    A boundary point lies in the relative interior of exactly one face,
+    and the facets through it are exactly the facets containing that face;
+    so the points with facet mask m are the relative interior of the face
+    whose facets are m.  A face on exactly one facet is that facet.  A face
+    on exactly two facets a and b is their ridge, since a face of
+    codimension 3 or more lies on at least three facets (as in
+    ``_combine``).  So the facet sum is the count over one-bit masks, and
+    the ridge sum runs over two-bit masks {a, b}.  G* is the polar's edge
+    from n_a to n_b; polar facet i is <., v_i> >= -1 for vertex v_i of P,
+    so the polar facets through that edge are the vertices of P on both
+    facets, the vertex mask ``incidence[a] & incidence[b]`` of G
+    (``_smallest_face_mask``), and l*(G*) is the polar's count at that
+    mask (0 if no point has it).
     """
     if delta.rank not in (3, 4):
         raise UnsupportedRank("hypersurface Hodge numbers are computed for rank 3 and 4")
@@ -394,14 +426,12 @@ def batyrev_hodge(delta: LatticePolytope) -> tuple[int, int]:
 
 
 def _batyrev_value(p: LatticePolytope) -> int:
-    d = p.rank
-    total = ell(p) - d - 1
-    dual = polar_dual(p)
-    for face in face_lattice(p):
-        if face.dim == d - 1:
-            total -= ell_star_face(p, face)
-        elif face.dim == d - 2:
-            ls = ell_star_face(p, face)
-            if ls:
-                total += ls * ell_star_face(dual, dual_face(p, face))
+    total = ell(p) - p.rank - 1
+    dual_counts = _incidence_counts(polar_dual(p))
+    for mask, count in _incidence_counts(p).items():
+        bits = mask.bit_count()
+        if bits == 1:
+            total -= count
+        elif bits == 2:
+            total += count * dual_counts[_smallest_face_mask(p, mask)]
     return total

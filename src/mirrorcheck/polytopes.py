@@ -50,7 +50,7 @@ from .errors import (
 )
 from ._cache import cached
 from .intlinalg import (
-    _echelon, as_int, dot, pivot_columns, solve_exact, vec_gcd)
+    _echelon, as_int, as_int_vector, dot, pivot_columns, solve_exact, vec_gcd)
 
 Vec = tuple[int, ...]
 Facet = tuple[Vec, int]  # (primitive normal n, offset c): <n, x> >= -c
@@ -120,6 +120,8 @@ class LatticePolytope:
     """A full-dimensional lattice polytope in canonical form; ``incidence[j]``
     is the bitmask of the vertices on facet j (bit i for vertex i).
 
+    A built polytope is read-only, since ``_cache`` keeps what is derived
+    from its data; copy and pickle rebuild it with an empty ``_cache``.
     ``_cache`` holds no reference back to the polytope, so that it is
     freed by reference counting, not left to the cycle collector."""
 
@@ -127,11 +129,19 @@ class LatticePolytope:
 
     def __init__(self, rank: int, vertices: tuple[Vec, ...], facets: tuple[Facet, ...],
                  incidence: tuple[int, ...]):
-        self.rank = rank
-        self.vertices = vertices
-        self.facets = facets
-        self.incidence = incidence
-        self._cache: dict = {}
+        _put_rank(self, rank)
+        _put_vertices(self, vertices)
+        _put_facets(self, facets)
+        _put_incidence(self, incidence)
+        _put_cache(self, {})
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a LatticePolytope is read-only: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return LatticePolytope, (self.rank, self.vertices, self.facets, self.incidence)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LatticePolytope)
@@ -144,13 +154,14 @@ class LatticePolytope:
         return f"LatticePolytope(rank={self.rank}, vertices={list(self.vertices)})"
 
     def contains(self, point: Sequence[int]) -> bool:
-        p = tuple(point)
+        """Whether the point, read through ``as_int``, lies in P."""
+        p = as_int_vector(point)
         if len(p) != self.rank:
             raise RankMismatch(f"point {p} has {len(p)} coordinates, not {self.rank}")
         return all(dot(n, p) + c >= 0 for n, c in self.facets)
 
     def on_boundary(self, point: Sequence[int]) -> bool:
-        p = tuple(point)
+        p = as_int_vector(point)
         return self.contains(p) and any(dot(n, p) + c == 0 for n, c in self.facets)
 
     def to_json(self) -> dict:
@@ -159,6 +170,12 @@ class LatticePolytope:
             "vertices": [list(v) for v in self.vertices],
             "facets": [list(n) + [c] for n, c in self.facets],
         }
+
+
+# The slot writers of ``LatticePolytope.__init__``, past its read-only
+# ``__setattr__``.
+_put_rank, _put_vertices, _put_facets, _put_incidence, _put_cache = (
+    LatticePolytope.__dict__[name].__set__ for name in LatticePolytope.__slots__[:5])
 
 
 class Face:
@@ -530,7 +547,7 @@ def smallest_face_containing(poly: LatticePolytope, point: Sequence[int]) -> Fac
     point (found by bisection, the points being sorted); an interior point
     yields the full polytope as a face.
     """
-    p = tuple(map(as_int, point))
+    p = as_int_vector(point)
     if not poly.contains(p):
         raise EmptyInput(f"point {p} is not in the polytope")
     boundary = lattice_points(poly, "boundary")

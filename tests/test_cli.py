@@ -108,15 +108,18 @@ def test_hull_calls_per_op(command, fixture, expected, capsys, monkeypatch):
 
 
 # Lattice-point sweeps per nef op: Delta's, whose boundary points the
-# partition must cover, and its polar's, whose points the tight-set rule
-# sorts into the nabla_i; nabla is never swept.  The hexagon's partition
-# fails the nef check before the polar is swept, and `nef hodge` sweeps
-# Delta and its polar for the Batyrev formula.
+# partition must cover, and, for `nef dual` and `nef counts`, its polar's,
+# whose points the tight-set rule sorts into the nabla_i; nabla is never
+# swept.  Validation stops at the Cartier data, so `nef verify` and `nef
+# refine` (two partitions of one Delta) sweep Delta alone.  The hexagon's
+# partition fails the nef check before the polar is swept, and `nef hodge`
+# sweeps Delta and its polar for the Batyrev formula.
 SWEEPS_PER_OP = [
-    (["nef", "verify"], {"hexagon": 1, "p1p1p1": 2, "quintic": 2, "wp1113": 2}),
+    (["nef", "verify"], {"hexagon": 1, "p1p1p1": 1, "quintic": 1, "wp1113": 1}),
     (["nef", "dual"], {"hexagon": 1, "p1p1p1": 2, "quintic": 2, "wp1113": 2}),
     (["nef", "counts"], {"hexagon": 1, "p1p1p1": 2, "quintic": 2, "wp1113": 2}),
     (["nef", "hodge"], {"p1p1p1": 2, "quintic": 2, "wp1113": 2}),
+    (["nef", "refine"], {"p1p1p1": 1}),
 ]
 
 
@@ -136,6 +139,56 @@ def test_sweeps_per_op(command, fixture, expected, capsys, monkeypatch):
     code, _ = run(capsys, *command, "--fixture", fixture)
     assert code == (0 if fixture != "hexagon" else 1 if command[1] == "verify" else 2)
     assert len(swept) == expected
+
+
+# Dual partitions built per nef op: validation builds none, so `nef verify`
+# and `nef refine` read no polar point; `nef dual` and `nef counts` build
+# one.  The hexagon's partition fails validation first.
+DUALS_PER_OP = [
+    (["nef", "verify"], {"hexagon": 0, "p1p1p1": 0, "quintic": 0, "wp1113": 0}),
+    (["nef", "refine"], {"p1p1p1": 0}),
+    (["nef", "dual"], {"hexagon": 0, "p1p1p1": 1, "quintic": 1, "wp1113": 1}),
+    (["nef", "counts"], {"hexagon": 0, "p1p1p1": 1, "quintic": 1, "wp1113": 1}),
+]
+
+
+@pytest.mark.parametrize("command,fixture,expected", [
+    (command, fixture, expected)
+    for command, counts in DUALS_PER_OP for fixture, expected in counts.items()])
+def test_duals_per_op(command, fixture, expected, capsys, monkeypatch):
+    built = []
+    real = nef._nabla_point_sets
+
+    def counting(np_):
+        built.append(np_)
+        return real(np_)
+
+    monkeypatch.setattr(nef, "_nabla_point_sets", counting)
+    code, _ = run(capsys, *command, "--fixture", fixture)
+    assert code == (0 if fixture != "hexagon" else 1 if command[1] == "verify" else 2)
+    assert len(built) == expected
+
+
+# No nef op builds a face lattice: `nef hodge` reads Batyrev's sums off the
+# facet-mask counts of the lattice-point sweep, with no `_faces` table, no
+# `ell_star_face` and no `dual_face`, and the other ops read masks too.
+@pytest.mark.parametrize("command,fixture", [
+    (command, fixture) for command, counts in SWEEPS_PER_OP for fixture in counts])
+def test_nef_ops_build_no_face_lattice(command, fixture, capsys, monkeypatch):
+    calls = []
+
+    def recording(name, real):
+        def record(*args):
+            calls.append(name)
+            return real(*args)
+        return record
+
+    for module, name in [(pt, "_faces"), (pt, "ell_star_face"), (nef, "ell_star_face"),
+                         (pt, "dual_face"), (nef, "dual_face")]:
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    code, _ = run(capsys, *command, "--fixture", fixture)
+    assert code == (0 if fixture != "hexagon" else 1 if command[1] == "verify" else 2)
+    assert calls == []
 
 
 # Eliminations and Smith forms per lattice op.  Each lattice splits its

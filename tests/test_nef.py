@@ -166,14 +166,21 @@ def test_dual_p1p1p1(octahedron):
 
 
 def test_dual_partition_cached_by_validation(octahedron, monkeypatch):
+    # Validation keeps the vertices of the nabla_i, its Cartier data, and
+    # builds no dual; the dual reuses those vertices and is built once.
     np_ = nef.validate_nef_partition(octahedron, P1P1P1_PARTS)
+    assert set(np_._cache) == {"_nabla_vertex_sets"}
+
+    def solve(*args):
+        raise AssertionError("a Cartier system was solved twice")
 
     def rebuild(poly):
         raise AssertionError("the dual partition was built twice")
 
-    # validate_nef_partition built the dual as its cross-check; it is reused.
-    monkeypatch.setattr(nef, "polar_dual", rebuild)
+    monkeypatch.setattr(nef, "_echelon", solve)
     dual = nef.dual_nef_partition(np_)
+    assert dual.nabla_vertex_sets is np_._cache["_nabla_vertex_sets"]
+    monkeypatch.setattr(nef, "polar_dual", rebuild)
     assert nef.dual_nef_partition(np_) is dual
     # The cache is not part of the partition's identity.
     fresh = nef.NefPartition(octahedron, np_.parts)
@@ -438,17 +445,25 @@ def test_points_off_the_boundary_are_refused(extra):
 def test_partition_caches_keep_one_object_and_nothing_on_failure(monkeypatch):
     # A second call returns the kept dual, and a second read the kept
     # hulls; a call that raises leaves the owner's cache as it was.  A
-    # partition that leaves a boundary point in no part is refused.
+    # partition that leaves a boundary point in no part is refused, and
+    # so, by the dual and by validation alike, is one that is not Cartier.
     delta = pt.hull(OCTAHEDRON)
     np_ = nef.NefPartition(delta, tuple(tuple(sorted(p)) for p in P1P1P1_PARTS))
     dual = nef.dual_nef_partition(np_)
     assert nef.dual_nef_partition(np_) is dual
-    assert set(np_._cache) == {"dual_nef_partition"}
+    assert set(np_._cache) == {"_nabla_vertex_sets", "dual_nef_partition"}
     unowned = nef.NefPartition(delta, (np_.parts[0], np_.parts[1][1:]))
     with pytest.raises(errors.NotAPartition,
                        match=re.escape(f"boundary points not covered: [{np_.parts[1][0]}]")):
         nef.dual_nef_partition(unowned)
     assert unowned._cache == {}
+    cube = pt.hull(CUBE)
+    rest = tuple(v for v in pt.lattice_points(cube, "boundary") if v != (1, 1, 1))
+    corner = nef.NefPartition(cube, (((1, 1, 1),), rest))
+    for _ in range(2):
+        with pytest.raises(errors.NotCartier):
+            nef.dual_nef_partition(corner)
+    assert corner._cache == {}
 
     # ``nablas`` reads NotFullDimensional as a lower-dimensional piece, so
     # the failure here is another named error.
@@ -840,10 +855,93 @@ def test_batyrev_builds_one_polar(monkeypatch):
 
     monkeypatch.setattr(pt, "hull", counting_hull)
     assert nef.batyrev_hodge(cube4) == (68, 4)
-    # The polar is cube4's tables transposed, shared by every dual_face
-    # call, and the lattice points of both come from projections read off
-    # ridges: no hull at all.
+    # The polar is cube4's tables transposed, and the lattice points of
+    # both come from projections read off ridges: no hull at all.
     assert calls == []
+
+
+def face_lattice_batyrev_value(p):
+    """Batyrev's B(P), summed over the face lattice as the library once did:
+    l*(F) for each facet, l*(G) l*(G*) for each codimension-2 face G with
+    G* = ``dual_face``.  Each l* counts by inner products the lattice
+    points of P that lie on exactly the facets through the face."""
+    d = p.rank
+    points = pt.lattice_points(p, "all")
+
+    def ell_star(poly, face):
+        through = {j for j, (n, c) in enumerate(poly.facets)
+                   if all(la.dot(n, v) + c == 0 for v in face.vertices)}
+        return sum({j for j, (n, c) in enumerate(poly.facets) if la.dot(n, x) + c == 0}
+                   == through for x in pt.lattice_points(poly, "all"))
+
+    assert len(points) == pt.ell(p)
+    total = len(points) - d - 1
+    dual = pt.polar_dual(p)
+    for face in pt.face_lattice(p):
+        if face.dim == d - 1:
+            total -= ell_star(p, face)
+        elif face.dim == d - 2:
+            total += ell_star(p, face) * ell_star(dual, pt.dual_face(p, face))
+    return total
+
+
+def assert_batyrev_oracle(poly):
+    """The mask-count Batyrev values of P and of its polar against the
+    face-lattice sums, and every one- and two-bit facet mask of a boundary
+    point against the facets and codimension-2 faces of ``_faces``."""
+    polar = pt.polar_dual(poly)
+    expected = (face_lattice_batyrev_value(poly), face_lattice_batyrev_value(polar))
+    assert (nef._batyrev_value(poly), nef._batyrev_value(polar)) == expected
+    if poly.rank in (3, 4):
+        assert nef.batyrev_hodge(poly) == expected
+        assert nef.batyrev_hodge(polar) == expected[::-1]
+    for p in (poly, polar):
+        d = p.rank
+        faces = pt._faces(p)
+        for mask in pt._incidence_counts(p):
+            if mask.bit_count() > 2:
+                continue
+            vertex_mask = pt._smallest_face_mask(p, mask)
+            dim, idx = faces[vertex_mask]
+            assert dim == d - mask.bit_count()
+            assert pt._face_incidence(p, pt.Face(p, dim, idx)) == mask
+
+
+REFLEXIVE_FIXTURES = [name for name in fixtures.fixture_names()
+                      if "polytope" in fixtures.load_fixture(name)
+                      and pt.is_reflexive(pt.hull(
+                          fixtures.load_fixture(name)["polytope"]["vertices"]))]
+
+
+@pytest.mark.parametrize("name", REFLEXIVE_FIXTURES)
+def test_batyrev_masks_match_the_face_lattice_on_fixtures(name):
+    assert_batyrev_oracle(pt.hull(fixtures.load_fixture(name)["polytope"]["vertices"]))
+
+
+CUBE4 = list(itertools.product((-1, 1), repeat=4))
+# The rank-3 and rank-4 bases of the nef-suite benchmark workload, on which
+# every codimension-2 term l*(G) l*(G*) is 0, and two reflexive simplices,
+# found by a random search, whose ridge sums are 4 (rank 3, at the simplex
+# and at its polar) and 3 (rank 4, at the polar).
+BATYREV_BASES = {
+    "p1p1p1": OCTAHEDRON, "wp1113": WP1113, "quintic": QUINTIC, "cube4": CUBE4,
+    "ridges3": [(-1, 0, 1), (0, 1, -1), (1, 0, -2), (3, -2, 1)],
+    "ridges4": [(-1, -1, -1, 0), (0, -1, -2, 1), (0, 0, 1, 1), (0, 1, 2, -2), (2, 1, -2, 1)],
+}
+
+
+@pytest.mark.parametrize("polar", [False, True], ids=["base", "polar"])
+@pytest.mark.parametrize("name", sorted(BATYREV_BASES))
+def test_batyrev_masks_match_the_face_lattice_on_bases(name, polar):
+    poly = pt.hull(BATYREV_BASES[name])
+    assert_batyrev_oracle(pt.polar_dual(poly) if polar else poly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BATYREV_BASES)), st.integers(0, 10**6))
+def test_batyrev_masks_match_the_face_lattice_on_images(name, seed):
+    vertices = BATYREV_BASES[name]
+    assert_batyrev_oracle(pt.hull(image(unimodular(len(vertices[0]), seed), vertices)))
 
 
 def test_batyrev_rejects_rank2(hexagon):

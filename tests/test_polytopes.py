@@ -5,9 +5,11 @@ subset enumeration with an independent linear-algebra path (homogeneous
 nullspace over Fractions), so it shares no code with the production hull.
 """
 
+import copy
 import gc
 import itertools
 import json
+import pickle
 import random
 import weakref
 from fractions import Fraction
@@ -900,6 +902,56 @@ def test_on_boundary_refuses_points_of_another_rank(octahedron, point):
 def test_smallest_face_refuses_points_of_another_rank(octahedron, point):
     with pytest.raises(errors.RankMismatch):
         pt.smallest_face_containing(octahedron, point)
+
+
+# (1.5, 0, 0) once read as outside the octahedron, and a string raised a
+# bare TypeError.
+@pytest.mark.parametrize("point", [(1.5, 0, 0), "abc", (True, 0, 0), 1])
+def test_contains_reads_the_point_through_as_int(octahedron, point):
+    with pytest.raises(errors.InputError):
+        octahedron.contains(point)
+
+
+@pytest.mark.parametrize("point", [(1.5, 0, 0), "abc", (0, 0, True), None])
+def test_on_boundary_reads_the_point_through_as_int(octahedron, point):
+    with pytest.raises(errors.InputError):
+        octahedron.on_boundary(point)
+
+
+def test_contains_takes_integral_numbers(octahedron):
+    assert octahedron.contains([1.0, 0, 0]) and octahedron.on_boundary([1.0, 0, 0])
+    assert not octahedron.contains((2, 0, 0)) and not octahedron.on_boundary((0, 0, 0))
+
+
+def test_polytope_is_read_only(octahedron):
+    # A slot written after the sweep was cached once left ell reading 7
+    # for doubled vertices, and contains reading the old facets.
+    assert pt.ell(octahedron) == 7
+    doubled = tuple(tuple(2 * x for x in v) for v in octahedron.vertices)
+    for name, value in [("vertices", doubled), ("facets", ()), ("incidence", ()),
+                        ("rank", 4), ("_cache", {}), ("other", 1)]:
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(octahedron, name, value)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(octahedron, name)
+    assert octahedron == pt.hull(ALL_FIXTURE_POINTS[0]) and pt.ell(octahedron) == 7
+    assert not octahedron.contains((2, 0, 0))
+
+
+@pytest.mark.parametrize("points", REFLEXIVE_FIXTURE_POINTS)
+def test_polytope_copies_pickle_and_weak_references(points):
+    poly = pt.hull(points)
+    pt.ell(pt.polar_dual(poly))
+    for twin in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+        assert twin is not poly and twin == poly and hash(twin) == hash(poly)
+        assert (twin.rank, twin.vertices, twin.facets, twin.incidence) == (
+            poly.rank, poly.vertices, poly.facets, poly.incidence)
+        assert twin._cache == {}
+        assert pt.lattice_points(twin) == pt.lattice_points(poly)
+        assert pt.polar_dual(twin) == pt.polar_dual(poly)
+        with pytest.raises(AttributeError):
+            twin.vertices = poly.vertices
+    assert weakref.ref(poly)() is poly
 
 
 @pytest.mark.parametrize("fixture", ["cube", "wp1113_simplex", "quartic_simplex", "hexagon"])
