@@ -369,12 +369,12 @@ def curve_invariant(dual: DualNefPartition, polar: LatticePolytope, dim_v: int) 
     return count if dim_v == 2 else count - 1
 
 
-def divisor_component_count(sigma: Sequence[int], delta: LatticePolytope,
-                            polar: LatticePolytope) -> Optional[int]:
+def divisor_component_count(sigma: Sequence[int], polar: LatticePolytope) -> Optional[int]:
     """Component count of a toric divisor's trace on the mirror hypersurface.
 
-    Returns None when the trace is empty (sigma interior to a facet of the
-    polar polytope); 1 + l*(G) * l*(G-dual) when sigma is interior to a
+    ``polar`` is the polar polytope of Delta, which it determines.  Returns
+    None when the trace is empty (sigma interior to a facet of the polar
+    polytope); 1 + l*(G) * l*(G-dual) when sigma is interior to a
     codimension-2 face G; and 1 on faces of codimension >= 3.
     """
     s = tuple(map(as_int, sigma))

@@ -23,21 +23,30 @@ masks alone, is rotated into one new facet (``_combine``).  ``hull`` signs
 the facets by their slack at a new point (the double-description method,
 Motzkin et al. 1953, Fukuda-Prodon 1996), from the d+1 facets of a
 starting simplex, read off the columns of one matrix inverse.  Lattice
-points are enumerated by project-and-lift (as in PALP), in time
-proportional to the points found; each projection signs the facets of the
-level above by their last normal entry (Fourier-Motzkin elimination with
-Chernikov's adjacency rule).
+points are enumerated by project-and-lift (as in PALP); each projection
+signs the facets of the level above by their last normal entry
+(Fourier-Motzkin elimination with Chernikov's adjacency rule).  The sweep
+visits a prefix per lattice point of each projection, and a skewed P has
+many prefixes over empty fibres; so where P's coordinate box allows a lot
+of work, ``_sweep_basis`` reduces the Gram matrix of its vertices to a
+unimodular basis of narrow directions, kept only if it halves the bound on
+the prefixes, and the sweep runs there and maps its points back and sorts
+them.  A sweep that passes ``_SWEEP_CAP`` prefixes and points raises
+``BudgetExceeded``.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 import weakref
 from bisect import bisect_left
 from collections import Counter
+from operator import add, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
+    BudgetExceeded,
     EmptyInput,
     InputError,
     NotFullDimensional,
@@ -50,7 +59,7 @@ from .errors import (
 )
 from ._cache import cached
 from .intlinalg import (
-    _echelon, as_int, as_int_vector, dot, pivot_columns, solve_exact, vec_gcd)
+    _echelon, as_int, as_int_vector, dot, identity, pivot_columns, solve_exact, vec_gcd)
 
 Vec = tuple[int, ...]
 Facet = tuple[Vec, int]  # (primitive normal n, offset c): <n, x> >= -c
@@ -347,11 +356,13 @@ def lattice_points(poly: LatticePolytope, region: str = "all") -> tuple[Vec, ...
     its ridges (exact and non-redundant; see ``_levels``).  Over each
     lattice point of level ``k - 1`` the facets of level ``k`` whose last
     normal entry is nonzero bound the ``k``-th coordinate by exact integer
-    ceil/floor, so sweeping prefixes in increasing order yields the points
-    lexicographically; each facet's slack is lifted affinely and the facets
-    through each boundary point recorded (see ``_sweep``).  One sweep, kept
-    in the polytope's cache, serves all three regions and
-    ``boundary_facet_masks``.
+    ceil/floor; each facet's slack is lifted affinely and the facets
+    through each boundary point recorded (see ``_sweep``).  The sweep runs
+    in the coordinates of a reduced lattice basis when P is skewed (see
+    ``_sweep_basis``), maps its points back and sorts them; otherwise it
+    sweeps P's own coordinates, whose prefixes in increasing order yield the
+    points lexicographically.  One sweep, kept in the polytope's cache,
+    serves all three regions and ``boundary_facet_masks``.
     """
     if region not in _REGIONS:
         raise InputError(f"unknown region {region!r}")
@@ -366,23 +377,23 @@ def boundary_facet_masks(poly: LatticePolytope) -> tuple[int, ...]:
     return _sweep(poly)[3]
 
 
-def _levels(poly: LatticePolytope) -> list[list[tuple[Vec, int, int]]]:
+def _levels(facets: Sequence[tuple[Vec, int, int]],
+            first: Sequence[int]) -> list[list[tuple[Vec, int, int]]]:
     """Per coordinate k, the facets ``<head, x[:k]> + a*x[k] + c >= 0`` with
-    ``a != 0`` of P projected onto its first k+1 coordinates.
+    ``a != 0`` of a polytope Q projected onto its first k+1 coordinates.
 
-    Level d is P's facet list, each with the bitmask of the vertices on it.
-    Level k-1 is level k projected along its last coordinate by
-    ``_project``, down to level 2; level 1 is the range of the first
-    coordinate.  No hull is built and no inner product is taken.
+    ``facets`` lists Q's facets (n, c, mask), each with the bitmask of the
+    vertices on it, and ``first`` the first coordinates of Q's vertices.
+    Level d is that facet list.  Level k-1 is level k projected along its
+    last coordinate by ``_project``, down to level 2; level 1 is the range
+    of the first coordinate.  No hull is built and no inner product is
+    taken.
     """
-    d = poly.rank
-    facets = [(n, c, on) for (n, c), on in zip(poly.facets, poly.incidence)]
     levels = []
-    for k in range(d, 1, -1):
+    for k in range(len(facets[0][0]), 1, -1):
         levels.append([(n[:-1], n[-1], c) for n, c, _ in facets if n[-1]])
         if k > 2:
             facets = _project(facets, k)
-    first = [v[0] for v in poly.vertices]
     levels.append([((), 1, -min(first)), ((), -1, max(first))])
     levels.reverse()
     return levels
@@ -391,16 +402,15 @@ def _levels(poly: LatticePolytope) -> list[list[tuple[Vec, int, int]]]:
 def _project(facets: list[tuple[Vec, int, int]], k: int) -> list[tuple[Vec, int, int]]:
     """The facets of a k-polytope Q projected along its last coordinate.
 
-    ``facets`` lists Q's facets (n, c, mask), sorted, where mask is the
-    bitmask of the points on the facet, from a point set that holds every
-    vertex of Q; the points of the projection are those points projected.
-    The facets of the projection are Q's vertical facets (last normal entry
-    0) with that entry dropped, and ``_combine``'s rotation at each ridge of
-    Q whose two facets have last entries a- < 0 < a+, taken with the last
-    entries as the signs, which eliminates the last coordinate
-    (Fourier-Motzkin).  The points on a rotated facet are those on both of
-    its facets, so its mask is the AND, and the result comes out in the
-    same form, sorted.
+    ``facets`` lists Q's facets (n, c, mask), where mask is the bitmask of
+    the points on the facet, from a point set that holds every vertex of Q;
+    the points of the projection are those points projected.  The facets of
+    the projection are Q's vertical facets (last normal entry 0) with that
+    entry dropped, and ``_combine``'s rotation at each ridge of Q whose two
+    facets have last entries a- < 0 < a+, taken with the last entries as
+    the signs, which eliminates the last coordinate (Fourier-Motzkin).  The
+    points on a rotated facet are those on both of its facets, so its mask
+    is the AND, and the result comes out in the same form, sorted.
     """
     out = [(n[:-1], c, mask) for n, c, mask in facets if not n[-1]]
     out += [(n[:-1], c, ridge) for n, c, ridge in
@@ -412,6 +422,109 @@ def _project(facets: list[tuple[Vec, int, int]], k: int) -> list[tuple[Vec, int,
 # The regions of ``lattice_points``, in the order ``_sweep`` returns them.
 _REGIONS = ("all", "boundary", "interior")
 
+# The bound on a sweep's work, prefixes and points, from P's coordinate box,
+# below which no reduced basis is tried (see ``_sweep_basis``).
+_REDUCE_ABOVE = 256
+# Prefixes and lattice points one sweep may pass before it gives up.
+_SWEEP_CAP = 2 ** 18
+
+
+def _bounds(vertices: Sequence[Vec]) -> tuple[int, int]:
+    """The most prefixes and the most points of a sweep along the
+    coordinates of these vertices, of widths w_i: 1 + (w_0+1) + ... +
+    (w_0+1)...(w_{d-2}+1) prefixes, one box per level but the last, and
+    the box (w_0+1)...(w_{d-1}+1)."""
+    prefixes, box = 0, 1
+    for c in zip(*vertices):
+        prefixes += box
+        box *= max(c) - min(c) + 1
+    return prefixes, box
+
+
+def _sweep_basis(poly: LatticePolytope) -> Optional[tuple[list[list[int]], list[list[int]]]]:
+    """A unimodular U, with U^-1, whose coordinates y = U x sweep P with at
+    most half the prefixes its own coordinates allow; None when P's own
+    coordinates serve.
+
+    ``_bounds`` bounds the work of a sweep in P's own coordinates, the
+    prefixes past the empty one and the points, as the budget counts them;
+    below ``_REDUCE_ABOVE`` nothing more is tried.  Otherwise U reduces the
+    Gram matrix G = V sum v v^T - (sum v)(sum v)^T of P's V vertices, V^2
+    times their covariance: each Lagrange-Gauss step u_i += t u_j with
+    t = round(-g_ij / g_jj) is taken iff it lowers g_ii, and G follows by
+    congruence.  The steps are then applied to U, and to U^-1 as column
+    j -= t column i, so nothing is inverted and all of it is integral.  A
+    narrow direction has a small variance, so the rows that come out are
+    narrow ones (Lenstra 1983 on why the width bounds the enumeration;
+    pairwise reduction, not LLL, at d <= 5).  They are ordered by their
+    true width over the vertices, narrowest first.  U is kept only if it at
+    least halves the bound on the prefixes: the points are the same in any
+    basis, and a reduced basis costs a transform and a final sort.
+    """
+    prefixes, box = _bounds(poly.vertices)
+    if prefixes - 1 + box < _REDUCE_ABOVE:
+        return None
+    d, n = poly.rank, len(poly.vertices)
+    columns = list(zip(*poly.vertices))
+    sums = [sum(c) for c in columns]
+    g = [[n * sum(map(mul, a, b)) - sa * sb for b, sb in zip(columns, sums)]
+         for a, sa in zip(columns, sums)]
+    steps: list[tuple[int, int, int]] = []
+    while True:  # rounds over every pair, until one takes no step
+        taken = len(steps)
+        for i, j in itertools.permutations(range(d), 2):
+            gij, gjj = g[i][j], g[j][j]
+            t = (gjj - 2 * gij) // (2 * gjj)
+            if t and t * (2 * gij + t * gjj) < 0:
+                g[i] = [a + t * b for a, b in zip(g[i], g[j])]
+                for row in g:
+                    row[i] += t * row[j]
+                steps.append((i, j, t))
+        if len(steps) == taken:
+            break
+    if not steps:
+        return None
+    u, back = identity(d), identity(d)
+    for i, j, t in steps:
+        u[i] = [a + t * b for a, b in zip(u[i], u[j])]
+        for row in back:
+            row[j] -= t * row[i]
+    widths = [max(c) - min(c) for c in zip(*_image(u, poly.vertices))]
+    order = sorted(range(d), key=lambda i: (widths[i], g[i][i]))
+    u = [u[i] for i in order]
+    if 2 * _bounds(_image(u, poly.vertices))[0] > prefixes:
+        return None
+    return u, [[row[i] for i in order] for row in back]
+
+
+def _over_budget(vertices: Sequence[Vec]) -> BudgetExceeded:
+    """The error of a sweep past ``_SWEEP_CAP``, naming the box of the
+    vertices it swept."""
+    box = _bounds(vertices)[1]
+    try:
+        size = f"a box of {box} points"
+    except ValueError:  # an integer longer than Python's conversion limit
+        size = f"a box of more than 10^{sys.get_int_max_str_digits()} points"
+    return BudgetExceeded(f"the lattice-point sweep passed its cap of {_SWEEP_CAP} "
+                          f"prefixes and points, in {size}")
+
+
+def _image(m: Sequence[Sequence[int]], points: Sequence[Vec]) -> list[Vec]:
+    """The points m y for y in ``points``, built a coordinate column at a
+    time, so that no Python-level loop runs per point."""
+    if not points:
+        return []
+    columns = list(zip(*points))
+    rows = []
+    for row in m:
+        terms = [c if a == 1 else map(mul, c, itertools.repeat(a))
+                 for a, c in zip(row, columns) if a]
+        total = terms[0]
+        for term in terms[1:]:
+            total = map(add, total, term)
+        rows.append(total)
+    return list(zip(*rows))
+
 
 @cached
 def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
@@ -419,59 +532,91 @@ def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
     """All, boundary and interior lattice points of P, each lexicographic,
     and for each boundary point the bitmask of P's facets through it.
 
-    A facet's slack is affine in each coordinate.  So a prefix x[:k] with
-    lattice points over it takes one inner product per facet of level k+1,
-    its constant ``b = c + <head[:-1], x[:k]>``, and each child fibre
-    x[k] = t gets ``b + head[-1]*t``: one multiply-add, not an inner
-    product.  The vertical facets, read on the fibres of the last level,
-    are lifted the same way from the prefixes one level up.  The facets
-    through a point of the last level are the slopes with slack 0 there,
-    at an end of its fibre, and the vertical facets with slack 0 on the
-    whole fibre.
+    The sweep runs in coordinates y = U x from ``_sweep_basis``, or in x
+    itself.  Facet n maps to n U^-1 and keeps its index, so its bit keeps
+    its meaning, and vertex v maps to U v; the incidence and the offsets
+    are unchanged.  A facet's slack is affine in each coordinate.  So a
+    prefix y[:k] with lattice points over it takes one inner product per
+    facet of level k+1, its constant ``b = c + <head[:-1], y[:k]>``, and
+    each child fibre y[k] = t gets ``b + head[-1]*t``: one multiply-add,
+    not an inner product.  The vertical facets, read on the fibres of the
+    last level, are lifted the same way from the prefixes one level up.
+    The facets through a point of the last level are the slopes with slack
+    0 there, at an end of its fibre, and the vertical facets with slack 0
+    on the whole fibre.  In a reduced basis the boundary and interior
+    points are mapped back by U^-1 at the end (``_image``) and sorted, each
+    boundary point with its mask, and all points are their merge; the
+    per-point loop is the same in either basis.
+
+    Before each fibre's loop the sweep counts the points of that fibre,
+    which are the prefixes or the points it is about to visit, and past
+    ``_SWEEP_CAP`` it raises ``BudgetExceeded``, so no input makes it run or
+    grow without bound.
     """
     d = poly.rank
-    first, *upper = _levels(poly)
+    basis = _sweep_basis(poly)
+    facets = [(n, c, on) for (n, c), on in zip(poly.facets, poly.incidence)]
+    if basis is None:
+        column0 = [v[0] for v in poly.vertices]
+    else:
+        u, back = basis
+        normals = _image(list(zip(*back)), [n for n, _, _ in facets])
+        facets = [(n, c, on) for n, (_, c, on) in zip(normals, facets)]
+        column0 = [sum(map(mul, u[0], v)) for v in poly.vertices]
+    first, *upper = _levels(facets, column0)
     # upper[k]: the facets of level k+1 as (head[:-1], head[-1], a, c).
     upper = [[(head[:-1], head[-1], a, c) for head, a, c in level] for level in upper]
     # The bits of P's facets, in the order of the last level's slopes, and
     # the vertical facets with theirs.
-    bits = [1 << j for j, (n, _) in enumerate(poly.facets) if n[-1]]
-    vertical = [(1 << j, n[:-2], n[-2], c) for j, (n, c) in enumerate(poly.facets) if not n[-1]]
+    bits = [1 << j for j, (n, _, _) in enumerate(facets) if n[-1]]
+    vertical = [(1 << j, n[:-2], n[-2], c) for j, (n, c, _) in enumerate(facets) if not n[-1]]
     everything: list[Vec] = []
     boundary: list[Vec] = []
     interior: list[Vec] = []
     masks: list[int] = []
+    spent = 0
 
     def lift(k: int, prefix: Vec, slopes: list[tuple[int, int]], walls: int) -> None:
-        # (a, r): the facet's slack at x[k] = t is a*t + r.  P is bounded, so
+        # (a, r): the facet's slack at y[k] = t is a*t + r.  P is bounded, so
         # every level has facets with a > 0 and with a < 0.  ``walls``: the
         # bits of the vertical facets with slack 0 on the whole fibre.
+        nonlocal spent
         lo = max(-(r // a) for a, r in slopes if a > 0)
         hi = min(r // -a for a, r in slopes if a < 0)
         if lo > hi:
             return
+        spent += hi - lo + 1
+        if spent > _SWEEP_CAP:
+            raise _over_budget(poly.vertices if basis is None else _image(u, poly.vertices))
         if k + 1 < d:
             nxt = [(a, h, c + dot(head, prefix)) for head, h, a, c in upper[k]]
             lifted = ([(bit, h, c + dot(head, prefix)) for bit, head, h, c in vertical]
                       if k + 2 == d else ())
-            for x in range(lo, hi + 1):
-                lift(k + 1, prefix + (x,), [(a, b + h * x) for a, h, b in nxt],
-                     sum(bit for bit, h, b in lifted if b + h * x == 0))
+            for y in range(lo, hi + 1):
+                lift(k + 1, prefix + (y,), [(a, b + h * y) for a, h, b in nxt],
+                     sum(bit for bit, h, b in lifted if b + h * y == 0))
             return
-        for x in range(lo, hi + 1):
-            p = prefix + (x,)
+        for y in range(lo, hi + 1):
+            p = prefix + (y,)
             everything.append(p)
             on = walls
-            if x == lo or x == hi:
-                on |= sum(bit for bit, (a, r) in zip(bits, slopes) if a * x + r == 0)
+            if y == lo or y == hi:
+                on |= sum(bit for bit, (a, r) in zip(bits, slopes) if a * y + r == 0)
             if on:
                 boundary.append(p)
                 masks.append(on)
             else:
                 interior.append(p)
 
-    lift(0, (), [(a, c) for _, a, c in first], 0)
-    lift = None  # the closure refers to itself: break that cycle
+    try:
+        lift(0, (), [(a, c) for _, a, c in first], 0)
+    finally:
+        lift = None  # the closure refers to itself: break that cycle
+    if basis is not None:
+        interior = sorted(_image(back, interior))
+        pairs = sorted(zip(_image(back, boundary), masks))
+        boundary, masks = [x for x, _ in pairs], [m for _, m in pairs]
+        everything = sorted(boundary + interior)
     return tuple(everything), tuple(boundary), tuple(interior), tuple(masks)
 
 

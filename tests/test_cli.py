@@ -387,6 +387,32 @@ def test_isotropic_budget_with_a_box_too_large_to_print(capsys):
     assert report["payload"]["message"].startswith("isotropic scan of a box of more than 10^")
 
 
+def _simplex_file(tmp_path, d, scale):
+    """A JSON polytope file of the simplex conv(0, scale e_1, ..., scale e_d)."""
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"vertices": [[0] * d] + [
+        [scale * int(i == j) for j in range(d)] for i in range(d)]}))
+    return str(path)
+
+
+def test_lattice_points_budget_exit(tmp_path, capsys):
+    # About 1.7 * 10^14 lattice points: the sweep once ran out of memory
+    # with no report, and now stops at its cap.
+    code, report = run_json(capsys, "polytope", "points", "--polytope",
+                            _simplex_file(tmp_path, 3, 10**5), "--region", "interior")
+    assert (code, report["status"], report["payload"]["error"]) == (2, "ERROR", "BudgetExceeded")
+    assert report["payload"]["message"] == (
+        "the lattice-point sweep passed its cap of 262144 prefixes and points, "
+        "in a box of 1000030000300001 points")
+
+
+def test_lattice_points_budget_with_a_box_too_large_to_print(tmp_path, capsys):
+    code, report = run_json(capsys, "polytope", "points", "--polytope",
+                            _simplex_file(tmp_path, 5, 10**1000))
+    assert (code, report["status"], report["payload"]["error"]) == (2, "ERROR", "BudgetExceeded")
+    assert report["payload"]["message"].endswith("in a box of more than 10^4300 points")
+
+
 @pytest.mark.parametrize("w_chi", ["176", "5"])
 def test_glue_negative_dimension_is_an_input_error(capsys, w_chi):
     # (-1)^-1 chi(V) once printed as 176.0, and --w-chi 176 passed.

@@ -780,23 +780,23 @@ def test_interior_of_sum_identity(fixture, parts, request):
 
 
 @pytest.mark.parametrize("sigma", [(1,), (1, 0), (1, 0, 0, 0)])
-def test_divisor_components_refuse_points_of_another_rank(octahedron, cube, sigma):
+def test_divisor_components_refuse_points_of_another_rank(cube, sigma):
     # (1, 0) was once cut to fit the cube's normals and counted 1.
     with pytest.raises(errors.RankMismatch):
-        nef.divisor_component_count(sigma, octahedron, cube)
+        nef.divisor_component_count(sigma, cube)
 
 
-def test_divisor_components_on_cube_polar(octahedron, cube):
+def test_divisor_components_on_cube_polar(cube):
     # The cube is the polar polytope of the octahedron.
-    assert nef.divisor_component_count((1, 1, 0), octahedron, cube) == 1
-    assert nef.divisor_component_count((1, 1, 1), octahedron, cube) == 1
-    assert nef.divisor_component_count((1, 0, 0), octahedron, cube) is None
+    assert nef.divisor_component_count((1, 1, 0), cube) == 1
+    assert nef.divisor_component_count((1, 1, 1), cube) == 1
+    assert nef.divisor_component_count((1, 0, 0), cube) is None
 
 
 def test_non_integral_points_are_refused(octahedron, cube):
     # int() would truncate 1.5 to the boundary point (1, 0, 0).
     with pytest.raises(errors.InputError):
-        nef.divisor_component_count((1.5, 0, 0), octahedron, cube)
+        nef.divisor_component_count((1.5, 0, 0), cube)
     parts = [[(1.9, 0, 0)] + P1P1P1_PARTS[0][1:], P1P1P1_PARTS[1]]
     with pytest.raises(errors.InputError):
         nef.validate_nef_partition(octahedron, parts)
@@ -804,14 +804,14 @@ def test_non_integral_points_are_refused(octahedron, cube):
 
 def test_divisor_components_facet_interior(quartic_simplex):
     polar = pt.polar_dual(quartic_simplex)
-    assert nef.divisor_component_count((1, 0, -1), quartic_simplex, polar) is None
+    assert nef.divisor_component_count((1, 0, -1), polar) is None
     with pytest.raises(errors.NotBoundaryPoint):
-        nef.divisor_component_count((0, 0, 0), quartic_simplex, polar)
+        nef.divisor_component_count((0, 0, 0), polar)
 
 
-def test_divisor_components_formula_on_edge(octahedron, cube):
+def test_divisor_components_formula_on_edge(cube):
     # Edge-interior point of the cube: 1 + l*(edge) * l*(dual edge).
-    count = nef.divisor_component_count((1, 1, 0), octahedron, cube)
+    count = nef.divisor_component_count((1, 1, 0), cube)
     edge = pt.smallest_face_containing(cube, (1, 1, 0))
     dual_edge = pt.dual_face(cube, edge)
     assert count == 1 + pt.ell_star_face(cube, edge) * pt.ell_star_face(
@@ -962,4 +962,4 @@ def test_complement_points_each_give_one_component(fixture, parts, expected_poin
     outside = [p for p in pt.lattice_points(polar, "all") if p not in nabla_points]
     assert len(outside) == expected_points
     for sigma in outside:
-        assert nef.divisor_component_count(sigma, poly, polar) == 1
+        assert nef.divisor_component_count(sigma, polar) == 1

@@ -7,8 +7,10 @@ nullspace over Fractions), so it shares no code with the production hull.
 
 import copy
 import gc
+import importlib.util
 import itertools
 import json
+import pathlib
 import pickle
 import random
 import weakref
@@ -177,6 +179,14 @@ def unimodular(d, seed):
 
 def image(m, points):
     return [tuple(la.mat_vec(m, list(p))) for p in points]
+
+
+def skewed(points, seeds):
+    """The image of the points under ``unimodular(d, s)`` for one seed s, or
+    for each of a tuple of seeds in turn."""
+    for seed in seeds if isinstance(seeds, tuple) else (seeds,):
+        points = image(unimodular(len(points[0]), seed), points)
+    return points
 
 
 REGIONS = ("all", "boundary", "interior")
@@ -703,6 +713,12 @@ def test_enumeration_oracle_skewed_random(case):
 # --- projection by ridges --------------------------------------------------
 
 
+def levels(poly):
+    """The sweep's levels of P in its own coordinates."""
+    facets = [(n, c, on) for (n, c), on in zip(poly.facets, poly.incidence)]
+    return pt._levels(facets, [v[0] for v in poly.vertices])
+
+
 def hull_levels(poly):
     """The sweep's levels from hulls: level k < d from the hull of the
     vertices projected onto the first k coordinates."""
@@ -729,7 +745,7 @@ def check_projections(poly):
         assert [mask for _, _, mask in facets] == [
             sum(1 << i for i, p in enumerate(points) if la.dot(n, p) + c == 0)
             for n, c, _ in facets]
-    assert pt._levels(poly) == hull_levels(poly)
+    assert levels(poly) == hull_levels(poly)
 
 
 @pytest.mark.parametrize("seed", [None, 1, 7])
@@ -772,7 +788,7 @@ def test_levels_build_no_hull(points, monkeypatch):
 
     monkeypatch.setattr(pt, "hull", refuse)
     monkeypatch.setattr(la, "rank", refuse)
-    assert pt._levels(poly) == expected
+    assert levels(poly) == expected
     assert calls == []
 
 
@@ -1038,38 +1054,158 @@ def _prefix_count(vertices, k):
     return len({q[:k] for q in naive_points([v[:k + 1] for v in vertices])})
 
 
-@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("seed", [None, 7, (1, 2, 3)])
 @pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
 def test_sweep_lifts_each_facet_once_per_prefix(points, seed, monkeypatch):
     # The fibre lift takes one inner product per facet of the next level at
-    # each prefix x[:k], k <= d-2, with lattice points over it, and one per
+    # each prefix y[:k], k <= d-2, with lattice points over it, and one per
     # vertical facet at each such prefix of length d-2; every fibre below
-    # gets its slacks by a multiply-add.
+    # gets its slacks by a multiply-add.  The prefixes are those of the
+    # coordinates y = U x the sweep runs in, so the vertices are U v.
     if seed is not None:
-        points = image(unimodular(len(points[0]), seed), points)
+        points = skewed(points, seed)
     poly = pt.hull(points)
     d = poly.rank
-    vertices = poly.vertices
+    basis = pt._sweep_basis(poly)
+    vertices = poly.vertices if basis is None else image(basis[0], poly.vertices)
     # Facets of the projection onto the first j coordinates that bound
-    # coordinate j-1, and the facets of P that do not bound x[d-1].
+    # coordinate j-1, and the facets of P that do not bound y[d-1].
     lifted = {j: sum(1 for n, _ in naive_facets([v[:j] for v in vertices]) if n[-1])
               for j in range(2, d + 1)}
     vertical = sum(1 for n, _ in naive_facets(vertices) if n[-1] == 0)
     expected = sum(_prefix_count(vertices, k) * lifted[k + 2] for k in range(d - 1))
     expected += _prefix_count(vertices, d - 2) * vertical
-    # Build the level facets first, so that only the sweep is counted.
-    levels = pt._levels(poly)
-    monkeypatch.setattr(pt, "_levels", lambda _: levels)
     calls = _count_dots(monkeypatch)
     everything = pt._sweep(poly)[0]
     assert len(calls) == expected
-    assert everything == naive_points(vertices)
+    assert everything == naive_points(poly.vertices)
 
 
 def test_relative_interior_partition(cube):
     # Every lattice point lies in the relative interior of exactly one face.
     total = sum(pt.ell_star_face(cube, f) for f in pt.face_lattice(cube) if f.dim >= 0)
     assert total == pt.ell(cube)
+
+
+# --- the sweep's basis and budget ------------------------------------------
+
+
+SIMPLEX5 = [tuple(int(i == j) for j in range(5)) for i in range(5)] + [(-1,) * 5]
+
+
+def sweep_prefixes(vertices):
+    """The prefixes a sweep of conv(vertices) in their own coordinates
+    visits: the empty one and, for k < d, every lattice point of the
+    projection onto the first k coordinates."""
+    first = [v[0] for v in vertices]
+    return 2 + max(first) - min(first) + sum(
+        len(naive_points([v[:k] for v in vertices])) for k in range(2, len(vertices[0])))
+
+
+@st.composite
+def skewed_fixtures(draw):
+    """A fixture polytope, or the rank-5 simplex, under up to three seeded
+    skews; up to two in ranks 4 and 5, where the box-scan oracle grows
+    fastest."""
+    points = draw(st.sampled_from(ALL_FIXTURE_POINTS + [SIMPLEX5]))
+    seeds = draw(st.lists(st.integers(0, 2**16), max_size=3 if len(points[0]) <= 3 else 2))
+    return skewed(points, tuple(seeds))
+
+
+@settings(max_examples=60, deadline=None)
+@given(skewed_fixtures())
+@example(ALL_FIXTURE_POINTS[2])  # gate 1: a small coordinate box
+@example(SIMPLEX5)  # past gate 1, but G is reduced already
+@example(skewed(ALL_FIXTURE_POINTS[6], 37966))  # gate 2: the box is not halved
+@example(skewed(ALL_FIXTURE_POINTS[5], (27095, 52410, 44181)))  # reduced, rank 2
+@example(skewed(ALL_FIXTURE_POINTS[1], (36159, 48732)))  # reduced, rank 3
+@example(skewed(ALL_FIXTURE_POINTS[4], 55601))  # reduced, rank 4
+@example(skewed(SIMPLEX5, 15585))  # reduced, rank 5
+def test_reduced_sweep_matches_box_scan(points):
+    # Whichever basis the gates pick, the three regions are the box scan's,
+    # and each boundary point's mask is the zero pattern of its slacks.
+    poly = pt.hull(points)
+    prefixes, box = pt._bounds(poly.vertices)
+    basis = pt._sweep_basis(poly)
+    if prefixes - 1 + box < pt._REDUCE_ABOVE:
+        assert basis is None
+    if basis is not None:
+        u, back = basis
+        assert la.mat_mul(u, back) == la.identity(poly.rank)
+        assert 2 * pt._bounds(image(u, poly.vertices))[0] <= prefixes
+    for region in REGIONS:
+        assert pt.lattice_points(poly, region) == naive_points(points, region)
+    for p, mask in zip(pt.lattice_points(poly, "boundary"), pt.boundary_facet_masks(poly)):
+        assert mask == sum(1 << j for j, (n, c) in enumerate(poly.facets) if la.dot(n, p) + c == 0)
+
+
+def _skewed_bench_inputs():
+    """The inputs of the points-skewed benchmark under their fixed skews
+    ``gen.SKEWS``, without the seeded signed permutation a run puts on top:
+    each reflexive base and its polar, each dilated cube and each thin
+    triangle, by name."""
+    spec = importlib.util.spec_from_file_location("mirrorcheck_bench_skews", BENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    inputs = {}
+    for name, (vertices, *_) in gen.SKEW_REFLEXIVE.items():
+        for c in range(2):
+            tag = f"{name}.{c}"
+            poly = pt.hull(image(gen.SKEWS[tag], vertices))
+            inputs[tag] = poly.vertices
+            inputs[f"{tag}.polar"] = pt.polar_dual(poly).vertices
+    for k in gen.SKEW_DILATES:
+        inputs[f"cube3x{k}"] = image(gen.SKEWS[f"cube3x{k}"], gen._cube(3, k))
+    for c, (vertices, skew) in enumerate(gen.TRIANGLES):
+        inputs[f"triangle.{c}"] = image(skew, vertices)
+    return inputs
+
+
+BENCH_GEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+SKEWED_BENCH_INPUTS = _skewed_bench_inputs()
+# Prefixes one sweep of each input visits in its own coordinates, and in
+# the basis the sweep picks.
+SKEWED_PREFIXES = {
+    "cube3.0": (97, 13),
+    "cube3.0.polar": (29, 9),
+    "cube3.1": (61, 13),
+    "cube3.1.polar": (35, 9),
+    "cube3x2": (191, 31),
+    "cube3x3": (57, 57),
+    "octahedron.0": (17, 9),
+    "octahedron.0.polar": (85, 13),
+    "octahedron.1": (23, 9),
+    "octahedron.1.polar": (67, 13),
+    "quartic.0": (14, 9),
+    "quartic.0.polar": (277, 21),
+    "quartic.1": (43, 8),
+    "quartic.1.polar": (101, 21),
+    "triangle.0": (141, 7),
+    "triangle.1": (153, 8),
+    "triangle.2": (181, 7),
+    "triangle.3": (48, 6),
+    "wp1113.0": (35, 8),
+    "wp1113.0.polar": (117, 16),
+    "wp1113.1": (20, 8),
+    "wp1113.1.polar": (180, 16),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(SKEWED_BENCH_INPUTS))
+def test_skewed_sweep_prefixes_are_pinned(tag, monkeypatch):
+    vertices = SKEWED_BENCH_INPUTS[tag]
+    poly = pt.hull(vertices)
+    basis = pt._sweep_basis(poly)
+    swept = vertices if basis is None else image(basis[0], vertices)
+    assert (sweep_prefixes(vertices), sweep_prefixes(swept)) == SKEWED_PREFIXES[tag]
+    # The sweep's budget counts every prefix but the empty one, and every
+    # point: it passes at exactly that cap and raises one below.
+    work = SKEWED_PREFIXES[tag][1] - 1 + pt.ell(poly)
+    monkeypatch.setattr(pt, "_SWEEP_CAP", work - 1)
+    with pytest.raises(errors.BudgetExceeded):
+        pt.lattice_points(pt.hull(vertices))
+    monkeypatch.setattr(pt, "_SWEEP_CAP", work)
+    assert len(pt.lattice_points(pt.hull(vertices))) == pt.ell(poly)
 
 
 # --- Minkowski sums and dilation -------------------------------------------
