@@ -124,10 +124,8 @@ def as_int_rows(rows) -> tuple[tuple[int, ...], ...]:
 
 
 def vec_gcd(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+    """The gcd of the entries, never negative: 0 for an empty or zero vector."""
+    return gcd(*v)
 
 
 def _echelon(a: IntMatrix, ncols: int, reduced: bool = False) -> tuple[list[int], int]:

@@ -34,14 +34,19 @@ nabla_i (see ``dual_nef_partition``), so counts need only the vertices
 and the points: nabla and each nabla_i are hulled on first read (by
 ``nef dual``'s report), a lower-dimensional nabla_i being the one
 ``hull`` refuses as ``NotFullDimensional``, with no rank taken.  Batyrev's
-Hodge numbers are read off the same facet masks the lattice-point sweep
-records, with no face lattice (see ``batyrev_hodge``).
+Hodge numbers are read in closed form off the vertices, facet normals and
+incidence tables of Delta and its polar, with no lattice point and no
+face lattice (see ``batyrev_hodge``); divisor component counts are read
+off the polar's facet masks.
 """
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import lt
+from math import gcd
+from operator import lt, sub
 from typing import Optional, Sequence
 
 from ._cache import cached
@@ -66,15 +71,15 @@ from .polytopes import (
     _incidence_counts,
     _smallest_face_mask,
     boundary_facet_masks,
-    dual_face,
     ell,
-    ell_star_face,
     hull,
     is_reflexive,
     lattice_points,
     polar_dual,
-    smallest_face_containing,
 )
+# No nef function calls the face helpers; they stay bound here, where the
+# tests that prove it patch them.
+from .polytopes import dual_face, ell_star_face  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -376,18 +381,31 @@ def divisor_component_count(sigma: Sequence[int], polar: LatticePolytope) -> Opt
     None when the trace is empty (sigma interior to a facet of the polar
     polytope); 1 + l*(G) * l*(G-dual) when sigma is interior to a
     codimension-2 face G; and 1 on faces of codimension >= 3.
+
+    All three are read off the facet masks the polar's lattice-point sweep
+    records, as ``_nabla_point_sets`` reads them, with no face lattice.
+    The facets through sigma are exactly those containing the face G whose
+    relative interior holds it.  One facet means G is that facet.  A face
+    on exactly two facets a and b is their ridge, since a face of
+    codimension 3 or more lies on at least three facets.  Then l*(G) is the
+    polar's count of boundary points with that mask, and G-dual is the
+    face of Delta on the facets of the polar's vertices on G, the vertex
+    mask ``_smallest_face_mask`` of G, where Delta's count is l*(G-dual).
     """
     s = tuple(map(as_int, sigma))
     if not polar.on_boundary(s):
         raise NotBoundaryPoint(f"{s} is not a boundary lattice point of the polar polytope")
-    face = smallest_face_containing(polar, s)
-    codim = polar.rank - face.dim
-    if codim == 1:
+    boundary = lattice_points(polar, "boundary")
+    through = boundary_facet_masks(polar)[bisect_left(boundary, s)]
+    bits = through.bit_count()
+    if bits == 1:
         return None
-    if codim >= 3:
+    if bits >= 3:
         return 1
-    dual = dual_face(polar, face)
-    return 1 + ell_star_face(polar, face) * ell_star_face(polar_dual(polar), dual)
+    if not is_reflexive(polar):
+        raise NotReflexive("the dual face needs a reflexive polytope")
+    dual_counts = _incidence_counts(polar_dual(polar))
+    return 1 + _incidence_counts(polar)[through] * dual_counts[_smallest_face_mask(polar, through)]
 
 
 def batyrev_hodge(delta: LatticePolytope) -> tuple[int, int]:
@@ -402,21 +420,41 @@ def batyrev_hodge(delta: LatticePolytope) -> tuple[int, int]:
     evaluated at Delta and at its polar; mirror symmetry swaps the pair.
     For rank 3 the first value is the Picard rank of the generic K3 member.
 
-    Both sums are read off the facet masks the lattice-point sweep records
-    at each boundary point (``_incidence_counts``), with no face lattice.
-    A boundary point lies in the relative interior of exactly one face,
-    and the facets through it are exactly the facets containing that face;
-    so the points with facet mask m are the relative interior of the face
-    whose facets are m.  A face on exactly one facet is that facet.  A face
-    on exactly two facets a and b is their ridge, since a face of
-    codimension 3 or more lies on at least three facets (as in
-    ``_combine``).  So the facet sum is the count over one-bit masks, and
-    the ridge sum runs over two-bit masks {a, b}.  G* is the polar's edge
-    from n_a to n_b; polar facet i is <., v_i> >= -1 for vertex v_i of P,
-    so the polar facets through that edge are the vertices of P on both
-    facets, the vertex mask ``incidence[a] & incidence[b]`` of G
-    (``_smallest_face_mask``), and l*(G*) is the polar's count at that
-    mask (0 if no point has it).
+    Both values are read in closed form off the vertices, facet normals and
+    incidence table of P (``_batyrev_value``), with no lattice point, face
+    lattice or hull.  A reflexive P has one interior lattice point, the
+    origin, and every other lattice point lies in the relative interior of
+    exactly one proper face, so l(P) = 1 + sum over proper faces F of
+    l*(F).  The facet sum cancels:
+
+        B(P) = -d + sum over faces F of dim <= d-3 of l*(F)
+                  + sum over codim-2 faces G of l*(G) (1 + l*(G*)).
+
+    Write g(x) for the gcd of the entries of x.  A vertex has l* = 1 and an
+    edge [u, w] has l* = g(w - u) - 1.  A codim-2 face G is the ridge of the
+    two facets a and b through it, and G* is the polar's edge from n_a to
+    n_b, so 1 + l*(G*) = g(n_a - n_b).  Two facets meet in a ridge iff
+    their incidence rows share d - 1 vertices: their intersection is a face
+    of dimension at most d - 2, and d - 1 <= 3 vertices of it, no three of
+    them collinear, span at least that much.
+
+    Rank 3: B(P) = V - 3 + sum over edges [u, w] = F_a & F_b of
+    (g(w - u) - 1) g(n_a - n_b).
+
+    Rank 4: B(P) = V - 4 + sum over edges e of (g(e) - 1) + sum over
+    2-faces G = F_a & F_b of l*(G) g(n_a - n_b).  The edges of G are the
+    distinct two-vertex masks G & F_c over the other facets c, and every
+    edge of P is an edge of some 2-face.  l*(G) follows from Pick's theorem
+    in G's own lattice L, 2A = 2 l*(G) + b - 2, where b = sum over the
+    edges e of G of g(e) counts its boundary points and 2A is its area in
+    L's units.  For a vertex x0 of G, the triangles from x0 to the edges of
+    G not through it tile G, and an edge through x0 gives a flat one, so
+    2A is the sum over all of G's edges (x, y) of |det_L(x - x0, y - x0)|,
+    with no vertex order needed.  For two more vertices x1 and x2 (three
+    vertices are never collinear), u = x1 - x0 and v = x2 - x0 span the
+    plane of G, and w = (u ^ v) / g(u ^ v) is the primitive bivector of L,
+    so det_L(p, q) = (p_i q_j - p_j q_i) / w_ij at any coordinate pair
+    (i, j) with w_ij != 0.
     """
     if delta.rank not in (3, 4):
         raise UnsupportedRank("hypersurface Hodge numbers are computed for rank 3 and 4")
@@ -425,13 +463,56 @@ def batyrev_hodge(delta: LatticePolytope) -> tuple[int, int]:
     return _batyrev_value(delta), _batyrev_value(polar_dual(delta))
 
 
+# The coordinate pairs (i, j), i < j, of a bivector in rank 4.
+_PLANES = tuple(itertools.combinations(range(4), 2))
+
+
 def _batyrev_value(p: LatticePolytope) -> int:
-    total = ell(p) - p.rank - 1
-    dual_counts = _incidence_counts(polar_dual(p))
-    for mask, count in _incidence_counts(p).items():
-        bits = mask.bit_count()
-        if bits == 1:
-            total -= count
-        elif bits == 2:
-            total += count * dual_counts[_smallest_face_mask(p, mask)]
-    return total
+    """Batyrev's B(P) for a reflexive P of rank 3 or 4, in the closed form
+    of ``batyrev_hodge``: one pass over the pairs of facets."""
+    vertices, incidence = p.vertices, p.incidence
+    normals = [n for n, _ in p.facets]
+    total = len(vertices) - p.rank
+    if p.rank == 3:
+        for a, b in itertools.combinations(range(len(incidence)), 2):
+            edge = incidence[a] & incidence[b]
+            if edge.bit_count() == 2:
+                u, w = vertices[(edge & -edge).bit_length() - 1], vertices[edge.bit_length() - 1]
+                total += (gcd(*map(sub, w, u)) - 1) * gcd(*map(sub, normals[a], normals[b]))
+        return total
+    edges: dict[int, int] = {}  # g(e) by the vertex mask of the edge e
+    for a, row in enumerate(incidence):
+        meets = [row & f for f in incidence]
+        near = [meet for meet in meets if meet.bit_count() >= 2]
+        for b in range(a + 1, len(incidence)):
+            face = meets[b]
+            if face.bit_count() >= 3:
+                ell_star = _ell_star_2face(vertices, face, near, edges)
+                if ell_star:
+                    total += ell_star * gcd(*map(sub, normals[a], normals[b]))
+    return total + sum(edges.values()) - len(edges)
+
+
+def _ell_star_2face(vertices: Sequence[Vec], face: int, near: Sequence[int],
+                    edges: dict[int, int]) -> int:
+    """l*(G) for the 2-face G of a rank-4 polytope with vertex mask ``face``,
+    by Pick's theorem in G's own lattice (see ``batyrev_hodge``).  G lies on
+    a facet whose meets with the other facets include ``near``, so G's
+    edges are the two-vertex masks among ``face & meet``; each edge's g(e)
+    is kept in ``edges``."""
+    on = [i for i in range(face.bit_length()) if face >> i & 1]
+    x0, x1, x2 = vertices[on[0]], vertices[on[1]], vertices[on[2]]
+    u, v = list(map(sub, x1, x0)), list(map(sub, x2, x0))
+    minors = [u[i] * v[j] - u[j] * v[i] for i, j in _PLANES]
+    k = next(k for k, minor in enumerate(minors) if minor)
+    i, j = _PLANES[k]
+    area = boundary = 0
+    for side in {face & meet for meet in near if (face & meet).bit_count() == 2}:
+        x, y = vertices[(side & -side).bit_length() - 1], vertices[side.bit_length() - 1]
+        area += abs((x[i] - x0[i]) * (y[j] - x0[j]) - (x[j] - x0[j]) * (y[i] - x0[i]))
+        g = edges.get(side)
+        if g is None:
+            g = edges[side] = gcd(*map(sub, y, x))
+        boundary += g
+    twice_area = area * gcd(*minors) // abs(minors[k])
+    return (twice_area - boundary + 2) // 2

@@ -113,12 +113,13 @@ def test_hull_calls_per_op(command, fixture, expected, capsys, monkeypatch):
 # swept.  Validation stops at the Cartier data, so `nef verify` and `nef
 # refine` (two partitions of one Delta) sweep Delta alone.  The hexagon's
 # partition fails the nef check before the polar is swept, and `nef hodge`
-# sweeps Delta and its polar for the Batyrev formula.
+# sweeps nothing: Batyrev's formula is read off the vertices, normals and
+# incidence tables of Delta and its polar.
 SWEEPS_PER_OP = [
     (["nef", "verify"], {"hexagon": 1, "p1p1p1": 1, "quintic": 1, "wp1113": 1}),
     (["nef", "dual"], {"hexagon": 1, "p1p1p1": 2, "quintic": 2, "wp1113": 2}),
     (["nef", "counts"], {"hexagon": 1, "p1p1p1": 2, "quintic": 2, "wp1113": 2}),
-    (["nef", "hodge"], {"p1p1p1": 2, "quintic": 2, "wp1113": 2}),
+    (["nef", "hodge"], {"p1p1p1": 0, "quintic": 0, "wp1113": 0}),
     (["nef", "refine"], {"p1p1p1": 1}),
 ]
 

@@ -83,6 +83,23 @@ def test_dot_matches_explicit_sum(vectors):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=6))
+@example([])
+@example([0, 0])
+@example([-4, 6])
+def test_vec_gcd_is_the_largest_common_divisor(v):
+    # The greatest d >= 0 dividing every entry, by the Euclidean fold.
+    expected = 0
+    for x in v:
+        a, b = expected, abs(x)
+        while b:
+            a, b = b, a % b
+        expected = a
+    assert _same(la.vec_gcd(v), expected)
+    assert _same(la.vec_gcd(tuple(v)), expected)
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(lambda shape: st.tuples(
     st.lists(st.lists(scalars, min_size=shape[1], max_size=shape[1]),
              min_size=shape[0], max_size=shape[0]),

@@ -818,6 +818,55 @@ def test_divisor_components_formula_on_edge(cube):
         pt.polar_dual(cube), dual_edge)
 
 
+REFLEXIVE_FIXTURES = [name for name in fixtures.fixture_names()
+                      if "polytope" in fixtures.load_fixture(name)
+                      and pt.is_reflexive(pt.hull(
+                          fixtures.load_fixture(name)["polytope"]["vertices"]))]
+
+
+def face_lattice_divisor_component_count(sigma, polar):
+    """The component count summed over the face lattice, as the library once
+    did: the codimension of sigma's smallest face G, and for codimension 2
+    the l* of G and of ``dual_face`` G, from ``face_ell_star``."""
+    face = pt.smallest_face_containing(polar, sigma)
+    codim = polar.rank - face.dim
+    if codim == 1:
+        return None
+    if codim >= 3:
+        return 1
+    dual = pt.dual_face(polar, face)
+    return 1 + face_ell_star(polar, face) * face_ell_star(pt.polar_dual(polar), dual)
+
+
+def assert_divisor_oracle(poly):
+    # Each of P and its polar is the polar of the other.
+    for polar in (poly, pt.polar_dual(poly)):
+        for sigma in pt.lattice_points(polar, "boundary"):
+            assert (nef.divisor_component_count(sigma, polar)
+                    == face_lattice_divisor_component_count(sigma, polar))
+
+
+@pytest.mark.parametrize("name", REFLEXIVE_FIXTURES)
+def test_divisor_components_match_the_face_lattice_on_fixtures(name):
+    assert_divisor_oracle(pt.hull(fixtures.load_fixture(name)["polytope"]["vertices"]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(REFLEXIVE_FIXTURES), st.integers(0, 10**6))
+def test_divisor_components_match_the_face_lattice_on_images(name, seed):
+    vertices = fixtures.load_fixture(name)["polytope"]["vertices"]
+    assert_divisor_oracle(pt.hull(image(unimodular(len(vertices[0]), seed), vertices)))
+
+
+def test_divisor_components_read_no_face_lattice(cube, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("face lattice built")
+
+    monkeypatch.setattr(pt, "_faces", refuse)
+    assert nef.divisor_component_count((1, 1, 0), cube) == 1
+    assert nef.divisor_component_count((1, 0, 0), cube) is None
+
+
 # --- hypersurface Hodge numbers ---------------------------------------------
 
 
@@ -855,41 +904,62 @@ def test_batyrev_builds_one_polar(monkeypatch):
 
     monkeypatch.setattr(pt, "hull", counting_hull)
     assert nef.batyrev_hodge(cube4) == (68, 4)
-    # The polar is cube4's tables transposed, and the lattice points of
-    # both come from projections read off ridges: no hull at all.
+    # The polar is cube4's tables transposed, and the closed form reads
+    # both tables: no hull and no lattice-point sweep at all.
     assert calls == []
+    assert "_sweep" not in cube4._cache and "_sweep" not in pt.polar_dual(cube4)._cache
+
+
+def face_ell_star(poly, face):
+    """l*(F), counted by inner products: the lattice points of P that lie
+    on exactly the facets through the face."""
+    through = {j for j, (n, c) in enumerate(poly.facets)
+               if all(la.dot(n, v) + c == 0 for v in face.vertices)}
+    return sum({j for j, (n, c) in enumerate(poly.facets) if la.dot(n, x) + c == 0}
+               == through for x in pt.lattice_points(poly, "all"))
 
 
 def face_lattice_batyrev_value(p):
     """Batyrev's B(P), summed over the face lattice as the library once did:
     l*(F) for each facet, l*(G) l*(G*) for each codimension-2 face G with
-    G* = ``dual_face``.  Each l* counts by inner products the lattice
-    points of P that lie on exactly the facets through the face."""
+    G* = ``dual_face``, each l* from ``face_ell_star``."""
     d = p.rank
-
-    def ell_star(poly, face):
-        through = {j for j, (n, c) in enumerate(poly.facets)
-                   if all(la.dot(n, v) + c == 0 for v in face.vertices)}
-        return sum({j for j, (n, c) in enumerate(poly.facets) if la.dot(n, x) + c == 0}
-                   == through for x in pt.lattice_points(poly, "all"))
-
     total = pt.ell(p) - d - 1
     dual = pt.polar_dual(p)
     for face in pt.face_lattice(p):
         if face.dim == d - 1:
-            total -= ell_star(p, face)
+            total -= face_ell_star(p, face)
         elif face.dim == d - 2:
-            total += ell_star(p, face) * ell_star(dual, pt.dual_face(p, face))
+            total += face_ell_star(p, face) * face_ell_star(dual, pt.dual_face(p, face))
+    return total
+
+
+def mask_count_batyrev_value(p):
+    """Batyrev's B(P) read off the facet masks of the lattice-point sweep,
+    as the library did before its closed form: a boundary point with facet
+    mask m lies in the relative interior of the face on exactly the facets
+    in m, so the facet sum counts the one-bit masks, and each two-bit mask
+    {a, b} is a ridge G whose dual edge's l* is the polar's count at G's
+    vertex mask."""
+    total = pt.ell(p) - p.rank - 1
+    dual_counts = pt._incidence_counts(pt.polar_dual(p))
+    for mask, count in pt._incidence_counts(p).items():
+        bits = mask.bit_count()
+        if bits == 1:
+            total -= count
+        elif bits == 2:
+            total += count * dual_counts[pt._smallest_face_mask(p, mask)]
     return total
 
 
 def assert_batyrev_oracle(poly):
-    """The mask-count Batyrev values of P and of its polar against the
-    face-lattice sums, and every one- and two-bit facet mask of a boundary
-    point against the facets and codimension-2 faces of ``_faces``."""
+    """``batyrev_hodge``'s closed form at P and at its polar against the
+    mask counts and the face-lattice sums, and every one- and two-bit facet
+    mask of a boundary point against the facets and codimension-2 faces of
+    ``_faces``."""
     polar = pt.polar_dual(poly)
     expected = (face_lattice_batyrev_value(poly), face_lattice_batyrev_value(polar))
-    assert (nef._batyrev_value(poly), nef._batyrev_value(polar)) == expected
+    assert (mask_count_batyrev_value(poly), mask_count_batyrev_value(polar)) == expected
     if poly.rank in (3, 4):
         assert nef.batyrev_hodge(poly) == expected
         assert nef.batyrev_hodge(polar) == expected[::-1]
@@ -905,26 +975,34 @@ def assert_batyrev_oracle(poly):
             assert pt._face_incidence(p, pt.Face(p, dim, idx)) == mask
 
 
-REFLEXIVE_FIXTURES = [name for name in fixtures.fixture_names()
-                      if "polytope" in fixtures.load_fixture(name)
-                      and pt.is_reflexive(pt.hull(
-                          fixtures.load_fixture(name)["polytope"]["vertices"]))]
-
-
 @pytest.mark.parametrize("name", REFLEXIVE_FIXTURES)
 def test_batyrev_masks_match_the_face_lattice_on_fixtures(name):
     assert_batyrev_oracle(pt.hull(fixtures.load_fixture(name)["polytope"]["vertices"]))
 
 
+def product(*factors):
+    return [sum(points, ()) for points in itertools.product(*factors)]
+
+
 CUBE4 = list(itertools.product((-1, 1), repeat=4))
+# The polar of the P^2 triangle: 9 boundary points, edges of length 3.
+TRIANGLE9 = [(-1, -1), (2, -1), (-1, 2)]
 # The rank-3 and rank-4 bases of the nef-suite benchmark workload, on which
-# every codimension-2 term l*(G) l*(G*) is 0, and two reflexive simplices,
-# found by a random search, whose ridge sums are 4 (rank 3, at the simplex
-# and at its polar) and 3 (rank 4, at the polar).
+# every codimension-2 term l*(G) l*(G*) is 0; four reflexive polytopes,
+# found by a random search, whose ridge sums are 4, 1 and 6 (rank 3, at P
+# and at its polar) and 3 (rank 4, at the polar); and products of
+# reflexive polygons.  Those hold edges with interior points in rank 3, and in rank 4
+# polygonal 2-faces with an interior point (a hexagon or TRIANGLE9 times a
+# vertex), on which the grouping l*(G) (1 + l*(G*)) of the closed form weighs.
 BATYREV_BASES = {
     "p1p1p1": OCTAHEDRON, "wp1113": WP1113, "quintic": QUINTIC, "cube4": CUBE4,
     "ridges3": [(-1, 0, 1), (0, 1, -1), (1, 0, -2), (3, -2, 1)],
     "ridges4": [(-1, -1, -1, 0), (0, -1, -2, 1), (0, 0, 1, 1), (0, 1, 2, -2), (2, 1, -2, 1)],
+    "ridges3b": [(-1, 0, 2), (0, -2, 1), (0, 0, -1), (0, 1, 1), (1, -1, -1)],
+    "ridges3c": [(-2, -1, -1), (0, 1, -1), (0, 1, 1), (2, -1, 1)],
+    "triangle9xP1": product(TRIANGLE9, [(-1,), (1,)]),
+    "hexagon2": product(HEXAGON, HEXAGON),
+    "triangle9xhexagon": product(TRIANGLE9, HEXAGON),
 }
 
 
@@ -935,11 +1013,62 @@ def test_batyrev_masks_match_the_face_lattice_on_bases(name, polar):
     assert_batyrev_oracle(pt.polar_dual(poly) if polar else poly)
 
 
+def test_batyrev_bases_pin_the_closed_form():
+    # Pinned, so that a fault shared by the three evaluations still shows.
+    # A product of polygons is the Newton polytope of a product of toric
+    # surfaces, whose general anticanonical member has h11 = the Picard rank
+    # of the ambient space (Lefschetz): 2 for P^2 x P^1, 8 for dP6 x dP6
+    # and 5 for P^2 x dP6.  That is the second value, read at the polar.
+    values = {name: nef.batyrev_hodge(pt.hull(vertices))
+              for name, vertices in BATYREV_BASES.items()}
+    assert values == {"p1p1p1": (3, 17), "wp1113": (1, 19), "quintic": (1, 101),
+                      "cube4": (68, 4), "ridges3": (6, 18), "ridges4": (2, 86),
+                      "ridges3b": (6, 15), "ridges3c": (13, 13),
+                      "triangle9xP1": (18, 2), "hexagon2": (44, 8),
+                      "triangle9xhexagon": (59, 5)}
+
+
 @settings(max_examples=40, deadline=None)
+@example("hexagon2", 0)
+@example("triangle9xhexagon", 1)
 @given(st.sampled_from(sorted(BATYREV_BASES)), st.integers(0, 10**6))
 def test_batyrev_masks_match_the_face_lattice_on_images(name, seed):
     vertices = BATYREV_BASES[name]
     assert_batyrev_oracle(pt.hull(image(unimodular(len(vertices[0]), seed), vertices)))
+
+
+def edge_correction(p):
+    """Sum over the edges e of P of l*(e) l*(e*), each l* from
+    ``face_ell_star`` on the lattice points of P and of its polar."""
+    dual = pt.polar_dual(p)
+    return sum(face_ell_star(p, e) * face_ell_star(dual, pt.dual_face(p, e))
+               for e in pt.face_lattice(p) if e.dim == 1)
+
+
+def assert_k3_picard_ranks(poly):
+    """rho(P) + rho(P*) = 20 + sum over the edges e of P of l*(e) l*(e*):
+    Batyrev's two values of a reflexive 3-polytope, which ``batyrev_hodge``
+    reads off vertices and normals alone, against lattice points.  With
+    Euler's V - E + F = 2 it is the identity sum over the edges of
+    (1 + l*(e)) (1 + l*(e*)) = 24."""
+    rho, rho_polar = nef.batyrev_hodge(poly)
+    assert rho + rho_polar == 20 + edge_correction(poly)
+
+
+RANK3_BASES = sorted(name for name, vertices in BATYREV_BASES.items() if len(vertices[0]) == 3)
+
+
+@pytest.mark.parametrize("polar", [False, True], ids=["base", "polar"])
+@pytest.mark.parametrize("name", RANK3_BASES)
+def test_k3_picard_ranks_add_up_to_twenty_and_the_edge_correction(name, polar):
+    poly = pt.hull(BATYREV_BASES[name])
+    assert_k3_picard_ranks(pt.polar_dual(poly) if polar else poly)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(RANK3_BASES), st.integers(0, 10**6))
+def test_k3_picard_ranks_on_images(name, seed):
+    assert_k3_picard_ranks(pt.hull(image(unimodular(3, seed), BATYREV_BASES[name])))
 
 
 def test_batyrev_rejects_rank2(hexagon):

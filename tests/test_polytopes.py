@@ -660,6 +660,78 @@ def test_is_reflexive(cube, wp1113_simplex):
     assert pt.is_reflexive(wp1113_simplex)
 
 
+# The 16 reflexive polygons up to GL(2, Z), one vertex list each, by their
+# number of boundary points: 3, 4 (three), 5 (two), 6 (four), 7 (two), 8
+# (three) and 9.
+REFLEXIVE_POLYGONS = [
+    [(1, 0), (0, 1), (-1, -1)],
+    [(1, 0), (0, 1), (-1, -2)],
+    [(1, 0), (1, 1), (-1, 0), (0, -1)],
+    [(1, 0), (0, 1), (-1, 0), (0, -1)],
+    [(1, 0), (1, 1), (-1, 1), (0, -1)],
+    [(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)],
+    [(1, -1), (1, 2), (-1, 0)],
+    [(-2, -1), (1, 0), (2, 1), (0, 1)],
+    [(0, -1), (1, -2), (1, 0), (0, 1), (-1, 1)],
+    [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+    [(0, -1), (1, 0), (1, 1), (-2, 1)],
+    [(1, -2), (1, -1), (0, 1), (-1, 2), (-1, 0)],
+    [(1, -2), (1, 2), (-1, 0)],
+    [(0, -1), (2, -1), (0, 1), (-2, 1)],
+    [(1, -2), (1, 0), (0, 1), (-2, 1)],
+    [(-1, -1), (2, -1), (-1, 2)],
+]
+
+
+def polygon_shape(p):
+    """The boundary point count, the vertex count and the sorted lattice
+    lengths of the edges (by gcd, off the incidence table): invariant
+    under GL(2, Z)."""
+    lengths = []
+    for mask in p.incidence:
+        u, w = (v for i, v in enumerate(p.vertices) if mask >> i & 1)
+        lengths.append(gcd(w[0] - u[0], w[1] - u[1]))
+    return pt.ell_boundary(p), len(p.vertices), tuple(sorted(lengths))
+
+
+def assert_twelve_points(p):
+    """The twelve-point theorem (Poonen-Rodriguez-Villegas 2000): the
+    boundary points of a reflexive polygon and of its polar add up to 12.
+    Each polygon's boundary count is also its edges' lattice lengths."""
+    polar = pt.polar_dual(p)
+    assert pt.ell_boundary(p) + pt.ell_boundary(polar) == 12
+    for q in (p, polar):
+        assert pt.ell_interior(q) == 1
+        assert pt.ell_boundary(q) == sum(polygon_shape(q)[2])
+
+
+@pytest.mark.parametrize("vertices", REFLEXIVE_POLYGONS)
+def test_twelve_point_theorem(vertices):
+    assert_twelve_points(pt.hull(vertices))
+
+
+def test_reflexive_polygons_are_sixteen_classes():
+    # The shapes of a polygon and of its polar tell the 16 apart, so no two
+    # are GL(2, Z)-equivalent; and the polar of each is again one of them.
+    shapes = []
+    for vertices in REFLEXIVE_POLYGONS:
+        p = pt.hull(vertices)
+        shapes.append((polygon_shape(p), polygon_shape(pt.polar_dual(p))))
+    assert len(set(shapes)) == 16
+    assert {(polar, shape) for shape, polar in shapes} == set(shapes)
+    assert sorted(shape[0] for shape, _ in shapes) == [3, 4, 4, 4, 5, 5, 6, 6, 6, 6,
+                                                       7, 7, 8, 8, 8, 9]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(REFLEXIVE_POLYGONS) - 1), st.integers(0, 2**16))
+def test_twelve_point_theorem_on_images(index, seed):
+    vertices = REFLEXIVE_POLYGONS[index]
+    p = pt.hull(image(unimodular(2, seed), vertices))
+    assert polygon_shape(p) == polygon_shape(pt.hull(vertices))
+    assert_twelve_points(p)
+
+
 # --- lattice points --------------------------------------------------------
 
 
