@@ -824,6 +824,15 @@ REFLEXIVE_FIXTURES = [name for name in fixtures.fixture_names()
                           fixtures.load_fixture(name)["polytope"]["vertices"]))]
 
 
+def face_ell_star(poly, face):
+    """l*(F), counted by inner products: the lattice points of P that lie
+    on exactly the facets through the face."""
+    through = {j for j, (n, c) in enumerate(poly.facets)
+               if all(la.dot(n, v) + c == 0 for v in face.vertices)}
+    return sum({j for j, (n, c) in enumerate(poly.facets) if la.dot(n, x) + c == 0}
+               == through for x in pt.lattice_points(poly, "all"))
+
+
 def face_lattice_divisor_component_count(sigma, polar):
     """The component count summed over the face lattice, as the library once
     did: the codimension of sigma's smallest face G, and for codimension 2
@@ -908,15 +917,6 @@ def test_batyrev_builds_one_polar(monkeypatch):
     # both tables: no hull and no lattice-point sweep at all.
     assert calls == []
     assert "_sweep" not in cube4._cache and "_sweep" not in pt.polar_dual(cube4)._cache
-
-
-def face_ell_star(poly, face):
-    """l*(F), counted by inner products: the lattice points of P that lie
-    on exactly the facets through the face."""
-    through = {j for j, (n, c) in enumerate(poly.facets)
-               if all(la.dot(n, v) + c == 0 for v in face.vertices)}
-    return sum({j for j, (n, c) in enumerate(poly.facets) if la.dot(n, x) + c == 0}
-               == through for x in pt.lattice_points(poly, "all"))
 
 
 def face_lattice_batyrev_value(p):
