@@ -442,9 +442,10 @@ def batyrev_hodge(delta: LatticePolytope) -> tuple[int, int]:
     (g(w - u) - 1) g(n_a - n_b).
 
     Rank 4: B(P) = V - 4 + sum over edges e of (g(e) - 1) + sum over
-    2-faces G = F_a & F_b of l*(G) g(n_a - n_b).  The edges of G are the
-    distinct two-vertex masks G & F_c over the other facets c, and every
-    edge of P is an edge of some 2-face.  l*(G) follows from Pick's theorem
+    2-faces G = F_a & F_b of l*(G) g(n_a - n_b).  Each edge of G lies on
+    exactly one other 2-face G' of the 3-polytope F_a, so G's edges are the
+    two-vertex masks G & G' over the 2-faces G' of F_a, and every edge of P
+    is an edge of some 2-face.  l*(G) follows from Pick's theorem
     in G's own lattice L, 2A = 2 l*(G) + b - 2, where b = sum over the
     edges e of G of g(e) counts its boundary points and 2A is its area in
     L's units.  For a vertex x0 of G, the triangles from x0 to the edges of
@@ -454,7 +455,8 @@ def batyrev_hodge(delta: LatticePolytope) -> tuple[int, int]:
     vertices are never collinear), u = x1 - x0 and v = x2 - x0 span the
     plane of G, and w = (u ^ v) / g(u ^ v) is the primitive bivector of L,
     so det_L(p, q) = (p_i q_j - p_j q_i) / w_ij at any coordinate pair
-    (i, j) with w_ij != 0.
+    (i, j) with w_ij != 0.  A triangle's edges are its vertex pairs, and its
+    2A is det_L(u, v) = g(u ^ v).
     """
     if delta.rank not in (3, 4):
         raise UnsupportedRank("hypersurface Hodge numbers are computed for rank 3 and 4")
@@ -469,7 +471,8 @@ _PLANES = tuple(itertools.combinations(range(4), 2))
 
 def _batyrev_value(p: LatticePolytope) -> int:
     """Batyrev's B(P) for a reflexive P of rank 3 or 4, in the closed form
-    of ``batyrev_hodge``: one pass over the pairs of facets."""
+    of ``batyrev_hodge``: one pass over the pairs of facets, and in rank 4
+    one Pick evaluation per 2-face."""
     vertices, incidence = p.vertices, p.incidence
     normals = [n for n, _ in p.facets]
     total = len(vertices) - p.rank
@@ -480,39 +483,61 @@ def _batyrev_value(p: LatticePolytope) -> int:
                 u, w = vertices[(edge & -edge).bit_length() - 1], vertices[edge.bit_length() - 1]
                 total += (gcd(*map(sub, w, u)) - 1) * gcd(*map(sub, normals[a], normals[b]))
         return total
+    # The 2-faces of each facet a, as (b, vertex mask of F_a & F_b); each
+    # facet pair is met once.
+    faces: list[list[tuple[int, int]]] = [[] for _ in incidence]
+    for a, b in itertools.combinations(range(len(incidence)), 2):
+        face = incidence[a] & incidence[b]
+        if face.bit_count() >= 3:
+            faces[a].append((b, face))
+            faces[b].append((a, face))
     edges: dict[int, int] = {}  # g(e) by the vertex mask of the edge e
-    for a, row in enumerate(incidence):
-        meets = [row & f for f in incidence]
-        near = [meet for meet in meets if meet.bit_count() >= 2]
-        for b in range(a + 1, len(incidence)):
-            face = meets[b]
-            if face.bit_count() >= 3:
-                ell_star = _ell_star_2face(vertices, face, near, edges)
+    for a, on_a in enumerate(faces):
+        masks = [face for _, face in on_a]
+        for b, face in on_a:
+            if b > a:
+                ell_star = _ell_star_2face(vertices, face, masks, edges)
                 if ell_star:
                     total += ell_star * gcd(*map(sub, normals[a], normals[b]))
     return total + sum(edges.values()) - len(edges)
 
 
-def _ell_star_2face(vertices: Sequence[Vec], face: int, near: Sequence[int],
+def _ell_star_2face(vertices: Sequence[Vec], face: int, masks: Sequence[int],
                     edges: dict[int, int]) -> int:
     """l*(G) for the 2-face G of a rank-4 polytope with vertex mask ``face``,
-    by Pick's theorem in G's own lattice (see ``batyrev_hodge``).  G lies on
-    a facet whose meets with the other facets include ``near``, so G's
-    edges are the two-vertex masks among ``face & meet``; each edge's g(e)
-    is kept in ``edges``."""
-    on = [i for i in range(face.bit_length()) if face >> i & 1]
-    x0, x1, x2 = vertices[on[0]], vertices[on[1]], vertices[on[2]]
-    u, v = list(map(sub, x1, x0)), list(map(sub, x2, x0))
-    minors = [u[i] * v[j] - u[j] * v[i] for i, j in _PLANES]
-    k = next(k for k, minor in enumerate(minors) if minor)
-    i, j = _PLANES[k]
-    area = boundary = 0
-    for side in {face & meet for meet in near if (face & meet).bit_count() == 2}:
-        x, y = vertices[(side & -side).bit_length() - 1], vertices[side.bit_length() - 1]
-        area += abs((x[i] - x0[i]) * (y[j] - x0[j]) - (x[j] - x0[j]) * (y[i] - x0[i]))
+    by Pick's theorem in G's own lattice (see ``batyrev_hodge``).  ``masks``
+    are the vertex masks of the 2-faces of a facet through G; each edge of
+    G lies on exactly one other of them, so G's edges are the two-vertex
+    masks ``face & mask``.  A triangle's edges are its three vertex pairs,
+    and its 2A is g(u ^ v).  Each edge's g(e) is kept in ``edges``."""
+    low = face & -face
+    rest = face ^ low
+    mid = rest & -rest
+    rest ^= mid
+    high = rest & -rest
+    x0 = vertices[low.bit_length() - 1]
+    u0, u1, u2, u3 = map(sub, vertices[mid.bit_length() - 1], x0)
+    v0, v1, v2, v3 = map(sub, vertices[high.bit_length() - 1], x0)
+    minors = (u0 * v1 - u1 * v0, u0 * v2 - u2 * v0, u0 * v3 - u3 * v0,
+              u1 * v2 - u2 * v1, u1 * v3 - u3 * v1, u2 * v3 - u3 * v2)
+    if rest == high:
+        twice_area = gcd(*minors)
+        sides = [low | mid, low | high, mid | high]
+    else:
+        k = next(k for k, minor in enumerate(minors) if minor)
+        i, j = _PLANES[k]
+        a0, b0 = x0[i], x0[j]
+        sides = [side for side in map(face.__and__, masks) if side.bit_count() == 2]
+        area = 0
+        for side in sides:
+            x, y = vertices[(side & -side).bit_length() - 1], vertices[side.bit_length() - 1]
+            area += abs((x[i] - a0) * (y[j] - b0) - (x[j] - b0) * (y[i] - a0))
+        twice_area = area * gcd(*minors) // abs(minors[k])
+    boundary = 0
+    for side in sides:
         g = edges.get(side)
         if g is None:
+            x, y = vertices[(side & -side).bit_length() - 1], vertices[side.bit_length() - 1]
             g = edges[side] = gcd(*map(sub, y, x))
         boundary += g
-    twice_area = area * gcd(*minors) // abs(minors[k])
     return (twice_area - boundary + 2) // 2

@@ -1030,6 +1030,7 @@ def test_batyrev_bases_pin_the_closed_form():
 
 @settings(max_examples=40, deadline=None)
 @example("hexagon2", 0)
+@example("hexagon2", 1)
 @example("triangle9xhexagon", 1)
 @given(st.sampled_from(sorted(BATYREV_BASES)), st.integers(0, 10**6))
 def test_batyrev_masks_match_the_face_lattice_on_images(name, seed):
