@@ -16,10 +16,12 @@ Smith form keeps the inverse of its column transform, at one row
 operation per column operation, so no library path inverts a unimodular
 matrix; ``_kernel_transform`` reads a saturated kernel basis and that
 inverse off one such Smith form, and ``kernel_basis`` is its first part.
-``_sparse_mul`` is the library's matrix product: it skips zero entries,
-which make up most of the K3 lattice's Gram matrix.  ``determinant``,
-``mat_mul``, ``inverse_unimodular`` and ``integral_solve`` are tested
-helpers that no library path calls.  ``as_int`` is the
+``_sparse_mul`` is the library's matrix product: row i of ``a @ b`` is a
+C-level sum of the rows of ``b`` at the nonzero entries of row i of ``a``,
+so it pays per nonzero of ``a``, not per entry; the unit-vector bases the
+lattices module multiplies have few.  ``determinant``, ``mat_mul``,
+``inverse_unimodular`` and ``integral_solve`` are tested helpers that no
+library path calls.  ``as_int`` is the
 one checked conversion of input values (JSON numbers) to ints;
 ``as_int_vector`` and ``as_int_rows`` apply it to input lists and lists of
 lists, and refuse any other shape.  ``strict_int`` reads the integers
@@ -30,8 +32,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd
-from operator import mul
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .errors import Degenerate, InputError, NotPrimitiveVector, ShapeMismatch
@@ -41,7 +44,10 @@ IntVector = list[int]
 
 
 def identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    m = [[0] * n for _ in range(n)]
+    for i, row in enumerate(m):
+        row[i] = 1
+    return m
 
 
 def transpose(m: Sequence[Sequence[int]]) -> IntMatrix:
@@ -54,18 +60,17 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix
 
 
 def _sparse_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    """``a @ b`` for integer matrices, skipping the zero entries of both:
-    row i of the product sums ``a[i][k]`` times the nonzero entries of row
-    k of ``b``, over the nonzero ``a[i][k]`` only."""
+    """``a @ b`` for integer matrices: row i of the product sums ``a[i][k]``
+    times row k of ``b`` over the nonzero ``a[i][k]`` only, each row added
+    in one C-level pass (with no products when ``a[i][k]`` is 1)."""
     width = len(b[0]) if b else 0
-    support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    ks = range(len(b))
     out = []
     for row in a:
         acc = [0] * width
-        for x, nonzero in zip(row, support):
-            if x:
-                for j, y in nonzero:
-                    acc[j] += x * y
+        for k in compress(ks, row):
+            x = row[k]
+            acc = list(map(add, acc, b[k] if x == 1 else map(mul, b[k], repeat(x))))
         out.append(acc)
     return out
 

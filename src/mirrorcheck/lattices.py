@@ -16,21 +16,27 @@ pattern; their indices need not be contiguous, and a dense Gram matrix is
 one block.  Each lattice is split once, and each block is eliminated once:
 one fraction-free symmetric elimination, a chain of unimodular congruences,
 gives its leading minors D_1, ..., D_n, kept in the lattice's ``_cache``
-with the split.  The signs of D_k D_{k+1} give the block's signature and
-D_n its determinant.  The discriminant group takes one Smith form per
-block, which a unimodular block (|det| = 1, such as H or E8(-1)) skips: its
-group is trivial.  The blocks' inertias add, their determinants multiply,
-and the cyclic orders of their discriminant generators become invariant
-factors by pairwise gcd/lcm.  The discriminant form's values are sorted as
-integers mod 2N^2 and only then made ``Fraction``s, the only rationals.
-Kernels and the primitivity of a given embedding come from Smith forms of
-the whole matrix; ``canonical_embedding``'s basis is a direct summand by
-construction and takes none.  Congruences ``B G B^T`` and the mirror
-construction's products skip zero entries (``intlinalg._sparse_mul``).  The
-standard pieces H, E8(-1), A1(-1) and K3 are built once, at import, and
-shared.  The lattices the module builds itself (those pieces, sums, induced
-forms, the mirror quotient) skip the input conversion of ``from_gram`` but
-keep the square/even/symmetric check.
+with the split.  A direct sum takes no split of its own: it carries its
+summands' blocks, the same matrices and minors, so the standard pieces H,
+E8(-1) and A1(-1), built and split once at import with K3, serve every
+spec'd sum.  The signs of D_k D_{k+1} give a block's signature and D_n its
+determinant.  The discriminant group takes one Smith form per block, which
+a unimodular block (|det| = 1, such as H or E8(-1)) skips: its group is
+trivial.  The blocks' inertias add, their determinants multiply, and the
+cyclic orders of their discriminant generators become invariant factors by
+pairwise gcd/lcm.  The discriminant form adds over the blocks: each block's
+values, over its own generators, are counted as integers mod 2N^2, and the
+counts combine as a sumset; only its sorted distinct values are made
+``Fraction``s, the only rationals.  Kernels and the primitivity of a given
+embedding come from Smith forms of the whole matrix;
+``canonical_embedding``'s basis is a direct summand by construction and
+takes none.  Congruences ``B G B^T``, taken as ``B (B G)^T``, and the mirror
+construction's products add rows of the right factor at the nonzero
+entries of the left one (``intlinalg._sparse_mul``).  The lattices the
+module builds itself (those pieces, sums, induced forms, the mirror
+quotient) skip the input conversion of ``from_gram`` but keep the
+square/even/symmetric check, which a square, symmetric, even matrix of int
+tuples passes in C-level passes.
 
 Isomorphism testing is limited to invariant comparison (rank, signature,
 determinant, discriminant group and form), a necessary condition for
@@ -44,8 +50,10 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import getitem
 from typing import Optional, Sequence
 
 from .errors import (
@@ -91,15 +99,25 @@ class QuadLattice:
         default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.gram)
-        for i, row in enumerate(self.gram):
+        gram = self.gram
+        n = len(gram)
+        # A Gram matrix of int tuples that is square, symmetric and even
+        # passes in C-level passes; any other runs the row scan below, which
+        # names the first fault.
+        try:
+            if (all(map(n.__eq__, map(len, gram))) and gram == tuple(zip(*gram))
+                    and not any(x % 2 for x in map(getitem, gram, range(n)))):
+                return
+        except TypeError:
+            pass
+        for i, row in enumerate(gram):
             if len(row) != n:
                 raise RankMismatch("gram matrix is not square")
             if row[i] % 2 != 0:
                 raise OddDiagonal(f"diagonal entry {row[i]} at {i} is odd")
             try:
                 for j in range(n):
-                    if row[j] != self.gram[j][i]:
+                    if row[j] != gram[j][i]:
                         raise RankMismatch("gram matrix is not symmetric")
             except IndexError:  # a later row j shorter than i + 1
                 raise RankMismatch("gram matrix is not square") from None
@@ -132,31 +150,21 @@ def _lattice(rows: Sequence[Sequence[int]], name: Optional[str] = None) -> QuadL
 
 
 def direct_sum(*lattices: QuadLattice, name: Optional[str] = None) -> QuadLattice:
+    """The orthogonal sum, carrying its summands' orthogonal blocks: the
+    sum's ``_blocks`` are theirs, in summand order, the same matrices and
+    minors, so a sum takes no split and no elimination of its own."""
     n = sum(lat.rank for lat in lattices)
-    gram = [[0] * n for _ in range(n)]
+    gram = []
     offset = 0
     for lat in lattices:
-        for i in range(lat.rank):
-            for j in range(lat.rank):
-                gram[offset + i][offset + j] = lat.gram[i][j]
+        left, right = (0,) * offset, (0,) * (n - offset - lat.rank)
+        gram.extend(left + tuple(row) + right for row in lat.gram)
         offset += lat.rank
     if name is None and lattices and all(lat.name for lat in lattices):
         name = "+".join(lat.name for lat in lattices)
-    return _lattice(gram, name)
-
-
-def _standard_pieces() -> dict[str, QuadLattice]:
-    h = _lattice([[0, 1], [1, 0]], "H")
-    gram = [[-2 if i == j else 0 for j in range(8)] for i in range(8)]
-    for a, b in _E8_EDGES:
-        gram[a - 1][b - 1] = gram[b - 1][a - 1] = 1
-    e8 = _lattice(gram, "E8(-1)")
-    return {"H": h, "E8(-1)": e8, "A1(-1)": _lattice([[-2]], "A1(-1)"),
-            "K3": direct_sum(h, h, h, e8, e8, name="K3")}
-
-
-# The standard pieces by spec name, built once and shared with their _cache.
-_STANDARD = _standard_pieces()
+    total = _lattice(gram, name)
+    total._cache["_blocks"] = tuple(itertools.chain.from_iterable(map(_blocks, lattices)))
+    return total
 
 
 def hyperbolic_plane() -> QuadLattice:
@@ -203,17 +211,19 @@ def standard_lattice(spec) -> QuadLattice:
 
 
 @cached
-def _blocks(lat: QuadLattice) -> tuple[tuple[list[int], list[list[int]], tuple[int, ...]], ...]:
+def _blocks(lat: QuadLattice) -> tuple[tuple[list[list[int]], tuple[int, ...]], ...]:
     """The orthogonal blocks of the Gram matrix: for each connected
-    component of its nonzero pattern, by smallest index, the sorted indices,
-    the block's Gram matrix on them and its ``_minors``.  A dense Gram
-    matrix is one block.  Split and eliminated once per lattice;
-    ``signature``, ``determinant`` and ``discriminant`` all read it."""
+    component of its nonzero pattern, by smallest index, the block's Gram
+    matrix on its sorted indices and its ``_minors``.  A dense Gram matrix
+    is one block.  Split and eliminated once per lattice, or carried over
+    from the summands of a ``direct_sum``; ``signature``, ``determinant``
+    and ``discriminant`` all read it."""
     gram = lat.gram
-    support = [[j for j, x in enumerate(row) if x] for row in gram]
+    ks = range(len(gram))
+    support = [list(itertools.compress(ks, row)) for row in gram]
     seen = [False] * len(gram)
     blocks = []
-    for start in range(len(gram)):
+    for start in ks:
         if seen[start]:
             continue
         seen[start] = True
@@ -227,7 +237,7 @@ def _blocks(lat: QuadLattice) -> tuple[tuple[list[int], list[list[int]], tuple[i
                     stack.append(j)
         index.sort()
         block = [[gram[i][j] for j in index] for i in index]
-        blocks.append((index, block, _minors(block)))
+        blocks.append((block, _minors(block)))
     return tuple(blocks)
 
 
@@ -269,6 +279,22 @@ def _minors(gram: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(minors)
 
 
+def _standard_pieces() -> dict[str, QuadLattice]:
+    h = _lattice([[0, 1], [1, 0]], "H")
+    gram = [[-2 if i == j else 0 for j in range(8)] for i in range(8)]
+    for a, b in _E8_EDGES:
+        gram[a - 1][b - 1] = gram[b - 1][a - 1] = 1
+    e8 = _lattice(gram, "E8(-1)")
+    a1 = _lattice([[-2]], "A1(-1)")
+    _blocks(a1)  # split here, as the K3 sum splits H and E8(-1)
+    return {"H": h, "E8(-1)": e8, "A1(-1)": a1, "K3": direct_sum(h, h, h, e8, e8, name="K3")}
+
+
+# The standard pieces by spec name, built once, at import, and shared with
+# their _cache; built after ``_blocks``, which the K3 sum reads from them.
+_STANDARD = _standard_pieces()
+
+
 @cached
 def signature(lat: QuadLattice) -> tuple[int, int]:
     """Inertia (p, q), the sum of the inertias of the orthogonal blocks.
@@ -279,7 +305,7 @@ def signature(lat: QuadLattice) -> tuple[int, int]:
     degenerate.
     """
     pos = neg = 0
-    for _, _, minors in _blocks(lat):
+    for _, minors in _blocks(lat):
         if not minors[-1]:
             raise Degenerate("the form is degenerate")
         p = sum(a * b > 0 for a, b in zip((1,) + minors, minors))
@@ -290,13 +316,15 @@ def signature(lat: QuadLattice) -> tuple[int, int]:
 @cached
 def determinant(lat: QuadLattice) -> int:
     """The product of the orthogonal blocks' last leading minors."""
-    return math.prod(minors[-1] for _, _, minors in _blocks(lat))
+    return math.prod(minors[-1] for _, minors in _blocks(lat))
 
 
 def _congruent(gram: Sequence[Sequence[int]],
                basis: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The Gram matrix ``B G B^T`` of the form ``G`` on the rows of ``B``."""
-    return la._sparse_mul(la._sparse_mul(basis, gram), la.transpose(basis))
+    """The Gram matrix ``B G B^T`` of the form ``G`` on the rows of ``B``,
+    taken as ``B (B G)^T`` (G is symmetric), so that both products run over
+    the nonzeros of ``B``, which are few for the bases built here."""
+    return la._sparse_mul(basis, la.transpose(la._sparse_mul(basis, gram)))
 
 
 def _invariant_factors(orders: Sequence[int]) -> list[int]:
@@ -328,24 +356,42 @@ class DiscriminantData:
         }
 
 
+def _block_values(w: Sequence[Sequence[int]], ranges: Sequence[range], mod: int) -> Counter:
+    """The multiset of a^T W a mod ``mod`` over a in the product of
+    ``ranges``, read one fibre at a time as ``find_isotropic`` reads its
+    box: with a = (a', t), a^T W a = q(a') + t (2 <a', W e_k> + t W[k][k]),
+    so each prefix a' takes two dots and each value a few integer products."""
+    k = len(w) - 1
+    head = [row[:k] for row in w[:k]]
+    cross = [2 * x for x in w[k][:k]]
+    w_kk = w[k][k]
+    values = Counter()
+    for a in itertools.product(*ranges[:k]):
+        base, lin = la.dot(a, la.mat_vec(head, a)), la.dot(a, cross)
+        values.update((base + t * (lin + t * w_kk)) % mod for t in ranges[k])
+    return values
+
+
 @cached
 def discriminant(lat: QuadLattice) -> DiscriminantData:
     """The group L*/L and the sorted values of its form q mod 2Z.
 
-    L*/L is the sum of its orthogonal blocks' groups.  |L*/L| = |det|, so a
-    group above the enumeration cap raises ``BudgetExceeded`` before any
-    Smith form, and a unimodular block (|det| = 1, such as H or E8(-1))
-    adds nothing and takes no Smith form.  Every other block takes one
-    Smith form ``u G v = D``, whose invariant factors must multiply to the
-    block's own |det|; the columns of ``v`` at the invariant factors
-    ``d_i > 1``, placed in full coordinates, are the ``g_i``, and
-    ``g_i / d_i`` generate cyclic summands of orders ``d_i``.  Those
-    orders, brought to invariant factors by pairwise gcd/lcm, are the
-    group.  Over the common denominator N, the lcm of the orders, an
-    element is ``sum a_i g_i / N`` with ``a_i`` a multiple of N/d_i below
-    N, and q = a^T W a / N^2, W the integer Gram matrix of the ``g_i``.
-    The values a^T W a mod 2 N^2 are sorted as integers, and only then made
-    ``Fraction``s.
+    L*/L is the orthogonal sum of its blocks' groups, and q adds over it.
+    |L*/L| = |det|, so a group above the enumeration cap raises
+    ``BudgetExceeded`` before any Smith form, and a unimodular block
+    (|det| = 1, such as H or E8(-1)) adds nothing and takes no Smith form.
+    Every other block takes one Smith form ``u G v = D`` of its own Gram
+    matrix G, whose invariant factors must multiply to the block's own
+    |det|; the columns ``g_i`` of ``v`` at the invariant factors d_i > 1
+    make ``g_i / d_i`` generate cyclic summands of orders d_i, and W, the
+    integer Gram matrix of the ``g_i`` under G, is the block's form on
+    them.  All the blocks' orders, brought to invariant factors by pairwise
+    gcd/lcm, are the group.  Over the common denominator N, the lcm of the
+    orders, a block's element is ``sum a_i g_i / N`` with ``a_i`` a
+    multiple of N/d_i below N, and q = a^T W a / N^2.  Each block's values
+    a^T W a mod 2 N^2 are counted as integers, the blocks' counts combine as
+    a sumset mod 2 N^2, and the sorted sums are made ``Fraction``s, one per
+    distinct value.
     """
     det = determinant(lat)
     if det == 0:
@@ -353,29 +399,33 @@ def discriminant(lat: QuadLattice) -> DiscriminantData:
     if abs(det) > _DISC_ENUMERATION_CAP:
         raise BudgetExceeded(
             f"discriminant group of order {abs(det)} exceeds enumeration cap")
-    gens, orders = [], []
-    for index, block, minors in _blocks(lat):
+    parts = []
+    for block, minors in _blocks(lat):
         if abs(minors[-1]) == 1:
             continue
         _, d, v, _ = la.smith_normal_form(block)
-        order = 1
-        for k, col in enumerate(la.transpose(v)):
-            if d[k][k] > 1:
-                g = [0] * lat.rank
-                for i, x in zip(index, col):
-                    g[i] = x
-                gens.append(g)
-                orders.append(d[k][k])
-                order *= d[k][k]
-        if order != abs(minors[-1]):
+        kept = [k for k in range(len(block)) if d[k][k] > 1]
+        orders = [d[k][k] for k in kept]
+        if math.prod(orders) != abs(minors[-1]):
             raise Degenerate("invariant factors inconsistent with determinant")
-    w = _congruent(lat.gram, gens)
+        gens = [[row[k] for row in v] for k in kept]
+        parts.append((_congruent(block, gens), orders))
+    orders = [f for _, own in parts for f in own]
     den = math.lcm(*orders)
-    mod, den2 = 2 * den * den, den * den
-    values = sorted(la.dot(a, la.mat_vec(w, a)) % mod
-                    for a in itertools.product(*(range(0, den, den // f) for f in orders)))
-    return DiscriminantData(tuple(_invariant_factors(orders)),
-                            tuple(Fraction(x, den2) for x in values))
+    mod = 2 * den * den
+    counts = Counter({0: 1})
+    for w, own in parts:
+        values = _block_values(w, [range(0, den, den // f) for f in own], mod)
+        sums = Counter()
+        for x, cx in counts.items():
+            for y, cy in values.items():
+                sums[(x + y) % mod] += cx * cy
+        counts = sums
+    den2 = den * den
+    return DiscriminantData(
+        tuple(_invariant_factors(orders)),
+        tuple(itertools.chain.from_iterable(
+            itertools.repeat(Fraction(x, den2), cx) for x, cx in sorted(counts.items()))))
 
 
 @dataclass(frozen=True)
@@ -478,7 +528,10 @@ def dn_mirror(emb: LatticeEmbedding, f: Sequence[int]) -> QuadLattice:
     quot = la._sparse_mul(la.complete_to_unimodular(a), sub)[1:]
     lat = _lattice(_congruent(comp_gram, quot))
     if determinant(lat) == 0:
-        raise NotPrimitiveVector("degenerate quotient form; f was not primitive")
+        # f is primitive and isotropic here, so (Zf)^perp / Zf is degenerate
+        # only when the complement's radical is not inside Qf.
+        raise Degenerate("degenerate quotient form: the orthogonal complement "
+                         "has a radical outside Zf")
     return lat
 
 
@@ -599,6 +652,35 @@ def _fibre_root(a: int, b: int, c: int, g: int, top: int) -> Optional[int]:
                key=_scan_position, default=None)
 
 
+def _fibres(gram: Gram, values: Sequence[int]):
+    """``(x', B / 2, C, gcd(x'))`` for each prefix x' of the first n - 1
+    coordinates, in ``itertools.product`` order over ``values``, where
+    q(x', t) = G[n-1][n-1] t^2 + B t + C.
+
+    With m = n - 2, x' = (y, s): C = q0(y) + s (c1(y) + s G[m][m]) and
+    B / 2 = b0(y) + s G[n-1][m], where q0(y) = q(y), c1(y) = 2 <y, G e_m>
+    and b0(y) = <y, G e_{n-1}>, and gcd(x') = gcd(gcd(y), s).  So each
+    outer prefix y takes three dots and each fibre none.  In rank one x'
+    is empty, and so are B and C.
+    """
+    n = len(gram)
+    if n == 1:
+        yield (), 0, 0, 0
+        return
+    m = n - 2
+    head = [row[:m] for row in gram[:m]]
+    col_s = [row[m] for row in gram[:m]]
+    col_t = [row[-1] for row in gram[:m]]
+    g_ss, g_ts = gram[m][m], gram[-1][m]
+    for y in itertools.product(values, repeat=m):
+        q0 = la.dot(y, la.mat_vec(head, y))
+        c1 = 2 * la.dot(y, col_s)
+        b0 = la.dot(y, col_t)
+        g0 = math.gcd(*y)
+        for s in values:
+            yield y + (s,), b0 + s * g_ts, q0 + s * (c1 + s * g_ss), math.gcd(g0, s)
+
+
 def find_isotropic(lat: QuadLattice, bound: int = 10) -> IsotropicSearch:
     """Bounded search for a primitive isotropic vector.
 
@@ -611,7 +693,10 @@ def find_isotropic(lat: QuadLattice, bound: int = 10) -> IsotropicSearch:
     as absence.  The box is read one fibre at a time: with the first n - 1
     coordinates x' fixed, q(x', t) = A t^2 + B t + C with A = G[n-1][n-1],
     B = 2 <x', G e_n> and C = q(x', 0), so each fibre takes one exact root
-    check (``math.isqrt``) rather than 2 bound + 1 evaluations of q.
+    check (``math.isqrt``) rather than 2 bound + 1 evaluations of q.  B and
+    C come from ``_fibres``, which splits x' = (y, s) and pays three dots
+    per outer prefix y and a few integer products per fibre, not a
+    matrix-vector product per fibre.
 
     ``_ISOTROPIC_SCAN_CAP`` counts box positions in scan order, not
     evaluations of q: a witness at a position below the cap is returned,
@@ -637,13 +722,11 @@ def find_isotropic(lat: QuadLattice, bound: int = 10) -> IsotropicSearch:
         values.extend((k, -k))
     width = len(values)
     a = lat.gram[-1][-1]
-    head = [row[:-1] for row in lat.gram]
-    for index, prefix in enumerate(itertools.product(values, repeat=n - 1)):
+    for index, (prefix, half_b, c, g) in enumerate(_fibres(lat.gram, values)):
         start = index * width  # the box position of (prefix, 0)
         if start >= cap:
             break
-        *gx, half_b = la.mat_vec(head, prefix)
-        t = _fibre_root(a, 2 * half_b, la.dot(prefix, gx), math.gcd(*prefix), top)
+        t = _fibre_root(a, 2 * half_b, c, g, top)
         if t is not None:
             if start + _scan_position(t) < cap:
                 return IsotropicSearch(prefix + (t,), True)

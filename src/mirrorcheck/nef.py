@@ -77,9 +77,6 @@ from .polytopes import (
     lattice_points,
     polar_dual,
 )
-# No nef function calls the face helpers; they stay bound here, where the
-# tests that prove it patch them.
-from .polytopes import dual_face, ell_star_face  # noqa: F401
 
 
 @dataclass(frozen=True)

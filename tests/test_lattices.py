@@ -373,6 +373,7 @@ def test_degenerate_signature_is_not_cached():
 
 
 def test_invariants_are_computed_once_per_lattice(monkeypatch):
+    fresh = lt.direct_sum(lt.hyperbolic_plane(), lt.rank_one(-4))
     calls = {"_minors": 0, "determinant": 0, "smith_normal_form": 0}
     for name in calls:
         module = lt if name == "_minors" else la
@@ -384,14 +385,14 @@ def test_invariants_are_computed_once_per_lattice(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
     lat = lt.direct_sum(lt.hyperbolic_plane(), lt.rank_one(-4))
-    fresh = lt.direct_sum(lt.hyperbolic_plane(), lt.rank_one(-4))
     for _ in range(3):
         assert lt.signature(lat) == (1, 2)
         assert lt.determinant(lat) == 4
         assert lt.discriminant(lat).group == (4,)
-    # One elimination per orthogonal block, H and <-4>, and no Bareiss
-    # determinant; the unimodular H block takes no Smith form.
-    assert calls == {"_minors": 2, "determinant": 0, "smith_normal_form": 1}
+    # The sum carries its summands' blocks: H's was eliminated at import,
+    # so the one elimination is <-4>'s, and no Bareiss determinant runs;
+    # the unimodular H block takes no Smith form.
+    assert calls == {"_minors": 1, "determinant": 0, "smith_normal_form": 1}
     # The cache takes no part in equality, hashing or repr.
     assert lat == fresh and hash(lat) == hash(fresh) and repr(lat) == repr(fresh)
 
@@ -415,21 +416,28 @@ def test_invariant_cache_keeps_one_object_and_nothing_on_failure():
 
 
 def test_block_split_runs_once_per_lattice(monkeypatch):
-    # signature, determinant and discriminant read one kept split.
+    # signature, determinant and discriminant read one kept split.  A direct
+    # sum takes none of its own: it carries the blocks of its summands, of
+    # which only the fresh <-4> is split here, H and E8(-1) at import.
     calls = []
     real = lt._blocks.__wrapped__
 
     def _blocks(lat):
-        calls.append(1)
+        calls.append(lat)
         return real(lat)
 
     monkeypatch.setattr(lt, "_blocks", cached(_blocks))
-    lat = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.rank_one(-4))
-    for _ in range(2):
-        assert lt.signature(lat) == (1, 10)
-        assert lt.determinant(lat) == 4
-        assert lt.discriminant(lat).group == (4,)
-    assert len(calls) == 1
+    piece = lt.rank_one(-4)
+    lat = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), piece)
+    whole = lt.from_gram(lat.gram)
+    for target in (lat, whole):
+        for _ in range(2):
+            assert lt.signature(target) == (1, 10)
+            assert lt.determinant(target) == 4
+            assert lt.discriminant(target).group == (4,)
+    assert len(calls) == 2 and calls[0] is piece and calls[1] is whole
+    # The carried blocks are the ones the split finds, in the same order.
+    assert lat._cache["_blocks"] == whole._cache["_blocks"]
 
 
 def test_signature_alone_takes_no_determinant(monkeypatch):
@@ -608,6 +616,38 @@ def test_block_invariants_match_the_whole_matrix(gram):
     lat = lt.from_gram(gram)
     assert (_outcome(lt.signature, lat), lt.determinant(lat),
             _outcome(lt.discriminant, lat)) == expected
+
+
+# A direct sum carries its summands' blocks and their eliminations instead
+# of splitting its own Gram matrix; its invariants, or its errors, must be
+# those of the same Gram matrix read by ``from_gram``, and those of the
+# whole-matrix oracles above.
+DIRECT_SUM_PIECES = st.one_of(
+    st.sampled_from([lt.hyperbolic_plane(), lt.e8_minus(), lt.a1_minus()]),
+    st.integers(-5, 5).map(lambda k: lt.rank_one(2 * k)),  # <0> is degenerate
+    even_grams().map(lt.from_gram),
+    # Degenerate blocks, and rank-one pieces whose pairs pass the cap.
+    st.sampled_from([[[0, 0], [0, 0]], [[2, 2], [2, 2]], [[600]], [[-300]]]).map(lt.from_gram),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(DIRECT_SUM_PIECES, max_size=4))
+# A two-generator block, Z/2 + Z/6, beside a rank-one block: the sumset
+# combines the values of two blocks over the common denominator 6.
+@example([lt.from_gram([[4, 2], [2, 4]]), lt.rank_one(6)])
+@example([lt.rank_one(-4), lt.hyperbolic_plane(), lt.from_gram([[4, 2], [2, 4]])])
+# 600 * 300 = 180000 passes the cap of 65536.
+@example([lt.rank_one(600), lt.e8_minus(), lt.rank_one(-300)])
+@example([lt.rank_one(4), lt.from_gram([[2, 2], [2, 2]])])
+@example([])
+def test_direct_sum_invariants_match_from_gram(pieces):
+    total = lt.direct_sum(*pieces)
+    whole = lt.from_gram(total.gram)
+    got = [_outcome(f, total) for f in (lt.signature, lt.determinant, lt.discriminant)]
+    assert got == [_outcome(f, whole) for f in (lt.signature, lt.determinant, lt.discriminant)]
+    assert got == [_outcome(_whole_signature, total.gram), la.determinant(total.gram),
+                   _outcome(_whole_discriminant, total.gram)]
 
 
 def test_invariant_factors_of_cyclic_orders():
@@ -893,7 +933,8 @@ def _reference_dn_mirror(emb, f):
     quot = la.mat_mul(_reference_completion(a), sub)[1:]
     lat = lt.from_gram(lt._congruent(comp_gram, quot))
     if lt.determinant(lat) == 0:
-        raise errors.NotPrimitiveVector("degenerate quotient form; f was not primitive")
+        raise errors.Degenerate(
+            "degenerate quotient form: the orthogonal complement has a radical outside Zf")
     return lat
 
 
@@ -984,6 +1025,17 @@ def test_dn_mirror_errors_match_the_solve_path(f, error):
     emb = lt.canonical_embedding([lt.rank_one(2)])
     outcome = _assert_same_mirror(emb, f)
     assert outcome[0].__name__ == error
+
+
+def test_dn_mirror_blames_the_radical_for_a_degenerate_quotient():
+    # L = <x_0> is isotropic, so x_0 lies in the radical of its complement
+    # and survives in (Zf)^perp / Zf for every f: the quotient is degenerate
+    # with f primitive, and the error names the radical, not f.
+    emb = lt.LatticeEmbedding(lt.k3_lattice(), (tuple(_k3_vector({0: 1})),))
+    f = lt.default_isotropic_vector(emb)
+    assert _assert_same_mirror(emb, f) == (
+        errors.Degenerate,
+        "degenerate quotient form: the orthogonal complement has a radical outside Zf")
 
 
 def test_dn_mirror_on_a_full_rank_image_refuses_f_outside_the_complement():
@@ -1146,6 +1198,16 @@ def isotropy_cases(draw):
 @example(([[2, 0], [0, -4]], 4, 30))
 @example(([[2, 0], [0, -4]], 3, 49))  # a box of exactly cap positions, no witness
 @example(([[2, -1], [-1, -4]], 2, 7))  # the first witness, (1, -1), at position 7
+@example(([[0]], 1, 2 ** 18))  # rank one: one fibre, the empty prefix; (1,) at position 1
+@example(([[2, 0], [0, -8]], 3, 2 ** 18))  # rank two: no outer coordinate; (2, 1)
+# (1, 0, 1), in the first fibre (s = 0) of outer prefix (1,).
+@example(([[2, 0, 0], [0, 4, 0], [0, 0, -2]], 2, 2 ** 18))
+# (1, -1, 1) at position 16, in the last fibre (s = -1) of outer prefix (1,),
+# then with the cap at 16, inside that outer prefix's positions 9 to 17.
+@example(([[-2, -1, 1], [-1, 2, 0], [1, 0, -4]], 1, 2 ** 18))
+@example(([[-2, -1, 1], [-1, 2, 0], [1, 0, -4]], 1, 16))
+# x^2 + y^2 = 3 z^2 has no witness; the cap, 37, falls inside outer prefix (1,).
+@example(([[2, 0, 0], [0, 2, 0], [0, 0, -6]], 2, 37))
 def test_fibre_scan_matches_product_scan(case):
     gram, bound, cap = case
     with pytest.MonkeyPatch.context() as mp:
@@ -1168,9 +1230,13 @@ def test_fibre_root_is_the_first_root_in_scan_order(a, b, c, g, top):
 
 
 def test_isotropic_scan_work_grows_with_prefixes(monkeypatch):
-    # x^2 + y^2 + z^2 = 7w^2 at bound 12: no witness, and the cap is passed
-    # in the fibre of prefix ceil(cap / 25).  Each prefix takes one dot and
-    # no evaluation of q, so the work does not grow with the 2^18 positions.
+    # x^2 + y^2 + z^2 = 7w^2 at bound 12, 25 values a coordinate: no
+    # witness, and the cap is passed in fibre ceil(cap / 25) = 10486, the
+    # fibre of prefix (x, y, z), which lies in outer prefix (x, y) number
+    # 10486 // 25 = 419.  Each outer prefix takes three dots, for q0, c1
+    # and b0, and its 25 fibres none; no fibre evaluates q.  So the 420
+    # outer prefixes take 1260 dots, and the work grows with the outer
+    # prefixes, not with the 2^18 positions.
     calls = {"dot": 0, "bilinear": 0}
     real_dot, real_bilinear = la.dot, lt.QuadLattice.bilinear
 
@@ -1187,7 +1253,8 @@ def test_isotropic_scan_work_grows_with_prefixes(monkeypatch):
     lat = lt.from_gram([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, -14]])
     with pytest.raises(errors.BudgetExceeded, match="390625 candidates"):
         lt.find_isotropic(lat, bound=12)
-    assert calls == {"dot": -(-lt._ISOTROPIC_SCAN_CAP // 25), "bilinear": 0}
+    fibres = -(-lt._ISOTROPIC_SCAN_CAP // 25) + 1  # the last one meets the cap
+    assert calls == {"dot": 3 * -(-fibres // 25), "bilinear": 0}
 
 
 # --- invariant comparison ---------------------------------------------------
