@@ -358,17 +358,12 @@ class DiscriminantData:
 
 def _block_values(w: Sequence[Sequence[int]], ranges: Sequence[range], mod: int) -> Counter:
     """The multiset of a^T W a mod ``mod`` over a in the product of
-    ``ranges``, read one fibre at a time as ``find_isotropic`` reads its
-    box: with a = (a', t), a^T W a = q(a') + t (2 <a', W e_k> + t W[k][k]),
-    so each prefix a' takes two dots and each value a few integer products."""
-    k = len(w) - 1
-    head = [row[:k] for row in w[:k]]
-    cross = [2 * x for x in w[k][:k]]
-    w_kk = w[k][k]
+    ``ranges``, read one fibre at a time by ``_fibres``, as
+    ``find_isotropic`` reads its box: each value a few integer products."""
+    a, last = w[-1][-1], ranges[-1]
     values = Counter()
-    for a in itertools.product(*ranges[:k]):
-        base, lin = la.dot(a, la.mat_vec(head, a)), la.dot(a, cross)
-        values.update((base + t * (lin + t * w_kk)) % mod for t in ranges[k])
+    for _, half_b, c, _ in _fibres(w, ranges):
+        values.update((c + t * (2 * half_b + a * t)) % mod for t in last)
     return values
 
 
@@ -652,10 +647,10 @@ def _fibre_root(a: int, b: int, c: int, g: int, top: int) -> Optional[int]:
                key=_scan_position, default=None)
 
 
-def _fibres(gram: Gram, values: Sequence[int]):
+def _fibres(gram: Sequence[Sequence[int]], ranges: Sequence[Sequence[int]]):
     """``(x', B / 2, C, gcd(x'))`` for each prefix x' of the first n - 1
-    coordinates, in ``itertools.product`` order over ``values``, where
-    q(x', t) = G[n-1][n-1] t^2 + B t + C.
+    coordinates, coordinate i running over ``ranges[i]``, in
+    ``itertools.product`` order, where q(x', t) = G[n-1][n-1] t^2 + B t + C.
 
     With m = n - 2, x' = (y, s): C = q0(y) + s (c1(y) + s G[m][m]) and
     B / 2 = b0(y) + s G[n-1][m], where q0(y) = q(y), c1(y) = 2 <y, G e_m>
@@ -672,12 +667,12 @@ def _fibres(gram: Gram, values: Sequence[int]):
     col_s = [row[m] for row in gram[:m]]
     col_t = [row[-1] for row in gram[:m]]
     g_ss, g_ts = gram[m][m], gram[-1][m]
-    for y in itertools.product(values, repeat=m):
+    for y in itertools.product(*ranges[:m]):
         q0 = la.dot(y, la.mat_vec(head, y))
         c1 = 2 * la.dot(y, col_s)
         b0 = la.dot(y, col_t)
         g0 = math.gcd(*y)
-        for s in values:
+        for s in ranges[m]:
             yield y + (s,), b0 + s * g_ts, q0 + s * (c1 + s * g_ss), math.gcd(g0, s)
 
 
@@ -722,7 +717,7 @@ def find_isotropic(lat: QuadLattice, bound: int = 10) -> IsotropicSearch:
         values.extend((k, -k))
     width = len(values)
     a = lat.gram[-1][-1]
-    for index, (prefix, half_b, c, g) in enumerate(_fibres(lat.gram, values)):
+    for index, (prefix, half_b, c, g) in enumerate(_fibres(lat.gram, [values] * n)):
         start = index * width  # the box position of (prefix, 0)
         if start >= cap:
             break
