@@ -484,7 +484,7 @@ def _cmd_hodge_conj318(inp: _Inputs):
 
 def _cmd_family_quartic(inp: _Inputs):
     try:
-        mu = [strict_int(x) for x in inp.args.mu.split(",") if x != ""]
+        mu = [strict_int(x) for x in inp.args.mu.split(",")]
     except ValueError:
         raise InputError(f"--mu must list integers, got {inp.args.mu!r}") from None
     params = fam.FamilyParams.of(inp.args.i, inp.args.j, mu)

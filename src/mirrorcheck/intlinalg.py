@@ -3,26 +3,26 @@
 All routines work on plain Python ints (arbitrary precision); nothing here
 touches floating point.  Matrices are lists of row lists.  The pivot
 columns and the rank they count, the determinant, the rational solve and
-the unimodular inverse share one fraction-free (Bareiss) elimination
-kernel, ``_echelon``, whose entries stay integer minors of the input;
-``polytopes.hull`` (for one inverse) and ``nef._cartier_data`` run it
-directly, with several right-hand sides at once.  The only rationals
-are the solution coordinates of ``solve_exact``, one ``Fraction`` each.
-Its only library caller is now
-``polytopes.convex_hull_contains``, which no library path reaches and
-ROADMAP.md queues for removal.  Smith normal form and the integer kernel
-and solves built on it use unimodular row and column operations.  The
-Smith form keeps the inverse of its column transform, at one row
-operation per column operation, so no library path inverts a unimodular
-matrix; ``_kernel_transform`` reads a saturated kernel basis and that
-inverse off one such Smith form, and ``kernel_basis`` is its first part.
-``_sparse_mul`` is the library's matrix product: row i of ``a @ b`` is a
-C-level sum of the rows of ``b`` at the nonzero entries of row i of ``a``,
-so it pays per nonzero of ``a``, not per entry; the unit-vector bases the
-lattices module multiplies have few.  ``determinant``, ``mat_mul``,
-``inverse_unimodular`` and ``integral_solve`` are tested helpers that no
-library path calls.  ``as_int`` is the
-one checked conversion of input values (JSON numbers) to ints;
+the unimodular inverse share one fraction-free (Bareiss) Gauss-Jordan
+elimination kernel, ``_echelon``, whose entries stay integer minors of the
+input; ``polytopes.hull`` (for its starting simplex and that simplex's
+inverse, in one call) and ``nef._cartier_data`` run it directly, with
+several right-hand sides at once.  The only rationals are the solution
+coordinates of ``solve_exact``, one ``Fraction`` each.  Its only library
+caller is now ``polytopes.convex_hull_contains``, which no library path
+reaches and ROADMAP.md queues for removal.  Smith normal form and the
+integer kernel and solves built on it use unimodular row and column
+operations.  The Smith form keeps the inverse of its column transform, at
+one row operation per column operation, so no library path inverts a
+unimodular matrix; ``_kernel_transform`` reads a saturated kernel basis and
+that inverse off one such Smith form, and ``kernel_basis`` is its first
+part.  ``_sparse_mul`` is the library's matrix product: row i of ``a @ b``
+is a C-level sum of the rows of ``b`` at the nonzero entries of row i of
+``a``, so it pays per nonzero of ``a``, not per entry; the unit-vector bases
+the lattices module multiplies have few.  ``pivot_columns``, ``rank``,
+``determinant``, ``mat_mul``, ``inverse_unimodular`` and ``integral_solve``
+are tested helpers that no library path calls.  ``as_int`` is the one
+checked conversion of input values (JSON numbers) to ints;
 ``as_int_vector`` and ``as_int_rows`` apply it to input lists and lists of
 lists, and refuse any other shape.  ``strict_int`` reads the integers
 written in strings: flags, lattice specs and diamond keys.
@@ -133,8 +133,8 @@ def vec_gcd(v: Sequence[int]) -> int:
     return gcd(*v)
 
 
-def _echelon(a: IntMatrix, ncols: int, reduced: bool = False) -> tuple[list[int], int]:
-    """Fraction-free (Bareiss) elimination of ``a`` in place.
+def _echelon(a: IntMatrix, ncols: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of ``a`` in place.
 
     Pivots are sought in the first ``ncols`` columns; any further columns
     (an augmented right-hand side) are carried along.  Returns
@@ -142,10 +142,10 @@ def _echelon(a: IntMatrix, ncols: int, reduced: bool = False) -> tuple[list[int]
     and ``sign`` is the parity of the row swaps.  Every entry computed is an
     integer minor of the input (Bareiss 1968), so each ``//`` is exact, and
     the last pivot ``den`` is, up to ``sign``, the minor on the pivot rows
-    and columns.  A step updates only the columns right of its pivot, the
-    only ones read again.  With ``reduced`` the rows above each pivot are
-    cleared too, so right of the last pivot column ``a`` ends as ``den``
-    times the reduced row echelon form.
+    and columns.  A step clears its pivot's column above and below the
+    pivot, and updates only the columns right of it, the only ones read
+    again; so right of the last pivot column ``a`` ends as ``den`` times
+    the reduced row echelon form.
     """
     nrows = len(a)
     width = len(a[0]) if nrows else 0
@@ -164,7 +164,7 @@ def _echelon(a: IntMatrix, ncols: int, reduced: bool = False) -> tuple[list[int]
             sign = -sign
         pr = a[r]
         pv = pr[c]
-        for i in range(0 if reduced else r + 1, nrows):
+        for i in range(nrows):
             if i != r:
                 row = a[i]
                 f = row[c]
@@ -208,7 +208,7 @@ def solve_exact(a: Sequence[Sequence[int]], b: Sequence[int]):
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    pivots, _ = _echelon(aug, ncols, reduced=True)
+    pivots, _ = _echelon(aug, ncols)
     r = len(pivots)
     if any(aug[i][ncols] for i in range(r, nrows)):
         return "inconsistent", None
@@ -362,7 +362,7 @@ def inverse_unimodular(m: Sequence[Sequence[int]]) -> IntMatrix:
     elimination of ``[m | I]`` leaves ``den * m^-1`` right, den = +-det(m)."""
     n = len(m)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    pivots, _ = _echelon(aug, n, reduced=True)
+    pivots, _ = _echelon(aug, n)
     if len(pivots) < n:
         raise Degenerate("matrix is singular")
     den = aug[n - 1][n - 1] if n else 1

@@ -12,32 +12,34 @@ the polar polytope and of nabla counts irreducible components of a
 distinguished pencil member on the mirror, and (one less) the genus of the
 curve that must be blown up to smooth the corresponding degeneration.
 
-Validation computes what duality starts from, and no more.  For each
-facet F of Delta and each part E_i, the Cartier condition asks for the
-integral functional u_{F,i} that is -1 on the boundary points of F in E_i
-and 0 on the other boundary points of F; one elimination of F's points,
-with the right-hand sides of all parts attached, finds them all, and the
-nef condition checks each against every boundary point.  These
-functionals are exactly the vertices of nabla_i: on the cone over F the
-support function of nabla_i is <u_{F,i}, .>, and u_{F,i} is its unique
-minimiser there (Cox-Little-Schenck, Toric Varieties, Thm 6.1.7).  So the
-vertices of every nabla_i, full-dimensional or not, are integral and read
-off the Cartier data, which validation keeps on the partition; the polar
-is not read until the dual partition is asked for (by ``nef dual`` and
-``nef counts``).  The lattice points of the nabla_i are polar points
-sorted by face combinatorics alone: the polar's facets are Delta's
-vertices, so the facets through a polar point p name the face of Delta
-on which p is -1, and the boundary points of Delta on that face are
-those whose smallest face it contains (Ziegler, Lectures on Polytopes,
-2.2-2.3).  Nabla's lattice points are the origin and the others of each
-nabla_i (see ``dual_nef_partition``), so counts need only the vertices
-and the points: nabla and each nabla_i are hulled on first read (by
-``nef dual``'s report), a lower-dimensional nabla_i being the one
+Validation computes what duality starts from, and no more.  For each facet
+F of Delta and each part E_i, the Cartier condition asks for the integral
+functional u_{F,i} that is -1 on the boundary points of F in E_i and 0 on
+the other boundary points of F; one elimination of F's points, with the
+right-hand sides of all parts attached, finds them all, and the nef
+condition checks each against every boundary point.  These functionals are
+exactly the vertices of nabla_i: on the cone over F the support function
+of nabla_i is <u_{F,i}, .>, and u_{F,i} is its unique minimiser there
+(Cox-Little-Schenck, Toric Varieties, Thm 6.1.7).  So the vertices of
+every nabla_i, full-dimensional or not, are integral and read off the
+Cartier data, which validation keeps on the partition; the polar is not
+read until the dual partition is asked for (by ``nef dual`` and ``nef
+counts``).  The lattice points of the nabla_i are polar points sorted by
+face combinatorics alone: the polar's facets are Delta's vertices, so the
+facets through a polar point p name the face of Delta on which p is -1,
+and the boundary points of Delta on that face are those whose smallest
+face it contains (Ziegler, Lectures on Polytopes, 2.2-2.3).  Both steps
+read one table per polytope, its lattice points with the bitmask of the
+facets through each (``facet_masks``), as PALP's incidence idiom does
+(Kreuzer-Skarke 2004).  Nabla's lattice points are the origin and the
+others of each nabla_i (see ``dual_nef_partition``), so counts need only
+the vertices and the points: nabla and each nabla_i are hulled on first
+read (by ``nef dual``'s report), a lower-dimensional nabla_i being the one
 ``hull`` refuses as ``NotFullDimensional``, with no rank taken.  Batyrev's
 Hodge numbers are read in closed form off the vertices, facet normals and
-incidence tables of Delta and its polar, with no lattice point and no
-face lattice (see ``batyrev_hodge``); divisor component counts are read
-off the polar's facet masks.
+incidence tables of Delta and its polar, with no lattice point and no face
+lattice (see ``batyrev_hodge``); divisor component counts are read off the
+polar's facet masks.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ from .polytopes import (
     Vec,
     _incidence_counts,
     _smallest_face_mask,
-    boundary_facet_masks,
     ell,
+    facet_masks,
     hull,
     is_reflexive,
     lattice_points,
@@ -179,9 +181,11 @@ def _cartier_data(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
     the cone over F); it must satisfy <u, v> >= -1 on E_i and >= 0
     elsewhere globally (upper convexity, i.e. nefness).  Returns, per part,
     the sorted distinct u_{F,i}: the vertices of nabla_i.  The boundary
-    points of F are read off the facets the lattice-point sweep recorded
-    at each boundary point.  One reduced elimination per facet solves for
-    every part at once: the points of F are the rows, and each part's
+    points of F are read off the facets the lattice-point sweep recorded at
+    each lattice point; the origin, the one interior point, is on no facet,
+    and every u pairs to 0 with it, which no part's bound refuses, so the
+    nef check pairs u with every point.  One elimination per facet solves
+    for every part at once: the points of F are the rows, and each part's
     right-hand side is one more column.  Part i has integral Cartier data
     iff the points have rank d, its column is zero below the pivots, and
     the last pivot ``den`` divides the rest of it; then u_{F,i} is that
@@ -192,17 +196,16 @@ def _cartier_data(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
     """
     delta = np_.polytope
     d = delta.rank
-    boundary = lattice_points(delta, "boundary")
-    masks = boundary_facet_masks(delta)
+    points, masks = lattice_points(delta), facet_masks(delta)
     part_sets = [set(part) for part in np_.parts]
-    bounds = [[-1 if v in part_set else 0 for v in boundary] for part_set in part_sets]
-    # Each boundary point, then its right-hand side for every part.
+    bounds = [[-1 if v in part_set else 0 for v in points] for part_set in part_sets]
+    # Each lattice point, then its right-hand side for every part.
     rows = [list(v) + [-1 if v in part_set else 0 for part_set in part_sets]
-            for v in boundary]
+            for v in points]
     vertex_sets: list[set[Vec]] = [set() for _ in np_.parts]
     for fi, (n, _) in enumerate(delta.facets):
         a = [row[:] for row, mask in zip(rows, masks) if mask >> fi & 1]
-        pivots, _ = _echelon(a, d, reduced=True)
+        pivots, _ = _echelon(a, d)
         den = a[d - 1][d - 1] if len(pivots) == d else 0
         for i, (bound, found) in enumerate(zip(bounds, vertex_sets)):
             col = d + i
@@ -214,9 +217,9 @@ def _cartier_data(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
             u = tuple(row[col] // den for row in a[:d])
             if u in found:
                 continue
-            values = mat_vec(boundary, u)
+            values = mat_vec(points, u)
             if any(map(lt, values, bound)):
-                v = next(v for v, value, b in zip(boundary, values, bound) if value < b)
+                v = next(v for v, value, b in zip(points, values, bound) if value < b)
                 raise NotNef(
                     f"part {i} fails upper convexity at {v} "
                     f"against facet {fi} (normal {n})")
@@ -234,24 +237,23 @@ def _nabla_point_sets(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
     Polar facet j is <., v_j> >= -1 for vertex v_j of Delta, so the facets
     through p, which the polar's sweep recorded, are that face's vertex
     mask (0 for an interior p), and v lies on the face iff the vertex mask
-    of v's smallest face is a subset of it.  So the boundary points'
-    parts are grouped by that mask once, and the tight set of each
-    distinct polar mask is the union of the groups under it, with no inner
-    product.  A point that no part owns, which ``dual_nef_partition``
-    refuses before this runs, counts as part None.
+    of v's smallest face is a subset of it.  So the points' parts are
+    grouped by that mask once, and the tight set of each distinct polar
+    mask is the union of the groups under it, with no inner product.  The
+    origin's smallest face is Delta, whose mask of all vertices no polar
+    point's mask holds.  A boundary point that no part owns, which
+    ``dual_nef_partition`` refuses before this runs, counts as part None.
     """
     delta = np_.polytope
     polar = polar_dual(delta)
     owner = {v: i for i, part in enumerate(np_.parts) for v in part}
     groups: dict[int, set[Optional[int]]] = {}
-    for v, through in zip(lattice_points(delta, "boundary"), boundary_facet_masks(delta)):
+    for v, through in zip(lattice_points(delta), facet_masks(delta)):
         groups.setdefault(_smallest_face_mask(delta, through), set()).add(owner.get(v))
-    faces = dict(zip(lattice_points(polar, "boundary"), boundary_facet_masks(polar)))
     # The point lists of the nabla_i that hold a polar point, by its face.
     point_sets: list[list[Vec]] = [[] for _ in np_.parts]
     fits: dict[int, list[list[Vec]]] = {}
-    for p in lattice_points(polar, "all"):
-        face = faces.get(p, 0)
+    for p, face in zip(lattice_points(polar), facet_masks(polar)):
         fit = fits.get(face)
         if fit is None:
             tight = set().union(*(parts for mask, parts in groups.items()
@@ -392,8 +394,7 @@ def divisor_component_count(sigma: Sequence[int], polar: LatticePolytope) -> Opt
     s = tuple(map(as_int, sigma))
     if not polar.on_boundary(s):
         raise NotBoundaryPoint(f"{s} is not a boundary lattice point of the polar polytope")
-    boundary = lattice_points(polar, "boundary")
-    through = boundary_facet_masks(polar)[bisect_left(boundary, s)]
+    through = facet_masks(polar)[bisect_left(lattice_points(polar), s)]
     bits = through.bit_count()
     if bits == 1:
         return None

@@ -15,16 +15,20 @@ described yet.  All arithmetic is exact and, apart from the Caratheodory
 membership test, integral.  A polytope keeps what is derived from it in
 one ``_cache``: the lattice-point ``_sweep``, the ``_faces`` table, the
 ``_incidence_counts`` and, from ``polar_dual``, the polar or a weak link.
+The sweep keeps one table, every lattice point with the bitmask of the
+facets through it (``facet_masks``, 0 at an interior point), and the
+boundary and interior points are read off it.
 
 The hull and the projections take one step: a facet list with point
 masks meets a sign per facet, the facets of sign >= 0 stay, and each pair
 of facets across the sign change that meets in a ridge, found from the
 masks alone, is rotated into one new facet (``_combine``).  ``hull`` signs
 the facets by their slack at a new point (the double-description method,
-Motzkin et al. 1953, Fukuda-Prodon 1996), from the d+1 facets of a
-starting simplex, read off the columns of one matrix inverse.  Lattice
-points are enumerated by project-and-lift (as in PALP); each projection
-signs the facets of the level above by their last normal entry
+Motzkin et al. 1953, Fukuda-Prodon 1996), from the d+1 facets of a starting
+simplex; one elimination of the points' matrix, with the identity attached,
+picks the simplex and leaves its facets as the rows of a matrix inverse.
+Lattice points are enumerated by project-and-lift (as in PALP); each
+projection signs the facets of the level above by their last normal entry
 (Fourier-Motzkin elimination with Chernikov's adjacency rule).  The sweep
 visits a prefix per lattice point of each projection, and a skewed P has
 many prefixes over empty fibres; so where P's coordinate box allows a lot
@@ -42,7 +46,7 @@ import sys
 import weakref
 from bisect import bisect_left
 from collections import Counter
-from operator import add, mul
+from operator import add, mul, not_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -59,7 +63,7 @@ from .errors import (
 )
 from ._cache import cached
 from .intlinalg import (
-    _echelon, as_int, as_int_vector, dot, identity, pivot_columns, solve_exact, vec_gcd)
+    _echelon, as_int, as_int_vector, dot, identity, solve_exact, vec_gcd)
 
 Vec = tuple[int, ...]
 Facet = tuple[Vec, int]  # (primitive normal n, offset c): <n, x> >= -c
@@ -112,17 +116,6 @@ def _combine(signed: Sequence[tuple[int, Vec, int, int]],
             if sum(ridge & m == ridge for m in masks) > 2:
                 continue
             yield *_rotate(n1, c1, s1, n2, c2, s2), ridge
-
-
-def _affinely_independent_subset(points: Sequence[Vec], d: int) -> Optional[list[int]]:
-    """Indices of d+1 affinely independent points, or None: the first point
-    and, from one echelon pass, the pivot columns of the d x (n-1) matrix of
-    differences p_i - p_0, each outside the span of the columns before it."""
-    base = points[0]
-    pivots = pivot_columns([[p[k] - base[k] for p in points[1:]] for k in range(d)])
-    if len(pivots) < d:
-        return None
-    return [0] + [c + 1 for c in pivots]
 
 
 class LatticePolytope:
@@ -223,26 +216,28 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     description over the points in sorted order: the state is the facet
     list of the hull of the points taken so far, each facet (n, c, mask)
     with the bitmask of those points on it, starting from the d+1 facets of
-    an affinely independent subset p_0..p_d.  Column i of M^-1, for M with
-    rows (p_j, 1), is a plane that is 0 at every p_j but p_i and 1 at p_i,
-    so it faces inward; one reduced elimination of [M | I] leaves den * M^-1
-    right of M, whatever its row swaps, and times the sign of den and over
-    the gcd of its normal each column is a starting facet.  A point p with
-    positive slack at every facet is inside and skipped.  Otherwise the
-    facets with slack >= 0 stay, those with slack 0 gaining p's bit; the
-    facets with slack < 0 go; and each pair H1, H2 with slack s1 < 0 < s2
-    at p that meets in a ridge gives the plane s2*H1 - s1*H2 through the ridge
-    and p (``_combine``).  Its mask is the AND of the two masks and p's
-    bit, and is exact: an earlier point q has H1(q), H2(q) >= 0, so the new
-    plane vanishes at q iff both do.  So no later plane is solved for, and
-    each facet comes out once.  Each mask also holds d affinely independent
-    points, the d of a starting facet or the d-1 of a ridge and p, which is
-    off H1; so every facet is (d-1)-dimensional by construction
-    (Fukuda-Prodon 1996), and no rank re-proves it.  A point is a vertex iff
-    no other input point lies on every facet through it, read off the final
-    masks: otherwise the face those facets cut out holds both.  Each row of
-    the incidence table is its facet's final mask restricted to the
-    vertices.
+    a simplex.  Let A have one column (p, 1) per point.  One elimination
+    of [A | I] finds A's pivot columns, each outside the span of the
+    columns before it: the first point and every later one off the affine
+    span of the points before it, d+1 in all for a full-dimensional input.  For B the pivot columns p_0..p_d, it leaves den * B^-1 right of
+    A, whatever its row swaps, and row i of B^-1 is a plane that is 0 at
+    every p_j but p_i and 1 at p_i, so it faces inward; times the sign of
+    den and over the gcd of its normal each row is a starting facet.  A
+    point p with positive slack at every facet is inside and skipped.
+    Otherwise the facets with slack >= 0 stay, those with slack 0 gaining
+    p's bit; the facets with slack < 0 go; and each pair H1, H2 with slack
+    s1 < 0 < s2 at p that meets in a ridge gives the plane s2*H1 - s1*H2
+    through the ridge and p (``_combine``).  Its mask is the AND of the two
+    masks and p's bit, and is exact: an earlier point q has H1(q) >= 0 and
+    H2(q) >= 0, so the new plane vanishes at q iff both do.  So no later
+    plane is solved for, and each facet comes out once.  Each mask also
+    holds d affinely independent points, the d of a starting facet or the
+    d-1 of a ridge and p, which is off H1; so every facet is
+    (d-1)-dimensional by construction (Fukuda-Prodon 1996), and no rank
+    re-proves it.  A point is a vertex iff no other input point lies on
+    every facet through it, read off the final masks: otherwise the face
+    those facets cut out holds both.  Each row of the incidence table is
+    its facet's final mask restricted to the vertices.
     """
     try:
         pts = sorted({tuple(map(as_int, p)) for p in points})
@@ -255,22 +250,20 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
         raise RankMismatch("points of mixed ambient rank")
     if not MIN_RANK <= d <= MAX_RANK:
         raise UnsupportedRank(f"ambient rank {d} outside supported range 2..{MAX_RANK}")
-    simplex = _affinely_independent_subset(pts, d)
-    if simplex is None:
+    # [A | I] for A with one column (p, 1) per point: its first d+1 pivot
+    # columns are the starting simplex, and den * B^-1 ends right of A.
+    a = [[*col, *unit] for col, unit in zip([*zip(*pts), (1,) * len(pts)], identity(d + 1))]
+    simplex, _ = _echelon(a, len(pts))
+    if len(simplex) <= d:
         raise NotFullDimensional(f"affine span has dimension below {d}")
-
-    # [M | I] for M with one row (p, 1) per simplex point; den * M^-1 ends
-    # right of M, and its column k vanishes at every simplex point but the k-th.
-    m = [list(pts[i]) + [1] + [int(i == j) for j in simplex] for i in simplex]
-    _echelon(m, d + 1, reduced=True)
-    sign = 1 if m[d][d] > 0 else -1
+    sign = 1 if a[d][simplex[d]] > 0 else -1
     start = sum(1 << i for i in simplex)
     # facets: (n, c, bitmask of the points processed so far that lie on it).
     facets = []
-    for k, omit in enumerate(simplex):
-        col = [sign * row[d + 1 + k] for row in m]
-        g = vec_gcd(col[:d])
-        facets.append((tuple(x // g for x in col[:d]), col[d] // g, start ^ 1 << omit))
+    for omit, row in zip(simplex, a):
+        plane = [sign * x for x in row[len(pts):]]
+        g = vec_gcd(plane[:d])
+        facets.append((tuple(x // g for x in plane[:d]), plane[d] // g, start ^ 1 << omit))
 
     for i, p in enumerate(pts):
         if start >> i & 1:
@@ -362,17 +355,17 @@ def lattice_points(poly: LatticePolytope, region: str = "all") -> tuple[Vec, ...
     ``_sweep_basis``), maps its points back and sorts them; otherwise it
     sweeps P's own coordinates, whose prefixes in increasing order yield the
     points lexicographically.  One sweep, kept in the polytope's cache,
-    serves all three regions and ``boundary_facet_masks``.
+    serves all three regions and ``facet_masks``.
     """
     if region not in _REGIONS:
         raise InputError(f"unknown region {region!r}")
     return _sweep(poly)[_REGIONS.index(region)]
 
 
-def boundary_facet_masks(poly: LatticePolytope) -> tuple[int, ...]:
-    """For each boundary lattice point of P, in the order of
-    ``lattice_points(P, "boundary")``, the bitmask of the facets through it
-    (bit j for facet j), as the lattice-point sweep found them; computed
+def facet_masks(poly: LatticePolytope) -> tuple[int, ...]:
+    """For each lattice point of P, in the order of ``lattice_points(P)``,
+    the bitmask of the facets through it (bit j for facet j), 0 exactly at
+    the interior points, as the lattice-point sweep found them; computed
     once per polytope."""
     return _sweep(poly)[3]
 
@@ -530,7 +523,7 @@ def _image(m: Sequence[Sequence[int]], points: Sequence[Vec]) -> list[Vec]:
 def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
                                            tuple[Vec, ...], tuple[int, ...]]:
     """All, boundary and interior lattice points of P, each lexicographic,
-    and for each boundary point the bitmask of P's facets through it.
+    and for each point the bitmask of P's facets through it.
 
     The sweep runs in coordinates y = U x from ``_sweep_basis``, or in x
     itself.  Facet n maps to n U^-1 and keeps its index, so its bit keeps
@@ -543,10 +536,11 @@ def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
     last level, are lifted the same way from the prefixes one level up.
     The facets through a point of the last level are the slopes with slack
     0 there, at an end of its fibre, and the vertical facets with slack 0
-    on the whole fibre.  In a reduced basis the boundary and interior
-    points are mapped back by U^-1 at the end (``_image``) and sorted, each
-    boundary point with its mask, and all points are their merge; the
-    per-point loop is the same in either basis.
+    on the whole fibre.  The sweep keeps one list of points and one mask
+    per point, 0 for an interior point; in a reduced basis the points are
+    mapped back by U^-1 at the end (``_image``) and sorted, each with its
+    mask.  The boundary and interior points are the points whose mask is
+    nonzero and zero; the per-point loop is the same in either basis.
 
     Before each fibre's loop the sweep counts the points of that fibre,
     which are the prefixes or the points it is about to visit, and past
@@ -570,9 +564,7 @@ def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
     # the vertical facets with theirs.
     bits = [1 << j for j, (n, _, _) in enumerate(facets) if n[-1]]
     vertical = [(1 << j, n[:-2], n[-2], c) for j, (n, c, _) in enumerate(facets) if not n[-1]]
-    everything: list[Vec] = []
-    boundary: list[Vec] = []
-    interior: list[Vec] = []
+    points: list[Vec] = []
     masks: list[int] = []
     spent = 0
 
@@ -597,27 +589,20 @@ def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
                      sum(bit for bit, h, b in lifted if b + h * y == 0))
             return
         for y in range(lo, hi + 1):
-            p = prefix + (y,)
-            everything.append(p)
+            points.append(prefix + (y,))
             on = walls
             if y == lo or y == hi:
                 on |= sum(bit for bit, (a, r) in zip(bits, slopes) if a * y + r == 0)
-            if on:
-                boundary.append(p)
-                masks.append(on)
-            else:
-                interior.append(p)
+            masks.append(on)
 
     try:
         lift(0, (), [(a, c) for _, a, c in first], 0)
     finally:
         lift = None  # the closure refers to itself: break that cycle
     if basis is not None:
-        interior = sorted(_image(back, interior))
-        pairs = sorted(zip(_image(back, boundary), masks))
-        boundary, masks = [x for x, _ in pairs], [m for _, m in pairs]
-        everything = sorted(boundary + interior)
-    return tuple(everything), tuple(boundary), tuple(interior), tuple(masks)
+        points, masks = zip(*sorted(zip(_image(back, points), masks)))
+    return (tuple(points), tuple(itertools.compress(points, masks)),
+            tuple(itertools.compress(points, map(not_, masks))), tuple(masks))
 
 
 def ell(poly: LatticePolytope) -> int:
@@ -688,16 +673,14 @@ def smallest_face_containing(poly: LatticePolytope, point: Sequence[int]) -> Fac
     """The unique face whose relative interior contains the lattice point.
 
     The smallest face containing a point is the intersection of all facets
-    through it, which the lattice-point sweep recorded for each boundary
-    point (found by bisection, the points being sorted); an interior point
-    yields the full polytope as a face.
+    through it, which the lattice-point sweep recorded for each lattice
+    point (found by bisection, the points being sorted); an interior point,
+    on no facet, yields the full polytope as a face.
     """
     p = as_int_vector(point)
     if not poly.contains(p):
         raise EmptyInput(f"point {p} is not in the polytope")
-    boundary = lattice_points(poly, "boundary")
-    i = bisect_left(boundary, p)
-    through = boundary_facet_masks(poly)[i] if i < len(boundary) and boundary[i] == p else 0
+    through = facet_masks(poly)[bisect_left(lattice_points(poly), p)]
     face = _face_with_vertices(poly, _smallest_face_mask(poly, through))
     if face is None:
         raise NotFullDimensional("no face found; polytope data inconsistent")
@@ -713,23 +696,22 @@ def _face_incidence(poly: LatticePolytope, face: Face) -> int:
 def ell_star_face(poly: LatticePolytope, face: Face) -> int:
     """Lattice points in the relative interior of a face.
 
-    A boundary point lies in the relative interior of a proper face exactly
-    when the facets through it are the facets containing the face; the
-    boundary points are counted by facet mask once per polytope.
+    A lattice point lies in the relative interior of a face exactly when
+    the facets through it are the facets containing the face; the points
+    are counted by facet mask once per polytope.  P itself lies on no
+    facet, and mask 0 counts the interior points; the empty face lies on
+    every facet, and no point does.
     """
     if face.parent is not poly and face.parent != poly:  # identity first: the usual case
         raise PolytopeMismatch("the face belongs to another polytope")
-    if face.dim == poly.rank:
-        return ell_interior(poly)
-    if face.dim < 0:
-        return 0
     return _incidence_counts(poly)[_face_incidence(poly, face)]
 
 
 @cached
 def _incidence_counts(poly: LatticePolytope) -> Counter[int]:
-    """The number of boundary points of P through each facet mask."""
-    return Counter(boundary_facet_masks(poly))
+    """The number of lattice points of P through each facet mask, 0 for
+    the interior points."""
+    return Counter(facet_masks(poly))
 
 
 def dual_face(poly: LatticePolytope, face: Face) -> Face:

@@ -638,15 +638,20 @@ K3_BASIS_HALF = {"image_basis": [[0.5] + [0] * 21]}
     (["hodge", "euler", "--diamond", "{d}"],
      {"d": {"dim": 1, "h": {"0,0": 1, "1,1": 1}, "flags": ["kaehler", "quasifano"]}}),
     (["lattice", "sum", "--spec", "foo"], {}),
+    (["family", "quartic", "--i", "1", "--j", "1", "--mu", "1,,1"], {}),
+    (["family", "quartic", "--i", "1", "--j", "1", "--mu", ",2,"], {}),
+    (["family", "quartic", "--i", "1", "--j", "1", "--mu", "2,"], {}),
 ], ids=["gram", "gram-infinity", "image-basis", "f", "embedding-file", "partition",
         "polytope-rank", "diamond-entry", "diamond-key", "fibration-ell", "tyurin-dim",
         "mu", "spec", "spec-sum", "gram-number", "gram-row-number", "image-basis-number",
         "f-number", "fibre-n-string", "fibre-n-fraction", "diamond-key-underscore",
         "mu-underscore", "spec-underscore", "spec-arabic-indic", "diamond-flag-unknown",
-        "diamond-flags-both", "spec-unknown"])
+        "diamond-flags-both", "spec-unknown", "mu-empty-inner", "mu-empty-ends",
+        "mu-empty-last"])
 def test_non_integral_value_is_an_input_error(tmp_path, capsys, argv, files):
-    # Each value would once have been truncated (or failed as an internal
-    # error); it is now refused before any work is done.
+    # Each value would once have been truncated, or dropped as an empty
+    # piece (or failed as an internal error); it is now refused before any
+    # work is done.
     paths = {}
     for name, data in files.items():
         paths[name] = str(tmp_path / f"{name}.json")

@@ -601,15 +601,15 @@ def test_validation_solves_each_cartier_system_once(octahedron, monkeypatch):
     real_echelon = nef._echelon
     calls = []
 
-    def counting_echelon(a, ncols, reduced=False):
-        calls.append((len(a[0]) - ncols, reduced))
-        return real_echelon(a, ncols, reduced)
+    def counting_echelon(a, ncols):
+        calls.append(len(a[0]) - ncols)
+        return real_echelon(a, ncols)
 
     monkeypatch.setattr(nef, "_echelon", counting_echelon)
     nef.validate_nef_partition(octahedron, P1P1P1_PARTS)
-    # One reduced elimination per facet, with both parts' right-hand sides
+    # One elimination per facet, with both parts' right-hand sides
     # attached; the dual reuses its solutions, and no solve is left.
-    assert calls == [(2, True)] * len(octahedron.facets) == [(2, True)] * 8
+    assert calls == [2] * len(octahedron.facets) == [2] * 8
     assert not hasattr(nef, "solve_exact")
 
 

@@ -1,5 +1,6 @@
 """The package surface: public names, and what a cold start loads."""
 
+import ast
 import importlib
 import json
 import os
@@ -213,3 +214,23 @@ def test_every_traced_name_resolves_in_the_library():
         for attr in attrs:
             obj = getattr(obj, attr)
         assert callable(obj), qual
+
+
+def test_every_private_helper_has_a_library_caller():
+    # A module-level function or class whose name starts with ``_`` (dunder
+    # hooks aside) is named by code somewhere else in the package: outside
+    # its own definition, as a name or an attribute.  A docstring or comment
+    # that mentions it does not count, and neither does a test, so a helper
+    # only the tests reach fails here.
+    trees = [ast.parse(path.read_text()) for path in
+             sorted(Path(mirrorcheck.__file__).parent.glob("*.py"))]
+    named: dict[str, set[int]] = {}
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            named.setdefault(node.id if isinstance(node, ast.Name) else node.attr,
+                             set()).add(id(node))
+    uncalled = [node.name for tree in trees for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")
+                and not named.get(node.name, set()) - set(map(id, ast.walk(node)))]
+    assert uncalled == []

@@ -290,26 +290,27 @@ def test_hull_matches_facet_oracle_random(points):
     [p for p in itertools.product((0, 1), repeat=5)],
 ])
 def test_hull_solves_only_the_starting_simplex(points, monkeypatch):
-    # The starting facets are the columns of one reduced elimination; each
+    # The starting simplex and its facets come from one elimination; each
     # later facet is a combination of the two planes at its horizon ridge,
-    # so a hull takes no other elimination here and no determinant.
-    # ``pivot_columns`` runs intlinalg's own ``_echelon``, not counted here.
+    # so a hull takes no other elimination, inside intlinalg or out, and no
+    # determinant.
     eliminations, determinants = [], []
-    real_echelon, real_determinant = pt._echelon, la.determinant
+    real_echelon, real_determinant = la._echelon, la.determinant
 
-    def echelon(a, ncols, reduced=False):
-        eliminations.append(reduced)
-        return real_echelon(a, ncols, reduced)
+    def echelon(a, ncols):
+        eliminations.append(ncols)
+        return real_echelon(a, ncols)
 
     def determinant(m):
         determinants.append(m)
         return real_determinant(m)
 
-    monkeypatch.setattr(pt, "_echelon", echelon)
+    for module in (pt, la):
+        monkeypatch.setattr(module, "_echelon", echelon)
     monkeypatch.setattr(la, "determinant", determinant)
     monkeypatch.setattr(pt, "determinant", determinant, raising=False)
     pt.hull(points)
-    assert eliminations == [True]
+    assert eliminations == [len(set(map(tuple, points)))]
     assert determinants == []
 
 
@@ -458,8 +459,24 @@ def spanned_points(draw):
 @example([(0, 0), (1, 1), (2, 2), (3, 0)])
 @example([(0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 0)])
 def test_starting_simplex_matches_greedy(points):
+    # The first d+1 pivot columns of the hull's one elimination are the
+    # greedy simplex, and a lower-dimensional input has fewer.
     d = len(points[0])
-    assert pt._affinely_independent_subset(points, d) == greedy_simplex(points, d)
+    found = []
+    real_echelon = pt._echelon
+
+    def echelon(a, ncols):
+        pivots, sign = real_echelon(a, ncols)
+        found.append(pivots)
+        return pivots, sign
+
+    with mock.patch.object(pt, "_echelon", echelon):
+        try:
+            pt.hull(points)
+        except errors.NotFullDimensional:
+            pass
+    [pivots] = found
+    assert (pivots if len(pivots) == d + 1 else None) == greedy_simplex(points, d)
 
 
 # --- polar dual ------------------------------------------------------------
@@ -615,7 +632,7 @@ def test_polytope_cache_keeps_one_object_and_nothing_on_failure(points):
     for p in (poly, dual):
         for region in REGIONS:
             assert pt.lattice_points(p, region) is pt.lattice_points(p, region)
-        assert pt.boundary_facet_masks(p) is pt.boundary_facet_masks(p)
+        assert pt.facet_masks(p) is pt.facet_masks(p)
         assert pt._faces(p) is pt._faces(p)
         assert pt._incidence_counts(p) is pt._incidence_counts(p)
     assert pt.polar_dual(poly) is dual and pt.polar_dual(dual) is poly
@@ -1195,7 +1212,7 @@ def skewed_fixtures(draw):
 @example(skewed(SIMPLEX5, 15585))  # reduced, rank 5
 def test_reduced_sweep_matches_box_scan(points):
     # Whichever basis the gates pick, the three regions are the box scan's,
-    # and each boundary point's mask is the zero pattern of its slacks.
+    # and each point's mask is the zero pattern of its slacks.
     poly = pt.hull(points)
     prefixes, box = pt._bounds(poly.vertices)
     basis = pt._sweep_basis(poly)
@@ -1207,7 +1224,7 @@ def test_reduced_sweep_matches_box_scan(points):
         assert 2 * pt._bounds(image(u, poly.vertices))[0] <= prefixes
     for region in REGIONS:
         assert pt.lattice_points(poly, region) == naive_points(points, region)
-    for p, mask in zip(pt.lattice_points(poly, "boundary"), pt.boundary_facet_masks(poly)):
+    for p, mask in zip(pt.lattice_points(poly), pt.facet_masks(poly)):
         assert mask == sum(1 << j for j, (n, c) in enumerate(poly.facets) if la.dot(n, p) + c == 0)
 
 
@@ -1434,14 +1451,15 @@ def test_ell_star_face_scans_boundary_once(monkeypatch, quintic_simplex):
 @pytest.mark.parametrize("seed", [None, 7])
 @pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
 def test_boundary_facet_masks_match_slacks(points, seed):
-    # The facets the sweep records at each boundary point are those with
-    # slack 0 there.
+    # The facets the sweep records at each lattice point are those with
+    # slack 0 there, and the mask is 0 exactly at the interior points.
     if seed is not None:
         points = image(unimodular(len(points[0]), seed), points)
     for poly in (pt.hull(points), pt.dilate(pt.hull(points), 2)):
-        assert pt.boundary_facet_masks(poly) == tuple(
-            sum(1 << j for j in facet_incidence(poly, p))
-            for p in pt.lattice_points(poly, "boundary"))
+        points, masks = pt.lattice_points(poly), pt.facet_masks(poly)
+        assert masks == tuple(sum(1 << j for j in facet_incidence(poly, p)) for p in points)
+        interior = tuple(p for p, mask in zip(points, masks) if not mask)
+        assert interior == pt.lattice_points(poly, "interior")
 
 
 @pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
