@@ -20,6 +20,11 @@ The K3 gluing locus and the three unblown components X_1, X_2, X_4 are
 built once per process, on first use, and every report shares them, as it
 shares one ``Fibre`` per singular fibre type.  A sweep of all 71 members in
 a fresh process builds 217 diamonds: three per member, and these four.
+All but the K3 are threefolds built in closed form from two integers
+(``cy_threefold_diamond``, ``quasi_fano_threefold_diamond``), which check
+the two and write the grid and the Euler number through the diamond's one
+finisher, with no entry-by-entry validation; the K3 takes the generic
+constructor, which ends in the same finisher.
 """
 
 from __future__ import annotations

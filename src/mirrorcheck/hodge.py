@@ -70,8 +70,13 @@ class HodgeDiamond:
     inputs carry h^{d,0} = 0 and are flagged so the Calabi-Yau constraints
     are not wrongly imposed on them.  ``entries`` maps pairs (p, q) to
     h^{p,q}; the dimension, the indices and the entries are read through
-    ``as_int``.  The Euler number is summed once, when the diamond is built;
-    a built diamond is read-only, and copy and pickle rebuild it via JSON.
+    ``as_int``.  Every diamond ends in one finisher, ``_finish``, which
+    writes the grid, the flag and the Euler number: ``__init__`` calls it
+    with the alternating sum of the grid it has validated, and the
+    threefold builders ``cy_threefold_diamond`` and
+    ``quasi_fano_threefold_diamond`` with the grid and the Euler number in
+    closed form from their two checked integers.  A built diamond is
+    read-only, and copy and pickle rebuild it via JSON.
     """
 
     __slots__ = ("dim", "h", "kaehler", "_chi")
@@ -113,10 +118,16 @@ class HodgeDiamond:
                         if h[p][q] != h[dim - p][dim - q])
             raise InvalidDiamond(f"Serre duality broken at ({p},{q})")
         alternating = [sum(row[::2]) - sum(row[1::2]) for row in h]
+        self._finish(dim, h, kaehler, sum(alternating[::2]) - sum(alternating[1::2]))
+
+    def _finish(self, dim: int, h: tuple[tuple[int, ...], ...], kaehler: bool,
+                chi: int) -> "HodgeDiamond":
+        """Write the slots of a diamond whose grid is already checked."""
         _put_dim(self, dim)
         _put_h(self, h)
         _put_kaehler(self, kaehler)
-        _put_chi(self, sum(alternating[::2]) - sum(alternating[1::2]))
+        _put_chi(self, chi)
+        return self
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"a HodgeDiamond is read-only: {name!r} cannot change")
@@ -139,8 +150,10 @@ class HodgeDiamond:
         return self.h[p][q] if 0 <= p <= self.dim and 0 <= q <= self.dim else 0
 
     def betti(self, n: int) -> int:
+        """b_n, the sum of h^{p,n-p}; 0 outside 0 <= n <= 2 dim."""
         n = as_int(n)
-        return sum(self.hpq(p, n - p) for p in range(self.dim + 1))
+        h, d = self.h, self.dim
+        return sum(h[p][n - p] for p in range(max(0, n - d), min(n, d) + 1))
 
     def to_json(self) -> dict:
         entries = {}
@@ -176,7 +189,7 @@ class HodgeDiamond:
         return HodgeDiamond(data["dim"], entries, kaehler)
 
 
-# The slot writers of ``HodgeDiamond.__init__``: cheaper than object.__setattr__.
+# The slot writers of ``HodgeDiamond._finish``: cheaper than object.__setattr__.
 _put_dim, _put_h, _put_kaehler, _put_chi = (
     HodgeDiamond.__dict__[name].__set__ for name in HodgeDiamond.__slots__)
 
@@ -190,14 +203,33 @@ def elliptic_curve_diamond() -> HodgeDiamond:
 
 
 def cy_threefold_diamond(h11: int, h21: int) -> HodgeDiamond:
-    return HodgeDiamond(3, {(0, 0): 1, (3, 3): 1, (3, 0): 1, (0, 3): 1,
-                            (1, 1): h11, (2, 2): h11, (2, 1): h21, (1, 2): h21})
+    """h^{0,0} = h^{3,0} = 1, h^{1,1} = h11 and h^{2,1} = h21, with
+    chi = 2 (h11 - h21).  The two numbers are read and refused as
+    ``HodgeDiamond`` reads and refuses the entries h^{1,1} and h^{2,1}."""
+    h11 = as_int(h11)
+    if h11 < 0:
+        raise InvalidDiamond(f"h^{{1,1}} = {h11} is negative")
+    h21 = as_int(h21)
+    if h21 < 0:
+        raise InvalidDiamond(f"h^{{2,1}} = {h21} is negative")
+    return object.__new__(HodgeDiamond)._finish(
+        3, ((1, 0, 0, 1), (0, h11, h21, 0), (0, h21, h11, 0), (1, 0, 0, 1)),
+        True, 2 * (h11 - h21))
 
 
 def quasi_fano_threefold_diamond(h2: int, h21: int) -> HodgeDiamond:
-    """Threefold with effective anticanonical class, so h^{3,0} = 0."""
-    return HodgeDiamond(3, {(0, 0): 1, (3, 3): 1, (1, 1): h2, (2, 2): h2,
-                            (2, 1): h21, (1, 2): h21}, kaehler=False)
+    """Threefold with effective anticanonical class, so h^{3,0} = 0:
+    h^{1,1} = h2 and h^{2,1} = h21, with chi = 2 + 2 (h2 - h21).  The two
+    numbers are read and refused as in ``cy_threefold_diamond``."""
+    h2 = as_int(h2)
+    if h2 < 0:
+        raise InvalidDiamond(f"h^{{1,1}} = {h2} is negative")
+    h21 = as_int(h21)
+    if h21 < 0:
+        raise InvalidDiamond(f"h^{{2,1}} = {h21} is negative")
+    return object.__new__(HodgeDiamond)._finish(
+        3, ((1, 0, 0, 0), (0, h2, h21, 0), (0, h21, h2, 0), (0, 0, 0, 1)),
+        False, 2 + 2 * (h2 - h21))
 
 
 def projective_space_diamond(n: int) -> HodgeDiamond:
@@ -221,10 +253,9 @@ def mirror_dual_check(v: HodgeDiamond, w: HodgeDiamond) -> Verdict:
         raise DimensionMismatch(f"dim {v.dim} vs {w.dim}")
     d = v.dim
     failures = []
-    for p in range(d + 1):
-        for q in range(d + 1):
-            if v.h[p][q] != w.h[d - p][q]:
-                failures.append(f"({d - p},{q})")
+    if v.h != w.h[::-1]:
+        failures = [f"({d - p},{q})" for p in range(d + 1) for q in range(d + 1)
+                    if v.h[p][q] != w.h[d - p][q]]
     if euler_char(v) != (-1) ** d * euler_char(w):
         failures.append("euler")
     if failures:
@@ -274,7 +305,7 @@ def lee_smoothing(t: TyurinData) -> LeeHodge:
     if t.x1.dim != 3:
         raise DimensionMismatch(f"components of dimension {t.x1.dim}, not threefolds")
     h11 = t.x1.betti(2) + t.x2.betti(2) - t.k - 1
-    h21 = 21 + t.x1.hpq(2, 1) + t.x2.hpq(2, 1) - t.k
+    h21 = 21 + t.x1.h[2][1] + t.x2.h[2][1] - t.k
     warning = None
     if h11 < 1:
         warning = ("NonKaehlerOrInvalid: h11 = %d < 1; the smoothing cannot "

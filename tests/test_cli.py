@@ -293,11 +293,14 @@ def test_no_smith_form_is_given_a_unimodular_block(argv, capsys, monkeypatch):
 # pieces are built once, at import: the <4> mirror validates <4>, the
 # complement's induced form, the mirror quotient, <-4> and the target sum;
 # the H+E8(-1) complement only its induced form; the invariants' spec <-4>
-# and the sum.
+# and the sum.  The ids name the op and its input, not the pinned count, so
+# a re-pinned count keeps its test's name.
 @pytest.mark.parametrize("argv,validations", [
-    (["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"], 5),
-    (["lattice", "complement", "--spec", "H+E8(-1)"], 1),
-    (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 2),
+    pytest.param(["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"],
+                 5, id="mirror-spec-4"),
+    pytest.param(["lattice", "complement", "--spec", "H+E8(-1)"], 1, id="complement-spec-H-E8"),
+    pytest.param(["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 2,
+                 id="invariants-spec-H-E8-E8-m4"),
 ])
 def test_lattice_validations_per_op(argv, validations, capsys, monkeypatch):
     calls = []

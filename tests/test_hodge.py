@@ -4,7 +4,7 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirrorcheck import errors, hodge as hg
@@ -22,10 +22,10 @@ def test_euler_characteristics():
 
 
 @st.composite
-def _diamonds(draw):
+def _diamonds(draw, dims=st.integers(0, 6), values=st.integers(0, 40)):
     """Hodge-symmetric grids of dimension 0 to 6: quasi-Fano, or Kaehler with
     each entry copied over its Serre-duality orbit too."""
-    dim, kaehler = draw(st.integers(0, 6)), draw(st.booleans())
+    dim, kaehler = draw(dims), draw(st.booleans())
     entries = {}
     for p in range(dim + 1):
         for q in range(p, dim + 1):
@@ -33,7 +33,7 @@ def _diamonds(draw):
             if kaehler:
                 orbit |= {(dim - p, dim - q), (dim - q, dim - p)}
             if orbit.isdisjoint(entries):
-                value = 1 if (0, 0) in orbit else draw(st.integers(0, 40))
+                value = 1 if (0, 0) in orbit else draw(values)
                 entries.update(dict.fromkeys(orbit, value))
     return hg.HodgeDiamond(dim, entries, kaehler)
 
@@ -46,6 +46,132 @@ def test_euler_char_is_the_alternating_sum(d):
     assert all(d.hpq(p, q) == d.h[p][q] for p in range(d.dim + 1) for q in range(d.dim + 1))
     assert sum((-1) ** n * d.betti(n) for n in range(2 * d.dim + 1)) == signed
     assert hg.euler_char(d) == signed
+
+
+# The threefold builders write their grid and Euler number in closed form;
+# the generic constructor, given the same entries, is their reference.
+_THREEFOLD_BUILDERS = {
+    "calabi-yau": (hg.cy_threefold_diamond, True, lambda a, b: {
+        (0, 0): 1, (3, 3): 1, (3, 0): 1, (0, 3): 1,
+        (1, 1): a, (2, 2): a, (2, 1): b, (1, 2): b}),
+    "quasi-fano": (hg.quasi_fano_threefold_diamond, False, lambda a, b: {
+        (0, 0): 1, (3, 3): 1, (1, 1): a, (2, 2): a, (2, 1): b, (1, 2): b}),
+}
+
+
+def _outcome(call):
+    """What a call returns, or the type and message of the library error it
+    raises."""
+    try:
+        return call()
+    except errors.MirrorcheckError as e:
+        return type(e), str(e)
+
+
+def _readings(d):
+    return d.h, d.kaehler, hg.euler_char(d), hash(d), d.to_json()
+
+
+_COUNTS = st.integers(0, 10 ** 40) | st.integers(0, 200).map(float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_THREEFOLD_BUILDERS)), _COUNTS, _COUNTS)
+@example("calabi-yau", 0, 0)
+@example("quasi-fano", 0, 0)
+@example("calabi-yau", 10 ** 60, 1)
+@example("quasi-fano", 1, 10 ** 60)
+@example("calabi-yau", 2.0, 2.0)
+@example("quasi-fano", 2.0, 39)
+def test_closed_form_builders_match_the_generic_constructor(kind, a, b):
+    build, kaehler, entries = _THREEFOLD_BUILDERS[kind]
+    closed, generic = build(a, b), hg.HodgeDiamond(3, entries(a, b), kaehler)
+    assert type(closed) is hg.HodgeDiamond
+    for d in (closed, pickle.loads(pickle.dumps(closed))):
+        assert _readings(d) == _readings(generic)
+        assert d == generic and all(type(x) is int for row in d.h for x in row)
+
+
+_BAD_COUNTS = [-1, -1.0, True, False, 2.5, "1", None]
+
+
+@pytest.mark.parametrize("kind", sorted(_THREEFOLD_BUILDERS))
+@pytest.mark.parametrize("a,b", [(bad, 1) for bad in _BAD_COUNTS]
+                         + [(1, bad) for bad in _BAD_COUNTS]
+                         + [(-1, "x"), ("x", -1), (-2, -3), (None, 2.5)])
+def test_closed_form_builders_refuse_as_the_generic_constructor(kind, a, b):
+    build, kaehler, entries = _THREEFOLD_BUILDERS[kind]
+    refused = _outcome(lambda: build(a, b))
+    assert refused == _outcome(lambda: hg.HodgeDiamond(3, entries(a, b), kaehler))
+    assert isinstance(refused, tuple)
+
+
+# Brute-force readings of a diamond's grid, entry by entry.
+
+
+def _betti_reference(d, n):
+    return sum(d.h[p][q] for p in range(d.dim + 1) for q in range(d.dim + 1) if p + q == n)
+
+
+def _mirror_reference(v, w):
+    d = v.dim
+    failures = [f"({d - p},{q})" for p in range(d + 1) for q in range(d + 1)
+                if v.h[p][q] != w.h[d - p][q]]
+    signed = [sum((-1) ** (p + q) * x.h[p][q] for p in range(d + 1) for q in range(d + 1))
+              for x in (v, w)]
+    if signed[0] != (-1) ** d * signed[1]:
+        failures.append("euler")
+    return ("FAIL", "mismatch at " + ", ".join(failures)) if failures else ("PASS", "")
+
+
+@st.composite
+def _diamond_pairs(draw):
+    """Two diamonds of one dimension: the second is the first's mirror
+    transposition where that is a diamond, the first perturbed at one
+    entry, or another draw; entries stay small so that mirrors occur."""
+    v = draw(_diamonds(values=st.integers(0, 2)))
+    d = v.dim
+    mirrored = {(d - p, q): v.h[p][q] for p in range(d + 1) for q in range(d + 1)}
+    kind = draw(st.sampled_from(["mirror", "perturbed", "other"]))
+    if kind != "other":
+        if kind == "perturbed":
+            p, q = draw(st.integers(0, d)), draw(st.integers(0, d))
+            mirrored[(p, q)] = mirrored[(q, p)] = mirrored[(p, q)] + 1
+            if v.kaehler:
+                mirrored[(d - p, d - q)] = mirrored[(d - q, d - p)] = mirrored[(p, q)]
+        try:
+            return v, hg.HodgeDiamond(d, mirrored, v.kaehler)
+        except errors.InvalidDiamond:
+            pass
+    return v, draw(_diamonds(dims=st.just(d), values=st.integers(0, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_diamond_pairs())
+@example((hg.cy_threefold_diamond(1, 89), hg.cy_threefold_diamond(89, 1)))
+@example((hg.cy_threefold_diamond(1, 89), hg.cy_threefold_diamond(89, 2)))
+@example((hg.quasi_fano_threefold_diamond(1, 30), hg.cy_threefold_diamond(30, 1)))
+@example((hg.k3_diamond(), hg.k3_diamond()))
+def test_grid_readers_match_brute_force(pair):
+    v, w = pair
+    for d in pair:
+        assert [d.betti(n) for n in range(-2, 2 * d.dim + 3)] == \
+            [_betti_reference(d, n) for n in range(-2, 2 * d.dim + 3)]
+    verdict = hg.mirror_dual_check(v, w)
+    assert (verdict.status, verdict.detail) == _mirror_reference(v, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_diamonds(dims=st.just(3)), _diamonds(dims=st.just(3)),
+       _diamonds(dims=st.just(2)), st.integers(1, 20))
+@example(hg.quasi_fano_threefold_diamond(2, 39), hg.quasi_fano_threefold_diamond(1, 30),
+         hg.k3_diamond(), 1)
+def test_lee_smoothing_matches_brute_force(x1, x2, z, k):
+    lee = hg.lee_smoothing(hg.TyurinData(x1, x2, z, k))
+    h11 = _betti_reference(x1, 2) + _betti_reference(x2, 2) - k - 1
+    h21 = 21 + x1.hpq(2, 1) + x2.hpq(2, 1) - k
+    assert (lee.h11, lee.h21) == (h11, h21)
+    assert (lee.warning is None) == (h11 >= 1)
 
 
 def test_diamond_validation():
