@@ -74,9 +74,13 @@ class FamilyParams:
     mu: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "i", as_int(self.i))
-        object.__setattr__(self, "j", as_int(self.j))
-        object.__setattr__(self, "mu", as_int_vector(self.mu))
+        self._settle(i=as_int(self.i), j=as_int(self.j), mu=as_int_vector(self.mu))
+
+    def _settle(self, i: int, j: int, mu: tuple[int, ...]) -> "FamilyParams":
+        """Store the values read, run the checks and return the member."""
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "mu", mu)
         if self.i not in (1, 2, 4) or self.j not in (1, 2, 4):
             raise InvalidPartition(f"i, j must lie in {{1, 2, 4}}, got ({self.i}, {self.j})")
         if any(x < 1 for x in self.mu):
@@ -86,6 +90,7 @@ class FamilyParams:
         if sum(self.mu) != self.i + self.j:
             raise InvalidPartition(
                 f"partition {self.mu} sums to {sum(self.mu)}, expected {self.i + self.j}")
+        return self
 
     @property
     def k(self) -> int:
@@ -93,8 +98,9 @@ class FamilyParams:
 
     @staticmethod
     def of(i: int, j: int, mu: Sequence[int]) -> "FamilyParams":
-        """The member with the parts of ``mu`` in any order."""
-        return FamilyParams(i, j, tuple(sorted(as_int_vector(mu), reverse=True)))
+        """The member with the parts of ``mu`` in any order, read before i, j."""
+        return object.__new__(FamilyParams)._settle(
+            mu=tuple(sorted(as_int_vector(mu), reverse=True)), i=as_int(i), j=as_int(j))
 
     def to_json(self) -> dict:
         return {"i": self.i, "j": self.j, "mu": list(self.mu)}

@@ -74,9 +74,9 @@ class HodgeDiamond:
     writes the grid, the flag and the Euler number: ``__init__`` calls it
     with the alternating sum of the grid it has validated, and the
     threefold builders ``cy_threefold_diamond`` and
-    ``quasi_fano_threefold_diamond`` with the grid and the Euler number in
-    closed form from their two checked integers.  A built diamond is
-    read-only, and copy and pickle rebuild it via JSON.
+    ``quasi_fano_threefold_diamond``, through ``_threefold``, with the grid
+    and the Euler number in closed form from their two checked integers.
+    A built diamond is read-only, and copy and pickle rebuild it via JSON.
     """
 
     __slots__ = ("dim", "h", "kaehler", "_chi")
@@ -202,10 +202,10 @@ def elliptic_curve_diamond() -> HodgeDiamond:
     return HodgeDiamond(1, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
 
 
-def cy_threefold_diamond(h11: int, h21: int) -> HodgeDiamond:
-    """h^{0,0} = h^{3,0} = 1, h^{1,1} = h11 and h^{2,1} = h21, with
-    chi = 2 (h11 - h21).  The two numbers are read and refused as
-    ``HodgeDiamond`` reads and refuses the entries h^{1,1} and h^{2,1}."""
+def _threefold(h11, h21, h30: int) -> HodgeDiamond:
+    """The threefold with h^{0,0} = 1 and h^{3,0} = h30, 1 or 0, Kaehler
+    when h30 = 1, and chi = 2 + 2 (h11 - h21 - h30); h11 and h21 are read
+    and refused as ``HodgeDiamond`` reads and refuses h^{1,1} and h^{2,1}."""
     h11 = as_int(h11)
     if h11 < 0:
         raise InvalidDiamond(f"h^{{1,1}} = {h11} is negative")
@@ -213,23 +213,19 @@ def cy_threefold_diamond(h11: int, h21: int) -> HodgeDiamond:
     if h21 < 0:
         raise InvalidDiamond(f"h^{{2,1}} = {h21} is negative")
     return object.__new__(HodgeDiamond)._finish(
-        3, ((1, 0, 0, 1), (0, h11, h21, 0), (0, h21, h11, 0), (1, 0, 0, 1)),
-        True, 2 * (h11 - h21))
+        3, ((1, 0, 0, h30), (0, h11, h21, 0), (0, h21, h11, 0), (h30, 0, 0, 1)),
+        h30 == 1, 2 + 2 * (h11 - h21 - h30))
+
+
+def cy_threefold_diamond(h11: int, h21: int) -> HodgeDiamond:
+    """h^{3,0} = 1, h^{1,1} = h11 and h^{2,1} = h21, with chi = 2 (h11 - h21)."""
+    return _threefold(h11, h21, 1)
 
 
 def quasi_fano_threefold_diamond(h2: int, h21: int) -> HodgeDiamond:
     """Threefold with effective anticanonical class, so h^{3,0} = 0:
-    h^{1,1} = h2 and h^{2,1} = h21, with chi = 2 + 2 (h2 - h21).  The two
-    numbers are read and refused as in ``cy_threefold_diamond``."""
-    h2 = as_int(h2)
-    if h2 < 0:
-        raise InvalidDiamond(f"h^{{1,1}} = {h2} is negative")
-    h21 = as_int(h21)
-    if h21 < 0:
-        raise InvalidDiamond(f"h^{{2,1}} = {h21} is negative")
-    return object.__new__(HodgeDiamond)._finish(
-        3, ((1, 0, 0, 0), (0, h2, h21, 0), (0, h21, h2, 0), (0, 0, 0, 1)),
-        False, 2 + 2 * (h2 - h21))
+    h^{1,1} = h2 and h^{2,1} = h21, with chi = 2 + 2 (h2 - h21)."""
+    return _threefold(h2, h21, 0)
 
 
 def projective_space_diamond(n: int) -> HodgeDiamond:

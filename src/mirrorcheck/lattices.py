@@ -26,8 +26,8 @@ trivial.  The blocks' inertias add, their determinants multiply, and the
 cyclic orders of their discriminant generators become invariant factors by
 pairwise gcd/lcm.  The discriminant form adds over the blocks: each block's
 values, over its own generators, are counted as integers mod 2N^2, and the
-counts combine as a sumset; only its sorted distinct values are made
-``Fraction``s, the only rationals.  Kernels and the primitivity of a given
+counts combine as a sumset, kept as sorted (residue, count) pairs over N^2;
+the module holds no rationals.  Kernels and the primitivity of a given
 embedding come from Smith forms of the whole matrix;
 ``canonical_embedding``'s basis is a direct summand by construction and
 takes none.  Congruences ``B G B^T``, taken as ``B (B G)^T``, and the mirror
@@ -52,7 +52,6 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import getitem
 from typing import Optional, Sequence
 
@@ -340,20 +339,24 @@ def _invariant_factors(orders: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class DiscriminantData:
-    """Invariant factors and discriminant form values of an even lattice.
+    """Invariant factors and discriminant form of an even lattice, in integers.
 
-    ``form_values`` is the sorted multiset of q(x) over all elements of the
-    discriminant group, as exact rationals in [0, 2) representing Q/2Z.
+    With N the group's exponent (1 if trivial), ``form_counts`` counts the
+    elements x by q(x) = residue / N^2 in Q/2Z: sorted (residue, count) pairs,
+    0 <= residue < 2 N^2.  Equal groups share ``denominator`` = N^2, so their
+    forms compare by pairs; ``to_json`` prints each value as ``Fraction`` would.
     """
 
     group: tuple[int, ...]
-    form_values: tuple[Fraction, ...]
+    denominator: int
+    form_counts: tuple[tuple[int, int], ...]
 
     def to_json(self) -> dict:
-        return {
-            "group": list(self.group),
-            "form_values": [str(v) for v in self.form_values],
-        }
+        den, values = self.denominator, []
+        for x, cx in self.form_counts:
+            g = math.gcd(x, den)
+            values += [f"{x // g}/{den // g}" if den != g else str(x // g)] * cx
+        return {"group": list(self.group), "form_values": values}
 
 
 def _block_values(w: Sequence[Sequence[int]], ranges: Sequence[range], mod: int) -> Counter:
@@ -369,7 +372,7 @@ def _block_values(w: Sequence[Sequence[int]], ranges: Sequence[range], mod: int)
 
 @cached
 def discriminant(lat: QuadLattice) -> DiscriminantData:
-    """The group L*/L and the sorted values of its form q mod 2Z.
+    """The group L*/L and the counted values of its form q mod 2Z.
 
     L*/L is the orthogonal sum of its blocks' groups, and q adds over it.
     |L*/L| = |det|, so a group above the enumeration cap raises
@@ -384,9 +387,8 @@ def discriminant(lat: QuadLattice) -> DiscriminantData:
     gcd/lcm, are the group.  Over the common denominator N, the lcm of the
     orders, a block's element is ``sum a_i g_i / N`` with ``a_i`` a
     multiple of N/d_i below N, and q = a^T W a / N^2.  Each block's values
-    a^T W a mod 2 N^2 are counted as integers, the blocks' counts combine as
-    a sumset mod 2 N^2, and the sorted sums are made ``Fraction``s, one per
-    distinct value.
+    a^T W a mod 2 N^2 are counted as integers, and the blocks' counts combine
+    as a sumset mod 2 N^2 into the form's (residue, count) pairs.
     """
     det = determinant(lat)
     if det == 0:
@@ -416,11 +418,8 @@ def discriminant(lat: QuadLattice) -> DiscriminantData:
             for y, cy in values.items():
                 sums[(x + y) % mod] += cx * cy
         counts = sums
-    den2 = den * den
     return DiscriminantData(
-        tuple(_invariant_factors(orders)),
-        tuple(itertools.chain.from_iterable(
-            itertools.repeat(Fraction(x, den2), cx) for x, cx in sorted(counts.items()))))
+        tuple(_invariant_factors(orders)), den * den, tuple(sorted(counts.items())))
 
 
 @dataclass(frozen=True)
@@ -768,8 +767,7 @@ def invariants_match(a: QuadLattice, b: QuadLattice) -> MatchVerdict:
         disc_a, disc_b = discriminant(a), discriminant(b)
         if disc_a.group != disc_b.group:
             issues.append(f"discriminant group: {disc_a.group} != {disc_b.group}")
-        elif disc_a.form_values != disc_b.form_values:
-            issues.append(
-                f"discriminant form: {[str(v) for v in disc_a.form_values]} != "
-                f"{[str(v) for v in disc_b.form_values]}")
+        elif disc_a.form_counts != disc_b.form_counts:
+            issues.append(f"discriminant form: {disc_a.to_json()['form_values']} != "
+                          f"{disc_b.to_json()['form_values']}")
     return MatchVerdict(not issues, tuple(issues))

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -207,15 +208,21 @@ def test_nef_ops_build_no_face_lattice(command, fixture, capsys, monkeypatch):
 # invariants of the mirror, 3 blocks for H and 4 for <2> and <4>, and of
 # the target, whose only fresh piece is <4>'s <-4>; only the rank-one
 # blocks take a Smith form, and the construction's three transforms take
-# the other three.
+# the other three.  The ids name the op and its input, not the pinned counts.
 LATTICE_KERNEL_CALLS = [
-    (["lattice", "invariants", "--fixture", "posdef2"], 1, 1),
-    (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 1, 1),
-    (["lattice", "mirror", "--spec", "H", "--expect", "H+E8(-1)+E8(-1)"], 3, 3),
-    (["lattice", "mirror", "--spec", "<2>", "--expect", "H+E8(-1)+E8(-1)+A1(-1)"], 4, 5),
-    (["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"], 5, 5),
-    (["lattice", "complement", "--spec", "<4>"], 5, 2),
-    (["lattice", "complement", "--spec", "H+E8(-1)"], 3, 1),
+    pytest.param(["lattice", "invariants", "--fixture", "posdef2"], 1, 1,
+                 id="invariants-fixture-posdef2"),
+    pytest.param(["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 1, 1,
+                 id="invariants-spec-H-E8-E8-m4"),
+    pytest.param(["lattice", "mirror", "--spec", "H", "--expect", "H+E8(-1)+E8(-1)"], 3, 3,
+                 id="mirror-spec-H"),
+    pytest.param(["lattice", "mirror", "--spec", "<2>", "--expect", "H+E8(-1)+E8(-1)+A1(-1)"],
+                 4, 5, id="mirror-spec-2"),
+    pytest.param(["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"],
+                 5, 5, id="mirror-spec-4"),
+    pytest.param(["lattice", "complement", "--spec", "<4>"], 5, 2, id="complement-spec-4"),
+    pytest.param(["lattice", "complement", "--spec", "H+E8(-1)"], 3, 1,
+                 id="complement-spec-H-E8"),
 ]
 
 
@@ -273,7 +280,7 @@ def test_lattice_smith_forms_see_one_block_at_a_time(argv, rows, capsys, monkeyp
     assert largest == [rows]
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _, _ in LATTICE_KERNEL_CALLS])
+@pytest.mark.parametrize("argv", [param.values[0] for param in LATTICE_KERNEL_CALLS])
 def test_no_smith_form_is_given_a_unimodular_block(argv, capsys, monkeypatch):
     square = []
     real = la.smith_normal_form
@@ -854,6 +861,28 @@ def test_lattice_match_mismatch(capsys):
                             "--b", "H+E8(-1)+E8(-1)+A1(-1)")
     assert code == 1
     assert report["payload"]["status"] == "MISMATCH"
+
+
+def test_lattice_match_prints_the_form_mismatch(capsys):
+    # Equal rank, signature, |det| and group Z/2 + Z/6, unequal forms: the one
+    # path that writes the forms' values, 12 a side, into the detail.
+    code, out = run(capsys, "lattice", "match", "--a", "<-2>+<6>", "--b", "<2>+<-6>")
+    assert code == 1
+    assert out == (
+        '{"payload":{"mismatches":["discriminant form: '
+        "['0', '1/6', '1/6', '1/6', '1/6', '2/3', '2/3', '1', '3/2', '3/2', '5/3', '5/3'] != "
+        "['0', '1/3', '1/3', '1/2', '1/2', '1', '4/3', '4/3', '11/6', '11/6', '11/6', '11/6']"
+        '"],"status":"MISMATCH"},"provenance":{"command":["lattice","match"],"inputs":{},'
+        '"tool":"mirrorcheck","version":"0.1.0"},"status":"FAIL"}\n')
+
+
+def test_large_discriminant_report_is_pinned(capsys):
+    # |A| = 40 000, so the report lists 40 000 form values.
+    code, out = run(capsys, "lattice", "invariants", "--spec", "<200>+<200>")
+    assert code == 0
+    assert len(out.encode()) == 337359
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1c21b39990407fa109007fa688ac871b88b3f496f304a908ef2f9dac36e13e1e")
 
 
 def test_hodge_slice_fixtures(capsys):

@@ -122,6 +122,21 @@ def test_one_sweep_builds_each_constant_diamond_once():
     assert found == {"built": 217, "reports": 71, "checks": [5], "passed": 71}
 
 
+def test_one_sweep_reads_each_partition_once(monkeypatch):
+    # FamilyParams.of reads mu and hands it on; the constructor's checks do
+    # not read it again.
+    calls = []
+    real = fam.as_int_vector
+
+    def counting(v):
+        calls.append(1)
+        return real(v)
+
+    monkeypatch.setattr(fam, "as_int_vector", counting)
+    assert len(fam.sweep()) == 71
+    assert len(calls) == 71
+
+
 def test_sweep_symmetry():
     by_params = {(r.params.i, r.params.j, r.params.mu): r for r in fam.sweep()}
     for (i, j, mu), report in by_params.items():

@@ -7,7 +7,9 @@ k^2/n mod 2Z), and on random even forms of rank 2-4 against a brute-force
 enumeration of G^-1 Z^n mod Z^n that uses no Smith form.
 """
 
+import ast
 import gc
+import inspect
 import itertools
 import math
 import re
@@ -207,11 +209,13 @@ def test_signature_is_a_congruence_invariant(case, ops):
     assert lt.determinant(congruent) == lt.determinant(lat) == -1
 
 
-def test_signature_uses_no_fractions(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("signature built a Fraction")
-
-    monkeypatch.setattr(lt, "Fraction", refuse)
+def test_signature_uses_no_fractions():
+    # The lattice layer holds no rationals: it imports nothing from fractions.
+    tree = ast.parse(inspect.getsource(lt))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "fractions" not in imported and not hasattr(lt, "Fraction")
     assert lt.signature(lt.k3_lattice()) == (3, 19)
     assert lt.signature(lt.from_gram([[2, 2, 0], [2, 2, 1], [0, 1, 0]])) == (2, 1)
 
@@ -227,18 +231,26 @@ def test_degenerate_rejected():
 # --- discriminant forms ----------------------------------------------------
 
 
+def _discriminant_values(lat):
+    """``discriminant``'s group and its form's values, the (residue, count)
+    pairs expanded into one sorted ``Fraction`` per group element."""
+    data = lt.discriminant(lat)
+    return data.group, tuple(sorted(
+        Fraction(x, data.denominator) for x, count in data.form_counts for _ in range(count)))
+
+
 def test_discriminant_rank_one_oracle():
     # Dual basis e/4 in <-4>: q(k e/4) = -k^2/4 mod 2Z for k = 0..3.
     oracle = sorted(Fraction(-k * k, 4) % 2 for k in range(4))
-    data = lt.discriminant(lt.rank_one(-4))
-    assert data.group == (4,)
-    assert list(data.form_values) == oracle == [0, 1, Fraction(7, 4), Fraction(7, 4)]
+    group, values = _discriminant_values(lt.rank_one(-4))
+    assert group == (4,)
+    assert list(values) == oracle == [0, 1, Fraction(7, 4), Fraction(7, 4)]
 
 
 def test_discriminant_a1_minus():
-    data = lt.discriminant(lt.a1_minus())
-    assert data.group == (2,)
-    assert list(data.form_values) == [0, Fraction(3, 2)]
+    group, values = _discriminant_values(lt.a1_minus())
+    assert group == (2,)
+    assert list(values) == [0, Fraction(3, 2)]
 
 
 def test_discriminant_unimodular_trivial():
@@ -253,12 +265,12 @@ def test_discriminant_order_equals_det(a, b, c):
     det = la.determinant(gram)
     if det == 0:
         return
-    data = lt.discriminant(lt.from_gram(gram))
+    group, values = _discriminant_values(lt.from_gram(gram))
     order = 1
-    for f in data.group:
+    for f in group:
         order *= f
     assert order == abs(det)
-    assert len(data.form_values) == order
+    assert len(values) == order
 
 
 def _brute_discriminant(gram):
@@ -312,13 +324,18 @@ def even_grams(draw):
 def test_discriminant_matches_brute_force(gram):
     det = abs(la.determinant(gram))
     assume(0 < det <= 64)
-    data = lt.discriminant(lt.from_gram(gram))
+    lat = lt.from_gram(gram)
+    group, form = _discriminant_values(lat)
     killed, values = _brute_discriminant(gram)
-    assert all(d > 1 for d in data.group)
-    assert all(b % a == 0 for a, b in zip(data.group, data.group[1:]))
+    assert all(d > 1 for d in group)
+    assert all(b % a == 0 for a, b in zip(group, group[1:]))
     # |A[m]| = prod gcd(m, d_i) pins the invariant factors down.
-    assert killed == {m: math.prod(math.gcd(m, d) for d in data.group) for m in killed}
-    assert list(data.form_values) == values
+    assert killed == {m: math.prod(math.gcd(m, d) for d in group) for m in killed}
+    assert list(form) == values
+    # The pairs are over the exponent squared, and render as Fraction prints.
+    data = lt.discriminant(lat)
+    assert data.denominator == (group[-1] if group else 1) ** 2
+    assert data.to_json() == {"group": list(group), "form_values": [str(v) for v in values]}
 
 
 def test_discriminant_runs_one_smith_form(monkeypatch):
@@ -464,7 +481,7 @@ def test_unimodular_blocks_take_no_smith_form(monkeypatch):
     assert data.group == (12,)
     # Only <-4> and the A2 block of determinant 3 take one.
     assert sorted(sizes) == [1, 2]
-    assert lt.discriminant(lt.k3_lattice()) == lt.DiscriminantData((), (Fraction(0),))
+    assert _discriminant_values(lt.k3_lattice()) == ((), (Fraction(0),))
     assert sorted(sizes) == [1, 2]
 
 
@@ -563,7 +580,7 @@ def _whole_discriminant(gram):
     den = factors[-1] if factors else 1
     values = sorted(Fraction(la.dot(a, la.mat_vec(w, a)) % (2 * den * den), den * den)
                     for a in itertools.product(*(range(0, den, den // f) for f in factors)))
-    return lt.DiscriminantData(tuple(factors), tuple(values))
+    return tuple(factors), tuple(values)
 
 
 def _outcome(compute, *args):
@@ -615,7 +632,7 @@ def test_block_invariants_match_the_whole_matrix(gram):
                 _outcome(_whole_discriminant, gram))
     lat = lt.from_gram(gram)
     assert (_outcome(lt.signature, lat), lt.determinant(lat),
-            _outcome(lt.discriminant, lat)) == expected
+            _outcome(_discriminant_values, lat)) == expected
 
 
 # A direct sum carries its summands' blocks and their eliminations instead
@@ -644,8 +661,9 @@ DIRECT_SUM_PIECES = st.one_of(
 def test_direct_sum_invariants_match_from_gram(pieces):
     total = lt.direct_sum(*pieces)
     whole = lt.from_gram(total.gram)
-    got = [_outcome(f, total) for f in (lt.signature, lt.determinant, lt.discriminant)]
-    assert got == [_outcome(f, whole) for f in (lt.signature, lt.determinant, lt.discriminant)]
+    invariants = (lt.signature, lt.determinant, _discriminant_values)
+    got = [_outcome(f, total) for f in invariants]
+    assert got == [_outcome(f, whole) for f in invariants]
     assert got == [_outcome(_whole_signature, total.gram), la.determinant(total.gram),
                    _outcome(_whole_discriminant, total.gram)]
 
