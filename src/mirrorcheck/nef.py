@@ -15,10 +15,14 @@ curve that must be blown up to smooth the corresponding degeneration.
 Validation computes what duality starts from, and no more.  For each facet
 F of Delta and each part E_i, the Cartier condition asks for the integral
 functional u_{F,i} that is -1 on the boundary points of F in E_i and 0 on
-the other boundary points of F; one elimination of F's points, with the
-right-hand sides of all parts attached, finds them all, and the nef
-condition checks each against every boundary point.  These functionals are
-exactly the vertices of nabla_i: on the cone over F the support function
+the other boundary points of F.  One elimination of F's points, with the
+right-hand sides of the first k - 1 parts attached, finds theirs.  The
+last part's is read off F's inequality <n, x> + c >= 0: on a cover of the
+boundary the k functionals add up to n / c, the functional that is -1 on
+all of F, so u_{F,k} is c n minus the others, and integral iff |c| = 1
+(see ``_cartier_data``); a one-part partition runs no elimination.  The
+nef condition checks each functional against every boundary point.  These
+functionals are exactly the vertices of nabla_i: on the cone over F the support function
 of nabla_i is <u_{F,i}, .>, and u_{F,i} is its unique minimiser there
 (Cox-Little-Schenck, Toric Varieties, Thm 6.1.7).  So the vertices of
 every nabla_i, full-dimensional or not, are integral and read off the
@@ -154,20 +158,21 @@ class DualNefPartition:
 
 
 def _check_cover(np_: NefPartition) -> None:
-    """Every boundary lattice point of Delta in exactly one part, and
-    nothing else in any part; the first point met twice or off the
-    boundary, in part order, or else the uncovered points, raise
-    NotAPartition."""
+    """Every boundary lattice point of Delta in exactly one part, once, and
+    nothing else in any part; the first point met twice (in its own part or
+    in an earlier one) or off the boundary, in part order, or else the
+    uncovered points, raise NotAPartition."""
     boundary = set(lattice_points(np_.polytope, "boundary"))
-    seen: set[Vec] = set()
-    for part in np_.parts:
+    owner: dict[Vec, int] = {}
+    for i, part in enumerate(np_.parts):
         for v in part:
-            if v in seen:
-                raise NotAPartition(f"{v} appears in more than one part")
+            if v in owner:
+                raise NotAPartition(f"{v} appears twice in part {i}" if owner[v] == i
+                                    else f"{v} appears in more than one part")
             if v not in boundary:
                 raise NotAPartition(f"{v} is not a boundary lattice point")
-            seen.add(v)
-    missing = boundary - seen
+            owner[v] = i
+    missing = boundary.difference(owner)
     if missing:
         raise NotAPartition(f"boundary points not covered: {sorted(missing)}")
 
@@ -175,46 +180,74 @@ def _check_cover(np_: NefPartition) -> None:
 def _cartier_data(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
     """Check the Cartier and nef conditions; return the vertices of each nabla_i.
 
-    For every facet F (in order) and every part E_i (in order) there must be
-    an integral linear functional u_{F,i} taking value -1 on the boundary
-    points of F in E_i and 0 on the other boundary points of F (Cartier on
-    the cone over F); it must satisfy <u, v> >= -1 on E_i and >= 0
-    elsewhere globally (upper convexity, i.e. nefness).  Returns, per part,
-    the sorted distinct u_{F,i}: the vertices of nabla_i.  The boundary
-    points of F are read off the facets the lattice-point sweep recorded at
-    each lattice point; the origin, the one interior point, is on no facet,
-    and every u pairs to 0 with it, which no part's bound refuses, so the
-    nef check pairs u with every point.  One elimination per facet solves
-    for every part at once: the points of F are the rows, and each part's
-    right-hand side is one more column.  Part i has integral Cartier data
-    iff the points have rank d, its column is zero below the pivots, and
-    the last pivot ``den`` divides the rest of it; then u_{F,i} is that
-    column over ``den``.  Each new u_{F,i} is paired with every boundary
-    point in one ``mat_vec``; a functional already checked for its part
-    passed before.  The parts are checked in order, Cartier then nef, so
-    the error names the first failing (facet, part) pair.
+    The partition must have passed ``_check_cover``: its parts hold every
+    boundary point of Delta once, and nothing else.  For every facet F (in
+    order) and every part E_i (in order) there must be an integral linear
+    functional u_{F,i} taking value -1 on the boundary points of F in E_i
+    and 0 on the other boundary points of F (Cartier on the cone over F);
+    it must satisfy <u, v> >= -1 on E_i and >= 0 elsewhere globally (upper
+    convexity, i.e. nefness).  Returns, per part, the sorted distinct
+    u_{F,i}: the vertices of nabla_i.  The boundary points of F are read
+    off the facets the lattice-point sweep recorded at each lattice point;
+    the origin, the one interior point, is on no facet, and every u pairs
+    to 0 with it, which no part's bound refuses, so the nef check pairs u
+    with every point.
+
+    One elimination per facet solves for the first k - 1 parts at once:
+    the points of F are the rows, and each such part's right-hand side is
+    one more column.  Part i has integral Cartier data iff the points have
+    rank d, its column is zero below the pivots, and the last pivot ``den``
+    divides the rest of it; then u_{F,i} is that column over ``den``.
+
+    The last part's functional is read off F's inequality <n, x> + c >= 0,
+    with n primitive.  The points of F span the hyperplane <n, x> = -c, so
+    they have rank d iff c != 0, and then n / c is the one functional that
+    is -1 on all of them.  The parts cover F's points once, so their
+    right-hand sides add up to -1 at every point of F, and the k
+    functionals, where they exist, add up to n / c.  So once u_{F,1}, ...,
+    u_{F,k-1} are integral, u_{F,k} = n / c - (u_{F,1} + ... + u_{F,k-1})
+    exists and is integral iff n / c is, that is iff |c| = 1, as the
+    entries of n have gcd 1; and then n / c = c n.  When c = 0 the
+    elimination has rank < d, and part 0 fails first, as it does when a
+    one-part partition, which runs no elimination, meets |c| != 1.
+
+    Each new u_{F,i} is paired with every boundary point in one
+    ``mat_vec``; a functional already checked for its part passed before.
+    A facet's functionals are found in part order, up to the first part
+    that has none; the parts are then checked in order, Cartier then nef,
+    so the error names the first failing (facet, part) pair.
     """
     delta = np_.polytope
     d = delta.rank
+    last = np_.k - 1
     points, masks = lattice_points(delta), facet_masks(delta)
     part_sets = [set(part) for part in np_.parts]
     bounds = [[-1 if v in part_set else 0 for v in points] for part_set in part_sets]
-    # Each lattice point, then its right-hand side for every part.
-    rows = [list(v) + [-1 if v in part_set else 0 for part_set in part_sets]
-            for v in points]
+    # Each lattice point, then its right-hand side for every part but the
+    # last; a one-part partition eliminates nothing.
+    rows = [list(v) + [-1 if v in part_set else 0 for part_set in part_sets[:last]]
+            for v in points] if last else []
     vertex_sets: list[set[Vec]] = [set() for _ in np_.parts]
-    for fi, (n, _) in enumerate(delta.facets):
-        a = [row[:] for row, mask in zip(rows, masks) if mask >> fi & 1]
-        pivots, _ = _echelon(a, d)
-        den = a[d - 1][d - 1] if len(pivots) == d else 0
+    for fi, (n, c) in enumerate(delta.facets):
+        # The functionals of the parts in order, up to the first with none.
+        functionals: list[Vec] = []
+        if last:
+            a = [row[:] for row, mask in zip(rows, masks) if mask >> fi & 1]
+            pivots, _ = _echelon(a, d)
+            den = a[d - 1][d - 1] if len(pivots) == d else 0
+            for col in range(d, d + last):
+                if (not den or any(row[col] for row in a[d:])
+                        or any(row[col] % den for row in a[:d])):
+                    break
+                functionals.append(tuple(row[col] // den for row in a[:d]))
+        if len(functionals) == last and abs(c) == 1:
+            functionals.append(tuple(c * x - sum(xs) for x, *xs in zip(n, *functionals)))
         for i, (bound, found) in enumerate(zip(bounds, vertex_sets)):
-            col = d + i
-            if (not den or any(row[col] for row in a[d:])
-                    or any(row[col] % den for row in a[:d])):
+            if i == len(functionals):
                 raise NotCartier(
                     f"part {i} has no integral Cartier data on facet {fi} "
                     f"(normal {n})")
-            u = tuple(row[col] // den for row in a[:d])
+            u = functionals[i]
             if u in found:
                 continue
             values = mat_vec(points, u)
@@ -291,7 +324,9 @@ def _nabla_vertex_sets(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
     each nabla_i, kept in the partition's ``_cache``, and nothing kept when
     a check fails.  Parts that do not cover the boundary points of Delta
     exactly once raise NotAPartition before any elimination
-    (``_check_cover``); then ``_cartier_data`` raises NotCartier or NotNef."""
+    (``_check_cover``); then ``_cartier_data``, which reads the last part's
+    functionals off the facet normals and so needs that cover, raises
+    NotCartier or NotNef."""
     _check_cover(np_)
     return _cartier_data(np_)
 
@@ -302,7 +337,7 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
 
     The vertices of each nabla_i are the distinct Cartier functionals
     u_{F,i} over the facets F of Delta (``_nabla_vertex_sets``: the cover
-    check, then one elimination per facet), which validation has kept on
+    check, then at most one elimination per facet), which validation has kept on
     the partition; on a partition that is not validated this raises
     NotAPartition, NotCartier or NotNef as validation would.  The lattice
     points of each nabla_i are the polar points the tight-set rule keeps

@@ -145,18 +145,19 @@ def test_sweeps_per_op(command, fixture, expected, capsys, monkeypatch):
 
 # Dual partitions built per nef op: validation builds none, so `nef verify`
 # and `nef refine` read no polar point; `nef dual` and `nef counts` build
-# one.  The hexagon's partition fails validation first.
+# one.  The hexagon's partition fails validation first.  The ids name the
+# op and the fixture, not the pinned count.
 DUALS_PER_OP = [
-    (["nef", "verify"], {"hexagon": 0, "p1p1p1": 0, "quintic": 0, "wp1113": 0}),
-    (["nef", "refine"], {"p1p1p1": 0}),
-    (["nef", "dual"], {"hexagon": 0, "p1p1p1": 1, "quintic": 1, "wp1113": 1}),
-    (["nef", "counts"], {"hexagon": 0, "p1p1p1": 1, "quintic": 1, "wp1113": 1}),
-]
+    pytest.param(["nef", command], fixture, expected, id=f"{command}-{fixture}")
+    for command, counts in [
+        ("verify", {"hexagon": 0, "p1p1p1": 0, "quintic": 0, "wp1113": 0}),
+        ("refine", {"p1p1p1": 0}),
+        ("dual", {"hexagon": 0, "p1p1p1": 1, "quintic": 1, "wp1113": 1}),
+        ("counts", {"hexagon": 0, "p1p1p1": 1, "quintic": 1, "wp1113": 1}),
+    ] for fixture, expected in counts.items()]
 
 
-@pytest.mark.parametrize("command,fixture,expected", [
-    (command, fixture, expected)
-    for command, counts in DUALS_PER_OP for fixture, expected in counts.items()])
+@pytest.mark.parametrize("command,fixture,expected", DUALS_PER_OP)
 def test_duals_per_op(command, fixture, expected, capsys, monkeypatch):
     built = []
     real = nef._nabla_point_sets
@@ -169,6 +170,36 @@ def test_duals_per_op(command, fixture, expected, capsys, monkeypatch):
     code, _ = run(capsys, *command, "--fixture", fixture)
     assert code == (0 if fixture != "hexagon" else 1 if command[1] == "verify" else 2)
     assert len(built) == expected
+
+
+# Cartier eliminations per nef op, as the right-hand width of each
+# ``_echelon`` call in `nef`: one per facet of Delta, up to the first
+# failing one, with a column for every part but the last, whose functional
+# is read off the facet normal.  So the bundled two-part partitions carry
+# one column, and the hexagon's fails the nef check on its first facet.
+# `nef refine`'s coarse side, a one-part partition, runs none.  The dual
+# reuses validation's functionals.  The ids name the op and the fixture.
+CARTIER_SOLVES_PER_OP = [
+    pytest.param(["nef", command], fixture, widths, id=f"{command}-{fixture}")
+    for command in ("verify", "dual", "counts")
+    for fixture, widths in [("hexagon", [1]), ("p1p1p1", [1] * 8), ("quintic", [1] * 5),
+                            ("wp1113", [1] * 4)]
+] + [pytest.param(["nef", "refine"], "p1p1p1", [1] * 8, id="refine-p1p1p1")]
+
+
+@pytest.mark.parametrize("command,fixture,widths", CARTIER_SOLVES_PER_OP)
+def test_cartier_solves_per_op(command, fixture, widths, capsys, monkeypatch):
+    calls = []
+    real = nef._echelon
+
+    def counting(a, ncols):
+        calls.append(len(a[0]) - ncols)
+        return real(a, ncols)
+
+    monkeypatch.setattr(nef, "_echelon", counting)
+    code, _ = run(capsys, *command, "--fixture", fixture)
+    assert code == (0 if fixture != "hexagon" else 1 if command[1] == "verify" else 2)
+    assert calls == widths
 
 
 # No nef op builds a face lattice: `nef hodge` reads Batyrev's sums off the
@@ -1004,6 +1035,19 @@ def test_partition_file_carries_polytope(tmp_path, capsys):
     code, report = run_json(capsys, "nef", "counts", "--partition", str(part))
     assert code == 0
     assert report["payload"]["complement_count"] == 12
+
+
+def test_point_listed_twice_in_one_part_is_reported_as_such(tmp_path, capsys):
+    # The report once said that (1, 0, 0) appears in more than one part.
+    part = tmp_path / "dup.json"
+    part.write_text(json.dumps({"parts": [[[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                          [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]]}))
+    code, report = run_json(capsys, "nef", "verify", "--fixture", "p1p1p1",
+                            "--partition", str(part))
+    assert (code, report["status"]) == (1, "FAIL")
+    assert report["payload"] == {"error": "NotAPartition",
+                                 "message": "(1, 0, 0) appears twice in part 0",
+                                 "valid": False}
 
 
 def test_refine_reads_the_polytope_its_partition_files_carry(tmp_path, capsys):

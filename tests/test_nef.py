@@ -100,6 +100,14 @@ def scan_cartier_data(np_):
     return tuple(tuple(sorted(vs)) for vs in vertex_sets)
 
 
+def cover_then_scan(np_):
+    """The cover check, then the scans: what ``_nabla_vertex_sets`` must
+    give on any partition, as ``_cartier_data`` reads the last part's
+    functionals off the facet normals, which holds on a cover only."""
+    nef._check_cover(np_)
+    return scan_cartier_data(np_)
+
+
 # --- validation ------------------------------------------------------------
 
 
@@ -382,12 +390,14 @@ def test_fractional_cartier_data_is_not_cartier(vertices):
 
 def test_unowned_point_is_in_no_part():
     # An unvalidated partition of the octahedron that leaves (0, 0, -1) in
-    # no part: every facet is a unimodular triangle, so the Cartier and nef
-    # checks pass, with bound 0 at the unowned point for both parts.  The
-    # polar point p = (0, 0, 1) is -1 on the unowned point alone, so its
-    # tight set is {None}, and it lies in no nabla_i.  The dual partition,
-    # whose nabla's points are the nabla_i's only on a cover of the
-    # boundary, refuses the partition before either runs.
+    # no part: every facet is a unimodular triangle, so the scans' Cartier
+    # and nef checks pass, with bound 0 at the unowned point for both parts;
+    # but the Cartier data are read on a cover only, and the kept vertex
+    # sets refuse the partition as the cover check would.  The polar point
+    # p = (0, 0, 1) is -1 on the unowned point alone, so its tight set is
+    # {None}, and it lies in no nabla_i.  The dual partition, whose nabla's
+    # points are the nabla_i's only on a cover of the boundary, refuses the
+    # partition before either runs.
     octahedron = pt.hull(OCTAHEDRON)
     unowned = (0, 0, -1)
     parts = (tuple(P1P1P1_PARTS[0]), tuple(v for v in P1P1P1_PARTS[1] if v != unowned))
@@ -395,8 +405,7 @@ def test_unowned_point_is_in_no_part():
         delta = octahedron if m is None else pt.hull(image(m, OCTAHEDRON))
         moved = parts if m is None else [image(m, part) for part in parts]
         np_ = nef.NefPartition(delta, tuple(tuple(sorted(part)) for part in moved))
-        vertex_sets = nef._cartier_data(np_)
-        assert vertex_sets == scan_cartier_data(np_)
+        assert _outcome(nef._nabla_vertex_sets, np_) == _outcome(cover_then_scan, np_)
         point_sets = nef._nabla_point_sets(np_)
         assert point_sets == constraint_filter_points(np_)
         p = (0, 0, 1) if m is None else tuple(la.mat_vec(la.transpose(
@@ -429,6 +438,24 @@ def test_overlapping_parts_are_refused_before_any_elimination(monkeypatch):
                            match=r"^\(1, 0, 0\) appears in more than one part$"):
             nef.dual_nef_partition(np_)
     assert np_._cache == {}
+
+
+def test_point_listed_twice_in_one_part_is_named_as_such():
+    # (1, 0, 0) twice in part 0 was once reported as being in two parts;
+    # a point in two parts keeps that report.
+    delta = pt.hull(OCTAHEDRON)
+    shared = (1, 0, 0)
+    twice = nef.NefPartition(delta, (tuple(sorted(P1P1P1_PARTS[0] + [shared])),
+                                     tuple(P1P1P1_PARTS[1])))
+    with pytest.raises(errors.NotAPartition, match=r"^\(1, 0, 0\) appears twice in part 0$"):
+        nef.dual_nef_partition(twice)
+    later = nef.NefPartition(delta, (tuple(P1P1P1_PARTS[1]),
+                                     tuple(sorted(P1P1P1_PARTS[0] + [shared]))))
+    with pytest.raises(errors.NotAPartition, match=r"^\(1, 0, 0\) appears twice in part 1$"):
+        nef.validate_nef_partition(delta, later.parts)
+    with pytest.raises(errors.NotAPartition,
+                       match=r"^\(1, 0, 0\) appears in more than one part$"):
+        nef.validate_nef_partition(delta, [P1P1P1_PARTS[0], P1P1P1_PARTS[1] + [shared] * 2])
 
 
 @pytest.mark.parametrize("extra", [(0, 0, 0), (5, 5, 5)])
@@ -529,20 +556,24 @@ def assert_nabla_oracle(dual):
 @given(random_partitions())
 def test_random_partitions_match_the_scans(case):
     """Random 2- and 3-part partitions, unvalidated, on the CARTIER_CASES
-    polytopes and their images: the one-elimination Cartier data give the
-    scan's vertex sets or its first error, and the mask-grouped tight sets
-    give the constraint filter's points, whatever the Cartier outcome.  A
-    partition that leaves a point in no part has no dual; one that covers
-    the boundary and passes the Cartier and nef checks meets the nabla
-    oracle."""
+    polytopes and their images: on a cover, the Cartier data give the
+    scan's vertex sets or its first error, and off one, the kept vertex
+    sets give the cover check's error, as the cover check, then the scan,
+    does.  The mask-grouped tight sets give the constraint filter's points,
+    whatever the Cartier outcome.  A partition that leaves a point in no
+    part has no dual; one that covers the boundary and passes the Cartier
+    and nef checks meets the nabla oracle."""
     label, seed, k, owners, unowned = case
     delta = _cartier_polytope(label, seed)
     boundary = pt.lattice_points(delta, "boundary")
     parts = tuple(tuple(v for j, (v, owner) in enumerate(zip(boundary, owners))
                         if owner == i and j != unowned) for i in range(k))
     np_ = nef.NefPartition(delta, parts)
-    outcome = _outcome(nef._cartier_data, np_)
-    assert outcome == _outcome(scan_cartier_data, np_)
+    if unowned is None:
+        outcome = _outcome(nef._cartier_data, np_)
+        assert outcome == _outcome(scan_cartier_data, np_)
+    else:
+        assert _outcome(nef._nabla_vertex_sets, np_) == _outcome(cover_then_scan, np_)
     assert nef._nabla_point_sets(np_) == constraint_filter_points(np_)
     if unowned is not None:
         with pytest.raises(errors.NotAPartition,
@@ -550,6 +581,63 @@ def test_random_partitions_match_the_scans(case):
             nef.dual_nef_partition(np_)
     elif outcome[0] not in ("NotCartier", "NotNef"):
         assert_nabla_oracle(nef.dual_nef_partition(np_))
+
+
+def _moved_cartier_polytope(label, move):
+    """A CARTIER_CASES polytope moved by ``move``: a GL(d, Z) seed or None,
+    as ``_cartier_polytope`` takes, "dilate" for twice the polytope, whose
+    facets have c = 2, or "translate" for its translate by -2 e_1, whose
+    facets <n, x> + c >= 0 have c = 1 + 2 n_1: -1 where n_1 = -1."""
+    if move == "dilate":
+        return pt.dilate(_cartier_polytope(label, None), 2)
+    if move == "translate":
+        return pt.hull([(v[0] - 2,) + v[1:] for v in CARTIER_CASES[label]])
+    return _cartier_polytope(label, move)
+
+
+@st.composite
+def covered_partitions(draw):
+    """(label, image seed, k, an owner in range(k) per boundary point): a
+    cover of the boundary by k = 1, 2 or 3 parts, some of them maybe empty."""
+    label = draw(st.sampled_from(sorted(CARTIER_CASES)))
+    seed = draw(st.sampled_from((None, 1, 2, 3)))
+    n = len(pt.lattice_points(_cartier_polytope(label, seed), "boundary"))
+    k = draw(st.sampled_from((1, 2, 3)))
+    owners = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return label, seed, k, owners
+
+
+# The cube's trivial partition runs no elimination.  Twice the octahedron
+# has c = 2 on every facet, so its last part has no integral functional,
+# even where the first part is empty and its functional is 0.
+# The quintic simplex moved by -2 e_1 has c = -1 on its first four facets,
+# where the last part's functional is c n, not n, minus the others, and
+# c = 9 on the fifth.
+@settings(max_examples=100, deadline=None)
+@example(("cube", None, 1, [0] * 26))
+@example(("octahedron", "dilate", 1, [0] * 18))
+@example(("octahedron", "dilate", 2, [1] * 18))
+@example(("quintic", "translate", 1, [0] * 5))
+@example(("quintic", "translate", 2, [0, 1, 1, 0, 1]))
+@given(covered_partitions())
+def test_covered_partitions_read_the_last_part_off_the_normal(case):
+    """On a cover of the boundary by k parts, the Cartier data, with k - 1
+    parts eliminated and the last part's functional read off the facet
+    normal, give the scan's vertex sets or its first error, message and
+    all."""
+    label, move, k, owners = case
+    delta = _moved_cartier_polytope(label, move)
+    boundary = pt.lattice_points(delta, "boundary")
+    assert len(owners) == len(boundary)
+    np_ = nef.NefPartition(delta, tuple(
+        tuple(v for v, owner in zip(boundary, owners) if owner == i) for i in range(k)))
+    nef._check_cover(np_)
+    outcome = _outcome(nef._cartier_data, np_)
+    assert outcome == _outcome(scan_cartier_data, np_)
+    if move == "dilate":
+        n = delta.facets[0][0]
+        assert outcome == ("NotCartier", f"part {k - 1} has no integral Cartier data "
+                           f"on facet 0 (normal {n})")
 
 
 BUNDLED_PARTITIONS = [(name, slot) for name in fixtures.fixture_names()
@@ -607,10 +695,16 @@ def test_validation_solves_each_cartier_system_once(octahedron, monkeypatch):
 
     monkeypatch.setattr(nef, "_echelon", counting_echelon)
     nef.validate_nef_partition(octahedron, P1P1P1_PARTS)
-    # One elimination per facet, with both parts' right-hand sides
-    # attached; the dual reuses its solutions, and no solve is left.
-    assert calls == [2] * len(octahedron.facets) == [2] * 8
+    # One elimination per facet, with the first part's right-hand side
+    # attached, as the last part's functional is read off the facet
+    # normal; the dual reuses its solutions, and no solve is left.
+    assert calls == [1] * len(octahedron.facets) == [1] * 8
     assert not hasattr(nef, "solve_exact")
+    # A one-part partition's functionals are the facet normals, with no
+    # elimination.
+    calls.clear()
+    nef.validate_nef_partition(octahedron, [pt.lattice_points(octahedron, "boundary")])
+    assert calls == []
 
 
 def _record_hulls(monkeypatch):
