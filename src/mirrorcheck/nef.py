@@ -22,13 +22,13 @@ boundary the k functionals add up to n / c, the functional that is -1 on
 all of F, so u_{F,k} is c n minus the others, and integral iff |c| = 1
 (see ``_cartier_data``); a one-part partition runs no elimination.  The
 nef condition checks each functional against every boundary point.  These
-functionals are exactly the vertices of nabla_i: on the cone over F the support function
-of nabla_i is <u_{F,i}, .>, and u_{F,i} is its unique minimiser there
-(Cox-Little-Schenck, Toric Varieties, Thm 6.1.7).  So the vertices of
-every nabla_i, full-dimensional or not, are integral and read off the
-Cartier data, which validation keeps on the partition; the polar is not
-read until the dual partition is asked for (by ``nef dual`` and ``nef
-counts``).  The lattice points of the nabla_i are polar points sorted by
+functionals are exactly the vertices of nabla_i: on the cone over F the
+support function of nabla_i is <u_{F,i}, .>, and u_{F,i} is its unique
+minimiser there (Cox-Little-Schenck, Toric Varieties, Thm 6.1.7).  So the
+vertices of every nabla_i, full-dimensional or not, are integral and read
+off the Cartier data, which validation keeps on the partition; the polar
+is not read until the dual partition is asked for (by ``nef dual`` and
+``nef counts``).  The lattice points of the nabla_i are polar points sorted by
 face combinatorics alone: the polar's facets are Delta's vertices, so the
 facets through a polar point p name the face of Delta on which p is -1,
 and the boundary points of Delta on that face are those whose smallest
@@ -337,8 +337,8 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
 
     The vertices of each nabla_i are the distinct Cartier functionals
     u_{F,i} over the facets F of Delta (``_nabla_vertex_sets``: the cover
-    check, then at most one elimination per facet), which validation has kept on
-    the partition; on a partition that is not validated this raises
+    check, then at most one elimination per facet), which validation has
+    kept on the partition; on a partition that is not validated this raises
     NotAPartition, NotCartier or NotNef as validation would.  The lattice
     points of each nabla_i are the polar points the tight-set rule keeps
     (``_nabla_point_sets``), read only here.

@@ -441,21 +441,15 @@ def test_overlapping_parts_are_refused_before_any_elimination(monkeypatch):
 
 
 def test_point_listed_twice_in_one_part_is_named_as_such():
-    # (1, 0, 0) twice in part 0 was once reported as being in two parts;
-    # a point in two parts keeps that report.
+    # (1, 0, 0) twice in one part was once reported as being in two parts;
+    # a point in two parts keeps that report, even when one lists it twice.
     delta = pt.hull(OCTAHEDRON)
-    shared = (1, 0, 0)
-    twice = nef.NefPartition(delta, (tuple(sorted(P1P1P1_PARTS[0] + [shared])),
-                                     tuple(P1P1P1_PARTS[1])))
-    with pytest.raises(errors.NotAPartition, match=r"^\(1, 0, 0\) appears twice in part 0$"):
-        nef.dual_nef_partition(twice)
-    later = nef.NefPartition(delta, (tuple(P1P1P1_PARTS[1]),
-                                     tuple(sorted(P1P1P1_PARTS[0] + [shared]))))
-    with pytest.raises(errors.NotAPartition, match=r"^\(1, 0, 0\) appears twice in part 1$"):
-        nef.validate_nef_partition(delta, later.parts)
-    with pytest.raises(errors.NotAPartition,
-                       match=r"^\(1, 0, 0\) appears in more than one part$"):
-        nef.validate_nef_partition(delta, [P1P1P1_PARTS[0], P1P1P1_PARTS[1] + [shared] * 2])
+    shared, (first, second) = [(1, 0, 0)], P1P1P1_PARTS
+    for parts, message in [([first + shared, second], "appears twice in part 0"),
+                           ([second, first + shared], "appears twice in part 1"),
+                           ([first, second + shared * 2], "appears in more than one part")]:
+        with pytest.raises(errors.NotAPartition, match=rf"^\(1, 0, 0\) {message}$"):
+            nef.validate_nef_partition(delta, parts)
 
 
 @pytest.mark.parametrize("extra", [(0, 0, 0), (5, 5, 5)])
