@@ -198,10 +198,6 @@ def k3_diamond() -> HodgeDiamond:
     return HodgeDiamond(2, {(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1})
 
 
-def elliptic_curve_diamond() -> HodgeDiamond:
-    return HodgeDiamond(1, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
-
-
 def _threefold(h11, h21, h30: int) -> HodgeDiamond:
     """The threefold with h^{0,0} = 1 and h^{3,0} = h30, 1 or 0, Kaehler
     when h30 = 1, and chi = 2 + 2 (h11 - h21 - h30); h11 and h21 are read
@@ -226,15 +222,6 @@ def quasi_fano_threefold_diamond(h2: int, h21: int) -> HodgeDiamond:
     """Threefold with effective anticanonical class, so h^{3,0} = 0:
     h^{1,1} = h2 and h^{2,1} = h21, with chi = 2 + 2 (h2 - h21)."""
     return _threefold(h2, h21, 0)
-
-
-def projective_space_diamond(n: int) -> HodgeDiamond:
-    return HodgeDiamond(n, {(p, p): 1 for p in range(n + 1)}, kaehler=True)
-
-
-def surface_diamond(h11: int, pg: int = 0, q: int = 0) -> HodgeDiamond:
-    return HodgeDiamond(2, {(0, 0): 1, (2, 2): 1, (1, 1): h11,
-                            (2, 0): pg, (0, 2): pg, (1, 0): q, (0, 1): q})
 
 
 def euler_char(d: HodgeDiamond) -> int:

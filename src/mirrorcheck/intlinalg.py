@@ -1,31 +1,34 @@
 """Exact integer linear algebra.
 
 All routines work on plain Python ints (arbitrary precision); nothing here
-touches floating point.  Matrices are lists of row lists.  The pivot
-columns and the rank they count, the determinant, the rational solve and
-the unimodular inverse share one fraction-free (Bareiss) Gauss-Jordan
-elimination kernel, ``_echelon``, whose entries stay integer minors of the
-input; ``polytopes.hull`` (for its starting simplex and that simplex's
-inverse, in one call) and ``nef._cartier_data`` run it directly, with
-several right-hand sides at once.  The only rationals are the solution
-coordinates of ``solve_exact``, one ``Fraction`` each.  Its only library
-caller is now ``polytopes.convex_hull_contains``, which no library path
-reaches and ROADMAP.md queues for removal.  Smith normal form and the
-integer kernel and solves built on it use unimodular row and column
-operations.  The Smith form keeps the inverse of its column transform, at
-one row operation per column operation, so no library path inverts a
-unimodular matrix; ``_kernel_transform`` reads a saturated kernel basis and
-that inverse off one such Smith form, and ``kernel_basis`` is its first
-part.  ``_sparse_mul`` is the library's matrix product: row i of ``a @ b``
-is a C-level sum of the rows of ``b`` at the nonzero entries of row i of
-``a``, so it pays per nonzero of ``a``, not per entry; the unit-vector bases
-the lattices module multiplies have few.  ``pivot_columns``, ``rank``,
-``determinant``, ``mat_mul``, ``inverse_unimodular`` and ``integral_solve``
-are tested helpers that no library path calls.  ``as_int`` is the one
-checked conversion of input values (JSON numbers) to ints;
-``as_int_vector`` and ``as_int_rows`` apply it to input lists and lists of
-lists, and refuse any other shape.  ``strict_int`` reads the integers
-written in strings: flags, lattice specs and diamond keys.
+touches floating point.  Matrices are lists of row lists.  The rank, the
+determinant, the rational solve and the unimodular inverse share one
+fraction-free (Bareiss) Gauss-Jordan elimination kernel, ``_echelon``,
+whose entries stay integer minors of the input; ``polytopes.hull`` (for its
+starting simplex and that simplex's inverse, in one call) and
+``nef._cartier_data`` run it directly, with several right-hand sides at
+once.  The only rationals are the solution coordinates of ``solve_exact``,
+one ``Fraction`` each.  Its only library caller is now
+``polytopes.convex_hull_contains``, which no library path reaches and
+ROADMAP.md queues for removal.  Smith normal form and the integer kernel
+and solves built on it use unimodular row and column operations.  The
+Smith form keeps the inverse of its column transform, at one row operation
+per column operation, so no library path inverts a unimodular matrix;
+``_kernel_transform`` reads a saturated kernel basis and that inverse off
+one such Smith form, and ``kernel_basis`` is its first part.
+``_sparse_mul`` is the library's matrix product: row i of ``a @ b`` is one
+C-level pass over a lazy chain of the rows of ``b`` at the nonzero entries
+of row i of ``a``, so it pays per nonzero of ``a``, not per entry.  The
+unit-vector bases the lattices module multiplies have few nonzeros, and
+the polytopes module maps points by multiplying their d coordinate rows,
+so no loop runs per point.  No library path calls ``rank``,
+``determinant``, ``inverse_unimodular``, ``kernel_basis`` or
+``integral_solve``; they stay while the benchmark's tracer names them
+(ROADMAP.md item 6).  ``mat_mul`` is the tests' oracle for ``_sparse_mul``.
+``as_int`` is the one checked conversion of input values (JSON numbers) to
+ints; ``as_int_vector`` and ``as_int_rows`` apply it to input lists and
+lists of lists, and refuse any other shape.  ``strict_int`` reads the
+integers written in strings: flags, lattice specs and diamond keys.
 """
 
 from __future__ import annotations
@@ -61,17 +64,20 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix
 
 def _sparse_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
     """``a @ b`` for integer matrices: row i of the product sums ``a[i][k]``
-    times row k of ``b`` over the nonzero ``a[i][k]`` only, each row added
-    in one C-level pass (with no products when ``a[i][k]`` is 1)."""
+    times row k of ``b`` over the nonzero ``a[i][k]`` only (with no products
+    when ``a[i][k]`` is 1).  The terms are chained as lazy maps and the row
+    is built once, in one C-level pass, so the Python loop runs per nonzero
+    of ``a``, never per column of ``b``."""
     width = len(b[0]) if b else 0
     ks = range(len(b))
     out = []
     for row in a:
-        acc = [0] * width
+        total = None
         for k in compress(ks, row):
             x = row[k]
-            acc = list(map(add, acc, b[k] if x == 1 else map(mul, b[k], repeat(x))))
-        out.append(acc)
+            term = b[k] if x == 1 else map(mul, b[k], repeat(x))
+            total = term if total is None else map(add, total, term)
+        out.append([0] * width if total is None else list(total))
     return out
 
 
@@ -185,15 +191,10 @@ def determinant(m: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1] if n else 1
 
 
-def pivot_columns(m: Sequence[Sequence[int]]) -> list[int]:
-    """Indices of the columns of ``m`` outside the span of the columns
-    before them: the pivot columns of its fraction-free echelon form."""
-    return _echelon([list(row) for row in m], len(m[0]) if m else 0)[0]
-
-
 def rank(m: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals: the number of pivot columns."""
-    return len(pivot_columns(m))
+    """Rank over the rationals: the number of pivot columns of the
+    fraction-free echelon form."""
+    return len(_echelon([list(row) for row in m], len(m[0]) if m else 0)[0])
 
 
 def solve_exact(a: Sequence[Sequence[int]], b: Sequence[int]):

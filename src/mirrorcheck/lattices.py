@@ -166,18 +166,6 @@ def direct_sum(*lattices: QuadLattice, name: Optional[str] = None) -> QuadLattic
     return total
 
 
-def hyperbolic_plane() -> QuadLattice:
-    return _STANDARD["H"]
-
-
-def e8_minus() -> QuadLattice:
-    return _STANDARD["E8(-1)"]
-
-
-def a1_minus() -> QuadLattice:
-    return _STANDARD["A1(-1)"]
-
-
 def k3_lattice() -> QuadLattice:
     return _STANDARD["K3"]
 

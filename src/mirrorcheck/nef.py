@@ -20,15 +20,17 @@ right-hand sides of the first k - 1 parts attached, finds theirs.  The
 last part's is read off F's inequality <n, x> + c >= 0: on a cover of the
 boundary the k functionals add up to n / c, the functional that is -1 on
 all of F, so u_{F,k} is c n minus the others, and integral iff |c| = 1
-(see ``_cartier_data``); a one-part partition runs no elimination.  The
-nef condition checks each functional against every boundary point.  These
-functionals are exactly the vertices of nabla_i: on the cone over F the
-support function of nabla_i is <u_{F,i}, .>, and u_{F,i} is its unique
-minimiser there (Cox-Little-Schenck, Toric Varieties, Thm 6.1.7).  So the
-vertices of every nabla_i, full-dimensional or not, are integral and read
-off the Cartier data, which validation keeps on the partition; the polar
-is not read until the dual partition is asked for (by ``nef dual`` and
-``nef counts``).  The lattice points of the nabla_i are polar points sorted by
+(see ``_cartier_data``).  A one-part partition of Delta with every c = 1
+takes u_F = n at once: it is nef by F's own inequality, so nothing is
+eliminated or checked.  The nef condition checks each other functional
+against every boundary point.  These functionals are exactly the vertices
+of nabla_i: on the cone over F the support function of nabla_i is
+<u_{F,i}, .>, and u_{F,i} is its unique minimiser there
+(Cox-Little-Schenck, Toric Varieties, Thm 6.1.7).  So the vertices of
+every nabla_i, full-dimensional or not, are integral and read off the
+Cartier data, which validation keeps on the partition; the polar is not
+read until the dual partition is asked for (by ``nef dual`` and ``nef
+counts``).  The lattice points of the nabla_i are polar points sorted by
 face combinatorics alone: the polar's facets are Delta's vertices, so the
 facets through a polar point p name the face of Delta on which p is -1,
 and the boundary points of Delta on that face are those whose smallest
@@ -100,11 +102,6 @@ class NefPartition:
     def k(self) -> int:
         return len(self.parts)
 
-    def delta_generators(self, i: int) -> tuple[Vec, ...]:
-        """Generating points of Delta_i = Conv(E_i and the origin)."""
-        zero = (0,) * self.polytope.rank
-        return tuple(sorted(set(self.parts[i]) | {zero}))
-
 
 @dataclass(frozen=True)
 class DualNefPartition:
@@ -112,9 +109,10 @@ class DualNefPartition:
 
     ``nablas`` holds the hull of each full-dimensional nabla_i and None for
     a lower-dimensional one, which ``hull`` refuses, and ``nabla`` the hull
-    of their union.  Only ``to_json`` needs those hulls, so they are built
-    on first read and kept in ``_cache``; the lattice-point count of nabla,
-    ``ell_nabla``, is read off the point sets.
+    of their union; for k = 1 nabla_1 is nabla, and one hull serves both.
+    Only ``to_json`` needs those hulls, so they are built on first read and
+    kept in ``_cache``; the lattice-point count of nabla, ``ell_nabla``, is
+    read off the point sets.
     """
 
     nabla_vertex_sets: tuple[tuple[Vec, ...], ...]
@@ -137,6 +135,8 @@ class DualNefPartition:
     @property
     @cached
     def nablas(self) -> tuple[Optional[LatticePolytope], ...]:
+        if self.k == 1:
+            return (self.nabla,)
         pieces = []
         for vs in self.nabla_vertex_sets:
             try:
@@ -208,8 +208,14 @@ def _cartier_data(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
     u_{F,k-1} are integral, u_{F,k} = n / c - (u_{F,1} + ... + u_{F,k-1})
     exists and is integral iff n / c is, that is iff |c| = 1, as the
     entries of n have gcd 1; and then n / c = c n.  When c = 0 the
-    elimination has rank < d, and part 0 fails first, as it does when a
-    one-part partition, which runs no elimination, meets |c| != 1.
+    elimination has rank < d, and part 0 fails first.
+
+    A one-part partition of a Delta whose facets all have c = 1, as every
+    reflexive Delta's do, needs none of this: u_F = n, which is -1 on F's
+    points, and <n, v> >= -1 on Delta is F's own inequality, while the
+    origin, the one interior point, pairs to 0.  So its functionals are
+    the facet normals, sorted and distinct as the facets are, with no
+    elimination and no nef check.
 
     Each new u_{F,i} is paired with every boundary point in one
     ``mat_vec``; a functional already checked for its part passed before.
@@ -218,28 +224,28 @@ def _cartier_data(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
     so the error names the first failing (facet, part) pair.
     """
     delta = np_.polytope
+    if np_.k == 1 and all(c == 1 for _, c in delta.facets):
+        return (tuple(n for n, _ in delta.facets),)
     d = delta.rank
     last = np_.k - 1
     points, masks = lattice_points(delta), facet_masks(delta)
     part_sets = [set(part) for part in np_.parts]
     bounds = [[-1 if v in part_set else 0 for v in points] for part_set in part_sets]
-    # Each lattice point, then its right-hand side for every part but the
-    # last; a one-part partition eliminates nothing.
+    # Each lattice point, then its right-hand side for every part but the last.
     rows = [list(v) + [-1 if v in part_set else 0 for part_set in part_sets[:last]]
-            for v in points] if last else []
+            for v in points]
     vertex_sets: list[set[Vec]] = [set() for _ in np_.parts]
     for fi, (n, c) in enumerate(delta.facets):
         # The functionals of the parts in order, up to the first with none.
         functionals: list[Vec] = []
-        if last:
-            a = [row[:] for row, mask in zip(rows, masks) if mask >> fi & 1]
-            pivots, _ = _echelon(a, d)
-            den = a[d - 1][d - 1] if len(pivots) == d else 0
-            for col in range(d, d + last):
-                if (not den or any(row[col] for row in a[d:])
-                        or any(row[col] % den for row in a[:d])):
-                    break
-                functionals.append(tuple(row[col] // den for row in a[:d]))
+        a = [row[:] for row, mask in zip(rows, masks) if mask >> fi & 1]
+        pivots, _ = _echelon(a, d)
+        den = a[d - 1][d - 1] if len(pivots) == d else 0
+        for col in range(d, d + last):
+            if (not den or any(row[col] for row in a[d:])
+                    or any(row[col] % den for row in a[:d])):
+                break
+            functionals.append(tuple(row[col] // den for row in a[:d]))
         if len(functionals) == last and abs(c) == 1:
             functionals.append(tuple(c * x - sum(xs) for x, *xs in zip(n, *functionals)))
         for i, (bound, found) in enumerate(zip(bounds, vertex_sets)):

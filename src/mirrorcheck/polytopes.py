@@ -46,7 +46,7 @@ import sys
 import weakref
 from bisect import bisect_left
 from collections import Counter
-from operator import add, mul, not_
+from operator import mul, not_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -63,7 +63,8 @@ from .errors import (
 )
 from ._cache import cached
 from .intlinalg import (
-    _echelon, as_int, as_int_vector, dot, identity, solve_exact, vec_gcd)
+    _echelon, _sparse_mul, as_int, as_int_vector, dot, identity, solve_exact, transpose,
+    vec_gcd)
 
 Vec = tuple[int, ...]
 Facet = tuple[Vec, int]  # (primitive normal n, offset c): <n, x> >= -c
@@ -482,10 +483,11 @@ def _sweep_basis(poly: LatticePolytope) -> Optional[tuple[list[list[int]], list[
         u[i] = [a + t * b for a, b in zip(u[i], u[j])]
         for row in back:
             row[j] -= t * row[i]
-    widths = [max(c) - min(c) for c in zip(*_image(u, poly.vertices))]
-    order = sorted(range(d), key=lambda i: (widths[i], g[i][i]))
+    # Row i: coordinate i of every vertex, in the reduced basis.
+    image = _sparse_mul(u, columns)
+    order = sorted(range(d), key=lambda i: (max(image[i]) - min(image[i]), g[i][i]))
     u = [u[i] for i in order]
-    if 2 * _bounds(_image(u, poly.vertices))[0] > prefixes:
+    if 2 * _bounds(zip(*(image[i] for i in order)))[0] > prefixes:
         return None
     return u, [[row[i] for i in order] for row in back]
 
@@ -500,23 +502,6 @@ def _over_budget(vertices: Sequence[Vec]) -> BudgetExceeded:
         size = f"a box of more than 10^{sys.get_int_max_str_digits()} points"
     return BudgetExceeded(f"the lattice-point sweep passed its cap of {_SWEEP_CAP} "
                           f"prefixes and points, in {size}")
-
-
-def _image(m: Sequence[Sequence[int]], points: Sequence[Vec]) -> list[Vec]:
-    """The points m y for y in ``points``, built a coordinate column at a
-    time, so that no Python-level loop runs per point."""
-    if not points:
-        return []
-    columns = list(zip(*points))
-    rows = []
-    for row in m:
-        terms = [c if a == 1 else map(mul, c, itertools.repeat(a))
-                 for a, c in zip(row, columns) if a]
-        total = terms[0]
-        for term in terms[1:]:
-            total = map(add, total, term)
-        rows.append(total)
-    return list(zip(*rows))
 
 
 @cached
@@ -538,9 +523,11 @@ def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
     0 there, at an end of its fibre, and the vertical facets with slack 0
     on the whole fibre.  The sweep keeps one list of points and one mask
     per point, 0 for an interior point; in a reduced basis the points are
-    mapped back by U^-1 at the end (``_image``) and sorted, each with its
-    mask.  The boundary and interior points are the points whose mask is
-    nonzero and zero; the per-point loop is the same in either basis.
+    mapped back by U^-1 at the end and sorted, each with its mask.  A
+    matrix maps points as one ``_sparse_mul`` by their coordinate rows, so
+    no Python loop runs per point.  The boundary and interior points are
+    the points whose mask is nonzero and zero; the per-point loop is the
+    same in either basis.
 
     Before each fibre's loop the sweep counts the points of that fibre,
     which are the prefixes or the points it is about to visit, and past
@@ -554,7 +541,7 @@ def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
         column0 = [v[0] for v in poly.vertices]
     else:
         u, back = basis
-        normals = _image(list(zip(*back)), [n for n, _, _ in facets])
+        normals = zip(*_sparse_mul(transpose(back), transpose([n for n, _, _ in facets])))
         facets = [(n, c, on) for n, (_, c, on) in zip(normals, facets)]
         column0 = [sum(map(mul, u[0], v)) for v in poly.vertices]
     first, *upper = _levels(facets, column0)
@@ -579,7 +566,8 @@ def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
             return
         spent += hi - lo + 1
         if spent > _SWEEP_CAP:
-            raise _over_budget(poly.vertices if basis is None else _image(u, poly.vertices))
+            raise _over_budget(poly.vertices if basis is None else
+                               list(zip(*_sparse_mul(u, transpose(poly.vertices)))))
         if k + 1 < d:
             nxt = [(a, h, c + dot(head, prefix)) for head, h, a, c in upper[k]]
             lifted = ([(bit, h, c + dot(head, prefix)) for bit, head, h, c in vertical]
@@ -600,21 +588,13 @@ def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
     finally:
         lift = None  # the closure refers to itself: break that cycle
     if basis is not None:
-        points, masks = zip(*sorted(zip(_image(back, points), masks)))
+        points, masks = zip(*sorted(zip(zip(*_sparse_mul(back, transpose(points))), masks)))
     return (tuple(points), tuple(itertools.compress(points, masks)),
             tuple(itertools.compress(points, map(not_, masks))), tuple(masks))
 
 
 def ell(poly: LatticePolytope) -> int:
     return len(lattice_points(poly, "all"))
-
-
-def ell_boundary(poly: LatticePolytope) -> int:
-    return len(lattice_points(poly, "boundary"))
-
-
-def ell_interior(poly: LatticePolytope) -> int:
-    return len(lattice_points(poly, "interior"))
 
 
 def face_lattice(poly: LatticePolytope) -> tuple[Face, ...]:

@@ -75,9 +75,10 @@ def test_criterion_03_interior_sum_identity(octahedron, wp1113_simplex, quintic_
             for i in range(dual.k):
                 piece = dual.nablas[i]
                 assert piece is not None
-                assert pt.ell_interior(pt.minkowski_sum(piece, polar)) == \
+                total = pt.minkowski_sum(piece, polar)
+                assert len(pt.lattice_points(total, "interior")) == \
                     len(dual.nabla_point_sets[i])
-            assert pt.ell_interior(pt.dilate(polar, 2)) == pt.ell(polar)
+            assert len(pt.lattice_points(pt.dilate(polar, 2), "interior")) == pt.ell(polar)
 
 
 def test_criterion_04_genus_oracle(quintic_simplex):
@@ -119,13 +120,14 @@ def test_criterion_06_lattice_suite():
         definite = lt.find_isotropic(lt.from_gram([[2, 1], [1, 2]]))
         assert definite.vector is None and definite.conclusive
         # Round trip in both directions between H and H + E8(-1)^2.
-        emb_h = lt.canonical_embedding([lt.hyperbolic_plane()])
+        h = lt.standard_lattice("H")
+        emb_h = lt.canonical_embedding([h])
         there = lt.dn_mirror(emb_h, lt.default_isotropic_vector(emb_h))
-        m_pieces = [lt.hyperbolic_plane(), lt.e8_minus(), lt.e8_minus()]
+        m_pieces = [lt.standard_lattice(s) for s in ("H", "E8(-1)", "E8(-1)")]
         assert lt.invariants_match(there, lt.direct_sum(*m_pieces)).matched
         emb_m = lt.canonical_embedding(m_pieces)
         back = lt.dn_mirror(emb_m, lt.default_isotropic_vector(emb_m))
-        assert lt.invariants_match(back, lt.hyperbolic_plane()).matched
+        assert lt.invariants_match(back, h).matched
 
 
 def test_criterion_07_slicing_catalog():
@@ -165,7 +167,8 @@ def test_criterion_09_polytope_properties(octahedron, cube, quartic_simplex,
         for poly in fixtures:
             dual = pt.polar_dual(poly)
             assert pt.polar_dual(dual) == poly
-            assert pt.ell(poly) == pt.ell_boundary(poly) + pt.ell_interior(poly)
+            assert pt.ell(poly) == sum(len(pt.lattice_points(poly, region))
+                                       for region in ("boundary", "interior"))
             for face in pt.face_lattice(poly):
                 assert face.dim + pt.dual_face(poly, face).dim == poly.rank - 1
             # Enumeration oracle: membership filter over the facet data.

@@ -77,22 +77,24 @@ def test_nef_counts_skewed_quintic(tmp_path, capsys):
 
 
 # Hulls per op: one for the input polytope, and for `nef dual`'s report one
-# for nabla and one per full-dimensional nabla_i.  Validation and counts
-# build none: nabla's lattice points are read off the nabla_i's, and its
-# reflexivity is Borisov's theorem (see nef.dual_nef_partition).  The polar
-# (a transposition) and the sweep's projections (read off ridges) build
-# none either.  The hexagon's partition fails the nef check.
+# for nabla and one per full-dimensional nabla_i (nabla itself when the
+# partition has one part).  Validation and counts build none: nabla's
+# lattice points are read off the nabla_i's, and its reflexivity is
+# Borisov's theorem (see nef.dual_nef_partition).  The polar (a
+# transposition) and the sweep's projections (read off ridges) build none
+# either.  The hexagon's partition fails the nef check.  The ids name the
+# op and the fixture, not the pinned count.
 HULLS_PER_OP = [
-    (["polytope", "dual"], {name: 1 for name in (
-        "cube", "hexagon", "octahedron", "p1p1p1", "quartic", "quintic", "wp1113")}),
-    (["nef", "dual"], {"hexagon": 1, "p1p1p1": 4, "quintic": 4, "wp1113": 4}),
-    (["nef", "counts"], {"hexagon": 1, "p1p1p1": 1, "quintic": 1, "wp1113": 1}),
-]
+    pytest.param(command, fixture, expected, id="-".join([*command, fixture]))
+    for command, counts in [
+        (["polytope", "dual"], {name: 1 for name in (
+            "cube", "hexagon", "octahedron", "p1p1p1", "quartic", "quintic", "wp1113")}),
+        (["nef", "dual"], {"hexagon": 1, "p1p1p1": 4, "quintic": 4, "wp1113": 4}),
+        (["nef", "counts"], {"hexagon": 1, "p1p1p1": 1, "quintic": 1, "wp1113": 1}),
+    ] for fixture, expected in counts.items()]
 
 
-@pytest.mark.parametrize("command,fixture,expected", [
-    (command, fixture, expected)
-    for command, counts in HULLS_PER_OP for fixture, expected in counts.items()])
+@pytest.mark.parametrize("command,fixture,expected", HULLS_PER_OP)
 def test_hull_calls_per_op(command, fixture, expected, capsys, monkeypatch):
     calls = []
     real = pt.hull

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from mirrorcheck import errors, hodge as hg
 
+# An elliptic curve and P^3.
+_CURVE = hg.HodgeDiamond(1, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
+_P3 = hg.HodgeDiamond(3, {(p, p): 1 for p in range(4)})
 
 # --- diamonds and Euler numbers ---------------------------------------------
 
@@ -17,8 +20,8 @@ def test_euler_characteristics():
     assert hg.euler_char(hg.k3_diamond()) == 24
     assert hg.euler_char(hg.cy_threefold_diamond(89, 1)) == 176
     assert hg.euler_char(hg.quasi_fano_threefold_diamond(1, 30)) == -56
-    assert hg.euler_char(hg.elliptic_curve_diamond()) == 0
-    assert hg.euler_char(hg.projective_space_diamond(3)) == 4
+    assert hg.euler_char(_CURVE) == 0
+    assert hg.euler_char(_P3) == 4
 
 
 @st.composite
@@ -223,7 +226,6 @@ def test_diamond_copies_and_pickles(d):
             twin.h = d.h
 
 
-_CURVE = hg.elliptic_curve_diamond()
 _POINT = hg.HodgeDiamond(0, {(0, 0): 1})
 
 
@@ -299,7 +301,7 @@ def test_diamond_dimension_is_bounded():
     # The grid and its checks grow as (d+1)^2; a 50-byte input once asked
     # for a 3001 x 3001 grid.
     top = hg.MAX_DIAMOND_DIM
-    assert hg.projective_space_diamond(top).dim == top
+    assert hg.HodgeDiamond(top, {(p, p): 1 for p in range(top + 1)}).dim == top
     for dim in (top + 1, 3000, 10 ** 12):
         message = f"dimension {dim} exceeds the limit of {top}"
         with pytest.raises(errors.BudgetExceeded, match=message):
@@ -360,8 +362,7 @@ def test_lee_smoothing_quartic_pair():
 
 
 def test_lee_smoothing_warns_on_projective_spaces():
-    t = hg.TyurinData(hg.projective_space_diamond(3),
-                      hg.projective_space_diamond(3), hg.k3_diamond(), k=1)
+    t = hg.TyurinData(_P3, _P3, hg.k3_diamond(), k=1)
     result = hg.lee_smoothing(t)
     # 21 + 0 + 0 - 1 on the h21 side; the h11 side degenerates and warns.
     assert (result.h11, result.h21) == (0, 20)
@@ -370,7 +371,7 @@ def test_lee_smoothing_warns_on_projective_spaces():
 
 def test_lee_smoothing_blown_up_lines():
     t = hg.TyurinData(hg.quasi_fano_threefold_diamond(9, 24),
-                      hg.projective_space_diamond(3), hg.k3_diamond(), k=1)
+                      _P3, hg.k3_diamond(), k=1)
     result = hg.lee_smoothing(t)
     assert (result.h11, result.h21) == (8, 44)
 
@@ -396,10 +397,9 @@ def test_glue_euler_negative_dimension_is_an_input_error():
 
 
 def test_glue_euler_surface_case():
-    rational_elliptic = hg.surface_diamond(10)
+    rational_elliptic = hg.HodgeDiamond(2, {(0, 0): 1, (1, 1): 10, (2, 2): 1})
     assert hg.euler_char(rational_elliptic) == 12
-    t = hg.TyurinData(rational_elliptic, rational_elliptic,
-                      hg.elliptic_curve_diamond(), k=1)
+    t = hg.TyurinData(rational_elliptic, rational_elliptic, _CURVE, k=1)
     assert hg.glue_euler_check(t, 24, 2).passed
 
 
@@ -413,7 +413,7 @@ def test_euler_blowup_curve():
 
 
 def test_lg_relative_ranks():
-    assert hg.lg_relative_ranks(hg.projective_space_diamond(3)) == [0, 0, 0, 4, 0, 0, 0]
+    assert hg.lg_relative_ranks(_P3) == [0, 0, 0, 4, 0, 0, 0]
     assert hg.lg_relative_ranks(hg.quasi_fano_threefold_diamond(1, 30)) == \
         [0, 0, 30, 4, 30, 0, 0]
     # Only h^{0,0} nonzero: the middle rank is 1 and everything else vanishes.

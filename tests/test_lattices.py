@@ -24,6 +24,9 @@ from hypothesis import strategies as st
 from mirrorcheck import errors, intlinalg as la, lattices as lt
 from mirrorcheck._cache import cached
 
+# The standard pieces, each one shared object.
+H, E8, A1 = map(lt.standard_lattice, ("H", "E8(-1)", "A1(-1)"))
+
 
 # --- integer linear algebra ------------------------------------------------
 
@@ -74,12 +77,11 @@ def test_complete_to_unimodular():
 
 
 def test_standard_lattices():
-    assert lt.hyperbolic_plane().gram == ((0, 1), (1, 0))
-    assert lt.signature(lt.hyperbolic_plane()) == (1, 1)
-    assert lt.determinant(lt.hyperbolic_plane()) == -1
-    e8 = lt.e8_minus()
-    assert lt.signature(e8) == (0, 8)
-    assert lt.determinant(e8) == 1
+    assert H.gram == ((0, 1), (1, 0))
+    assert lt.signature(H) == (1, 1)
+    assert lt.determinant(H) == -1
+    assert lt.signature(E8) == (0, 8)
+    assert lt.determinant(E8) == 1
     assert lt.rank_one(4).gram == ((4,),)
     assert lt.standard_lattice("<4>").gram == ((4,),)
     with pytest.raises(errors.OddDiagonal):
@@ -114,7 +116,7 @@ def test_example_gram_definite():
 
 
 def test_direct_sums():
-    m = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.e8_minus())
+    m = lt.direct_sum(H, E8, E8)
     assert m.rank == 18
     assert lt.signature(m) == (1, 17)
     k3 = lt.k3_lattice()
@@ -193,7 +195,7 @@ def _congruent_by(gram, ops):
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([(lt.k3_lattice(), (3, 19)),
-                        (lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.e8_minus()),
+                        (lt.direct_sum(H, E8, E8),
                          (1, 17))]),
        st.lists(st.tuples(st.integers(0, 21), st.integers(0, 21), st.integers(-2, 2)),
                 max_size=80))
@@ -248,13 +250,13 @@ def test_discriminant_rank_one_oracle():
 
 
 def test_discriminant_a1_minus():
-    group, values = _discriminant_values(lt.a1_minus())
+    group, values = _discriminant_values(A1)
     assert group == (2,)
     assert list(values) == [0, Fraction(3, 2)]
 
 
 def test_discriminant_unimodular_trivial():
-    assert lt.discriminant(lt.hyperbolic_plane()).group == ()
+    assert lt.discriminant(H).group == ()
     assert lt.discriminant(lt.k3_lattice()).group == ()
 
 
@@ -390,7 +392,7 @@ def test_degenerate_signature_is_not_cached():
 
 
 def test_invariants_are_computed_once_per_lattice(monkeypatch):
-    fresh = lt.direct_sum(lt.hyperbolic_plane(), lt.rank_one(-4))
+    fresh = lt.direct_sum(H, lt.rank_one(-4))
     calls = {"_minors": 0, "determinant": 0, "smith_normal_form": 0}
     for name in calls:
         module = lt if name == "_minors" else la
@@ -401,7 +403,7 @@ def test_invariants_are_computed_once_per_lattice(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(module, name, counting)
-    lat = lt.direct_sum(lt.hyperbolic_plane(), lt.rank_one(-4))
+    lat = lt.direct_sum(H, lt.rank_one(-4))
     for _ in range(3):
         assert lt.signature(lat) == (1, 2)
         assert lt.determinant(lat) == 4
@@ -417,7 +419,7 @@ def test_invariants_are_computed_once_per_lattice(monkeypatch):
 def test_invariant_cache_keeps_one_object_and_nothing_on_failure():
     # A second call returns the kept object; a call that raises leaves the
     # lattice's cache as it was.
-    lat = lt.direct_sum(lt.hyperbolic_plane(), lt.rank_one(-4))
+    lat = lt.direct_sum(H, lt.rank_one(-4))
     for invariant in (lt.signature, lt.determinant, lt.discriminant):
         assert invariant(lat) is invariant(lat)
     assert set(lat._cache) == {"_blocks", "signature", "determinant", "discriminant"}
@@ -445,7 +447,7 @@ def test_block_split_runs_once_per_lattice(monkeypatch):
 
     monkeypatch.setattr(lt, "_blocks", cached(_blocks))
     piece = lt.rank_one(-4)
-    lat = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), piece)
+    lat = lt.direct_sum(H, E8, piece)
     whole = lt.from_gram(lat.gram)
     for target in (lat, whole):
         for _ in range(2):
@@ -462,7 +464,7 @@ def test_signature_alone_takes_no_determinant(monkeypatch):
         raise AssertionError("a determinant ran")
 
     monkeypatch.setattr(la, "determinant", refuse)
-    lat = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.rank_one(-4))
+    lat = lt.direct_sum(H, E8, lt.rank_one(-4))
     assert lt.signature(lat) == (1, 10)
 
 
@@ -475,8 +477,7 @@ def test_unimodular_blocks_take_no_smith_form(monkeypatch):
         return real(m, *args, **kwargs)
 
     monkeypatch.setattr(la, "smith_normal_form", recording)
-    lat = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.rank_one(-4),
-                        lt.e8_minus(), lt.from_gram([[2, 1], [1, 2]]))
+    lat = lt.direct_sum(H, E8, lt.rank_one(-4), E8, lt.from_gram([[2, 1], [1, 2]]))
     data = lt.discriminant(lat)
     assert data.group == (12,)
     # Only <-4> and the A2 block of determinant 3 take one.
@@ -515,7 +516,7 @@ def test_lattice_with_cached_invariants_is_freed_without_the_collector():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        lat = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.rank_one(-4))
+        lat = lt.direct_sum(H, E8, lt.rank_one(-4))
         alive = weakref.ref(lat)
         lt.signature(lat), lt.determinant(lat), lt.discriminant(lat)
         assert set(lat._cache) == {"_blocks", "signature", "determinant", "discriminant"}
@@ -640,7 +641,7 @@ def test_block_invariants_match_the_whole_matrix(gram):
 # those of the same Gram matrix read by ``from_gram``, and those of the
 # whole-matrix oracles above.
 DIRECT_SUM_PIECES = st.one_of(
-    st.sampled_from([lt.hyperbolic_plane(), lt.e8_minus(), lt.a1_minus()]),
+    st.sampled_from([H, E8, A1]),
     st.integers(-5, 5).map(lambda k: lt.rank_one(2 * k)),  # <0> is degenerate
     even_grams().map(lt.from_gram),
     # Degenerate blocks, and rank-one pieces whose pairs pass the cap.
@@ -653,9 +654,9 @@ DIRECT_SUM_PIECES = st.one_of(
 # A two-generator block, Z/2 + Z/6, beside a rank-one block: the sumset
 # combines the values of two blocks over the common denominator 6.
 @example([lt.from_gram([[4, 2], [2, 4]]), lt.rank_one(6)])
-@example([lt.rank_one(-4), lt.hyperbolic_plane(), lt.from_gram([[4, 2], [2, 4]])])
+@example([lt.rank_one(-4), H, lt.from_gram([[4, 2], [2, 4]])])
 # 600 * 300 = 180000 passes the cap of 65536.
-@example([lt.rank_one(600), lt.e8_minus(), lt.rank_one(-300)])
+@example([lt.rank_one(600), E8, lt.rank_one(-300)])
 @example([lt.rank_one(4), lt.from_gram([[2, 2], [2, 2]])])
 @example([])
 def test_direct_sum_invariants_match_from_gram(pieces):
@@ -684,7 +685,7 @@ def test_library_built_lattices_skip_the_input_conversion(monkeypatch):
         raise AssertionError("as_int_rows ran on a library-built Gram matrix")
 
     monkeypatch.setattr(la, "as_int_rows", refuse)
-    lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.a1_minus())
+    lt.direct_sum(H, E8, A1)
     lt.orthogonal_complement(emb).induced()
     lt.dn_mirror(emb, lt.default_isotropic_vector(emb))
     # The square/even/symmetric check still runs.
@@ -722,7 +723,7 @@ def test_embedding_runs_one_smith_form(monkeypatch):
         lt.LatticeEmbedding(amb, (_k3_unit(0), _k3_unit(0)))
     # More vectors than the ambient rank: the Smith diagonal is too short.
     with pytest.raises(errors.NotPrimitive, match="^image basis is not linearly independent$"):
-        lt.LatticeEmbedding(lt.hyperbolic_plane(), ((1, 0), (0, 1), (1, 1)))
+        lt.LatticeEmbedding(H, ((1, 0), (0, 1), (1, 1)))
     doubled = tuple(2 * x for x in _k3_unit(0))
     with pytest.raises(errors.NotPrimitive,
                        match="^image is not a direct summand of the ambient lattice$"):
@@ -740,22 +741,20 @@ def _k3_unit(i):
 def test_complement_of_rank_one_two():
     emb = lt.canonical_embedding([lt.rank_one(2)])
     comp = lt.orthogonal_complement(emb).induced()
-    target = lt.direct_sum(lt.hyperbolic_plane(), lt.hyperbolic_plane(),
-                           lt.e8_minus(), lt.e8_minus(), lt.a1_minus())
+    target = lt.direct_sum(H, H, E8, E8, A1)
     assert lt.invariants_match(comp, target).matched
     assert comp.rank == 21
 
 
 def test_complement_blockwise():
-    emb = lt.canonical_embedding([lt.hyperbolic_plane()])
+    emb = lt.canonical_embedding([H])
     comp = lt.orthogonal_complement(emb).induced()
-    target = lt.direct_sum(lt.hyperbolic_plane(), lt.hyperbolic_plane(),
-                           lt.e8_minus(), lt.e8_minus())
+    target = lt.direct_sum(H, H, E8, E8)
     assert lt.invariants_match(comp, target).matched
-    m = lt.canonical_embedding([lt.hyperbolic_plane(), lt.e8_minus(), lt.e8_minus()])
+    m = lt.canonical_embedding([H, E8, E8])
     comp_m = lt.orthogonal_complement(m).induced()
     assert lt.invariants_match(
-        comp_m, lt.direct_sum(lt.hyperbolic_plane(), lt.hyperbolic_plane())).matched
+        comp_m, lt.direct_sum(H, H)).matched
 
 
 @pytest.mark.parametrize("specs,message", [
@@ -800,13 +799,13 @@ def test_canonical_basis_passes_the_smith_form_check(specs):
 def test_standard_pieces_are_built_once():
     assert lt.standard_lattice("K3") is lt.k3_lattice() is lt.canonical_embedding(
         [lt.rank_one(2)]).ambient
-    assert lt.standard_lattice(" H ") is lt.hyperbolic_plane()
-    assert lt.standard_lattice("E8(-1)") is lt.e8_minus()
-    assert lt.standard_lattice("A1(-1)") is lt.a1_minus()
+    assert lt.standard_lattice(" H ") is H
+    assert lt.standard_lattice("E8(-1)") is E8
+    assert lt.standard_lattice("A1(-1)") is A1
 
 
 def test_default_isotropic_vector_needs_the_k3_ambient():
-    h2 = lt.direct_sum(lt.hyperbolic_plane(), lt.hyperbolic_plane())
+    h2 = lt.direct_sum(H, H)
     emb = lt.LatticeEmbedding(h2, ((1, 1, 0, 0),))
     with pytest.raises(errors.InputError, match="^the default isotropic vector is "
                        "defined for the K3 ambient only; give f$"):
@@ -851,8 +850,7 @@ def test_complement_of_empty_image_is_ambient():
     assert lt.invariants_match(comp.induced(), lt.k3_lattice()).matched
     mirror = lt.dn_mirror(emb, lt.default_isotropic_vector(emb))
     assert mirror.rank == 20
-    target = lt.direct_sum(lt.hyperbolic_plane(), lt.hyperbolic_plane(),
-                           lt.e8_minus(), lt.e8_minus())
+    target = lt.direct_sum(H, H, E8, E8)
     assert lt.invariants_match(mirror, target).matched
 
 
@@ -1069,7 +1067,7 @@ def test_dn_mirror_on_a_full_rank_image_refuses_f_outside_the_complement():
 
 
 def test_complement_takes_one_smith_form_and_no_recheck(monkeypatch):
-    emb = lt.canonical_embedding([lt.rank_one(4), lt.e8_minus()])
+    emb = lt.canonical_embedding([lt.rank_one(4), E8])
     calls = []
     real = la.smith_normal_form
 
@@ -1116,13 +1114,13 @@ def test_isotropic_definite_conclusive():
 
 
 def test_isotropic_hyperbolic():
-    result = lt.find_isotropic(lt.hyperbolic_plane())
+    result = lt.find_isotropic(H)
     assert result.vector == (0, 1)
     assert result.conclusive
 
 
 def test_isotropic_h_plus_minus4():
-    lat = lt.direct_sum(lt.hyperbolic_plane(), lt.rank_one(-4))
+    lat = lt.direct_sum(H, lt.rank_one(-4))
     result = lt.find_isotropic(lat, bound=2)
     assert result.vector is not None
     assert lat.q(result.vector) == 0
@@ -1144,7 +1142,7 @@ def test_isotropic_scan_budget(monkeypatch):
     # stays inconclusive, and a larger box with no witness within the cap
     # raises, naming the box size (2b+1)^n.
     monkeypatch.setattr(lt, "_ISOTROPIC_SCAN_CAP", 49)
-    assert lt.find_isotropic(lt.hyperbolic_plane(), bound=10 ** 12).vector == (0, 1)
+    assert lt.find_isotropic(H, bound=10 ** 12).vector == (0, 1)
     lat = lt.direct_sum(lt.rank_one(2), lt.rank_one(-4))
     assert not lt.find_isotropic(lat, bound=3).conclusive
     with pytest.raises(errors.BudgetExceeded, match=r"\[-4, 4\]\^2 \(81 candidates\)"):
@@ -1156,7 +1154,7 @@ def test_isotropic_budget_with_a_box_too_large_to_print(bound):
     # (2b+1)^10 has more digits than Python will print, and so does a bound
     # of 5001 digits: the budget error says the box is larger than that,
     # where formatting the count once raised ValueError.
-    lat = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus())
+    lat = lt.direct_sum(H, E8)
     limit = sys.get_int_max_str_digits()
     with pytest.raises(errors.BudgetExceeded) as info:
         lt.find_isotropic(lat, bound)
@@ -1279,8 +1277,8 @@ def test_isotropic_scan_work_grows_with_prefixes(monkeypatch):
 
 
 def test_invariants_match_mismatch_rank():
-    a = lt.direct_sum(lt.hyperbolic_plane(), lt.e8_minus(), lt.e8_minus())
-    b = lt.direct_sum(a, lt.a1_minus())
+    a = lt.direct_sum(H, E8, E8)
+    b = lt.direct_sum(a, A1)
     verdict = lt.invariants_match(a, b)
     assert not verdict.matched
     assert any("rank" in m for m in verdict.mismatches)
@@ -1301,9 +1299,9 @@ def test_invariants_match_cubic_fourfold_example():
     emb = lt.LatticeEmbedding(amb, (tuple(v1), tuple(v2)))
     assert emb.induced().gram == ((2, 1), (1, 2))
     comp = lt.orthogonal_complement(emb).induced()
-    a = lt.direct_sum(lt.e8_minus(), lt.e8_minus(), lt.hyperbolic_plane(),
-                      lt.hyperbolic_plane(), lt.from_gram([[-2, -1], [-1, -2]]))
-    b = lt.direct_sum(lt.hyperbolic_plane(), comp)
+    a = lt.direct_sum(E8, E8, H,
+                      H, lt.from_gram([[-2, -1], [-1, -2]]))
+    b = lt.direct_sum(H, comp)
     verdict = lt.invariants_match(a, b)
     assert verdict.matched, verdict.mismatches
 

@@ -244,8 +244,8 @@ def test_duality_round_trip(fixture, parts, request):
     mirror_parts = [[p for p in ps if p != zero] for ps in dual.nabla_point_sets]
     back = nef.dual_nef_partition(nef.validate_nef_partition(dual.nabla, mirror_parts))
     for i in range(np_.k):
-        delta_i = np_.delta_generators(i)
-        assert set(back.nabla_vertex_sets[i]) == set(pt.extreme_points(delta_i))
+        delta_i = pt.extreme_points([*np_.parts[i], zero])
+        assert set(back.nabla_vertex_sets[i]) == set(delta_i)
 
 
 def test_trivial_partition_dual_is_polar(octahedron):
@@ -715,6 +715,28 @@ def _record_hulls(monkeypatch):
     return calls
 
 
+def test_one_part_partition_takes_the_facet_normals(monkeypatch):
+    # Every facet of a reflexive Delta has c = 1, so a one-part partition's
+    # functionals are the facet normals, nef by each facet's own inequality:
+    # validation eliminates nothing and pairs nothing.  Its nabla_1 is
+    # nabla, the polar, so the dual hulls that one polytope once.
+    cube4 = pt.hull(CUBE4)
+    polar = pt.polar_dual(cube4)
+
+    def refuse(*args):
+        raise AssertionError("a one-part partition of a reflexive polytope "
+                             "needs no elimination and no pairing")
+
+    monkeypatch.setattr(nef, "_echelon", refuse)
+    monkeypatch.setattr(nef, "mat_vec", refuse)
+    hulled = _record_hulls(monkeypatch)
+    np_ = nef.validate_nef_partition(cube4, [pt.lattice_points(cube4, "boundary")])
+    dual = nef.dual_nef_partition(np_)
+    assert dual.nabla_vertex_sets == (polar.vertices,)
+    assert dual.nablas == (dual.nabla,) and dual.nabla == polar
+    assert hulled == [polar.vertices]
+
+
 @pytest.mark.parametrize("fixture,parts,full", [
     ("octahedron", P1P1P1_PARTS, 2),
     ("wp1113_simplex", WP_PARTS, 2),
@@ -860,8 +882,8 @@ def test_interior_of_sum_identity(fixture, parts, request):
         piece = dual.nablas[i]
         assert piece is not None
         total = pt.minkowski_sum(piece, polar)
-        assert pt.ell_interior(total) == len(dual.nabla_point_sets[i])
-    assert pt.ell_interior(pt.dilate(polar, 2)) == pt.ell(polar)
+        assert len(pt.lattice_points(total, "interior")) == len(dual.nabla_point_sets[i])
+    assert len(pt.lattice_points(pt.dilate(polar, 2), "interior")) == pt.ell(polar)
 
 
 # --- divisor component counts ----------------------------------------------

@@ -199,16 +199,39 @@ def test_integer_parameters_read_as_integers(call):
             call(value)
 
 
-def test_every_traced_name_resolves_in_the_library():
-    # The benchmark's tracer wraps library functions by name; a removal
-    # that would break a traced run (``perfbench/run.py --trace 1``) fails
-    # here.  The tracer's source is compiled from the file, so nothing is
-    # written next to it.
+def _traced_names() -> list[str]:
+    """The library functions the benchmark's tracer wraps by name
+    (``perfbench/run.py --trace 1``), each as ``module.name`` or
+    ``module.Class.method``.  The tracer's source is compiled from the
+    file, so nothing is written next to it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     tracer = {"__name__": "tracer"}
     exec(compile(path.read_text(), str(path), "exec"), tracer)
-    names = [qual for funcs in tracer["TRACED"].values() for qual in funcs]
-    for qual in names:
+    return [qual for funcs in tracer["TRACED"].values() for qual in funcs]
+
+
+def _library_code():
+    """The package's modules, parsed, by name, and a test of whether code
+    elsewhere in the package names a definition: outside the definition
+    itself, as a name or an attribute.  A docstring or comment that
+    mentions it does not count, and neither does a test."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in
+             sorted(Path(mirrorcheck.__file__).parent.glob("*.py"))}
+    named: dict[str, set[int]] = {}
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            named.setdefault(node.id if isinstance(node, ast.Name) else node.attr,
+                             set()).add(id(node))
+
+    def called(node) -> bool:
+        return bool(named.get(node.name, set()) - set(map(id, ast.walk(node))))
+
+    return trees, called
+
+
+def test_every_traced_name_resolves_in_the_library():
+    # A removal that would break a traced run fails here.
+    for qual in _traced_names():
         module, *attrs = qual.split(".")
         obj = importlib.import_module(f"mirrorcheck.{module}")
         for attr in attrs:
@@ -218,19 +241,36 @@ def test_every_traced_name_resolves_in_the_library():
 
 def test_every_private_helper_has_a_library_caller():
     # A module-level function or class whose name starts with ``_`` (dunder
-    # hooks aside) is named by code somewhere else in the package: outside
-    # its own definition, as a name or an attribute.  A docstring or comment
-    # that mentions it does not count, and neither does a test, so a helper
-    # only the tests reach fails here.
-    trees = [ast.parse(path.read_text()) for path in
-             sorted(Path(mirrorcheck.__file__).parent.glob("*.py"))]
-    named: dict[str, set[int]] = {}
-    for node in (node for tree in trees for node in ast.walk(tree)):
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            named.setdefault(node.id if isinstance(node, ast.Name) else node.attr,
-                             set()).add(id(node))
-    uncalled = [node.name for tree in trees for node in tree.body
+    # hooks aside) is named by library code, so a helper only the tests
+    # reach fails here.
+    trees, called = _library_code()
+    uncalled = [node.name for tree in trees.values() for node in tree.body
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and node.name.startswith("_") and not node.name.startswith("__")
-                and not named.get(node.name, set()) - set(map(id, ast.walk(node)))]
+                and not called(node)]
     assert uncalled == []
+
+
+def test_every_public_name_has_a_library_caller_an_export_or_a_trace():
+    # A public module-level function or class, and a public method, is
+    # named by library code, exported by ``_EXPORTS`` or traced by the
+    # benchmark.  Anything else is a second spelling of an entry point that
+    # only the tests reach.  ``intlinalg.mat_mul`` stays as the tests'
+    # oracle for ``intlinalg._sparse_mul``.
+    trees, called = _library_code()
+    kept = {f"{module}.{name}" for module, names in mirrorcheck._EXPORTS.items()
+            for name in names}
+    kept.update(_traced_names(), ["intlinalg.mat_mul"])
+
+    def public(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                qual = f"{prefix}.{node.name}"
+                if not node.name.startswith("_"):
+                    yield qual, node
+                if isinstance(node, ast.ClassDef):
+                    yield from public(node.body, qual)
+
+    unused = [qual for module, tree in trees.items() for qual, node in public(tree.body, module)
+              if qual not in kept and not called(node)]
+    assert unused == []

@@ -156,7 +156,7 @@ def facet_incidence(poly, point):
 def naive_ell_star_face(poly, face):
     """Relative-interior count by a scan of every boundary point per face."""
     if face.dim == poly.rank:
-        return pt.ell_interior(poly)
+        return len(pt.lattice_points(poly, "interior"))
     if face.dim < 0:
         return 0
     inc = frozenset(j for j, (n, c) in enumerate(poly.facets)
@@ -708,7 +708,7 @@ def polygon_shape(p):
     for mask in p.incidence:
         u, w = (v for i, v in enumerate(p.vertices) if mask >> i & 1)
         lengths.append(gcd(w[0] - u[0], w[1] - u[1]))
-    return pt.ell_boundary(p), len(p.vertices), tuple(sorted(lengths))
+    return len(pt.lattice_points(p, "boundary")), len(p.vertices), tuple(sorted(lengths))
 
 
 def assert_twelve_points(p):
@@ -716,10 +716,11 @@ def assert_twelve_points(p):
     boundary points of a reflexive polygon and of its polar add up to 12.
     Each polygon's boundary count is also its edges' lattice lengths."""
     polar = pt.polar_dual(p)
-    assert pt.ell_boundary(p) + pt.ell_boundary(polar) == 12
-    for q in (p, polar):
-        assert pt.ell_interior(q) == 1
-        assert pt.ell_boundary(q) == sum(polygon_shape(q)[2])
+    boundary = [len(pt.lattice_points(q, "boundary")) for q in (p, polar)]
+    assert sum(boundary) == 12
+    for q, count in zip((p, polar), boundary):
+        assert len(pt.lattice_points(q, "interior")) == 1
+        assert count == sum(polygon_shape(q)[2])
 
 
 @pytest.mark.parametrize("vertices", REFLEXIVE_POLYGONS)
@@ -755,7 +756,7 @@ def test_twelve_point_theorem_on_images(index, seed):
 def test_cube_point_counts(cube):
     assert pt.ell(cube) == 27
     assert pt.lattice_points(cube, "interior") == ((0, 0, 0),)
-    assert pt.ell_boundary(cube) == 26
+    assert len(pt.lattice_points(cube, "boundary")) == 26
 
 
 def test_dilated_simplex_count(quartic_simplex):
@@ -778,7 +779,8 @@ def test_enumeration_oracle(points, region):
 @pytest.mark.parametrize("points", ALL_FIXTURE_POINTS)
 def test_ell_additivity(points):
     poly = pt.hull(points)
-    assert pt.ell(poly) == pt.ell_boundary(poly) + pt.ell_interior(poly)
+    assert pt.ell(poly) == sum(len(pt.lattice_points(poly, region))
+                               for region in ("boundary", "interior"))
 
 
 @settings(max_examples=60, deadline=None)
@@ -914,15 +916,16 @@ def test_pick_thin_triangle():
     # 2 * area = 300*300 - 1 = 2*I + B - 2 (Pick); the two long edges are
     # primitive and the third has gcd(299, 299) = 299 steps.
     tri = pt.hull([(0, 0), (300, 1), (1, 300)])
-    assert pt.ell_boundary(tri) == 1 + 1 + 299
-    assert 2 * pt.ell_interior(tri) + pt.ell_boundary(tri) - 2 == 300 * 300 - 1
+    boundary = len(pt.lattice_points(tri, "boundary"))
+    assert boundary == 1 + 1 + 299
+    assert 2 * len(pt.lattice_points(tri, "interior")) + boundary - 2 == 300 * 300 - 1
     assert pt.ell(tri) == 45151
 
 
 def test_ehrhart_dilated_cube5():
     cube5 = pt.hull(list(itertools.product((-1, 1), repeat=5)))
     assert pt.ell(pt.dilate(cube5, 3)) == 7 ** 5
-    assert pt.ell_interior(pt.dilate(cube5, 3)) == 5 ** 5
+    assert len(pt.lattice_points(pt.dilate(cube5, 3), "interior")) == 5 ** 5
 
 
 # --- faces and duality -----------------------------------------------------
