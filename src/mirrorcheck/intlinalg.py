@@ -8,37 +8,38 @@ whose entries stay integer minors of the input; ``polytopes.hull`` (for its
 starting simplex and that simplex's inverse, in one call) and
 ``nef._cartier_data`` run it directly, with several right-hand sides at
 once.  The only rationals are the solution coordinates of ``solve_exact``,
-one ``Fraction`` each.  Its only library caller is now
-``polytopes.convex_hull_contains``, which no library path reaches and
-ROADMAP.md queues for removal.  Smith normal form and the integer kernel
-and solves built on it use unimodular row and column operations.  The
-Smith form keeps the inverse of its column transform, at one row operation
-per column operation, so no library path inverts a unimodular matrix;
-``_kernel_transform`` reads a saturated kernel basis and that inverse off
-one such Smith form, and ``kernel_basis`` is its first part.
-``_sparse_mul`` is the library's matrix product: row i of ``a @ b`` is one
-C-level pass over a lazy chain of the rows of ``b`` at the nonzero entries
-of row i of ``a``, so it pays per nonzero of ``a``, not per entry.  The
-unit-vector bases the lattices module multiplies have few nonzeros, and
-the polytopes module maps points by multiplying their d coordinate rows,
-so no loop runs per point.  No library path calls ``rank``,
-``determinant``, ``inverse_unimodular``, ``kernel_basis`` or
-``integral_solve``; they stay while the benchmark's tracer names them
-(ROADMAP.md item 6).  ``mat_mul`` is the tests' oracle for ``_sparse_mul``.
-``as_int`` is the one checked conversion of input values (JSON numbers) to
-ints; ``as_int_vector`` and ``as_int_rows`` apply it to input lists and
-lists of lists, and refuse any other shape.  ``strict_int`` reads the
-integers written in strings: flags, lattice specs and diamond keys.
+one ``Fraction`` each, and ``fractions`` is imported inside it, so no CLI
+command loads that module (or the ``decimal`` it imports).  Its only
+library caller is ``polytopes.convex_hull_contains``, which no library path
+reaches and ROADMAP.md queues for removal.  Smith normal form and the
+integer kernel and solves built on it use unimodular row and column
+operations.  The Smith form keeps the inverse of its column transform, at
+one row operation per column operation, so no library path inverts a
+unimodular matrix; ``_kernel_transform`` reads a saturated kernel basis and
+that inverse off one such Smith form, and ``kernel_basis`` is its first
+part.  ``_sparse_mul`` is the library's matrix product: row i of
+``a @ b`` is one C-level pass over a lazy chain of the rows of ``b`` at
+the nonzero entries of row i of ``a`` (``_product_rows``), so it pays per
+nonzero of ``a``, not per entry.  The unit-vector bases the lattices
+module multiplies have few nonzeros, and the polytopes module maps points
+by zipping the lazy rows of the product with their d coordinate rows, so
+no loop runs per point.  No library path calls ``rank``, ``determinant``,
+``inverse_unimodular``, ``kernel_basis`` or ``integral_solve``; they stay
+while the benchmark's tracer names them (ROADMAP.md item 6).  ``mat_mul``
+is the tests' oracle for ``_sparse_mul``.  ``as_int`` is the one checked
+conversion of input values (JSON numbers) to ints; ``as_int_vector`` and
+``as_int_rows`` apply it to input lists and lists of lists, and refuse any
+other shape.  ``strict_int`` reads the integers written in strings: flags,
+lattice specs and diamond keys.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd
 from operator import add, mul
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import Degenerate, InputError, NotPrimitiveVector, ShapeMismatch
 
@@ -62,23 +63,29 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
-def _sparse_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    """``a @ b`` for integer matrices: row i of the product sums ``a[i][k]``
-    times row k of ``b`` over the nonzero ``a[i][k]`` only (with no products
-    when ``a[i][k]`` is 1).  The terms are chained as lazy maps and the row
-    is built once, in one C-level pass, so the Python loop runs per nonzero
-    of ``a``, never per column of ``b``."""
+def _product_rows(a: Sequence[Sequence[int]],
+                  b: Sequence[Sequence[int]]) -> Iterator[Iterable[int]]:
+    """The rows of ``a @ b`` for integer matrices, each lazy: row i sums
+    ``a[i][k]`` times row k of ``b`` over the nonzero ``a[i][k]`` only (with
+    no products when ``a[i][k]`` is 1), chained as lazy maps, so the Python
+    loop runs per nonzero of ``a``, never per column of ``b``, and a row is
+    computed in one C-level pass when it is read.  A row with a single unit
+    entry is that row of ``b`` itself."""
     width = len(b[0]) if b else 0
     ks = range(len(b))
-    out = []
     for row in a:
         total = None
         for k in compress(ks, row):
             x = row[k]
             term = b[k] if x == 1 else map(mul, b[k], repeat(x))
             total = term if total is None else map(add, total, term)
-        out.append([0] * width if total is None else list(total))
-    return out
+        yield repeat(0, width) if total is None else total
+
+
+def _sparse_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
+    """``a @ b`` for integer matrices, each row of ``_product_rows`` built
+    once as a list."""
+    return list(map(list, _product_rows(a, b)))
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> IntVector:
@@ -151,7 +158,9 @@ def _echelon(a: IntMatrix, ncols: int) -> tuple[list[int], int]:
     and columns.  A step clears its pivot's column above and below the
     pivot, and updates only the columns right of it, the only ones read
     again; so right of the last pivot column ``a`` ends as ``den`` times
-    the reduced row echelon form.
+    the reduced row echelon form.  A row whose multiplier ``f`` is 0 under a
+    pivot equal to the one before (``pv == prev``) is skipped: its update
+    ``(pv * x - 0) // prev`` is the identity.
     """
     nrows = len(a)
     width = len(a[0]) if nrows else 0
@@ -174,6 +183,8 @@ def _echelon(a: IntMatrix, ncols: int) -> tuple[list[int], int]:
             if i != r:
                 row = a[i]
                 f = row[c]
+                if not f and pv == prev:
+                    continue
                 for j in range(c + 1, width):
                     row[j] = (pv * row[j] - f * pr[j]) // prev
         prev = pv
@@ -213,6 +224,8 @@ def solve_exact(a: Sequence[Sequence[int]], b: Sequence[int]):
     r = len(pivots)
     if any(aug[i][ncols] for i in range(r, nrows)):
         return "inconsistent", None
+    from fractions import Fraction  # the library's one use of rationals
+
     den = aug[r - 1][pivots[-1]] if r else 1
     x = [Fraction(0)] * ncols
     for i, c in enumerate(pivots):

@@ -36,7 +36,9 @@ entries of the left one (``intlinalg._sparse_mul``).  The lattices the
 module builds itself (those pieces, sums, induced forms, the mirror
 quotient) skip the input conversion of ``from_gram`` but keep the
 square/even/symmetric check, which a square, symmetric, even matrix of int
-tuples passes in C-level passes.
+tuples passes in C-level passes.  No lattice has rank past ``_RANK_CAP``:
+the constructor refuses one with ``BudgetExceeded``, and ``direct_sum``
+refuses a sum of that rank before its Gram matrix is built.
 
 Isomorphism testing is limited to invariant comparison (rank, signature,
 determinant, discriminant group and form), a necessary condition for
@@ -76,6 +78,9 @@ Gram = tuple[tuple[int, ...], ...]
 _E8_EDGES = ((1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8))
 
 _DISC_ENUMERATION_CAP = 65536
+# The largest rank of a lattice: a Gram matrix of rank n holds n^2 entries,
+# and a direct sum's is built whole.  The K3 lattice has rank 22.
+_RANK_CAP = 256
 # Box positions, in scan order, that find_isotropic may pass before it gives up.
 _ISOTROPIC_SCAN_CAP = 2 ** 18
 
@@ -89,7 +94,8 @@ class QuadLattice:
     next to the orthogonal blocks and their leading minors that they read.
     A call that raises keeps no value of its own, so it raises again next
     time.  The kept values are plain data with no reference back to the
-    lattice.
+    lattice.  A Gram matrix of rank past ``_RANK_CAP`` raises
+    ``BudgetExceeded`` before any other check.
     """
 
     gram: Gram
@@ -100,6 +106,7 @@ class QuadLattice:
     def __post_init__(self):
         gram = self.gram
         n = len(gram)
+        _check_rank(n)
         # A Gram matrix of int tuples that is square, symmetric and even
         # passes in C-level passes; any other runs the row scan below, which
         # names the first fault.
@@ -138,6 +145,12 @@ class QuadLattice:
         return data
 
 
+def _check_rank(n: int) -> None:
+    """Refuse a lattice of rank past ``_RANK_CAP``, naming its rank."""
+    if n > _RANK_CAP:
+        raise BudgetExceeded(f"a lattice of rank {n} passes the rank cap of {_RANK_CAP}")
+
+
 def from_gram(gram: Sequence[Sequence[int]], name: Optional[str] = None) -> QuadLattice:
     return QuadLattice(la.as_int_rows(gram), name)
 
@@ -151,8 +164,10 @@ def _lattice(rows: Sequence[Sequence[int]], name: Optional[str] = None) -> QuadL
 def direct_sum(*lattices: QuadLattice, name: Optional[str] = None) -> QuadLattice:
     """The orthogonal sum, carrying its summands' orthogonal blocks: the
     sum's ``_blocks`` are theirs, in summand order, the same matrices and
-    minors, so a sum takes no split and no elimination of its own."""
+    minors, so a sum takes no split and no elimination of its own.  Its
+    rank is checked against ``_RANK_CAP`` before its Gram matrix is built."""
     n = sum(lat.rank for lat in lattices)
+    _check_rank(n)
     gram = []
     offset = 0
     for lat in lattices:

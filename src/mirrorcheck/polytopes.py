@@ -6,6 +6,8 @@ incidence table, one bitmask of the vertices on each facet (PALP's
 ``INCI``, Kreuzer-Skarke 2004).  ``hull`` reads the vertices and the
 incidence table off its facets' point masks, which are exact by
 construction; the polar of a reflexive polytope is the transposed table.
+A pass over a mask table walks the set bits of each mask (``_bits``), not
+every (point, facet) pair.
 Everything else reads the masks, with no inner product and no rank: the
 face lattice is their closure under AND, with each face's dimension read
 off the lattice; dual and smallest faces are one lookup by vertex mask;
@@ -63,14 +65,23 @@ from .errors import (
 )
 from ._cache import cached
 from .intlinalg import (
-    _echelon, _sparse_mul, as_int, as_int_vector, dot, identity, solve_exact, transpose,
-    vec_gcd)
+    _echelon, _product_rows, _sparse_mul, as_int, as_int_vector, dot, identity, solve_exact,
+    transpose, vec_gcd)
 
 Vec = tuple[int, ...]
 Facet = tuple[Vec, int]  # (primitive normal n, offset c): <n, x> >= -c
 
 MIN_RANK = 2
 MAX_RANK = 5
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first: one step per
+    set bit, not per bit (PALP walks its incidence masks so too)."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _rotate(n1: Vec, c1: int, s1: int, n2: Vec, c2: int, s2: int) -> Facet:
@@ -237,8 +248,13 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     (d-1)-dimensional by construction (Fukuda-Prodon 1996), and no rank
     re-proves it.  A point is a vertex iff no other input point lies on
     every facet through it, read off the final masks: otherwise the face
-    those facets cut out holds both.  Each row of the incidence table is
-    its facet's final mask restricted to the vertices.
+    those facets cut out holds both.  One pass over the set bits of each
+    final mask ANDs the mask into the face of each point on it, so the pass
+    costs one step per incidence, not per (point, facet) pair; a point on
+    no facet keeps every point in its face and is no vertex.  Each row of
+    the incidence table is its facet's final mask restricted to the
+    vertices: the mask itself when every point is a vertex, else its set
+    bits renumbered.
     """
     try:
         pts = sorted({tuple(map(as_int, p)) for p in points})
@@ -269,7 +285,7 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     for i, p in enumerate(pts):
         if start >> i & 1:
             continue
-        signed = [(dot(n, p) + c, n, c, mask) for n, c, mask in facets]
+        signed = [(sum(map(mul, n, p)) + c, n, c, mask) for n, c, mask in facets]
         if all(s > 0 for s, _, _, _ in signed):
             continue  # inside: on no facet, now or later
         bit = 1 << i
@@ -277,18 +293,19 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
         facets += [(n, c, ridge | bit) for n, c, ridge in _combine(signed, d)]
     facets.sort()
 
-    everything = (1 << len(pts)) - 1
-    keep = []
-    for k in range(len(pts)):
-        face = everything
-        for _, _, mask in facets:
-            if mask >> k & 1:
-                face &= mask
-        if face == 1 << k:
-            keep.append(k)
+    # face[k]: the AND of the masks of the facets through point k.
+    face = [(1 << len(pts)) - 1] * len(pts)
+    for _, _, mask in facets:
+        for k in _bits(mask):
+            face[k] &= mask
+    keep = [k for k, on in enumerate(face) if on == 1 << k]
     vertices = tuple(pts[k] for k in keep)
-    incidence = tuple(sum(1 << r for r, k in enumerate(keep) if mask >> k & 1)
-                      for _, _, mask in facets)
+    if len(keep) == len(pts):
+        incidence = tuple(mask for _, _, mask in facets)
+    else:
+        index = {k: r for r, k in enumerate(keep)}
+        incidence = tuple(sum(1 << index[k] for k in _bits(mask) if k in index)
+                          for _, _, mask in facets)
     return LatticePolytope(d, vertices, tuple((n, c) for n, c, _ in facets), incidence)
 
 
@@ -302,14 +319,15 @@ def polar_dual(poly: LatticePolytope) -> LatticePolytope:
     stay sorted, and every v_i is primitive because the polar's facet
     through it holds lattice points.  Polar facet i passes through polar
     vertex j iff <n_j, v_i> + 1 = 0, iff facet j of P passes through
-    vertex i, so the polar's incidence table is P's transposed.  After
-    ``hull`` that table is exact; on a hand-built P the one check is that
-    every vertex lies on at least d facets, so that each polar facet has
-    d vertices.  The polar is cached on P, and P on the polar by a weak
-    reference, so while P lives ``polar_dual(polar_dual(P)) is P`` and
-    repeated calls share its cached points and faces, and the pair is no
-    reference cycle; a failed check caches nothing, so a bad input raises
-    on every call.
+    vertex i, so the polar's incidence table is P's transposed, built by
+    one pass over the set bits of P's rows.  After ``hull`` that table is
+    exact; on a hand-built P the one check is that every vertex lies on
+    at least d facets, so that each polar facet has d vertices, and bits
+    past P's vertices are ignored.  The polar is cached on P, and P on the
+    polar by a weak reference, so while P lives
+    ``polar_dual(polar_dual(P)) is P`` and repeated calls share its cached
+    points and faces, and the pair is no reference cycle; a failed check
+    caches nothing, so a bad input raises on every call.
     """
     cache = poly._cache
     if "polar" in cache:
@@ -322,8 +340,12 @@ def polar_dual(poly: LatticePolytope) -> LatticePolytope:
         raise OriginNotInterior("origin is not an interior point")
     if any(c != 1 for c in offsets):
         raise NonIntegralDual("a facet has lattice distance > 1; the polar is not integral")
-    incidence = tuple(sum(1 << j for j, on in enumerate(poly.incidence) if on >> i & 1)
-                      for i in range(len(poly.vertices)))
+    rows = [0] * len(poly.vertices)
+    everything = (1 << len(rows)) - 1
+    for j, on in enumerate(poly.incidence):
+        for i in _bits(on & everything):
+            rows[i] |= 1 << j
+    incidence = tuple(rows)
     if any(mask.bit_count() < poly.rank for mask in incidence):
         raise NotFullDimensional("inconsistent polytope: a vertex on fewer than d facets")
     dual = LatticePolytope(poly.rank, tuple(n for n, _ in poly.facets),
@@ -435,10 +457,12 @@ def _bounds(vertices: Sequence[Vec]) -> tuple[int, int]:
     return prefixes, box
 
 
-def _sweep_basis(poly: LatticePolytope) -> Optional[tuple[list[list[int]], list[list[int]]]]:
-    """A unimodular U, with U^-1, whose coordinates y = U x sweep P with at
-    most half the prefixes its own coordinates allow; None when P's own
-    coordinates serve.
+def _sweep_basis(poly: LatticePolytope) -> Optional[tuple[list[list[int]], list[list[int]],
+                                                         list[list[int]]]]:
+    """A unimodular U, with U^-1 and the image of P's vertices, whose
+    coordinates y = U x sweep P with at most half the prefixes its own
+    coordinates allow; None when P's own coordinates serve.  Row i of the
+    image is coordinate i of every vertex, in the order of the vertices.
 
     ``_bounds`` bounds the work of a sweep in P's own coordinates, the
     prefixes past the empty one and the points, as the budget counts them;
@@ -451,9 +475,10 @@ def _sweep_basis(poly: LatticePolytope) -> Optional[tuple[list[list[int]], list[
     narrow direction has a small variance, so the rows that come out are
     narrow ones (Lenstra 1983 on why the width bounds the enumeration;
     pairwise reduction, not LLL, at d <= 5).  They are ordered by their
-    true width over the vertices, narrowest first.  U is kept only if it at
-    least halves the bound on the prefixes: the points are the same in any
-    basis, and a reduced basis costs a transform and a final sort.
+    true width over the vertices, narrowest first, and only then is U kept
+    if it at least halves the bound on the prefixes, which the order sets:
+    the points are the same in any basis, and a reduced basis costs a
+    transform and a final sort.
     """
     prefixes, box = _bounds(poly.vertices)
     if prefixes - 1 + box < _REDUCE_ABOVE:
@@ -486,10 +511,10 @@ def _sweep_basis(poly: LatticePolytope) -> Optional[tuple[list[list[int]], list[
     # Row i: coordinate i of every vertex, in the reduced basis.
     image = _sparse_mul(u, columns)
     order = sorted(range(d), key=lambda i: (max(image[i]) - min(image[i]), g[i][i]))
-    u = [u[i] for i in order]
-    if 2 * _bounds(zip(*(image[i] for i in order)))[0] > prefixes:
+    image = [image[i] for i in order]
+    if 2 * _bounds(zip(*image))[0] > prefixes:
         return None
-    return u, [[row[i] for i in order] for row in back]
+    return [u[i] for i in order], [[row[i] for i in order] for row in back], image
 
 
 def _over_budget(vertices: Sequence[Vec]) -> BudgetExceeded:
@@ -524,10 +549,13 @@ def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
     on the whole fibre.  The sweep keeps one list of points and one mask
     per point, 0 for an interior point; in a reduced basis the points are
     mapped back by U^-1 at the end and sorted, each with its mask.  A
-    matrix maps points as one ``_sparse_mul`` by their coordinate rows, so
-    no Python loop runs per point.  The boundary and interior points are
-    the points whose mask is nonzero and zero; the per-point loop is the
-    same in either basis.
+    matrix maps points by zipping the lazy rows of its product with their
+    coordinate rows (``_product_rows``), so no Python loop runs per point,
+    and the vertices' image comes from ``_sweep_basis``.  The boundary and
+    interior points are the points whose mask is nonzero and zero; the
+    per-point loop is the same in either basis.  Walls are lifted only at
+    the level above the last, and only when P has a vertical facet; every
+    other fibre takes no wall sum.
 
     Before each fibre's loop the sweep counts the points of that fibre,
     which are the prefixes or the points it is about to visit, and past
@@ -540,10 +568,10 @@ def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
     if basis is None:
         column0 = [v[0] for v in poly.vertices]
     else:
-        u, back = basis
-        normals = zip(*_sparse_mul(transpose(back), transpose([n for n, _, _ in facets])))
+        _, back, image = basis
+        normals = zip(*_product_rows(transpose(back), transpose([n for n, _, _ in facets])))
         facets = [(n, c, on) for n, (_, c, on) in zip(normals, facets)]
-        column0 = [sum(map(mul, u[0], v)) for v in poly.vertices]
+        column0 = image[0]
     first, *upper = _levels(facets, column0)
     # upper[k]: the facets of level k+1 as (head[:-1], head[-1], a, c).
     upper = [[(head[:-1], head[-1], a, c) for head, a, c in level] for level in upper]
@@ -566,15 +594,14 @@ def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
             return
         spent += hi - lo + 1
         if spent > _SWEEP_CAP:
-            raise _over_budget(poly.vertices if basis is None else
-                               list(zip(*_sparse_mul(u, transpose(poly.vertices)))))
+            raise _over_budget(poly.vertices if basis is None else list(zip(*image)))
         if k + 1 < d:
             nxt = [(a, h, c + dot(head, prefix)) for head, h, a, c in upper[k]]
             lifted = ([(bit, h, c + dot(head, prefix)) for bit, head, h, c in vertical]
                       if k + 2 == d else ())
             for y in range(lo, hi + 1):
                 lift(k + 1, prefix + (y,), [(a, b + h * y) for a, h, b in nxt],
-                     sum(bit for bit, h, b in lifted if b + h * y == 0))
+                     sum(bit for bit, h, b in lifted if b + h * y == 0) if lifted else 0)
             return
         for y in range(lo, hi + 1):
             points.append(prefix + (y,))
@@ -588,7 +615,7 @@ def _sweep(poly: LatticePolytope) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
     finally:
         lift = None  # the closure refers to itself: break that cycle
     if basis is not None:
-        points, masks = zip(*sorted(zip(zip(*_sparse_mul(back, transpose(points))), masks)))
+        points, masks = zip(*sorted(zip(zip(*_product_rows(back, transpose(points))), masks)))
     return (tuple(points), tuple(itertools.compress(points, masks)),
             tuple(itertools.compress(points, map(not_, masks))), tuple(masks))
 
@@ -614,11 +641,13 @@ def face_lattice(poly: LatticePolytope) -> tuple[Face, ...]:
 @cached
 def _faces(poly: LatticePolytope) -> dict[int, tuple[int, tuple[int, ...]]]:
     """Each face's dim and vertex indices by its vertex bitmask, in the
-    graded order of ``face_lattice``."""
+    graded order of ``face_lattice``; the indices are the set bits of the
+    mask."""
     incidence = poly.incidence
     n = len(poly.vertices)
     # The polytope itself; the empty face is the AND of all facets.
-    seen = {(1 << n) - 1}
+    everything = (1 << n) - 1
+    seen = {everything}
     frontier = set(incidence)
     while frontier:
         seen |= frontier
@@ -627,7 +656,7 @@ def _faces(poly: LatticePolytope) -> dict[int, tuple[int, tuple[int, ...]]]:
     for face in sorted(seen):
         below = [dims[face & f] for f in incidence if face & f != face]
         dims[face] = 1 + max(below) if below else -1
-    graded = sorted((dim, tuple(i for i in range(n) if face >> i & 1), face)
+    graded = sorted((dim, tuple(_bits(face & everything)), face)
                     for face, dim in dims.items())
     return {face: (dim, idx) for dim, idx, face in graded}
 

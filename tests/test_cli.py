@@ -117,19 +117,20 @@ def test_hull_calls_per_op(command, fixture, expected, capsys, monkeypatch):
 # refine` (two partitions of one Delta) sweep Delta alone.  The hexagon's
 # partition fails the nef check before the polar is swept, and `nef hodge`
 # sweeps nothing: Batyrev's formula is read off the vertices, normals and
-# incidence tables of Delta and its polar.
+# incidence tables of Delta and its polar.  The ids name the op and the
+# fixture, not the pinned count.
 SWEEPS_PER_OP = [
-    (["nef", "verify"], {"hexagon": 1, "p1p1p1": 1, "quintic": 1, "wp1113": 1}),
-    (["nef", "dual"], {"hexagon": 1, "p1p1p1": 2, "quintic": 2, "wp1113": 2}),
-    (["nef", "counts"], {"hexagon": 1, "p1p1p1": 2, "quintic": 2, "wp1113": 2}),
-    (["nef", "hodge"], {"p1p1p1": 0, "quintic": 0, "wp1113": 0}),
-    (["nef", "refine"], {"p1p1p1": 1}),
-]
+    pytest.param(command, fixture, expected, id="-".join([*command, fixture]))
+    for command, counts in [
+        (["nef", "verify"], {"hexagon": 1, "p1p1p1": 1, "quintic": 1, "wp1113": 1}),
+        (["nef", "dual"], {"hexagon": 1, "p1p1p1": 2, "quintic": 2, "wp1113": 2}),
+        (["nef", "counts"], {"hexagon": 1, "p1p1p1": 2, "quintic": 2, "wp1113": 2}),
+        (["nef", "hodge"], {"p1p1p1": 0, "quintic": 0, "wp1113": 0}),
+        (["nef", "refine"], {"p1p1p1": 1}),
+    ] for fixture, expected in counts.items()]
 
 
-@pytest.mark.parametrize("command,fixture,expected", [
-    (command, fixture, expected)
-    for command, counts in SWEEPS_PER_OP for fixture, expected in counts.items()])
+@pytest.mark.parametrize("command,fixture,expected", SWEEPS_PER_OP)
 def test_sweeps_per_op(command, fixture, expected, capsys, monkeypatch):
     swept = []
     real = pt._sweep
@@ -207,8 +208,7 @@ def test_cartier_solves_per_op(command, fixture, widths, capsys, monkeypatch):
 # No nef op builds a face lattice: `nef hodge` reads Batyrev's sums off the
 # facet-mask counts of the lattice-point sweep, with no `_faces` table, no
 # `ell_star_face` and no `dual_face`, and the other ops read masks too.
-@pytest.mark.parametrize("command,fixture", [
-    (command, fixture) for command, counts in SWEEPS_PER_OP for fixture in counts])
+@pytest.mark.parametrize("command,fixture", [op.values[:2] for op in SWEEPS_PER_OP])
 def test_nef_ops_build_no_face_lattice(command, fixture, capsys, monkeypatch):
     calls = []
 
@@ -432,6 +432,20 @@ def test_isotropic_budget_with_a_box_too_large_to_print(capsys):
     assert (code, report["status"], report["payload"]["error"]) == (
         2, "ERROR", "BudgetExceeded")
     assert report["payload"]["message"].startswith("isotropic scan of a box of more than 10^")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "sum", "--spec", "+".join(["H"] * 6000)],
+    ["lattice", "match", "--a", "H", "--b", "+".join(["<2>"] * 300)],
+    ["lattice", "invariants", "--gram", json.dumps([[0] * 257] * 257)],
+], ids=["sum-spec", "match-spec", "invariants-gram"])
+def test_lattice_rank_budget_exit(argv, capsys):
+    # A 6 000-piece spec once took 25 s and 2.2 GB and exited 0.
+    start = time.perf_counter()
+    code, report = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, report["status"], report["payload"]["error"]) == (2, "ERROR", "BudgetExceeded")
+    assert report["payload"]["message"].endswith("passes the rank cap of 256")
 
 
 def _simplex_file(tmp_path, d, scale):

@@ -183,6 +183,70 @@ def test_pivot_columns_match_sympy(m):
     assert tuple(pivots) == sympy.Matrix(m).rref()[1]
 
 
+def plain_bareiss(a, ncols):
+    """The fraction-free Gauss-Jordan loop with no step skipped: every row
+    but the pivot row is updated at every pivot."""
+    nrows, width = len(a), len(a[0])
+    pivots, sign, prev = [], 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        if not a[r][c]:
+            p = next((i for i in range(r + 1, nrows) if a[i][c]), None)
+            if p is None:
+                continue
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        pv = a[r][c]
+        for i in range(nrows):
+            if i != r:
+                f = a[i][c]
+                for j in range(c + 1, width):
+                    a[i][j] = (pv * a[i][j] - f * a[r][j]) // prev
+        prev = pv
+        pivots.append(c)
+    return pivots, sign
+
+
+@st.composite
+def sparse_augmented(draw):
+    """Integer matrices up to 6x9 whose first columns are eliminated and the
+    rest carried: entries are often 0, some columns are all 0, and often
+    the pivots are a chain of 1s (a unit lower triangle), so rows with a 0
+    multiplier meet pivots both equal to the one before and not."""
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
+    extra = draw(st.integers(0, 3))
+    width = ncols + extra
+    cell = st.one_of(st.just(0), st.integers(-4, 4))
+    m = draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                      min_size=nrows, max_size=nrows))
+    for c in draw(st.sets(st.integers(0, width - 1), max_size=2)):
+        for row in m:
+            row[c] = 0
+    if draw(st.booleans()):
+        for i in range(min(nrows, ncols)):
+            m[i][:i + 1] = [*m[i][:i], 1]
+            for k in range(i + 1, ncols):
+                m[i][k] = 0
+    return m, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_augmented())
+@example(([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3))
+@example(([[2, 0, 1], [0, 3, 1], [0, 0, 1]], 2))
+@example(([[0, 0, 5], [0, 2, 1], [3, 0, 1]], 3))
+def test_echelon_matches_a_plain_bareiss_loop(case):
+    # Skipping a row whose multiplier is 0 under a pivot equal to the one
+    # before changes no entry, no pivot and no sign.
+    m, ncols = case
+    a, b = [list(row) for row in m], [list(row) for row in m]
+    assert la._echelon(a, ncols) == plain_bareiss(b, ncols)
+    assert a == b
+
+
 @pytest.mark.parametrize("value", [3, -7, 2.0, 10 ** 30])
 def test_as_int_keeps_integral_numbers(value):
     assert la.as_int(value) == value and type(la.as_int(value)) is int

@@ -14,6 +14,7 @@ import itertools
 import math
 import re
 import sys
+import time
 import weakref
 from fractions import Fraction
 
@@ -371,6 +372,30 @@ def test_discriminant_cap_is_refused_before_any_smith_form(monkeypatch):
     with pytest.raises(errors.BudgetExceeded,
                        match="^discriminant group of order 720000 exceeds enumeration cap$"):
         lt.discriminant(lat)
+
+
+def test_rank_cap_is_a_budget_at_its_bound():
+    # The cap is a rank a lattice may have: rank 256 is built, rank 257 is
+    # refused, by a sum and by a Gram matrix alike.
+    assert lt.direct_sum(*[H] * (lt._RANK_CAP // 2)).rank == lt._RANK_CAP
+    with pytest.raises(errors.BudgetExceeded,
+                       match="^a lattice of rank 257 passes the rank cap of 256$"):
+        lt.direct_sum(*[H] * (lt._RANK_CAP // 2), A1)
+    with pytest.raises(errors.BudgetExceeded, match="rank 257 passes"):
+        lt.from_gram([[0] * 257] * 257)
+
+
+def test_rank_cap_is_refused_before_the_gram_is_built(monkeypatch):
+    # A 6 000-piece sum once built its 12 000 x 12 000 Gram matrix; now its
+    # rank alone refuses it, at once.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gram matrix was built")
+
+    monkeypatch.setattr(lt, "_lattice", refuse)
+    start = time.perf_counter()
+    with pytest.raises(errors.BudgetExceeded, match="^a lattice of rank 12000 passes"):
+        lt.direct_sum(*[H] * 6000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_discriminant_budget_is_not_cached():

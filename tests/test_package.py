@@ -122,6 +122,36 @@ def test_cold_start_runs_only_the_engines_used(calls, engines):
     assert set(_FRONT_END) <= run
 
 
+# Only ``intlinalg.solve_exact`` builds a ``Fraction``, and no command calls
+# it: a fresh interpreter that runs every command group loads neither
+# ``fractions`` nor the ``decimal`` that it imports.
+_RATIONALS = """
+    import contextlib, io, json, sys
+    import mirrorcheck.cli as cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(argv) for argv in {calls!r}]
+    print(json.dumps({{"codes": codes,
+                      "loaded": sorted({{"fractions", "decimal"}} & set(sys.modules))}}))
+"""
+
+
+def test_commands_load_no_rationals():
+    calls = [
+        ["polytope", "faces", "--fixture", "p1p1p1"],
+        ["polytope", "points", "--fixture", "wp1113"],
+        ["nef", "dual", "--fixture", "quintic"],
+        ["nef", "hodge", "--fixture", "p1p1p1"],
+        ["nef", "refine", "--fixture", "p1p1p1"],
+        ["hodge", "euler", "--fixture", "k3-diamond"],
+        ["lattice", "mirror", "--spec", "<4>"],
+        ["lattice", "isotropic", "--spec", "H+<4>"],
+        ["lattice", "match", "--a", "H", "--b", "H"],
+        ["family", "quartic", "--i", "1", "--j", "1", "--mu", "2"],
+    ]
+    found = fresh(_RATIONALS.format(calls=calls))
+    assert found == {"codes": [0] * len(calls), "loaded": []}
+
+
 # The package binds each of its seven modules unrun; a module runs on its
 # first attribute access, and the CLI imports the very same objects.
 _RUN = """

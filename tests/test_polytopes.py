@@ -426,6 +426,45 @@ def test_hull_facets_are_exact_by_construction(points):
         check_polar_against_hull(poly)
 
 
+def pairwise_vertices_and_incidence(poly, points):
+    """The vertices of conv(points) and the incidence table over P's facets
+    by a scan of every (point, facet) pair: a point is a vertex iff no
+    other point lies on every facet through it."""
+    pts = sorted(set(points))
+    on = [[sum(a * b for a, b in zip(n, p)) + c == 0 for n, c in poly.facets] for p in pts]
+    vertices = tuple(p for i, p in enumerate(pts)
+                     if not any(all(on[k][j] for j in range(len(poly.facets)) if on[i][j])
+                                for k in range(len(pts)) if k != i))
+    incidence = tuple(sum(1 << r for r, v in enumerate(vertices) if on[pts.index(v)][j])
+                      for j in range(len(poly.facets)))
+    return vertices, incidence
+
+
+@settings(max_examples=240, deadline=None)
+@given(hull_inputs())
+@example(CUBE_WITH_EDGE_MIDPOINTS)
+@example(SIMPLEX_FACET_POINT_FIRST)
+@example([p for p in itertools.product((-1, 0, 1), repeat=4) if sum(map(abs, p)) <= 2])
+@example(list(itertools.product((0, 1), repeat=5)))
+def test_hull_vertices_and_incidence_match_a_pairwise_scan(points):
+    # The final pass reads each point's face off the set bits of the facet
+    # masks; with every point a vertex the masks are the table itself.
+    try:
+        poly = pt.hull(points)
+    except errors.NotFullDimensional:
+        return
+    assert (poly.vertices, poly.incidence) == pairwise_vertices_and_incidence(poly, points)
+
+
+@pytest.mark.parametrize("points", [CUBE_WITH_EDGE_MIDPOINTS, SIMPLEX_FACET_POINT_FIRST,
+                                    ALL_FIXTURE_POINTS[0] + [(0, 0, 0)]],
+                         ids=["edge-midpoints", "facet-point", "interior-point"])
+def test_hull_renumbers_the_masks_past_points_that_are_not_vertices(points):
+    poly = pt.hull(points)
+    assert len(poly.vertices) < len(set(points))
+    assert (poly.vertices, poly.incidence) == pairwise_vertices_and_incidence(poly, points)
+
+
 def greedy_simplex(points, d):
     """The starting simplex as it was first chosen: grow it point by point,
     keeping each point that raises the affine rank."""
@@ -598,6 +637,19 @@ def test_polar_matches_hull_of_normals_random(points, seed):
     poly = pt.hull(image(unimodular(len(points[0]), seed), points))
     check_polar_against_hull(poly)
     check_polar_against_hull(pt.hull([n for n, _ in poly.facets]))
+
+
+@pytest.mark.parametrize("seed", [None, 3, 11])
+@pytest.mark.parametrize("points", REFLEXIVE_FIXTURE_POINTS + [
+    list(itertools.product((-1, 1), repeat=4)),
+    [p for p in itertools.product((-1, 0, 1), repeat=5) if sum(map(abs, p)) == 1]])
+def test_polar_incidence_is_the_transpose(points, seed):
+    if seed is not None:
+        points = image(unimodular(len(points[0]), seed), points)
+    poly = pt.hull(points)
+    dual = pt.polar_dual(poly)
+    assert [[on >> j & 1 for j in range(len(poly.facets))] for on in dual.incidence] == [
+        [on >> i & 1 for on in poly.incidence] for i in range(len(poly.vertices))]
 
 
 @pytest.mark.parametrize("points", REFLEXIVE_FIXTURE_POINTS)
@@ -1222,13 +1274,36 @@ def test_reduced_sweep_matches_box_scan(points):
     if prefixes - 1 + box < pt._REDUCE_ABOVE:
         assert basis is None
     if basis is not None:
-        u, back = basis
+        u, back, vertex_image = basis
         assert la.mat_mul(u, back) == la.identity(poly.rank)
+        assert list(zip(*vertex_image)) == image(u, poly.vertices)
         assert 2 * pt._bounds(image(u, poly.vertices))[0] <= prefixes
     for region in REGIONS:
         assert pt.lattice_points(poly, region) == naive_points(points, region)
     for p, mask in zip(pt.lattice_points(poly), pt.facet_masks(poly)):
         assert mask == sum(1 << j for j, (n, c) in enumerate(poly.facets) if la.dot(n, p) + c == 0)
+
+
+# Skews whose reduced basis halves the prefix bound only with its rows
+# ordered narrowest first, as the sweep takes them; in the order the
+# reduction leaves them the halving gate would refuse the basis.
+ORDER_DECIDES_THE_GATE = [skewed(ALL_FIXTURE_POINTS[3], 8984),
+                          skewed(ALL_FIXTURE_POINTS[4], (12014, 60291))]
+
+
+@pytest.mark.parametrize("points", ORDER_DECIDES_THE_GATE, ids=["rank3", "rank4"])
+def test_sweep_basis_orders_its_rows_before_the_halving_gate(points):
+    poly = pt.hull(points)
+    prefixes = pt._bounds(poly.vertices)[0]
+    basis = pt._sweep_basis(poly)
+    assert basis is not None
+    u, _, vertex_image = basis
+    assert list(zip(*vertex_image)) == image(u, poly.vertices)
+    widths = [max(row) - min(row) for row in vertex_image]
+    assert widths == sorted(widths)
+    assert 2 * pt._bounds(zip(*vertex_image))[0] <= prefixes
+    assert any(2 * pt._bounds(zip(*rows))[0] > prefixes
+               for rows in itertools.permutations(vertex_image))
 
 
 def _skewed_bench_inputs():
