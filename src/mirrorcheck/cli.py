@@ -348,7 +348,7 @@ def _cmd_nef_counts(inp: _Inputs):
     poly = inp.polytope()
     np_ = nef.validate_nef_partition(poly, parts)
     dual = nef.dual_nef_partition(np_)
-    polar = pt.polar_dual(poly)
+    polar = dual.polar
     count = nef.complement_count(dual, polar)
     payload = {
         "ell_polar": pt.ell(polar),

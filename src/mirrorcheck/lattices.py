@@ -152,6 +152,11 @@ def _check_rank(n: int) -> None:
 
 
 def from_gram(gram: Sequence[Sequence[int]], name: Optional[str] = None) -> QuadLattice:
+    """The lattice on a Gram matrix of ints, each entry read through
+    ``as_int``.  A list or tuple of more than ``_RANK_CAP`` rows is refused
+    before any entry is read; other input fails in ``as_int_rows``."""
+    if isinstance(gram, (list, tuple)):
+        _check_rank(len(gram))
     return QuadLattice(la.as_int_rows(gram), name)
 
 

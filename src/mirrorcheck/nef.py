@@ -41,7 +41,15 @@ facets through each (``facet_masks``), as PALP's incidence idiom does
 others of each nabla_i (see ``dual_nef_partition``), so counts need only
 the vertices and the points: nabla and each nabla_i are hulled on first
 read (by ``nef dual``'s report), a lower-dimensional nabla_i being the one
-``hull`` refuses as ``NotFullDimensional``, with no rank taken.  Batyrev's
+``hull`` refuses as ``NotFullDimensional``, with no rank taken.  The dual
+carries the polar it is read from.  For k = 1 every boundary point is in
+E_1, so nabla = nabla_1 = the polar: nothing is hulled, and no point is
+sorted.  For k >= 2 nabla's hull is given the nonzero vertices of the
+nabla_i only, as the origin is interior to the reflexive nabla, and the
+points of Delta are sorted by the facets through them, one smallest face
+per distinct set.  ``complement_count`` checks that nabla lies in the
+polar once per polar and keeps the count on the dual, where
+``curve_invariant`` reads it.  Batyrev's
 Hodge numbers are read in closed form off the vertices, facet normals and
 incidence tables of Delta and its polar, with no lattice point and no face
 lattice (see ``batyrev_hodge``); divisor component counts are read off the
@@ -105,18 +113,23 @@ class NefPartition:
 
 @dataclass(frozen=True)
 class DualNefPartition:
-    """The Batyrev-Borisov dual of a nef partition.
+    """The Batyrev-Borisov dual of a nef partition, with the polar of Delta
+    it is read from.
 
     ``nablas`` holds the hull of each full-dimensional nabla_i and None for
     a lower-dimensional one, which ``hull`` refuses, and ``nabla`` the hull
-    of their union; for k = 1 nabla_1 is nabla, and one hull serves both.
-    Only ``to_json`` needs those hulls, so they are built on first read and
-    kept in ``_cache``; the lattice-point count of nabla, ``ell_nabla``, is
-    read off the point sets.
+    of their union.  For k = 1, nabla_1 is nabla and both are the polar,
+    so no hull is run.  For k >= 2 nabla's hull is given the nonzero
+    vertices of the nabla_i only: nabla is reflexive, so the origin is
+    interior to it and no vertex.  Only ``to_json`` needs those hulls, so
+    they are built on first read and kept in ``_cache``; the lattice-point
+    count of nabla, ``ell_nabla``, is read off the point sets.
+    ``complement_count`` keeps its counts in ``_cache`` too.
     """
 
     nabla_vertex_sets: tuple[tuple[Vec, ...], ...]
     nabla_point_sets: tuple[tuple[Vec, ...], ...]
+    polar: LatticePolytope
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -130,7 +143,9 @@ class DualNefPartition:
     @property
     @cached
     def nabla(self) -> LatticePolytope:
-        return hull([v for vs in self.nabla_vertex_sets for v in vs])
+        if self.k == 1:
+            return self.polar
+        return hull([v for vs in self.nabla_vertex_sets for v in vs if any(v)])
 
     @property
     @cached
@@ -146,13 +161,15 @@ class DualNefPartition:
         return tuple(pieces)
 
     def to_json(self) -> dict:
+        nabla = self.nabla.to_json()
         # A lower-dimensional piece has vertex data only, no facets.
-        pieces = [piece.to_json() if piece is not None else
-                  {"rank": self.nabla.rank, "vertices": [list(v) for v in vs]}
-                  for vs, piece in zip(self.nabla_vertex_sets, self.nablas)]
+        pieces = [nabla] if self.k == 1 else [
+            piece.to_json() if piece is not None else
+            {"rank": self.nabla.rank, "vertices": [list(v) for v in vs]}
+            for vs, piece in zip(self.nabla_vertex_sets, self.nablas)]
         return {
             "nablas": pieces,
-            "nabla": self.nabla.to_json(),
+            "nabla": nabla,
             "nabla_point_counts": [len(ps) for ps in self.nabla_point_sets],
         }
 
@@ -266,29 +283,38 @@ def _cartier_data(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
     return tuple(tuple(sorted(vs)) for vs in vertex_sets)
 
 
-def _nabla_point_sets(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
-    """The lattice points of each nabla_i, in the polar's point order.
+def _nabla_point_sets(np_: NefPartition,
+                      polar: LatticePolytope) -> tuple[tuple[Vec, ...], ...]:
+    """The lattice points of each nabla_i, in the point order of ``polar``,
+    the polar of Delta.
 
     Every lattice point p of nabla_i lies in the polar polytope, and a
     polar point p, which pairs to >= -1 with every boundary point of Delta,
     lies in nabla_i iff each boundary point v with <v, p> = -1 lies in E_i
-    (the tight-set rule).  Those v form the face of Delta on which p is -1.
+    (the tight-set rule).  For k = 1 every boundary point lies in E_1, so
+    nabla_1 holds every polar point, and no point is sorted.  Otherwise,
+    those v form the face of Delta on which p is -1.
     Polar facet j is <., v_j> >= -1 for vertex v_j of Delta, so the facets
     through p, which the polar's sweep recorded, are that face's vertex
     mask (0 for an interior p), and v lies on the face iff the vertex mask
     of v's smallest face is a subset of it.  So the points' parts are
-    grouped by that mask once, and the tight set of each distinct polar
-    mask is the union of the groups under it, with no inner product.  The
-    origin's smallest face is Delta, whose mask of all vertices no polar
-    point's mask holds.  A boundary point that no part owns, which
-    ``dual_nef_partition`` refuses before this runs, counts as part None.
+    grouped by the facets through them, the one smallest face of each
+    group is looked up once (distinct facet sets cut out distinct faces),
+    and the tight set of each distinct polar mask is the union of the
+    groups under it, with no inner product.  The origin's smallest face is
+    Delta, whose mask of all vertices no polar point's mask holds.  A
+    boundary point that no part owns, which ``dual_nef_partition`` refuses
+    before this runs, counts as part None.
     """
+    if np_.k == 1:
+        return (lattice_points(polar),)
     delta = np_.polytope
-    polar = polar_dual(delta)
     owner = {v: i for i, part in enumerate(np_.parts) for v in part}
-    groups: dict[int, set[Optional[int]]] = {}
+    by_facets: dict[int, set[Optional[int]]] = {}
     for v, through in zip(lattice_points(delta), facet_masks(delta)):
-        groups.setdefault(_smallest_face_mask(delta, through), set()).add(owner.get(v))
+        by_facets.setdefault(through, set()).add(owner.get(v))
+    groups = {_smallest_face_mask(delta, through): parts
+              for through, parts in by_facets.items()}
     # The point lists of the nabla_i that hold a polar point, by its face.
     point_sets: list[list[Vec]] = [[] for _ in np_.parts]
     fits: dict[int, list[list[Vec]]] = {}
@@ -339,7 +365,8 @@ def _nabla_vertex_sets(np_: NefPartition) -> tuple[tuple[Vec, ...], ...]:
 
 @cached
 def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
-    """The vertices and lattice points of the polytopes nabla_i.
+    """The vertices and lattice points of the polytopes nabla_i, with the
+    polar of Delta they are read from.
 
     The vertices of each nabla_i are the distinct Cartier functionals
     u_{F,i} over the facets F of Delta (``_nabla_vertex_sets``: the cover
@@ -347,7 +374,9 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
     kept on the partition; on a partition that is not validated this raises
     NotAPartition, NotCartier or NotNef as validation would.  The lattice
     points of each nabla_i are the polar points the tight-set rule keeps
-    (``_nabla_point_sets``), read only here.
+    (``_nabla_point_sets``), read only here.  The polar is kept on the
+    dual: for k = 1 it is nabla and nabla_1, and ``complement_count`` takes
+    it (as the CLI does).
 
     Nabla = Conv(union nabla_i) is reflexive (Borisov), and no hull of it or
     of the nabla_i is built here, as its lattice points are the nabla_i's.
@@ -360,9 +389,13 @@ def dual_nef_partition(np_: NefPartition) -> DualNefPartition:
     The same argument shows that two nabla_i meet only at the origin, so
     ell(nabla) = 1 + sum of (ell(nabla_i) - 1).  The result is kept in the
     partition's ``_cache``, so later calls return the one first built; it
-    holds no reference back to the partition.
+    holds no reference back to the partition, and its polar holds only a
+    weak one back to Delta, so dropping the partition frees them all by
+    reference counting.
     """
-    return DualNefPartition(_nabla_vertex_sets(np_), _nabla_point_sets(np_))
+    vertex_sets = _nabla_vertex_sets(np_)
+    polar = polar_dual(np_.polytope)
+    return DualNefPartition(vertex_sets, _nabla_point_sets(np_, polar), polar)
 
 
 def check_refinement(coarse: NefPartition, fine: NefPartition) -> bool:
@@ -385,16 +418,22 @@ def complement_count(dual: DualNefPartition, polar: LatticePolytope) -> int:
 
     This is the component count of the distinguished pencil member on the
     mirror; nabla must be contained in the polar polytope, which is convex,
-    so it is enough that the vertices of every nabla_i are.
+    so it is enough that the vertices of every nabla_i are.  That check
+    runs once per polar given: the count is kept in the dual's ``_cache``
+    by the polar, so ``curve_invariant`` and later calls read it back.  A
+    polar that does not contain nabla keeps nothing and raises each time.
     """
     if dual.k != 2:
         raise NotBipartite(f"fibre counts need a bipartite partition, got k={dual.k}")
-    for i, vs in enumerate(dual.nabla_vertex_sets):
-        for v in vs:
-            if not polar.contains(v):
-                raise NablaNotContained(
-                    f"vertex {v} of nabla_{i} is outside the polar polytope")
-    return ell(polar) - dual.ell_nabla
+    counts = dual._cache.setdefault("complement_count", {})
+    if polar not in counts:
+        for i, vs in enumerate(dual.nabla_vertex_sets):
+            for v in vs:
+                if not polar.contains(v):
+                    raise NablaNotContained(
+                        f"vertex {v} of nabla_{i} is outside the polar polytope")
+        counts[polar] = ell(polar) - dual.ell_nabla
+    return counts[polar]
 
 
 def curve_invariant(dual: DualNefPartition, polar: LatticePolytope, dim_v: int) -> int:
@@ -403,6 +442,8 @@ def curve_invariant(dual: DualNefPartition, polar: LatticePolytope, dim_v: int) 
     For dim_v >= 3 this is complement_count - 1 (the genus of the curve cut
     out by the two partition divisors when dim_v = 3); for dim_v = 2 it is
     the complement count itself, the number of points in the intersection.
+    The count is the one ``complement_count`` kept on the dual for this
+    polar, so a report that has it runs no containment check again.
     """
     dim_v = as_int(dim_v)
     if dim_v < 2:

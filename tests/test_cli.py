@@ -165,14 +165,36 @@ def test_duals_per_op(command, fixture, expected, capsys, monkeypatch):
     built = []
     real = nef._nabla_point_sets
 
-    def counting(np_):
+    def counting(np_, polar):
         built.append(np_)
-        return real(np_)
+        return real(np_, polar)
 
     monkeypatch.setattr(nef, "_nabla_point_sets", counting)
     code, _ = run(capsys, *command, "--fixture", fixture)
     assert code == (0 if fixture != "hexagon" else 1 if command[1] == "verify" else 2)
     assert len(built) == expected
+
+
+# Containment checks per `nef counts` op: one ``contains`` per vertex of
+# each nabla_i, as ``complement_count`` checks nabla against the polar once
+# and keeps the count on the dual, where ``curve_invariant`` reads it.
+@pytest.mark.parametrize("fixture,vertices", [
+    pytest.param("p1p1p1", 16, id="nef-counts-p1p1p1"),
+    pytest.param("quintic", 10, id="nef-counts-quintic"),
+    pytest.param("wp1113", 8, id="nef-counts-wp1113"),
+])
+def test_nef_counts_checks_containment_once(fixture, vertices, capsys, monkeypatch):
+    checked = []
+    real = pt.LatticePolytope.contains
+
+    def counting(self, point):
+        checked.append(point)
+        return real(self, point)
+
+    monkeypatch.setattr(pt.LatticePolytope, "contains", counting)
+    code, report = run_json(capsys, "nef", "counts", "--fixture", fixture)
+    assert code == 0 and "curve_invariant" in report["payload"]
+    assert len(checked) == vertices
 
 
 # Cartier eliminations per nef op, as the right-hand width of each
@@ -294,14 +316,21 @@ def test_lattice_kernel_calls_per_op(argv, eliminations, smith_forms, capsys, mo
 # mirror's largest is ``image_basis @ G`` on its embedding's two rows, and
 # `lattice complement` takes its kernel on all of the image's rows (10 for
 # H+E8(-1)).
+# The ids name the op and the input, not the pinned count.
 LARGEST_SMITH_INPUT = [
-    (["lattice", "invariants", "--fixture", "posdef2"], 2),
-    (["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 1),
-    (["lattice", "mirror", "--spec", "H", "--expect", "H+E8(-1)+E8(-1)"], 2),
-    (["lattice", "mirror", "--spec", "<2>", "--expect", "H+E8(-1)+E8(-1)+A1(-1)"], 1),
-    (["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"], 1),
-    (["lattice", "complement", "--spec", "<4>"], 1),
-    (["lattice", "complement", "--spec", "H+E8(-1)"], 10),
+    pytest.param(["lattice", "invariants", "--fixture", "posdef2"], 2,
+                 id="invariants-fixture-posdef2"),
+    pytest.param(["lattice", "invariants", "--spec", "H+E8(-1)+E8(-1)+<-4>"], 1,
+                 id="invariants-spec-H-E8-E8-m4"),
+    pytest.param(["lattice", "mirror", "--spec", "H", "--expect", "H+E8(-1)+E8(-1)"], 2,
+                 id="mirror-spec-H"),
+    pytest.param(["lattice", "mirror", "--spec", "<2>", "--expect", "H+E8(-1)+E8(-1)+A1(-1)"],
+                 1, id="mirror-spec-2"),
+    pytest.param(["lattice", "mirror", "--spec", "<4>", "--expect", "H+E8(-1)+E8(-1)+<-4>"],
+                 1, id="mirror-spec-4"),
+    pytest.param(["lattice", "complement", "--spec", "<4>"], 1, id="complement-spec-4"),
+    pytest.param(["lattice", "complement", "--spec", "H+E8(-1)"], 10,
+                 id="complement-spec-H-E8"),
 ]
 
 

@@ -398,6 +398,19 @@ def test_rank_cap_is_refused_before_the_gram_is_built(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
+def test_gram_rank_cap_is_refused_before_its_entries_are_read(monkeypatch):
+    # A 3 000 x 3 000 Gram matrix once had every entry converted before the
+    # rank cap refused it; now its row count alone refuses it, at once.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Gram matrix's entries were read")
+
+    monkeypatch.setattr(la, "as_int_rows", refuse)
+    start = time.perf_counter()
+    with pytest.raises(errors.BudgetExceeded, match="^a lattice of rank 3000 passes"):
+        lt.from_gram([[0] * 3000] * 3000)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_discriminant_budget_is_not_cached():
     # A failed computation keeps nothing: every call raises again.
     lat = lt.from_gram([[600, 0, 0], [0, 600, 0], [0, 0, -2]])

@@ -327,7 +327,7 @@ def test_nabla_points_match_constraint_filter(label, vertices, parts, mirror, se
         plain = oracle_case_partition(vertices, parts, mirror, None).polytope
         assert image(unimodular(plain.rank, seed), plain.vertices) != list(delta.vertices)
     expected = constraint_filter_points(np_)
-    assert nef._nabla_point_sets(np_) == expected
+    assert nef._nabla_point_sets(np_, pt.polar_dual(delta)) == expected
     assert nef.dual_nef_partition(np_).nabla_point_sets == expected
 
 
@@ -406,7 +406,7 @@ def test_unowned_point_is_in_no_part():
         moved = parts if m is None else [image(m, part) for part in parts]
         np_ = nef.NefPartition(delta, tuple(tuple(sorted(part)) for part in moved))
         assert _outcome(nef._nabla_vertex_sets, np_) == _outcome(cover_then_scan, np_)
-        point_sets = nef._nabla_point_sets(np_)
+        point_sets = nef._nabla_point_sets(np_, pt.polar_dual(delta))
         assert point_sets == constraint_filter_points(np_)
         p = (0, 0, 1) if m is None else tuple(la.mat_vec(la.transpose(
             la.inverse_unimodular(m)), [0, 0, 1]))
@@ -568,7 +568,7 @@ def test_random_partitions_match_the_scans(case):
         assert outcome == _outcome(scan_cartier_data, np_)
     else:
         assert _outcome(nef._nabla_vertex_sets, np_) == _outcome(cover_then_scan, np_)
-    assert nef._nabla_point_sets(np_) == constraint_filter_points(np_)
+    assert nef._nabla_point_sets(np_, pt.polar_dual(delta)) == constraint_filter_points(np_)
     if unowned is not None:
         with pytest.raises(errors.NotAPartition,
                            match=re.escape(f"not covered: [{boundary[unowned]}]")):
@@ -719,7 +719,10 @@ def test_one_part_partition_takes_the_facet_normals(monkeypatch):
     # Every facet of a reflexive Delta has c = 1, so a one-part partition's
     # functionals are the facet normals, nef by each facet's own inequality:
     # validation eliminates nothing and pairs nothing.  Its nabla_1 is
-    # nabla, the polar, so the dual hulls that one polytope once.
+    # nabla, the polar, so `nef dual` hulls Delta alone: its hull inputs
+    # are [16], Delta's vertices, with no hull of the polar's 8.
+    hulled = _record_hulls(monkeypatch)
+    monkeypatch.setattr(pt, "hull", nef.hull)
     cube4 = pt.hull(CUBE4)
     polar = pt.polar_dual(cube4)
 
@@ -729,12 +732,13 @@ def test_one_part_partition_takes_the_facet_normals(monkeypatch):
 
     monkeypatch.setattr(nef, "_echelon", refuse)
     monkeypatch.setattr(nef, "mat_vec", refuse)
-    hulled = _record_hulls(monkeypatch)
     np_ = nef.validate_nef_partition(cube4, [pt.lattice_points(cube4, "boundary")])
     dual = nef.dual_nef_partition(np_)
+    report = dual.to_json()
     assert dual.nabla_vertex_sets == (polar.vertices,)
-    assert dual.nablas == (dual.nabla,) and dual.nabla == polar
-    assert hulled == [polar.vertices]
+    assert dual.nablas == (dual.nabla,) and dual.nabla is polar
+    assert report["nablas"] == [report["nabla"]] == [polar.to_json()]
+    assert [len(points) for points in hulled] == [16]
 
 
 @pytest.mark.parametrize("fixture,parts,full", [
@@ -756,11 +760,107 @@ def test_nabla_pieces_hulled_on_first_read(fixture, parts, full, monkeypatch, re
     assert pieces == tuple(pt.hull(vs) for vs in dual.nabla_vertex_sets)
     hulled.clear()
     nabla = dual.nabla
-    assert hulled == [tuple(v for vs in dual.nabla_vertex_sets for v in vs)]
+    # Nabla is reflexive, so its hull is given the nonzero vertices only.
+    zero = (0,) * delta.rank
+    assert any(zero in vs for vs in dual.nabla_vertex_sets)
+    assert hulled == [tuple(v for vs in dual.nabla_vertex_sets for v in vs if v != zero)]
     assert nabla == pt.hull(hulled[0]) and pt.ell(nabla) == dual.ell_nabla
     hulled.clear()
     assert dual.nablas is pieces and dual.nabla is nabla
     assert hulled == []
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+@pytest.mark.parametrize("label", sorted(CARTIER_CASES))
+def test_one_part_dual_is_the_polar(label, seed, monkeypatch):
+    # For k = 1 nabla = nabla_1 = the polar, which the dual carries: no
+    # hull is run, no smallest face looked up, and the one point set is the
+    # polar's, as the constraint scan finds.
+    delta = _cartier_polytope(label, seed)
+    polar = pt.polar_dual(delta)
+    hulled = _record_hulls(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("a one-part partition sorts no point by its face")
+
+    monkeypatch.setattr(nef, "_smallest_face_mask", refuse)
+    np_ = nef.validate_nef_partition(delta, [pt.lattice_points(delta, "boundary")])
+    dual = nef.dual_nef_partition(np_)
+    assert dual.polar is polar and dual.nabla is polar and dual.nablas == (polar,)
+    assert dual.nabla_point_sets == (pt.lattice_points(polar),)
+    assert dual.nabla_point_sets == constraint_filter_points(np_)
+    assert dual.to_json()["nablas"] == [polar.to_json()]
+    assert hulled == []
+
+
+TWO_PART_FIXTURES = [name for name, slot in BUNDLED_PARTITIONS
+                     if slot == "parts" and name != "hexagon"]
+
+
+def _two_part_partition(name, seed=None):
+    """A bundled two-part partition, validated, or its image under
+    ``unimodular(d, seed)``."""
+    data = fixtures.load_fixture(name)
+    vertices, parts = data["polytope"]["vertices"], data["parts"]
+    if seed is not None:
+        m = unimodular(len(vertices[0]), seed)
+        vertices, parts = image(m, vertices), [image(m, part) for part in parts]
+    return nef.validate_nef_partition(pt.hull(vertices), parts)
+
+
+def _two_part_dual(name, seed=None):
+    return nef.dual_nef_partition(_two_part_partition(name, seed))
+
+
+def assert_nabla_hull_is_the_full_union(dual):
+    """Nabla, hulled without the origin, is the hull of every vertex of the
+    nabla_i, the origin among them, facets and incidence table alike."""
+    union = [v for vs in dual.nabla_vertex_sets for v in vs]
+    assert (0,) * len(union[0]) in union
+    full = pt.hull(union)
+    assert dual.nabla == full
+    assert (dual.nabla.facets, dual.nabla.incidence) == (full.facets, full.incidence)
+
+
+@pytest.mark.parametrize("name", TWO_PART_FIXTURES)
+def test_nabla_hull_is_the_full_union_on_fixtures(name):
+    assert_nabla_hull_is_the_full_union(_two_part_dual(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TWO_PART_FIXTURES), st.integers(0, 10**6))
+def test_nabla_hull_is_the_full_union_on_images(name, seed):
+    assert_nabla_hull_is_the_full_union(_two_part_dual(name, seed))
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["delta", "nabla"])
+@pytest.mark.parametrize("name", TWO_PART_FIXTURES)
+def test_tight_sets_look_up_one_face_per_facet_mask(name, mirror, monkeypatch):
+    # The points of Delta are grouped by the facets through them, and each
+    # group's smallest face is looked up once.  On the bundled Deltas every
+    # lattice point has a face of its own; the mirror partition, the
+    # nonzero points of each nabla_i on nabla, puts the quintic's 74 points
+    # of nabla on 34 faces.
+    np_ = _two_part_partition(name)
+    if mirror:
+        dual = nef.dual_nef_partition(np_)
+        zero = (0,) * dual.nabla.rank
+        np_ = nef.validate_nef_partition(
+            dual.nabla, [[p for p in ps if p != zero] for ps in dual.nabla_point_sets])
+    delta = np_.polytope
+    looked_up = []
+    real = nef._smallest_face_mask
+
+    def recording(poly, through):
+        looked_up.append(through)
+        return real(poly, through)
+
+    monkeypatch.setattr(nef, "_smallest_face_mask", recording)
+    dual = nef.dual_nef_partition(np_)
+    assert sorted(looked_up) == sorted(set(pt.facet_masks(delta)))
+    if mirror and name == "quintic":
+        assert (len(pt.lattice_points(delta)), len(looked_up)) == (74, 34)
+    assert dual.nabla_point_sets == constraint_filter_points(np_)
 
 
 def test_dual_of_unvalidated_partition_is_checked(cube, hexagon):
@@ -817,6 +917,31 @@ def test_quintic_counts_match_adjunction(quintic_simplex):
     assert nef.curve_invariant(dual, polar, 3) == genus == 51
 
 
+def test_complement_count_checks_each_polar_once(quintic_simplex, monkeypatch):
+    # The containment check runs once per (dual, polar) pair: the count is
+    # kept on the dual by the polar, and the curve invariant reads it back.
+    dual = nef.dual_nef_partition(nef.validate_nef_partition(quintic_simplex, QUINTIC_PARTS))
+    other = pt.hull(dual.polar.vertices)
+    assert other == dual.polar and other is not dual.polar
+    checked = []
+    real = pt.LatticePolytope.contains
+
+    def counting(self, point):
+        checked.append(self)
+        return real(self, point)
+
+    monkeypatch.setattr(pt.LatticePolytope, "contains", counting)
+    vertices = sum(map(len, dual.nabla_vertex_sets))
+    assert vertices == 10
+    assert nef.complement_count(dual, dual.polar) == 52
+    assert nef.curve_invariant(dual, dual.polar, 3) == 51
+    assert nef.complement_count(dual, dual.polar) == 52
+    assert len(checked) == vertices
+    # An equal polar built apart is the same polytope, and keys the same count.
+    assert nef.complement_count(dual, other) == 52
+    assert len(checked) == vertices
+
+
 def test_complement_requires_bipartite(octahedron):
     boundary = list(pt.lattice_points(octahedron, "boundary"))
     dual = nef.dual_nef_partition(nef.validate_nef_partition(octahedron, [boundary]))
@@ -831,7 +956,7 @@ def test_degenerate_configuration_policy(octahedron):
     polar = pt.polar_dual(octahedron)
     zero = ((0, 0, 0),)
     fake = nef.DualNefPartition((polar.vertices, zero),
-                                (pt.lattice_points(polar, "all"), zero))
+                                (pt.lattice_points(polar, "all"), zero), polar)
     assert fake.ell_nabla == pt.ell(polar) and fake.nabla == polar
     assert nef.complement_count(fake, polar) == 0
     with pytest.raises(errors.DegenerateConfiguration):
@@ -839,19 +964,21 @@ def test_degenerate_configuration_policy(octahedron):
 
 
 def test_partition_frees_its_polytope_without_the_collector():
-    # The dual partition holds no reference back to its partition, so
-    # reference counting alone frees Delta, its polar and nabla once the
-    # partition is dropped.
+    # The dual partition holds no reference back to its partition, and its
+    # polar only a weak one back to Delta, so reference counting alone
+    # frees Delta, its polar and nabla once the partition is dropped.
     enabled = gc.isenabled()
     gc.disable()
     try:
         delta = pt.hull(OCTAHEDRON)
-        alive = weakref.ref(delta)
         np_ = nef.validate_nef_partition(delta, P1P1P1_PARTS)
-        nef.dual_nef_partition(np_).to_json()
-        nef.complement_count(nef.dual_nef_partition(np_), pt.polar_dual(delta))
-        del delta, np_
-        assert alive() is None
+        dual = nef.dual_nef_partition(np_)
+        dual.to_json()
+        nef.curve_invariant(dual, dual.polar, 2)
+        assert dual.polar is pt.polar_dual(delta)
+        alive = [weakref.ref(delta), weakref.ref(dual.polar), weakref.ref(dual.nabla)]
+        del delta, np_, dual
+        assert [ref() for ref in alive] == [None] * 3
     finally:
         if enabled:
             gc.enable()
@@ -860,9 +987,15 @@ def test_partition_frees_its_polytope_without_the_collector():
 def test_nabla_not_contained(octahedron, cube):
     np_ = nef.validate_nef_partition(octahedron, P1P1P1_PARTS)
     dual = nef.dual_nef_partition(np_)
+    unrelated = pt.hull([(v[0], v[1], v[2]) for v in
+                         [(1,0,0),(-1,0,0),(0,1,0),(0,-1,0),(0,0,1),(0,0,-1)]])
+    # A polar that does not hold nabla keeps no count, so it raises each
+    # time, before and after the dual's own polar has been counted.
     with pytest.raises(errors.NablaNotContained):
-        nef.complement_count(dual, pt.hull([(v[0], v[1], v[2]) for v in
-                                            [(1,0,0),(-1,0,0),(0,1,0),(0,-1,0),(0,0,1),(0,0,-1)]]))
+        nef.complement_count(dual, unrelated)
+    assert nef.complement_count(dual, dual.polar) == 12
+    with pytest.raises(errors.NablaNotContained):
+        nef.complement_count(dual, unrelated)
 
 
 # --- Minkowski-sum interior identity ---------------------------------------
